@@ -9,6 +9,7 @@ payloads (paper section 6, REMI's memory-mapped file transfer).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 __all__ = ["BulkHandle", "BULK_OP_PULL", "BULK_OP_PUSH", "BULK_SETUP_COST"]
 
@@ -24,14 +25,18 @@ BULK_SETUP_COST = 1.5e-6
 class BulkHandle:
     """A remotely accessible memory region of ``size`` bytes.
 
-    ``data`` carries the region's contents through the simulation; it is
-    excluded from the RPC wire size (``__wire_size__``) because the bytes
-    move via the one-sided bulk path, not inside the RPC message.
+    ``data`` carries the region's contents through the simulation, by
+    reference: a byte string, or the object the region would encode (a
+    Yokan batch travels as its list of pairs), immutable or private to
+    the sender, never packed just to be measured.  Only ``size`` is
+    modelled.  ``data`` is excluded from the RPC wire size
+    (``__wire_size__``) because the bytes move via the one-sided bulk
+    path, not inside the RPC message.
     """
 
     owner_address: str
     size: int
-    data: bytes = b""
+    data: Any = b""
 
     #: What the handle itself occupies inside an RPC message.
     __wire_size__ = 32

@@ -11,6 +11,7 @@ data to the scheduling of ULTs").
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any
 
 __all__ = [
@@ -28,6 +29,7 @@ SER_BYTES_PER_SECOND = 8e9
 
 _CONTAINER_OVERHEAD = 8
 _PRIMITIVE_SIZES = {int: 8, float: 8, bool: 1, type(None): 1}
+_BYTE_STRINGS = frozenset((bytes, bytearray, memoryview))
 
 
 def estimate_size(obj: Any) -> int:
@@ -50,6 +52,18 @@ def estimate_size(obj: Any) -> int:
     if t is str:
         return len(obj.encode("utf-8", errors="replace")) + 4
     if t is list or t is tuple:
+        # Flat batches (Yokan's keys / values / (key, value) pairs) are
+        # sized without a Python frame per element.  Exact types only:
+        # a subclass may declare ``__wire_size__``, so it takes the walk.
+        kinds = set(map(type, obj))
+        if kinds <= _BYTE_STRINGS:
+            return _CONTAINER_OVERHEAD + sum(map(len, obj))
+        if kinds == {tuple} and _BYTE_STRINGS.issuperset(
+            map(type, chain.from_iterable(obj))
+        ):
+            return _CONTAINER_OVERHEAD * (len(obj) + 1) + sum(
+                map(len, chain.from_iterable(obj))
+            )
         return _CONTAINER_OVERHEAD + sum(estimate_size(item) for item in obj)
     if t is dict:
         return _CONTAINER_OVERHEAD + sum(

@@ -15,6 +15,7 @@ from .backend import (
     create_backend,
     decode_records,
     encode_records,
+    records_size,
     register_backend,
 )
 from .backends import MapBackend, OrderedBackend, PersistentBackend
@@ -36,6 +37,7 @@ __all__ = [
     "backend_types",
     "encode_records",
     "decode_records",
+    "records_size",
     "YokanError",
     "NoSuchKeyError",
     "UnknownBackendError",

@@ -13,6 +13,7 @@ provider boundary).  Backends must implement a codec-stable
 from __future__ import annotations
 
 import struct
+from itertools import chain
 from typing import Callable, Iterable, Optional
 
 __all__ = [
@@ -22,6 +23,7 @@ __all__ = [
     "backend_types",
     "encode_records",
     "decode_records",
+    "records_size",
     "YokanError",
     "NoSuchKeyError",
     "UnknownBackendError",
@@ -55,13 +57,21 @@ _LEN = struct.Struct("<I")
 
 def encode_records(items: Iterable[tuple[bytes, bytes]]) -> bytes:
     """Serialize (key, value) pairs to a flat byte string."""
-    chunks: list[bytes] = []
-    for key, value in items:
-        chunks.append(_LEN.pack(len(key)))
-        chunks.append(key)
-        chunks.append(_LEN.pack(len(value)))
-        chunks.append(value)
-    return b"".join(chunks)
+    pack = _LEN.pack
+    return b"".join(
+        [
+            field
+            for key, value in items
+            for field in (pack(len(key)), key, pack(len(value)), value)
+        ]
+    )
+
+
+def records_size(items: Iterable[tuple[bytes, bytes]]) -> int:
+    """``len(encode_records(items))`` without building the stream: what
+    a batch that travels by reference occupies on the bulk path."""
+    lengths = list(map(len, chain.from_iterable(items)))
+    return _LEN.size * len(lengths) + sum(lengths)
 
 
 def decode_records(data: bytes) -> list[tuple[bytes, bytes]]:
@@ -155,8 +165,7 @@ class KVBackend:
     def load(self, data: bytes) -> None:
         """Replace contents with a previous :meth:`dump`."""
         self.clear()
-        for key, value in decode_records(data):
-            self.put(key, value)
+        self.put_multi(decode_records(data))
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 import bisect
 from typing import Iterable, Optional
 
-from ..backend import KVBackend, NoSuchKeyError, register_backend
+from ..backend import KVBackend, NoSuchKeyError, encode_records, register_backend
 
 __all__ = ["OrderedBackend"]
 
@@ -40,22 +40,33 @@ class OrderedBackend(KVBackend):
             raise NoSuchKeyError(key) from None
 
     def put_multi(self, pairs: Iterable[tuple[bytes, bytes]]) -> None:
-        # Insert into the dict first, then re-sort the key array once per
-        # batch instead of paying an insort per key.
+        # One pass over the batch, then one merge of its new keys into
+        # the key array.
         data = self._data
         nbytes = self._bytes
-        fresh = False
+        fresh: list[bytes] = []
         for key, value in pairs:
             old = data.get(key)
             if old is None:
-                fresh = True
+                fresh.append(key)
             else:
                 nbytes -= len(key) + len(old)
             data[key] = value
             nbytes += len(key) + len(value)
-        if fresh:
-            self._keys = sorted(data)
         self._bytes = nbytes
+        if not fresh:
+            return
+        fresh.sort()
+        keys = self._keys
+        at = bisect.bisect_left(keys, fresh[0])
+        if at == len(keys) or fresh[-1] < keys[at]:
+            # All new keys fall into one gap (or after the last key).
+            keys[at:at] = fresh
+        else:
+            # Spread over several gaps: Timsort merges the two sorted
+            # runs in linear time.
+            keys.extend(fresh)
+            keys.sort()
 
     def get_multi(self, keys: Iterable[bytes]) -> list[bytes]:
         data = self._data
@@ -84,20 +95,26 @@ class OrderedBackend(KVBackend):
         start_after: Optional[bytes] = None,
         max_keys: int = 0,
     ) -> list[bytes]:
-        lower = start_after if (start_after is not None and start_after >= prefix) else None
-        if lower is not None:
-            start = bisect.bisect_right(self._keys, lower)
+        keys = self._keys
+        if start_after is not None and start_after >= prefix:
+            start = bisect.bisect_right(keys, start_after)
         else:
-            start = bisect.bisect_left(self._keys, prefix)
-        out: list[bytes] = []
-        for index in range(start, len(self._keys)):
-            key = self._keys[index]
-            if prefix and not key.startswith(prefix):
-                break
-            out.append(key)
-            if max_keys and len(out) >= max_keys:
-                break
-        return out
+            start = bisect.bisect_left(keys, prefix)
+        # Keys with ``prefix`` are exactly those in [prefix, successor):
+        # the prefix without its trailing 0xff bytes, last byte plus one.
+        # An empty or all-0xff prefix has no successor.
+        stem = prefix.rstrip(b"\xff")
+        if stem:
+            successor = stem[:-1] + bytes((stem[-1] + 1,))
+            end = bisect.bisect_left(keys, successor, start)
+        else:
+            end = len(keys)
+        if max_keys:
+            end = min(end, start + max_keys)
+        return keys[start:end]
+
+    def dump(self) -> bytes:
+        return encode_records(self.items())  # already in key order
 
     def items(self) -> Iterable[tuple[bytes, bytes]]:
         return ((k, self._data[k]) for k in self._keys)

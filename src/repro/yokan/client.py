@@ -9,11 +9,12 @@ getting key-value pairs" (section 3.1).  All methods are generators:
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Generator, Iterable, Optional
 
 from ..core.component import Client, ResourceHandle
 from ..mercury import BulkHandle
-from .backend import YokanError
+from .backend import YokanError, records_size
 from .provider import DEFAULT_BULK_THRESHOLD
 
 __all__ = ["YokanClient", "DatabaseHandle"]
@@ -79,16 +80,23 @@ class DatabaseHandle(ResourceHandle):
         return result
 
     def put_multi(self, pairs: Iterable[tuple[Any, Any]]) -> Generator:
-        normalized = [(_to_bytes(k), _to_bytes(v)) for k, v in pairs]
-        total = sum(len(k) + len(v) for k, v in normalized)
+        # Always a list of our own: the caller may mutate theirs while
+        # this RPC is parked, and the bulk path carries it by reference.
+        normalized = [
+            (
+                k if type(k) is bytes else _to_bytes(k),
+                v if type(v) is bytes else _to_bytes(v),
+            )
+            for k, v in pairs
+        ]
+        total = sum(map(len, chain.from_iterable(normalized)))
         if total >= DEFAULT_BULK_THRESHOLD:
-            # Large batches travel as one encoded record stream over the
-            # bulk path: the provider pulls it with RDMA.
-            from .backend import encode_records
-
-            data = encode_records(normalized)
+            # Large batches travel over the bulk path: the provider pulls
+            # what would be one encoded record stream with RDMA.
             args: dict = {
-                "bulk": BulkHandle(self.client.margo.address, len(data), data)
+                "bulk": BulkHandle(
+                    self.client.margo.address, records_size(normalized), normalized
+                )
             }
         else:
             args = {"pairs": normalized}
@@ -96,12 +104,10 @@ class DatabaseHandle(ResourceHandle):
         return None
 
     def get_multi(self, keys: Iterable[Any]) -> Generator:
-        encoded = [_to_bytes(k) for k in keys]
+        encoded = [k if type(k) is bytes else _to_bytes(k) for k in keys]
         result = yield from self._forward("get_multi", {"keys": encoded})
         if isinstance(result, BulkHandle):
-            from .backend import decode_records
-
-            return [v for _k, v in decode_records(result.data)]
+            return result.data
         return result
 
     # Batch aliases matching the C Yokan API naming (``yk_put_multi`` /

@@ -12,6 +12,7 @@ paper section 7 Observation 9).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Generator, Optional
 
 from ..analysis.race import hooks as _race
@@ -21,7 +22,7 @@ from ..margo.ult import Compute, UltSleep
 from ..mercury import BULK_OP_PULL, BULK_OP_PUSH, BulkHandle
 from ..storage.local import LocalStore
 from . import backends as _backends  # noqa: F401 - registers built-ins
-from .backend import KVBackend, YokanError, create_backend
+from .backend import KVBackend, YokanError, create_backend, records_size
 
 __all__ = ["YokanProvider", "OP_BASE_COST", "BYTES_PER_SECOND"]
 
@@ -36,16 +37,6 @@ DEFAULT_BULK_THRESHOLD = 8192
 
 def _op_cost(nbytes: int) -> float:
     return OP_BASE_COST + nbytes / BYTES_PER_SECOND
-
-
-def _to_bytes(value: Any) -> bytes:
-    if isinstance(value, bytes):
-        return value
-    if isinstance(value, (bytearray, memoryview)):
-        return bytes(value)
-    if isinstance(value, str):
-        return value.encode("utf-8")
-    raise YokanError(f"keys/values must be bytes or str, got {type(value).__name__}")
 
 
 class YokanProvider(Provider):
@@ -157,25 +148,24 @@ class YokanProvider(Provider):
         max_keys = args.get("max_keys", 0)
         yield Compute(OP_BASE_COST)
         keys = self.backend.list_keys(prefix, start_after, max_keys)
-        yield Compute(sum(len(k) for k in keys) / BYTES_PER_SECOND)
+        yield Compute(sum(map(len, keys)) / BYTES_PER_SECOND)
         return keys
 
     def _on_put_multi(self, ctx: RequestContext) -> Generator:
         args = ctx.args
         bulk = args.get("bulk")
         if bulk is not None:
-            # Batch arrived via the bulk path as an encoded record stream.
-            from .backend import decode_records
-
+            # Batch arrived via the bulk path: ``data`` is the client's
+            # own list of pairs, ``size`` what its record stream occupies.
             yield from self.margo.bulk_transfer(ctx.source, bulk.size, op=BULK_OP_PULL)
-            pairs = decode_records(bulk.data)
+            pairs = bulk.data
         else:
             pairs = args["pairs"]
             if not isinstance(pairs, list):
                 # Materialize so computing the total below cannot exhaust
                 # a one-shot iterator before put_multi sees it.
                 pairs = list(pairs)
-        total = sum(len(key) + len(value) for key, value in pairs)
+        total = sum(map(len, chain.from_iterable(pairs)))
         if _race.ENABLED:
             for key, _value in pairs:
                 _race.note_write(self.backend, key, f"yokan:{self.name}.put_multi")
@@ -191,14 +181,12 @@ class YokanProvider(Provider):
             for key in keys:
                 _race.note_read(self.backend, key, f"yokan:{self.name}.get_multi")
         values = self.backend.get_multi(keys)
-        total = sum(len(v) for v in values)
+        total = sum(map(len, values))
         yield Compute(total / BYTES_PER_SECOND)
         if total >= self.bulk_threshold:
-            from .backend import encode_records
-
-            encoded = encode_records(zip(keys, values))
-            yield from self.margo.bulk_transfer(ctx.source, len(encoded), op=BULK_OP_PUSH)
-            return BulkHandle(self.margo.address, len(encoded), encoded)
+            size = records_size(zip(keys, values))
+            yield from self.margo.bulk_transfer(ctx.source, size, op=BULK_OP_PUSH)
+            return BulkHandle(self.margo.address, size, values)
         return values
 
     def _on_erase_matching(self, ctx: RequestContext) -> Generator:

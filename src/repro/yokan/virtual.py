@@ -25,8 +25,9 @@ from ..margo.errors import RpcError, RpcFailedError
 from ..margo.runtime import MargoInstance, RequestContext
 from ..margo.ult import Compute
 from ..mercury import BulkHandle
-from .backend import YokanError
+from .backend import YokanError, decode_records
 from .client import DatabaseHandle, YokanClient
+from .provider import DEFAULT_BULK_THRESHOLD
 
 __all__ = ["VirtualYokanProvider"]
 
@@ -113,10 +114,8 @@ class VirtualYokanProvider(Provider):
     def _on_put_multi(self, ctx: RequestContext) -> Generator:
         bulk = ctx.args.get("bulk")
         if bulk is not None:
-            from .backend import decode_records
-
             yield from self.margo.bulk_transfer(ctx.source, bulk.size, op="pull")
-            pairs = decode_records(bulk.data)
+            pairs = bulk.data
         else:
             pairs = ctx.args["pairs"]
         yield from self._write_all(lambda replica: replica.put_multi(pairs))
@@ -145,7 +144,7 @@ class VirtualYokanProvider(Provider):
     def _on_get(self, ctx: RequestContext) -> Generator:
         key = ctx.args["key"]
         value = yield from self._read_any(lambda r: r.get(key))
-        if len(value) >= 8192:
+        if len(value) >= DEFAULT_BULK_THRESHOLD:
             yield from self.margo.bulk_transfer(ctx.source, len(value), op="push")
             return BulkHandle(self.margo.address, len(value), value)
         return value
@@ -183,8 +182,6 @@ class VirtualYokanProvider(Provider):
         after a replica was replaced)."""
         source = self.replicas[source_index]
         image = yield from source.fetch_image()
-        from .backend import decode_records
-
         pairs = decode_records(image)
         for index, replica in enumerate(self.replicas):
             if index == source_index:

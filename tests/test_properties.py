@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from repro.bedrock.jx9 import jx9_execute
 from repro.margo import MargoConfig
-from repro.mercury import estimate_size
+from repro.mercury import BulkHandle, estimate_size
 from repro.monitoring import RunningStats
 from repro.poesie import MiniInterpreter
 from repro.raft import LogEntry, RaftLog
 from repro.ssg import SwimConfig, SwimState, Update
+from repro.yokan import encode_records, records_size
 
 # ----------------------------------------------------------------------
 # mercury: wire-size estimation
@@ -53,6 +54,91 @@ def test_estimate_size_monotone_in_dict_growth(mapping):
     bigger = dict(mapping)
     bigger["__extra_key__"] = 12345
     assert estimate_size(bigger) > size
+
+
+def recursive_estimate_size(obj):
+    """The size model as one recursive walk, a Python frame per element:
+    the oracle the shipped ``estimate_size`` (which sizes flat batches
+    without walking them) must agree with on every payload."""
+    declared = getattr(obj, "__wire_size__", None)
+    if declared is not None:
+        return declared
+    t = type(obj)
+    if t in (int, float):
+        return 8
+    if t is bool or obj is None:
+        return 1
+    if t in (bytes, bytearray, memoryview):
+        return len(obj)
+    if t is str:
+        return len(obj.encode("utf-8", errors="replace")) + 4
+    if t in (list, tuple, set, frozenset):
+        return 8 + sum(recursive_estimate_size(item) for item in obj)
+    if t is dict:
+        return 8 + sum(
+            recursive_estimate_size(k) + recursive_estimate_size(v) for k, v in obj.items()
+        )
+    raise TypeError(type(obj).__name__)
+
+
+class DeclaredBytes(bytes):
+    """A byte string that declares a wire footprint other than its length."""
+
+    __wire_size__ = 3
+
+
+byte_strings = st.binary(max_size=40).flatmap(
+    lambda data: st.sampled_from([data, bytearray(data), memoryview(data)])
+)
+declared_bytes = st.builds(DeclaredBytes, st.binary(max_size=8))
+batch_elements = (
+    byte_strings
+    | st.tuples(byte_strings, byte_strings)  # (key, value) pairs
+    | st.tuples(byte_strings)  # ragged: 1-tuples ...
+    | st.tuples(byte_strings, byte_strings, byte_strings)  # ... and 3-tuples
+    | st.tuples(byte_strings, st.integers(-5, 5))  # mixed pairs
+    | st.just(())
+    | declared_bytes
+    | st.builds(BulkHandle, st.just("na+sim://n0:1"), st.integers(0, 1 << 20))
+    | st.integers(-5, 5)
+    | st.none()
+)
+#: homogeneous batches (the shapes sized arithmetically) as often as
+#: arbitrary mixes of the elements above (the shapes that must fall
+#: through to the walk).
+batches = st.one_of(
+    st.lists(byte_strings, max_size=12),
+    st.lists(st.tuples(byte_strings, byte_strings), max_size=12),
+    st.lists(st.tuples(byte_strings), max_size=6),
+    st.lists(byte_strings | declared_bytes, max_size=6),
+    st.lists(st.tuples(byte_strings | declared_bytes, byte_strings), max_size=6),
+    st.lists(batch_elements, max_size=8),
+).flatmap(lambda items: st.sampled_from([items, tuple(items)]))
+batch_payloads = st.recursive(
+    batches,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(["pairs", "keys", "bulk", "x"]), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch_payloads)
+def test_estimate_size_matches_recursive_walk_on_batches(payload):
+    assert estimate_size(payload) == recursive_estimate_size(payload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_values)
+def test_estimate_size_matches_recursive_walk_on_json(value):
+    assert estimate_size(value) == recursive_estimate_size(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.binary(max_size=64), st.binary(max_size=256)), max_size=30))
+def test_records_size_is_the_encoded_length(pairs):
+    assert records_size(pairs) == len(encode_records(pairs))
+    assert records_size(iter(pairs)) == len(encode_records(pairs))  # one-shot iterables too
 
 
 # ----------------------------------------------------------------------

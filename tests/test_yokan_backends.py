@@ -243,3 +243,137 @@ def test_get_multi_missing_key_raises(backend):
 def test_get_multi_returns_values_in_key_order(backend):
     backend.put_multi([(b"a", b"1"), (b"b", b"2"), (b"c", b"3")])
     assert backend.get_multi([b"c", b"a"]) == [b"3", b"1"]
+
+
+# ----------------------------------------------------------------------
+# model-based: op sequences against a plain dict on every backend
+# ----------------------------------------------------------------------
+def model_list_keys(model, prefix, start_after, max_keys):
+    keys = [
+        key
+        for key in sorted(model)
+        if key.startswith(prefix) and (start_after is None or key > start_after)
+    ]
+    return keys[:max_keys] if max_keys else keys
+
+
+def apply_op(backend, model, op):
+    """Apply ``op`` to both; the backend's reply (or error) must be the
+    model's."""
+    kind = op[0]
+    if kind == "put":
+        _kind, key, value = op
+        backend.put(key, value)
+        model[key] = value
+    elif kind == "put_multi":
+        _kind, pairs, one_shot = op
+        backend.put_multi(iter(pairs) if one_shot else pairs)
+        model.update(pairs)
+    elif kind == "erase":
+        _kind, key = op
+        if key in model:
+            backend.erase(key)
+            del model[key]
+        else:
+            with pytest.raises(NoSuchKeyError) as caught:
+                backend.erase(key)
+            assert caught.value.key == key
+    elif kind == "get_multi":
+        _kind, keys = op
+        missing = [key for key in keys if key not in model]
+        if missing:
+            with pytest.raises(NoSuchKeyError) as caught:
+                backend.get_multi(keys)
+            assert caught.value.key == missing[0]
+        else:
+            assert backend.get_multi(keys) == [model[key] for key in keys]
+    else:
+        _kind, prefix, start_after, max_keys = op
+        assert backend.list_keys(prefix, start_after, max_keys) == model_list_keys(
+            model, prefix, start_after, max_keys
+        )
+
+
+def check_against_model(name, backend, model):
+    assert dict(backend.items()) == model
+    assert backend.count() == len(model)
+    assert backend.size_bytes() == sum(len(k) + len(v) for k, v in model.items())
+    assert backend.list_keys() == sorted(model)
+    ordered = getattr(backend, "_mem", backend)
+    if isinstance(ordered, OrderedBackend):
+        assert ordered._keys == sorted(ordered._data)
+    image = backend.dump()
+    assert decode_records(image) == sorted(model.items())
+    reloaded = BACKEND_FACTORIES[name]()
+    reloaded.put(b"stale", b"gone after load")
+    reloaded.load(image)
+    assert dict(reloaded.items()) == model
+    assert reloaded.dump() == image
+    assert reloaded.size_bytes() == backend.size_bytes()
+
+
+#: a three-letter alphabet with 0xff in it: collisions, overwrites, gaps
+#: and prefixes that end in 0xff all come up within a few steps.
+model_keys = st.lists(st.sampled_from([b"a", b"m", b"\xff"]), max_size=3).map(b"".join)
+model_values = st.binary(max_size=6)
+model_ops = st.one_of(
+    st.tuples(st.just("put"), model_keys, model_values),
+    st.tuples(
+        st.just("put_multi"),
+        st.lists(st.tuples(model_keys, model_values), max_size=8),
+        st.booleans(),
+    ),
+    st.tuples(st.just("erase"), model_keys),
+    st.tuples(st.just("get_multi"), st.lists(model_keys, max_size=4)),
+    st.tuples(
+        st.just("list_keys"),
+        model_keys,
+        st.none() | model_keys,
+        st.integers(min_value=0, max_value=5),
+    ),
+)
+
+
+@pytest.mark.parametrize("name", sorted(BACKEND_FACTORIES))
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(model_ops, max_size=12))
+def test_backend_matches_dict_model(name, ops):
+    backend, model = BACKEND_FACTORIES[name](), {}
+    for op in ops:
+        apply_op(backend, model, op)
+        check_against_model(name, backend, model)
+
+
+def test_put_multi_merge_shapes_match_dict_model(backend):
+    """Every way a batch's new keys can fall into the sorted key array."""
+    name = backend.type_name
+    model = {}
+    batches = [
+        [],  # empty batch into an empty database
+        [(b"m2", b"1"), (b"m0", b"2"), (b"m4", b"3")],  # unsorted, into an empty database
+        [(b"a1", b"4"), (b"a0", b"5")],  # all before the first key
+        [(b"m11", b"6"), (b"m10", b"7")],  # inside one gap
+        [(b"a5", b"8"), (b"m3", b"9"), (b"z", b"10")],  # spread over several gaps
+        [(b"zz1", b"11"), (b"zz0", b"12")],  # all after the last key
+        [(b"m0", b"13"), (b"z", b"")],  # overwrite only
+        [(b"q", b"14"), (b"q", b"15"), (b"m0", b"16"), (b"q", b"17")],  # in-batch duplicates
+        [(b"m10", b"18"), (b"m12", b"19")],  # one overwrite, one new key
+        [],  # empty batch into a full database
+    ]
+    for index, batch in enumerate(batches):
+        apply_op(backend, model, ("put_multi", batch, index % 2 == 1))
+        check_against_model(name, backend, model)
+    assert model[b"q"] == b"17"
+
+
+def test_list_keys_bounds_match_dict_model(backend):
+    keys = [b"a", b"a\xfe", b"a\xff", b"a\xff\x00", b"a\xff\xff", b"b", b"b0", b"b1", b"b2",
+            b"c", b"\xff", b"\xff\x01", b"\xff\xff", b"\xff\xff\xff"]
+    model = {key: b"v" for key in keys}
+    backend.put_multi(list(model.items()))
+    prefixes = [b"", b"b", b"a\xff", b"a\xff\xff", b"\xff", b"\xff\xff", b"absent", b"b3", b"\xfe"]
+    starts = [None, b"", b"a", b"b", b"b0", b"b1x", b"b2", b"b9", b"c", b"\xff\xff", b"\xff" * 4]
+    for prefix in prefixes:
+        for start_after in starts:
+            for max_keys in (0, 1, 2, len(keys) + 1):
+                apply_op(backend, model, ("list_keys", prefix, start_after, max_keys))

@@ -324,3 +324,112 @@ def test_multi_put_alias_on_virtual_provider(virtual_rig):
     assert run(cluster, cm, driver()) == [b"1", b"2"]
     for provider in backends:
         assert provider.backend.count() == 2
+
+
+# ----------------------------------------------------------------------
+# cost-model pin: batches travel by reference, the modelled cost does not
+# move.  The literals are simulated seconds recorded at the commit that
+# still packed every bulk batch with encode_records/decode_records.
+# ----------------------------------------------------------------------
+INLINE_PAIRS = [(f"in/{i:03d}".encode(), b"v" * (10 + i)) for i in range(10)]
+BULK_PAIRS = [(f"bulk/{i:05d}".encode(), bytes([i % 251]) * (40 + i % 21)) for i in range(300)]
+PINNED_NOW = {
+    ("rig", "inline"): 2.263295000000001e-05,
+    ("rig", "bulk"): 0.00018337651666666669,
+    ("virtual_rig", "inline"): 4.147155e-05,
+    ("virtual_rig", "bulk"): 0.00021304871666666668,
+}
+
+
+def _drive_batches(cluster, client_margo, db, pairs, monkeypatch):
+    """put_multi + get_multi (two keys in three) + list_keys; returns the
+    simulated clock afterwards, every bulk size, the keys read and the
+    two replies."""
+    from repro.margo.runtime import MargoInstance
+
+    sizes = []
+    plain_transfer = MargoInstance.bulk_transfer
+
+    def recording_transfer(self, peer, size, op="pull"):
+        sizes.append(size)
+        return plain_transfer(self, peer, size, op=op)
+
+    monkeypatch.setattr(MargoInstance, "bulk_transfer", recording_transfer)
+    keys = [key for index, (key, _value) in enumerate(pairs) if index % 3]
+
+    def driver():
+        yield from db.put_multi(pairs)
+        values = yield from db.get_multi(keys)
+        listed = yield from db.list_keys(prefix=pairs[0][0][:3], max_keys=len(pairs) - 1)
+        return values, listed
+
+    values, listed = run(cluster, client_margo, driver())
+    return cluster.kernel.now, sizes, keys, values, listed
+
+
+@pytest.mark.parametrize("shape", ["inline", "bulk"])
+@pytest.mark.parametrize("rig_name", ["rig", "virtual_rig"])
+def test_batch_cost_model_is_pinned(rig_name, shape, request, monkeypatch):
+    from repro.yokan import encode_records
+
+    if rig_name == "rig":
+        cluster, _, cm, provider, db = request.getfixturevalue(rig_name)
+        providers = [provider]
+    else:
+        cluster, providers, _, cm, db = request.getfixturevalue(rig_name)
+    pairs = INLINE_PAIRS if shape == "inline" else BULK_PAIRS
+    now, sizes, keys, values, listed = _drive_batches(cluster, cm, db, pairs, monkeypatch)
+    model = dict(pairs)
+    assert values == [model[key] for key in keys]
+    assert listed == sorted(model)[:-1]
+    for provider in providers:
+        assert dict(provider.backend.items()) == model
+    put_stream = len(encode_records(pairs))
+    get_stream = len(encode_records((key, model[key]) for key in keys))
+    if shape == "inline":
+        assert sizes == []
+    elif rig_name == "rig":
+        assert sizes == [put_stream, get_stream]
+    else:
+        # client -> front, front -> each of 3 replicas, first replica ->
+        # front; the virtual provider replies inline.
+        assert sizes == [put_stream] * 4 + [get_stream]
+    assert now == PINNED_NOW[rig_name, shape]
+
+
+def test_batch_cost_model_under_race_detector(request, monkeypatch):
+    """The detector still sees every key of a by-reference batch, and
+    watching does not move simulated time."""
+    from repro.analysis.race import hooks
+
+    was_enabled = hooks.ENABLED
+    hooks.disable()
+    hooks.enable()
+    noted = {"write": [], "read": []}
+    plain_write, plain_read = hooks.note_write, hooks.note_read
+
+    def counting_write(state, key, where):
+        noted["write"].append((state, key))
+        plain_write(state, key, where)
+
+    def counting_read(state, key, where):
+        noted["read"].append((state, key))
+        plain_read(state, key, where)
+
+    monkeypatch.setattr(hooks, "note_write", counting_write)
+    monkeypatch.setattr(hooks, "note_read", counting_read)
+    try:
+        cluster, _, cm, provider, db = request.getfixturevalue("rig")
+        now, _sizes, keys, _values, _listed = _drive_batches(
+            cluster, cm, db, BULK_PAIRS, monkeypatch
+        )
+        assert hooks.findings == []
+    finally:
+        hooks.disable()
+        if was_enabled:
+            hooks.enable()
+    backend = provider.backend
+    written = [key for state, key in noted["write"] if state is backend]
+    assert written == [key for key, _value in BULK_PAIRS]
+    assert [key for state, key in noted["read"] if state is backend] == keys
+    assert now == PINNED_NOW["rig", "bulk"]
