@@ -7,37 +7,17 @@ respond; ULTs must not suspend while holding a mutex; and configuration
 documents must cross-reference consistently.  This package enforces all
 of that three ways:
 
-* a static AST pass (:mod:`repro.analysis.rules`, ``repro-lint`` /
-  ``python -m repro.analysis``);
+* a static pass (:mod:`repro.analysis.engine`, ``repro-lint`` /
+  ``python -m repro.analysis``): file-scope, whole-program and
+  path-sensitive rules in one pipeline;
 * a configuration cross-validator (:mod:`repro.analysis.config_check`),
   reused by ``bedrock.boot`` so files and live boots agree;
-* a runtime sanitizer (:mod:`repro.analysis.sanitize`,
-  ``REPRO_SANITIZE=1``) asserting the invariants the AST cannot prove,
-  under the same ``MCH0xx`` rule ids.
+* runtime layers (:mod:`repro.analysis.sanitize`, ``REPRO_SANITIZE=1``;
+  :mod:`repro.analysis.race`, ``REPRO_SANITIZE=race``) asserting the
+  invariants the AST cannot prove, under the same ``MCH0xx`` rule ids.
 
-This module deliberately does not import :mod:`.config_check` at import
-time: that module depends on the margo/bedrock packages, which in turn
-import :mod:`.sanitize` from here -- importing it lazily keeps the
-package importable from both directions.
+This module exports nothing: the runtime (``margo/*``) imports
+:mod:`.sanitize` and :mod:`.race.hooks` through here on every
+``import repro``, and must not pay for the lint engine.  Import the
+static API from :mod:`.engine`.
 """
-
-from __future__ import annotations
-
-from . import rules  # noqa: F401 - registers the static rule catalog
-from .race import hooks as _race_hooks  # noqa: F401 - registers MCH03x/MCH04x
-from .engine import lint_file, lint_paths, lint_source
-from .findings import Finding, Severity, format_findings
-from .registry import RuleInfo, rule_catalog
-from .suppress import parse_suppressions
-
-__all__ = [
-    "Finding",
-    "Severity",
-    "RuleInfo",
-    "format_findings",
-    "lint_source",
-    "lint_file",
-    "lint_paths",
-    "parse_suppressions",
-    "rule_catalog",
-]

@@ -12,11 +12,6 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from . import config_check  # noqa: F401 - registers the MCH02x config rules
-from . import flow as _flow  # noqa: F401 - registers MCH070-073
-from . import interproc as _interproc  # noqa: F401 - registers MCH014/015/05x/06x
-from .baseline import BaselineError, filter_new, load_baseline, write_baseline
-from .cache import DEFAULT_CACHE_DIR, LintCache
 from .engine import run_lint
 from .findings import format_findings
 from .registry import rule_catalog
@@ -41,9 +36,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="repro-lint",
         description=(
             "Mochi-aware static analyzer: enforces the simulator's "
-            "determinism and cooperative-scheduling invariants over "
-            "Python sources, and cross-validates Margo/Bedrock JSON "
-            "configuration documents."
+            "determinism, cooperative-scheduling, RPC-contract and "
+            "protocol invariants over Python sources (per file, whole "
+            "program and path by path in one pass), and cross-validates "
+            "Margo/Bedrock JSON configuration documents."
         ),
     )
     parser.add_argument(
@@ -74,70 +70,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="print the rule catalog and exit",
     )
     parser.add_argument(
-        "--interproc",
-        action="store_true",
-        help=(
-            "also run the mochi-deps whole-program passes (call-graph "
-            "effect inference, RPC contracts, partition safety, "
-            "migration coverage: MCH014/015/050-053/060/061)"
-        ),
-    )
-    parser.add_argument(
-        "--flow",
-        action="store_true",
-        help=(
-            "also run the mochi-flow path-sensitive passes (per-function "
-            "CFG + typestate: respond-exactly-once, lock release balance, "
-            "exception-path resource leaks, use-after-release/migrate: "
-            "MCH070-073)"
-        ),
-    )
-    parser.add_argument(
         "--stats",
         action="store_true",
         help=(
             "print analysis coverage counters (dynamic call sites "
-            "skipped, RPC pairs checked, cache hit rate) to stderr"
+            "skipped, RPC pairs checked, CFGs built) and where the run's "
+            "time went (seconds_parse / _file_rules / _index_effects / "
+            "_project_rules) to stderr"
         ),
-    )
-    parser.add_argument(
-        "--allowlist",
-        metavar="FILE",
-        default="partition-allowlist.txt",
-        help=(
-            "partition-safety allowlist for MCH060 "
-            "(default: partition-allowlist.txt, if it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental per-file result cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=DEFAULT_CACHE_DIR,
-        help=f"cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help=(
-            "per-file-lint only files git reports as changed (whole-"
-            "program passes still run over the full tree)"
-        ),
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="fail only on findings not recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite --baseline (default lint-baseline.json) from the "
-        "current findings and exit",
     )
     parser.add_argument(
         "--race",
@@ -170,46 +110,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         select = args.select.split(",") if args.select else None
         ignore = args.ignore.split(",") if args.ignore else None
-        cache = (
-            None
-            if args.no_cache
-            else LintCache(args.cache_dir, select=select, ignore=ignore)
-        )
         try:
-            result = run_lint(
-                args.paths,
-                select=select,
-                ignore=ignore,
-                cache=cache,
-                changed_only=args.changed_only,
-                interproc=args.interproc,
-                flow=args.flow,
-                allowlist_path=args.allowlist,
-            )
-        except FileNotFoundError as err:
+            result = run_lint(args.paths, select=select, ignore=ignore)
+        except (FileNotFoundError, ValueError) as err:
             print(f"repro-lint: {err}", file=sys.stderr)
             return 2
         findings = result.findings
-        if args.stats and result.stats:
+        if args.stats:
             for key in sorted(result.stats):
                 print(f"repro-lint: stats {key}={result.stats[key]}", file=sys.stderr)
-
-    if args.update_baseline:
-        baseline_path = args.baseline or "lint-baseline.json"
-        count = write_baseline(baseline_path, findings)
-        print(f"repro-lint: wrote {count} finding(s) to {baseline_path}")
-        return 0
-    if args.baseline:
-        try:
-            known = load_baseline(args.baseline)
-        except BaselineError as err:
-            print(f"repro-lint: {err}", file=sys.stderr)
-            return 2
-        baselined = len(findings)
-        findings = filter_new(findings, known)
-        baselined -= len(findings)
-        if baselined and args.format == "text":
-            print(f"repro-lint: {baselined} baselined finding(s) hidden")
 
     if args.format == "json":
         print(json.dumps([f.to_json() for f in findings], indent=2, sort_keys=True))

@@ -461,12 +461,17 @@ def validate_config_doc(doc: Any, path: str = "<config>") -> list[Finding]:
     return validate_margo_doc(probe, path=path)
 
 
+#: Top-level JSON keys that mark a document as a Margo/Bedrock config
+#: (other JSON files -- benchmark results, datasets -- are skipped).
+CONFIG_MARKERS = frozenset(
+    {"margo", "argobots", "libraries", "providers", "progress_pool", "rpc_pool"}
+)
+
+
 def validate_config_file(path: str, only_configs: bool = False) -> list[Finding]:
     """Validate one JSON file.  With ``only_configs=True``, documents
     that do not look like Margo/Bedrock configs are skipped (so the
     linter can sweep directories containing benchmark-result JSON)."""
-    from .engine import CONFIG_MARKERS
-
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)

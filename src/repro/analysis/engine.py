@@ -1,10 +1,11 @@
-"""The mochi-lint engine: file discovery, rule execution, suppression.
+"""The mochi-lint engine: one pipeline from paths to findings.
 
-``lint_paths`` is the historical one-shot entry point; :func:`run_lint`
-is the full orchestration the CLI uses -- per-file rules (optionally
-served from the incremental cache, optionally restricted to git-changed
-files) plus the whole-program ``--interproc`` layer, which reuses the
-parse this engine already paid for on every Python file.
+:func:`run_lint` parses every file once, runs the file-scope rules on
+each file and the project-scope rules on the whole (building the shared
+call graph and effect fixpoint only when a selected rule needs them),
+then applies one select/ignore filter, one suppression pass and one
+sort.  :func:`lint_source` is the same pipeline over a one-file project,
+so every rule can be exercised on a snippet.
 
 Directories are walked in sorted order and rules run in id order, so
 the finding list is deterministic -- the linter holds itself to the
@@ -13,28 +14,26 @@ invariant it enforces.
 
 from __future__ import annotations
 
-import ast
 import os
-import subprocess
+import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Optional
 
-from .cache import LintCache
+from . import flow, interproc, rules  # noqa: F401 - register the static rules
+from .config_check import validate_config_file  # also registers MCH02x
 from .findings import Finding, Severity
-from .registry import PARSE_ERROR, FileContext, all_rules
-from .suppress import parse_suppressions
+from .interproc.callgraph import ProjectIndex, build_project
+from .interproc.effects import EffectAnalysis
+from .race import hooks as _race_hooks  # noqa: F401 - registers MCH03x/MCH04x
+from .registry import PARSE_ERROR, Rule, all_rules, rule_catalog
+from .rules import FileContext
+from .suppress import UNSUPPRESSABLE, parse_suppressions
 
-__all__ = [
-    "lint_source",
-    "lint_file",
-    "lint_paths",
-    "iter_target_files",
-    "run_lint",
-    "LintResult",
-]
+__all__ = ["lint_source", "iter_target_files", "run_lint", "LintResult", "Project"]
 
 #: Directory names never descended into.  ``fixtures`` holds lint-test
-#: inputs that are deliberately broken; ``.repro-lint-cache`` is ours.
+#: inputs that are deliberately broken.
 _SKIP_DIRS = frozenset(
     {
         ".git",
@@ -44,45 +43,83 @@ _SKIP_DIRS = frozenset(
         ".venv",
         "results",
         "fixtures",
-        ".repro-lint-cache",
     }
 )
 
-#: Top-level JSON keys that mark a document as a Margo/Bedrock config
-#: (other JSON files -- benchmark results, datasets -- are skipped).
-CONFIG_MARKERS = frozenset(
-    {"margo", "argobots", "libraries", "providers", "progress_pool", "rpc_pool"}
-)
+
+class Project:
+    """What a project-scope rule sees: every parsed file plus the
+    whole-program facts, built on first use and shared by all rules."""
+
+    def __init__(self, files: list[FileContext]) -> None:
+        self.files = files
+        #: coverage counters the rules report for ``--stats``.
+        self.stats: dict = {}
+
+    @cached_property
+    def index(self) -> ProjectIndex:
+        return build_project(self.files)
+
+    @cached_property
+    def effects(self) -> EffectAnalysis:
+        return EffectAnalysis(self.index)
 
 
-def _selected_rules(select: Optional[Iterable[str]], ignore: Optional[Iterable[str]]):
-    rules = all_rules()
-    if select:
-        wanted = set(select)
-        rules = [r for r in rules if r.info.id in wanted]
-    if ignore:
-        dropped = set(ignore)
-        rules = [r for r in rules if r.info.id not in dropped]
-    return rules
+@dataclass
+class LintResult:
+    """Everything one lint run produced."""
+
+    findings: list[Finding]
+    #: coverage counters and the ``seconds_*`` split of the run.
+    stats: dict = field(default_factory=dict)
 
 
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-    tree: Optional[ast.Module] = None,
-) -> list[Finding]:
-    """Lint Python source text; returns unsuppressed findings.
+def _now() -> float:
+    return time.perf_counter()  # mochi-lint: disable=MCH001 -- --stats reports the linter's own host cost; nothing simulated reads it
 
-    ``tree`` may carry a pre-parsed module for the same ``source`` so
-    callers that already parsed (the interproc layer) don't pay twice.
+
+def _select_rules(
+    select: Optional[Iterable[str]], ignore: Optional[Iterable[str]]
+) -> tuple[list[Rule], Callable[[str], bool]]:
+    """The rules to run and the finding filter for ``select``/``ignore``.
+
+    An id the catalog does not know is an error, not an empty selection:
+    a typo'd gate must not be green.
     """
-    suppressions = parse_suppressions(source, path)
-    findings: list[Finding] = list(suppressions.findings)
-    if tree is None:
+    wanted = set(select) if select else None
+    dropped = set(ignore) if ignore else set()
+    unknown = ((wanted or set()) | dropped) - {info.id for info in rule_catalog()}
+    if unknown:
+        raise ValueError(
+            f"unknown rule id(s) {', '.join(sorted(unknown))}; "
+            "see --list-rules for the catalog"
+        )
+
+    def keep(rule_id: str) -> bool:
+        return (wanted is None or rule_id in wanted) and rule_id not in dropped
+
+    return [r for r in all_rules() if any(keep(i.id) for i in r.infos)], keep
+
+
+def _lint(
+    sources: list[tuple[str, str]],
+    findings: list[Finding],
+    selected: list[Rule],
+    keep: Callable[[str], bool],
+) -> LintResult:
+    """The pipeline over ``(path, source)`` pairs; ``findings`` carries
+    what the caller already found outside it (config documents)."""
+    file_rules = [r for r in selected if r.scope == "file"]
+    project_rules = [r for r in selected if r.scope == "project"]
+
+    started = _now()
+    files: list[FileContext] = []
+    suppressions = {}
+    for path, source in sources:
+        suppressions[path] = parse_suppressions(source, path)
+        findings.extend(suppressions[path].findings)
         try:
-            tree = ast.parse(source, filename=path)
+            files.append(FileContext.parse(path, source))
         except SyntaxError as err:
             findings.append(
                 Finding(
@@ -93,31 +130,45 @@ def lint_source(
                     message=f"syntax error: {err.msg}",
                 )
             )
-            return findings
-    ctx = FileContext(path=path, source=source, tree=tree)
-    for rule in _selected_rules(select, ignore):
-        findings.extend(rule.check(ctx))
-    kept = [f for f in findings if not suppressions.is_suppressed(f)]
-    kept.sort(key=lambda f: (f.path, f.line, f.rule_id))
-    return kept
+    parsed = _now()
+    for ctx in files:
+        for rule in file_rules:
+            findings.extend(rule.check(ctx))
+    file_done = _now()
+    project = Project(files)
+    if project_rules:
+        project.effects  # builds the index and the fixpoint, once
+        project.stats.update(vars(project.index.stats))
+    built = _now()
+    for rule in project_rules:
+        findings.extend(rule.check(project))
+    project_done = _now()
+
+    kept = [
+        f
+        for f in findings
+        if (f.rule_id in UNSUPPRESSABLE or keep(f.rule_id))
+        and not (f.path in suppressions and suppressions[f.path].is_suppressed(f))
+    ]
+    kept.sort(key=lambda f: (f.path, f.line, f.rule_id, f.message))
+    stats = dict(
+        project.stats,
+        seconds_parse=round(parsed - started, 3),
+        seconds_file_rules=round(file_done - parsed, 3),
+        seconds_index_effects=round(built - file_done, 3),
+        seconds_project_rules=round(project_done - built, 3),
+    )
+    return LintResult(findings=kept, stats=stats)
 
 
-def lint_file(
-    path: str,
+def lint_source(
+    source: str,
+    path: str = "<string>",
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
 ) -> list[Finding]:
-    """Lint one file: ``.py`` via the AST rules, ``.json`` via the
-    configuration cross-validator (non-config JSON is skipped)."""
-    if path.endswith(".json"):
-        # Imported lazily: config_check pulls in the margo package, which
-        # itself imports the sanitizer from this package at startup.
-        from .config_check import validate_config_file
-
-        return validate_config_file(path, only_configs=True)
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    return lint_source(source, path=path, select=select, ignore=ignore)
+    """Lint Python source text as a one-file project."""
+    return _lint([(path, source)], [], *_select_rules(select, ignore)).findings
 
 
 def iter_target_files(paths: Iterable[str]) -> Iterator[str]:
@@ -135,181 +186,21 @@ def iter_target_files(paths: Iterable[str]) -> Iterator[str]:
                     yield os.path.join(root, name)
 
 
-def lint_paths(
-    paths: Iterable[str],
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-) -> list[Finding]:
-    """Lint every Python file and config document under ``paths``."""
-    findings: list[Finding] = []
-    for path in iter_target_files(paths):
-        findings.extend(lint_file(path, select=select, ignore=ignore))
-    return findings
-
-
-@dataclass
-class LintResult:
-    """Everything one orchestrated lint run produced."""
-
-    findings: list[Finding]
-    #: interproc coverage + cache counters (empty without --interproc).
-    stats: dict = field(default_factory=dict)
-
-
-def _git_changed_files() -> Optional[set[str]]:
-    """Paths git considers changed (tracked modifications + untracked).
-
-    Returns ``None`` when git is unavailable or this is not a work tree,
-    so callers can fall back to linting everything rather than silently
-    linting nothing.
-    """
-    changed: set[str] = set()
-    for args in (
-        ["git", "diff", "--name-only", "HEAD"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        try:
-            proc = subprocess.run(
-                args, capture_output=True, text=True, timeout=30, check=True
-            )
-        except (OSError, subprocess.SubprocessError):
-            return None
-        changed.update(
-            os.path.normpath(line)
-            for line in proc.stdout.splitlines()
-            if line.strip()
-        )
-    return changed
-
-
 def run_lint(
     paths: Iterable[str],
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
-    *,
-    cache: Optional[LintCache] = None,
-    changed_only: bool = False,
-    interproc: bool = False,
-    flow: bool = False,
-    allowlist_path: str = "partition-allowlist.txt",
 ) -> LintResult:
-    """Orchestrated lint: per-file rules + optional whole-program layers.
-
-    * ``cache`` serves per-file findings for unchanged Python sources;
-    * ``changed_only`` restricts *per-file* linting to git-changed
-      files (whole-program passes still see the full tree -- a contract
-      has two ends, and only one of them changed);
-    * ``interproc`` runs the mochi-deps passes over every Python file,
-      reusing the per-file parses, and suppresses MCH010's one-hop
-      helper findings wherever MCH014 reports the same site with the
-      full call chain;
-    * ``flow`` runs the mochi-flow CFG/typestate passes (MCH070-073)
-      and retires the flow-insensitive MCH012 heuristic at every site
-      the path-sensitive MCH070 analysis covered.  Both whole-program
-      layers share one project index and one effect fixpoint.
-    """
-    changed: Optional[set[str]] = None
-    if changed_only:
-        changed = _git_changed_files()
-    whole_program = interproc or flow
-
+    """Lint every Python file and config document under ``paths``:
+    ``.py`` through the rule pipeline, ``.json`` through the
+    configuration cross-validator (non-config JSON is skipped)."""
+    selected, keep = _select_rules(select, ignore)
+    sources: list[tuple[str, str]] = []
     findings: list[Finding] = []
-    parsed: list[tuple[str, ast.Module, str]] = []
     for path in iter_target_files(paths):
-        lint_this = changed is None or os.path.normpath(path) in changed
         if path.endswith(".json"):
-            if lint_this:
-                findings.extend(lint_file(path, select=select, ignore=ignore))
-            continue
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        cached: Optional[list[Finding]] = None
-        if cache is not None and lint_this:
-            cached = cache.get(cache.key(path, source))
-        tree: Optional[ast.Module] = None
-        if whole_program or cached is None:
-            try:
-                tree = ast.parse(source, filename=path)
-            except SyntaxError:
-                tree = None
-        if whole_program and tree is not None:
-            parsed.append((path, tree, source))
-        if not lint_this:
-            continue
-        if cached is not None:
-            findings.extend(cached)
-            continue
-        file_findings = lint_source(
-            source, path=path, select=select, ignore=ignore, tree=tree
-        )
-        if cache is not None:
-            cache.put(cache.key(path, source), file_findings)
-        findings.extend(file_findings)
-
-    stats: dict = {}
-    index = analysis = None
-    if whole_program:
-        # Imported lazily: the whole-program packages import rule
-        # modules that themselves import from this engine's siblings.
-        from .interproc.callgraph import build_project
-        from .interproc.effects import EffectAnalysis
-
-        index = build_project([(p, tree) for p, tree, _ in parsed])
-        analysis = EffectAnalysis(index)
-    if interproc:
-        from .interproc import run_interproc
-
-        allowlist_text: Optional[str] = None
-        if allowlist_path and os.path.isfile(allowlist_path):
-            with open(allowlist_path, "r", encoding="utf-8") as handle:
-                allowlist_text = handle.read()
-        inter_findings, stats = run_interproc(
-            parsed,
-            select=select,
-            ignore=ignore,
-            allowlist_text=allowlist_text,
-            allowlist_path=allowlist_path,
-            index=index,
-            analysis=analysis,
-        )
-        # MCH014 supersedes MCH010's one-hop helper heuristic: both
-        # report at the call site, so a site MCH014 covers (with its
-        # full chain) must not be double-reported.
-        deep_sites = {
-            (f.path, f.line) for f in inter_findings if f.rule_id == "MCH014"
-        }
-        findings = [
-            f
-            for f in findings
-            if not (f.rule_id == "MCH010" and (f.path, f.line) in deep_sites)
-        ]
-        findings.extend(inter_findings)
-    if flow:
-        from .flow import run_flow
-
-        flow_findings, flow_stats, covered = run_flow(
-            parsed,
-            select=select,
-            ignore=ignore,
-            index=index,
-            analysis=analysis,
-        )
-        # MCH070 proved (or refuted) the respond protocol path by path
-        # at these sites; the one-file MCH012 heuristic stands down
-        # there, same precedent as MCH010 -> MCH014.
-        findings = [
-            f
-            for f in findings
-            if not (f.rule_id == "MCH012" and (f.path, f.line) in covered)
-        ]
-        findings.extend(flow_findings)
-        stats.update(flow_stats)
-
-    if cache is not None:
-        cache.save()
-        stats["cache_hits"] = cache.hits
-        stats["cache_misses"] = cache.misses
-        stats["cache_hit_rate"] = round(cache.hit_rate, 4)
-
-    findings.sort(key=lambda f: (f.path, f.line, f.rule_id, f.message))
-    return LintResult(findings=findings, stats=stats)
+            findings.extend(validate_config_file(path, only_configs=True))
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                sources.append((path, handle.read()))
+    return _lint(sources, findings, selected, keep)

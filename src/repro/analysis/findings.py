@@ -8,7 +8,7 @@ diagnostics reports) renders all three uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = ["Finding", "Severity", "format_findings"]
@@ -45,9 +45,6 @@ class Finding:
     def format(self) -> str:
         location = f"{self.path}:{self.line}" if self.line else self.path
         return f"{location}: {self.rule_id} [{self.severity}] {self.message}"
-
-    def with_path(self, path: str) -> "Finding":
-        return replace(self, path=path)
 
     def to_json(self) -> dict[str, Any]:
         return {

@@ -1,38 +1,40 @@
-"""mochi-flow: CFG + path-sensitive typestate analysis.
+"""CFG + path-sensitive typestate analysis: the MCH07x protocol rules.
 
-This package is the ``--flow`` layer of mochi-lint.  Where the per-file
-rules pattern-match single statements and the interproc layer reasons
-about *which* functions have effects, this layer reasons about *paths*:
+Where the file-scope rules pattern-match single statements and the
+interproc rules reason about *which* functions have effects, this layer
+reasons about *paths*:
 
 * :mod:`cfg` -- one CFG per function (statement-granular, with
   exception edges, duplicated ``finally`` bodies, and suspension points
   taken from the interproc effect summaries);
 * :mod:`dataflow` -- a generic forward fixpoint over finite may-set
   typestate lattices;
-* :mod:`protocols` -- the MCH070-MCH073 protocol rules.
+* :mod:`protocols` -- the MCH070-MCH074 protocol rules, one function at
+  a time.
 
-:func:`run_flow` is the entry point; the engine hands it the
-``(path, tree, source)`` triples it already parsed plus the project
-index / effect analysis it may already have built for ``--interproc``,
-so composing ``--flow --interproc`` pays for one parse and one effect
-fixpoint, not two.
+:func:`check_protocols` is the project-scope rule the engine runs: one
+prescan per function decides which protocols apply, and the protocols
+that do share that function's CFG.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import replace
-from typing import Iterable, Optional
 
 from ..findings import Finding
-from ..rules import function_defs, last_attr, own_body_walk
+from ..registry import rule
+from ..rules import last_attr
 from ..rules.scheduling import _is_handler
-from ..suppress import parse_suppressions
-from . import rulesinfo  # noqa: F401  -- registers MCH070-MCH074
+from ..interproc.effects import callee_park_lines, callee_suspend_lines
 from .cfg import build_cfg
 from .protocols import (
     _ACQUIRE_ATTRS,
     _DESTROY_ATTRS,
+    LOCK_RELEASED_ON_EXIT,
+    RESOURCE_RELEASED_ON_EXC,
+    RESPOND_EXACTLY_ONCE,
+    SPAN_ENDED_ON_EXC,
+    USE_AFTER_RELEASE,
     check_lock_paths,
     check_resource_paths,
     check_respond,
@@ -40,22 +42,19 @@ from .protocols import (
     check_typestate,
 )
 
-__all__ = ["run_flow", "FLOW_RULE_IDS"]
-
-#: Every rule id owned by this layer, in catalog order.
-FLOW_RULE_IDS = ("MCH070", "MCH071", "MCH072", "MCH073", "MCH074")
+__all__ = ["check_protocols"]
 
 
-def _prescan(func: ast.AST) -> dict[str, bool]:
-    """One cheap body walk deciding which protocol rules apply at all."""
+def _prescan(func: ast.AST, body: list[ast.AST]) -> dict[str, bool]:
+    """One pass over the body deciding which protocol rules apply at all."""
     wants = {
-        "respond": _is_handler(func),
+        "respond": _is_handler(func, body),
         "lock": False,
         "resource": False,
         "typestate": False,
         "span": False,
     }
-    for node in own_body_walk(func):
+    for node in body:
         if isinstance(node, ast.YieldFrom) and isinstance(node.value, ast.Call):
             attr = last_attr(node.value.func)
             if attr == "acquire":
@@ -73,38 +72,18 @@ def _prescan(func: ast.AST) -> dict[str, bool]:
     return wants
 
 
-def run_flow(
-    parsed: list[tuple[str, ast.Module, str]],
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-    index=None,
-    analysis=None,
-) -> tuple[list[Finding], dict, set[tuple[str, int]]]:
-    """Run the MCH07x protocol rules over ``(path, tree, source)`` triples.
-
-    Returns ``(findings, stats, covered)``: findings honor the same
-    inline suppressions as every other pass and are sorted by
-    ``(path, line, rule_id, message)``; ``covered`` is the set of
-    ``(path, line)`` sites the MCH070 analysis looked at, where the
-    engine retires the flow-insensitive MCH012 heuristic.
-    """
-    # Imported lazily so `import repro.analysis` stays light; the engine
-    # usually hands these in, already built for --interproc.
-    from ..interproc.callgraph import build_project
-    from ..interproc.effects import (
-        EffectAnalysis,
-        callee_park_lines,
-        callee_suspend_lines,
-    )
-
-    if index is None:
-        index = build_project([(path, tree) for path, tree, _ in parsed])
-    if analysis is None:
-        analysis = EffectAnalysis(index)
-    by_node = {id(info.node): info for info in index.functions.values()}
-
+@rule(
+    RESPOND_EXACTLY_ONCE,
+    LOCK_RELEASED_ON_EXIT,
+    RESOURCE_RELEASED_ON_EXC,
+    USE_AFTER_RELEASE,
+    SPAN_ENDED_ON_EXC,
+    scope="project",
+)
+def check_protocols(project) -> list[Finding]:
+    """MCH070-MCH074 over every function of the project."""
+    analysis = project.effects
     findings: list[Finding] = []
-    covered: set[tuple[str, int]] = set()
     stats = {
         "flow_functions_scanned": 0,
         "flow_cfgs_built": 0,
@@ -115,13 +94,14 @@ def run_flow(
         "flow_exit_paths": 0,
     }
 
-    for path, tree, _source in parsed:
-        for func in function_defs(tree):
+    for ctx in project.files:
+        path = ctx.path
+        for func in ctx.functions:
             stats["flow_functions_scanned"] += 1
-            wants = _prescan(func)
+            wants = _prescan(func, ctx.body(func))
             if not any(wants.values()):
                 continue
-            info = by_node.get(id(func))
+            info = project.index.by_node.get(id(func))
             suspends = callee_suspend_lines(analysis, info) if info else {}
             parks = callee_park_lines(analysis, info) if info else {}
 
@@ -145,11 +125,7 @@ def run_flow(
                 )
             if wants["respond"]:
                 stats["flow_handlers_analyzed"] += 1
-                handler_findings, handler_covered = check_respond(
-                    path, func, full_cfg, parks
-                )
-                findings.extend(handler_findings)
-                covered.update(handler_covered)
+                findings.extend(check_respond(path, func, full_cfg, parks))
             if wants["resource"]:
                 findings.extend(check_resource_paths(path, func, full_cfg))
             if wants["span"]:
@@ -162,23 +138,5 @@ def run_flow(
                 )
                 stats["flow_cfgs_built"] += 1
                 findings.extend(check_lock_paths(path, func, exits_cfg))
-
-    wanted = set(select) if select else None
-    dropped = set(ignore) if ignore else set()
-    findings = [
-        f
-        for f in findings
-        if (wanted is None or f.rule_id in wanted) and f.rule_id not in dropped
-    ]
-
-    suppressions = {
-        path: parse_suppressions(source, path) for path, _, source in parsed
-    }
-    kept = []
-    for finding in findings:
-        supp = suppressions.get(finding.path)
-        if supp is not None and supp.is_suppressed(finding):
-            continue
-        kept.append(replace(finding, source="flow"))
-    kept.sort(key=lambda f: (f.path, f.line, f.rule_id, f.message))
-    return kept, stats, covered
+    project.stats.update(stats)
+    return findings

@@ -8,9 +8,7 @@ through :func:`..flow.dataflow.forward_fixpoint`:
   already sent, a value returned after an explicit respond, a ``raise``
   after responding (the error response is lost), or a divergence point
   (unbounded wait / exit-less loop / delegation into a callee that
-  parks unboundedly) reachable with count 0 are all violations.  The
-  flow-insensitive MCH012 heuristic stands down at every site this
-  rule analyzed.
+  parks unboundedly) reachable with count 0 are all violations.
 * **MCH071** -- lock release balance.  Atoms are ``(lock, H|F)``; any
   exit edge (return / escaping raise / fall-through) carrying ``H`` is
   a leak.  Runs on the explicit-exit CFG: implicit may-raise edges are
@@ -42,8 +40,9 @@ import ast
 from typing import Iterator, Optional
 
 from ..findings import Finding, Severity
-from ..rules import dotted_name, last_attr, own_body_walk
-from ..rules.scheduling import _loops_forever, _unbounded_wait
+from ..registry import GROUP_FLOW, GROUP_OBSERVABILITY, RuleInfo
+from ..rules import dotted_name, last_attr
+from ..rules.scheduling import _unbounded_wait
 from .cfg import CFG, EXCEPTIONAL_KINDS, Node, _header_exprs, stmt_scan
 from .dataflow import State, edge_state, forward_fixpoint
 
@@ -103,7 +102,7 @@ def _receiver(call: ast.Call) -> Optional[str]:
 
 
 def _finding(rule_id: str, path: str, line: int, message: str) -> Finding:
-    return Finding(rule_id, Severity.ERROR, path, line, message, source="flow")
+    return Finding(rule_id, Severity.ERROR, path, line, message)
 
 
 # ---------------------------------------------------------------------------
@@ -157,14 +156,30 @@ def _returns_value(stmt: ast.AST) -> bool:
     return not (isinstance(stmt.value, ast.Constant) and stmt.value.value is None)
 
 
+RESPOND_EXACTLY_ONCE = RuleInfo(
+    id="MCH070",
+    name="respond-exactly-once",
+    group=GROUP_FLOW,
+    severity=Severity.ERROR,
+    summary="RPC handler must respond exactly once on every path",
+    rationale=(
+        "margo_respond semantics: each dispatched RPC gets exactly one "
+        "response.  A double respond silently drops the second reply, a "
+        "raise after responding loses the error, and a path that parks "
+        "unboundedly or spins in an exit-less loop before responding "
+        "wedges the caller; the CFG proves the count on every path"
+    ),
+    runtime_checked=True,
+)
+
+
 def check_respond(
     path: str,
     func: ast.AST,
     cfg: CFG,
     callee_parks: dict[int, str],
-) -> tuple[list[Finding], set[tuple[str, int]]]:
-    """MCH070 over one handler.  Also returns the ``(path, line)`` sites
-    this analysis covered, where the MCH012 heuristic must stand down."""
+) -> list[Finding]:
+    """MCH070 over one handler."""
     name = getattr(func, "name", "<handler>")
 
     respond_counts = {n.id: _respond_events(n) for n in cfg.stmt_nodes()}
@@ -243,15 +258,7 @@ def check_respond(
                     "waiting",
                 )
 
-    covered = {
-        (path, node.lineno)
-        for node in own_body_walk(func)
-        if _unbounded_wait(node) is not None
-    }
-    loop_line = _loops_forever(func)
-    if loop_line is not None:
-        covered.add((path, loop_line))
-    return findings, covered
+    return findings
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +282,21 @@ def _lock_node_events(node: Node) -> list[tuple[str, str]]:
         elif attr == "release" and id(sub) not in driven:
             events.append(("release", key))
     return events
+
+
+LOCK_RELEASED_ON_EXIT = RuleInfo(
+    id="MCH071",
+    name="lock-release-balance",
+    group=GROUP_FLOW,
+    severity=Severity.ERROR,
+    summary="UltMutex acquired but not released on some exit path",
+    rationale=(
+        "a mutex that stays held across an early return, an escaping "
+        "raise, or the fall-through exit serializes every later waiter "
+        "behind a lock nobody will ever release; the runtime sanitizer "
+        "only sees the executed path, this rule proves all of them"
+    ),
+)
 
 
 def check_lock_paths(path: str, func: ast.AST, cfg: CFG) -> list[Finding]:
@@ -352,6 +374,22 @@ def _names_mentioned(stmt: ast.AST, skip: Optional[ast.AST] = None) -> set[str]:
         if isinstance(sub, ast.Name) and id(sub) not in skipped:
             names.add(sub.id)
     return names
+
+
+RESOURCE_RELEASED_ON_EXC = RuleInfo(
+    id="MCH072",
+    name="resource-leak-on-exception-path",
+    group=GROUP_FLOW,
+    severity=Severity.ERROR,
+    summary="pool/xstream acquired but leaked if an exception escapes",
+    rationale=(
+        "elastic reconfiguration (the paper's add/remove pool and "
+        "xstream dance) only stays balanced if every acquisition either "
+        "reaches its owner or is torn down when the path fails; "
+        "exception paths are exactly the ones CI-time execution never "
+        "covers"
+    ),
+)
 
 
 def check_resource_paths(path: str, func: ast.AST, cfg: CFG) -> list[Finding]:
@@ -447,6 +485,22 @@ def _span_acquire(stmt: ast.AST) -> Optional[tuple[str, int]]:
     if last_attr(value.func) != "start_span":
         return None
     return target.id, stmt.lineno
+
+
+SPAN_ENDED_ON_EXC = RuleInfo(
+    id="MCH074",
+    name="span-leak-on-exception-path",
+    group=GROUP_OBSERVABILITY,
+    severity=Severity.ERROR,
+    summary="span opened with start_span() but not ended on an exception path",
+    rationale=(
+        "a manually-timed span that escapes on an exception path never "
+        "reaches the tracer's buffer: the operation vanishes from trace "
+        "trees and critical paths exactly when it failed -- the case "
+        "observability exists for -- and open_span_count climbs forever; "
+        "end the span in a finally, or hand it to a callee that will"
+    ),
+)
 
 
 def check_span_paths(path: str, func: ast.AST, cfg: CFG) -> list[Finding]:
@@ -601,6 +655,21 @@ def _typestate_events(node: Node) -> list[tuple]:
 def _clear_key(state: set, key: str) -> set:
     prefix = key + "."
     return {a for a in state if a[0] != key and not a[0].startswith(prefix)}
+
+
+USE_AFTER_RELEASE = RuleInfo(
+    id="MCH073",
+    name="use-after-release",
+    group=GROUP_FLOW,
+    severity=Severity.ERROR,
+    summary="handle used after release/destroy, or provider state used after migrate",
+    rationale=(
+        "a destroyed handle or a provider whose state has migrated away "
+        "is a dangling reference: operations on it read state that no "
+        "longer lives here, which is how delete-then-migrate bugs "
+        "corrupt the destination"
+    ),
+)
 
 
 def check_typestate(path: str, func: ast.AST, cfg: CFG) -> list[Finding]:

@@ -1,132 +1,11 @@
-"""mochi-deps: whole-program interprocedural analysis.
+"""Whole-program analysis: the project-scope rules of mochi-lint.
 
-This package is the ``--interproc`` layer of mochi-lint.  The per-file
-AST rules see one file at a time; everything here sees the program:
-
-* :mod:`callgraph` -- project index + call graph (``call`` and
-  ``delegate`` edges, dynamic sites counted, never guessed);
-* :mod:`effects` -- effect-inference fixpoint (*blocks*, *suspends*,
-  *is-ULT*, *acquires-lock*, *mutates-shared*) feeding MCH014/MCH015;
-* :mod:`contracts` -- RPC contract checker diffing every
-  ``register_rpc`` against every ``_forward`` (MCH050-MCH053);
-* :mod:`partition` -- cross-component shared-state writes that break
-  under process sharding (MCH060 + allowlist);
-* :mod:`migration` -- REMI migration snapshot coverage (MCH061).
-
-:func:`run_interproc` is the one entry point; the engine hands it the
-``(path, tree, source)`` triples it already parsed, so the whole-program
-layer costs one extra traversal, not one extra parse.
+The file-scope rules see one file at a time; everything here sees the
+program, through the project index (:mod:`callgraph`) and the effect
+fixpoint (:mod:`effects`, MCH014/MCH015) the engine builds once per
+run: RPC contracts (:mod:`contracts`, MCH050-MCH053), partition safety
+(:mod:`partition`, MCH060) and migration coverage (:mod:`migration`,
+MCH061).  Importing this package registers those rules.
 """
 
-from __future__ import annotations
-
-import ast
-from dataclasses import replace
-from typing import Iterable, Optional
-
-from ..findings import Finding
-from ..suppress import parse_suppressions
-from . import rulesinfo  # noqa: F401  -- registers MCH014/015/05x/06x
-from .callgraph import ProjectIndex, build_project
-from .contracts import build_contracts, check_contracts
-from .effects import (
-    EffectAnalysis,
-    check_deep_blocking,
-    check_lock_across_callee_yield,
-)
-from .migration import check_migration_coverage
-from .partition import check_partition_safety
-
-__all__ = ["run_interproc", "INTERPROC_RULE_IDS"]
-
-#: Every rule id owned by this layer, in catalog order.
-INTERPROC_RULE_IDS = (
-    "MCH014",
-    "MCH015",
-    "MCH050",
-    "MCH051",
-    "MCH052",
-    "MCH053",
-    "MCH060",
-    "MCH061",
-)
-
-
-def run_interproc(
-    parsed: list[tuple[str, ast.Module, str]],
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-    allowlist_text: Optional[str] = None,
-    allowlist_path: str = "partition-allowlist.txt",
-    index: Optional[ProjectIndex] = None,
-    analysis: Optional[EffectAnalysis] = None,
-) -> tuple[list[Finding], dict]:
-    """Run every whole-program pass over ``(path, tree, source)`` triples.
-
-    Returns ``(findings, stats)``.  Findings honor the same inline
-    suppression comments as the per-file rules and are sorted by
-    ``(path, line, rule_id, message)``; ``stats`` reports what the
-    analysis covered and what it conservatively refused to guess.
-
-    ``index``/``analysis`` may carry a prebuilt project index and effect
-    fixpoint (the engine shares them with the ``--flow`` layer so the
-    two whole-program passes pay for one traversal).
-    """
-    if index is None:
-        index = build_project([(path, tree) for path, tree, _ in parsed])
-    if analysis is None:
-        analysis = EffectAnalysis(index)
-    contracts = build_contracts(index)
-
-    findings: list[Finding] = []
-    findings.extend(check_deep_blocking(index, analysis))
-    findings.extend(check_lock_across_callee_yield(index, analysis))
-    findings.extend(check_contracts(index, contracts))
-    findings.extend(
-        check_partition_safety(
-            index,
-            allowlist_text=allowlist_text,
-            allowlist_path=allowlist_path,
-        )
-    )
-    findings.extend(check_migration_coverage(index))
-
-    wanted = set(select) if select else None
-    dropped = set(ignore) if ignore else set()
-    findings = [
-        f
-        for f in findings
-        if (wanted is None or f.rule_id in wanted) and f.rule_id not in dropped
-    ]
-
-    suppressions = {
-        path: parse_suppressions(source, path) for path, _, source in parsed
-    }
-    kept = []
-    for finding in findings:
-        supp = suppressions.get(finding.path)
-        if supp is not None and supp.is_suppressed(finding):
-            continue
-        kept.append(replace(finding, source="interproc"))
-    kept.sort(key=lambda f: (f.path, f.line, f.rule_id, f.message))
-
-    stats = {
-        "files": index.stats.files,
-        "functions": index.stats.functions,
-        "classes": index.stats.classes,
-        "resolved_edges": index.stats.resolved_edges,
-        "dynamic_getattr_calls": index.stats.dynamic_getattr_calls,
-        "generator_constructions": index.stats.generator_constructions,
-        "rpc_registrations": contracts.stats.registrations,
-        "rpc_forwards": contracts.stats.forwards,
-        "dynamic_registrations": contracts.stats.dynamic_registrations,
-        "dynamic_registrations_unattributed": (
-            contracts.stats.dynamic_registrations_unattributed
-        ),
-        "dynamic_forwards": contracts.stats.dynamic_forwards,
-        "dynamic_forwards_unattributed": (
-            contracts.stats.dynamic_forwards_unattributed
-        ),
-        "dead_handler_checked": contracts.stats.dead_handler_checked,
-    }
-    return kept, stats
+from . import contracts, effects, migration, partition  # noqa: F401

@@ -1,10 +1,10 @@
-"""mochi-deps project index and call graph.
+"""Project index and call graph.
 
 The whole-program layer starts here: every Python file under the lint
-roots is parsed once (the engine's shared parse cache hands the trees
-over) and indexed into modules, classes, and functions with stable
-qualified names (``module.Class.method`` / ``module.func``).  A linking
-pass then resolves every call site it can prove -- bare names, imports,
+roots is parsed once (the engine hands over its file contexts) and
+indexed into modules, classes, and functions with stable qualified
+names (``module.Class.method`` / ``module.func``).  A linking pass
+then resolves every call site it can prove -- bare names, imports,
 ``self.method`` through the project class hierarchy, ``super()``,
 constructors -- into edges of two kinds:
 
@@ -32,7 +32,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from ..rules import FunctionNode, dotted_name, last_attr, own_body_walk
+from ..rules import FileContext, FunctionNode, dotted_name
 
 __all__ = [
     "CallEdge",
@@ -65,6 +65,8 @@ class FunctionInfo:
     path: str
     name: str
     node: ast.AST
+    #: own-body nodes (nested defs not entered), walked once per run.
+    body: list[ast.AST]
     cls: Optional["ClassInfo"] = None
     is_generator: bool = False
     edges: list[CallEdge] = field(default_factory=list)
@@ -98,8 +100,7 @@ class ModuleInfo:
     """One parsed module."""
 
     name: str
-    path: str
-    tree: ast.Module
+    ctx: FileContext
     #: ``import x.y as z`` -> {"z": "x.y"}
     imports: dict[str, str] = field(default_factory=dict)
     #: ``from x import y as z`` -> {"z": "x.y"}
@@ -154,14 +155,16 @@ class ProjectIndex:
         self.modules: dict[str, ModuleInfo] = {}
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
+        #: ``id(def node)`` -> its :class:`FunctionInfo`.
+        self.by_node: dict[int, FunctionInfo] = {}
         self.stats = CallGraphStats()
 
     # -- indexing ------------------------------------------------------
-    def add_module(self, path: str, tree: ast.Module) -> ModuleInfo:
-        name = module_name_for(path)
-        mod = ModuleInfo(name=name, path=path, tree=tree)
+    def add_module(self, ctx: FileContext) -> ModuleInfo:
+        name = module_name_for(ctx.path)
+        mod = ModuleInfo(name=name, ctx=ctx)
         self._scan_imports(mod)
-        for node in tree.body:
+        for node in ctx.tree.body:
             if isinstance(node, FunctionNode):
                 self._add_function(mod, node, cls=None)
             elif isinstance(node, ast.ClassDef):
@@ -174,7 +177,7 @@ class ProjectIndex:
         return mod
 
     def _scan_imports(self, mod: ModuleInfo) -> None:
-        for node in ast.walk(mod.tree):
+        for node in mod.ctx.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.asname:
@@ -215,20 +218,23 @@ class ProjectIndex:
     ) -> FunctionInfo:
         name = node.name  # type: ignore[attr-defined]
         qualname = f"{cls.qualname}.{name}" if cls else f"{mod.name}.{name}"
+        body = mod.ctx.body(node)
         info = FunctionInfo(
             qualname=qualname,
             module=mod.name,
-            path=mod.path,
+            path=mod.ctx.path,
             name=name,
             node=node,
+            body=body,
             cls=cls,
-            is_generator=_is_generator(node),
+            is_generator=any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in body),
         )
         if cls is not None:
             cls.methods[name] = info
         else:
             mod.functions[name] = info
         self.functions[qualname] = info
+        self.by_node[id(node)] = info
         self.stats.functions += 1
         return info
 
@@ -236,7 +242,7 @@ class ProjectIndex:
         cls = ClassInfo(
             qualname=f"{mod.name}.{node.name}",
             module=mod.name,
-            path=mod.path,
+            path=mod.ctx.path,
             name=node.name,
             node=node,
             base_names=[b for b in (dotted_name(base) for base in node.bases) if b],
@@ -352,11 +358,11 @@ class ProjectIndex:
     def _link_function(self, func: FunctionInfo) -> None:
         mod = self.modules[func.module]
         delegated: set[int] = set()
-        for node in own_body_walk(func.node):
+        for node in func.body:
             if isinstance(node, ast.YieldFrom) and isinstance(node.value, ast.Call):
                 delegated.add(id(node.value))
         edges: list[CallEdge] = []
-        for node in own_body_walk(func.node):
+        for node in func.body:
             if not isinstance(node, ast.Call):
                 continue
             target = self._resolve_call_target(func, mod, node)
@@ -438,16 +444,10 @@ def _binding_targets(node: ast.AST) -> Iterator[str]:
             yield node.target.id
 
 
-def _is_generator(func: ast.AST) -> bool:
-    return any(
-        isinstance(node, (ast.Yield, ast.YieldFrom)) for node in own_body_walk(func)
-    )
-
-
-def build_project(parsed: list[tuple[str, ast.Module]]) -> ProjectIndex:
-    """Index + link the whole program from ``(path, tree)`` pairs."""
+def build_project(files: list[FileContext]) -> ProjectIndex:
+    """Index + link the whole program from its parsed files."""
     index = ProjectIndex()
-    for path, tree in sorted(parsed, key=lambda item: item[0]):
-        index.add_module(path, tree)
+    for ctx in sorted(files, key=lambda ctx: ctx.path):
+        index.add_module(ctx)
     index.link()
     return index

@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..findings import Finding, Severity
-from ..rules import dotted_name, last_attr, own_body_walk
+from ..registry import GROUP_CONTRACTS, RuleInfo, rule
+from ..rules import dotted_name, last_attr
 from .callgraph import ClassInfo, FunctionInfo, ProjectIndex
 
 __all__ = ["ContractIndex", "ContractStats", "build_contracts", "check_contracts"]
@@ -109,7 +110,7 @@ def _constant_str(node: ast.expr) -> Optional[str]:
     return None
 
 
-def _local_constants(func: ast.AST) -> dict[str, list[str]]:
+def _local_constants(body: list[ast.AST]) -> dict[str, list[str]]:
     """Name -> provable constant string values inside ``func``.
 
     Covers ``for op in ("a", "b"):`` loops over literal tuples/lists and
@@ -117,7 +118,7 @@ def _local_constants(func: ast.AST) -> dict[str, list[str]]:
     two constants on two branches yields both candidates).
     """
     values: dict[str, list[str]] = {}
-    for node in own_body_walk(func):
+    for node in body:
         if isinstance(node, ast.For) and isinstance(node.target, ast.Name):
             if isinstance(node.iter, (ast.Tuple, ast.List)):
                 consts = [_constant_str(e) for e in node.iter.elts]
@@ -252,9 +253,9 @@ def build_contracts(index: ProjectIndex) -> ContractIndex:
 
     for qualname in sorted(index.functions):
         func = index.functions[qualname]
-        local_constants = _local_constants(func.node)
-        parents = _parent_map(func.node)
-        for node in own_body_walk(func.node):
+        local_constants = _local_constants(func.body)
+        parents: Optional[dict[int, ast.AST]] = None
+        for node in func.body:
             if not isinstance(node, ast.Call):
                 continue
             attr = last_attr(node.func)
@@ -265,11 +266,13 @@ def build_contracts(index: ProjectIndex) -> ContractIndex:
             elif attr == "register":
                 _collect_wire_registration(contracts, node)
             elif attr == "_forward":
+                parents = parents or _parent_map(func.node)
                 _collect_forward(
                     index, contracts, backlinks, func, node,
                     local_constants, parents,
                 )
             elif attr == "forward":
+                parents = parents or _parent_map(func.node)
                 _collect_wire_forward(
                     contracts, func, node, local_constants, parents
                 )
@@ -309,7 +312,7 @@ def _collect_registration(
         # ``handler = getattr(self, f"_on_{op}")`` somewhere in this
         # function; later re-wraps (decorating the same method) keep
         # the underlying contract, so the getattr binding wins.
-        for inner in own_body_walk(func.node):
+        for inner in func.body:
             if (
                 isinstance(inner, ast.Assign)
                 and len(inner.targets) == 1
@@ -426,7 +429,73 @@ def _collect_wire_forward(
         contracts.stats.forwards += 1
 
 
-def check_contracts(index: ProjectIndex, contracts: ContractIndex) -> list[Finding]:
+ORPHANED_RPC_CALL = RuleInfo(
+    id="MCH050",
+    name="orphaned-rpc-call",
+    group=GROUP_CONTRACTS,
+    severity=Severity.ERROR,
+    summary="client forwards an operation no provider in the tree registers",
+    rationale=(
+        "a typo'd or stale RPC name fails only at runtime, as a hung or "
+        "erroring forward on the first call; diffing both ends of every "
+        "register_rpc/_forward pair catches it at lint time"
+    ),
+)
+
+HANDLER_SHAPE = RuleInfo(
+    id="MCH051",
+    name="rpc-handler-shape",
+    group=GROUP_CONTRACTS,
+    severity=Severity.ERROR,
+    summary=(
+        "registration names a missing handler, a non-generator, or a "
+        "handler with the wrong arity (handlers are called as (self, ctx))"
+    ),
+    rationale=(
+        "the kernel drives handlers as generators with a single request "
+        "context; a plain function or wrong arity raises inside the RPC "
+        "dispatch path where the traceback points at the kernel, not the "
+        "broken provider"
+    ),
+)
+
+RESPONSE_SHAPE = RuleInfo(
+    id="MCH052",
+    name="rpc-response-shape",
+    group=GROUP_CONTRACTS,
+    severity=Severity.ERROR,
+    summary=(
+        "client binds the result of an RPC whose handlers never return a "
+        "value (the caller always receives None)"
+    ),
+    rationale=(
+        "`x = yield from self._forward(...)` against a handler with no "
+        "`return value` silently binds None; the failure surfaces as an "
+        "AttributeError far from the contract mismatch that caused it"
+    ),
+)
+
+DEAD_HANDLER = RuleInfo(
+    id="MCH053",
+    name="dead-rpc-handler",
+    group=GROUP_CONTRACTS,
+    severity=Severity.WARNING,
+    summary=(
+        "registered handler no client in the tree ever forwards to "
+        "(checked only when every forward in the tree is attributable)"
+    ),
+    rationale=(
+        "dead wire surface is untested wire surface: a handler nothing "
+        "calls drifts out of contract silently and becomes a trap for "
+        "the next client that does call it"
+    ),
+)
+
+
+@rule(ORPHANED_RPC_CALL, HANDLER_SHAPE, RESPONSE_SHAPE, DEAD_HANDLER, scope="project")
+def check_contracts(project) -> list[Finding]:
+    """MCH050-MCH053 over both ends of every contract in the project."""
+    contracts = build_contracts(project.index)
     findings: list[Finding] = []
     components_with_registrations = {r.component for r in contracts.registrations}
     open_world = contracts.stats.dynamic_registrations_unattributed > 0
@@ -530,6 +599,16 @@ def check_contracts(index: ProjectIndex, contracts: ContractIndex) -> list[Findi
                     "it; dead wire surface",
                 )
             )
+    stats = contracts.stats
+    project.stats.update(
+        rpc_registrations=stats.registrations,
+        rpc_forwards=stats.forwards,
+        dynamic_registrations=stats.dynamic_registrations,
+        dynamic_registrations_unattributed=stats.dynamic_registrations_unattributed,
+        dynamic_forwards=stats.dynamic_forwards,
+        dynamic_forwards_unattributed=stats.dynamic_forwards_unattributed,
+        dead_handler_checked=stats.dead_handler_checked,
+    )
     return findings
 
 
@@ -551,7 +630,7 @@ def _handler_shape_problems(handler: FunctionInfo) -> list[str]:
 
 
 def _returns_a_value(handler: FunctionInfo) -> bool:
-    for node in own_body_walk(handler.node):
+    for node in handler.body:
         if isinstance(node, ast.Return) and node.value is not None:
             if isinstance(node.value, ast.Constant) and node.value.value is None:
                 continue

@@ -1,18 +1,17 @@
 """Effect inference over the whole-program call graph.
 
 Each function gets a small effect record -- *blocks*, *suspends*
-(yields the stream), *acquires-lock*, *mutates-shared*, *is-ULT* --
-seeded from its own body and propagated to fixpoint over the call
-graph.  Propagation respects execution semantics:
+(yields the stream), *parks-unbounded*, *is-ULT* -- seeded from its own
+body and propagated to fixpoint over the call graph.  Propagation
+respects execution semantics:
 
 * ``blocks`` travels over ``call`` edges (the callee body runs in the
   caller's frame) and ``delegate`` edges (``yield from`` runs the
   generator inline), but **stops at ULT boundaries**: a callee that is
-  itself ULT code gets its own MCH010/MCH014 report, so every blocking
-  site is reported exactly once, in its nearest enclosing ULT;
-* ``suspends`` and ``is-ULT`` travel only over ``delegate`` edges -- a
-  plain call to a generator never runs it;
-* ``mutates-shared`` travels over both edge kinds.
+  itself ULT code gets its own MCH014 report, so every blocking site is
+  reported exactly once, in its nearest enclosing ULT;
+* ``suspends``, ``parks-unbounded`` and ``is-ULT`` travel only over
+  ``delegate`` edges -- a plain call to a generator never runs it.
 
 Every inherited effect carries a witness edge, so findings can print
 the full call chain down to the offending primitive.  Witnesses are
@@ -21,9 +20,8 @@ fixpoint -- and therefore the finding text -- byte-stable.
 
 Rules emitted here:
 
-* **MCH014** -- a ULT body reaches a real blocking call through any
-  call depth (the interprocedural upgrade of MCH010's one-hop helper
-  heuristic);
+* **MCH014** -- a ULT body reaches a real blocking call at any call
+  depth, its own body (depth 0) included;
 * **MCH015** -- a mutex is held across a suspension that happens
   *inside a callee* (the interprocedural upgrade of MCH011, which only
   sees suspensions spelled in the holder's own body).
@@ -32,11 +30,12 @@ Rules emitted here:
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..findings import Finding, Severity
-from ..rules import last_attr, own_body_walk, call_name, is_ult_generator
+from ..registry import GROUP_SCHEDULING, RuleInfo, rule
+from ..rules import call_name, is_ult_generator, last_attr
 from ..rules.scheduling import (
     BLOCKING_CALLS,
     _SUSPENDING_COMMANDS,
@@ -75,8 +74,6 @@ class Effects:
     blocks: Optional[Witness] = None
     suspends: Optional[Witness] = None
     is_ult: bool = False
-    acquires_lock: bool = False
-    mutates_shared: Optional[Witness] = None
     #: The function (or a delegate chain below it) waits with no
     #: timeout: a caller that hasn't responded yet may stall forever.
     parks_unbounded: Optional[Witness] = None
@@ -99,8 +96,8 @@ class EffectAnalysis:
 
     @staticmethod
     def _base_effects(func: FunctionInfo) -> Effects:
-        eff = Effects(is_ult=is_ult_generator(func.node))
-        for node in own_body_walk(func.node):
+        eff = Effects(is_ult=is_ult_generator(func.body))
+        for node in func.body:
             if isinstance(node, ast.Call):
                 name = call_name(node)
                 if name in BLOCKING_CALLS and eff.blocks is None:
@@ -113,13 +110,10 @@ class EffectAnalysis:
                 attr = last_attr(node.value.func)
                 if attr in _SUSPENDING_DELEGATES and eff.suspends is None:
                     eff.suspends = Witness("primitive", f"{attr}()", node.lineno)
-                if attr == "acquire":
-                    eff.acquires_lock = True
             if isinstance(node, ast.Call) and eff.parks_unbounded is None:
                 why = _unbounded_wait(node)
                 if why is not None and not _is_ult_join(node):
                     eff.parks_unbounded = Witness("primitive", why, node.lineno)
-        eff.mutates_shared = _shared_mutation_witness(func)
         return eff
 
     # -- propagation ---------------------------------------------------
@@ -137,7 +131,6 @@ class EffectAnalysis:
         changed = False
         block_candidates: list[tuple[int, str]] = []
         suspend_candidates: list[tuple[int, str]] = []
-        mutate_candidates: list[tuple[int, str]] = []
         park_candidates: list[tuple[int, str]] = []
         inherited_ult = False
         for edge in func.edges:
@@ -153,8 +146,6 @@ class EffectAnalysis:
                     park_candidates.append((edge.line, edge.callee))
                 if callee.is_ult:
                     inherited_ult = True
-            if callee.mutates_shared is not None:
-                mutate_candidates.append((edge.line, edge.callee))
         if eff.blocks is None and block_candidates:
             line, callee = min(block_candidates)
             eff.blocks = Witness("edge", callee, line)
@@ -166,10 +157,6 @@ class EffectAnalysis:
         if eff.parks_unbounded is None and park_candidates:
             line, callee = min(park_candidates)
             eff.parks_unbounded = Witness("edge", callee, line)
-            changed = True
-        if eff.mutates_shared is None and mutate_candidates:
-            line, callee = min(mutate_candidates)
-            eff.mutates_shared = Witness("edge", callee, line)
             changed = True
         if inherited_ult and not eff.is_ult:
             eff.is_ult = True
@@ -248,8 +235,8 @@ def callee_park_lines(
     analysis: "EffectAnalysis", func: FunctionInfo
 ) -> dict[int, str]:
     """Delegate edges whose callee chain bottoms out in an *unbounded*
-    wait: line -> description.  MCH070 treats these as divergence points
-    the one-file MCH012 heuristic cannot see."""
+    wait: line -> description.  MCH070 treats these as divergence
+    points."""
     lines: dict[int, str] = {}
     for edge in func.edges:
         if edge.kind != "delegate":
@@ -277,62 +264,100 @@ def _is_ult_join(call: ast.Call) -> bool:
     return False
 
 
-def _shared_mutation_witness(func: FunctionInfo) -> Optional[Witness]:
-    """A write to module-global or class-level state in ``func``'s body."""
-    declared_global: set[str] = set()
-    for node in own_body_walk(func.node):
-        if isinstance(node, ast.Global):
-            declared_global.update(node.names)
-    for node in own_body_walk(func.node):
-        targets: list[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id in declared_global:
-                return Witness("primitive", f"global {target.id}", node.lineno)
-    return None
-
-
 def _short(qualname: str) -> str:
     """``repro.yokan.provider.YokanProvider._on_put`` -> ``YokanProvider._on_put``."""
     parts = qualname.split(".")
     return ".".join(parts[-2:]) if len(parts) > 1 else qualname
 
 
-def check_deep_blocking(index: ProjectIndex, analysis: EffectAnalysis) -> list[Finding]:
-    """MCH014: ULT reaches a blocking call through the call graph."""
+@rule(
+    RuleInfo(
+        id="MCH014",
+        name="blocking-call-reachable-from-ult",
+        group=GROUP_SCHEDULING,
+        severity=Severity.ERROR,
+        summary=(
+            "ULT body reaches a real blocking call at any call depth, "
+            "including the ULT body itself; reported with the call chain"
+        ),
+        rationale=(
+            "the kernel is single-threaded: one time.sleep() or socket "
+            "read in a ULT, or three calls below it, freezes every "
+            "simulated process at once, and the paper's breadcrumb design "
+            "(one blocked ES starves every ULT mapped to it) makes that a "
+            "whole-service outage; blocking must be expressed as "
+            "Sleep/UltSleep/Park so the scheduler can run other work"
+        ),
+    ),
+    scope="project",
+)
+def check_deep_blocking(project) -> list[Finding]:
+    """MCH014: ULT reaches a blocking call, in its body or below it."""
     findings: list[Finding] = []
-    for qualname in sorted(index.functions):
-        func = index.functions[qualname]
-        eff = analysis.effects[qualname]
-        if not eff.is_ult:
-            continue
-        for edge in func.edges:
-            callee_eff = analysis.effects.get(edge.callee)
-            if callee_eff is None or callee_eff.blocks is None or callee_eff.is_ult:
-                continue
-            chain = [_short(qualname)] + analysis.blocking_chain(edge.callee)
-            findings.append(
-                Finding(
-                    "MCH014",
-                    Severity.ERROR,
-                    func.path,
-                    edge.line,
-                    f"ULT body {func.name!r} reaches blocking "
-                    f"{chain[-1]} through {' -> '.join(chain)}; "
-                    "yield a kernel command instead",
-                )
+    analysis = project.effects
+
+    def report(path: str, line: int, name: str, chain: list[str]) -> None:
+        findings.append(
+            Finding(
+                "MCH014",
+                Severity.ERROR,
+                path,
+                line,
+                f"ULT body {name!r} reaches blocking {chain[-1]} through "
+                f"{' -> '.join(chain)}; yield a kernel command instead",
             )
+        )
+
+    for ctx in project.files:
+        for node in ctx.functions:
+            func = project.index.by_node.get(id(node))
+            body = ctx.body(node)
+            if func is None:
+                # Nested defs are not indexed: their own body only.
+                is_ult, short = is_ult_generator(body), node.name
+            else:
+                is_ult = analysis.effects[func.qualname].is_ult
+                short = _short(func.qualname)
+            if not is_ult:
+                continue
+            for inner in body:
+                called = call_name(inner) if isinstance(inner, ast.Call) else None
+                if called in BLOCKING_CALLS:
+                    report(ctx.path, inner.lineno, node.name, [short, f"{called}()"])
+            for edge in func.edges if func is not None else ():
+                callee = analysis.effects.get(edge.callee)
+                if callee is None or callee.blocks is None or callee.is_ult:
+                    continue
+                report(
+                    ctx.path, edge.line, node.name,
+                    [short] + analysis.blocking_chain(edge.callee),
+                )
     return findings
 
 
-def check_lock_across_callee_yield(
-    index: ProjectIndex, analysis: EffectAnalysis
-) -> list[Finding]:
+@rule(
+    RuleInfo(
+        id="MCH015",
+        name="lock-held-across-callee-suspension",
+        group=GROUP_SCHEDULING,
+        severity=Severity.ERROR,
+        summary=(
+            "mutex held across a `yield from` whose callee suspends the ULT "
+            "somewhere inside its own body"
+        ),
+        rationale=(
+            "MCH011 catches `yield` under a held lock in the holder's own "
+            "body; delegating to a helper that suspends is the same bug with "
+            "one stack frame of camouflage -- every other ULT contending for "
+            "the mutex deadlocks against a parked holder"
+        ),
+    ),
+    scope="project",
+)
+def check_lock_across_callee_yield(project) -> list[Finding]:
     """MCH015: mutex held across a suspension hidden inside a callee."""
     findings: list[Finding] = []
+    index, analysis = project.index, project.effects
     for qualname in sorted(index.functions):
         func = index.functions[qualname]
         callee_suspends = _delegate_suspend_events(func, analysis)
@@ -340,7 +365,7 @@ def check_lock_across_callee_yield(
             continue
         events = [
             (line, col, kind, detail)
-            for line, col, kind, detail in _lock_events(func.node)
+            for line, col, kind, detail in _lock_events(func.body)
             if kind in ("acquire", "release")
         ]
         events.extend(callee_suspends)
@@ -387,7 +412,7 @@ def _delegate_suspend_events(
             f"{edge.display}() (suspends via {primitive})",
         )
     events: list[tuple[int, int, str, str]] = []
-    for node in own_body_walk(func.node):
+    for node in func.body:
         if not (isinstance(node, ast.YieldFrom) and isinstance(node.value, ast.Call)):
             continue
         attr = last_attr(node.value.func)

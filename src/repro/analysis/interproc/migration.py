@@ -31,7 +31,7 @@ from __future__ import annotations
 import ast
 
 from ..findings import Finding, Severity
-from ..rules import own_body_walk
+from ..registry import GROUP_PARTITION, RuleInfo, rule
 from .callgraph import ClassInfo, ProjectIndex
 from .partition import _MUTATOR_METHODS
 
@@ -56,7 +56,7 @@ def _self_attr(node: ast.expr) -> str | None:
     return None
 
 
-def _written_attrs(func_node: ast.AST) -> dict[str, int]:
+def _written_attrs(body: list[ast.AST]) -> dict[str, int]:
     """self attributes written in a body -> first write line."""
     writes: dict[str, int] = {}
 
@@ -64,7 +64,7 @@ def _written_attrs(func_node: ast.AST) -> dict[str, int]:
         if attr is not None and attr not in writes:
             writes[attr] = line
 
-    for node in own_body_walk(func_node):
+    for node in body:
         targets: list[ast.expr] = []
         if isinstance(node, ast.Assign):
             targets = list(node.targets)
@@ -88,7 +88,7 @@ def _written_attrs(func_node: ast.AST) -> dict[str, int]:
     return writes
 
 
-def _read_attrs(func_node: ast.AST) -> set[str]:
+def _read_attrs(body: list[ast.AST]) -> set[str]:
     """self attributes read (Load context) anywhere in a body.
 
     Includes the receiver of ``self.X[...]`` and ``self.X.method()`` --
@@ -96,7 +96,7 @@ def _read_attrs(func_node: ast.AST) -> set[str]:
     covering it.
     """
     reads: set[str] = set()
-    for node in own_body_walk(func_node):
+    for node in body:
         attr = _self_attr(node)
         if attr is not None and isinstance(node.ctx, ast.Load):  # type: ignore[attr-defined]
             reads.add(attr)
@@ -126,9 +126,29 @@ def _migrate_closure(index: ProjectIndex, cls: ClassInfo) -> list[str]:
     return seen
 
 
-def check_migration_coverage(index: ProjectIndex) -> list[Finding]:
+@rule(
+    RuleInfo(
+        id="MCH061",
+        name="migration-snapshot-coverage",
+        group=GROUP_PARTITION,
+        severity=Severity.WARNING,
+        summary=(
+            "REMI-migratable provider mutates instance state its migrate() "
+            "path never reads; a migration drops it"
+        ),
+        rationale=(
+            "REMI moves a provider by serializing what migrate() touches and "
+            "rebuilding elsewhere; runtime state outside that path survives "
+            "every test that doesn't migrate and vanishes the first time "
+            "production does -- the exact risk ROADMAP item 4 must retire"
+        ),
+    ),
+    scope="project",
+)
+def check_migration_coverage(project) -> list[Finding]:
     """MCH061: runtime state a provider's migrate() path never touches."""
     findings: list[Finding] = []
+    index = project.index
     for qualname in sorted(index.classes):
         cls = index.classes[qualname]
         if not _overrides_migrate(cls):
@@ -137,12 +157,12 @@ def check_migration_coverage(index: ProjectIndex) -> list[Finding]:
         for member in _migrate_closure(index, cls):
             func = index.functions.get(member)
             if func is not None:
-                covered |= _read_attrs(func.node)
+                covered |= _read_attrs(func.body)
         runtime_writes: dict[str, int] = {}
         for name in sorted(cls.methods):
             if name in _NON_RUNTIME_METHODS:
                 continue
-            for attr, line in sorted(_written_attrs(cls.methods[name].node).items()):
+            for attr, line in sorted(_written_attrs(cls.methods[name].body).items()):
                 if attr not in runtime_writes or line < runtime_writes[attr]:
                     runtime_writes[attr] = line
         for attr in sorted(runtime_writes):

@@ -20,13 +20,15 @@ A *component* is the first package level below ``repro`` (so
 ``repro.yokan.provider`` and ``repro.yokan.client`` are one component
 and may share state -- they will land in the same partition).  Outside
 the ``repro`` namespace (fixtures), the top-level package is the
-component.
+component.  A loose script -- a module in no package, such as a
+benchmark harness or an example driver -- is no component: it launches
+the simulation rather than being sharded with it, so its writes (test
+taps, monkeypatched probes) are not partition-boundary crossings.
 
 Some global infrastructure is intentionally shared (and will need an
-explicit replication story when partitioning lands).  Those targets live
-in an allowlist file -- one ``module:attr -- justification`` per line --
-and the pass enforces the file itself: entries without a justification,
-or matching no mutation site, are findings too.
+explicit replication story when partitioning lands).  Such a write is
+accepted the way any finding is: an inline, justified
+``# mochi-lint: disable=MCH060 -- why`` at the mutation site.
 """
 
 from __future__ import annotations
@@ -36,10 +38,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..findings import Finding, Severity
-from ..rules import dotted_name, own_body_walk
+from ..registry import GROUP_PARTITION, RuleInfo, rule
+from ..rules import dotted_name
 from .callgraph import ClassInfo, FunctionInfo, ModuleInfo, ProjectIndex
 
-__all__ = ["check_partition_safety", "component_of", "parse_allowlist"]
+__all__ = ["check_partition_safety", "component_of"]
 
 #: container methods that mutate their receiver in place.
 _MUTATOR_METHODS = frozenset(
@@ -75,50 +78,15 @@ class MutationSite:
     detail: str  #: human-readable description of the write
 
 
-@dataclass
-class AllowlistEntry:
-    target: str
-    justification: str
-    line: int
-
-
-class AllowlistError(ValueError):
-    """Raised for an allowlist line without a justification."""
-
-    def __init__(self, line: int, text: str) -> None:
-        super().__init__(text)
-        self.line = line
-        self.text = text
-
-
-def parse_allowlist(text: str) -> list[AllowlistEntry]:
-    """Parse ``module:attr -- justification`` lines.
-
-    Blank lines and ``#`` comments are skipped.  A line without the
-    `` -- justification`` tail raises :class:`AllowlistError` -- the
-    allowlist is only acceptable when every entry says *why*.
-    """
-    entries: list[AllowlistEntry] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        target, sep, justification = line.partition(" -- ")
-        target = target.strip()
-        justification = justification.strip()
-        if not sep or not justification or ":" not in target:
-            raise AllowlistError(lineno, raw.rstrip())
-        entries.append(AllowlistEntry(target, justification, lineno))
-    return entries
-
-
 def _collect_mutations(index: ProjectIndex) -> list[MutationSite]:
     sites: list[MutationSite] = []
     for qualname in sorted(index.functions):
         func = index.functions[qualname]
+        if "." not in func.module and not func.path.endswith("__init__.py"):
+            continue  # a loose script, not a component
         mod = index.modules[func.module]
         component = component_of(func.module)
-        for node in own_body_walk(func.node):
+        for node in func.body:
             sites.extend(_sites_for_node(index, mod, func, component, node))
     sites.sort(key=lambda s: (s.target, s.path, s.line))
     return sites
@@ -244,37 +212,32 @@ def _mutator_call_site(
     )
 
 
-def check_partition_safety(
-    index: ProjectIndex,
-    allowlist_text: Optional[str] = None,
-    allowlist_path: str = "partition-allowlist.txt",
-) -> list[Finding]:
+@rule(
+    RuleInfo(
+        id="MCH060",
+        name="cross-partition-mutation",
+        group=GROUP_PARTITION,
+        severity=Severity.ERROR,
+        summary=(
+            "module/class state mutated from a component that does not own "
+            "it, without an RPC edge"
+        ),
+        rationale=(
+            "ROADMAP item 1 shards the simulation across OS processes; a "
+            "cross-component write that works in one address space becomes "
+            "silent state divergence the day partitions stop sharing memory "
+            "-- the process-isolation discipline MPI malleability systems "
+            "must enforce when ranks are reshaped"
+        ),
+    ),
+    scope="project",
+)
+def check_partition_safety(project) -> list[Finding]:
     """MCH060: state mutated across the future partition boundary."""
     findings: list[Finding] = []
-    allowed: dict[str, AllowlistEntry] = {}
-    if allowlist_text is not None:
-        try:
-            for entry in parse_allowlist(allowlist_text):
-                allowed[entry.target] = entry
-        except AllowlistError as exc:
-            findings.append(
-                Finding(
-                    "MCH060", Severity.ERROR, allowlist_path, exc.line,
-                    "allowlist entry has no ' -- justification' tail: "
-                    f"{exc.text!r}; every shared-state exemption must "
-                    "say why it is safe",
-                )
-            )
-            return findings
-
-    sites = _collect_mutations(index)
-    matched_targets: set[str] = set()
-    for site in sites:
+    for site in _collect_mutations(project.index):
         owner_component = component_of(site.owner_module)
         if site.component == owner_component:
-            continue
-        matched_targets.add(site.target)
-        if site.target in allowed:
             continue
         findings.append(
             Finding(
@@ -282,18 +245,7 @@ def check_partition_safety(
                 f"component {site.component!r} {site.detail} owned by "
                 f"component {owner_component!r} without an RPC edge; "
                 "this state silently diverges once partitions run in "
-                "separate processes (allowlist key: "
-                f"{site.target!r})",
+                f"separate processes (target: {site.target!r})",
             )
         )
-    for target in sorted(allowed):
-        if target not in matched_targets:
-            entry = allowed[target]
-            findings.append(
-                Finding(
-                    "MCH060", Severity.WARNING, allowlist_path, entry.line,
-                    f"allowlist entry {target!r} matches no cross-"
-                    "component mutation; delete the stale exemption",
-                )
-            )
     return findings

@@ -12,32 +12,32 @@ Rule id blocks:
   monitoring callbacks growing unbounded state), and performance
   (``MCH006``: per-event allocation inside ``# mochi-lint: hotpath``
   functions);
-* ``MCH01x`` -- cooperative scheduling (blocking calls in ULTs,
-  yield-while-holding-lock, handlers that never respond, misbehaving
-  monitor hooks);
+* ``MCH01x`` -- cooperative scheduling (blocking calls reachable from
+  ULTs, yield-while-holding-lock, handlers that never respond,
+  misbehaving monitor hooks);
 * ``MCH02x`` -- configuration (dangling pool references, duplicate
   names, unresolvable/cyclic provider dependencies);
 * ``MCH03x``/``MCH04x`` -- concurrency (mochi-race: unordered accesses
   to shared state, order-dependent outcomes, lock-order cycles,
   wait-while-holding);
-* ``MCH05x`` -- RPC contracts (mochi-deps: orphaned client calls, bad
-  handler shapes, dead handlers);
+* ``MCH05x`` -- RPC contracts (orphaned client calls, bad handler
+  shapes, dead handlers);
 * ``MCH06x`` -- partitioning & migration (cross-component shared-state
   writes, migration snapshot coverage);
-* ``MCH07x`` -- flow protocols (mochi-flow: path-sensitive typestate
-  over per-function CFGs -- respond-exactly-once, lock release balance,
+* ``MCH07x`` -- flow protocols (path-sensitive typestate over
+  per-function CFGs -- respond-exactly-once, lock release balance,
   exception-path resource leaks, use-after-release/migrate);
 * ``MCH09x`` -- meta (parse errors, bare suppressions).
 
-``MCH014``/``MCH015`` and the ``MCH05x``/``MCH06x`` blocks are
-whole-program rules: they register with ``check=None`` (no per-file
-AST callback) and run from the interprocedural driver in
-``analysis.interproc`` when ``--interproc`` is given.
+A static rule's check has one of two scopes: ``file`` checks take the
+:class:`~repro.analysis.rules.FileContext` of one parsed file,
+``project`` checks take the engine's ``Project`` (every file plus the
+shared call graph and effect fixpoint).  Both register through
+:func:`rule` and run in the same pipeline.
 """
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -45,12 +45,10 @@ from .findings import Finding, Severity
 
 __all__ = [
     "RuleInfo",
-    "AstRule",
-    "FileContext",
+    "Rule",
     "register",
     "rule",
     "all_rules",
-    "get_rule",
     "rule_catalog",
     "GROUP_DETERMINISM",
     "GROUP_OBSERVABILITY",
@@ -92,71 +90,44 @@ class RuleInfo:
     runtime_checked: bool = False
 
 
-@dataclass
-class FileContext:
-    """Everything an AST rule may look at for one file."""
+@dataclass(frozen=True)
+class Rule:
+    """One static check and the rule ids it reports under (a check that
+    shares one traversal between several ids registers them together)."""
 
-    path: str
-    source: str
-    tree: ast.Module
-
-    @property
-    def lines(self) -> list[str]:
-        return self.source.splitlines()
+    infos: tuple[RuleInfo, ...]
+    scope: str  #: ``file`` or ``project``
+    check: Callable[..., list[Finding]]
 
 
-class AstRule:
-    """A static rule: ``check`` walks one parsed file and yields findings."""
-
-    def __init__(self, info: RuleInfo, check: Callable[[FileContext], list[Finding]]):
-        self.info = info
-        self._check = check
-
-    def check(self, ctx: FileContext) -> list[Finding]:
-        return self._check(ctx)
-
-    def finding(self, ctx: FileContext, line: int, message: str) -> Finding:
-        return Finding(
-            rule_id=self.info.id,
-            severity=self.info.severity,
-            path=ctx.path,
-            line=line,
-            message=message,
-            source="static",
-        )
-
-
-_RULES: dict[str, AstRule] = {}
+_RULES: list[Rule] = []
 _INFOS: dict[str, RuleInfo] = {}
 
 
-def register(info: RuleInfo, check: Optional[Callable[[FileContext], list[Finding]]] = None) -> None:
-    """Register a rule.  Config/runtime-only rules pass ``check=None``:
-    they appear in the catalog but run from their own pass."""
-    if info.id in _INFOS:
-        raise ValueError(f"duplicate rule id {info.id}")
-    _INFOS[info.id] = info
-    if check is not None:
-        _RULES[info.id] = AstRule(info, check)
+def register(*infos: RuleInfo) -> None:
+    """Add rules that run outside the static pipeline (configuration
+    cross-checks, the runtime sanitizer, the race detector) to the
+    catalog; static rules use :func:`rule`."""
+    for info in infos:
+        if info.id in _INFOS:
+            raise ValueError(f"duplicate rule id {info.id}")
+        _INFOS[info.id] = info
 
 
-def rule(info: RuleInfo) -> Callable:
-    """Decorator form of :func:`register` for AST rules."""
+def rule(*infos: RuleInfo, scope: str = "file") -> Callable:
+    """Decorator registering a static check under ``infos``."""
 
-    def wrap(check: Callable[[FileContext], list[Finding]]) -> Callable:
-        register(info, check)
+    def wrap(check: Callable[..., list[Finding]]) -> Callable:
+        register(*infos)
+        _RULES.append(Rule(infos, scope, check))
         return check
 
     return wrap
 
 
-def all_rules() -> list[AstRule]:
-    """Registered AST rules, in id order (deterministic run order)."""
-    return [_RULES[rid] for rid in sorted(_RULES)]
-
-
-def get_rule(rule_id: str) -> Optional[AstRule]:
-    return _RULES.get(rule_id)
+def all_rules() -> list[Rule]:
+    """Registered static rules, in id order (deterministic run order)."""
+    return sorted(_RULES, key=lambda r: r.infos[0].id)
 
 
 def rule_catalog() -> list[RuleInfo]:
@@ -209,5 +180,4 @@ BARE_SUPPRESSION = RuleInfo(
     ),
 )
 
-register(PARSE_ERROR)
-register(BARE_SUPPRESSION)
+register(PARSE_ERROR, BARE_SUPPRESSION)

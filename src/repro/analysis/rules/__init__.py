@@ -1,21 +1,23 @@
 """mochi-lint rule catalog.
 
-Importing this package registers every static rule with the registry.
-Shared AST helpers used by the rule modules live here.
+Importing this package registers every file-scope rule with the
+registry.  The per-file context the rules look at and the AST helpers
+they share live here.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterable, Iterator, Optional
 
 __all__ = [
+    "FileContext",
     "dotted_name",
     "call_name",
     "own_body_walk",
-    "function_defs",
     "is_ult_generator",
-    "ordered_walk",
 ]
 
 FunctionNode = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -57,12 +59,6 @@ def last_attr(node: ast.AST) -> Optional[str]:
     return None
 
 
-def function_defs(tree: ast.Module) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, FunctionNode):
-            yield node
-
-
 def own_body_walk(func: ast.AST) -> Iterator[ast.AST]:
     """Walk a function's own body, not entering nested function/class defs."""
     stack: list[ast.AST] = list(getattr(func, "body", []))
@@ -74,17 +70,50 @@ def own_body_walk(func: ast.AST) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-def ordered_walk(node: ast.AST) -> list[ast.AST]:
-    """All descendants of ``node`` in source order (line, column)."""
-    nodes = [n for n in ast.walk(node) if hasattr(n, "lineno")]
-    nodes.sort(key=lambda n: (n.lineno, n.col_offset))
-    return nodes
+@dataclass
+class FileContext:
+    """One parsed file, plus the traversals every rule would otherwise
+    repeat: the node list, the function list and each function's
+    own-body node list are computed once per lint run and shared by the
+    file rules, the call graph, the effect seed and the flow pass."""
+
+    path: str
+    source: str
+    tree: ast.Module
+    _bodies: dict[int, list[ast.AST]] = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def parse(cls, path: str, source: str) -> "FileContext":
+        """Parse ``source``; raises :class:`SyntaxError` like ``ast.parse``."""
+        return cls(path, source, ast.parse(source, filename=path))
+
+    @cached_property
+    def lines(self) -> list[str]:
+        return self.source.splitlines()
+
+    @cached_property
+    def nodes(self) -> list[ast.AST]:
+        """Every node of the file, in ``ast.walk`` order."""
+        return list(ast.walk(self.tree))
+
+    @cached_property
+    def functions(self) -> list[ast.AST]:
+        """Every function definition, nested ones included."""
+        return [node for node in self.nodes if isinstance(node, FunctionNode)]
+
+    def body(self, func: ast.AST) -> list[ast.AST]:
+        """``own_body_walk(func)`` as a list, walked once per run."""
+        nodes = self._bodies.get(id(func))
+        if nodes is None:
+            nodes = self._bodies[id(func)] = list(own_body_walk(func))
+        return nodes
 
 
-def is_ult_generator(func: ast.AST) -> bool:
-    """True when the function body is a kernel task / ULT body: it yields
-    kernel commands, or delegates to runtime generators via yield-from."""
-    for node in own_body_walk(func):
+def is_ult_generator(body: Iterable[ast.AST]) -> bool:
+    """True when the own-body nodes are a kernel task / ULT body: they
+    yield kernel commands, or delegate to runtime generators via
+    yield-from."""
+    for node in body:
         if isinstance(node, ast.Yield) and isinstance(node.value, ast.Call):
             if last_attr(node.value.func) in ULT_COMMANDS:
                 return True

@@ -12,13 +12,8 @@ from __future__ import annotations
 import ast
 
 from ..findings import Finding, Severity
-from ..registry import (
-    GROUP_DETERMINISM,
-    FileContext,
-    RuleInfo,
-    rule,
-)
-from . import call_name, dotted_name
+from ..registry import GROUP_DETERMINISM, RuleInfo, rule
+from . import FileContext, call_name, dotted_name
 
 __all__ = ["WALL_CLOCK_CALLS", "UNSEEDED_RANDOM_CALLS"]
 
@@ -98,7 +93,7 @@ _UNORDERED_LISTING_CALLS = frozenset(
 )
 def check_wall_clock(ctx: FileContext) -> list[Finding]:
     findings = []
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if isinstance(node, ast.Call):
             name = call_name(node)
             if name in WALL_CLOCK_CALLS:
@@ -132,7 +127,7 @@ def check_wall_clock(ctx: FileContext) -> list[Finding]:
 )
 def check_unseeded_random(ctx: FileContext) -> list[Finding]:
     findings = []
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.Call):
             continue
         name = call_name(node)
@@ -209,7 +204,7 @@ def check_env_iteration(ctx: FileContext) -> list[Finding]:
                 )
             )
 
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if isinstance(node, ast.For):
             flag(node.iter, "for loop")
         elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):

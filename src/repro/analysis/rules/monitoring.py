@@ -20,8 +20,8 @@ import ast
 from typing import Optional
 
 from ..findings import Finding, Severity
-from ..registry import GROUP_OBSERVABILITY, FileContext, RuleInfo, rule
-from . import FunctionNode, last_attr
+from ..registry import GROUP_OBSERVABILITY, RuleInfo, rule
+from . import FileContext, last_attr
 
 __all__ = ["GROWING_METHODS"]
 
@@ -98,7 +98,7 @@ def _module_containers(tree: ast.Module) -> dict[str, tuple[str, int]]:
 
 def _is_hook(func: ast.AST) -> bool:
     """Monitoring callbacks follow the ``on_<event>`` hook convention
-    (RPC handlers use ``_on_<rpc>`` and are covered by MCH012)."""
+    (RPC handlers use ``_on_<rpc>`` and are covered by MCH070)."""
     return getattr(func, "name", "").startswith("on_")
 
 
@@ -149,8 +149,8 @@ def check_unbounded_monitoring_state(ctx: FileContext) -> list[Finding]:
     if not containers:
         return []
     findings = []
-    for func in ast.walk(ctx.tree):
-        if not (isinstance(func, FunctionNode) and _is_hook(func)):
+    for func in ctx.functions:
+        if not _is_hook(func):
             continue
         for line, name, how in _growth_sites(func, containers):
             kind, def_line = containers[name]
@@ -210,8 +210,8 @@ def _handler_observes(handler: ast.ExceptHandler) -> bool:
 )
 def check_unobserved_failure_swallow(ctx: FileContext) -> list[Finding]:
     findings = []
-    for func in ast.walk(ctx.tree):
-        if not (isinstance(func, FunctionNode) and _is_observer(func)):
+    for func in ctx.functions:
+        if not _is_observer(func):
             continue
         for node in ast.walk(func):
             if not isinstance(node, ast.ExceptHandler):

@@ -15,8 +15,8 @@ from __future__ import annotations
 import ast
 
 from ..findings import Finding, Severity
-from ..registry import GROUP_PERF, FileContext, RuleInfo, rule
-from . import FunctionNode, function_defs, own_body_walk
+from ..registry import GROUP_PERF, RuleInfo, rule
+from . import FileContext, FunctionNode
 
 HOTPATH_MARKER = "mochi-lint: hotpath"
 
@@ -63,10 +63,10 @@ def _describe(node: ast.AST) -> str:
 def check_hotpath_allocation(ctx: FileContext) -> list[Finding]:
     findings: list[Finding] = []
     lines = ctx.lines
-    for func in function_defs(ctx.tree):
+    for func in ctx.functions:
         if not _is_hotpath(func, lines):
             continue
-        for node in own_body_walk(func):
+        for node in ctx.body(func):
             if isinstance(node, (ast.Lambda, ast.Dict, ast.DictComp) + FunctionNode):
                 findings.append(
                     Finding(

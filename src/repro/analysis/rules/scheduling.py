@@ -4,7 +4,9 @@ The kernel is single-threaded and cooperative: an RPC handler ULT that
 blocks for real, parks forever, or suspends while holding a mutex does
 not crash anything -- it silently wedges or serializes the simulation.
 PR 2 fixed two shipped bugs of exactly this shape; these rules catch the
-class statically.
+class statically.  The file-scope rules live here; the whole-program
+ones (``MCH014``/``MCH015``) and the path-sensitive ``MCH070`` share the
+vocabulary below.
 """
 
 from __future__ import annotations
@@ -13,15 +15,8 @@ import ast
 from typing import Optional
 
 from ..findings import Finding, Severity
-from ..registry import GROUP_SCHEDULING, FileContext, RuleInfo, rule
-from . import (
-    FunctionNode,
-    call_name,
-    function_defs,
-    is_ult_generator,
-    last_attr,
-    own_body_walk,
-)
+from ..registry import GROUP_SCHEDULING, RuleInfo, register, rule
+from . import FileContext, FunctionNode, last_attr
 
 #: Real-world blocking calls that stall the whole event loop when issued
 #: from inside a kernel task / ULT body.
@@ -61,106 +56,17 @@ _SUSPENDING_COMMANDS = frozenset({"Sleep", "UltSleep", "Park", "WaitEvent"})
 _SUSPENDING_DELEGATES = frozenset({"forward", "wait", "ult_sleep", "bulk_transfer"})
 
 
-def _blocking_helpers(tree: ast.Module) -> dict[str, tuple[str, int]]:
-    """name -> (blocking call, def line) for plain helpers that block.
-
-    One hop of call graph: a helper that is *not* itself a ULT generator
-    (those are flagged directly) but whose own body issues a blocking
-    call.  Calling such a helper from a ULT stalls the loop just as
-    surely as inlining the ``time.sleep``.
-    """
-    helpers: dict[str, tuple[str, int]] = {}
-    for func in function_defs(tree):
-        if is_ult_generator(func):
-            continue
-        for node in own_body_walk(func):
-            if isinstance(node, ast.Call) and call_name(node) in BLOCKING_CALLS:
-                helpers[func.name] = (call_name(node), func.lineno)
-                break
-    return helpers
-
-
-def _local_callee(node: ast.Call) -> Optional[str]:
-    """The called name when the target is ``helper()`` or ``self.helper()``."""
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if (
-        isinstance(func, ast.Attribute)
-        and isinstance(func.value, ast.Name)
-        and func.value.id == "self"
-    ):
-        return func.attr
-    return None
-
-
-def _is_handler(func: ast.AST) -> bool:
+def _is_handler(func: ast.AST, body: list[ast.AST]) -> bool:
     """Heuristic: RPC handler bodies follow the ``_on_<rpc>`` convention
     (and must be generators to yield kernel commands)."""
     name = getattr(func, "name", "")
     if not name.startswith(("on_", "_on_")):
         return False
-    return any(
-        isinstance(node, (ast.Yield, ast.YieldFrom)) for node in own_body_walk(func)
-    )
+    return any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in body)
 
 
-@rule(
-    RuleInfo(
-        id="MCH010",
-        name="blocking-call-in-ult",
-        group=GROUP_SCHEDULING,
-        severity=Severity.ERROR,
-        summary="real blocking call inside a kernel task / ULT body",
-        rationale=(
-            "the kernel is single-threaded: one time.sleep() or socket "
-            "read inside a ULT freezes every simulated process at once; "
-            "blocking must be expressed as Sleep/UltSleep/Park so the "
-            "scheduler can run other work"
-        ),
-        runtime_checked=False,
-    )
-)
-def check_blocking_call(ctx: FileContext) -> list[Finding]:
-    findings = []
-    helpers = _blocking_helpers(ctx.tree)
-    for func in function_defs(ctx.tree):
-        if not is_ult_generator(func):
-            continue
-        for node in own_body_walk(func):
-            if not isinstance(node, ast.Call):
-                continue
-            if call_name(node) in BLOCKING_CALLS:
-                findings.append(
-                    Finding(
-                        "MCH010",
-                        Severity.ERROR,
-                        ctx.path,
-                        node.lineno,
-                        f"blocking call {call_name(node)}() inside ULT body "
-                        f"{func.name!r}; yield a kernel command instead",
-                    )
-                )
-                continue
-            callee = _local_callee(node)
-            if callee is not None and callee in helpers:
-                blocked_by, def_line = helpers[callee]
-                findings.append(
-                    Finding(
-                        "MCH010",
-                        Severity.ERROR,
-                        ctx.path,
-                        node.lineno,
-                        f"ULT body {func.name!r} calls helper {callee!r} "
-                        f"(defined line {def_line}) which blocks via "
-                        f"{blocked_by}(); yield a kernel command instead",
-                    )
-                )
-    return findings
-
-
-def _lock_events(func: ast.AST) -> list[tuple[int, int, str, str]]:
-    """(line, col, kind, detail) events in source order.
+def _lock_events(body: list[ast.AST]) -> list[tuple[int, int, str, str]]:
+    """(line, col, kind, detail) events of one function body, in source order.
 
     kinds: ``acquire`` (yield from ...acquire()), ``release``
     (...release() call), ``suspend`` (a yielded command or delegate that
@@ -168,7 +74,7 @@ def _lock_events(func: ast.AST) -> list[tuple[int, int, str, str]]:
     """
     events = []
     yielded_calls: set[int] = set()
-    for node in own_body_walk(func):
+    for node in body:
         if isinstance(node, ast.YieldFrom) and isinstance(node.value, ast.Call):
             call = node.value
             yielded_calls.add(id(call))
@@ -183,7 +89,7 @@ def _lock_events(func: ast.AST) -> list[tuple[int, int, str, str]]:
             attr = last_attr(call.func)
             if attr in _SUSPENDING_COMMANDS:
                 events.append((node.lineno, node.col_offset, "suspend", attr))
-    for node in own_body_walk(func):
+    for node in body:
         if (
             isinstance(node, ast.Call)
             and id(node) not in yielded_calls
@@ -212,9 +118,9 @@ def _lock_events(func: ast.AST) -> list[tuple[int, int, str, str]]:
 )
 def check_yield_holding_lock(ctx: FileContext) -> list[Finding]:
     findings = []
-    for func in function_defs(ctx.tree):
+    for func in ctx.functions:
         held = 0
-        for line, _col, kind, detail in _lock_events(func):
+        for line, _col, kind, detail in _lock_events(ctx.body(func)):
             if kind == "acquire":
                 held += 1
             elif kind == "release":
@@ -254,71 +160,25 @@ def _unbounded_wait(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _loops_forever(func: ast.AST) -> Optional[int]:
-    """Line of a ``while True:`` in ``func`` with no exit path, if any."""
-    for node in own_body_walk(func):
-        if not isinstance(node, ast.While):
-            continue
-        test = node.test
-        if not (isinstance(test, ast.Constant) and test.value is True):
-            continue
-        exits = any(
-            isinstance(inner, (ast.Return, ast.Break, ast.Raise))
-            for inner in ast.walk(node)
-        )
-        if not exits:
-            return node.lineno
-    return None
-
-
-@rule(
+register(
     RuleInfo(
         id="MCH012",
         name="handler-never-responds",
         group=GROUP_SCHEDULING,
         severity=Severity.ERROR,
-        summary="RPC handler path that can block forever without responding",
+        summary=(
+            "dispatched RPC handler finished without a response (runtime "
+            "only; the static half is MCH070)"
+        ),
         rationale=(
             "every dispatched RPC must end in a response or an error "
-            "response -- a handler parked on an event with no timeout, or "
-            "spinning in an exit-less loop, leaves the caller waiting "
-            "until its own timeout (or forever), which is how the paper's "
-            "services wedge under reconfiguration"
+            "response -- a handler that drops its handle leaves the caller "
+            "waiting until its own timeout (or forever), which is how the "
+            "paper's services wedge under reconfiguration"
         ),
         runtime_checked=True,
     )
 )
-def check_handler_responds(ctx: FileContext) -> list[Finding]:
-    findings = []
-    for func in function_defs(ctx.tree):
-        if not _is_handler(func):
-            continue
-        for node in own_body_walk(func):
-            why = _unbounded_wait(node)
-            if why is not None:
-                findings.append(
-                    Finding(
-                        "MCH012",
-                        Severity.ERROR,
-                        ctx.path,
-                        node.lineno,
-                        f"handler {func.name!r} waits unboundedly ({why}); "
-                        "pass a timeout so the caller always gets a response",
-                    )
-                )
-        loop_line = _loops_forever(func)
-        if loop_line is not None:
-            findings.append(
-                Finding(
-                    "MCH012",
-                    Severity.ERROR,
-                    ctx.path,
-                    loop_line,
-                    f"handler {func.name!r} contains a `while True` loop "
-                    "with no return/break/raise; it can never respond",
-                )
-            )
-    return findings
 
 
 def _is_monitor_class(node: ast.ClassDef) -> bool:
@@ -349,7 +209,7 @@ def _is_monitor_class(node: ast.ClassDef) -> bool:
 )
 def check_monitor_hooks(ctx: FileContext) -> list[Finding]:
     findings = []
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not (isinstance(node, ast.ClassDef) and _is_monitor_class(node)):
             continue
         for method in node.body:
@@ -357,7 +217,7 @@ def check_monitor_hooks(ctx: FileContext) -> list[Finding]:
                 continue
             if not method.name.startswith("on_"):
                 continue
-            for inner in own_body_walk(method):
+            for inner in ctx.body(method):
                 bad = None
                 if isinstance(inner, ast.Raise):
                     bad = "raises"

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..analysis import format_findings, lint_paths
 from ..analysis import sanitize as _sanitize
+from ..analysis.findings import format_findings
 from ..bedrock.server import BedrockServer
 from ..cluster import Cluster
 from ..monitoring.stats_monitor import StatisticsMonitor
@@ -236,12 +236,16 @@ def profile_report(
 def lint_report(*paths: str) -> str:
     """Static-analysis health of a source tree (the ``repro-lint`` view).
 
-    Runs the full mochi-lint pass (AST rules plus the configuration
-    cross-validator for any config JSON encountered) over ``paths`` and
-    appends whatever the runtime sanitizer has recorded so far, so one
-    report answers "is this deployment clean?" across all three passes.
+    Runs the full mochi-lint pass (every static rule plus the
+    configuration cross-validator for any config JSON encountered) over
+    ``paths`` and appends whatever the runtime sanitizer has recorded so
+    far, so one report answers "is this deployment clean?" across all
+    three passes.
     """
-    findings = lint_paths(paths or ("src", "examples", "benchmarks"))
+    # Imported lazily: only this report needs the lint engine.
+    from ..analysis.engine import run_lint
+
+    findings = run_lint(paths or ("src", "examples", "benchmarks")).findings
     findings = findings + list(_sanitize.violations)
     if not findings:
         return "mochi-lint: clean"

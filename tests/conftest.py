@@ -1,11 +1,13 @@
-"""Test-suite conftest: make shared test helpers importable.
+"""Test-suite conftest: the one lint run the acceptance tests share."""
 
-``interproc_util`` lives next to the test modules; putting this
-directory on ``sys.path`` keeps the helper importable regardless of
-pytest's rootdir-relative import mode.
-"""
+import pytest
 
-import os
-import sys
 
-sys.path.insert(0, os.path.dirname(__file__))
+@pytest.fixture(scope="session")
+def repo_lint():
+    """``run_lint`` over ``src/repro``, ``examples`` and ``benchmarks``,
+    run once per session; each acceptance test filters the rules and
+    paths it is about."""
+    from .lint_util import LINT_ROOTS, run_lint
+
+    return run_lint(LINT_ROOTS)

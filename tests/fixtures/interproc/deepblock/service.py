@@ -1,6 +1,6 @@
-"""MCH014 fixture: deep chains, one-hop overlap with MCH010, recursion.
+"""MCH014 fixture: depth 0, one hop, deep chains, recursion.
 
-Parsed by the interproc tests, never imported: ``Sleep``/``Compute``
+Parsed by the lint tests, never imported: ``Sleep``/``Compute``
 stand in for the kernel command constructors the linter recognizes.
 """
 
@@ -23,9 +23,15 @@ def clean_handler(ctx):
     return ctx
 
 
+def direct_handler(ctx):
+    """Positive at depth 0: the blocking call is in the ULT body."""
+    yield Sleep(0.5)  # noqa: F821
+    time.sleep(0.25)
+    return ctx
+
+
 def one_hop_handler(ctx):
-    """Overlap site: MCH010's one-hop heuristic and MCH014 both see
-    this call; with --interproc only MCH014 may report it."""
+    """Positive one hop down, in a same-file helper."""
     yield Sleep(0.5)  # noqa: F821
     local_block()
     return ctx

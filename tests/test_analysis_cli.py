@@ -3,11 +3,16 @@ criterion that the repository itself lints clean."""
 
 import json
 import os
+import subprocess
+import sys
 import textwrap
 
-from repro.analysis.cli import main
+import pytest
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from repro.analysis.cli import main
+from repro.analysis.engine import lint_source, run_lint
+
+from .lint_util import REPO
 
 CLEAN = """
 def worker(kernel):
@@ -106,6 +111,22 @@ def test_select_and_ignore(tmp_path):
     assert main(["--select", "MCH001", path]) == 1
 
 
+def test_unknown_rule_id_is_a_usage_error(tmp_path, capsys):
+    # A typo'd gate must not be green.
+    path = write(tmp_path, "clean.py", CLEAN)
+    for flag in ("--select", "--ignore"):
+        assert main([flag, "MCH001,MCH999", path]) == 2
+        captured = capsys.readouterr()
+        assert "MCH999" in captured.err and "--list-rules" in captured.err
+        assert "clean" not in captured.out
+    with pytest.raises(ValueError, match="MCH999"):
+        run_lint([path], select=["MCH999"])
+    with pytest.raises(ValueError, match="MCH999"):
+        lint_source(CLEAN, ignore=["MCH999"])
+    # Config, sanitizer and race ids are part of the catalog.
+    assert main(["--select", "MCH020,MCH012,MCH030", path]) == 0
+
+
 def test_directory_walk_includes_configs(tmp_path, capsys):
     write(tmp_path, "dirty.py", DIRTY)
     (tmp_path / "bad.json").write_text(
@@ -123,12 +144,14 @@ def test_list_rules_covers_catalog(capsys):
     out = capsys.readouterr().out
     for rule_id in (
         "MCH001", "MCH002", "MCH003", "MCH004",
-        "MCH010", "MCH011", "MCH012", "MCH013",
+        "MCH011", "MCH012", "MCH013", "MCH014", "MCH015",
         "MCH020", "MCH021", "MCH022", "MCH023",
         "MCH030", "MCH031", "MCH032", "MCH040", "MCH041",
+        "MCH050", "MCH060", "MCH061", "MCH070", "MCH074",
         "MCH090", "MCH091",
     ):
         assert rule_id in out
+    assert "MCH010" not in out
     # MCH004 carries its own category block between the determinism and
     # scheduling runs of the id space.
     assert "[observability]" in out
@@ -145,12 +168,34 @@ def test_module_entry_point_matches_cli():
     assert cli_main is main
 
 
-def test_repository_lints_clean(capsys):
-    """The ISSUE acceptance criterion: zero unsuppressed findings over
-    src/repro, examples/, and benchmarks/."""
-    targets = [
-        os.path.join(REPO_ROOT, "src", "repro"),
-        os.path.join(REPO_ROOT, "examples"),
-        os.path.join(REPO_ROOT, "benchmarks"),
-    ]
-    assert main(targets) == 0, capsys.readouterr().out
+def test_repository_lints_clean(repo_lint):
+    """The acceptance criterion: zero unsuppressed findings, under every
+    rule, over src/repro, examples/, and benchmarks/."""
+    assert repo_lint.findings == [], "\n".join(
+        f.format() for f in repo_lint.findings
+    )
+
+
+def test_runtime_import_does_not_load_the_lint_engine():
+    """`import repro` pays for the sanitizer and race hooks only; the
+    REPRO_SANITIZE switch still reaches both runtime layers."""
+    probe = (
+        "import sys, repro.cluster\n"
+        "from repro.analysis import sanitize\n"
+        "from repro.analysis.race import hooks\n"
+        "loaded = [m for m in ('engine', 'rules', 'cli', 'flow', 'interproc')\n"
+        "          if 'repro.analysis.' + m in sys.modules]\n"
+        "print(loaded, sanitize.ENABLED, hooks.ENABLED)\n"
+    )
+    for mode, expected in (
+        ("", "[] False False"),
+        ("1", "[] True False"),
+        ("race", "[] True True"),  # race mode includes the classic sanitizer
+    ):
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"), REPRO_SANITIZE=mode)
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == expected

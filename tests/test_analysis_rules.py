@@ -1,8 +1,9 @@
-"""mochi-lint AST rules: one positive + one negative fixture per rule."""
+"""mochi-lint rules on snippets: one positive + one negative fixture per
+rule, each linted as a one-file project."""
 
 import textwrap
 
-from repro.analysis import lint_source
+from repro.analysis.engine import lint_source
 
 
 def lint(code, **kwargs):
@@ -245,7 +246,7 @@ def test_mch005_clean_on_counted_reraised_or_non_observers():
 
 
 # ----------------------------------------------------------------------
-# MCH010 blocking-call-in-ult
+# MCH014 blocking-call-reachable-from-ult (depth 0 and one hop)
 # ----------------------------------------------------------------------
 def test_mch010_flags_blocking_call_in_ult_body():
     findings = lint(
@@ -255,9 +256,9 @@ def test_mch010_flags_blocking_call_in_ult_body():
             yield Sleep(1.0)
             subprocess.run(["ls"])
         """,
-        select=["MCH010"],
+        select=["MCH014"],
     )
-    assert ids(findings) == ["MCH010"]
+    assert ids(findings) == ["MCH014"]
     assert "subprocess.run" in findings[0].message
 
 
@@ -269,7 +270,7 @@ def test_mch010_ignores_plain_functions():
         def build():
             return subprocess.run(["make"])
         """,
-        select=["MCH010"],
+        select=["MCH014"],
     )
     assert findings == []
 
@@ -286,13 +287,13 @@ def test_mch010_ignores_nested_non_ult_helpers():
             yield Sleep(1.0)
             return helper
         """,
-        select=["MCH010"],
+        select=["MCH014"],
     )
     assert findings == []
 
 
 def test_mch010_flags_call_to_blocking_helper():
-    # One hop of call graph: the ULT calls a plain helper that blocks.
+    # One hop down the call graph: the ULT calls a plain helper that blocks.
     findings = lint(
         """
         import time
@@ -302,9 +303,9 @@ def test_mch010_flags_call_to_blocking_helper():
             yield Sleep(1.0)
             pause()
         """,
-        select=["MCH010"],
+        select=["MCH014"],
     )
-    assert ids(findings) == ["MCH010"]
+    assert ids(findings) == ["MCH014"]
     assert "pause" in findings[0].message
     assert "time.sleep" in findings[0].message
     assert findings[0].line == 7
@@ -321,9 +322,9 @@ def test_mch010_flags_self_call_to_blocking_helper():
                 yield UltSleep(0.1)
                 self._connect()
         """,
-        select=["MCH010"],
+        select=["MCH014"],
     )
-    assert ids(findings) == ["MCH010"]
+    assert ids(findings) == ["MCH014"]
     assert "_connect" in findings[0].message
     assert "socket.create_connection" in findings[0].message
 
@@ -338,7 +339,7 @@ def test_mch010_ignores_call_to_clean_helper():
             yield Sleep(1.0)
             return shape(data)
         """,
-        select=["MCH010"],
+        select=["MCH014"],
     )
     assert findings == []
 
@@ -356,9 +357,9 @@ def test_mch010_blocking_ult_helper_not_double_flagged():
             yield Sleep(1.0)
             yield from inner()
         """,
-        select=["MCH010"],
+        select=["MCH014"],
     )
-    assert ids(findings) == ["MCH010"]
+    assert ids(findings) == ["MCH014"]
     assert findings[0].line == 5
 
 
@@ -408,7 +409,7 @@ def test_mch011_clean_when_released_before_suspend():
 
 
 # ----------------------------------------------------------------------
-# MCH012 handler-never-responds
+# MCH070 respond-exactly-once (stall before any response)
 # ----------------------------------------------------------------------
 def test_mch012_flags_unbounded_park_in_handler():
     findings = lint(
@@ -417,9 +418,9 @@ def test_mch012_flags_unbounded_park_in_handler():
             value = yield Park(gate)
             return value
         """,
-        select=["MCH012"],
+        select=["MCH070"],
     )
-    assert ids(findings) == ["MCH012"]
+    assert ids(findings) == ["MCH070"]
     assert "no timeout" in findings[0].message
 
 
@@ -430,9 +431,9 @@ def test_mch012_flags_exitless_loop_in_handler():
             while True:
                 yield UltSleep(0.1)
         """,
-        select=["MCH012"],
+        select=["MCH070"],
     )
-    assert ids(findings) == ["MCH012"]
+    assert ids(findings) == ["MCH070"]
 
 
 def test_mch012_clean_with_timeout_or_exit():
@@ -445,7 +446,7 @@ def test_mch012_clean_with_timeout_or_exit():
                     return value
                 value = yield Park(gate, timeout=1.0)
         """,
-        select=["MCH012"],
+        select=["MCH070"],
     )
     assert findings == []
 
@@ -459,7 +460,7 @@ def test_mch012_ignores_non_handler_functions():
             value = yield Park(gate)
             return value
         """,
-        select=["MCH012"],
+        select=["MCH070"],
     )
     assert findings == []
 

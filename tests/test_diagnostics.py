@@ -113,7 +113,7 @@ def test_lint_report_renders_findings(tmp_path):
     report = lint_report(str(tmp_path))
     assert "2 finding(s)" in report  # wall clock + blocking call in ULT
     assert "MCH001" in report
-    assert "MCH010" in report
+    assert "MCH014" in report
     assert "dirty.py:5" in report
 
 

@@ -169,7 +169,7 @@ def test_seeded_racy_fixture_deterministic_mch03x(race):
     hooks.disable()
     hooks.reset()
     hooks.enable()
-    ULT._counter = start
+    ULT._counter = start  # mochi-lint: disable=MCH060 -- rewinds the ULT id counter so the two same-seed runs compare byte-identical
     second = _racy_run()
     assert first == second  # same seed -> byte-identical report
     assert [f["rule_id"] for f in first] == ["MCH030"]

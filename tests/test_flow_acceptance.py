@@ -1,20 +1,20 @@
-"""Acceptance: the repository's own sources are mochi-flow clean, and
-the --flow layer is wired end to end (CLI flag, registry group, stats,
-determinism)."""
+"""Acceptance: the repository's own sources are clean under the flow
+protocol rules, and the rules are wired end to end (registry group,
+stats, determinism)."""
 
 import json
 import os
 import subprocess
 import sys
 
-from repro.analysis.engine import run_lint
+import repro.analysis.engine  # noqa: F401 - importing the engine registers the full catalog
 from repro.analysis.registry import GROUP_FLOW, rule_catalog
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_src_repro_is_flow_clean():
-    result = run_lint([os.path.join(REPO, "src", "repro")], flow=True)
+def test_src_repro_is_flow_clean(repo_lint):
+    result = repo_lint
     flow = [f for f in result.findings if f.rule_id.startswith("MCH07")]
     assert flow == [], [f.format() for f in flow]
     # The analysis actually ran: CFGs were built, handlers analyzed.
@@ -48,10 +48,8 @@ def run_cli(*args):
 
 def test_cli_flow_runs_are_byte_identical():
     # Over the fixture tree (which has real findings) so the comparison
-    # is meaningful; --no-cache so both runs do the full analysis.
+    # is meaningful.
     args = (
-        "--flow",
-        "--no-cache",
         "--format",
         "json",
         "--stats",
@@ -68,10 +66,7 @@ def test_cli_flow_runs_are_byte_identical():
 
 
 def test_cli_flow_clean_over_warabi():
-    proc = run_cli(
-        "--flow", "--no-cache", "--format", "json",
-        os.path.join("src", "repro", "warabi"),
-    )
+    proc = run_cli("--format", "json", os.path.join("src", "repro", "warabi"))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert json.loads(proc.stdout) == []
 

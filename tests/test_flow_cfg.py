@@ -6,7 +6,7 @@ import textwrap
 
 from repro.analysis.flow.cfg import CFG
 
-from .flow_util import func_cfg
+from .lint_util import func_cfg
 
 
 def describe(source: str, name: str, **kwargs) -> str:

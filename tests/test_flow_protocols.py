@@ -1,13 +1,11 @@
-"""mochi-flow protocol rules (MCH070-MCH073) over the flow fixtures."""
+"""Flow protocol rules (MCH070-MCH074) over the flow fixtures."""
 
-from repro.analysis.flow import run_flow
-
-from .flow_util import fixture_path, line_of, parse_fixture
+from .lint_util import fixture_path, line_of, lint_fixture
 
 
 def flow_findings(*packages, **kwargs):
-    findings, stats, covered = run_flow(parse_fixture(*packages), **kwargs)
-    return findings, stats, covered
+    result = lint_fixture(*packages, **kwargs)
+    return result.findings, result.stats
 
 
 def by_rule(findings, rule_id):
@@ -22,7 +20,7 @@ def lines_near(findings, path, func_start, func_end):
 # MCH070: respond exactly once
 # ----------------------------------------------------------------------
 def test_respond_positives_and_negatives():
-    findings, stats, covered = flow_findings("respond")
+    findings, stats = flow_findings("respond")
     path = fixture_path("respond", "handlers.py")
     msgs = {(f.line, f.message) for f in by_rule(findings, "MCH070")}
 
@@ -55,37 +53,24 @@ def test_respond_positives_and_negatives():
     assert stats["flow_suspend_points"] >= 1
 
 
-def test_respond_covered_sites_returned():
-    """The parks MCH070 analyzed are handed back so MCH012 stands down."""
-    _findings, _stats, covered = flow_findings("respond")
+def test_respond_is_the_only_static_handler_rule():
+    """One verdict per site: the early-reply handler's park is clean, the
+    broken handler's park is MCH070, and nothing reports statically
+    under MCH012 (the sanitizer's runtime id)."""
+    findings, _stats = flow_findings("respond")
     path = fixture_path("respond", "handlers.py")
     ok_park = line_of(path, "yield from ctx.respond(ctx.args)") + 1
-    assert (path, ok_park) in covered
-
-
-def test_mch012_stands_down_at_flow_covered_sites():
-    """End to end through the engine: with --flow, the one-file MCH012
-    heuristic must not double-report the park that MCH070 proved is
-    preceded by a response on every path -- while MCH070's own findings
-    (where the protocol really is broken) remain."""
-    from repro.analysis.engine import run_lint
-
-    path = fixture_path("respond", "handlers.py")
-    result = run_lint([fixture_path("respond")], flow=True)
-    ok_park = line_of(path, "yield from ctx.respond(ctx.args)") + 1
-    mch012 = [f for f in result.findings if f.rule_id == "MCH012"]
-    assert not [f for f in mch012 if f.line == ok_park]
+    assert not [f for f in findings if f.line == ok_park]
     stall_line = line_of(path, "yield Park(ctx.event)")
-    assert any(
-        f.rule_id == "MCH070" and f.line == stall_line for f in result.findings
-    )
+    assert [f.rule_id for f in findings if f.line == stall_line] == ["MCH070"]
+    assert not by_rule(findings, "MCH012")
 
 
 # ----------------------------------------------------------------------
 # MCH071: lock release balance
 # ----------------------------------------------------------------------
 def test_lock_release_balance():
-    findings, _stats, _covered = flow_findings("lock")
+    findings, _stats = flow_findings("lock")
     path = fixture_path("lock", "locks.py")
     found = by_rule(findings, "MCH071")
 
@@ -104,7 +89,7 @@ def test_lock_release_balance():
 # MCH072: resource leak on exception path
 # ----------------------------------------------------------------------
 def test_resource_exception_path_leaks():
-    findings, _stats, _covered = flow_findings("resource")
+    findings, _stats = flow_findings("resource")
     path = fixture_path("resource", "elastic.py")
     found = by_rule(findings, "MCH072")
 
@@ -121,7 +106,7 @@ def test_resource_exception_path_leaks():
 # MCH073: use-after-release / use-after-migrate
 # ----------------------------------------------------------------------
 def test_typestate_use_after_release_and_migrate():
-    findings, _stats, _covered = flow_findings("typestate")
+    findings, _stats = flow_findings("typestate")
     path = fixture_path("typestate", "handles.py")
     found = by_rule(findings, "MCH073")
 
@@ -148,7 +133,7 @@ def test_typestate_use_after_release_and_migrate():
 # MCH074: span leaked on an exception path
 # ----------------------------------------------------------------------
 def test_span_leak_positive_and_negatives():
-    findings, _stats, _covered = flow_findings("span")
+    findings, _stats = flow_findings("span")
     path = fixture_path("span", "handlers.py")
     found = by_rule(findings, "MCH074")
 
@@ -173,22 +158,19 @@ def test_span_rule_registered_under_observability():
     infos = {info.id: info for info in rule_catalog()}
     assert "MCH074" in infos
     assert infos["MCH074"].group == GROUP_OBSERVABILITY
-    from repro.analysis.flow import FLOW_RULE_IDS
-
-    assert "MCH074" in FLOW_RULE_IDS
 
 
 # ----------------------------------------------------------------------
 # cross-cutting behavior
 # ----------------------------------------------------------------------
 def test_select_ignore_filters_apply():
-    findings, _stats, _covered = flow_findings(
+    findings, _stats = flow_findings(
         "respond", "lock", ignore=["MCH070"]
     )
     assert not by_rule(findings, "MCH070")
     assert by_rule(findings, "MCH071")
 
-    findings, _stats, _covered = flow_findings(
+    findings, _stats = flow_findings(
         "respond", "lock", select=["MCH070"]
     )
     assert by_rule(findings, "MCH070")
@@ -196,15 +178,15 @@ def test_select_ignore_filters_apply():
 
 
 def test_findings_are_sorted_and_tagged():
-    findings, _stats, _covered = flow_findings(
+    findings, _stats = flow_findings(
         "respond", "lock", "resource", "typestate"
     )
     keys = [(f.path, f.line, f.rule_id, f.message) for f in findings]
     assert keys == sorted(keys)
-    assert all(f.source == "flow" for f in findings)
+    assert all(f.source == "static" for f in findings)
 
 
 def test_run_flow_is_deterministic():
-    first, _s1, _c1 = flow_findings("respond", "lock", "resource", "typestate")
-    second, _s2, _c2 = flow_findings("respond", "lock", "resource", "typestate")
+    first, _s1 = flow_findings("respond", "lock", "resource", "typestate")
+    second, _s2 = flow_findings("respond", "lock", "resource", "typestate")
     assert [f.__dict__ for f in first] == [f.__dict__ for f in second]

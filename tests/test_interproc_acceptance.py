@@ -1,69 +1,36 @@
-"""Acceptance: the whole-program layer over src/repro itself.
+"""Acceptance: the whole-program rules over src/repro itself.
 
-These tests pin the ISSUE's acceptance criteria: the RPC contract pass
-finds every register_rpc/_forward pair in yokan/warabi/hepnos/remi with
-zero false orphans, the run is deterministic and fast, the partition
-allowlist is justified line-by-line, and the shipped baseline covers
-every current finding.
+These tests pin the acceptance criteria: the RPC contract pass finds
+every register_rpc/_forward pair in yokan/warabi/hepnos/remi with zero
+false orphans, no project-scope rule fires on the tree, and the run is
+deterministic and fast.  They read the session's one lint run.
 """
 
-import ast
 import os
 import time
 
-import pytest
-
-from repro.analysis.baseline import filter_new, load_baseline
-from repro.analysis.interproc import run_interproc
+from repro.analysis.engine import run_lint
 from repro.analysis.interproc.callgraph import build_project
 from repro.analysis.interproc.contracts import build_contracts
-from repro.analysis.interproc.partition import parse_allowlist
 
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from .lint_util import LINT_ROOTS, REPO, parse_paths
 
-_CONTRACT_IDS = {"MCH050", "MCH051", "MCH052", "MCH053"}
-
-
-@pytest.fixture(scope="module")
-def repro_parsed():
-    parsed = []
-    root = os.path.join(REPO, "src", "repro")
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
-        for name in sorted(filenames):
-            if not name.endswith(".py"):
-                continue
-            path = os.path.join(dirpath, name)
-            rel = os.path.relpath(path, REPO)
-            with open(path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-            parsed.append((rel, ast.parse(source, filename=rel), source))
-    return parsed
+_PROJECT_IDS = {
+    "MCH014", "MCH015", "MCH050", "MCH051", "MCH052", "MCH053", "MCH060", "MCH061",
+}
 
 
-@pytest.fixture(scope="module")
-def repro_index(repro_parsed, monkeypatch_module_chdir):
-    return build_project([(p, t) for p, t, _ in repro_parsed])
+def test_src_repro_passes_contract_rules(repo_lint):
+    project = [f for f in repo_lint.findings if f.rule_id in _PROJECT_IDS]
+    assert project == [], "\n".join(f.format() for f in project)
+    # The contract pass actually ran over both ends.
+    assert repo_lint.stats["rpc_registrations"] > 50
+    assert repo_lint.stats["rpc_forwards"] > 50
 
 
-@pytest.fixture(scope="module")
-def monkeypatch_module_chdir():
-    # Module names derive from on-disk __init__.py markers, so relative
-    # paths must resolve from the repo root.
-    old = os.getcwd()
-    os.chdir(REPO)
-    yield
-    os.chdir(old)
-
-
-def test_src_repro_passes_contract_rules(repro_parsed, monkeypatch_module_chdir):
-    findings, _stats = run_interproc(repro_parsed)
-    contract = [f for f in findings if f.rule_id in _CONTRACT_IDS]
-    assert contract == [], "\n".join(f.format() for f in contract)
-
-
-def test_every_core_component_pair_is_collected(repro_index):
-    contracts = build_contracts(repro_index)
+def test_every_core_component_pair_is_collected():
+    index = build_project(parse_paths(os.path.join(REPO, "src", "repro")))
+    contracts = build_contracts(index)
     registered = {
         component: contracts.registered_ops(component)
         for component in ("yokan", "warabi", "remi")
@@ -88,43 +55,16 @@ def test_every_core_component_pair_is_collected(repro_index):
     )
 
 
-def test_interproc_is_deterministic_and_fast(repro_parsed, monkeypatch_module_chdir):
+def test_interproc_is_deterministic_and_fast(repo_lint):
     start = time.perf_counter()  # mochi-lint: disable=MCH001 -- measuring real analysis wall-time, not simulated time
-    first, first_stats = run_interproc(repro_parsed)
-    second, second_stats = run_interproc(repro_parsed)
+    second = run_lint(LINT_ROOTS)
     elapsed = time.perf_counter() - start  # mochi-lint: disable=MCH001 -- measuring real analysis wall-time, not simulated time
-    assert [f.to_json() for f in first] == [f.to_json() for f in second]
-    assert first_stats == second_stats
+    assert [f.to_json() for f in second.findings] == [
+        f.to_json() for f in repo_lint.findings
+    ]
+
+    def counters(stats):
+        return {k: v for k, v in stats.items() if not k.startswith("seconds_")}
+
+    assert counters(second.stats) == counters(repo_lint.stats)
     assert elapsed < 30.0
-
-
-def test_partition_allowlist_is_justified_line_by_line(
-    repro_parsed, monkeypatch_module_chdir
-):
-    with open(os.path.join(REPO, "partition-allowlist.txt")) as handle:
-        text = handle.read()
-    # parse_allowlist raises on any entry without a justification.
-    entries = parse_allowlist(text)
-    assert all(e.justification for e in entries)
-
-    # And the pass agrees: no unjustified entries, no stale entries, no
-    # unexempted cross-component writes in the tree today.
-    findings, _ = run_interproc(
-        repro_parsed, select=["MCH060"], allowlist_text=text
-    )
-    assert findings == []
-
-
-def test_shipped_baseline_covers_current_findings(
-    repro_parsed, monkeypatch_module_chdir
-):
-    findings, _ = run_interproc(repro_parsed)
-    baseline = load_baseline(os.path.join(REPO, "lint-baseline.json"))
-    new = filter_new(findings, baseline)
-    assert new == [], "\n".join(f.format() for f in new)
-    # The one recorded gap (warabi's _next_id was dropped by migration)
-    # has been fixed at the source -- migrate() now persists the counter
-    # in the warabi/<name>/meta sidecar -- so the baseline ships empty
-    # and the whole-program pass is clean without exemptions.
-    assert baseline == set()
-    assert findings == []

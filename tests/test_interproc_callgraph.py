@@ -1,10 +1,9 @@
 """Call-graph construction: edges, edge kinds, dynamic accounting."""
 
-import ast
-
-from interproc_util import fixture_path, parse_fixture
-
 from repro.analysis.interproc.callgraph import build_project, module_name_for
+from repro.analysis.rules import FileContext
+
+from .lint_util import fixture_path, parse_fixture
 
 
 def _edges(index, qualname):
@@ -20,9 +19,7 @@ def test_module_names_follow_package_layout():
 
 
 def test_cross_module_call_edges_resolve():
-    index = build_project(
-        [(p, t) for p, t, _ in parse_fixture("deepblock")]
-    )
+    index = build_project(parse_fixture("deepblock"))
     assert ("deepblock.helpers.level_one", "call") in _edges(
         index, "deepblock.service.deep_handler"
     )
@@ -32,9 +29,7 @@ def test_cross_module_call_edges_resolve():
 
 
 def test_mutual_recursion_links_both_directions():
-    index = build_project(
-        [(p, t) for p, t, _ in parse_fixture("deepblock")]
-    )
+    index = build_project(parse_fixture("deepblock"))
     assert ("deepblock.service.pong", "call") in _edges(
         index, "deepblock.service.ping"
     )
@@ -44,9 +39,7 @@ def test_mutual_recursion_links_both_directions():
 
 
 def test_yield_from_makes_delegate_edges():
-    index = build_project(
-        [(p, t) for p, t, _ in parse_fixture("lockyield")]
-    )
+    index = build_project(parse_fixture("lockyield"))
     edges = _edges(index, "lockyield.svc.Store.locked_bad")
     assert ("lockyield.svc.Store._refresh", "delegate") in edges
 
@@ -60,19 +53,19 @@ def test_plain_call_to_generator_is_construction_not_edge():
         "    g = gen()\n"
         "    return g\n"
     )
-    index = build_project([("standalone.py", ast.parse(source))])
+    index = build_project([FileContext.parse("standalone.py", source)])
     assert index.functions["standalone.caller"].edges == []
     assert index.stats.generator_constructions == 1
 
 
 def test_getattr_calls_are_counted_not_guessed():
-    index = build_project([(p, t) for p, t, _ in parse_fixture("dyn")])
+    index = build_project(parse_fixture("dyn"))
     assert index.stats.dynamic_getattr_calls == 1
     assert index.functions["dyn.svc.DynProvider.trigger"].edges == []
 
 
 def test_build_is_deterministic():
-    parsed = [(p, t) for p, t, _ in parse_fixture("deepblock", "lockyield")]
+    parsed = parse_fixture("deepblock", "lockyield")
     first = build_project(parsed)
     second = build_project(parsed)
     assert sorted(first.functions) == sorted(second.functions)

@@ -1,17 +1,16 @@
 """RPC contract checking: MCH050-MCH053 positives and negatives."""
 
-from interproc_util import fixture_path, line_of, parse_fixture
-
-from repro.analysis.interproc import run_interproc
 from repro.analysis.interproc.callgraph import build_project
 from repro.analysis.interproc.contracts import build_contracts
+
+from .lint_util import fixture_path, line_of, lint_fixture, parse_fixture
 
 _CONTRACT_IDS = {"MCH050", "MCH051", "MCH052", "MCH053"}
 
 
 def _contract_findings(*packages):
-    findings, stats = run_interproc(parse_fixture(*packages))
-    return [f for f in findings if f.rule_id in _CONTRACT_IDS], stats
+    result = lint_fixture(*packages)
+    return [f for f in result.findings if f.rule_id in _CONTRACT_IDS], result.stats
 
 
 def test_matched_contract_is_clean():
@@ -70,7 +69,7 @@ def test_dynamic_registration_opens_component():
 
 
 def test_contract_index_pairs_both_ends():
-    index = build_project([(p, t) for p, t, _ in parse_fixture("rpcgood")])
+    index = build_project(parse_fixture("rpcgood"))
     contracts = build_contracts(index)
     assert contracts.registered_ops("echo") == {"ping", "put"}
     assert contracts.forwarded_ops("echo") == {"ping", "put"}

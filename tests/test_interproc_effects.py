@@ -1,14 +1,10 @@
 """Effect fixpoint: MCH014 deep blocking, MCH015 lock-across-callee."""
 
-from interproc_util import fixture_path, line_of, parse_fixture
-
-from repro.analysis.engine import run_lint
-from repro.analysis.interproc import run_interproc
+from .lint_util import fixture_path, line_of, lint_fixture
 
 
 def _findings(packages, select):
-    findings, _stats = run_interproc(parse_fixture(*packages), select=select)
-    return findings
+    return lint_fixture(*packages, select=select).findings
 
 
 # -- MCH014 ------------------------------------------------------------
@@ -43,41 +39,28 @@ def test_clean_chain_is_negative():
     assert not any("clean_handler" in f.message for f in findings)
 
 
-# -- MCH010 / MCH014 non-overlap ---------------------------------------
-def test_one_hop_site_reported_once_with_interproc():
-    path = fixture_path("deepblock")
+def test_depth_zero_blocking_reported_in_ult_body():
+    findings = _findings(["deepblock"], ["MCH014"])
     service = fixture_path("deepblock", "service.py")
-    site = line_of(service, "local_block()")
-
-    plain = run_lint([path], select=["MCH010"]).findings
-    assert any(
-        f.rule_id == "MCH010" and f.path == service and f.line == site
-        for f in plain
-    )
-
-    result = run_lint([path], select=["MCH010", "MCH014"], interproc=True)
-    at_site = [
-        f for f in result.findings if f.path == service and f.line == site
+    direct = [f for f in findings if "direct_handler" in f.message]
+    assert [(f.path, f.line) for f in direct] == [
+        (service, line_of(service, "time.sleep(0.25)"))
     ]
-    assert [f.rule_id for f in at_site] == ["MCH014"]
+    assert "direct_handler -> time.sleep()" in direct[0].message
 
 
-def test_direct_blocking_stays_mch010_under_interproc():
-    # A blocking primitive spelled in the ULT body itself must remain an
-    # MCH010 finding even with the interprocedural layer on.
-    import ast as _ast
-
-    source = (
-        "import time\n"
-        "\n"
-        "def handler(ctx):\n"
-        "    yield Sleep(1)\n"
-        "    time.sleep(1)\n"
+def test_select_does_not_change_the_verdict():
+    # One rule, one verdict per site: selecting MCH014 reports exactly
+    # what a run of every rule reports under MCH014.
+    service = fixture_path("deepblock", "service.py")
+    selected = _findings(["deepblock"], ["MCH014"])
+    unfiltered = [f for f in _findings(["deepblock"], None) if f.rule_id == "MCH014"]
+    assert [(f.rule_id, f.path, f.line) for f in selected] == [
+        (f.rule_id, f.path, f.line) for f in unfiltered
+    ]
+    assert (
+        sum(f.line == line_of(service, "local_block()") for f in selected) == 1
     )
-    inter, _ = run_interproc(
-        [("direct.py", _ast.parse(source), source)], select=["MCH014"]
-    )
-    assert inter == []
 
 
 # -- MCH015 ------------------------------------------------------------

@@ -1,13 +1,10 @@
 """Migration coverage: MCH061 positives and negatives."""
 
-from interproc_util import fixture_path, line_of, parse_fixture
-
-from repro.analysis.interproc import run_interproc
+from .lint_util import fixture_path, line_of, lint_fixture
 
 
 def _mch061(*packages):
-    findings, _ = run_interproc(parse_fixture(*packages), select=["MCH061"])
-    return findings
+    return lint_fixture(*packages, select=["MCH061"]).findings
 
 
 def test_unmigrated_runtime_state_flagged():

@@ -1,24 +1,13 @@
-"""Partition safety: MCH060 cross-component mutations + allowlist."""
+"""Partition safety: MCH060 cross-component mutations."""
 
-import pytest
+from repro.analysis.engine import run_lint
+from repro.analysis.interproc.partition import component_of
 
-from interproc_util import fixture_path, line_of, parse_fixture
-
-from repro.analysis.interproc import run_interproc
-from repro.analysis.interproc.partition import (
-    AllowlistError,
-    component_of,
-    parse_allowlist,
-)
+from .lint_util import fixture_path, line_of, lint_fixture
 
 
-def _mch060(allowlist_text=None):
-    findings, _ = run_interproc(
-        parse_fixture("parta", "partb"),
-        select=["MCH060"],
-        allowlist_text=allowlist_text,
-    )
-    return findings
+def _mch060():
+    return lint_fixture("parta", "partb", select=["MCH060"]).findings
 
 
 def test_component_of_granularity():
@@ -49,41 +38,37 @@ def test_same_component_writes_are_negative():
     assert not any(f.path == local for f in findings)
 
 
-def test_allowlist_exempts_justified_targets():
-    findings = _mch060(
-        "partb.state:COUNTER -- intentional global epoch counter\n"
+def _lint_writer(tmp_path, tail="", package=True):
+    """Lint an ``owner`` package plus a ``writer`` module (a package
+    member unless ``package=False``) that writes to the owner's state."""
+    for name in ("owner", "writer"):
+        (tmp_path / name).mkdir()
+        if package or name == "owner":
+            (tmp_path / name / "__init__.py").write_text("")
+    (tmp_path / "owner" / "state.py").write_text("COUNTER = 0\n")
+    (tmp_path / "writer" / "bump.py").write_text(
+        "from owner import state\n\n\ndef bump():\n"
+        f"    state.COUNTER = 1{tail}\n"
     )
-    assert not any("partb.state:COUNTER" in f.message for f in findings)
-    assert len(findings) == 3  # the other three writes still fire
+    return run_lint([str(tmp_path)]).findings
 
 
-def test_stale_allowlist_entry_flagged():
-    findings = _mch060(
-        "partb.state:GONE -- this target no longer exists\n"
-    )
-    stale = [f for f in findings if "matches no cross-component" in f.message]
-    assert len(stale) == 1
-    assert stale[0].path == "partition-allowlist.txt"
+# Assembled at runtime so this test file itself lints clean.
+_DISABLE = "  # mochi-lint: " + "disable=MCH060"
 
 
-def test_unjustified_allowlist_entry_is_error():
-    findings = _mch060("partb.state:COUNTER\n")
-    assert len(findings) == 1
-    assert "justification" in findings[0].message
+def test_inline_suppression_exempts_justified_write(tmp_path):
+    tail = _DISABLE + " -- epoch counter, replicated at boot"
+    assert _lint_writer(tmp_path, tail) == []
 
 
-def test_parse_allowlist():
-    entries = parse_allowlist(
-        "# comment\n"
-        "\n"
-        "mod.a:x -- because replicated at startup\n"
-        "pkg.mod.Cls:y -- rebuilt by each partition\n"
-    )
-    assert [(e.target, e.line) for e in entries] == [
-        ("mod.a:x", 3),
-        ("pkg.mod.Cls:y", 4),
-    ]
-    with pytest.raises(AllowlistError):
-        parse_allowlist("mod.a:x\n")
-    with pytest.raises(AllowlistError):
-        parse_allowlist("not-a-target -- justified but malformed\n")
+def test_unjustified_inline_exemption_is_error(tmp_path):
+    # The bare comment exempts nothing and is itself a finding.
+    findings = _lint_writer(tmp_path, _DISABLE)
+    assert [f.rule_id for f in findings] == ["MCH060", "MCH091"]
+
+
+def test_loose_script_is_not_a_component(tmp_path):
+    # No __init__.py next to the writer: a launcher script, not a
+    # partition unit, so its write crosses no partition boundary.
+    assert _lint_writer(tmp_path, package=False) == []

@@ -306,7 +306,7 @@ def test_remove_pool_claimed_by_provider_rejected(cluster):
 
 def test_remove_pool_with_registered_rpc_rejected(cluster):
     server, _ = two_procs(cluster)
-    pool = server.add_pool({"name": "extra"})
+    server.add_pool({"name": "extra"})
     server.add_xstream({"name": "es-extra", "scheduler": {"pools": ["extra"]}})
     server.register("work", lambda ctx: 1, pool="extra")
     server.remove_xstream("es-extra") if False else None
@@ -377,9 +377,9 @@ def test_finalized_instance_rejects_operations(cluster):
     server, client = two_procs(cluster)
     server.shutdown()
     with pytest.raises(FinalizedError):
-        server.register("x", lambda ctx: 1)
+        server.register("x", lambda ctx: 1)  # mochi-lint: disable=MCH073 -- the use after shutdown() is the behaviour under test
     with pytest.raises(FinalizedError):
-        server.spawn_ult((x for x in []))
+        server.spawn_ult((x for x in []))  # mochi-lint: disable=MCH073 -- the use after shutdown() is the behaviour under test
 
 
 def test_process_death_finalizes_margo(cluster):
