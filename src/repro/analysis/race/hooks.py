@@ -643,7 +643,7 @@ def note_release(ult: Any, mutex: Any) -> None:
 
 
 def note_park(ult: Any, cmd: Any) -> None:
-    """``XStream._run_slice`` Park branch: wait-while-holding check."""
+    """``XStream._drive`` Park branch: wait-while-holding check."""
     if cmd.timeout is not None:
         return
     entry = _LOCKS.held.get(id(ult))

@@ -175,7 +175,7 @@ def note_release(ult: Any, mutex: "UltMutex") -> None:
 
 
 def check_blocking_yield(ult: "ULT", cmd: Any) -> None:
-    """Called by ``XStream._run_slice`` when ``ult`` gives up the stream."""
+    """Called by ``XStream._drive`` when ``ult`` gives up the stream."""
     held = _held.get(id(ult))
     if held:
         names = [m.name or "<unnamed>" for m in held]

@@ -46,13 +46,12 @@ class Pool:
         self.access = access
         self._queue: deque[ULT] = deque()
         self._watchers: list["XStream"] = []
-        # Precomputed pool->xstream dispatch route (P1): the wakeup
-        # events to poke on push, resolved once per attach/detach
-        # instead of dereferencing every watcher per push.  ``_wake1``
-        # is the sole watcher's wakeup event (the common case: one
-        # xstream per pool); ``_wakeN`` the multi-watcher tuple.
-        self._wake1: Optional[Any] = None
-        self._wakeN: tuple = ()
+        # Precomputed pool->xstream dispatch route (P1), resolved once
+        # per attach/detach: ``_wake1`` is the sole watcher (the common
+        # case: one xstream per pool); ``_wakeN`` the multi-watcher
+        # tuple, in watcher order.
+        self._wake1: Optional["XStream"] = None
+        self._wakeN: tuple["XStream", ...] = ()
         # Cumulative counters for monitoring/benchmarks.
         self.total_pushed = 0
         self.total_popped = 0
@@ -84,18 +83,20 @@ class Pool:
             # queued ULTs), so this stays two attribute loads on the
             # hottest call site in the system.
             ult.profile_enqueued_at = prof.kernel.now
-        # Wake the serving xstream(s) over the precomputed route.  The
-        # already-set check mirrors SimEvent.set's idempotent early
-        # return (including its pre-race-hook position), skipping a call
-        # on the hottest site in the system.
+        # Wake the serving xstream(s) over the precomputed route: an
+        # idle stream gets its one scheduling callback posted
+        # (XStream.notify, inlined on the hottest site in the system); a
+        # busy one, or one already posted, will find the ULT by itself.
         wake = self._wake1
         if wake is not None:
-            if not wake._set:
-                wake.set()
+            if wake._idle:
+                wake._idle = False
+                wake.kernel.post(0.0, wake._run)
         else:
             for wake in self._wakeN:
-                if not wake._set:
-                    wake.set()
+                if wake._idle:
+                    wake._idle = False
+                    wake.kernel.post(0.0, wake._run)
 
     # mochi-lint: hotpath
     def pop(self) -> Optional[ULT]:
@@ -131,11 +132,11 @@ class Pool:
         """Re-resolve the push wakeup route (once per config change)."""
         watchers = self._watchers
         if len(watchers) == 1:
-            self._wake1 = watchers[0]._wakeup
+            self._wake1 = watchers[0]
             self._wakeN = ()
         else:
             self._wake1 = None
-            self._wakeN = tuple(x._wakeup for x in watchers)
+            self._wakeN = tuple(watchers)
 
     @property
     def xstreams(self) -> tuple["XStream", ...]:

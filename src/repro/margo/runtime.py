@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from collections.abc import Generator
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterable, Optional
+from types import GeneratorType
+from typing import Any, Callable, Iterable, Optional
 
 from ..analysis import sanitize as _sanitize
 from ..analysis.race import hooks as _race
@@ -47,6 +49,7 @@ from ..observability.span import HANDLER_SUFFIX, child_span_id
 from ..observability.tracer import Tracer
 from ..sim.kernel import TIMED_OUT, SimKernel
 from ..sim.network import Network, Process
+from . import ult as _ult
 from .config import MargoConfig, PoolSpec, XStreamSpec
 from .errors import (
     ConfigError,
@@ -62,7 +65,7 @@ from .errors import (
     RpcTimeoutError,
 )
 from .pool import Pool
-from .ult import ULT, Compute, Park, UltEvent, UltSleep, current_ult
+from .ult import ULT, Compute, Park, UltEvent, UltSleep
 from .xstream import XStream
 
 __all__ = ["MargoInstance", "RequestContext", "Registration"]
@@ -70,7 +73,7 @@ __all__ = ["MargoInstance", "RequestContext", "Registration"]
 _UNSET = object()
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestContext:
     """What a handler sees: the request plus accessors for the runtime."""
 
@@ -119,12 +122,7 @@ class RequestContext:
         if already:
             return
         response = RPCResponse(
-            seq=self.request.seq,
-            status=STATUS_OK,
-            value=value,
-            payload_size=payload_size,
-            src_address=margo.process.address,
-            error_message=None,
+            self.request.seq, STATUS_OK, value, payload_size, margo.process.address
         )
         margo.network.send(
             margo.process, self.request.src_address, response, response.wire_size
@@ -252,26 +250,24 @@ class MargoInstance:
         # Live runtime metrics (sampled by the monitoring sampler,
         # section 4: "periodically tracks the number of in-flight RPCs
         # and the sizes of user-level thread pools").  Components on
-        # this instance register their own metrics into this registry;
-        # the public counter attributes below are views over it.
+        # this instance register their own metrics into this registry.
+        # The four per-RPC numbers are plain int attributes (six updates
+        # per RPC) that the registry reads when it exports.
         obs = self.config.observability
         self.metrics = MetricsRegistry(enabled=obs.metrics)
-        self._rpcs_sent = self.metrics.counter(
-            "margo_rpcs_sent", "RPCs issued by the client path"
-        )
-        self._rpcs_handled = self.metrics.counter(
-            "margo_rpcs_handled", "RPCs whose handler ULT completed"
-        )
+        self.rpcs_sent = self.rpcs_handled = 0
+        self.inflight_outgoing = self.inflight_incoming = 0
+        for kind, name, help_text in (
+            ("counter", "rpcs_sent", "RPCs issued by the client path"),
+            ("counter", "rpcs_handled", "RPCs whose handler ULT completed"),
+            ("gauge", "inflight_outgoing", "RPCs sent and awaiting a response"),
+            ("gauge", "inflight_incoming", "handler ULTs currently executing"),
+        ):
+            self.metrics.reading(f"margo_{name}", kind, help_text, self, name)
         self._monitor_errors = self.metrics.counter(
             "margo_monitor_errors",
             "monitor hooks that raised (swallowed: monitoring must "
             "never take the data path down)",
-        )
-        self._inflight_out = self.metrics.gauge(
-            "margo_inflight_outgoing", "RPCs sent and awaiting a response"
-        )
-        self._inflight_in = self.metrics.gauge(
-            "margo_inflight_incoming", "handler ULTs currently executing"
         )
         self.tracer: Optional[Tracer] = None
         if obs.tracing:
@@ -349,23 +345,6 @@ class MargoInstance:
     @property
     def finalized(self) -> bool:
         return self._finalized
-
-    # Backwards-compatible counter views (now backed by the registry).
-    @property
-    def inflight_outgoing(self) -> int:
-        return int(self._inflight_out.value)
-
-    @property
-    def inflight_incoming(self) -> int:
-        return int(self._inflight_in.value)
-
-    @property
-    def rpcs_sent(self) -> int:
-        return int(self._rpcs_sent.value)
-
-    @property
-    def rpcs_handled(self) -> int:
-        return int(self._rpcs_handled.value)
 
     @property
     def monitor_errors(self) -> int:
@@ -546,37 +525,31 @@ class MargoInstance:
             raise FinalizedError("forward on finalized margo instance")
         if timeout is _UNSET:
             timeout = self.default_rpc_timeout
-        caller = current_ult()
+        caller = _ult._CURRENT
         parent = caller.rpc_context if caller is not None else None
         payload_size = estimate_size(args)
         self._seq += 1
         seq = self._seq
         # Trace-context propagation (repro.observability): every call
-        # gets a deterministic span id; a call issued from inside a
-        # handler joins its parent's trace as a child of the handler
-        # span, so nested RPCs form one causal tree end to end.
-        span_id = f"{self.process.name}:{seq}"
-        if parent is not None and getattr(parent, "trace_id", ""):
-            trace_id = parent.trace_id
-            parent_span_id = child_span_id(parent.span_id, HANDLER_SUFFIX)
+        # has a deterministic span id (RPCRequest formats it from the
+        # process name and seq when an observer asks); a call issued
+        # from inside a handler joins its parent's trace as a child of
+        # the handler span, so nested RPCs form one causal tree end to
+        # end.  Positional: 13 keywords cost more than the 13 stores.
+        process = self.process
+        if parent is None:
+            request = RPCRequest(
+                seq, rpc_id_of(rpc_name), rpc_name, provider_id, args, payload_size,
+                process.address, address, NULL_RPC, NULL_PROVIDER, process.name,
+            )
         else:
-            trace_id = span_id
-            parent_span_id = ""
-        request = RPCRequest(
-            seq=seq,
-            rpc_id=rpc_id_of(rpc_name),
-            rpc_name=rpc_name,
-            provider_id=provider_id,
-            args=args,
-            payload_size=payload_size,
-            src_address=self.process.address,
-            dst_address=address,
-            parent_rpc_id=parent.rpc_id if parent is not None else NULL_RPC,
-            parent_provider_id=parent.provider_id if parent is not None else NULL_PROVIDER,
-            trace_id=trace_id,
-            span_id=span_id,
-            parent_span_id=parent_span_id,
-        )
+            trace_id = getattr(parent, "trace_id", "")
+            request = RPCRequest(
+                seq, rpc_id_of(rpc_name), rpc_name, provider_id, args, payload_size,
+                process.address, address, parent.rpc_id, parent.provider_id,
+                process.name, trace_id,
+                child_span_id(parent.span_id, HANDLER_SUFFIX) if trace_id else "",
+            )
         started = self.kernel.now
         # Observability fast path: one ``observed`` decision per request
         # -- False with no monitors attached, and False when every
@@ -618,10 +591,12 @@ class MargoInstance:
         else:
             yield Compute(serialize_cost(payload_size))
 
-        event = UltEvent(self.kernel, name=f"rpc:{rpc_name}:{seq}")
+        # Only an MCH041 report reads a reply event's name, and only a
+        # parker holding a mutex now (no yield before the Park) gets one.
+        event = UltEvent(self.kernel, f"rpc:{rpc_name}:{seq}" if _race.ANY_HELD else "")
         self._pending[seq] = (event, request, self.kernel.now)
-        self._inflight_out.inc()
-        self._rpcs_sent.inc()
+        self.inflight_outgoing += 1
+        self.rpcs_sent += 1
         known = self.network.send(self.process, address, request, request.wire_size)
         if observed:
             self._emit("on_forward_sent", request=request)
@@ -629,11 +604,11 @@ class MargoInstance:
             # The destination does not exist and no timeout would ever
             # fire: fail fast instead of hanging the simulation.
             self._pending.pop(seq, None)
-            self._inflight_out.dec()
+            self.inflight_outgoing -= 1
             raise RpcError(f"unknown destination address {address!r}")
 
         value = yield Park(event, timeout)
-        self._inflight_out.dec()
+        self.inflight_outgoing -= 1
         if value is TIMED_OUT:
             self._pending.pop(seq, None)
             raise RpcTimeoutError(
@@ -764,21 +739,18 @@ class MargoInstance:
         registration = self._registry.get(key)
         if registration is None:
             response = RPCResponse(
-                seq=request.seq,
-                status=STATUS_NO_RPC,
-                value=None,
-                payload_size=0,
-                src_address=self.process.address,
-                error_message=f"no handler for {request.rpc_name!r}/{request.provider_id}",
+                request.seq, STATUS_NO_RPC, None, 0, self.process.address,
+                f"no handler for {request.rpc_name!r}/{request.provider_id}",
             )
             self.network.send(self.process, request.src_address, response, response.wire_size)
             return
         enqueued_at = self.kernel.now
+        # Unnamed: ULT.name derives "rpc:<name>:<seq>" from the request
+        # if anything (a report, a trace line) ever asks.
         ult = ULT(
             self._handler_body(registration, request, enqueued_at, observed),
-            name=f"rpc:{request.rpc_name}:{request.seq}",
+            rpc_context=request,
         )
-        ult.rpc_context = request
         if _sanitize.ENABLED:
             _sanitize.note_handler_dispatched(self, request, ult)
         registration.pool.push(ult)
@@ -794,7 +766,7 @@ class MargoInstance:
     ) -> Generator:
         # ``observed`` is the per-request sampling decision made at
         # dispatch; it covers the whole handler ULT.
-        self._inflight_in.inc()
+        self.inflight_incoming += 1
         queued_for = self.kernel.now - enqueued_at
         ult_started = self.kernel.now
         if observed:
@@ -805,13 +777,13 @@ class MargoInstance:
             )
         else:
             yield Compute(deserialize_cost(request.payload_size))
-        context = RequestContext(margo=self, request=request, observed=observed)
+        context = RequestContext(self, request, observed)
         status = STATUS_OK
         value: Any = None
         error_message: Optional[str] = None
         try:
             result = registration.handler(context)
-            if isinstance(result, Generator):
+            if type(result) is GeneratorType or isinstance(result, Generator):
                 result = yield from result
             value = result
         except Exception as err:  # noqa: BLE001 - handler error -> error response
@@ -847,8 +819,8 @@ class MargoInstance:
                 duration=duration,
                 queued_for=queued_for,
             )
-        self._inflight_in.dec()
-        self._rpcs_handled.inc()
+        self.inflight_incoming -= 1
+        self.rpcs_handled += 1
         if context._responded:
             # Respond exactly once: the explicit reply already went out.
             # A raise or a returned value after respond() is invisible
@@ -859,12 +831,7 @@ class MargoInstance:
                 )
             return
         response = RPCResponse(
-            seq=request.seq,
-            status=status,
-            value=value,
-            payload_size=payload_size,
-            src_address=self.process.address,
-            error_message=error_message,
+            request.seq, status, value, payload_size, self.process.address, error_message
         )
         self.network.send(self.process, request.src_address, response, response.wire_size)
         if _sanitize.ENABLED:

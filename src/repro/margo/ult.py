@@ -17,8 +17,10 @@ Handlers and clients compose via plain ``yield from``.
 from __future__ import annotations
 
 import enum
+from collections.abc import Generator
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Optional
+from types import GeneratorType
+from typing import Any, Callable, Optional
 
 from ..analysis import sanitize as _sanitize
 from ..analysis.race import hooks as _race
@@ -37,15 +39,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Compute:
-    """Occupy the executing stream for ``duration`` simulated seconds."""
+    """Occupy the executing stream for ``duration`` simulated seconds
+    (slotted by hand, not a frozen dataclass: six are built per RPC)."""
 
-    duration: float
+    __slots__ = ("duration",)
 
-    def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError(f"negative compute duration: {self.duration}")
+    def __init__(self, duration: float) -> None:
+        if duration < 0:
+            raise ValueError(f"negative compute duration: {duration}")
+        self.duration = duration
+
+    def __repr__(self) -> str:
+        return f"Compute(duration={self.duration!r})"
 
 
 @dataclass(frozen=True)
@@ -95,7 +101,7 @@ class ULT:
 
     __slots__ = (
         "gen",
-        "name",
+        "_name",
         "pool",
         "state",
         "done_event",
@@ -109,12 +115,15 @@ class ULT:
         "_park_token",
     )
 
-    def __init__(self, gen: UltGen, name: str = "", pool: Any = None) -> None:
-        if not isinstance(gen, Generator):
+    def __init__(
+        self, gen: UltGen, name: str = "", pool: Any = None, rpc_context: Any = None
+    ) -> None:
+        if type(gen) is not GeneratorType and not isinstance(gen, Generator):
             raise TypeError(f"ULT body must be a generator, got {type(gen).__name__}")
         ULT._counter += 1
         self.gen = gen
-        self.name = name or f"ult-{ULT._counter}"
+        # A handler ULT (rpc_context given) is named on first use.
+        self._name = name or (f"ult-{ULT._counter}" if rpc_context is None else "")
         self.pool = pool
         self.state = UltState.READY
         self.done_event: Optional[UltEvent] = None
@@ -123,13 +132,20 @@ class ULT:
         self.error: Optional[BaseException] = None
         # Context of the RPC this ULT is currently servicing, if any; used
         # by the monitoring layer to attribute nested RPCs to a parent.
-        self.rpc_context: Any = None
+        self.rpc_context: Any = rpc_context
         # Simulated time of the last pool push, stamped by the continuous
         # profiler (slots forbid ad-hoc attributes, hence a real slot).
         self.profile_enqueued_at: Optional[float] = None
         self._resume_value: Any = None
         self._resume_exc: Optional[BaseException] = None
         self._park_token = 0
+
+    @property
+    def name(self) -> str:
+        if not self._name:
+            request = self.rpc_context
+            self._name = f"rpc:{request.rpc_name}:{request.seq}"
+        return self._name
 
     def ready(self, value: Any = None, exc: Optional[BaseException] = None) -> None:
         """Make the ULT runnable again with the given resumption value."""
@@ -324,17 +340,12 @@ def ult_sleep(duration: float) -> UltGen:
 
 # ----------------------------------------------------------------------
 # Current-ULT tracking.  The kernel is single-threaded and cooperative,
-# so a single module-level slot (set by the executing XStream around each
-# generator step) suffices.  It lets the RPC layer attribute nested RPCs
-# to the handler ULT that issued them (paper Listing 1: parent_rpc_id /
-# parent_provider_id).
+# so a single module-level slot (stored by the executing XStream around
+# each generator step) suffices.  It lets the RPC layer attribute nested
+# RPCs to the handler ULT that issued them (paper Listing 1:
+# parent_rpc_id / parent_provider_id).
 # ----------------------------------------------------------------------
 _CURRENT: Optional[ULT] = None
-
-
-def _set_current(ult: Optional[ULT]) -> None:
-    global _CURRENT
-    _CURRENT = ult
 
 
 def current_ult() -> Optional[ULT]:

@@ -1,10 +1,15 @@
 """Execution streams (xstreams): the OS threads of the Argobots model.
 
-Each :class:`XStream` is a kernel task that repeatedly picks a ULT from
-its scheduler's pools (in priority order, like the "basic" Argobots
-scheduler) and runs it until the ULT yields.  ``Compute`` commands make
-the stream itself busy for simulated time, which is how CPU contention
-between providers sharing a stream (paper Fig. 2) arises.
+Each :class:`XStream` repeatedly picks a ULT from its scheduler's pools
+(in priority order, like the "basic" Argobots scheduler) and runs it
+until the ULT yields.  ``Compute`` commands make the stream itself busy
+for simulated time, which is how CPU contention between providers
+sharing a stream (paper Fig. 2) arises.
+
+The stream is a kernel *callback* state machine, not a kernel task:
+``_drive`` is the one callback it posts, once per scheduling step, and
+an ``_idle`` flag stands in for a wakeup event (DESIGN.md section 3;
+the generator task it replaced is ``tests/reference_scheduler.py``).
 """
 
 from __future__ import annotations
@@ -13,10 +18,11 @@ from typing import Any, Optional
 
 from ..analysis import sanitize as _sanitize
 from ..analysis.race import hooks as _race
-from ..sim.kernel import SimKernel, Sleep, WaitEvent
+from ..sim.kernel import SimKernel
+from . import ult as _ult
 from .errors import ConfigError
 from .pool import Pool
-from .ult import ULT, Compute, Park, UltSleep, UltState, UltYield, _set_current
+from .ult import ULT, Compute, Park, UltSleep, UltState, UltYield
 
 __all__ = ["XStream", "SCHEDULER_TYPES"]
 
@@ -26,6 +32,16 @@ SCHEDULER_TYPES = ("basic", "basic_wait", "prio")
 # own overhead.  Small but non-zero so that idle loops always advance
 # simulated time.
 SCHED_OVERHEAD = 20e-9
+
+_COMMANDS = (Compute, Park, UltSleep, UltYield)
+
+
+def _command_base(cmd: Any) -> Optional[type]:
+    """The ULT command class ``cmd`` is an instance of, or None."""
+    for base in _COMMANDS:
+        if isinstance(cmd, base):
+            return base
+    return None
 
 
 class XStream:
@@ -50,10 +66,13 @@ class XStream:
         self.name = name
         self.scheduler = scheduler
         self.pools: list[Pool] = list(pools)
-        self._wakeup = kernel.event(name=f"xstream:{name}")
+        # True only while every pool was found empty and no ``_drive``
+        # is queued: the next push (or ``notify``) posts one.
+        self._idle = False
+        self._started = False
         self._stopping = False
-        self._task = None
-        self.current_ult: Optional[ULT] = None
+        # Bound once: every post would otherwise allocate a bound method.
+        self._run = self._drive
         # Counters for monitoring/benchmarks.
         self.slices_run = 0
         self.busy_time = 0.0
@@ -65,9 +84,12 @@ class XStream:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        if self._task is not None:
+        if self._started:
             raise RuntimeError(f"xstream {self.name} already started")
-        self._task = self.kernel.spawn(self._loop(), name=f"xstream:{self.name}", daemon=True)
+        self._started = True
+        # First turn happens on the event loop, not synchronously, so
+        # start order does not leak into execution order mid-timestep.
+        self.kernel.post(0.0, self._run)
 
     def stop(self) -> None:
         """Ask the stream to exit after the current slice."""
@@ -83,7 +105,9 @@ class XStream:
 
     def notify(self) -> None:
         """Wake the stream because work may be available (pool push)."""
-        self._wakeup.set()
+        if self._idle:
+            self._idle = False
+            self.kernel.post(0.0, self._run)
 
     # ------------------------------------------------------------------
     # pool management (runtime reconfiguration)
@@ -107,40 +131,35 @@ class XStream:
     # the scheduling loop
     # ------------------------------------------------------------------
     # mochi-lint: hotpath
-    def _pick(self) -> Optional[ULT]:
-        pools = self.pools
-        if len(pools) == 1:
-            # Sole-pool fast path: the overwhelmingly common config
-            # (one pool per stream) skips the priority scan entirely.
-            return pools[0].pop()
-        for pool in pools:
-            ult = pool.pop()
-            if ult is not None:
-                return ult
-        return None
-
-    def _loop(self):
-        while not self._stopping:
-            ult = self._pick()
-            if ult is None:
-                self._wakeup.clear()
-                yield WaitEvent(self._wakeup)
-                continue
-            yield from self._run_slice(ult)
-
-    def _run_slice(self, ult: ULT):
-        """Run ``ult`` until it blocks, yields, or finishes."""
-        self.slices_run += 1
-        self.current_ult = ult
-        ult.state = UltState.RUNNING
-        value = ult._resume_value
-        exc = ult._resume_exc
-        ult._resume_value = None
-        ult._resume_exc = None
+    def _drive(self, ult: Optional[ULT] = None) -> None:
+        """The stream's one kernel callback: posted bare to take a turn
+        (start, or a push found it idle), with the running ULT when its
+        ``Compute`` ends.  A ULT body's exception fails that ULT; one
+        from the machinery (a finish callback, a park, a push) leaves
+        through ``kernel.run()`` with the next turn already posted."""
+        value = exc = None
         try:
             while True:
+                if ult is None:
+                    if self._stopping:
+                        return
+                    for pool in self.pools:
+                        ult = pool.pop()
+                        if ult is not None:
+                            break
+                    else:
+                        self._idle = True
+                        return
+                    self.slices_run += 1
+                    ult.state = UltState.RUNNING
+                    value = ult._resume_value
+                    exc = ult._resume_exc
+                    ult._resume_value = None
+                    ult._resume_exc = None
                 try:
-                    _set_current(ult)
+                    # Set for the body and the finish callbacks only,
+                    # not while the stream acts on the yielded command.
+                    _ult._CURRENT = ult
                     if exc is not None:
                         cmd = ult.gen.throw(exc)
                         exc = None
@@ -150,22 +169,33 @@ class XStream:
                 except StopIteration as stop:
                     self.ults_finished += 1
                     ult.finish(result=stop.value)
-                    return
+                    ult = None
+                    continue
                 except BaseException as err:  # noqa: BLE001 - ULT failure path
                     self.ults_finished += 1
                     ult.finish(error=err)
-                    return
-                finally:
-                    _set_current(None)
-                # This dispatch runs once per ULT step across every RPC
-                # in the system; isinstance on these frozen dataclasses
-                # is cheap, but the UltSleep wakeup is a bound method
-                # (no closure per sleep).
-                if isinstance(cmd, Compute):
-                    self.busy_time += cmd.duration
-                    yield Sleep(cmd.duration + SCHED_OVERHEAD)
+                    ult = None
                     continue
-                if isinstance(cmd, Park):
+                finally:
+                    _ult._CURRENT = None
+                # Once per ULT step: the two hot commands match by
+                # exact type, the rest (and any subclass) by isinstance.
+                kind = type(cmd)
+                if kind is not Compute and kind is not Park:
+                    kind = _command_base(cmd)
+                if kind is Compute:
+                    self.busy_time += cmd.duration
+                    self.kernel.post(cmd.duration + SCHED_OVERHEAD, self._run, ult)
+                    return
+                if kind is UltYield:
+                    ult.pool.push(ult)
+                elif kind is None:
+                    exc = TypeError(
+                        f"ULT {ult.name!r} yielded unsupported command {cmd!r}; "
+                        "ULTs may yield Compute, UltYield, UltSleep, or Park"
+                    )
+                    continue
+                else:
                     if _sanitize.ENABLED:
                         # A strict violation fails the offending ULT (via
                         # gen.throw on the next loop turn), not the stream.
@@ -174,36 +204,23 @@ class XStream:
                         except AssertionError as err:
                             exc = err
                             continue
-                    if _race.ANY_HELD and cmd.timeout is None:
-                        # MCH041 needs an unbounded park *while holding
-                        # a mutex*: timeout'd parks are bounded waits by
-                        # construction, and ANY_HELD (maintained by the
-                        # acquire/release hooks) is False in a lock-free
-                        # phase -- the common case pays one attribute
-                        # load here instead of a hook call.
-                        _race.note_park(ult, cmd)
-                    cmd.event._park(ult, cmd.timeout)
-                    return
-                if isinstance(cmd, UltSleep):
-                    if _sanitize.ENABLED:
-                        try:
-                            _sanitize.check_blocking_yield(ult, cmd)
-                        except AssertionError as err:
-                            exc = err
-                            continue
-                    ult.state = UltState.BLOCKED
-                    self.kernel.post(cmd.duration, ult._timed_ready, ult._park_token)
-                    return
-                if isinstance(cmd, UltYield):
-                    ult.pool.push(ult)
-                    return
-                # Unknown command: surface as a ULT error.
-                exc = TypeError(
-                    f"ULT {ult.name!r} yielded unsupported command {cmd!r}; "
-                    "ULTs may yield Compute, UltYield, UltSleep, or Park"
-                )
-        finally:
-            self.current_ult = None
+                    if kind is UltSleep:
+                        ult.state = UltState.BLOCKED
+                        self.kernel.post(cmd.duration, ult._timed_ready, ult._park_token)
+                    else:
+                        if _race.ANY_HELD and cmd.timeout is None:
+                            # MCH041 needs an unbounded park *while holding
+                            # a mutex*: timeout'd parks are bounded waits by
+                            # construction, and ANY_HELD (maintained by the
+                            # acquire/release hooks) is False in a lock-free
+                            # phase -- the common case pays one attribute
+                            # load here instead of a hook call.
+                            _race.note_park(ult, cmd)
+                        cmd.event._park(ult, cmd.timeout)
+                ult = None
+        except BaseException:
+            self.kernel.post(0.0, self._run)
+            raise
 
     # ------------------------------------------------------------------
     def sample(self) -> dict[str, float]:

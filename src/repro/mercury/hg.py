@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Any, Optional
 
 __all__ = [
@@ -60,16 +60,27 @@ class RPCRequest:
     dst_address: str = ""
     parent_rpc_id: int = NULL_RPC
     parent_provider_id: int = NULL_PROVIDER
-    #: Trace context (repro.observability): the causal tree this call
-    #: belongs to, this call's span id, and the span that issued it.
-    #: Stamped by the Margo forward path; generalizes the Listing-1
-    #: parent_rpc_id chain to per-call identity.
-    trace_id: str = ""
-    span_id: str = ""
+    #: Trace context (repro.observability), stamped by the Margo forward
+    #: path; generalizes the Listing-1 parent_rpc_id chain to per-call
+    #: identity.  ``origin`` is the calling process's name, the parent
+    #: ids are set on a call issued from inside a traced handler; this
+    #: call's own ids are formatted when an observer first reads them.
+    origin: str = ""
+    parent_trace_id: str = ""
     parent_span_id: str = ""
 
     #: Fixed header size added to the payload on the wire.
     HEADER_SIZE = 64
+
+    @cached_property
+    def span_id(self) -> str:
+        """This call's id: deterministic, unique per calling process."""
+        return f"{self.origin}:{self.seq}" if self.origin else ""
+
+    @cached_property
+    def trace_id(self) -> str:
+        """The causal tree this call belongs to (a root call names it)."""
+        return self.parent_trace_id or self.span_id
 
     @property
     def wire_size(self) -> int:

@@ -110,6 +110,16 @@ class Gauge(_Metric):
         return {"value": self._value}
 
 
+class _Reading(_Metric):
+    """A counter or gauge whose number lives in a plain attribute of its
+    owner (updated on a hot path with ``+=``) and is read on export."""
+
+    __slots__ = ("owner", "attr")
+
+    def to_json(self) -> dict[str, Any]:
+        return {"value": float(getattr(self.owner, self.attr))}
+
+
 class Histogram(_Metric):
     """Distribution of observations over fixed buckets.
 
@@ -255,6 +265,12 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "", label_names: Sequence[str] = ()) -> Any:
         family = self._get_or_create(name, "gauge", help, label_names)
         return family if label_names else family.labels()
+
+    def reading(self, name: str, kind: str, help: str, owner: Any, attr: str) -> None:
+        """Export ``owner.<attr>`` as the unlabelled ``kind`` ``name``."""
+        series = _Reading(self._get_or_create(name, kind, help, ()), ())
+        series.owner, series.attr = owner, attr
+        series.family._series[()] = series
 
     def histogram(
         self,

@@ -51,9 +51,11 @@ from __future__ import annotations
 
 import heapq
 import os
+from collections.abc import Generator
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Generator, Iterable, Optional
+from types import GeneratorType
+from typing import Any, Callable, Iterable, Optional
 
 __all__ = [
     "SimKernel",
@@ -681,7 +683,7 @@ class SimKernel:
         Daemon tasks (infinite service loops) are allowed to be still
         running when the simulation ends.
         """
-        if not isinstance(gen, Generator):
+        if type(gen) is not GeneratorType and not isinstance(gen, Generator):
             raise TypeError(f"spawn() needs a generator, got {type(gen).__name__}")
         task = Task(self, gen, name=name, daemon=daemon)
         self._live_tasks.add(task)
@@ -757,6 +759,7 @@ class SimKernel:
         buckets = self._buckets
         dl_heap = self._dl_heap
         far = self._far
+        free = self._free
         heappop = heapq.heappop
         no_arg = _NO_ARG
         is_timer = _IS_TIMER
@@ -852,7 +855,10 @@ class SimKernel:
                 # as it would have stayed in the binary heap.
                 self._recycle_partial(bucket, i, n)
                 raise
-            self._recycle(bucket)
+            # _recycle, inlined: on the RPC path, nearly once per event.
+            if len(free) < _FREELIST_MAX:
+                bucket.clear()
+                free.append(bucket)
 
     def _recycle_partial(self, bucket: list, i: int, n: int) -> None:
         """An early stop mid-batch: the undrained tail must survive.

@@ -78,15 +78,19 @@ class NetworkConfig:
     send_overhead: float = 300e-9
     recv_overhead: float = 300e-9
 
+    def __post_init__(self) -> None:
+        # Once per config, not per message (not a field: eq ignores it).
+        object.__setattr__(self, "_links", {
+            Transport.SELF: self.self_link,
+            Transport.SM: self.sm,
+            Transport.FABRIC: self.fabric,
+            Transport.RDMA: self.rdma,
+            Transport.TCP: self.tcp,
+        })
+
     def link(self, transport: str) -> LinkModel:
         try:
-            return {
-                Transport.SELF: self.self_link,
-                Transport.SM: self.sm,
-                Transport.FABRIC: self.fabric,
-                Transport.RDMA: self.rdma,
-                Transport.TCP: self.tcp,
-            }[transport]
+            return self._links[transport]
         except KeyError as err:
             raise AddressError(f"unknown transport {transport!r}") from err
 

@@ -1,0 +1,102 @@
+"""Reference scheduler: the xstream as a kernel *task*.
+
+This is the generator scheduler ``repro.margo.xstream`` had before the
+stream became a kernel callback (``Task._step`` -> ``_loop`` ->
+``yield from _run_slice`` -> ULT, woken through a ``SimEvent``), kept as
+the oracle ``test_scheduler_differential.py`` runs random ULT programs
+against: same posts in the same order, or the property fails.  Slow and
+obvious on purpose; nothing under ``src/`` imports it.
+"""
+
+from repro.analysis import sanitize
+from repro.analysis.race import hooks as race
+from repro.margo import ult as ult_module
+from repro.margo.pool import Pool
+from repro.margo.ult import Compute, Park, UltSleep, UltState, UltYield
+from repro.margo.xstream import SCHED_OVERHEAD, XStream
+from repro.sim.kernel import Sleep, WaitEvent
+
+
+class ReferencePool(Pool):
+    """``Pool.push`` that wakes watchers by setting their wakeup events."""
+
+    def push(self, ult):
+        ult.pool = self
+        ult.state = UltState.READY
+        self._queue.append(ult)
+        self.total_pushed += 1
+        if race.ENABLED:
+            race.note_push(self, ult)
+        prof = self._profiler
+        if prof is not None and prof._sched_on:
+            ult.profile_enqueued_at = prof.kernel.now
+        for xstream in self._watchers:
+            xstream.notify()
+
+
+class ReferenceXStream(XStream):
+    def __init__(self, kernel, name, pools, scheduler="basic_wait"):
+        super().__init__(kernel, name, pools, scheduler)
+        self._wakeup = kernel.event(name=f"xstream:{name}")
+
+    def start(self):
+        if self._started:
+            raise RuntimeError(f"xstream {self.name} already started")
+        self._started = True
+        self.kernel.spawn(self._loop(), name=f"xstream:{self.name}", daemon=True)
+
+    def notify(self):
+        self._wakeup.set()  # idempotent while set, like the _idle flag
+
+    def _loop(self):
+        while not self._stopping:
+            ult = next((u for u in (p.pop() for p in self.pools) if u is not None), None)
+            if ult is None:
+                self._wakeup.clear()
+                yield WaitEvent(self._wakeup)
+                continue
+            yield from self._run_slice(ult)
+
+    def _run_slice(self, ult):
+        self.slices_run += 1
+        ult.state = UltState.RUNNING
+        value, exc = ult._resume_value, ult._resume_exc
+        ult._resume_value = ult._resume_exc = None
+        while True:
+            try:
+                ult_module._CURRENT = ult  # mochi-lint: disable=MCH060 -- an xstream is the owner of this slot; the oracle is one
+                cmd = ult.gen.throw(exc) if exc is not None else ult.gen.send(value)
+                value = exc = None
+            except StopIteration as stop:
+                self.ults_finished += 1
+                ult.finish(result=stop.value)
+                return
+            except BaseException as err:  # noqa: BLE001 - ULT failure path
+                self.ults_finished += 1
+                ult.finish(error=err)
+                return
+            finally:
+                ult_module._CURRENT = None  # mochi-lint: disable=MCH060 -- same: the executing stream clears it
+            if isinstance(cmd, Compute):
+                self.busy_time += cmd.duration
+                yield Sleep(cmd.duration + SCHED_OVERHEAD)
+            elif isinstance(cmd, (Park, UltSleep)):
+                if sanitize.ENABLED:
+                    try:
+                        sanitize.check_blocking_yield(ult, cmd)
+                    except AssertionError as err:
+                        exc = err
+                        continue
+                if isinstance(cmd, UltSleep):
+                    ult.state = UltState.BLOCKED
+                    self.kernel.post(cmd.duration, ult._timed_ready, ult._park_token)
+                else:
+                    if race.ANY_HELD and cmd.timeout is None:
+                        race.note_park(ult, cmd)
+                    cmd.event._park(ult, cmd.timeout)
+                return
+            elif isinstance(cmd, UltYield):
+                ult.pool.push(ult)
+                return
+            else:
+                exc = TypeError(f"ULT {ult.name!r} yielded unsupported command {cmd!r}")

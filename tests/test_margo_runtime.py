@@ -163,6 +163,68 @@ def test_nested_rpc(cluster):
     assert cluster.run_ult(a, driver()) == 41
 
 
+def test_trace_context_and_handler_names_are_derived_on_demand(cluster):
+    """No observer is attached, so nothing formats an id or a ULT name on
+    the RPC path; asking still gives what the tracer always recorded."""
+    from repro.margo.ult import current_ult
+
+    a = cluster.add_margo("a", node="n0")
+    b = cluster.add_margo("b", node="n1")
+    c = cluster.add_margo("c", node="n2")
+    seen = {}
+
+    def leaf(ctx):
+        seen["leaf"] = (ctx.request, current_ult().name)
+        return ctx.args
+
+    def relay(ctx):
+        seen["relay"] = (ctx.request, current_ult().name)
+        return (yield from b.forward(c.address, "leaf", ctx.args))
+
+    c.register("leaf", leaf)
+    b.register("relay", relay)
+
+    def driver():
+        yield from a.forward(b.address, "relay", 1)
+        return (yield from a.forward(b.address, "relay", 2))
+
+    assert cluster.run_ult(a, driver()) == 2
+    outer, outer_ult = seen["relay"]
+    inner, inner_ult = seen["leaf"]
+    assert (outer.span_id, outer.trace_id, outer.parent_span_id) == ("a:2", "a:2", "")
+    assert (inner.span_id, inner.trace_id, inner.parent_span_id) == ("b:2", "a:2", "a:2/h")
+    assert (outer_ult, inner_ult) == ("rpc:relay:2", "rpc:leaf:2")
+    assert (a.rpcs_sent, b.rpcs_sent, b.rpcs_handled, c.rpcs_handled) == (2, 2, 2, 2)
+    assert a.inflight_outgoing == b.inflight_incoming == 0
+    assert a.metrics.snapshot()["margo_rpcs_sent"]["series"][""] == {"value": 2.0}
+
+
+def test_handler_may_return_a_generator_by_protocol(cluster):
+    from collections.abc import Generator
+
+    class Reply(Generator):
+        def __init__(self, value):
+            self.value, self.charged = value, False
+
+        def send(self, _value):
+            if self.charged:
+                raise StopIteration(self.value)
+            self.charged = True
+            return Compute(1e-3)
+
+        def throw(self, typ=None, val=None, tb=None):
+            raise typ
+
+    server, client = two_procs(cluster)
+    server.register("wrapped", lambda ctx: Reply(ctx.args + 1))
+
+    def driver():
+        return (yield from client.forward(server.address, "wrapped", 1))
+
+    assert cluster.run_ult(client, driver()) == 2
+    assert cluster.now > 1e-3
+
+
 def test_concurrent_rpcs_interleave(cluster):
     server, client = two_procs(cluster)
 

@@ -304,3 +304,195 @@ def test_pool_counters():
     assert pool.total_pushed == 2
     assert pool.total_popped == 2
     assert pool.size == 0
+
+
+# ----------------------------------------------------------------------
+# xstream lifecycle: the stream is one kernel callback, woken by a flag
+# ----------------------------------------------------------------------
+def iter_compute():
+    yield Compute(0.1)
+
+
+def test_xstream_start_twice_raises():
+    _, _, (xs,) = make_rig()
+    with pytest.raises(RuntimeError, match="already started"):
+        xs.start()
+
+
+def test_push_posts_one_event_and_only_to_an_idle_stream():
+    kernel, (pool,), (xs,) = make_rig()
+
+    def work():
+        yield Compute(1.0)
+
+    # Started but not yet run: its first turn is already queued.
+    posted = kernel._seq
+    pool.push(ULT(work()))
+    assert kernel._seq == posted
+    kernel.run(until=0.5)  # mid-Compute: the stream is busy
+    posted = kernel._seq
+    pool.push(ULT(work()))
+    xs.notify()
+    assert kernel._seq == posted
+    kernel.run()  # both ULTs done, every pool empty: idle
+    assert xs.slices_run == 2
+    posted = kernel._seq
+    pool.push(ULT(work()))
+    assert kernel._seq == posted + 1
+    pool.push(ULT(work()))  # the wake is queued, a second one would be a duplicate
+    xs.notify()
+    assert kernel._seq == posted + 1
+    kernel.run()
+    assert xs.slices_run == 4
+
+
+def test_stop_while_idle_exits_on_the_next_turn():
+    kernel, (pool,), (xs,) = make_rig()
+    kernel.run()
+    posted = kernel._seq
+    xs.stop()
+    assert kernel._seq == posted + 1  # woken once, to see the flag
+    kernel.run()
+    assert kernel.queued() == 0
+    xs.add_pool(pool)  # a stopped stream is not revived by a notify
+    pool.push(ULT(iter_compute()))
+    assert kernel._seq == posted + 1
+    kernel.run()
+    assert xs.slices_run == 0 and pool.size == 1
+
+
+def test_two_idle_watchers_of_one_pool_wake_in_watcher_order():
+    kernel, (pool,), (es0, es1) = make_rig(n_xstreams=2)
+    kernel.run()
+    posted = kernel._seq
+    pool.push(ULT(iter_compute()))
+    assert kernel._seq == posted + 2  # both were idle, both are woken
+    kernel.run()
+    assert (es0.slices_run, es1.slices_run) == (1, 0)
+    # es1 found the pool empty and went idle again; it still gets work.
+    pool.push(ULT(iter_compute()))
+    pool.push(ULT(iter_compute()))
+    kernel.run()
+    assert (es0.slices_run, es1.slices_run) == (2, 1)
+
+
+def test_profiler_stamp_and_race_hook_see_every_push(monkeypatch):
+    from repro.analysis.race import hooks
+
+    kernel, (pool,), _ = make_rig()
+
+    class StampingProfiler:
+        _sched_on = True
+
+        def __init__(self):
+            self.kernel = kernel
+            self.waits = []
+
+        def _note_pool_pop(self, pool, ult):
+            self.waits.append(kernel.now - ult.profile_enqueued_at)
+            ult.profile_enqueued_at = None
+
+    profiler = pool._profiler = StampingProfiler()
+    noted = []
+    monkeypatch.setattr(hooks, "ENABLED", True)
+    monkeypatch.setattr(hooks, "note_push", lambda pool, ult: noted.append(ult.name))
+    gate = UltEvent(kernel)
+
+    def waiter():
+        yield Park(gate, None)
+        yield UltYield()
+
+    def setter():
+        yield Compute(0.25)
+        gate.set()
+        yield Compute(0.5)
+
+    run_ults(kernel, pool, waiter(), setter())
+    # u0: push, wake by the event, re-push on yield; u1: push.
+    assert noted == ["u0", "u1", "u0", "u0"]
+    assert len(profiler.waits) == pool.total_pushed == 4
+    # u0 was woken while u1 held the stream for another 0.5 s.
+    assert profiler.waits[2] == pytest.approx(0.5, rel=1e-6)
+
+
+# ----------------------------------------------------------------------
+# failures: a ULT body's error is the ULT's; the machinery's is everyone's
+# ----------------------------------------------------------------------
+def test_exception_in_scheduling_machinery_leaves_kernel_run():
+    """An on_finish callback, a park or a push that raises used to unwind
+    into the xstream's daemon task and vanish, with the stream dead and
+    the service hung.  It now propagates, and the stream outlives it."""
+    kernel, (pool,), (xs,) = make_rig()
+
+    class BrokenEvent(UltEvent):
+        def _park(self, ult, timeout):
+            raise RuntimeError("park blew up")
+
+    def parks_badly():
+        yield Park(BrokenEvent(kernel), None)
+
+    def finishes():
+        yield Compute(0.1)
+        return "done"
+
+    first = ULT(finishes(), name="first")
+    first.on_finish.append(lambda ult: 1 / 0)
+    second = ULT(parks_badly(), name="second")
+    third = ULT(finishes(), name="third")
+    for ult in (first, second, third):
+        pool.push(ult)
+    with pytest.raises(ZeroDivisionError):
+        kernel.run()
+    assert first.state == UltState.DONE and first.result == "done"
+    with pytest.raises(RuntimeError, match="park blew up"):
+        kernel.run()
+    kernel.run()
+    assert third.result == "done" and xs.ults_finished == 2
+
+
+def test_exception_in_ult_body_stays_with_the_ult():
+    kernel, (pool,), (xs,) = make_rig()
+
+    def bad():
+        yield Compute(0.1)
+        raise KeyError("body")
+
+    def good():
+        yield Compute(0.1)
+        return 1
+
+    bad_ult, good_ult = ULT(bad()), ULT(good())
+    pool.push(bad_ult)
+    pool.push(good_ult)
+    kernel.run()  # does not raise
+    assert isinstance(bad_ult.error, KeyError) and good_ult.result == 1
+    assert xs.ults_finished == 2
+
+
+def test_generator_like_bodies_and_command_subclasses_are_accepted():
+    from collections.abc import Generator
+
+    class Countdown(Generator):
+        """A generator by protocol, not by type."""
+
+        def __init__(self):
+            self.left = 2
+
+        def send(self, value):
+            if not self.left:
+                raise StopIteration("liftoff")
+            self.left -= 1
+            return TimedCompute(0.5)
+
+        def throw(self, typ=None, val=None, tb=None):
+            raise typ
+
+    class TimedCompute(Compute):
+        pass
+
+    kernel, (pool,), (xs,) = make_rig()
+    ult = ULT(Countdown())
+    pool.push(ult)
+    kernel.run()
+    assert ult.result == "liftoff"
+    assert xs.busy_time == 1.0 and kernel.now > 1.0

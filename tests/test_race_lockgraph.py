@@ -165,6 +165,24 @@ def test_wait_while_holding_flagged(race):
     assert "guard" in finding.message and "signal" in finding.message
 
 
+def test_rpc_while_holding_names_the_reply_event(race):
+    """A reply event is only named when its parker holds a mutex -- the
+    one case in which a report can quote the name."""
+    cluster, margo = make_rig()
+    margo.register("echo", lambda ctx: ctx.args)
+    mutex = UltMutex(cluster.kernel, name="guard")
+
+    def caller():
+        yield from margo.forward(margo.address, "echo", 1)  # not holding: unnamed
+        yield from mutex.acquire()
+        yield from margo.forward(margo.address, "echo", 2)  # mochi-lint: disable=MCH011 -- RPC-while-holding under test
+        mutex.release()
+
+    cluster.run_ult(margo, caller())
+    (finding,) = [f for f in race.findings if f.rule_id == "MCH041"]
+    assert "'rpc:echo:2'" in finding.message and "guard" in finding.message
+
+
 def test_wait_with_timeout_not_flagged(race):
     cluster, margo = make_rig()
     mutex = UltMutex(cluster.kernel, name="guard")

@@ -1,0 +1,146 @@
+"""Differential property: the callback xstream against the generator one.
+
+Random ULT programs -- ``Compute``/``UltYield``/``UltSleep``/``Park``
+with and without a timeout, events set and cleared from other ULTs, a
+failing ULT, a bogus command, a ``stop()`` and a ``remove_pool`` issued
+mid-slice -- run on 1-3 xstreams over shared and private pools, once on
+``repro.margo.xstream`` and once on ``tests/reference_scheduler.py``.
+Both must produce the same ``(now, ult, step)`` log, the same number of
+kernel events and the same counters, on either kernel backend: the
+rewrite is only allowed to be cheaper on the host.
+
+Durations come from a handful of values so that deadlines collide; ties
+are where a reordered ``kernel.post`` would show.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.margo.errors import ConfigError
+from repro.margo.pool import Pool
+from repro.margo.ult import TIMED_OUT, ULT, Compute, Park, UltEvent, UltSleep, UltYield
+from repro.margo.xstream import XStream
+from repro.sim import SimKernel
+
+from .reference_scheduler import ReferencePool, ReferenceXStream
+
+N_EVENTS = 3
+durations = st.sampled_from([0.0, 20e-9, 0.5e-6, 1e-6, 1e-6 - 20e-9, 3e-6])
+events = st.integers(0, N_EVENTS - 1)
+small = st.integers(0, 2)
+steps = st.one_of(
+    st.tuples(st.just("compute"), durations),
+    st.tuples(st.just("yield")),
+    st.tuples(st.just("sleep"), durations),
+    st.tuples(st.just("park"), events, st.none() | durations),
+    st.tuples(st.just("set"), events),
+    st.tuples(st.just("clear"), events),
+    st.tuples(st.just("stop"), small),
+    st.tuples(st.just("remove_pool"), small, small),
+    st.tuples(st.just("raise")),
+    st.tuples(st.just("bogus")),
+)
+# "stop"/"remove_pool"/"raise"/"bogus" are one alternative in ten each,
+# so most programs keep their streams long enough to interleave.
+scenarios = st.fixed_dictionaries(
+    {
+        "n_pools": st.integers(1, 3),
+        # per xstream: the ordered pools it serves (indices wrap)
+        "xstreams": st.lists(
+            st.lists(small, min_size=1, max_size=3, unique=True), min_size=1, max_size=3
+        ),
+        # per ULT: (pool index, start delay, program)
+        "ults": st.lists(
+            st.tuples(small, durations, st.lists(steps, max_size=8)), min_size=1, max_size=6
+        ),
+    }
+)
+
+
+def body(index, program, kernel, pools, xstreams, ult_events, log):
+    for step_no, step in enumerate(program):
+        log.append((kernel.now, index, step_no))
+        op = step[0]
+        if op == "compute":
+            yield Compute(step[1])
+        elif op == "yield":
+            yield UltYield()
+        elif op == "sleep":
+            yield UltSleep(step[1])
+        elif op == "park":
+            value = yield Park(ult_events[step[1]], step[2])
+            log.append((kernel.now, index, "timed out" if value is TIMED_OUT else value))
+        elif op == "set":
+            ult_events[step[1]].set(index)
+        elif op == "clear":
+            ult_events[step[1]].clear()
+        elif op == "stop":
+            xstreams[step[1] % len(xstreams)].stop()
+        elif op == "remove_pool":
+            try:
+                xstreams[step[1] % len(xstreams)].remove_pool(pools[step[2] % len(pools)])
+            except ConfigError:
+                log.append((kernel.now, index, "refused"))
+        elif op == "raise":
+            raise RuntimeError(f"ult {index} fails at step {step_no}")
+        else:
+            yield 42
+    return index
+
+
+def run_scenario(scenario, pool_cls, xstream_cls, backend):
+    kernel = SimKernel(backend)
+    pools = [pool_cls(f"p{i}") for i in range(scenario["n_pools"])]
+    xstreams = []
+    for i, served in enumerate(scenario["xstreams"]):
+        mine = list(dict.fromkeys(pools[j % len(pools)] for j in served))
+        xstreams.append(xstream_cls(kernel, f"es{i}", mine))
+    ult_events = [UltEvent(kernel, name=f"e{i}") for i in range(N_EVENTS)]
+    log = []
+    ults = []
+    for index, (pool_index, delay, program) in enumerate(scenario["ults"]):
+        ult = ULT(body(index, program, kernel, pools, xstreams, ult_events, log), name=f"u{index}")
+        ults.append(ult)
+        # Pushed from a timer, so wakes hit idle, busy and not-yet-started streams.
+        kernel.post(delay, pools[pool_index % len(pools)].push, ult)
+    for xstream in xstreams:
+        xstream.start()
+    kernel.run()
+    return {
+        "log": log,
+        "now": kernel.now,
+        "seq": kernel._seq,
+        "xstreams": [(x.slices_run, x.busy_time, x.ults_finished) for x in xstreams],
+        "pools": [(p.total_pushed, p.total_popped, p.size) for p in pools],
+        "ults": [(u.state, u.result, type(u.error)) for u in ults],
+    }
+
+
+@pytest.mark.parametrize("backend", ["wheel", "heap"])
+@settings(max_examples=150, deadline=None)
+@given(scenario=scenarios)
+def test_callback_xstream_matches_generator_xstream(backend, scenario):
+    expected = run_scenario(scenario, ReferencePool, ReferenceXStream, backend)
+    assert run_scenario(scenario, Pool, XStream, backend) == expected
+
+
+def test_the_property_notices_a_reordered_post():
+    """The oracle has teeth: wake two idle watchers of one pool in the
+    wrong order and the one-ULT program below already diverges."""
+
+    class ReversedWake(Pool):
+        def _rebuild_route(self):
+            super()._rebuild_route()
+            self._wakeN = self._wakeN[::-1]
+
+    scenario = {
+        "n_pools": 1,
+        "xstreams": [[0], [0]],
+        "ults": [(0, 1e-6, [("compute", 1e-6)])],
+    }
+    expected = run_scenario(scenario, ReferencePool, ReferenceXStream, "wheel")
+    assert run_scenario(scenario, Pool, XStream, "wheel") == expected
+    mutant = run_scenario(scenario, ReversedWake, XStream, "wheel")
+    assert mutant["seq"] == expected["seq"] and mutant["log"] == expected["log"]
+    assert mutant["xstreams"] != expected["xstreams"]

@@ -240,6 +240,27 @@ def test_spawn_requires_generator():
         SimKernel().spawn(lambda: None)  # type: ignore[arg-type]
 
 
+def test_spawn_accepts_a_generator_by_protocol():
+    from collections.abc import Generator
+
+    class Once(Generator):
+        woke = False
+
+        def send(self, value):
+            if self.woke:
+                raise StopIteration("done")
+            self.woke = True
+            return Sleep(2.0)
+
+        def throw(self, typ=None, val=None, tb=None):
+            raise typ
+
+    kernel = SimKernel()
+    task = kernel.spawn(Once())
+    kernel.run()
+    assert task.result == "done" and kernel.now == 2.0
+
+
 def test_nested_yield_from():
     kernel = SimKernel()
 

@@ -37,6 +37,28 @@ def test_link_model_time():
         link.time(-1)
 
 
+def test_network_config_resolves_links_from_one_table():
+    import dataclasses
+
+    config = NetworkConfig()
+    assert config.link(Transport.SELF) is config.self_link
+    assert config.link(Transport.SM) is config.sm
+    assert config.link(Transport.FABRIC) is config.fabric
+    assert config.link(Transport.RDMA) is config.rdma
+    assert config.link(Transport.TCP) is config.tcp
+    assert config.link("fab" + "ric") is config.fabric  # by value, not identity
+    with pytest.raises(AddressError, match="unknown transport"):
+        config.link("carrier-pigeon")
+    with pytest.raises(ValueError, match="negative message size"):
+        config.link(Transport.SM).time(-1)
+    assert config.link(Transport.SM).time(0) == config.sm.latency
+    assert config.link(Transport.SM).time(4096) == config.sm.latency + 4096 / config.sm.bandwidth
+    slow = dataclasses.replace(config, fabric=LinkModel(latency=1e-3, bandwidth=1e6))
+    assert slow.link(Transport.FABRIC).latency == 1e-3
+    assert slow == dataclasses.replace(config, fabric=LinkModel(latency=1e-3, bandwidth=1e6))
+    assert config.link(Transport.FABRIC).latency == 2.0e-6
+
+
 def test_transport_selection(net):
     _, network = net
     n1 = network.add_node("n1")
