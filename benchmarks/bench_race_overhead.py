@@ -5,8 +5,7 @@ The mochi-race layer promises zero-cost-when-off: the kernel's
 and every margo-layer hook hides behind one module-attribute load.  P1
 adds the second promise: with epoch-sampled vector clocks
 (``race_sample_every``, default 16) the *enabled* detector costs at most
-10% on the kernel workload and 18% on the RPC one.  This suite prices
-both:
+10% on these workloads.  This suite prices both:
 
 * ``kernel_off`` / ``kernel_on``  -- events/sec of the discrete-event
   core with the detector disabled / enabled at the default sampling;
@@ -24,7 +23,7 @@ informational; every enforced gate is same-run paired.
 
 Gates (enforced in full and ``--gate`` runs, exit 1 on failure):
 
-* detector-on overhead <= 10% (kernel) / <= 18% (rpc), paired, median;
+* detector-on overhead <= 10% on both workloads (paired, median);
 * the disabled path within 1.02x of the plain arm (trivially true --
   they are the same code path -- but it trips if a hook ever leaks out
   of the ``ENABLED`` guard).
@@ -68,14 +67,8 @@ P0_TRAJECTORY_PATH = os.path.join(REPO_ROOT, "BENCH_P0.json")
 TRAJECTORY_PATH = os.path.join(REPO_ROOT, "BENCH_RACE.json")
 
 #: Acceptance thresholds (ISSUE 7): epoch sampling must keep the enabled
-#: detector affordable, and the disabled path must stay free.  The rpc
-#: bound was 10% while an echo cost 72 us of host time; the detector's
-#: own work per RPC (4 push edges, 1 registry read: 9.1 us in the last
-#: BENCH_RACE.json, 7.9-8.7 us now) has not grown, but the callback
-#: xstream took the echo to 50 us, so the same work is 13-15% of it.  A
-#: share is only as stable as its base: 18% is that cost plus the
-#: margin the old bound had.
-DETECTOR_ON_MAX_OVERHEAD = {"kernel": 0.10, "rpc": 0.18}
+#: detector affordable, and the disabled path must stay free.
+DETECTOR_ON_MAX_OVERHEAD = 0.10
 OFF_PATH_MAX_RATIO = 1.02
 
 #: Same workload shapes as bench_p0_throughput so the off-path numbers
@@ -150,11 +143,11 @@ def _rows(results: dict, p0: dict | None) -> list[dict]:
 def _check_gates(rows: list[dict]) -> list[str]:
     failures = []
     for row in rows:
-        limit = DETECTOR_ON_MAX_OVERHEAD[row["bench"]]
-        if row["detector_on_overhead"] >= limit:
+        if row["detector_on_overhead"] >= DETECTOR_ON_MAX_OVERHEAD:
             failures.append(
                 f"{row['bench']}: detector-on overhead "
-                f"{row['detector_on_overhead']:.1%} >= {limit:.0%}"
+                f"{row['detector_on_overhead']:.1%}"
+                f" >= {DETECTOR_ON_MAX_OVERHEAD:.0%}"
             )
     return failures
 
@@ -191,8 +184,8 @@ def main(argv: list[str]) -> int:
                 "the default race_sample_every=16 (P1 epoch-sampled vector "
                 "clocks).  'detector_on_overhead' is the median of paired "
                 "per-round wall ratios (palindrome-ordered rounds, see "
-                "benchmarks/_harness.py); the gate requires <= 10% on the "
-                "kernel workload and <= 18% on the rpc one.  'off_vs_p0' compares against the pinned "
+                "benchmarks/_harness.py); the gate requires <= 10% on both "
+                "workloads.  'off_vs_p0' compares against the pinned "
                 "BENCH_P0.json and is informational only -- cross-session "
                 "comparisons drift with machine load (the old 1.10 rpc "
                 "anomaly); enforced off-path gates are same-run paired, in "

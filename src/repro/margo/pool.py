@@ -48,8 +48,7 @@ class Pool:
         self._watchers: list["XStream"] = []
         # Precomputed pool->xstream dispatch route (P1), resolved once
         # per attach/detach: ``_wake1`` is the sole watcher (the common
-        # case: one xstream per pool); ``_wakeN`` the multi-watcher
-        # tuple, in watcher order.
+        # case); ``_wakeN`` the multi-watcher tuple, in watcher order.
         self._wake1: Optional["XStream"] = None
         self._wakeN: tuple["XStream", ...] = ()
         # Cumulative counters for monitoring/benchmarks.
@@ -83,10 +82,9 @@ class Pool:
             # queued ULTs), so this stays two attribute loads on the
             # hottest call site in the system.
             ult.profile_enqueued_at = prof.kernel.now
-        # Wake the serving xstream(s) over the precomputed route: an
-        # idle stream gets its one scheduling callback posted
-        # (XStream.notify, inlined on the hottest site in the system); a
-        # busy one, or one already posted, will find the ULT by itself.
+        # Wake the serving xstream(s) over the precomputed route
+        # (XStream.notify, inlined): an idle stream gets its one callback
+        # posted; a busy or already posted one finds the ULT by itself.
         wake = self._wake1
         if wake is not None:
             if wake._idle:

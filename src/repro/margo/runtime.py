@@ -251,8 +251,7 @@ class MargoInstance:
         # section 4: "periodically tracks the number of in-flight RPCs
         # and the sizes of user-level thread pools").  Components on
         # this instance register their own metrics into this registry.
-        # The four per-RPC numbers are plain int attributes (six updates
-        # per RPC) that the registry reads when it exports.
+        # The four per-RPC numbers are plain ints it reads on export.
         obs = self.config.observability
         self.metrics = MetricsRegistry(enabled=obs.metrics)
         self.rpcs_sent = self.rpcs_handled = 0
@@ -531,11 +530,10 @@ class MargoInstance:
         self._seq += 1
         seq = self._seq
         # Trace-context propagation (repro.observability): every call
-        # has a deterministic span id (RPCRequest formats it from the
-        # process name and seq when an observer asks); a call issued
-        # from inside a handler joins its parent's trace as a child of
-        # the handler span, so nested RPCs form one causal tree end to
-        # end.  Positional: 13 keywords cost more than the 13 stores.
+        # has a deterministic span id (RPCRequest formats it when an
+        # observer asks); a call issued from inside a handler joins its
+        # parent's trace as a child of the handler span, so nested RPCs
+        # form one causal tree.  Positional: keywords cost more than stores.
         process = self.process
         if parent is None:
             request = RPCRequest(
@@ -591,9 +589,7 @@ class MargoInstance:
         else:
             yield Compute(serialize_cost(payload_size))
 
-        # Only an MCH041 report reads a reply event's name, and only a
-        # parker holding a mutex now (no yield before the Park) gets one.
-        event = UltEvent(self.kernel, f"rpc:{rpc_name}:{seq}" if _race.ANY_HELD else "")
+        event = UltEvent(self.kernel, request)  # named rpc:<name>:<seq> on first use
         self._pending[seq] = (event, request, self.kernel.now)
         self.inflight_outgoing += 1
         self.rpcs_sent += 1
@@ -745,9 +741,7 @@ class MargoInstance:
             self.network.send(self.process, request.src_address, response, response.wire_size)
             return
         enqueued_at = self.kernel.now
-        # Unnamed: ULT.name derives "rpc:<name>:<seq>" from the request
-        # if anything (a report, a trace line) ever asks.
-        ult = ULT(
+        ult = ULT(  # named rpc:<name>:<seq> on first use
             self._handler_body(registration, request, enqueued_at, observed),
             rpc_context=request,
         )

@@ -50,6 +50,12 @@ class Compute:
             raise ValueError(f"negative compute duration: {duration}")
         self.duration = duration
 
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and other.duration == self.duration
+
+    def __hash__(self) -> int:
+        return hash(self.duration)
+
     def __repr__(self) -> str:
         return f"Compute(duration={self.duration!r})"
 
@@ -186,14 +192,20 @@ class UltEvent:
     resumes on the next scheduling turn.
     """
 
-    __slots__ = ("kernel", "name", "_set", "_payload", "_parked")
+    __slots__ = ("kernel", "_name", "_set", "_payload", "_parked")
 
-    def __init__(self, kernel: SimKernel, name: str = "") -> None:
+    def __init__(self, kernel: SimKernel, name: Any = "") -> None:
         self.kernel = kernel
-        self.name = name
+        self._name = name  # or the request a reply event is named after
         self._set = False
         self._payload: Any = None
         self._parked: list[tuple[ULT, int]] = []
+
+    @property
+    def name(self) -> str:
+        if type(self._name) is not str:
+            self._name = f"rpc:{self._name.rpc_name}:{self._name.seq}"
+        return self._name
 
     @property
     def is_set(self) -> bool:

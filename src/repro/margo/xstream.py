@@ -7,9 +7,9 @@ for simulated time, which is how CPU contention between providers
 sharing a stream (paper Fig. 2) arises.
 
 The stream is a kernel *callback* state machine, not a kernel task:
-``_drive`` is the one callback it posts, once per scheduling step, and
-an ``_idle`` flag stands in for a wakeup event (DESIGN.md section 3;
-the generator task it replaced is ``tests/reference_scheduler.py``).
+``_drive`` is the one callback it posts, once per scheduling step, and an
+``_idle`` flag stands in for a wakeup event (DESIGN.md section 3; the
+generator task it replaced is ``tests/reference_scheduler.py``).
 """
 
 from __future__ import annotations
@@ -157,8 +157,7 @@ class XStream:
                     ult._resume_value = None
                     ult._resume_exc = None
                 try:
-                    # Set for the body and the finish callbacks only,
-                    # not while the stream acts on the yielded command.
+                    # For the body and finish callbacks, not the command.
                     _ult._CURRENT = ult
                     if exc is not None:
                         cmd = ult.gen.throw(exc)
@@ -178,8 +177,7 @@ class XStream:
                     continue
                 finally:
                     _ult._CURRENT = None
-                # Once per ULT step: the two hot commands match by
-                # exact type, the rest (and any subclass) by isinstance.
+                # Hot commands by exact type, the rest by isinstance.
                 kind = type(cmd)
                 if kind is not Compute and kind is not Park:
                     kind = _command_base(cmd)
@@ -210,11 +208,8 @@ class XStream:
                     else:
                         if _race.ANY_HELD and cmd.timeout is None:
                             # MCH041 needs an unbounded park *while holding
-                            # a mutex*: timeout'd parks are bounded waits by
-                            # construction, and ANY_HELD (maintained by the
-                            # acquire/release hooks) is False in a lock-free
-                            # phase -- the common case pays one attribute
-                            # load here instead of a hook call.
+                            # a mutex*; ANY_HELD is False in a lock-free
+                            # phase, so the common case pays one load here.
                             _race.note_park(ult, cmd)
                         cmd.event._park(ult, cmd.timeout)
                 ult = None

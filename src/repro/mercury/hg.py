@@ -62,9 +62,8 @@ class RPCRequest:
     parent_provider_id: int = NULL_PROVIDER
     #: Trace context (repro.observability), stamped by the Margo forward
     #: path; generalizes the Listing-1 parent_rpc_id chain to per-call
-    #: identity.  ``origin`` is the calling process's name, the parent
-    #: ids are set on a call issued from inside a traced handler; this
-    #: call's own ids are formatted when an observer first reads them.
+    #: identity.  ``origin`` is the calling process's name, the parent ids
+    #: come from a traced handler; own ids are formatted on first read.
     origin: str = ""
     parent_trace_id: str = ""
     parent_span_id: str = ""

@@ -116,8 +116,17 @@ class _Reading(_Metric):
 
     __slots__ = ("owner", "attr")
 
+    @property
+    def value(self) -> float:
+        return float(getattr(self.owner, self.attr))
+
+    def inc(self, amount: float = 1.0) -> None:
+        raise MetricError(f"{self.name!r} reads its owner's {self.attr!r}: update that")
+
+    dec = set = inc
+
     def to_json(self) -> dict[str, Any]:
-        return {"value": float(getattr(self.owner, self.attr))}
+        return {"value": self.value}
 
 
 class Histogram(_Metric):

@@ -54,6 +54,28 @@ def test_pool_validation():
     assert pool.to_json() == {"name": "p", "type": "fifo", "access": "mpmc"}
 
 
+def test_commands_compare_by_value():
+    """``Compute`` is slotted by hand (six per RPC) but still compares
+    like the three dataclass commands."""
+    assert Compute(1e-6) == Compute(1e-6) and hash(Compute(1e-6)) == hash(Compute(1e-6))
+    assert Compute(1e-6) != Compute(2e-6) and Compute(1e-6) != UltSleep(1e-6)
+    assert UltSleep(1e-6) == UltSleep(1e-6) and UltYield() == UltYield()
+    assert repr(Compute(0.5)) == "Compute(duration=0.5)"
+    with pytest.raises(ValueError):
+        Compute(-1.0)
+
+
+def test_event_named_after_a_request_formats_the_name_on_first_use():
+    class Request:
+        rpc_name, seq = "echo", 7
+
+    kernel = SimKernel()
+    assert UltEvent(kernel).name == "" and UltEvent(kernel, "gate").name == "gate"
+    event = UltEvent(kernel, Request)
+    assert event._name is Request
+    assert event.name == "rpc:echo:7" and event._name == "rpc:echo:7"
+
+
 def test_ult_requires_generator():
     with pytest.raises(TypeError):
         ULT(lambda: None)  # type: ignore[arg-type]

@@ -139,6 +139,22 @@ def test_margo_runtime_counters_live_in_registry():
     assert cluster_doc["server"]["margo_rpcs_handled"]["series"][""]["value"] == 3.0
 
 
+def test_sharing_a_margo_reading_gets_its_value_and_a_clear_error():
+    """Registration is idempotent, so a component re-registering one of
+    the four per-RPC series gets the runtime's read-only view of it."""
+    cluster = Cluster(seed=1)
+    margo = cluster.add_margo("solo", node="n0")
+    margo.register("echo", lambda ctx: ctx.args)
+    cluster.run_ult(margo, margo.forward(margo.address, "echo", "x"))
+    shared = margo.metrics.counter("margo_rpcs_sent")
+    assert shared.value == 1.0
+    assert margo.metrics.gauge("margo_inflight_outgoing").value == 0.0
+    for update in (shared.inc, margo.metrics.gauge("margo_inflight_incoming").dec):
+        with pytest.raises(MetricError, match="update that"):
+            update()
+    assert margo.rpcs_sent == 1
+
+
 # ----------------------------------------------------------------------
 # satellite: a faulty monitor must not take the data path down
 # ----------------------------------------------------------------------

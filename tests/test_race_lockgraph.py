@@ -166,14 +166,14 @@ def test_wait_while_holding_flagged(race):
 
 
 def test_rpc_while_holding_names_the_reply_event(race):
-    """A reply event is only named when its parker holds a mutex -- the
-    one case in which a report can quote the name."""
+    """A reply event's ``rpc:<name>:<seq>`` text is built on first use,
+    which in an unobserved run is the MCH041 report quoting it."""
     cluster, margo = make_rig()
     margo.register("echo", lambda ctx: ctx.args)
     mutex = UltMutex(cluster.kernel, name="guard")
 
     def caller():
-        yield from margo.forward(margo.address, "echo", 1)  # not holding: unnamed
+        yield from margo.forward(margo.address, "echo", 1)  # not holding: no report
         yield from mutex.acquire()
         yield from margo.forward(margo.address, "echo", 2)  # mochi-lint: disable=MCH011 -- RPC-while-holding under test
         mutex.release()
