@@ -1,0 +1,48 @@
+# CI as a script: every gate the workflow runs, runnable locally with no
+# network.  `make ci` is what .github/workflows/ci.yml calls, target by
+# target; `gates` comes last because it carries the one row known to
+# fail (race detector on the RPC path, ROADMAP item 2(i)).
+
+PY := PYTHONPATH=src python
+LINT_PATHS := src/repro examples benchmarks tests
+
+.PHONY: ci lint test gates e2e contract
+
+ci: lint test e2e contract gates
+
+# Every static rule + config cross-validation, twice (the report must be
+# byte-identical), then mochi-race: happens-before + lock order +
+# schedule exploration, and the example services under the sanitizer.
+lint:
+	$(PY) -m repro.analysis $(LINT_PATHS)
+	$(PY) -m repro.analysis --format json $(LINT_PATHS) > lint-run-1.json || true
+	$(PY) -m repro.analysis --format json $(LINT_PATHS) > lint-run-2.json || true
+	cmp lint-run-1.json lint-run-2.json
+	$(PY) -m repro.analysis --race --race-seeds 8
+	REPRO_SANITIZE=race $(PY) -m pytest -x -q tests/test_race_services.py
+
+mochi-lint.sarif:
+	$(PY) -m repro.analysis --format sarif $(LINT_PATHS) > $@ || true
+
+# Tier-1, then the pins that must also hold with the race sanitizer on.
+test:
+	$(PY) -m pytest -x -q
+	REPRO_SANITIZE=race $(PY) -m pytest -x -q tests/test_xray.py -k determinism
+	REPRO_SANITIZE=race $(PY) -m pytest -x -q tests/test_yokan_provider.py -k cost_model
+	REPRO_SANITIZE=race $(PY) -m pytest -x -q tests/test_margo_rpc_pin.py
+
+# Overhead gates: exits 1 when a gated row fails.
+gates:
+	$(PY) benchmarks/bench_overhead.py
+
+# End-to-end benchmark: its own suite, then a traced smoke of the batch
+# path and of its bypass workload.
+e2e:
+	python -m pytest benchmarks/e2e -q
+	python benchmarks/e2e/run.py --workload kv_batch_scan --seed 1 --seconds 3 --trace 1
+	python benchmarks/e2e/run.py --workload rpc_echo --seed 1 --seconds 3 --trace 1
+
+# Behaviour contract: every E*/A* table regenerates byte-identical.
+contract:
+	python -m pytest -q benchmarks/bench_e*.py benchmarks/bench_a*.py
+	git diff --exit-code -- 'benchmarks/results/E*.json' 'benchmarks/results/A*.json'

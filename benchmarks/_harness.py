@@ -1,13 +1,9 @@
-"""Shared measurement harness for the perf benchmark suites.
+"""Shared wall-clock measurement harness (``bench_overhead.py`` and
+``benchmarks/e2e`` both import it).
 
-Every BENCH_*.json number in this repo is produced by one of two
-disciplines, both defined here so the four overhead suites (p0, race,
-profile, health) share one methodology instead of four copies:
+Two disciplines:
 
-* :func:`best_of` -- GC-quiesced best-of-N for *absolute* rates (events/s,
-  RPCs/s).  Best-of is the right statistic for "how fast can this go":
-  shared runners show bimodal phases and the fast phase is the machine's
-  actual capability.
+* :func:`once` -- one GC-quiesced run, for *absolute* costs.
 
 * :func:`run_rounds` + :func:`paired_ratio` -- palindrome-ordered paired
   rounds for *relative* claims (on/off overheads, off-path gates).  Every
@@ -17,17 +13,13 @@ profile, health) share one methodology instead of four copies:
   equally to every arm and cancels out of the per-round ratios.  The base
   order also rotates per round so nonlinear position effects do not keep
   landing on the same arm.  Gates compare the *median* of per-round
-  ratios, robust to the odd descheduled round.
+  ratios, robust to the odd descheduled round; sequential best-of blocks
+  drift with machine load and have produced >5-point phantom overheads
+  on shared runners.  Every enforced gate is computed from arms of the
+  same run, never against a number pinned on another machine.
 
-  Sequential best-of blocks drift with machine load and have produced
-  >5-point phantom overheads on shared runners (BENCH_RACE.json's old
-  rpc ``off_vs_p0 = 1.10`` was exactly this: two measurements taken
-  minutes apart under different load).  Cross-*file* comparisons against
-  pinned trajectories remain informational only; every enforced gate is
-  computed from arms of the same run.
-
-The two P0 workload shapes (kernel sleep-swarm + timer fan, echo RPC)
-also live here so every suite measures the identical workload.
+The two workload shapes (kernel sleep-swarm + timer fan, echo RPC) also
+live here so every measurement uses the identical workload.
 """
 
 from __future__ import annotations
@@ -37,11 +29,7 @@ from __future__ import annotations
 # clock on purpose and never runs under the kernel.
 
 import gc
-import json
-import os
 import time
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 # ----------------------------------------------------------------------
@@ -56,19 +44,6 @@ def once(fn):
         return fn()
     finally:
         gc.enable()
-
-
-def best_of(repeats: int, fn):
-    """Run ``fn`` ``repeats`` times; return its stats at the best wall time.
-
-    ``fn`` must return a dict with a ``wall_s`` key.
-    """
-    best = None
-    for _ in range(repeats):
-        stats = once(fn)
-        if best is None or stats["wall_s"] < best["wall_s"]:
-            best = stats
-    return best
 
 
 def median(values: list) -> float:
@@ -111,32 +86,24 @@ def paired_ratio(rounds: list, arm: str, base: str) -> float:
     return median([walls[arm] / walls[base] for walls in rounds])
 
 
-def load_trajectory(path: str):
-    """Load a pinned BENCH_*.json trajectory, or None if absent."""
-    if not os.path.exists(path):
-        return None
-    with open(path) as handle:
-        return json.load(handle)
-
-
 # ----------------------------------------------------------------------
-# the shared P0 workload shapes
+# the shared workload shapes
 # ----------------------------------------------------------------------
 OBS_OFF = {"observability": {"tracing": False, "metrics": False}}
 
 
-def bench_kernel_swarm(n_tasks: int, n_steps: int, backend: str | None = None) -> dict:
-    """The P0 kernel workload: a swarm of sleeping tasks driven by
+def bench_kernel_swarm(n_tasks: int, n_steps: int) -> dict:
+    """The kernel workload: a swarm of sleeping tasks driven by
     ``run(until_tasks=...)`` plus a same-timestamp timer fan.
 
     This is the shape every Margo deployment produces: many live tasks
     (xstreams, progress loops, drivers) with the kernel asked to detect
     completion of a subset, and bursts of timers landing on identical
-    deadlines (the wheel's bucket-drain fast path).
+    deadlines (the bucket-drain fast path).
     """
     from repro.sim.kernel import SimKernel, Sleep
 
-    kernel = SimKernel(backend)
+    kernel = SimKernel()
 
     def worker(i: int):
         for step in range(n_steps):
@@ -166,7 +133,7 @@ def bench_kernel_swarm(n_tasks: int, n_steps: int, backend: str | None = None) -
 
 
 def bench_rpc_echo(n_rpcs: int, config: dict, health: bool = False) -> dict:
-    """The P0 RPC workload: end-to-end echo RPCs through ``forward()``
+    """The RPC workload: end-to-end echo RPCs through ``forward()``
     -> progress loop -> handler ULT -> response, with the chosen
     observer mix."""
     from repro import Cluster

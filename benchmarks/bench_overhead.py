@@ -1,0 +1,263 @@
+"""Overhead gates: what each optional layer costs the hot paths.
+
+Every observer and checker in the stack -- the race detector, the health
+plane, the continuous profiler, the xray recorder, tracing + metrics --
+promises to be free when off and affordable at its documented sampled
+setting.  This is the one runner that prices those promises on the two
+workload shapes of ``_harness.py`` (kernel sleep-swarm, echo RPC).
+
+``ROWS`` is the whole specification: each row compares a *test* arm
+against a *base* arm of the same group, and a group's arms run
+interleaved in palindrome-ordered paired rounds (``_harness.run_rounds``)
+so machine drift cancels within a round.  A row's statistic is
+
+* ``overhead`` -- ``1 - 1/r`` for ``r`` the median per-round wall ratio
+  test/base; gated rows fail at ``>= bound``;
+* ``ratio`` -- ``r`` itself; fails at ``> bound``;
+* ``ratio_and_best`` -- ``r`` and the ratio of the two arms' best walls;
+  fails only when *both* exceed the bound (a real leak taxes every
+  sample, noise on a shared runner rarely inflates both);
+
+and a bound of ``None`` makes the row informational.  Groups are kept
+small on purpose: the further apart two paired runs sit inside a round,
+the more drift reads as phantom overhead, so each xray gate has its own
+two-arm group.
+
+Usage::
+
+    PYTHONPATH=src python benchmarks/bench_overhead.py          # gates; exit 1 on a failed one
+    PYTHONPATH=src python benchmarks/bench_overhead.py --smoke  # tiny sizes, deterministic facts only
+
+The default run writes ``benchmarks/results/OVERHEAD.json`` (every
+round's walls, each arm's median and quartiles, every row).  ``--smoke``
+runs the identical code at tiny sizes, writes nothing, and checks only
+the facts that do not depend on the host clock (``check_facts``).
+"""
+
+from __future__ import annotations
+
+# mochi-lint: disable-file=MCH001 -- this runner measures real wall-clock
+# throughput of the simulator itself; it never runs under the kernel.
+
+import os
+import statistics
+import sys
+
+sys.path.insert(0, os.path.dirname(__file__))
+
+from _harness import (  # noqa: E402
+    OBS_OFF,
+    bench_kernel_swarm,
+    bench_rpc_echo,
+    paired_ratio,
+    run_rounds,
+)
+from common import print_table, save_results  # noqa: E402
+
+from repro.analysis.race import hooks  # noqa: E402
+
+#: Sampling period that only ever stamps request 1: the pure skip path.
+NEVER = 1 << 30
+
+
+def _profiled(**extra) -> dict:
+    knobs = {"tracing": False, "metrics": False, "profiling": True, "profile_window": 1e-2}
+    return {"observability": dict(knobs, **extra)}
+
+
+def _rpc(config: dict, **kwargs):
+    return lambda size: bench_rpc_echo(size["n_rpcs"], config, **kwargs)
+
+
+def _swarm(size: dict) -> dict:
+    return bench_kernel_swarm(size["n_tasks"], size["n_steps"])
+
+
+def _race_on(arm):
+    """``arm`` with the race detector enabled at its default sampling."""
+
+    def run(size):
+        hooks.enable()
+        try:
+            return arm(size)
+        finally:
+            hooks.disable()
+            hooks.reset()
+
+    return run
+
+
+def _race_cycled(arm):
+    """``arm`` after enabling and disabling the detector: prices the
+    restored path, not the detector."""
+
+    def run(size):
+        hooks.enable()
+        hooks.disable()
+        hooks.reset()
+        return arm(size)
+
+    return run
+
+
+ARMS = {
+    "kernel": _swarm,
+    "kernel_race_on": _race_on(_swarm),
+    "rpc_off": _rpc(OBS_OFF),
+    "rpc_race_on": _race_on(_rpc(OBS_OFF)),
+    "rpc_race_cycled": _race_cycled(_rpc(OBS_OFF)),
+    # Every observability knob present and false.
+    "rpc_explicit_off": _rpc(
+        {"observability": {"tracing": False, "metrics": False, "profiling": False}}
+    ),
+    "rpc_health_on": _rpc(OBS_OFF, health=True),
+    "rpc_traced": _rpc({"observability": {"tracing": True, "metrics": True}}),
+    "rpc_profiled_full": _rpc(_profiled()),
+    # A window short enough to rotate many times during the run.
+    "rpc_profiled_rotating": _rpc(_profiled(profile_window=1e-4)),
+    # The documented always-on setting: decompose every 64th request.
+    "rpc_profiled_sampled": _rpc(_profiled(profile_sample_every=64)),
+    "rpc_profiled_unsampled": _rpc(_profiled(profile_sample_every=NEVER)),
+    "rpc_xray_unsampled": _rpc(_profiled(profile_sample_every=NEVER, xray=True)),
+    "rpc_xray_sampled": _rpc(_profiled(profile_sample_every=64, xray=True)),
+    "rpc_xray_full": _rpc(_profiled(xray=True)),
+}
+
+#: (group, base arm, test arm, statistic, bound or None = informational)
+ROWS = [
+    ("race", "kernel", "kernel_race_on", "overhead", 0.10),
+    ("race", "rpc_off", "rpc_race_on", "overhead", 0.10),
+    ("offpath", "rpc_off", "rpc_race_cycled", "ratio_and_best", 1.02),
+    ("offpath", "rpc_off", "rpc_explicit_off", "ratio_and_best", 1.02),
+    ("health", "rpc_off", "rpc_health_on", "ratio", 1.02),
+    ("health", "rpc_off", "rpc_profiled_sampled", "overhead", 0.10),
+    ("health", "rpc_off", "rpc_profiled_full", "overhead", None),
+    ("xray_offpath", "rpc_profiled_unsampled", "rpc_xray_unsampled", "ratio", 1.02),
+    ("xray_sampled", "rpc_off", "rpc_xray_sampled", "overhead", 0.10),
+    ("xray_full", "rpc_off", "rpc_xray_full", "overhead", None),
+    ("observers_on", "rpc_off", "rpc_profiled_rotating", "overhead", None),
+    ("observers_on", "rpc_off", "rpc_traced", "overhead", None),
+]
+
+#: Rounds and workload sizes per group.  Health rounds are longer (a
+#: round must be long enough for transient noise to hit both arms of a
+#: pair); the xray pairs take more rounds for their medians to settle.
+SIZES = {
+    "race": dict(repeats=6, n_tasks=300, n_steps=50, n_rpcs=2500),
+    "offpath": dict(repeats=6, n_rpcs=2500),
+    "health": dict(repeats=6, n_rpcs=5000),
+    "xray_offpath": dict(repeats=20, n_rpcs=2500),
+    "xray_sampled": dict(repeats=20, n_rpcs=2500),
+    "xray_full": dict(repeats=3, n_rpcs=2500),
+    "observers_on": dict(repeats=6, n_rpcs=2500),
+}
+SMOKE = dict(repeats=1, n_tasks=40, n_steps=10, n_rpcs=60)
+
+#: Test arms that must leave simulated time exactly where the base arm
+#: leaves it; every other test arm models observation as cost and must
+#: move it forward.
+SAME_SIM_TIME = {
+    "kernel_race_on", "rpc_race_on", "rpc_race_cycled", "rpc_explicit_off", "rpc_health_on",
+}
+
+
+def run_groups(smoke: bool) -> dict:
+    """Run every group's arms; per group: sizes, per-round walls, and
+    each arm's best stats with the median and quartiles of its walls."""
+    groups = {}
+    for group, size in SIZES.items():
+        size = SMOKE if smoke else size
+        names = list(dict.fromkeys(arm for row in ROWS if row[0] == group for arm in row[1:3]))
+        best, rounds = run_rounds(
+            size["repeats"], {name: (lambda arm=ARMS[name]: arm(size)) for name in names}
+        )
+        for name in names:
+            walls = [walls[name] for walls in rounds]
+            q1, q2, q3 = (
+                statistics.quantiles(walls, n=4, method="inclusive")
+                if len(walls) > 1
+                else walls * 3
+            )
+            best[name].update(median_s=q2, q1_s=q1, q3_s=q3)
+        groups[group] = {"sizes": dict(size), "rounds": rounds, "arms": best}
+    return groups
+
+
+def compare(groups: dict) -> list[dict]:
+    """One output row per ``ROWS`` entry, with its verdict."""
+    out = []
+    for group, base, test, statistic, bound in ROWS:
+        arms, rounds = groups[group]["arms"], groups[group]["rounds"]
+        ratio = paired_ratio(rounds, test, base)
+        best_wall = arms[test]["wall_s"] / arms[base]["wall_s"]
+        if statistic == "overhead":
+            value = 1.0 - 1.0 / ratio
+            failed = bound is not None and value >= bound
+        else:
+            value = ratio
+            failed = bound is not None and ratio > bound
+            if statistic == "ratio_and_best":
+                failed = failed and best_wall > bound
+        verdict = "info" if bound is None else "FAIL" if failed else "pass"
+        out.append(
+            dict(group=group, base=base, test=test, statistic=statistic, value=value,
+                 best_wall_ratio=best_wall, bound=bound, verdict=verdict)
+        )
+    return out
+
+
+def check_facts(groups: dict) -> None:
+    """What must hold at any size on any machine."""
+    for group, base, test, _statistic, _bound in ROWS:
+        arms = groups[group]["arms"]
+        b, t = arms[base], arms[test]
+        count = "events" if "events" in b else "rpcs"
+        assert b[count] == t[count] > 0, (test, b[count], t[count])
+        if count == "rpcs":
+            assert b["rpcs"] == groups[group]["sizes"]["n_rpcs"]
+        if test in SAME_SIM_TIME:
+            assert t["sim_time"] == b["sim_time"], (test, t["sim_time"], b["sim_time"])
+        else:
+            assert t["sim_time"] > b["sim_time"], (test, t["sim_time"], b["sim_time"])
+    arms = {name: stats for group in groups.values() for name, stats in group["arms"].items()}
+    # The plane really attached, and stayed silent on a healthy run.
+    assert arms["rpc_health_on"]["health"] and arms["rpc_health_on"]["recorder_events"] == 0
+    # Profiled arms really profiled: windows closed, waterfalls kept
+    # (the ring holds 32; only request 1 when nothing else is stamped).
+    assert arms["rpc_profiled_rotating"]["windows_closed"] > 0
+    assert arms["rpc_profiled_full"]["waterfalls"] == 32
+    assert 0 < arms["rpc_profiled_sampled"]["waterfalls"] <= 32
+    assert arms["rpc_profiled_unsampled"]["waterfalls"] == 1
+    # Sampling really gated the recorder: one path when only request 1
+    # is stamped, fewer sampled than full; the profiler-only arm grows no
+    # plane at all.
+    assert "xray_paths" not in arms["rpc_profiled_unsampled"]
+    assert arms["rpc_xray_unsampled"]["xray_paths"] == 1
+    assert 0 < arms["rpc_xray_sampled"]["xray_paths"] < arms["rpc_xray_full"]["xray_paths"]
+
+
+def main(argv: list[str]) -> int:
+    smoke = "--smoke" in argv
+    groups = run_groups(smoke)
+    rows = compare(groups)
+    check_facts(groups)
+    print_table("overhead gates" + (" (smoke: values are noise)" if smoke else ""), rows)
+    if smoke:
+        print("overhead smoke OK")
+        return 0
+    failures = [row for row in rows if row["verdict"] == "FAIL"]
+    save_results("OVERHEAD", {"groups": groups, "rows": rows, "passed": not failures})
+    for row in failures:
+        print(
+            f"GATE FAILED: {row['group']}: {row['test']} vs {row['base']} "
+            f"{row['statistic']} {row['value']:.4f} against {row['bound']}"
+        )
+    return 1 if failures else 0
+
+
+def test_overhead_smoke():
+    assert main(["--smoke"]) == 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -144,58 +144,6 @@ class Registration:
     pool: Pool
 
 
-class _MonitorList(list):
-    """Monitor list that notifies its owning :class:`MargoInstance` on
-    every mutation -- including direct ``append`` and in-place index
-    assignment -- so the per-hook cache and the sampling-skip flag never
-    go stale, and the emit fast path needs only an integer compare."""
-
-    def __init__(self, owner: "MargoInstance", iterable: Iterable[Any] = ()) -> None:
-        super().__init__(iterable)
-        self._owner = owner
-
-    def _touch(self) -> None:
-        self._owner._monitors_changed()
-
-    def append(self, item: Any) -> None:
-        super().append(item)
-        self._touch()
-
-    def extend(self, items: Iterable[Any]) -> None:
-        super().extend(items)
-        self._touch()
-
-    def insert(self, index: int, item: Any) -> None:
-        super().insert(index, item)
-        self._touch()
-
-    def remove(self, item: Any) -> None:
-        super().remove(item)
-        self._touch()
-
-    def pop(self, index: int = -1) -> Any:
-        item = super().pop(index)
-        self._touch()
-        return item
-
-    def clear(self) -> None:
-        super().clear()
-        self._touch()
-
-    def __setitem__(self, index: Any, item: Any) -> None:
-        super().__setitem__(index, item)
-        self._touch()
-
-    def __delitem__(self, index: Any) -> None:
-        super().__delitem__(index)
-        self._touch()
-
-    def __iadd__(self, items: Iterable[Any]) -> "_MonitorList":
-        super().extend(items)
-        self._touch()
-        return self
-
-
 class MargoInstance:
     """The per-process runtime shared by all Mochi components."""
 
@@ -216,23 +164,15 @@ class MargoInstance:
             self.config = MargoConfig.from_json(config)
         self.default_rpc_timeout = default_rpc_timeout
         self._finalized = False
-        # Per-hook monitor-method cache (the RPC fast path): with no
-        # monitors attached, emit sites skip kwargs construction and
-        # monitor iteration entirely; with monitors, each hook resolves
-        # its bound methods once instead of getattr-ing per event.  Any
-        # mutation of ``self.monitors`` (the _MonitorList notifies back)
-        # bumps the version, so the hot path invalidation check is a
-        # single integer compare instead of an identity-tuple rebuild.
-        self._hook_cache: dict[str, tuple[Callable[..., None], ...]] = {}
-        self._hook_cache_key: Optional[int] = None
-        self._monitors_version = 0
-        # True when every attached monitor declares
-        # ``respects_profile_sampling``: request-scoped hooks may then be
-        # skipped wholesale for sampled-out requests (the RPC paths
-        # fold this into their per-request ``observed`` decision).
-        self._skip_unsampled = False
-        self.monitors: list[Any] = _MonitorList(self, monitors)
-        self._monitors_changed()
+        # ``monitors`` is an immutable tuple: ``add_monitor`` and
+        # ``remove_monitor`` are the only way to change it, and each
+        # rebuilds the two things the RPC fast path reads -- the
+        # hook name -> bound methods table (with no monitors attached,
+        # emit sites skip kwargs construction and iteration entirely)
+        # and ``_skip_unsampled``, true when every attached monitor
+        # declares ``respects_profile_sampling`` so request-scoped hooks
+        # may be skipped wholesale for sampled-out requests.
+        self._set_monitors(tuple(monitors))
 
         self.pools: dict[str, Pool] = {}
         self.xstreams: dict[str, XStream] = {}
@@ -354,44 +294,31 @@ class MargoInstance:
     # ------------------------------------------------------------------
     def add_monitor(self, monitor: Any) -> None:
         """Attach a monitoring object (see :mod:`repro.monitoring`)."""
-        self.monitors.append(monitor)
+        self._set_monitors(self.monitors + (monitor,))
 
     def remove_monitor(self, monitor: Any) -> None:
-        self.monitors.remove(monitor)
+        kept = list(self.monitors)
+        kept.remove(monitor)
+        self._set_monitors(tuple(kept))
 
-    def _monitors_changed(self) -> None:
-        """Called by the _MonitorList on every mutation (append, remove,
-        in-place replacement, ...): invalidates the hook cache and
-        recomputes whether sampled-out requests may skip dispatch."""
-        self._monitors_version += 1
+    def _set_monitors(self, monitors: tuple[Any, ...]) -> None:
+        self.monitors = monitors
         self._skip_unsampled = all(
-            getattr(m, "respects_profile_sampling", False) for m in self.monitors
+            getattr(m, "respects_profile_sampling", False) for m in monitors
         )
-
-    def _hook_fns(self, hook: str) -> tuple[Callable[..., None], ...]:
-        """The bound hook methods of all attached monitors (cached).
-
-        Every mutation of ``self.monitors`` -- via add/remove_monitor or
-        direct list mutation, including same-length in-place replacement
-        -- bumps ``_monitors_version`` through the _MonitorList, so a
-        plain integer compare detects staleness.  An identity-tuple key
-        here would rebuild a tuple per RPC event -- measurably hot with
-        a profiler attached.
-        """
-        monitors = self.monitors
-        key = self._monitors_version
-        if key != self._hook_cache_key:
-            self._hook_cache.clear()
-            self._hook_cache_key = key
-        fns = self._hook_cache.get(hook)
-        if fns is None:
-            fns = tuple(
+        names = {name for m in monitors for name in dir(m) if name.startswith("on_")}
+        self._hooks: dict[str, tuple[Callable[..., None], ...]] = {
+            name: tuple(
                 fn
-                for fn in (getattr(m, hook, None) for m in monitors)
+                for fn in (getattr(m, name, None) for m in monitors)
                 if fn is not None
             )
-            self._hook_cache[hook] = fns
-        return fns
+            for name in names
+        }
+
+    def _hook_fns(self, hook: str) -> tuple[Callable[..., None], ...]:
+        """The bound ``hook`` methods of the attached monitors."""
+        return self._hooks.get(hook, ())
 
     def _emit(self, hook: str, **kwargs: Any) -> int:
         """Fire ``hook`` on every monitor; return the number fired (the

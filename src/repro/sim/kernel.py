@@ -16,17 +16,18 @@ This module is the hottest code in the repository -- every RPC, ULT
 slice, and timer in every component turns into events here -- so the
 implementation favors the wall-clock fast path:
 
-* the default event structure is a **calendar queue / bucketed timer
-  wheel** (P1): a dict keyed by exact deadline maps to a flat
+* the event structure is a **calendar queue / bucketed timer wheel**:
+  a dict keyed by exact deadline maps to a flat
   ``[callback, arg, callback, arg, ...]`` slot list, a small min-heap
   orders only the *distinct* deadlines, and deadlines beyond the wheel
   horizon overflow to a far-list that migrates in bulk when the wheel
-  drains toward it.  Timestamps cluster at batch boundaries (the P0
-  same-timestamp batch drain proved it), so pushing into an existing
-  bucket is O(1) -- two list appends -- and the heap is touched once per
-  distinct time, not once per event.  Within a bucket, FIFO append
-  order *is* ``seq`` order, so the schedule is bit-identical to the
-  binary-heap backend (kept as ``SIM_KERNEL=heap``);
+  drains toward it.  Timestamps cluster at batch boundaries, so pushing
+  into an existing bucket is O(1) -- two list appends -- and the heap is
+  touched once per distinct time, not once per event.  Within a bucket,
+  FIFO append order *is* ``seq`` order, so the schedule is the one a
+  plain binary heap over ``(deadline, seq)`` produces
+  (``tests/reference_kernel.py`` is that heap, and a differential
+  property test holds the wheel to it);
 * :meth:`SimKernel.post` is the no-handle fast path used by the task
   resume machinery: no :class:`Timer` object, no tuple, no closure --
   the callback and its argument go straight into the flat slot list
@@ -40,9 +41,8 @@ implementation favors the wall-clock fast path:
   every event;
 * cancelled timers are compacted out once they outnumber half the queue,
   so mass cancellation (e.g. per-RPC timeout timers) cannot hold memory
-  hostage.  Compaction preserves each entry's position in its bucket
-  (wheel) or its ``(deadline, seq)`` key (heap), so event order is
-  bit-identical with or without it.
+  hostage.  Compaction preserves each entry's position in its bucket,
+  so event order is bit-identical with or without it.
 
 See DESIGN.md §9 for the wheel layout and the determinism argument.
 """
@@ -50,7 +50,6 @@ See DESIGN.md §9 for the wheel layout and the determinism argument.
 from __future__ import annotations
 
 import heapq
-import os
 from collections.abc import Generator
 from dataclasses import dataclass
 from operator import itemgetter
@@ -66,7 +65,6 @@ __all__ = [
     "SimEvent",
     "SimulationError",
     "DeadlockError",
-    "KERNEL_BACKENDS",
 ]
 
 
@@ -137,8 +135,6 @@ _RESIZE_MIN_MOVED = 8
 
 #: Recycled bucket lists kept for reuse (steady state: zero list churn).
 _FREELIST_MAX = 64
-
-KERNEL_BACKENDS = ("wheel", "heap")
 
 _far_deadline = itemgetter(0)
 
@@ -401,23 +397,9 @@ class SimKernel:
         task = kernel.spawn(my_generator(), name="driver")
         kernel.run()
         assert task.finished
-
-    ``backend`` selects the event structure: ``"wheel"`` (default, the
-    P1 calendar queue) or ``"heap"`` (the P0 binary heap, kept as a
-    cross-check -- both produce bit-identical schedules).  The default
-    can also be set process-wide with the ``SIM_KERNEL`` environment
-    variable.
     """
 
-    def __init__(self, backend: Optional[str] = None) -> None:
-        if backend is None:
-            backend = os.environ.get("SIM_KERNEL", "wheel").strip() or "wheel"
-        if backend not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"unknown kernel backend {backend!r} (expected one of {KERNEL_BACKENDS})"
-            )
-        self.backend = backend
-        self._wheel = backend == "wheel"
+    def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
         self._live_tasks: set[Task] = set()
@@ -429,26 +411,21 @@ class SimKernel:
         #: tasks remove themselves on finish, making completion detection
         #: O(1) per event instead of a scan over all targets.
         self._watch: Optional[set[Task]] = None
-        if self._wheel:
-            #: deadline -> flat ``[obj, tag, obj, tag, ...]`` slot list.
-            #: ``tag`` is ``_IS_TIMER`` (obj is a Timer), ``_NO_ARG``
-            #: (call ``obj()``) or the argument (call ``obj(tag)``).
-            self._buckets: dict[float, list] = {}
-            #: Min-heap of the *distinct* deadlines present in _buckets.
-            self._dl_heap: list[float] = []
-            #: Overflow entries past the horizon: (deadline, obj, tag).
-            self._far: list[tuple] = []
-            self._span = _WHEEL_SPAN
-            self._horizon = _WHEEL_SPAN
-            #: Proactive-migration trigger (horizon minus half a span).
-            self._mig_at = _WHEEL_SPAN * 0.5
-            #: Live + cancelled entries across buckets and far-list.
-            self._n_queued = 0
-            self._free: list[list] = []
-        else:
-            #: (deadline, seq, obj, tag) entries; seq breaks all ties, so
-            #: comparison never reaches the payload slots.
-            self._queue: list[tuple] = []
+        #: deadline -> flat ``[obj, tag, obj, tag, ...]`` slot list.
+        #: ``tag`` is ``_IS_TIMER`` (obj is a Timer), ``_NO_ARG``
+        #: (call ``obj()``) or the argument (call ``obj(tag)``).
+        self._buckets: dict[float, list] = {}
+        #: Min-heap of the *distinct* deadlines present in _buckets.
+        self._dl_heap: list[float] = []
+        #: Overflow entries past the horizon: (deadline, obj, tag).
+        self._far: list[tuple] = []
+        self._span = _WHEEL_SPAN
+        self._horizon = _WHEEL_SPAN
+        #: Proactive-migration trigger (horizon minus half a span).
+        self._mig_at = _WHEEL_SPAN * 0.5
+        #: Live + cancelled entries across buckets and far-list.
+        self._n_queued = 0
+        self._free: list[list] = []
 
     # ------------------------------------------------------------------
     # time and scheduling
@@ -464,29 +441,38 @@ class SimKernel:
         seconds, with no cancellation handle.
 
         This is the fast path the task/ULT resume machinery uses: it
-        allocates no :class:`Timer`, no tuple (wheel backend), and no
-        closure -- the callback and argument go straight into the flat
-        slot list of the deadline's bucket.
+        allocates no :class:`Timer`, no tuple, and no closure -- the
+        callback and argument go straight into the flat slot list of the
+        deadline's bucket (``_insert``, inlined).
         """
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
         deadline = self._now + delay
         self._seq += 1
-        if self._wheel:
-            if deadline < self._horizon:
-                bucket = self._buckets.get(deadline)
-                if bucket is None:
-                    free = self._free
-                    bucket = free.pop() if free else []
-                    self._buckets[deadline] = bucket
-                    heapq.heappush(self._dl_heap, deadline)
-                bucket.append(fn)
-                bucket.append(arg)
-            else:
-                self._far.append((deadline, fn, arg))
-            self._n_queued += 1
+        if deadline < self._horizon:
+            bucket = self._buckets.get(deadline)
+            if bucket is None:
+                free = self._free
+                bucket = free.pop() if free else []
+                self._buckets[deadline] = bucket
+                heapq.heappush(self._dl_heap, deadline)
+            bucket.append(fn)
+            bucket.append(arg)
         else:
-            heapq.heappush(self._queue, (deadline, self._seq, fn, arg))
+            self._far.append((deadline, fn, arg))
+        self._n_queued += 1
+
+    def _insert(self, deadline: float, obj: Any, tag: Any) -> None:
+        """Append one ``(obj, tag)`` slot pair to ``deadline``'s bucket
+        (callers have checked ``deadline < self._horizon``)."""
+        bucket = self._buckets.get(deadline)
+        if bucket is None:
+            free = self._free
+            bucket = free.pop() if free else []
+            self._buckets[deadline] = bucket
+            heapq.heappush(self._dl_heap, deadline)
+        bucket.append(obj)
+        bucket.append(tag)
 
     # mochi-lint: hotpath
     def schedule(self, delay: float, fn: Callable[..., None], arg: Any = _NO_ARG) -> Timer:
@@ -494,25 +480,7 @@ class SimKernel:
         ``delay`` simulated seconds; return a cancellable handle."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        timer = Timer(self._now + delay, fn, arg, self)
-        self._seq += 1
-        if self._wheel:
-            deadline = timer.deadline
-            if deadline < self._horizon:
-                bucket = self._buckets.get(deadline)
-                if bucket is None:
-                    free = self._free
-                    bucket = free.pop() if free else []
-                    self._buckets[deadline] = bucket
-                    heapq.heappush(self._dl_heap, deadline)
-                bucket.append(timer)
-                bucket.append(_IS_TIMER)
-            else:
-                self._far.append((deadline, timer, _IS_TIMER))
-            self._n_queued += 1
-        else:
-            heapq.heappush(self._queue, (timer.deadline, self._seq, timer, _IS_TIMER))
-        return timer
+        return self._schedule_timer(self._now + delay, fn, arg)
 
     def schedule_at(self, deadline: float, fn: Callable[..., None], arg: Any = _NO_ARG) -> Timer:
         """Run ``fn()`` -- or ``fn(arg)`` if ``arg`` is given -- at the
@@ -527,23 +495,16 @@ class SimKernel:
             raise ValueError(
                 f"deadline {deadline} is in the past (now={self._now})"
             )
+        return self._schedule_timer(deadline, fn, arg)
+
+    def _schedule_timer(self, deadline: float, fn: Callable[..., None], arg: Any) -> Timer:
         timer = Timer(deadline, fn, arg, self)
         self._seq += 1
-        if self._wheel:
-            if deadline < self._horizon:
-                bucket = self._buckets.get(deadline)
-                if bucket is None:
-                    free = self._free
-                    bucket = free.pop() if free else []
-                    self._buckets[deadline] = bucket
-                    heapq.heappush(self._dl_heap, deadline)
-                bucket.append(timer)
-                bucket.append(_IS_TIMER)
-            else:
-                self._far.append((deadline, timer, _IS_TIMER))
-            self._n_queued += 1
+        if deadline < self._horizon:
+            self._insert(deadline, timer, _IS_TIMER)
         else:
-            heapq.heappush(self._queue, (timer.deadline, self._seq, timer, _IS_TIMER))
+            self._far.append((deadline, timer, _IS_TIMER))
+        self._n_queued += 1
         return timer
 
     def event(self, name: str = "") -> SimEvent:
@@ -551,15 +512,10 @@ class SimKernel:
         return SimEvent(self, name=name)
 
     def queued(self) -> int:
-        """Entries currently pending (live + not-yet-compacted cancelled).
-
-        Backend-agnostic: tests and monitoring must not reach into the
-        heap list or the wheel buckets directly.
-        """
-        if self._wheel:
-            n = self._n_queued
-            return n if n > 0 else 0
-        return len(self._queue)
+        """Entries currently pending (live + not-yet-compacted cancelled);
+        tests and monitoring read this, not the buckets."""
+        n = self._n_queued
+        return n if n > 0 else 0
 
     # ------------------------------------------------------------------
     # cancelled-timer bookkeeping
@@ -573,53 +529,45 @@ class SimKernel:
     def _compact(self) -> None:
         """Drop cancelled entries and rebuild in place.
 
-        Entries keep their relative order -- bucket FIFO position on the
-        wheel, ``(deadline, seq)`` keys on the heap -- so the schedule of
-        live timers is bit-identical with or without compaction.
+        Entries keep their bucket FIFO position, so the schedule of live
+        timers is bit-identical with or without compaction.
 
         A batch currently being drained by ``run()`` is detached from the
         bucket dict, so compaction never touches it; its remaining
         cancelled entries are simply discounted as the drain reaches them
         (the count decrements clamp at zero for exactly this overlap).
         """
-        if self._wheel:
-            buckets = self._buckets
-            remaining = 0
-            for deadline in list(buckets):
-                bucket = buckets[deadline]
-                out = []
-                i = 0
-                n = len(bucket)
-                while i < n:
-                    obj = bucket[i]
-                    tag = bucket[i + 1]
-                    if tag is _IS_TIMER and obj._cancelled:
-                        i += 2
-                        continue
-                    out.append(obj)
-                    out.append(tag)
+        buckets = self._buckets
+        remaining = 0
+        for deadline in list(buckets):
+            bucket = buckets[deadline]
+            out = []
+            i = 0
+            n = len(bucket)
+            while i < n:
+                obj = bucket[i]
+                tag = bucket[i + 1]
+                if tag is _IS_TIMER and obj._cancelled:
                     i += 2
-                if out:
-                    buckets[deadline] = out
-                    remaining += len(out) // 2
-                else:
-                    # Stale deadlines linger in the heap; the run loop
-                    # skips them when the bucket lookup misses.
-                    del buckets[deadline]
-                self._recycle(bucket)
-            far = self._far
-            if far:
-                far[:] = [
-                    e for e in far if not (e[2] is _IS_TIMER and e[1]._cancelled)
-                ]
-                remaining += len(far)
-            self._n_queued = remaining
-        else:
-            queue = self._queue
-            queue[:] = [
-                e for e in queue if not (e[3] is _IS_TIMER and e[2]._cancelled)
+                    continue
+                out.append(obj)
+                out.append(tag)
+                i += 2
+            if out:
+                buckets[deadline] = out
+                remaining += len(out) // 2
+            else:
+                # Stale deadlines linger in the heap; the run loop
+                # skips them when the bucket lookup misses.
+                del buckets[deadline]
+            self._recycle(bucket)
+        far = self._far
+        if far:
+            far[:] = [
+                e for e in far if not (e[2] is _IS_TIMER and e[1]._cancelled)
             ]
-            heapq.heapify(queue)
+            remaining += len(far)
+        self._n_queued = remaining
         self._cancelled_count = 0
 
     def _recycle(self, bucket: list) -> None:
@@ -649,21 +597,12 @@ class SimKernel:
             new_horizon = self._now + span
         else:
             new_horizon = far[0][0] + span
-        buckets = self._buckets
-        dl_heap = self._dl_heap
-        free = self._free
+        insert = self._insert
         moved = 0
         for entry in far:
             if entry[0] >= new_horizon:
                 break
-            deadline = entry[0]
-            bucket = buckets.get(deadline)
-            if bucket is None:
-                bucket = free.pop() if free else []
-                buckets[deadline] = bucket
-                heapq.heappush(dl_heap, deadline)
-            bucket.append(entry[1])
-            bucket.append(entry[2])
+            insert(*entry)
             moved += 1
         del far[:moved]
         self._horizon = new_horizon
@@ -722,11 +661,7 @@ class SimKernel:
                 self._raise_task_failures()
             if watch is not None and not watch:
                 return
-            if self._wheel:
-                stopped = self._run_wheel(until, watch, max_events, failures)
-            else:
-                stopped = self._run_heap(until, watch, max_events, failures)
-            if stopped:
+            if self._run_wheel(until, watch, max_events, failures):
                 return
             if failures:
                 self._raise_task_failures()
@@ -739,7 +674,7 @@ class SimKernel:
             # to it (idle simulated time passes like any other).
             if until is not None and until > self._now:
                 self._now = until
-                if self._wheel and until >= self._mig_at:
+                if until >= self._mig_at:
                     self._advance_horizon()
         finally:
             self._running = False
@@ -754,8 +689,8 @@ class SimKernel:
         max_events: int,
         failures: list[Task],
     ) -> bool:
-        """Wheel-backend event loop; True means an early stop (``until``
-        reached or every watched task finished)."""
+        """The event loop; True means an early stop (``until`` reached
+        or every watched task finished)."""
         buckets = self._buckets
         dl_heap = self._dl_heap
         far = self._far
@@ -808,7 +743,7 @@ class SimKernel:
             # Detach the bucket and drain it: new same-timestamp events
             # always carry a higher seq, land in a *fresh* bucket for
             # this deadline, and are drained by the next outer-loop turn
-            # -- exactly the heap's in-batch pickup order.
+            # -- ``(deadline, seq)`` order.
             heappop(dl_heap)
             del buckets[deadline]
             self._n_queued -= n // 2
@@ -851,8 +786,7 @@ class SimKernel:
                         return True
             except BaseException:
                 # A callback (or a surfaced task failure) threw mid-batch:
-                # the undrained tail must survive for the next run(), just
-                # as it would have stayed in the binary heap.
+                # the undrained tail must survive for the next run().
                 self._recycle_partial(bucket, i, n)
                 raise
             # _recycle, inlined: on the RPC path, nearly once per event.
@@ -882,79 +816,6 @@ class SimKernel:
             self._recycle(existing)
         self._n_queued += (n - i) // 2
 
-    def _run_heap(
-        self,
-        until: Optional[float],
-        watch: Optional[set[Task]],
-        max_events: int,
-        failures: list[Task],
-    ) -> bool:
-        """Heap-backend event loop (``SIM_KERNEL=heap`` cross-check)."""
-        queue = self._queue
-        heappop = heapq.heappop
-        no_arg = _NO_ARG
-        is_timer = _IS_TIMER
-        processed = 0
-        while queue:
-            # Drop cancelled timers at the top without advancing the
-            # clock: a deadline with no live timer never becomes now.
-            while queue:
-                top = queue[0]
-                if top[3] is is_timer and top[2]._cancelled:
-                    heappop(queue)
-                    self._cancelled_count -= 1
-                else:
-                    break
-            if not queue:
-                break
-            deadline = queue[0][0]
-            if until is not None and deadline > until:
-                self._now = until
-                return True
-            if deadline < self._now:
-                raise SimulationError("event queue went backwards in time")
-            self._now = deadline
-            # Drain every event at this timestamp in one batch; new
-            # same-timestamp events land behind the current heap top
-            # (higher seq) and are picked up by the same batch.
-            while queue and queue[0][0] == deadline:
-                entry = heappop(queue)
-                obj = entry[2]
-                tag = entry[3]
-                if tag is is_timer:
-                    if obj._cancelled:
-                        self._cancelled_count -= 1
-                        continue
-                    # The timer has left the heap: a late cancel() must
-                    # not count toward the compaction trigger.
-                    obj._kernel = None
-                    arg = obj._arg
-                    if arg is no_arg:
-                        obj._fn()
-                    else:
-                        obj._fn(arg)
-                elif tag is no_arg:
-                    obj()
-                else:
-                    obj(tag)
-                processed += 1
-                if processed > max_events:
-                    # Checked inside the batch loop: a zero-delay
-                    # self-rescheduling callback keeps the same
-                    # deadline forever and would otherwise hang here.
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; likely a runaway loop"
-                    )
-                if failures:
-                    self._raise_task_failures()
-                if watch is not None and not watch:
-                    return True
-        return False
-
-    def run_all(self, **kwargs: Any) -> None:
-        """Alias of :meth:`run` with no stop condition (drain the queue)."""
-        self.run(**kwargs)
-
     def _raise_task_failures(self) -> None:
         """Raise the oldest pending task failure.
 
@@ -980,7 +841,7 @@ class SimKernel:
         raise error
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<SimKernel t={self._now:.9f} queued={self.queued()} backend={self.backend}>"
+        return f"<SimKernel t={self._now:.9f} queued={self.queued()}>"
 
 
 #: The pristine fast-path ``schedule``/``post``, restored when the race

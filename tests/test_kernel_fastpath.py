@@ -6,7 +6,7 @@ These pin the *semantics* that the perf work must not change:
   event-loop turn (symmetric scheduling, deterministic ordering);
 * ``SimKernel.run`` reports every pending task failure, not just the
   first;
-* cancelled-timer heap compaction is invisible: bit-identical event
+* cancelled-timer compaction is invisible: bit-identical event
   order with and without it, and mass cancellation does not grow the
   queue without bound.
 """
@@ -17,21 +17,20 @@ from repro.sim import SimKernel, SimulationError, Sleep, Task, WaitEvent
 from repro.sim import kernel as kernel_mod
 
 
-@pytest.fixture(params=["wheel", "heap"])
-def backend(request):
-    """Every fastpath fixture runs under both event-queue backends; the
-    wheel and the heap must be observationally identical."""
-    return request.param
+@pytest.fixture(params=["wheel"])
+def kernel(request):
+    """A fresh kernel (one id, so these tests keep the names they had
+    beside their retired heap-backend twins)."""
+    return SimKernel()
 
 
 # ----------------------------------------------------------------------
 # WaitEvent timeout/wake symmetry (satellite a)
 # ----------------------------------------------------------------------
-def test_wait_event_timeout_resumes_on_fresh_turn(backend):
+def test_wait_event_timeout_resumes_on_fresh_turn(kernel):
     """A timed-out waiter resumes *after* other callbacks at the same
     deadline, exactly like an event wake would -- not synchronously
     inside the timeout timer's fire."""
-    kernel = SimKernel(backend)
     evt = kernel.event()
     order = []
 
@@ -49,9 +48,8 @@ def test_wait_event_timeout_resumes_on_fresh_turn(backend):
     assert order == ["tick", "resumed"]
 
 
-def test_wait_event_wake_resumes_on_fresh_turn(backend):
+def test_wait_event_wake_resumes_on_fresh_turn(kernel):
     """Mirror of the timeout case: an event wake also defers."""
-    kernel = SimKernel(backend)
     evt = kernel.event()
     order = []
 
@@ -72,10 +70,9 @@ def test_wait_event_wake_resumes_on_fresh_turn(backend):
     assert order == [("set",), ("tick",), ("resumed", "go")]
 
 
-def test_wait_event_timeout_removes_waiter(backend):
+def test_wait_event_timeout_removes_waiter(kernel):
     """After a timeout the waiter is deregistered: a later set() must
     not step the task a second time."""
-    kernel = SimKernel(backend)
     evt = kernel.event()
     resumes = []
 
@@ -94,8 +91,7 @@ def test_wait_event_timeout_removes_waiter(backend):
 # ----------------------------------------------------------------------
 # All pending task failures are reported (satellite b)
 # ----------------------------------------------------------------------
-def test_run_reports_all_pending_task_failures(backend):
-    kernel = SimKernel(backend)
+def test_run_reports_all_pending_task_failures(kernel):
 
     def boom(msg):
         raise ValueError(msg)
@@ -115,8 +111,7 @@ def test_run_reports_all_pending_task_failures(backend):
     kernel.run()
 
 
-def test_single_task_failure_has_no_notes(backend):
-    kernel = SimKernel(backend)
+def test_single_task_failure_has_no_notes(kernel):
 
     def bad():
         yield Sleep(1.0)
@@ -129,11 +124,10 @@ def test_single_task_failure_has_no_notes(backend):
 
 
 # ----------------------------------------------------------------------
-# Timer cancellation + heap compaction (satellite c)
+# Timer cancellation + compaction (satellite c)
 # ----------------------------------------------------------------------
-def _golden_workload(backend="wheel"):
+def _golden_workload(kernel):
     """A seeded mix of sleeps, waits, timers and mass cancellation."""
-    kernel = SimKernel(backend)
     log = []
     evt = kernel.event()
 
@@ -182,25 +176,24 @@ GOLDEN_TRACE = [
 ]
 
 
-def test_golden_trace_event_order_pinned(backend):
-    _, log = _golden_workload(backend)
+def test_golden_trace_event_order_pinned(kernel):
+    _, log = _golden_workload(kernel)
     assert log == GOLDEN_TRACE
 
 
-def test_golden_trace_identical_with_and_without_compaction(monkeypatch, backend):
+def test_golden_trace_identical_with_and_without_compaction(monkeypatch, kernel):
     """Compaction must be bit-invisible: the same workload produces the
     same event order whether the cancelled-timer sweep runs or not."""
     monkeypatch.setattr(kernel_mod, "_COMPACT_MIN_CANCELLED", 1)
-    kernel_on, log_compacting = _golden_workload(backend)
+    kernel_on, log_compacting = _golden_workload(kernel)
     monkeypatch.setattr(kernel_mod, "_COMPACT_MIN_CANCELLED", 10**9)
-    kernel_off, log_plain = _golden_workload(backend)
+    kernel_off, log_plain = _golden_workload(SimKernel())
     assert log_compacting == log_plain == GOLDEN_TRACE
     # The low threshold really did trigger sweeps, the high one didn't.
     assert kernel_on._seq == kernel_off._seq
 
 
-def test_mass_cancelled_timers_do_not_grow_queue_unboundedly(backend):
-    kernel = SimKernel(backend)
+def test_mass_cancelled_timers_do_not_grow_queue_unboundedly(kernel):
     n = 10_000
     timers = [kernel.schedule(100.0 + i, lambda: None) for i in range(n)]
     assert kernel.queued() == n
@@ -213,12 +206,11 @@ def test_mass_cancelled_timers_do_not_grow_queue_unboundedly(backend):
     assert kernel.now == 0.0  # nothing ever fired
 
 
-def test_max_events_catches_same_timestamp_runaway(backend):
+def test_max_events_catches_same_timestamp_runaway(kernel):
     """A zero-delay self-rescheduling callback pins the batch loop to
     one deadline forever; the ``max_events`` guard must fire from
     *inside* that loop (regression: the check once ran only after the
     batch drained, so this workload hung instead of raising)."""
-    kernel = SimKernel(backend)
 
     def reschedule():
         kernel.schedule(0.0, reschedule)
@@ -228,11 +220,10 @@ def test_max_events_catches_same_timestamp_runaway(backend):
         kernel.run(max_events=1_000)
 
 
-def test_cancel_after_fire_does_not_count_toward_compaction(backend):
+def test_cancel_after_fire_does_not_count_toward_compaction(kernel):
     """Cancelling an already-fired timer is a no-op for the compaction
-    trigger: the entry has left the heap, so counting it would only
+    trigger: the entry has left the queue, so counting it would only
     cause needless sweeps."""
-    kernel = SimKernel(backend)
     timers = [kernel.schedule(0.1, lambda: None) for _ in range(10)]
     kernel.run()
     for timer in timers:
@@ -241,8 +232,7 @@ def test_cancel_after_fire_does_not_count_toward_compaction(backend):
     assert kernel._cancelled_count == 0
 
 
-def test_compaction_preserves_live_timers(backend):
-    kernel = SimKernel(backend)
+def test_compaction_preserves_live_timers(kernel):
     fired = []
     live = [kernel.schedule(1.0 + i * 0.001, lambda i=i: fired.append(i)) for i in range(50)]
     dead = [kernel.schedule(50.0, lambda: fired.append("dead")) for _ in range(500)]

@@ -1,72 +1,184 @@
-"""Edge-case tests for the P1 bucketed timer-wheel kernel backend.
+"""Tests for the kernel's bucketed timer wheel.
 
 The wheel (calendar queue with an overflow far-list and lazy span
-resize) must be *observationally identical* to the ``SIM_KERNEL=heap``
-fallback: bit-identical ``(deadline, seq)`` FIFO order under every
-workload shape, including the shapes that exercise wheel-only machinery
--- horizon crossings, far-list migration, span resize, bucket free-list
-reuse, and mass cancellation in both the buckets and the far-list.
+resize) must be *observationally identical* to a plain binary heap over
+``(deadline, seq)``.  ``tests/reference_kernel.py`` is that heap; the
+differential tests below run the same timer program on both and compare
+the ``(now, tag)`` fire sequences, and the edge-case tests after them
+pin the wheel-only machinery -- horizon crossings, far-list migration,
+span resize, bucket free-list reuse, and mass cancellation in both the
+buckets and the far-list.
 """
 
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.sim import SimKernel, SimulationError, Sleep
+from repro.sim import SimKernel, SimulationError
 from repro.sim import kernel as kernel_mod
 
+from .reference_kernel import ReferenceKernel
+
+SPAN = kernel_mod._WHEEL_SPAN
+
 
 # ----------------------------------------------------------------------
-# cross-backend golden equality
+# the wheel against the reference heap
 # ----------------------------------------------------------------------
-def _mixed_workload(backend, seed=1234):
-    """A seeded storm of near, far, same-deadline, and cancelled timers."""
+class Boom(Exception):
+    """Raised by a program's own callbacks, mid-batch."""
+
+
+def run_program(kernel, phases):
+    """Interpret a timer program; return its fire log and final clock.
+
+    A program is a list of phases ``(ops, until)``: issue ``ops``, then
+    ``run()`` (``until`` None) or ``run(until=now + until)``.  An op is
+    ``("post" | "schedule", delay, children)``, ``("at", deadline,
+    children)``, ``("cancel", k)`` (the k-th handle so far),
+    ``("cancel_storm",)`` (enough cancels to force a compaction) or
+    ``("raise",)``; ``children`` are the ops a timer issues when it fires.
+    """
+    log, handles, tags = [], [], itertools.count()
+
+    def issue(ops):
+        for op in ops:
+            kind = op[0]
+            if kind == "raise":
+                raise Boom
+            if kind == "cancel":
+                if handles:
+                    handles[op[1] % len(handles)].cancel()
+            elif kind == "cancel_storm":
+                doomed = [
+                    kernel.schedule(SPAN * 0.7 * (i % 5), fire, (next(tags), ()))
+                    for i in range(2 * kernel_mod._COMPACT_MIN_CANCELLED)
+                ]
+                for timer in doomed:
+                    timer.cancel()
+            elif kind == "post":
+                kernel.post(op[1], fire, (next(tags), op[2]))
+            elif kind == "schedule":
+                handles.append(kernel.schedule(op[1], fire, (next(tags), op[2])))
+            else:
+                deadline = max(op[1], kernel.now)
+                handles.append(kernel.schedule_at(deadline, fire, (next(tags), op[2])))
+
+    def fire(node):
+        log.append((kernel.now, node[0]))
+        issue(node[1])
+
+    def run(until=None):
+        # A Boom leaves the rest of its batch queued: run again until
+        # the slice completes.
+        while True:
+            try:
+                return kernel.run(until=until)
+            except Boom:
+                log.append((kernel.now, "boom"))
+
+    for ops, until in phases:
+        try:
+            issue(ops)
+        except Boom:
+            log.append((kernel.now, "boom"))
+        run(None if until is None else kernel.now + until)
+    run()
+    return log, kernel.now
+
+
+def assert_matches_reference(phases):
+    expected = run_program(ReferenceKernel(), phases)
+    assert run_program(SimKernel(), phases) == expected
+    return expected[0]
+
+
+# Few distinct values, so deadlines collide: zero delay, inside the
+# span, on its edge, past it, far past it.
+delays = st.sampled_from([0.0, 0.0, 1e-6, 0.25 * SPAN, 0.5 * SPAN, SPAN, 2.5 * SPAN, 40 * SPAN])
+deadlines = st.sampled_from([0.5 * SPAN, SPAN, 2.5 * SPAN, 2.5 * SPAN, 7 * SPAN, 300 * SPAN])
+slices = st.none() | st.sampled_from([0.0, 0.3 * SPAN, SPAN, 3 * SPAN, 50 * SPAN])
+
+
+def op_lists(children):
+    timer = st.tuples(st.sampled_from(["post", "schedule"]), delays, children) | st.tuples(
+        st.just("at"), deadlines, children
+    )
+    other = st.one_of(
+        st.tuples(st.just("cancel"), st.integers(0, 50)),
+        st.just(("cancel_storm",)),
+        st.just(("raise",)),
+    )
+    return st.lists(st.one_of(timer, timer, timer, other), max_size=6)
+
+
+programs = st.lists(
+    st.tuples(st.recursive(st.just(()), op_lists, max_leaves=15), slices),
+    min_size=1,
+    max_size=4,
+)
+
+#: Three far entries on one deadline: migration must keep their order.
+FAR_TIES = [([("at", 7 * SPAN, ())] * 3, None)]
+#: One batch of three: the first posts a zero-delay child (a fresh
+#: bucket on the batch's own deadline), the second raises, and the
+#: third -- the undrained tail -- must still fire before the child.
+TAIL_BEFORE_FRESH_BUCKET = [
+    (
+        [
+            ("schedule", 1e-6, [("post", 0.0, ())]),
+            ("schedule", 1e-6, [("raise",)]),
+            ("schedule", 1e-6, ()),
+        ],
+        None,
+    )
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(phases=programs)
+@example(phases=FAR_TIES)
+@example(phases=TAIL_BEFORE_FRESH_BUCKET)
+def test_wheel_matches_reference_heap(phases):
+    assert_matches_reference(phases)
+
+
+def _storm(seed):
+    """A seeded storm of near, far, same-deadline and cancelled timers,
+    plus a chain of five long sleeps: sizes the property does not reach."""
     rng = random.Random(seed)
-    kernel = SimKernel(backend)
-    log = []
-
-    def note(tag):
-        log.append((kernel.now, tag))
-
-    span = kernel_mod._WHEEL_SPAN
-    cancelled = []
-    for i in range(400):
+    ops, doomed, handles = [], [], 0
+    for _ in range(400):
         kind = rng.randrange(4)
         if kind == 0:
-            # Inside the initial horizon.
-            kernel.schedule(rng.uniform(0, span * 0.9), note, f"near{i}")
+            delay = rng.uniform(0, SPAN * 0.9)  # inside the initial horizon
         elif kind == 1:
-            # Far beyond the horizon: lands on the far-list.
-            kernel.schedule(span * rng.uniform(2, 50), note, f"far{i}")
+            delay = SPAN * rng.uniform(2, 50)  # lands on the far-list
         elif kind == 2:
-            # Same-deadline batch: FIFO by seq inside one bucket.
-            kernel.schedule(span * 0.5, note, f"batch{i}")
+            delay = SPAN * 0.5  # same-deadline batch: FIFO by seq in one bucket
         else:
-            cancelled.append(kernel.schedule(span * rng.uniform(0, 40), note, f"dead{i}"))
-    for timer in cancelled:
-        timer.cancel()
-
-    def sleeper():
-        for n in range(5):
-            yield Sleep(span * 7)
-            note(f"sleep{n}")
-
-    kernel.spawn(sleeper(), name="sleeper")
-    kernel.run()
-    return log
+            delay = SPAN * rng.uniform(0, 40)
+            doomed.append(handles)
+        ops.append(("schedule", delay, ()))
+        handles += 1
+    ops += [("cancel", k) for k in doomed]
+    sleeps = ()
+    for _ in range(5):
+        sleeps = [("post", SPAN * 7, sleeps)]
+    return [(ops + sleeps, None)]
 
 
 def test_cross_backend_golden_equality():
-    """The same seeded workload produces the same trace on both backends."""
-    wheel = _mixed_workload("wheel")
-    heap = _mixed_workload("heap")
-    assert wheel == heap
-    assert len(wheel) > 250  # the workload actually fired things
+    """The seeded storm fires identically on the wheel and the heap."""
+    assert len(assert_matches_reference(_storm(1234))) > 250
 
 
 @pytest.mark.parametrize("seed", [7, 99, 2024])
 def test_cross_backend_equality_other_seeds(seed):
-    assert _mixed_workload("wheel", seed) == _mixed_workload("heap", seed)
+    assert_matches_reference(_storm(seed))
 
 
 # ----------------------------------------------------------------------
@@ -75,7 +187,7 @@ def test_cross_backend_equality_other_seeds(seed):
 def test_far_future_timers_overflow_then_migrate():
     """Entries past the horizon sit on the far-list, then migrate into
     buckets as the wheel advances -- firing in exact deadline order."""
-    kernel = SimKernel("wheel")
+    kernel = SimKernel()
     span = kernel_mod._WHEEL_SPAN
     fired = []
     deadlines = [span * m for m in (40, 3, 11, 27, 5)]
@@ -90,7 +202,7 @@ def test_far_future_timers_overflow_then_migrate():
 def test_far_list_same_deadline_keeps_schedule_order():
     """Two far entries on one deadline fire in scheduling order after
     migration (the far-list sort is stable)."""
-    kernel = SimKernel("wheel")
+    kernel = SimKernel()
     span = kernel_mod._WHEEL_SPAN
     fired = []
     for i in range(20):
@@ -103,7 +215,7 @@ def test_lazy_span_resize_on_sparse_far_list():
     """Migrations that move almost nothing double the span: a workload
     with widely spread deadlines must widen the wheel instead of
     thrashing one-entry migrations."""
-    kernel = SimKernel("wheel")
+    kernel = SimKernel()
     span0 = kernel_mod._WHEEL_SPAN
     # Deadlines spread geometrically far apart: each migration window
     # captures only one of them.
@@ -116,7 +228,7 @@ def test_lazy_span_resize_on_sparse_far_list():
 def test_mass_cancel_in_far_list_compacts():
     """Cancelled far-list entries are swept by compaction, same as
     bucket entries."""
-    kernel = SimKernel("wheel")
+    kernel = SimKernel()
     span = kernel_mod._WHEEL_SPAN
     timers = [kernel.schedule(span * 100 + i * span, lambda: None) for i in range(5_000)]
     assert len(kernel._far) == 5_000
@@ -130,11 +242,11 @@ def test_mass_cancel_in_far_list_compacts():
 # ----------------------------------------------------------------------
 # zero-delay runaway
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["wheel", "heap"])
-def test_zero_delay_post_runaway_raises(backend):
+@pytest.mark.parametrize("queue", ["wheel"])  # one id: the name this test had beside its heap twin
+def test_zero_delay_post_runaway_raises(queue):
     """``post`` (the no-handle fast path) hits the max_events guard from
     inside a single-deadline batch drain, exactly like ``schedule``."""
-    kernel = SimKernel(backend)
+    kernel = SimKernel()
 
     def reschedule():
         kernel.post(0.0, reschedule)
@@ -150,7 +262,7 @@ def test_zero_delay_post_runaway_raises(backend):
 def test_drained_buckets_are_recycled_and_reused():
     """A drained bucket's slot list returns to the free-list and is
     handed to a later deadline without corrupting either schedule."""
-    kernel = SimKernel("wheel")
+    kernel = SimKernel()
     fired = []
     for i in range(10):
         kernel.post(0.0001, fired.append, f"a{i}")
@@ -168,7 +280,7 @@ def test_drained_buckets_are_recycled_and_reused():
 def test_cancel_after_fire_leaves_reused_slots_intact():
     """Cancelling a timer whose bucket already drained (and was
     recycled into a new deadline) must not disturb the new occupants."""
-    kernel = SimKernel("wheel")
+    kernel = SimKernel()
     fired = []
     old = [kernel.schedule(0.0001, fired.append, f"old{i}") for i in range(5)]
     kernel.run()
@@ -178,28 +290,3 @@ def test_cancel_after_fire_leaves_reused_slots_intact():
     kernel.run()
     assert fired == [f"old{i}" for i in range(5)] + [f"new{i}" for i in range(5)]
     assert kernel._cancelled_count == 0
-
-
-# ----------------------------------------------------------------------
-# SIM_KERNEL environment knob
-# ----------------------------------------------------------------------
-def test_sim_kernel_env_selects_backend(monkeypatch):
-    monkeypatch.setenv("SIM_KERNEL", "heap")
-    assert SimKernel().backend == "heap"
-    monkeypatch.setenv("SIM_KERNEL", "wheel")
-    assert SimKernel().backend == "wheel"
-    monkeypatch.setenv("SIM_KERNEL", "")
-    assert SimKernel().backend == "wheel"  # empty means default
-
-
-def test_explicit_backend_overrides_env(monkeypatch):
-    monkeypatch.setenv("SIM_KERNEL", "heap")
-    assert SimKernel("wheel").backend == "wheel"
-
-
-def test_unknown_backend_rejected(monkeypatch):
-    with pytest.raises(ValueError, match="unknown kernel backend"):
-        SimKernel("btree")
-    monkeypatch.setenv("SIM_KERNEL", "fibheap")
-    with pytest.raises(ValueError, match="unknown kernel backend"):
-        SimKernel()

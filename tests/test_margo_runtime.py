@@ -480,15 +480,15 @@ def test_rpc_without_monitors_fires_no_hooks(cluster):
 
 
 def test_monitor_attached_after_traffic_sees_later_rpcs(cluster):
-    """The per-hook cache must be invalidated by add/remove_monitor (and
-    by direct list mutation, its backstop)."""
+    """add/remove_monitor rebuild the hook table; they are the only way
+    to change ``monitors``."""
     server, client = two_procs(cluster)
     server.register("echo", lambda ctx: ctx.args)
 
     def driver():
         return (yield from client.forward(server.address, "echo", 1))
 
-    cluster.run_ult(client, driver())  # warms the (empty) hook cache
+    cluster.run_ult(client, driver())
 
     class Recorder:
         def __init__(self):
@@ -506,19 +506,15 @@ def test_monitor_attached_after_traffic_sees_later_rpcs(cluster):
     cluster.run_ult(client, driver())
     assert recorder.starts == 1
 
-    # Backstop: append to .monitors directly, bypassing add_monitor.
-    client.monitors.append(recorder)
+    # ``monitors`` is immutable: nothing can change it behind the hook
+    # table's back.
+    with pytest.raises(AttributeError):
+        client.monitors.append(recorder)
+    client.add_monitor(recorder)
+    with pytest.raises(TypeError):
+        client.monitors[0] = Recorder()
     cluster.run_ult(client, driver())
     assert recorder.starts == 2
-
-    # Backstop, same-length case: replace the element in place. The
-    # cache keys on monitor identity, not list length, so the stale
-    # bound method must stop firing and the new one must start.
-    replacement = Recorder()
-    client.monitors[0] = replacement
-    cluster.run_ult(client, driver())
-    assert recorder.starts == 2
-    assert replacement.starts == 1
 
 
 def test_monitorless_rpc_timing_unchanged_by_hook_cache(cluster):

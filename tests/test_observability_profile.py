@@ -221,7 +221,18 @@ def test_profiling_off_is_zero_cost():
     assert a.profiler is None
     for pool in a.pools.values():
         assert pool._profiler is None
-    assert a.monitors == []
+    assert a.monitors == ()
+
+
+def test_explicit_off_config_attaches_no_observer():
+    """Every knob present and false is the same as absent: no monitor,
+    profiler, tracer or xray recorder exists for the RPC path to skip."""
+    off = {"observability": {"tracing": False, "metrics": False, "profiling": False}}
+    a = Cluster(seed=7).add_margo("a", "node0", config=off)
+    assert a.monitors == ()
+    assert a.profiler is a.tracer is a.xray is None
+    assert all(pool._profiler is None for pool in a.pools.values())
+    assert not hasattr(a.kernel, "xray_plane")
 
 
 def test_profiler_stops_on_shutdown():

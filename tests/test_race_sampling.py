@@ -21,6 +21,7 @@ import pytest
 from repro import Cluster
 from repro.analysis.race import hooks
 from repro.margo.ult import UltEvent, UltSleep
+from repro.sim import kernel as kernel_mod
 from repro.sim.kernel import SimKernel
 
 
@@ -56,6 +57,20 @@ def test_exact_mode_swaps_kernel_methods(race):
     assert SimKernel.schedule is not plain_schedule
     race.disable()
     assert SimKernel.schedule is plain_schedule  # restored
+
+
+@pytest.mark.parametrize("sample_every", [1, None])  # exact mode swaps, epoch must not
+def test_disable_restores_everything(race, sample_every):
+    """The off path is the pristine path: a cycled detector leaves the
+    kernel's own ``schedule``/``post`` in place and every flag down."""
+    race.enable(sample_every=sample_every)
+    race.disable()
+    race.reset()
+    assert SimKernel.schedule is kernel_mod._plain_schedule
+    assert SimKernel.post is kernel_mod._plain_post
+    for flag in ("ENABLED", "EVENT_EDGES", "ANY_HELD", "_SWAPPED"):
+        assert not getattr(race, flag), flag
+    assert kernel_mod._RACE is None
 
 
 def test_reenable_switches_modes(race):

@@ -6,8 +6,8 @@ failing ULT, a bogus command, a ``stop()`` and a ``remove_pool`` issued
 mid-slice -- run on 1-3 xstreams over shared and private pools, once on
 ``repro.margo.xstream`` and once on ``tests/reference_scheduler.py``.
 Both must produce the same ``(now, ult, step)`` log, the same number of
-kernel events and the same counters, on either kernel backend: the
-rewrite is only allowed to be cheaper on the host.
+kernel events and the same counters: the rewrite is only allowed to be
+cheaper on the host.
 
 Durations come from a handful of values so that deadlines collide; ties
 are where a reordered ``kernel.post`` would show.
@@ -89,8 +89,8 @@ def body(index, program, kernel, pools, xstreams, ult_events, log):
     return index
 
 
-def run_scenario(scenario, pool_cls, xstream_cls, backend):
-    kernel = SimKernel(backend)
+def run_scenario(scenario, pool_cls, xstream_cls):
+    kernel = SimKernel()
     pools = [pool_cls(f"p{i}") for i in range(scenario["n_pools"])]
     xstreams = []
     for i, served in enumerate(scenario["xstreams"]):
@@ -117,12 +117,12 @@ def run_scenario(scenario, pool_cls, xstream_cls, backend):
     }
 
 
-@pytest.mark.parametrize("backend", ["wheel", "heap"])
+@pytest.mark.parametrize("queue", ["wheel"])  # one id: the name this test had beside its heap twin
 @settings(max_examples=150, deadline=None)
 @given(scenario=scenarios)
-def test_callback_xstream_matches_generator_xstream(backend, scenario):
-    expected = run_scenario(scenario, ReferencePool, ReferenceXStream, backend)
-    assert run_scenario(scenario, Pool, XStream, backend) == expected
+def test_callback_xstream_matches_generator_xstream(queue, scenario):
+    expected = run_scenario(scenario, ReferencePool, ReferenceXStream)
+    assert run_scenario(scenario, Pool, XStream) == expected
 
 
 def test_the_property_notices_a_reordered_post():
@@ -139,8 +139,8 @@ def test_the_property_notices_a_reordered_post():
         "xstreams": [[0], [0]],
         "ults": [(0, 1e-6, [("compute", 1e-6)])],
     }
-    expected = run_scenario(scenario, ReferencePool, ReferenceXStream, "wheel")
-    assert run_scenario(scenario, Pool, XStream, "wheel") == expected
-    mutant = run_scenario(scenario, ReversedWake, XStream, "wheel")
+    expected = run_scenario(scenario, ReferencePool, ReferenceXStream)
+    assert run_scenario(scenario, Pool, XStream) == expected
+    mutant = run_scenario(scenario, ReversedWake, XStream)
     assert mutant["seq"] == expected["seq"] and mutant["log"] == expected["log"]
     assert mutant["xstreams"] != expected["xstreams"]
