@@ -6,7 +6,7 @@
 PY := PYTHONPATH=src python
 LINT_PATHS := src/repro examples benchmarks tests
 
-.PHONY: ci lint test gates e2e contract
+.PHONY: ci lint test gates e2e contract census
 
 ci: lint test e2e contract gates
 
@@ -36,11 +36,18 @@ gates:
 	$(PY) benchmarks/bench_overhead.py
 
 # End-to-end benchmark: its own suite, then a traced smoke of the batch
-# path and of its bypass workload.
+# path, of the composed object store (reply checks + final blob census
+# over the Warabi/storage path) and of the bypass workload.
 e2e:
 	python -m pytest benchmarks/e2e -q
 	python benchmarks/e2e/run.py --workload kv_batch_scan --seed 1 --seconds 3 --trace 1
+	python benchmarks/e2e/run.py --workload objstore_mixed --seed 1 --seconds 3 --trace 1
 	python benchmarks/e2e/run.py --workload rpc_echo --seed 1 --seconds 3 --trace 1
+
+# Not a gate: which layer allocated what the object store holds, after
+# preload and after the timed phase (ROADMAP item 6's instrument).
+census:
+	python benchmarks/mem_census.py --workload objstore_mixed --seed 1 --seconds 15
 
 # Behaviour contract: every E*/A* table regenerates byte-identical.
 contract:

@@ -64,6 +64,8 @@ class LocalStore:
     # data plane
     # ------------------------------------------------------------------
     def write(self, path: str, data: bytes) -> None:
+        """Keep ``data``: an exact ``bytes`` by identity (writer and device
+        share the one object), anything mutable as a copy."""
         if not isinstance(data, (bytes, bytearray, memoryview)):
             raise TypeError(f"store holds bytes, got {type(data).__name__}")
         self._check_alive()

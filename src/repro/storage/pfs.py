@@ -36,6 +36,7 @@ class ParallelFileSystem:
 
     # ------------------------------------------------------------------
     def write(self, path: str, data: bytes) -> None:
+        """Keep ``data``: an exact ``bytes`` by identity, else a copy."""
         if not isinstance(data, (bytes, bytearray, memoryview)):
             raise TypeError(f"PFS holds bytes, got {type(data).__name__}")
         self._files[path] = bytes(data)

@@ -15,8 +15,7 @@ class TargetHandle(ResourceHandle):
     """Handle to one remote blob target."""
 
     def create(self, size: int = 0) -> Generator:
-        blob_id = yield from self._forward("create", {"size": size})
-        return blob_id
+        return (yield from self._forward("create", {"size": size}))
 
     def write(self, blob_id: int, data: bytes, offset: int = 0) -> Generator:
         if isinstance(data, str):
@@ -29,8 +28,7 @@ class TargetHandle(ResourceHandle):
             }
         else:
             args = {"id": blob_id, "offset": offset, "data": bytes(data)}
-        written = yield from self._forward("write", args)
-        return written
+        return (yield from self._forward("write", args))
 
     def read(self, blob_id: int, offset: int = 0, size: Optional[int] = None) -> Generator:
         result = yield from self._forward(
@@ -41,16 +39,13 @@ class TargetHandle(ResourceHandle):
         return result
 
     def size(self, blob_id: int) -> Generator:
-        result = yield from self._forward("size", {"id": blob_id})
-        return result
+        return (yield from self._forward("size", {"id": blob_id}))
 
     def erase(self, blob_id: int) -> Generator:
         yield from self._forward("erase", {"id": blob_id})
-        return None
 
     def list(self) -> Generator:
-        result = yield from self._forward("list")
-        return result
+        return (yield from self._forward("list"))
 
 
 class WarabiClient(Client):

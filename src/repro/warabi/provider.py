@@ -4,6 +4,11 @@ Manages named blob *targets*: clients create blobs, then read/write byte
 ranges.  Like Yokan, backends are pluggable (``memory`` or
 ``persistent``), large transfers use the bulk path, and the provider
 implements the dynamic-service hooks.
+
+A blob is one immutable ``bytes`` value shared by reference (client ->
+bulk handle -> ``_blobs`` -> ``LocalStore`` hold the *same* object); a
+write replaces it at its commit point, with no yield between reading the
+old value and storing the new one, so a reader never sees it torn.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ class WarabiProvider(Provider):
                 )
             self.store = store
         self.bulk_threshold = int(self.config.get("bulk_threshold", DEFAULT_BULK_THRESHOLD))
-        self._blobs: dict[int, bytearray] = {}
+        self._blobs: dict[int, bytes] = {}
         self._next_id = 0
         if self.store is not None:
             self._load_persisted()
@@ -86,24 +91,22 @@ class WarabiProvider(Provider):
         self.register_rpc("list", self._on_list)
 
     # ------------------------------------------------------------------
-    def _blob(self, blob_id: int) -> bytearray:
+    def _blob(self, blob_id: int) -> bytes:
         try:
             return self._blobs[blob_id]
         except KeyError:
             raise NoSuchBlobError(blob_id) from None
 
-    def _blob_path(self, blob_id: int) -> str:
-        return f"warabi/{self.name}/{blob_id}"
-
-    def _meta_path(self) -> str:
-        return f"warabi/{self.name}/meta"
+    def _path(self, leaf: Any) -> str:
+        """File of blob id ``leaf``, of ``"meta"``, or (``""``) their prefix."""
+        return f"warabi/{self.name}/{leaf}"
 
     def _persist(self, blob_id: int) -> Generator:
         if self.store is not None:
-            data = bytes(self._blobs[blob_id])
-            yield UltSleep(self.store.write_cost(len(data)))
-            self.store.write(self._blob_path(blob_id), data)
-        return None
+            yield UltSleep(self.store.write_cost(len(self._blobs[blob_id])))
+            # The value current *now*; a blob erased meanwhile leaves no file.
+            if blob_id in self._blobs:
+                self.store.write(self._path(blob_id), self._blobs[blob_id])
 
     def _persist_meta(self) -> Generator:
         """Write the id-counter sidecar next to the blob files.
@@ -117,8 +120,7 @@ class WarabiProvider(Provider):
         if self.store is not None:
             doc = json.dumps({"next_id": self._next_id}).encode()
             yield UltSleep(self.store.write_cost(len(doc)))
-            self.store.write(self._meta_path(), doc)
-        return None
+            self.store.write(self._path("meta"), doc)
 
     def _load_persisted(self) -> None:
         """Rebuild blobs + id counter from the local store (constructor
@@ -126,7 +128,7 @@ class WarabiProvider(Provider):
         the files REMI just landed)."""
         assert self.store is not None
         next_id = 0
-        for path in self.store.list(f"warabi/{self.name}/"):
+        for path in self.store.list(self._path("")):
             leaf = path.rsplit("/", 1)[-1]
             if leaf == "meta":
                 try:
@@ -138,7 +140,7 @@ class WarabiProvider(Provider):
                 blob_id = int(leaf)
             except ValueError:
                 continue
-            self._blobs[blob_id] = bytearray(self.store.read(path))
+            self._blobs[blob_id] = self.store.read(path)
         self._next_id = max(next_id, max(self._blobs, default=-1) + 1)
 
     # ------------------------------------------------------------------
@@ -156,7 +158,7 @@ class WarabiProvider(Provider):
             # hand out schedule-dependent blob ids.
             _race.note_write(self._blobs, "next_id", f"warabi:{self.name}.create")
             _race.note_write(self._blobs, blob_id, f"warabi:{self.name}.create")
-        self._blobs[blob_id] = bytearray(size)
+        self._blobs[blob_id] = bytes(size)
         yield from self._persist(blob_id)
         yield from self._persist_meta()
         return blob_id
@@ -171,16 +173,20 @@ class WarabiProvider(Provider):
             data = bulk.data
         else:
             data = args["data"]
-        blob = self._blob(blob_id)
+        self._blob(blob_id)  # existence check
         if offset < 0:
             raise WarabiError(f"negative offset: {offset}")
-        end = offset + len(data)
-        if end > len(blob):
-            blob.extend(b"\x00" * (end - len(blob)))
         yield Compute(OP_BASE_COST + len(data) / BYTES_PER_SECOND)
+        # Commit point: an erase or another write may have landed meanwhile.
+        old = self._blob(blob_id)
         if _race.ENABLED:
             _race.note_write(self._blobs, blob_id, f"warabi:{self.name}.write")
-        blob[offset:end] = data
+        end = offset + len(data)
+        if offset == 0 and end >= len(old):
+            self._blobs[blob_id] = bytes(data)  # the received object itself
+        else:
+            head = old[:offset].ljust(offset, b"\x00")
+            self._blobs[blob_id] = b"".join((head, data, old[end:]))
         yield from self._persist(blob_id)
         return len(data)
 
@@ -198,7 +204,7 @@ class WarabiProvider(Provider):
                 f"read out of range: offset={offset} size={size} blob={len(blob)}"
             )
         yield Compute(OP_BASE_COST + size / BYTES_PER_SECOND)
-        data = bytes(blob[offset : offset + size])
+        data = blob[offset : offset + size]  # the whole blob: the stored object
         if self.store is not None:
             yield UltSleep(self.store.read_cost(size))
         if len(data) >= self.bulk_threshold:
@@ -218,10 +224,10 @@ class WarabiProvider(Provider):
         yield Compute(OP_BASE_COST)
         if _race.ENABLED:
             _race.note_write(self._blobs, blob_id, f"warabi:{self.name}.erase")
+        self._blob(blob_id)  # an erase that raced this one may have won
         del self._blobs[blob_id]
-        if self.store is not None and self.store.exists(self._blob_path(blob_id)):
-            self.store.delete(self._blob_path(blob_id))
-        return None
+        if self.store is not None and self.store.exists(self._path(blob_id)):
+            self.store.delete(self._path(blob_id))
 
     def _on_list(self, ctx: RequestContext) -> Generator:
         yield Compute(OP_BASE_COST)
@@ -233,7 +239,7 @@ class WarabiProvider(Provider):
     def local_files(self) -> list[str]:
         if self.store is None:
             return []
-        return self.store.list(f"warabi/{self.name}/")
+        return self.store.list(self._path(""))
 
     def get_config(self) -> dict[str, Any]:
         doc = dict(self.config)
@@ -250,10 +256,9 @@ class WarabiProvider(Provider):
         for blob_id in self._blobs:
             yield from self._persist(blob_id)
         yield from self._persist_meta()
-        result = yield from remi_client.migrate_files(
+        return (yield from remi_client.migrate_files(
             dest_address, self.local_files(), dest_provider_id=dest_provider_id
-        )
-        return result
+        ))
 
     #: reserved (non-numeric) record key carrying the id counter in a
     #: checkpoint image; blob records use their decimal id as the key.
@@ -265,10 +270,7 @@ class WarabiProvider(Provider):
         records = [
             (self._META_KEY, json.dumps({"next_id": self._next_id}).encode())
         ]
-        records.extend(
-            (str(blob_id).encode(), bytes(blob))
-            for blob_id, blob in sorted(self._blobs.items())
-        )
+        records.extend((str(i).encode(), blob) for i, blob in sorted(self._blobs.items()))
         image = encode_records(records)
         yield UltSleep(pfs.write_cost(len(image)))
         pfs.write(path, image)
@@ -279,13 +281,13 @@ class WarabiProvider(Provider):
 
         image = pfs.read(path)
         yield UltSleep(pfs.read_cost(len(image)))
-        blobs: dict[int, bytearray] = {}
+        blobs: dict[int, bytes] = {}
         next_id = 0
         for key, value in decode_records(image):
             if key == self._META_KEY:
                 next_id = int(json.loads(value)["next_id"])
                 continue
-            blobs[int(key)] = bytearray(value)
+            blobs[int(key)] = value
         self._blobs = blobs
         # Pre-sidecar images have no meta record: fall back to the old
         # derivation rather than refusing to restore.
