@@ -47,7 +47,7 @@ e2e:
 # Not a gate: which layer allocated what the object store holds, after
 # preload and after the timed phase (ROADMAP item 6's instrument).
 census:
-	python benchmarks/mem_census.py --workload objstore_mixed --seed 1 --seconds 15
+	python benchmarks/mem_census.py
 
 # Behaviour contract: every E*/A* table regenerates byte-identical.
 contract:

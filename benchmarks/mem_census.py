@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """mem-census: which layer allocated the memory an end-to-end workload holds.
 
-    python3 benchmarks/mem_census.py --workload objstore_mixed --seed 1 --seconds 15
+    python3 benchmarks/mem_census.py
 
-Builds and drives one repetition of a ``benchmarks/e2e`` workload (the
-workload classes are imported, nothing there is patched or edited) under
+Builds and drives one repetition of the ``benchmarks/e2e`` workload
+``objstore_mixed``, seed 1, sized for 15 s (the workload classes are
+imported, nothing there is patched or edited) under
 ``tracemalloc`` and takes a snapshot after the preload and one after the
 timed phase.  Each snapshot is grouped by the layer of the allocating
 line -- the same path -> layer table ``benchmarks/e2e/ledger.py`` uses
@@ -22,7 +23,6 @@ own copy.  ROADMAP item 6; the tier-1 guard of the same fact is
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
@@ -34,6 +34,8 @@ E2E = os.path.join(ROOT, "benchmarks", "e2e")
 MB = 1 << 20
 #: allocating lines shown under each layer that holds at least 1 %.
 TOP_LINES = 3
+#: the one run censused: the composed object store, as BENCHMARK.json sizes it.
+WORKLOAD, SEED, SECONDS = "objstore_mixed", 1, 15.0
 
 
 def payload_at_rest(deployment: Any) -> tuple[int, int]:
@@ -83,29 +85,23 @@ def report(title: str, deployment: Any) -> None:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", default="objstore_mixed")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=15.0)
-    args = parser.parse_args()
-
     sys.path.insert(0, E2E)
     import run as e2e  # benchmarks/e2e/run.py
 
     e2e.import_program()
     import measure
 
-    workload = e2e.make_workload(args.workload)
-    inputs = workload.generate(args.seed, e2e.operations_for(workload, args.seconds))
+    workload = e2e.make_workload(WORKLOAD)
+    inputs = workload.generate(SEED, e2e.operations_for(workload, SECONDS))
     gc.collect()
     tracemalloc.start()
     deployment = workload.build(inputs, lambda ops=1: None)
-    report(f"{args.workload} seed {args.seed}, after preload", deployment)
+    report(f"{WORKLOAD} seed {SEED}, after preload", deployment)
     meter = measure.Meter(workload.segment_ops, calibrated=False)
     recorder = measure.Recorder(meter, workload.slo_limit_us * 1e-6)
     meter.start()
     workload.drive(deployment, inputs, recorder)
-    report(f"{args.workload} seed {args.seed}, after the timed phase", deployment)
+    report(f"{WORKLOAD} seed {SEED}, after the timed phase", deployment)
     tracemalloc.stop()
     problems = recorder.failures + workload.verify(deployment, inputs)
     for problem in problems:

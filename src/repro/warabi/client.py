@@ -15,7 +15,8 @@ class TargetHandle(ResourceHandle):
     """Handle to one remote blob target."""
 
     def create(self, size: int = 0) -> Generator:
-        return (yield from self._forward("create", {"size": size}))
+        blob_id = yield from self._forward("create", {"size": size})
+        return blob_id
 
     def write(self, blob_id: int, data: bytes, offset: int = 0) -> Generator:
         if isinstance(data, str):
@@ -28,7 +29,8 @@ class TargetHandle(ResourceHandle):
             }
         else:
             args = {"id": blob_id, "offset": offset, "data": bytes(data)}
-        return (yield from self._forward("write", args))
+        written = yield from self._forward("write", args)
+        return written
 
     def read(self, blob_id: int, offset: int = 0, size: Optional[int] = None) -> Generator:
         result = yield from self._forward(
@@ -39,13 +41,16 @@ class TargetHandle(ResourceHandle):
         return result
 
     def size(self, blob_id: int) -> Generator:
-        return (yield from self._forward("size", {"id": blob_id}))
+        result = yield from self._forward("size", {"id": blob_id})
+        return result
 
     def erase(self, blob_id: int) -> Generator:
         yield from self._forward("erase", {"id": blob_id})
+        return None
 
     def list(self) -> Generator:
-        return (yield from self._forward("list"))
+        result = yield from self._forward("list")
+        return result
 
 
 class WarabiClient(Client):

@@ -97,16 +97,22 @@ class WarabiProvider(Provider):
         except KeyError:
             raise NoSuchBlobError(blob_id) from None
 
-    def _path(self, leaf: Any) -> str:
-        """File of blob id ``leaf``, of ``"meta"``, or (``""``) their prefix."""
-        return f"warabi/{self.name}/{leaf}"
+    def _blob_path(self, blob_id: int) -> str:
+        return f"warabi/{self.name}/{blob_id}"
+
+    def _meta_path(self) -> str:
+        return f"warabi/{self.name}/meta"
 
     def _persist(self, blob_id: int) -> Generator:
         if self.store is not None:
             yield UltSleep(self.store.write_cost(len(self._blobs[blob_id])))
-            # The value current *now*; a blob erased meanwhile leaves no file.
+            # Charged on the length before the sleep, written with the
+            # value current after it: a write that lands meanwhile goes
+            # out here and again from its own _persist, and a blob erased
+            # meanwhile leaves no file.
             if blob_id in self._blobs:
-                self.store.write(self._path(blob_id), self._blobs[blob_id])
+                self.store.write(self._blob_path(blob_id), self._blobs[blob_id])
+        return None
 
     def _persist_meta(self) -> Generator:
         """Write the id-counter sidecar next to the blob files.
@@ -120,7 +126,8 @@ class WarabiProvider(Provider):
         if self.store is not None:
             doc = json.dumps({"next_id": self._next_id}).encode()
             yield UltSleep(self.store.write_cost(len(doc)))
-            self.store.write(self._path("meta"), doc)
+            self.store.write(self._meta_path(), doc)
+        return None
 
     def _load_persisted(self) -> None:
         """Rebuild blobs + id counter from the local store (constructor
@@ -128,7 +135,7 @@ class WarabiProvider(Provider):
         the files REMI just landed)."""
         assert self.store is not None
         next_id = 0
-        for path in self.store.list(self._path("")):
+        for path in self.store.list(f"warabi/{self.name}/"):
             leaf = path.rsplit("/", 1)[-1]
             if leaf == "meta":
                 try:
@@ -226,8 +233,9 @@ class WarabiProvider(Provider):
             _race.note_write(self._blobs, blob_id, f"warabi:{self.name}.erase")
         self._blob(blob_id)  # an erase that raced this one may have won
         del self._blobs[blob_id]
-        if self.store is not None and self.store.exists(self._path(blob_id)):
-            self.store.delete(self._path(blob_id))
+        if self.store is not None and self.store.exists(self._blob_path(blob_id)):
+            self.store.delete(self._blob_path(blob_id))
+        return None
 
     def _on_list(self, ctx: RequestContext) -> Generator:
         yield Compute(OP_BASE_COST)
@@ -239,7 +247,7 @@ class WarabiProvider(Provider):
     def local_files(self) -> list[str]:
         if self.store is None:
             return []
-        return self.store.list(self._path(""))
+        return self.store.list(f"warabi/{self.name}/")
 
     def get_config(self) -> dict[str, Any]:
         doc = dict(self.config)
@@ -256,9 +264,10 @@ class WarabiProvider(Provider):
         for blob_id in self._blobs:
             yield from self._persist(blob_id)
         yield from self._persist_meta()
-        return (yield from remi_client.migrate_files(
+        result = yield from remi_client.migrate_files(
             dest_address, self.local_files(), dest_provider_id=dest_provider_id
-        ))
+        )
+        return result
 
     #: reserved (non-numeric) record key carrying the id counter in a
     #: checkpoint image; blob records use their decimal id as the key.
@@ -270,7 +279,10 @@ class WarabiProvider(Provider):
         records = [
             (self._META_KEY, json.dumps({"next_id": self._next_id}).encode())
         ]
-        records.extend((str(i).encode(), blob) for i, blob in sorted(self._blobs.items()))
+        records.extend(
+            (str(blob_id).encode(), blob)
+            for blob_id, blob in sorted(self._blobs.items())
+        )
         image = encode_records(records)
         yield UltSleep(pfs.write_cost(len(image)))
         pfs.write(path, image)
