@@ -1,7 +1,9 @@
 # CI as a script: every gate the workflow runs, runnable locally with no
 # network.  `make ci` is what .github/workflows/ci.yml calls, target by
-# target; `gates` comes last because it carries the one row known to
-# fail (race detector on the RPC path, ROADMAP item 2(i)).
+# target; `gates` comes last because it carries the rows known to fail:
+# fixed per-RPC observer costs read as a share of an echo that keeps
+# getting cheaper (race detector, sampled profiler, sampled xray on the
+# RPC path; ROADMAP item 2(i)).
 
 PY := PYTHONPATH=src python
 LINT_PATHS := src/repro examples benchmarks tests
@@ -35,14 +37,16 @@ test:
 gates:
 	$(PY) benchmarks/bench_overhead.py
 
-# End-to-end benchmark: its own suite, then a traced smoke of the batch
-# path, of the composed object store (reply checks + final blob census
-# over the Warabi/storage path) and of the bypass workload.
+# End-to-end benchmark: its own suite, then a traced smoke of every
+# workload: the batch path, the composed object store (reply checks +
+# final blob census over the Warabi/storage path), the bypass workload,
+# and the churn (the only one with cancellable timers and observers).
 e2e:
 	python -m pytest benchmarks/e2e -q
 	python benchmarks/e2e/run.py --workload kv_batch_scan --seed 1 --seconds 3 --trace 1
 	python benchmarks/e2e/run.py --workload objstore_mixed --seed 1 --seconds 3 --trace 1
 	python benchmarks/e2e/run.py --workload rpc_echo --seed 1 --seconds 3 --trace 1
+	python benchmarks/e2e/run.py --workload reconfig_churn --seed 1 --seconds 3 --trace 1
 
 # Not a gate: which layer allocated what the object store holds, after
 # preload and after the timed phase (ROADMAP item 6's instrument).

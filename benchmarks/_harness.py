@@ -96,10 +96,12 @@ def bench_kernel_swarm(n_tasks: int, n_steps: int) -> dict:
     """The kernel workload: a swarm of sleeping tasks driven by
     ``run(until_tasks=...)`` plus a same-timestamp timer fan.
 
-    This is the shape every Margo deployment produces: many live tasks
-    (xstreams, progress loops, drivers) with the kernel asked to detect
-    completion of a subset, and bursts of timers landing on identical
-    deadlines (the bucket-drain fast path).
+    A synthetic shape, not a deployment's: many live tasks with the
+    kernel asked to detect completion of a subset, plus bursts of
+    ``n_tasks // 4`` timers on identical deadlines.  Such bursts are
+    rare in the e2e workloads (under 1 % of events join a deadline
+    already queued, EXPERIMENTS.md), so this rate measures the kernel
+    under a tie-heavy load and does not predict ``wall_us_per_rpc``.
     """
     from repro.sim.kernel import SimKernel, Sleep
 

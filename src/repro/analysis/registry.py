@@ -10,8 +10,8 @@ Rule id blocks:
 * ``MCH00x`` -- determinism (wall clock, unseeded randomness,
   environment-dependent iteration), observability (``MCH004``:
   monitoring callbacks growing unbounded state), and performance
-  (``MCH006``: per-event allocation inside ``# mochi-lint: hotpath``
-  functions);
+  (``MCH006``: a per-event lambda, closure or dict inside
+  ``# mochi-lint: hotpath`` functions);
 * ``MCH01x`` -- cooperative scheduling (blocking calls reachable from
   ULTs, yield-while-holding-lock, handlers that never respond,
   misbehaving monitor hooks);

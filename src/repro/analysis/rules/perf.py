@@ -1,13 +1,12 @@
 """Hot-path performance rules (MCH00x, perf group).
 
-The P1 speed round flattened the kernel's schedule→fire path into slot
-lists precisely to kill per-event allocation; functions on that path are
-annotated ``# mochi-lint: hotpath`` (the comment sits on the ``def``
-line or the line directly above it).  MCH006 keeps them flat: a lambda,
-a nested ``def`` (closure cell + function object per call), or a dict
-literal/comprehension inside a marked function is an allocation the
-event loop pays millions of times, the exact regression the wheel
-rewrite removed.
+Functions that run once per simulated event -- the kernel's
+schedule→fire path, pool push/pop, the task step -- are annotated
+``# mochi-lint: hotpath`` (the comment sits on the ``def`` line or the
+line directly above it).  MCH006 catches a per-event allocation there:
+a lambda, a nested ``def`` (closure cell + function object per call),
+or a dict literal/comprehension inside a marked function is an object
+the event loop builds and GC-tracks millions of times per run.
 """
 
 from __future__ import annotations
@@ -53,9 +52,9 @@ def _describe(node: ast.AST) -> str:
             "hot-path functions (kernel post/schedule, pool push/pop, "
             "task step) run once per simulated event -- millions of "
             "times per run; a lambda, closure, or dict literal there "
-            "allocates and GC-tracks an object per event, the exact "
-            "overhead the P1 flat-slot rewrite removed, so keep state "
-            "in preallocated slots or hoist it out of the function"
+            "allocates and GC-tracks an object per event, so keep "
+            "state in preallocated slots or hoist it out of the "
+            "function"
         ),
         runtime_checked=False,
     )

@@ -16,23 +16,17 @@ This module is the hottest code in the repository -- every RPC, ULT
 slice, and timer in every component turns into events here -- so the
 implementation favors the wall-clock fast path:
 
-* the event structure is a **calendar queue / bucketed timer wheel**:
-  a dict keyed by exact deadline maps to a flat
-  ``[callback, arg, callback, arg, ...]`` slot list, a small min-heap
-  orders only the *distinct* deadlines, and deadlines beyond the wheel
-  horizon overflow to a far-list that migrates in bulk when the wheel
-  drains toward it.  Timestamps cluster at batch boundaries, so pushing
-  into an existing bucket is O(1) -- two list appends -- and the heap is
-  touched once per distinct time, not once per event.  Within a bucket,
-  FIFO append order *is* ``seq`` order, so the schedule is the one a
-  plain binary heap over ``(deadline, seq)`` produces
-  (``tests/reference_kernel.py`` is that heap, and a differential
-  property test holds the wheel to it);
+* the event structure is **one binary heap** of
+  ``(deadline, seq, obj, tag)`` entries.  ``seq`` is unique, so it
+  breaks every tie and ``obj`` is never compared; the schedule is
+  ``(deadline, seq)`` order by construction.  ``tests/reference_kernel.py``
+  is the same heap written slowly, and a differential property test
+  holds this one to it.  Almost no event shares its deadline with one
+  already queued, which is why this is not a bucketed timer wheel
+  (DESIGN.md §9 has the measurement);
 * :meth:`SimKernel.post` is the no-handle fast path used by the task
-  resume machinery: no :class:`Timer` object, no tuple, no closure --
-  the callback and its argument go straight into the flat slot list
-  (drained bucket lists are recycled through a free-list, so the steady
-  state allocates nothing per event);
+  resume machinery: no :class:`Timer` object and no closure -- one
+  tuple and one ``heappush``;
 * timers carry a callable plus an optional argument slot, so the task
   resume paths schedule *bound methods* instead of allocating a closure
   per event;
@@ -41,18 +35,17 @@ implementation favors the wall-clock fast path:
   every event;
 * cancelled timers are compacted out once they outnumber half the queue,
   so mass cancellation (e.g. per-RPC timeout timers) cannot hold memory
-  hostage.  Compaction preserves each entry's position in its bucket,
-  so event order is bit-identical with or without it.
+  hostage.  Heap keys are unique, so event order is bit-identical with
+  or without compaction.
 
-See DESIGN.md §9 for the wheel layout and the determinism argument.
+See DESIGN.md §9 for the determinism argument.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Generator
 from dataclasses import dataclass
-from operator import itemgetter
+from heapq import heapify, heappop, heappush
 from types import GeneratorType
 from typing import Any, Callable, Iterable, Optional
 
@@ -115,28 +108,13 @@ TIMED_OUT = _TimedOut()
 #: Sentinel for "timer fires ``fn()`` with no argument".
 _NO_ARG = object()
 
-#: Slot-array tag: the paired slot holds a cancellable :class:`Timer`
+#: Entry tag: the entry's ``obj`` is a cancellable :class:`Timer`
 #: (``schedule``/``schedule_at``), not a bare ``post`` callback.
 _IS_TIMER = object()
 
 #: Compaction trigger: cancelled entries must exceed this count *and*
-#: half the queue before the structure is rebuilt without them.
+#: half the queue before the heap is rebuilt without them.
 _COMPACT_MIN_CANCELLED = 64
-
-#: Initial wheel horizon width in simulated seconds.  Deadlines past the
-#: horizon overflow to the far-list; the span doubles lazily when
-#: migrations keep coming up near-empty (the wheel was too narrow for
-#: the workload's deadline spread).
-_WHEEL_SPAN = 1e-3
-
-#: A near-empty migration (fewer than this many entries moved while more
-#: remain far) doubles the span.
-_RESIZE_MIN_MOVED = 8
-
-#: Recycled bucket lists kept for reuse (steady state: zero list churn).
-_FREELIST_MAX = 64
-
-_far_deadline = itemgetter(0)
 
 #: The mochi-race hooks module, injected by ``_set_race_hooks`` when the
 #: race detector enables.  ``None`` keeps every gate below a single
@@ -411,21 +389,10 @@ class SimKernel:
         #: tasks remove themselves on finish, making completion detection
         #: O(1) per event instead of a scan over all targets.
         self._watch: Optional[set[Task]] = None
-        #: deadline -> flat ``[obj, tag, obj, tag, ...]`` slot list.
-        #: ``tag`` is ``_IS_TIMER`` (obj is a Timer), ``_NO_ARG``
-        #: (call ``obj()``) or the argument (call ``obj(tag)``).
-        self._buckets: dict[float, list] = {}
-        #: Min-heap of the *distinct* deadlines present in _buckets.
-        self._dl_heap: list[float] = []
-        #: Overflow entries past the horizon: (deadline, obj, tag).
-        self._far: list[tuple] = []
-        self._span = _WHEEL_SPAN
-        self._horizon = _WHEEL_SPAN
-        #: Proactive-migration trigger (horizon minus half a span).
-        self._mig_at = _WHEEL_SPAN * 0.5
-        #: Live + cancelled entries across buckets and far-list.
-        self._n_queued = 0
-        self._free: list[list] = []
+        #: Min-heap of ``(deadline, seq, obj, tag)``.  ``tag`` is
+        #: ``_IS_TIMER`` (obj is a Timer), ``_NO_ARG`` (call ``obj()``)
+        #: or the argument (call ``obj(tag)``).
+        self._heap: list[tuple] = []
 
     # ------------------------------------------------------------------
     # time and scheduling
@@ -441,38 +408,13 @@ class SimKernel:
         seconds, with no cancellation handle.
 
         This is the fast path the task/ULT resume machinery uses: it
-        allocates no :class:`Timer`, no tuple, and no closure -- the
-        callback and argument go straight into the flat slot list of the
-        deadline's bucket (``_insert``, inlined).
+        allocates no :class:`Timer` and no closure, only the heap entry.
         """
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        deadline = self._now + delay
-        self._seq += 1
-        if deadline < self._horizon:
-            bucket = self._buckets.get(deadline)
-            if bucket is None:
-                free = self._free
-                bucket = free.pop() if free else []
-                self._buckets[deadline] = bucket
-                heapq.heappush(self._dl_heap, deadline)
-            bucket.append(fn)
-            bucket.append(arg)
-        else:
-            self._far.append((deadline, fn, arg))
-        self._n_queued += 1
-
-    def _insert(self, deadline: float, obj: Any, tag: Any) -> None:
-        """Append one ``(obj, tag)`` slot pair to ``deadline``'s bucket
-        (callers have checked ``deadline < self._horizon``)."""
-        bucket = self._buckets.get(deadline)
-        if bucket is None:
-            free = self._free
-            bucket = free.pop() if free else []
-            self._buckets[deadline] = bucket
-            heapq.heappush(self._dl_heap, deadline)
-        bucket.append(obj)
-        bucket.append(tag)
+        seq = self._seq + 1
+        self._seq = seq
+        heappush(self._heap, (self._now + delay, seq, fn, arg))
 
     # mochi-lint: hotpath
     def schedule(self, delay: float, fn: Callable[..., None], arg: Any = _NO_ARG) -> Timer:
@@ -499,12 +441,9 @@ class SimKernel:
 
     def _schedule_timer(self, deadline: float, fn: Callable[..., None], arg: Any) -> Timer:
         timer = Timer(deadline, fn, arg, self)
-        self._seq += 1
-        if deadline < self._horizon:
-            self._insert(deadline, timer, _IS_TIMER)
-        else:
-            self._far.append((deadline, timer, _IS_TIMER))
-        self._n_queued += 1
+        seq = self._seq + 1
+        self._seq = seq
+        heappush(self._heap, (deadline, seq, timer, _IS_TIMER))
         return timer
 
     def event(self, name: str = "") -> SimEvent:
@@ -513,9 +452,8 @@ class SimKernel:
 
     def queued(self) -> int:
         """Entries currently pending (live + not-yet-compacted cancelled);
-        tests and monitoring read this, not the buckets."""
-        n = self._n_queued
-        return n if n > 0 else 0
+        tests and monitoring read this, not the heap."""
+        return len(self._heap)
 
     # ------------------------------------------------------------------
     # cancelled-timer bookkeeping
@@ -523,94 +461,20 @@ class SimKernel:
     def _note_cancelled(self) -> None:
         self._cancelled_count += 1
         count = self._cancelled_count
-        if count >= _COMPACT_MIN_CANCELLED and count * 2 > self.queued():
+        if count >= _COMPACT_MIN_CANCELLED and count * 2 > len(self._heap):
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries and rebuild in place.
+        """Drop cancelled timers and re-heapify in place.
 
-        Entries keep their bucket FIFO position, so the schedule of live
-        timers is bit-identical with or without compaction.
-
-        A batch currently being drained by ``run()`` is detached from the
-        bucket dict, so compaction never touches it; its remaining
-        cancelled entries are simply discounted as the drain reaches them
-        (the count decrements clamp at zero for exactly this overlap).
+        Keys are unique, so the schedule of what remains is the same
+        with or without compaction.  In place, because ``run()`` holds
+        the list while a callback's ``cancel()`` may land here.
         """
-        buckets = self._buckets
-        remaining = 0
-        for deadline in list(buckets):
-            bucket = buckets[deadline]
-            out = []
-            i = 0
-            n = len(bucket)
-            while i < n:
-                obj = bucket[i]
-                tag = bucket[i + 1]
-                if tag is _IS_TIMER and obj._cancelled:
-                    i += 2
-                    continue
-                out.append(obj)
-                out.append(tag)
-                i += 2
-            if out:
-                buckets[deadline] = out
-                remaining += len(out) // 2
-            else:
-                # Stale deadlines linger in the heap; the run loop
-                # skips them when the bucket lookup misses.
-                del buckets[deadline]
-            self._recycle(bucket)
-        far = self._far
-        if far:
-            far[:] = [
-                e for e in far if not (e[2] is _IS_TIMER and e[1]._cancelled)
-            ]
-            remaining += len(far)
-        self._n_queued = remaining
+        heap = self._heap
+        heap[:] = [e for e in heap if not (e[3] is _IS_TIMER and e[2]._cancelled)]
+        heapify(heap)
         self._cancelled_count = 0
-
-    def _recycle(self, bucket: list) -> None:
-        free = self._free
-        if len(free) < _FREELIST_MAX:
-            bucket.clear()
-            free.append(bucket)
-
-    def _advance_horizon(self) -> None:
-        """Migrate far-list entries into the wheel and move the horizon.
-
-        Called when the wheel drains toward (or past) the horizon.  The
-        far-list is stable-sorted by deadline, so same-deadline entries
-        keep their scheduling (seq) order; bucket/far entries can never
-        share a deadline (bucket deadlines are strictly below every
-        horizon the far entry was pushed under), so migration preserves
-        the global schedule exactly.
-        """
-        far = self._far
-        span = self._span
-        if not far:
-            self._horizon = self._now + span
-            self._mig_at = self._horizon - span * 0.5
-            return
-        far.sort(key=_far_deadline)
-        if self._dl_heap:
-            new_horizon = self._now + span
-        else:
-            new_horizon = far[0][0] + span
-        insert = self._insert
-        moved = 0
-        for entry in far:
-            if entry[0] >= new_horizon:
-                break
-            insert(*entry)
-            moved += 1
-        del far[:moved]
-        self._horizon = new_horizon
-        self._mig_at = new_horizon - span * 0.5
-        # Lazy resize: migrations that barely move anything mean the
-        # wheel is too narrow for this workload's deadline spread.
-        if far and moved < _RESIZE_MIN_MOVED:
-            self._span = span * 2
 
     # ------------------------------------------------------------------
     # tasks
@@ -643,6 +507,9 @@ class SimKernel:
         """Process events until the queue drains, ``until`` is reached, or
         every task in ``until_tasks`` has finished.
 
+        The clock never moves backwards: an ``until`` earlier than
+        :attr:`now` fires nothing and leaves the clock where it is.
+
         Raises pending non-daemon task failures (the first one, with any
         others attached as ``__notes__``), and :class:`DeadlockError`
         when ``until_tasks`` can no longer make progress.
@@ -661,7 +528,7 @@ class SimKernel:
                 self._raise_task_failures()
             if watch is not None and not watch:
                 return
-            if self._run_wheel(until, watch, max_events, failures):
+            if self._run_heap(until, watch, max_events, failures):
                 return
             if failures:
                 self._raise_task_failures()
@@ -670,19 +537,17 @@ class SimKernel:
                 raise DeadlockError(
                     f"event queue drained but tasks still pending: {pending}"
                 )
-            # The queue drained before the horizon: time still advances
-            # to it (idle simulated time passes like any other).
+            # The queue drained before ``until``: time still advances to
+            # it (idle simulated time passes like any other).
             if until is not None and until > self._now:
                 self._now = until
-                if until >= self._mig_at:
-                    self._advance_horizon()
         finally:
             self._running = False
             self._watch = None
             if _RACE is not None:
                 _RACE.note_run_end()
 
-    def _run_wheel(
+    def _run_heap(
         self,
         until: Optional[float],
         watch: Optional[set[Task]],
@@ -690,131 +555,61 @@ class SimKernel:
         failures: list[Task],
     ) -> bool:
         """The event loop; True means an early stop (``until`` reached
-        or every watched task finished)."""
-        buckets = self._buckets
-        dl_heap = self._dl_heap
-        far = self._far
-        free = self._free
-        heappop = heapq.heappop
+        or every watched task finished).
+
+        One entry is popped per event, so an exception or an early stop
+        leaves everything not yet fired in the heap for the next run().
+        """
+        heap = self._heap
+        stop = float("inf") if until is None else until
         no_arg = _NO_ARG
         is_timer = _IS_TIMER
+        # Only this loop moves the clock while it runs, so a local copy
+        # stays exact.
+        now = self._now
         processed = 0
-        while True:
-            if not dl_heap:
-                if far:
-                    self._advance_horizon()
-                    continue
-                return False
-            deadline = dl_heap[0]
-            bucket = buckets.get(deadline)
-            if bucket is None:
-                # Stale deadline: its bucket emptied during compaction.
-                heappop(dl_heap)
+        while heap:
+            entry = heappop(heap)
+            deadline, _, obj, tag = entry
+            if tag is is_timer and obj._cancelled:
+                # Dropped without advancing the clock: a deadline with
+                # no live timer never becomes ``now``.
+                self._cancelled_count -= 1
                 continue
-            # Find the first live entry without advancing the clock: a
-            # deadline with no live timer never becomes ``now``.
-            i = 0
-            n = len(bucket)
-            while i < n:
-                tag = bucket[i + 1]
-                if tag is is_timer and bucket[i]._cancelled:
-                    i += 2
-                    continue
-                break
-            if i == n:
-                heappop(dl_heap)
-                del buckets[deadline]
-                pairs = n // 2
-                self._n_queued -= pairs
-                count = self._cancelled_count - pairs
-                self._cancelled_count = count if count > 0 else 0
-                self._recycle(bucket)
-                continue
-            if until is not None and deadline > until:
-                self._now = until
-                if until >= self._mig_at:
-                    self._advance_horizon()
+            if deadline > stop:
+                heappush(heap, entry)
+                if stop > now:
+                    self._now = stop
                 return True
-            if deadline < self._now:
-                raise SimulationError("event queue went backwards in time")
-            self._now = deadline
-            if deadline >= self._mig_at:
-                self._advance_horizon()
-            # Detach the bucket and drain it: new same-timestamp events
-            # always carry a higher seq, land in a *fresh* bucket for
-            # this deadline, and are drained by the next outer-loop turn
-            # -- ``(deadline, seq)`` order.
-            heappop(dl_heap)
-            del buckets[deadline]
-            self._n_queued -= n // 2
-            i = 0
-            try:
-                while i < n:
-                    obj = bucket[i]
-                    tag = bucket[i + 1]
-                    i += 2
-                    if tag is is_timer:
-                        if obj._cancelled:
-                            count = self._cancelled_count
-                            if count:
-                                self._cancelled_count = count - 1
-                            continue
-                        # The timer has left the queue: a late cancel()
-                        # must not count toward the compaction trigger.
-                        obj._kernel = None
-                        arg = obj._arg
-                        if arg is no_arg:
-                            obj._fn()
-                        else:
-                            obj._fn(arg)
-                    elif tag is no_arg:
-                        obj()
-                    else:
-                        obj(tag)
-                    processed += 1
-                    if processed > max_events:
-                        # Checked inside the batch loop: a zero-delay
-                        # self-rescheduling callback keeps the same
-                        # deadline forever and would otherwise hang here.
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; likely a runaway loop"
-                        )
-                    if failures:
-                        self._raise_task_failures()
-                    if watch is not None and not watch:
-                        self._recycle_partial(bucket, i, n)
-                        return True
-            except BaseException:
-                # A callback (or a surfaced task failure) threw mid-batch:
-                # the undrained tail must survive for the next run().
-                self._recycle_partial(bucket, i, n)
-                raise
-            # _recycle, inlined: on the RPC path, nearly once per event.
-            if len(free) < _FREELIST_MAX:
-                bucket.clear()
-                free.append(bucket)
-
-    def _recycle_partial(self, bucket: list, i: int, n: int) -> None:
-        """An early stop mid-batch: the undrained tail must survive.
-
-        Re-queue the remaining entries at the current time so the next
-        ``run()`` resumes exactly where this one stopped (same order).
-        """
-        if i >= n:
-            self._recycle(bucket)
-            return
-        deadline = self._now
-        existing = self._buckets.get(deadline)
-        tail = bucket[i:n]
-        if existing is None:
-            self._buckets[deadline] = tail
-            heapq.heappush(self._dl_heap, deadline)
-        else:
-            # A fresh same-deadline bucket appeared mid-batch: its events
-            # were scheduled *after* the tail, so the tail goes first.
-            self._buckets[deadline] = tail + existing
-            self._recycle(existing)
-        self._n_queued += (n - i) // 2
+            if deadline != now:
+                if deadline < now:
+                    raise SimulationError("event queue went backwards in time")
+                self._now = now = deadline
+            if tag is is_timer:
+                # The timer has left the queue: a late cancel() must not
+                # count toward the compaction trigger.
+                obj._kernel = None
+                arg = obj._arg
+                if arg is no_arg:
+                    obj._fn()
+                else:
+                    obj._fn(arg)
+            elif tag is no_arg:
+                obj()
+            else:
+                obj(tag)
+            processed += 1
+            if processed > max_events:
+                # Checked per event: a zero-delay self-rescheduling
+                # callback keeps the same deadline forever.
+                raise SimulationError(
+                    f"exceeded max_events={max_events}; likely a runaway loop"
+                )
+            if failures:
+                self._raise_task_failures()
+            if watch is not None and not watch:
+                return True
+        return False
 
     def _raise_task_failures(self) -> None:
         """Raise the oldest pending task failure.

@@ -6,7 +6,7 @@ tests.  Slow and obvious on purpose; imports nothing from ``repro``.
 Warabi half: a blob is a mutable ``bytearray`` edited in place -- the
 representation ``repro.warabi`` retired for immutable ``bytes`` shared
 with the device, kept here as the oracle the way
-``tests/reference_kernel.py`` keeps the heap
+``tests/reference_kernel.py`` keeps a slow heap
 (``test_warabi_model.py``).
 """
 

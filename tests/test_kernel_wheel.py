@@ -1,13 +1,12 @@
-"""Tests for the kernel's bucketed timer wheel.
+"""Differential and edge-case tests for the kernel's event heap.
 
-The wheel (calendar queue with an overflow far-list and lazy span
-resize) must be *observationally identical* to a plain binary heap over
-``(deadline, seq)``.  ``tests/reference_kernel.py`` is that heap; the
-differential tests below run the same timer program on both and compare
-the ``(now, tag)`` fire sequences, and the edge-case tests after them
-pin the wheel-only machinery -- horizon crossings, far-list migration,
-span resize, bucket free-list reuse, and mass cancellation in both the
-buckets and the far-list.
+``SimKernel`` must be *observationally identical* to a plain binary heap
+over ``(deadline, seq)``.  ``tests/reference_kernel.py`` is that heap
+written slowly; the differential tests below run the same timer program
+on both and compare the ``(now, tag)`` fire sequences, and the edge
+cases after them pin far deadlines, same-deadline ties, mass
+cancellation and the clock across ``run(until=...)`` slices.  (Test ids
+still name the timer wheel this kernel replaced.)
 """
 
 import itertools
@@ -22,11 +21,11 @@ from repro.sim import kernel as kernel_mod
 
 from .reference_kernel import ReferenceKernel
 
-SPAN = kernel_mod._WHEEL_SPAN
+SPAN = 1e-3  # the programs' time unit
 
 
 # ----------------------------------------------------------------------
-# the wheel against the reference heap
+# the kernel against the reference heap
 # ----------------------------------------------------------------------
 class Boom(Exception):
     """Raised by a program's own callbacks, mid-batch."""
@@ -36,7 +35,8 @@ def run_program(kernel, phases):
     """Interpret a timer program; return its fire log and final clock.
 
     A program is a list of phases ``(ops, until)``: issue ``ops``, then
-    ``run()`` (``until`` None) or ``run(until=now + until)``.  An op is
+    ``run()`` (``until`` None) or ``run(until=now + until)``; a negative
+    ``until`` asks for a slice that ends in the past.  An op is
     ``("post" | "schedule", delay, children)``, ``("at", deadline,
     children)``, ``("cancel", k)`` (the k-th handle so far),
     ``("cancel_storm",)`` (enough cancels to force a compaction) or
@@ -100,7 +100,7 @@ def assert_matches_reference(phases):
 # span, on its edge, past it, far past it.
 delays = st.sampled_from([0.0, 0.0, 1e-6, 0.25 * SPAN, 0.5 * SPAN, SPAN, 2.5 * SPAN, 40 * SPAN])
 deadlines = st.sampled_from([0.5 * SPAN, SPAN, 2.5 * SPAN, 2.5 * SPAN, 7 * SPAN, 300 * SPAN])
-slices = st.none() | st.sampled_from([0.0, 0.3 * SPAN, SPAN, 3 * SPAN, 50 * SPAN])
+slices = st.none() | st.sampled_from([-SPAN, -1e-6, 0.0, 0.3 * SPAN, SPAN, 3 * SPAN, 50 * SPAN])
 
 
 def op_lists(children):
@@ -121,12 +121,12 @@ programs = st.lists(
     max_size=4,
 )
 
-#: Three far entries on one deadline: migration must keep their order.
+#: Three far entries on one deadline fire in scheduling order.
 FAR_TIES = [([("at", 7 * SPAN, ())] * 3, None)]
-#: One batch of three: the first posts a zero-delay child (a fresh
-#: bucket on the batch's own deadline), the second raises, and the
-#: third -- the undrained tail -- must still fire before the child.
-TAIL_BEFORE_FRESH_BUCKET = [
+#: Three timers on one deadline: the first posts a zero-delay child,
+#: the second raises, and the third -- still queued after the
+#: exception -- must fire before the child.
+TAIL_BEFORE_LATER_CHILD = [
     (
         [
             ("schedule", 1e-6, [("post", 0.0, ())]),
@@ -137,11 +137,20 @@ TAIL_BEFORE_FRESH_BUCKET = [
     )
 ]
 
+#: A slice that ends in the past while an event is pending; the next
+#: post shows where the clock was left.
+UNTIL_IN_THE_PAST = [
+    ([("post", 10 * SPAN, ())], 5 * SPAN),
+    ([], -2 * SPAN),
+    ([("post", 0.0, ())], None),
+]
+
 
 @settings(max_examples=200, deadline=None)
 @given(phases=programs)
 @example(phases=FAR_TIES)
-@example(phases=TAIL_BEFORE_FRESH_BUCKET)
+@example(phases=TAIL_BEFORE_LATER_CHILD)
+@example(phases=UNTIL_IN_THE_PAST)
 def test_wheel_matches_reference_heap(phases):
     assert_matches_reference(phases)
 
@@ -154,11 +163,11 @@ def _storm(seed):
     for _ in range(400):
         kind = rng.randrange(4)
         if kind == 0:
-            delay = rng.uniform(0, SPAN * 0.9)  # inside the initial horizon
+            delay = rng.uniform(0, SPAN * 0.9)
         elif kind == 1:
-            delay = SPAN * rng.uniform(2, 50)  # lands on the far-list
+            delay = SPAN * rng.uniform(2, 50)
         elif kind == 2:
-            delay = SPAN * 0.5  # same-deadline batch: FIFO by seq in one bucket
+            delay = SPAN * 0.5  # same deadline: FIFO by seq
         else:
             delay = SPAN * rng.uniform(0, 40)
             doomed.append(handles)
@@ -172,7 +181,7 @@ def _storm(seed):
 
 
 def test_cross_backend_golden_equality():
-    """The seeded storm fires identically on the wheel and the heap."""
+    """The seeded storm fires identically on the kernel and the reference."""
     assert len(assert_matches_reference(_storm(1234))) > 250
 
 
@@ -182,61 +191,70 @@ def test_cross_backend_equality_other_seeds(seed):
 
 
 # ----------------------------------------------------------------------
-# far-future overflow and migration
+# far deadlines, mass cancel, the clock across run(until=...) slices
 # ----------------------------------------------------------------------
 def test_far_future_timers_overflow_then_migrate():
-    """Entries past the horizon sit on the far-list, then migrate into
-    buckets as the wheel advances -- firing in exact deadline order."""
+    """Deadlines far in the future, scheduled out of order, fire in
+    exact deadline order."""
     kernel = SimKernel()
-    span = kernel_mod._WHEEL_SPAN
     fired = []
-    deadlines = [span * m for m in (40, 3, 11, 27, 5)]
+    deadlines = [SPAN * m for m in (40, 3, 11, 27, 5)]
     for deadline in deadlines:
         kernel.schedule_at(deadline, fired.append, deadline)
-    assert len(kernel._far) == len(deadlines)  # all past the initial horizon
     kernel.run()
     assert fired == sorted(deadlines)
-    assert kernel._far == []
+    assert kernel.queued() == 0
 
 
 def test_far_list_same_deadline_keeps_schedule_order():
-    """Two far entries on one deadline fire in scheduling order after
-    migration (the far-list sort is stable)."""
+    """Twenty far entries on one deadline fire in scheduling order."""
     kernel = SimKernel()
-    span = kernel_mod._WHEEL_SPAN
     fired = []
     for i in range(20):
-        kernel.schedule_at(span * 10, fired.append, i)
+        kernel.schedule_at(SPAN * 10, fired.append, i)
     kernel.run()
     assert fired == list(range(20))
 
 
 def test_lazy_span_resize_on_sparse_far_list():
-    """Migrations that move almost nothing double the span: a workload
-    with widely spread deadlines must widen the wheel instead of
-    thrashing one-entry migrations."""
+    """Deadlines spread geometrically far apart (1x to 10 000x) fire in
+    order, each at its own deadline."""
     kernel = SimKernel()
-    span0 = kernel_mod._WHEEL_SPAN
-    # Deadlines spread geometrically far apart: each migration window
-    # captures only one of them.
+    fired = []
     for m in (1, 10, 100, 1000, 10_000):
-        kernel.schedule_at(span0 * m, lambda: None)
+        kernel.schedule_at(SPAN * m, lambda: fired.append(kernel.now))
     kernel.run()
-    assert kernel._span > span0
+    assert fired == [SPAN * m for m in (1, 10, 100, 1000, 10_000)]
 
 
 def test_mass_cancel_in_far_list_compacts():
-    """Cancelled far-list entries are swept by compaction, same as
-    bucket entries."""
+    """5 000 cancelled far timers are swept by compaction as the
+    cancellations accumulate."""
     kernel = SimKernel()
-    span = kernel_mod._WHEEL_SPAN
-    timers = [kernel.schedule(span * 100 + i * span, lambda: None) for i in range(5_000)]
-    assert len(kernel._far) == 5_000
+    timers = [kernel.schedule(SPAN * 100 + i * SPAN, lambda: None) for i in range(5_000)]
+    assert kernel.queued() == 5_000
     for timer in timers:
         timer.cancel()
-    assert len(kernel._far) < 2 * kernel_mod._COMPACT_MIN_CANCELLED
+    assert kernel.queued() < 2 * kernel_mod._COMPACT_MIN_CANCELLED
     kernel.run()
     assert kernel.now == 0.0  # nothing ever fired
+
+
+def test_until_in_the_past_never_rewinds_the_clock():
+    """``run(until=t)`` with ``t < now`` fires nothing and leaves the
+    clock alone, whether or not events are pending."""
+    kernel = SimKernel()
+    fired = []
+    kernel.post(10e-6, lambda: fired.append(kernel.now))
+    kernel.run(until=5e-6)
+    assert kernel.now == 5e-6
+    kernel.run(until=3e-6)
+    assert kernel.now == 5e-6
+    assert fired == []
+    kernel.run()
+    assert fired == [10e-6]
+    kernel.run(until=1e-6)  # and with an empty queue
+    assert kernel.now == 10e-6
 
 
 # ----------------------------------------------------------------------
@@ -257,36 +275,33 @@ def test_zero_delay_post_runaway_raises(queue):
 
 
 # ----------------------------------------------------------------------
-# bucket slot reuse (free-list)
+# back-to-back batches and late cancels
 # ----------------------------------------------------------------------
 def test_drained_buckets_are_recycled_and_reused():
-    """A drained bucket's slot list returns to the free-list and is
-    handed to a later deadline without corrupting either schedule."""
+    """Two same-deadline batches, the second posted after the first
+    drained, each fire in posting order."""
     kernel = SimKernel()
     fired = []
     for i in range(10):
         kernel.post(0.0001, fired.append, f"a{i}")
     kernel.run()
-    assert kernel._free  # the drained bucket was recycled
-    recycled = kernel._free[-1]
-    assert recycled == []  # cleared before reuse
+    assert kernel.queued() == 0
     for i in range(10):
         kernel.post(0.0002, fired.append, f"b{i}")
-    assert kernel._buckets[kernel.now + 0.0002] is recycled
     kernel.run()
     assert fired == [f"a{i}" for i in range(10)] + [f"b{i}" for i in range(10)]
 
 
 def test_cancel_after_fire_leaves_reused_slots_intact():
-    """Cancelling a timer whose bucket already drained (and was
-    recycled into a new deadline) must not disturb the new occupants."""
+    """Cancelling a timer that already fired must not disturb timers
+    queued since on the same relative delay."""
     kernel = SimKernel()
     fired = []
     old = [kernel.schedule(0.0001, fired.append, f"old{i}") for i in range(5)]
     kernel.run()
     new = [kernel.schedule(0.0001, fired.append, f"new{i}") for i in range(5)]
     for timer in old:
-        timer.cancel()  # fired already: must not touch the reused bucket
+        timer.cancel()  # fired already: a no-op
     kernel.run()
     assert fired == [f"old{i}" for i in range(5)] + [f"new{i}" for i in range(5)]
     assert kernel._cancelled_count == 0
