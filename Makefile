@@ -3,7 +3,7 @@
 # target; `gates` comes last because it carries the rows known to fail:
 # fixed per-RPC observer costs read as a share of an echo that keeps
 # getting cheaper (race detector, sampled profiler, sampled xray on the
-# RPC path; ROADMAP item 2(i)).
+# RPC path; ROADMAP item 1).
 
 PY := PYTHONPATH=src python
 LINT_PATHS := src/repro examples benchmarks tests
@@ -12,7 +12,7 @@ LINT_PATHS := src/repro examples benchmarks tests
 
 ci: lint test e2e contract gates
 
-# Every static rule + config cross-validation, twice (the report must be
+# Every static rule + the config boot check, twice (the report must be
 # byte-identical), then mochi-race: happens-before + lock order +
 # schedule exploration, and the example services under the sanitizer.
 lint:

@@ -25,7 +25,7 @@ setup(
     entry_points={
         "console_scripts": [
             # mochi-lint: the Mochi-aware static analyzer + config
-            # cross-validator (same as `python -m repro.analysis`).
+            # checks (same as `python -m repro.analysis`).
             "repro-lint=repro.analysis.cli:main",
             # mochi-health: deterministic incident scenarios reporting
             # health states, incidents, detection latency, MTTR (same

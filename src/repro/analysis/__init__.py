@@ -10,8 +10,8 @@ of that three ways:
 * a static pass (:mod:`repro.analysis.engine`, ``repro-lint`` /
   ``python -m repro.analysis``): file-scope, whole-program and
   path-sensitive rules in one pipeline;
-* a configuration cross-validator (:mod:`repro.analysis.config_check`),
-  reused by ``bedrock.boot`` so files and live boots agree;
+* a configuration check (:mod:`repro.analysis.config_check`) that runs
+  Bedrock's own boot checks on config files, so files and boots agree;
 * runtime layers (:mod:`repro.analysis.sanitize`, ``REPRO_SANITIZE=1``;
   :mod:`repro.analysis.race`, ``REPRO_SANITIZE=race``) asserting the
   invariants the AST cannot prove, under the same ``MCH0xx`` rule ids.

@@ -38,8 +38,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "Mochi-aware static analyzer: enforces the simulator's "
             "determinism, cooperative-scheduling, RPC-contract and "
             "protocol invariants over Python sources (per file, whole "
-            "program and path by path in one pass), and cross-validates "
-            "Margo/Bedrock JSON configuration documents."
+            "program and path by path in one pass), and runs Bedrock's "
+            "boot checks on Margo/Bedrock JSON configuration documents."
         ),
     )
     parser.add_argument(

@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import flow, interproc, rules  # noqa: F401 - register the static rules
-from .config_check import validate_config_file  # also registers MCH02x
+from .config_check import validate_config_file  # also registers MCH020
 from .findings import Finding, Severity
 from .interproc.callgraph import ProjectIndex, build_project
 from .interproc.effects import EffectAnalysis
@@ -192,8 +192,8 @@ def run_lint(
     ignore: Optional[Iterable[str]] = None,
 ) -> LintResult:
     """Lint every Python file and config document under ``paths``:
-    ``.py`` through the rule pipeline, ``.json`` through the
-    configuration cross-validator (non-config JSON is skipped)."""
+    ``.py`` through the rule pipeline, ``.json`` through the boot
+    path's own configuration checks (non-config JSON is skipped)."""
     selected, keep = _select_rules(select, ignore)
     sources: list[tuple[str, str]] = []
     findings: list[Finding] = []

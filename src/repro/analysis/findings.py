@@ -2,7 +2,7 @@
 
 A :class:`Finding` is one violation of one rule at one location.  The
 same structure is shared by the AST linter, the configuration
-cross-validator, and the runtime sanitizer, so tooling (CLI, CI,
+check, and the runtime sanitizer, so tooling (CLI, CI,
 diagnostics reports) renders all three uniformly.
 """
 

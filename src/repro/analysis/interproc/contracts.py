@@ -1,4 +1,4 @@
-"""RPC contract checking (MCH050-MCH053).
+"""RPC contract checking (MCH050-MCH052).
 
 The component contract in this tree is syntactic and total: a provider
 registers ``self.register_rpc("op", self._on_op)`` under its class's
@@ -12,23 +12,16 @@ spelled in the source, a whole-program pass can diff them:
 * **MCH051** -- a registration whose handler is missing, not a
   generator, or has the wrong arity (handlers take ``(self, ctx)``);
 * **MCH052** -- a client binds the result of an RPC whose handlers
-  never ``return`` a value: the caller always receives ``None``;
-* **MCH053** -- a registered handler no client ever forwards to
-  (dead wire surface).
+  never ``return`` a value: the caller always receives ``None``.
 
 Dynamic names -- f-strings (SSG's per-group RPCs), loop variables fed
 from runtime data (the security guard) -- are resolved where a constant
 can be proven (loops over literal tuples, single-constant locals,
-``getattr(self, f"_on_{op}")``) and otherwise *conservatively counted*:
-
-* a dynamic registration attributed to a component marks that component
-  **open** -- its orphan check is skipped;
-* a dynamic forward attributed to a component disables only that
-  component's dead-handler check;
-* an *unattributable* dynamic forward (no constant prefix) disables the
-  dead-handler check globally -- any handler might be its target.
-
-Every skip is tallied in :class:`ContractStats` for ``--stats``.
+``getattr(self, f"_on_{op}")``) and otherwise skipped.  A dynamic
+registration attributed to a component marks that component **open**:
+its orphan check is skipped.  An unattributable one opens the world:
+forwards into no known namespace are no longer orphans.  Both are
+tallied in :class:`ContractStats` for ``--stats``.
 """
 
 from __future__ import annotations
@@ -77,9 +70,6 @@ class ContractStats:
     forwards: int = 0
     dynamic_registrations: int = 0
     dynamic_registrations_unattributed: int = 0
-    dynamic_forwards: int = 0
-    dynamic_forwards_unattributed: int = 0
-    dead_handler_checked: bool = True
 
 
 @dataclass
@@ -93,8 +83,6 @@ class ContractIndex:
     component_types: set[str] = field(default_factory=set)
     #: components with a dynamic registration: orphan check skipped.
     open_components: set[str] = field(default_factory=set)
-    #: components with a dynamic forward: dead-handler check skipped.
-    dynamic_forward_components: set[str] = field(default_factory=set)
     stats: ContractStats = field(default_factory=ContractStats)
 
     def registered_ops(self, component: str) -> set[str]:
@@ -142,16 +130,6 @@ def _name_candidates(
     if isinstance(node, ast.Name) and node.id in local_constants:
         return list(dict.fromkeys(local_constants[node.id]))
     return None
-
-
-def _fstring_prefix(node: ast.expr) -> Optional[str]:
-    """Leading constant text of an f-string, or None."""
-    if not isinstance(node, ast.JoinedStr) or not node.values:
-        return None
-    head = node.values[0]
-    if isinstance(head, ast.Constant) and isinstance(head.value, str):
-        return head.value
-    return ""
 
 
 def _getattr_handler_pattern(node: ast.expr) -> Optional[str]:
@@ -366,14 +344,8 @@ def _collect_forward(
     component = _component_type_of(index, func.cls)
     if component is None:
         component = backlinks.get(func.cls.qualname)
-    if component is None:
-        contracts.stats.dynamic_forwards += 1
-        contracts.stats.dynamic_forwards_unattributed += 1
-        return
     ops = _name_candidates(node.args[0], local_constants)
-    if ops is None:
-        contracts.stats.dynamic_forwards += 1
-        contracts.dynamic_forward_components.add(component)
+    if component is None or ops is None:
         return
     usage = _result_usage(node, parents)
     for op in ops:
@@ -401,15 +373,6 @@ def _collect_wire_forward(
         return
     wires = _name_candidates(node.args[1], local_constants)
     if wires is None:
-        prefix = _fstring_prefix(node.args[1])
-        pair = _wire_to_pair(contracts.component_types, prefix or "")
-        contracts.stats.dynamic_forwards += 1
-        if pair is not None:
-            contracts.dynamic_forward_components.add(pair[0])
-        elif prefix is not None:
-            contracts.stats.dynamic_forwards_unattributed += 1
-        else:
-            contracts.stats.dynamic_forwards_unattributed += 1
         return
     usage = _result_usage(node, parents)
     for wire in wires:
@@ -475,26 +438,9 @@ RESPONSE_SHAPE = RuleInfo(
     ),
 )
 
-DEAD_HANDLER = RuleInfo(
-    id="MCH053",
-    name="dead-rpc-handler",
-    group=GROUP_CONTRACTS,
-    severity=Severity.WARNING,
-    summary=(
-        "registered handler no client in the tree ever forwards to "
-        "(checked only when every forward in the tree is attributable)"
-    ),
-    rationale=(
-        "dead wire surface is untested wire surface: a handler nothing "
-        "calls drifts out of contract silently and becomes a trap for "
-        "the next client that does call it"
-    ),
-)
-
-
-@rule(ORPHANED_RPC_CALL, HANDLER_SHAPE, RESPONSE_SHAPE, DEAD_HANDLER, scope="project")
+@rule(ORPHANED_RPC_CALL, HANDLER_SHAPE, RESPONSE_SHAPE, scope="project")
 def check_contracts(project) -> list[Finding]:
-    """MCH050-MCH053 over both ends of every contract in the project."""
+    """MCH050-MCH052 over both ends of every contract in the project."""
     contracts = build_contracts(project.index)
     findings: list[Finding] = []
     components_with_registrations = {r.component for r in contracts.registrations}
@@ -575,39 +521,12 @@ def check_contracts(project) -> list[Finding]:
                 )
             )
 
-    # MCH053: dead handlers (closed world only).
-    if contracts.stats.dynamic_forwards_unattributed > 0:
-        contracts.stats.dead_handler_checked = False
-    else:
-        seen_ops: dict[str, set[str]] = {}
-        for site in contracts.forwards:
-            seen_ops.setdefault(site.component, set()).add(site.op)
-        reported: set[tuple[str, str]] = set()
-        for reg in contracts.registrations:
-            if reg.component in contracts.dynamic_forward_components:
-                continue
-            if reg.op in seen_ops.get(reg.component, set()):
-                continue
-            if (reg.component, reg.op) in reported:
-                continue
-            reported.add((reg.component, reg.op))
-            findings.append(
-                Finding(
-                    "MCH053", Severity.WARNING, reg.path, reg.line,
-                    f"handler for {reg.component}.{reg.op!r} is "
-                    "registered but no client in the tree forwards to "
-                    "it; dead wire surface",
-                )
-            )
     stats = contracts.stats
     project.stats.update(
         rpc_registrations=stats.registrations,
         rpc_forwards=stats.forwards,
         dynamic_registrations=stats.dynamic_registrations,
         dynamic_registrations_unattributed=stats.dynamic_registrations_unattributed,
-        dynamic_forwards=stats.dynamic_forwards,
-        dynamic_forwards_unattributed=stats.dynamic_forwards_unattributed,
-        dead_handler_checked=stats.dead_handler_checked,
     )
     return findings
 

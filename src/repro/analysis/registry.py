@@ -15,13 +15,12 @@ Rule id blocks:
 * ``MCH01x`` -- cooperative scheduling (blocking calls reachable from
   ULTs, yield-while-holding-lock, handlers that never respond,
   misbehaving monitor hooks);
-* ``MCH02x`` -- configuration (dangling pool references, duplicate
-  names, unresolvable/cyclic provider dependencies);
+* ``MCH020`` -- configuration (a document the boot path would reject);
 * ``MCH03x``/``MCH04x`` -- concurrency (mochi-race: unordered accesses
   to shared state, order-dependent outcomes, lock-order cycles,
   wait-while-holding);
 * ``MCH05x`` -- RPC contracts (orphaned client calls, bad handler
-  shapes, dead handlers);
+  shapes, results no handler returns);
 * ``MCH06x`` -- partitioning & migration (cross-component shared-state
   writes, migration snapshot coverage);
 * ``MCH07x`` -- flow protocols (path-sensitive typestate over

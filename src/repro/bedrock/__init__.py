@@ -1,6 +1,6 @@
 """Bedrock: bootstrapping + online reconfiguration (paper section 5)."""
 
-from .boot import boot_process
+from .boot import boot_process, check_boot_config
 from .client import BedrockClient, ServiceGroupHandle, ServiceHandle
 from .errors import (
     BedrockConfigError,
@@ -30,6 +30,7 @@ __all__ = [
     "ProviderRecord",
     "BEDROCK_PROVIDER_ID",
     "boot_process",
+    "check_boot_config",
     "BedrockModule",
     "register_library",
     "resolve_library",

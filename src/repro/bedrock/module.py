@@ -60,7 +60,7 @@ def register_library(library: str, module: BedrockModule) -> None:
 def resolve_library(library: str) -> BedrockModule:
     try:
         return _LIBRARIES[library]
-    except KeyError as err:
+    except (KeyError, TypeError) as err:
         raise ModuleError(
             f"unknown library {library!r}; known: {sorted(_LIBRARIES)}"
         ) from err

@@ -21,7 +21,7 @@ Responsibilities implemented here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import Any, Container, Generator, Optional
 
 from ..core.component import Provider
 from ..margo.runtime import MargoInstance, RequestContext
@@ -92,6 +92,104 @@ class ProviderRecord:
                 k: v for k, v in self.dependencies.items()
             },
         }
+
+
+# Configuration checks take their state as arguments: a live server and
+# the static boot walk (boot.check_boot_config) run the same code.
+def boot_sections(doc: dict[str, Any]) -> tuple[dict[str, Any], list[Any]]:
+    """The ``libraries`` and ``providers`` of a Listing-3 document."""
+    unknown = set(doc) - {"margo", "libraries", "providers"}
+    if unknown:
+        raise BedrockConfigError(f"unknown bedrock config keys: {sorted(unknown)}")
+    libraries = doc.get("libraries", {})
+    if not isinstance(libraries, dict):
+        raise BedrockConfigError("'libraries' must be an object {type: path}")
+    providers = doc.get("providers", [])
+    if not isinstance(providers, list):
+        raise BedrockConfigError("'providers' must be a list")
+    return libraries, providers
+
+
+def check_library(
+    modules: dict[str, BedrockModule], type_name: str, library: str
+) -> BedrockModule:
+    """The module ``library`` provides, if it may be loaded as ``type_name``."""
+    module = resolve_library(library)
+    if module.type_name != type_name:
+        raise BedrockConfigError(
+            f"library {library!r} provides type {module.type_name!r}, "
+            f"not {type_name!r}"
+        )
+    existing = modules.get(type_name)
+    if existing is not None and existing is not module:
+        raise BedrockConfigError(f"type {type_name!r} already loaded")
+    return module
+
+
+def check_start(
+    op: Any,
+    modules: dict[str, BedrockModule],
+    taken: dict[str, tuple[str, int]],
+    pools: Container[str],
+    rpc_pool: str,
+) -> int:
+    """Raise why provider entry ``op`` cannot start; else its provider id.
+
+    ``taken`` maps each running provider's name to its (type, provider id).
+    """
+    if not isinstance(op, dict) or not all(
+        isinstance(op.get(key), str) for key in ("name", "type")
+    ):
+        raise BedrockConfigError(f"provider entry needs a string 'name' and 'type': {op}")
+    name, type_name = op["name"], op["type"]
+    if name in taken:
+        raise ProviderConflictError(f"provider {name!r} already exists")
+    if type_name not in modules:
+        raise ModuleError(
+            f"no module loaded for type {type_name!r} (loaded: {sorted(modules)})"
+        )
+    try:
+        provider_id = int(op.get("provider_id", 1))
+    except (TypeError, ValueError):
+        raise BedrockConfigError(
+            f"provider {name!r} has a non-integer provider_id {op['provider_id']!r}"
+        ) from None
+    for other, pair in taken.items():
+        if pair == (type_name, provider_id):
+            raise ProviderConflictError(
+                f"(type={type_name}, provider_id={provider_id}) already in use "
+                f"by {other!r}"
+            )
+    pool = op.get("pool", rpc_pool)
+    if not isinstance(pool, str) or pool not in pools:
+        raise BedrockConfigError(f"provider {name!r} references unknown pool {pool!r}")
+    dependencies = op.get("dependencies") or {}
+    if not isinstance(dependencies, dict):
+        raise DependencyError(
+            f"dependencies of {name!r} must be an object {{name: spec}}: {dependencies!r}"
+        )
+    for dep_name, spec in dependencies.items():
+        if isinstance(spec, str):
+            if spec not in taken:
+                raise DependencyError(
+                    f"provider {name!r} depends on unknown local provider {spec!r}"
+                )
+        elif isinstance(spec, dict):
+            missing = {"type", "address", "provider_id"} - set(spec)
+            if missing:
+                raise DependencyError(
+                    f"remote dependency {dep_name!r} of {name!r} missing {sorted(missing)}"
+                )
+            if spec["type"] not in modules:
+                raise DependencyError(
+                    f"remote dependency {dep_name!r} has unloaded type {spec['type']!r}"
+                )
+        else:
+            raise DependencyError(
+                f"dependency {dep_name!r} of {name!r} must be a local provider "
+                f"name or a {{type, address, provider_id}} object"
+            )
+    return provider_id
 
 
 class BedrockServer(Provider):
@@ -170,25 +268,10 @@ class BedrockServer(Provider):
             "bedrock_migrated_bytes", "bytes shipped by provider migrations"
         )
 
-        doc = dict(config or {})
-        doc.pop("margo", None)  # consumed by the Margo instance itself
-        self._apply_boot_config(doc)
-
-    # ------------------------------------------------------------------
-    # boot-time configuration (Listing 3)
-    # ------------------------------------------------------------------
-    def _apply_boot_config(self, doc: dict[str, Any]) -> None:
-        unknown = set(doc) - {"libraries", "providers"}
-        if unknown:
-            raise BedrockConfigError(f"unknown bedrock config keys: {sorted(unknown)}")
-        libraries = doc.get("libraries", {})
-        if not isinstance(libraries, dict):
-            raise BedrockConfigError("'libraries' must be an object {type: path}")
+        # Listing 3; the "margo" section was consumed by the Margo instance.
+        libraries, providers = boot_sections(config or {})
         for type_name, library in libraries.items():
             self.load_module(type_name, library)
-        providers = doc.get("providers", [])
-        if not isinstance(providers, list):
-            raise BedrockConfigError("'providers' must be a list")
         for entry in providers:
             self._validate_start(entry)
             self._execute_start(entry)
@@ -197,70 +280,15 @@ class BedrockServer(Provider):
     # modules
     # ------------------------------------------------------------------
     def load_module(self, type_name: str, library: str) -> None:
-        module = resolve_library(library)
-        if module.type_name != type_name:
-            raise BedrockConfigError(
-                f"library {library!r} provides type {module.type_name!r}, "
-                f"not {type_name!r}"
-            )
-        existing = self.modules.get(type_name)
-        if existing is not None and existing is not module:
-            raise BedrockConfigError(f"type {type_name!r} already loaded")
-        self.modules[type_name] = module
+        self.modules[type_name] = check_library(self.modules, type_name, library)
         self.library_of[type_name] = library
 
     # ------------------------------------------------------------------
     # start/stop providers (validation + execution split for 2PC reuse)
     # ------------------------------------------------------------------
     def _validate_start(self, op: dict[str, Any]) -> None:
-        for key in ("name", "type"):
-            if key not in op:
-                raise BedrockConfigError(f"provider entry missing {key!r}: {op}")
-        name = op["name"]
-        if name in self.records:
-            raise ProviderConflictError(f"provider {name!r} already exists")
-        type_name = op["type"]
-        module = self.modules.get(type_name)
-        if module is None:
-            raise ModuleError(
-                f"no module loaded for type {type_name!r} "
-                f"(loaded: {sorted(self.modules)})"
-            )
-        provider_id = int(op.get("provider_id", 1))
-        for record in self.records.values():
-            if record.type_name == type_name and record.provider_id == provider_id:
-                raise ProviderConflictError(
-                    f"(type={type_name}, provider_id={provider_id}) already in use "
-                    f"by {record.name!r}"
-                )
-        pool = op.get("pool", self.margo.config.rpc_pool)
-        if pool not in self.margo.pools:
-            raise BedrockConfigError(f"provider {name!r} references unknown pool {pool!r}")
-        for dep_name, spec in (op.get("dependencies") or {}).items():
-            self._check_dependency_spec(name, dep_name, spec)
-
-    def _check_dependency_spec(self, provider: str, dep_name: str, spec: Any) -> None:
-        if isinstance(spec, str):
-            if spec not in self.records:
-                raise DependencyError(
-                    f"provider {provider!r} depends on unknown local provider {spec!r}"
-                )
-            return
-        if isinstance(spec, dict):
-            missing = {"type", "address", "provider_id"} - set(spec)
-            if missing:
-                raise DependencyError(
-                    f"remote dependency {dep_name!r} of {provider!r} missing {sorted(missing)}"
-                )
-            if spec["type"] not in self.modules:
-                raise DependencyError(
-                    f"remote dependency {dep_name!r} has unloaded type {spec['type']!r}"
-                )
-            return
-        raise DependencyError(
-            f"dependency {dep_name!r} of {provider!r} must be a local provider "
-            f"name or a {{type, address, provider_id}} object"
-        )
+        taken = {n: (r.type_name, r.provider_id) for n, r in self.records.items()}
+        check_start(op, self.modules, taken, self.margo.pools, self.margo.config.rpc_pool)
 
     def _resolve_dependencies(self, op: dict[str, Any]) -> dict[str, Any]:
         resolved: dict[str, Any] = {}

@@ -43,8 +43,8 @@ class PoolSpec:
         unknown = set(doc) - {"name", "type", "access"}
         if unknown:
             raise ConfigError(f"unknown pool spec keys: {sorted(unknown)}")
-        if "name" not in doc:
-            raise ConfigError("pool spec requires a 'name'")
+        if not isinstance(doc.get("name"), str):
+            raise ConfigError("pool spec requires a string 'name'")
         return cls(
             name=doc["name"],
             kind=doc.get("type", "fifo_wait"),
@@ -68,8 +68,8 @@ class XStreamSpec:
         unknown = set(doc) - {"name", "scheduler"}
         if unknown:
             raise ConfigError(f"unknown xstream spec keys: {sorted(unknown)}")
-        if "name" not in doc:
-            raise ConfigError("xstream spec requires a 'name'")
+        if not isinstance(doc.get("name"), str):
+            raise ConfigError("xstream spec requires a string 'name'")
         sched = doc.get("scheduler", {})
         if not isinstance(sched, dict):
             raise ConfigError("xstream 'scheduler' must be an object")
@@ -146,9 +146,9 @@ class MargoConfig:
             xstreams=xstreams,
             progress_pool=doc.get("progress_pool", pools[0].name),
             rpc_pool=doc.get("rpc_pool", pools[0].name),
-            dispatch_cost=float(doc.get("dispatch_cost", cls.dispatch_cost)),
-            monitoring_cost_per_event=float(
-                doc.get("monitoring_cost_per_event", cls.monitoring_cost_per_event)
+            dispatch_cost=_number(doc, "dispatch_cost", cls.dispatch_cost),
+            monitoring_cost_per_event=_number(
+                doc, "monitoring_cost_per_event", cls.monitoring_cost_per_event
             ),
             observability=_parse_observability(doc.get("observability")),
         )
@@ -175,10 +175,10 @@ class MargoConfig:
         unserved = known - served
         if unserved:
             raise ConfigError(f"pools not served by any xstream: {sorted(unserved)}")
-        if self.progress_pool not in known:
-            raise ConfigError(f"progress_pool {self.progress_pool!r} is not a defined pool")
-        if self.rpc_pool not in known:
-            raise ConfigError(f"rpc_pool {self.rpc_pool!r} is not a defined pool")
+        for key in ("progress_pool", "rpc_pool"):
+            ref = getattr(self, key)
+            if not isinstance(ref, str) or ref not in known:
+                raise ConfigError(f"{key} {ref!r} is not a defined pool")
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -190,6 +190,13 @@ class MargoConfig:
             "rpc_pool": self.rpc_pool,
             "observability": self.observability.to_json(),
         }
+
+
+def _number(doc: dict[str, Any], key: str, default: float) -> float:
+    try:
+        return float(doc.get(key, default))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key!r} must be a number, got {doc[key]!r}") from None
 
 
 def _parse_observability(doc: Any) -> ObservabilitySpec:

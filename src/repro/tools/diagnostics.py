@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Any
 
 from ..analysis import sanitize as _sanitize
+from ..analysis.config_check import validate_config_doc, validate_config_file
 from ..analysis.findings import format_findings
 from ..bedrock.server import BedrockServer
 from ..cluster import Cluster
@@ -236,8 +237,8 @@ def profile_report(
 def lint_report(*paths: str) -> str:
     """Static-analysis health of a source tree (the ``repro-lint`` view).
 
-    Runs the full mochi-lint pass (every static rule plus the
-    configuration cross-validator for any config JSON encountered) over
+    Runs the full mochi-lint pass (every static rule plus Bedrock's
+    boot checks for any config JSON encountered) over
     ``paths`` and appends whatever the runtime sanitizer has recorded so
     far, so one report answers "is this deployment clean?" across all
     three passes.
@@ -395,15 +396,12 @@ def fault_report(cluster: Cluster) -> str:
 
 
 def config_report(config: "dict[str, Any] | str | None", name: str = "<config>") -> str:
-    """Cross-validate one Margo/Bedrock document and render the verdict.
+    """Check one Margo/Bedrock document and render the verdict.
 
     ``config`` may be a parsed dict, JSON text, or a path to a ``.json``
     file.  This is the same validation :func:`repro.bedrock.boot_process`
     applies before booting, exposed as a report for interactive use.
     """
-    # Imported lazily: config_check depends on the margo/bedrock packages.
-    from ..analysis.config_check import validate_config_doc, validate_config_file
-
     if isinstance(config, str) and config.lstrip()[:1] not in ("{", "["):
         findings = validate_config_file(config)
         name = config

@@ -1,4 +1,4 @@
-"""MCH050-053 positive fixture: one broken contract per rule."""
+"""MCH050-052 positive fixture: one broken contract per rule."""
 
 
 class KvProvider:
@@ -6,8 +6,6 @@ class KvProvider:
 
     def __init__(self, margo):
         self.register_rpc("get", self._on_get)
-        # MCH053: no client in the tree ever forwards "drop".
-        self.register_rpc("drop", self._on_drop)
         # MCH051: _on_stat does not exist.
         self.register_rpc("stat", self._on_stat)
         # MCH051: _on_scan is not a generator and has the wrong arity.
@@ -16,9 +14,6 @@ class KvProvider:
     def _on_get(self, ctx):
         yield Compute(0.1)  # noqa: F821
         # no return: the client binding this result gets None (MCH052).
-
-    def _on_drop(self, ctx):
-        yield Compute(0.1)  # noqa: F821
 
     def _on_scan(self, prefix, limit, extra):
         return [prefix, limit, extra]

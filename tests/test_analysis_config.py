@@ -1,4 +1,4 @@
-"""The MCH02x configuration cross-validator and its boot_process reuse."""
+"""MCH020: the linter runs Bedrock's own boot checks on config documents."""
 
 import glob
 import json
@@ -7,14 +7,8 @@ import os
 import pytest
 
 from repro import Cluster
-from repro.analysis.config_check import (
-    check_boot_config,
-    validate_bedrock_doc,
-    validate_config_doc,
-    validate_config_file,
-    validate_margo_doc,
-)
-from repro.bedrock import boot_process
+from repro.analysis.config_check import validate_config_doc, validate_config_file
+from repro.bedrock import boot_process, check_boot_config
 from repro.bedrock.errors import (
     BedrockConfigError,
     DependencyError,
@@ -49,18 +43,17 @@ def margo_doc(pools=("p0",), xstreams=None, **extra):
 # Margo documents
 # ----------------------------------------------------------------------
 def test_valid_margo_doc_is_clean():
-    assert validate_margo_doc(margo_doc()) == []
+    assert validate_config_doc(margo_doc()) == []
 
 
 def test_empty_doc_uses_defaults_and_is_clean():
-    assert validate_margo_doc({}) == []
-    assert validate_margo_doc(None) == []
+    assert validate_config_doc({}) == []
+    assert validate_config_doc(None) == []
 
 
 def test_duplicate_pool_name():
     doc = {"argobots": {"pools": [{"name": "p"}, {"name": "p"}]}}
-    findings = validate_margo_doc(doc)
-    assert "MCH021" in ids(findings)
+    assert ids(validate_config_doc(doc)) == ["MCH020"]
 
 
 def test_duplicate_xstream_name():
@@ -71,7 +64,7 @@ def test_duplicate_xstream_name():
             {"name": "es", "scheduler": {"pools": ["p0"]}},
         ],
     )
-    assert "MCH021" in ids(validate_margo_doc(doc))
+    assert ids(validate_config_doc(doc)) == ["MCH020"]
 
 
 def test_xstream_referencing_undefined_pool():
@@ -79,7 +72,7 @@ def test_xstream_referencing_undefined_pool():
         pools=("p0",),
         xstreams=[{"name": "es0", "scheduler": {"pools": ["ghost"]}}],
     )
-    findings = validate_margo_doc(doc)
+    findings = validate_config_doc(doc)
     assert "MCH020" in ids(findings)
     assert any("ghost" in f.message for f in findings)
 
@@ -89,23 +82,22 @@ def test_unserved_pool_is_dangling():
         pools=("p0", "orphan"),
         xstreams=[{"name": "es0", "scheduler": {"pools": ["p0"]}}],
     )
-    findings = validate_margo_doc(doc)
+    findings = validate_config_doc(doc)
     assert ids(findings) == ["MCH020"]
     assert "never" in findings[0].message or "orphan" in findings[0].message
 
 
 def test_dangling_progress_and_rpc_pool():
-    findings = validate_margo_doc(margo_doc(progress_pool="nope"))
+    findings = validate_config_doc(margo_doc(progress_pool="nope"))
     assert ids(findings) == ["MCH020"]
-    findings = validate_margo_doc(margo_doc(rpc_pool="nope"))
+    findings = validate_config_doc(margo_doc(rpc_pool="nope"))
     assert ids(findings) == ["MCH020"]
 
 
 def test_malformed_margo_doc():
-    assert ids(validate_margo_doc([1, 2])) == ["MCH023"]
-    assert ids(validate_margo_doc("{not json")) == ["MCH023"]
-    # Structural errors are delegated to MargoConfig.from_json.
-    assert ids(validate_margo_doc({"bogus_key": 1})) == ["MCH023"]
+    assert ids(validate_config_doc([1, 2])) == ["MCH020"]
+    assert ids(validate_config_doc("{not json")) == ["MCH020"]
+    assert ids(validate_config_doc({"bogus_key": 1})) == ["MCH020"]
 
 
 # ----------------------------------------------------------------------
@@ -134,30 +126,30 @@ def test_valid_bedrock_doc_is_clean():
             },
         ]
     )
-    assert validate_bedrock_doc(doc) == []
+    assert validate_config_doc(doc) == []
 
 
 def test_unknown_top_level_key():
-    findings = validate_bedrock_doc({"margo": {}, "oops": 1})
-    assert ids(findings) == ["MCH023"]
+    findings = validate_config_doc({"margo": {}, "oops": 1})
+    assert ids(findings) == ["MCH020"]
 
 
 def test_unknown_library():
-    findings = validate_bedrock_doc(bedrock_doc([], libraries={"a": "libnope.so"}))
-    assert ids(findings) == ["MCH022"]
+    findings = validate_config_doc(bedrock_doc([], libraries={"a": "libnope.so"}))
+    assert ids(findings) == ["MCH020"]
     assert "unknown library" in findings[0].message
 
 
 def test_library_type_mismatch():
-    findings = validate_bedrock_doc(
+    findings = validate_config_doc(
         bedrock_doc([], libraries={"warabi": "libyokan.so"})
     )
-    assert ids(findings) == ["MCH023"]
+    assert ids(findings) == ["MCH020"]
     assert "provides type" in findings[0].message
 
 
 def test_duplicate_provider_name_and_id():
-    findings = validate_bedrock_doc(
+    findings = validate_config_doc(
         bedrock_doc(
             [
                 {"name": "db", "type": "yokan", "provider_id": 1},
@@ -165,28 +157,28 @@ def test_duplicate_provider_name_and_id():
             ]
         )
     )
-    assert ids(findings) == ["MCH021", "MCH021"]  # name clash + (type,id) clash
+    assert ids(findings) == ["MCH020"]  # the boot stops at the name clash
 
 
 def test_provider_dangling_pool():
-    findings = validate_bedrock_doc(
+    findings = validate_config_doc(
         bedrock_doc([{"name": "db", "type": "yokan", "pool": "ghost"}])
     )
     assert ids(findings) == ["MCH020"]
 
 
 def test_dependency_on_unknown_provider():
-    findings = validate_bedrock_doc(
+    findings = validate_config_doc(
         bedrock_doc(
             [{"name": "db", "type": "yokan", "dependencies": {"mover": "ghost"}}]
         )
     )
-    assert ids(findings) == ["MCH022"]
+    assert ids(findings) == ["MCH020"]
     assert "unknown local" in findings[0].message
 
 
 def test_dependency_declared_later_is_boot_order_error():
-    findings = validate_bedrock_doc(
+    findings = validate_config_doc(
         bedrock_doc(
             [
                 {"name": "db", "type": "yokan", "dependencies": {"mover": "mover"}},
@@ -194,12 +186,13 @@ def test_dependency_declared_later_is_boot_order_error():
             ]
         )
     )
-    assert ids(findings) == ["MCH022"]
-    assert "declared later" in findings[0].message
+    # Bedrock starts providers in list order: "mover" is not booted yet.
+    assert ids(findings) == ["MCH020"]
+    assert "unknown local provider" in findings[0].message
 
 
 def test_dependency_cycle_detected():
-    findings = validate_bedrock_doc(
+    findings = validate_config_doc(
         bedrock_doc(
             [
                 {"name": "a", "type": "yokan", "provider_id": 1,
@@ -209,17 +202,19 @@ def test_dependency_cycle_detected():
             ]
         )
     )
-    assert any("cycle" in f.message for f in findings)
+    # Every cycle has an edge to a provider not booted yet.
+    assert ids(findings) == ["MCH020"]
+    assert "unknown local provider" in findings[0].message
 
 
 def test_remote_dependency_shape():
-    findings = validate_bedrock_doc(
+    findings = validate_config_doc(
         bedrock_doc(
             [{"name": "db", "type": "yokan",
               "dependencies": {"peer": {"type": "yokan"}}}]
         )
     )
-    assert ids(findings) == ["MCH022"]
+    assert ids(findings) == ["MCH020"]
     assert "missing" in findings[0].message
 
 
@@ -243,7 +238,7 @@ def test_validate_config_file_and_skip_non_configs(tmp_path):
 
     invalid = tmp_path / "invalid.json"
     invalid.write_text("{broken")
-    assert ids(validate_config_file(str(invalid))) == ["MCH023"]
+    assert ids(validate_config_file(str(invalid))) == ["MCH020"]
 
 
 def test_example_configs_are_clean():
@@ -287,13 +282,21 @@ def test_boot_check_passes_valid_doc():
         ),
         ({"margo": {"argobots": {"pools": [{"name": "p"}, {"name": "p"}]}}},
          ConfigError),
+        # Malformed values raise a config error, never a bare Python one.
+        (bedrock_doc([{"name": "db", "type": "yokan", "dependencies": ["mover"]}]),
+         DependencyError),
+        (bedrock_doc([{"name": "db", "type": "yokan", "provider_id": "x"}]),
+         BedrockConfigError),
+        ({"margo": margo_doc(progress_pool=["p0"])}, ConfigError),
+        ({"margo": {"argobots": {"pools": [{"name": ["a"]}]}}}, ConfigError),
+        ({"margo": {"dispatch_cost": "fast"}}, ConfigError),
+        ({"margo": margo_doc(xstreams=[{"name": "es", "scheduler": {"pools": "p0"}}])},
+         ConfigError),
     ],
 )
 def test_boot_check_raises_runtime_exception_types(doc, exc):
-    with pytest.raises(exc) as excinfo:
+    with pytest.raises(exc):
         check_boot_config(doc)
-    # The full finding list rides on the exception for diagnostics.
-    assert excinfo.value.findings
 
 
 def test_boot_process_fails_before_creating_any_process():
@@ -307,20 +310,3 @@ def test_boot_process_fails_before_creating_any_process():
             ),
         )
     assert cluster.network.processes == {}
-
-
-def test_boot_process_validate_false_skips_static_pass():
-    # With validation off the same document reaches the runtime path,
-    # which raises its own (identical) exception type -- but only after
-    # the process exists.
-    cluster = Cluster(seed=5)
-    with pytest.raises(DependencyError):
-        boot_process(
-            cluster, "svc", "n0",
-            bedrock_doc(
-                [{"name": "db", "type": "yokan",
-                  "dependencies": {"mover": "ghost"}}]
-            ),
-            validate=False,
-        )
-    assert any(p.name == "svc" for p in cluster.network.processes.values())

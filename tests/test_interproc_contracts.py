@@ -1,11 +1,11 @@
-"""RPC contract checking: MCH050-MCH053 positives and negatives."""
+"""RPC contract checking: MCH050-MCH052 positives and negatives."""
 
 from repro.analysis.interproc.callgraph import build_project
 from repro.analysis.interproc.contracts import build_contracts
 
 from .lint_util import fixture_path, line_of, lint_fixture, parse_fixture
 
-_CONTRACT_IDS = {"MCH050", "MCH051", "MCH052", "MCH053"}
+_CONTRACT_IDS = {"MCH050", "MCH051", "MCH052"}
 
 
 def _contract_findings(*packages):
@@ -16,7 +16,6 @@ def _contract_findings(*packages):
 def test_matched_contract_is_clean():
     findings, stats = _contract_findings("rpcgood")
     assert findings == []
-    assert stats["dead_handler_checked"] is True
     assert stats["rpc_registrations"] == 2
     assert stats["rpc_forwards"] == 2
 
@@ -50,15 +49,6 @@ def test_response_shape_flagged():
         line_of(client, 'self._forward("get"')
     ]
     assert "None" in responses[0].message
-
-
-def test_dead_handler_flagged():
-    findings, _ = _contract_findings("rpcbad")
-    provider = fixture_path("rpcbad", "provider.py")
-    dead = [f for f in findings if f.rule_id == "MCH053"]
-    assert len(dead) == 1
-    assert dead[0].path == provider
-    assert dead[0].line == line_of(provider, 'self.register_rpc("drop"')
 
 
 def test_dynamic_registration_opens_component():
