@@ -6,25 +6,25 @@
 # RPC path; ROADMAP item 1).
 
 PY := PYTHONPATH=src python
-LINT_PATHS := src/repro examples benchmarks tests
 
 .PHONY: ci lint test gates e2e contract census
 
 ci: lint test e2e contract gates
 
-# Every static rule + the config boot check, twice (the report must be
+# Every static rule + the config boot check over the gate's roots
+# (`repro lint` with no paths), twice (the report must be
 # byte-identical), then mochi-race: happens-before + lock order +
 # schedule exploration, and the example services under the sanitizer.
 lint:
-	$(PY) -m repro.analysis $(LINT_PATHS)
-	$(PY) -m repro.analysis --format json $(LINT_PATHS) > lint-run-1.json || true
-	$(PY) -m repro.analysis --format json $(LINT_PATHS) > lint-run-2.json || true
+	$(PY) -m repro lint
+	$(PY) -m repro lint --format json > lint-run-1.json || true
+	$(PY) -m repro lint --format json > lint-run-2.json || true
 	cmp lint-run-1.json lint-run-2.json
-	$(PY) -m repro.analysis --race --race-seeds 8
+	$(PY) -m repro race --seeds 8
 	REPRO_SANITIZE=race $(PY) -m pytest -x -q tests/test_race_services.py
 
 mochi-lint.sarif:
-	$(PY) -m repro.analysis --format sarif $(LINT_PATHS) > $@ || true
+	$(PY) -m repro lint --format sarif > $@ || true
 
 # Tier-1, then the pins that must also hold with the race sanitizer on.
 test:

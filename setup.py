@@ -24,17 +24,8 @@ setup(
     extras_require={"test": ["pytest", "hypothesis", "pytest-benchmark"]},
     entry_points={
         "console_scripts": [
-            # mochi-lint: the Mochi-aware static analyzer + config
-            # checks (same as `python -m repro.analysis`).
-            "repro-lint=repro.analysis.cli:main",
-            # mochi-health: deterministic incident scenarios reporting
-            # health states, incidents, detection latency, MTTR (same
-            # as `python -m repro.observability.health`).
-            "repro-health=repro.observability.health.cli:main",
-            # mochi-xray: known-bottleneck scenarios reporting critical
-            # paths, tail attribution, and what-if rankings (same as
-            # `python -m repro.observability.xray`).
-            "repro-xray=repro.observability.xray.cli:main",
+            # lint / race / health / xray (same as `python -m repro`).
+            "repro=repro.cli:main",
         ]
     },
 )

@@ -1,4 +1,4 @@
-"""``python -m repro.analysis`` entry point."""
+"""``python -m repro`` -> the ``repro`` command."""
 
 import sys
 

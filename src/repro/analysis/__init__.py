@@ -7,9 +7,8 @@ respond; ULTs must not suspend while holding a mutex; and configuration
 documents must cross-reference consistently.  This package enforces all
 of that three ways:
 
-* a static pass (:mod:`repro.analysis.engine`, ``repro-lint`` /
-  ``python -m repro.analysis``): file-scope, whole-program and
-  path-sensitive rules in one pipeline;
+* a static pass (:mod:`repro.analysis.engine`, ``repro lint``):
+  file-scope, whole-program and path-sensitive rules in one pipeline;
 * a configuration check (:mod:`repro.analysis.config_check`) that runs
   Bedrock's own boot checks on config files, so files and boots agree;
 * runtime layers (:mod:`repro.analysis.sanitize`, ``REPRO_SANITIZE=1``;

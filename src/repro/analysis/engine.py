@@ -30,7 +30,18 @@ from .registry import PARSE_ERROR, Rule, all_rules, rule_catalog
 from .rules import FileContext
 from .suppress import UNSUPPRESSABLE, parse_suppressions
 
-__all__ = ["lint_source", "iter_target_files", "run_lint", "LintResult", "Project"]
+__all__ = [
+    "DEFAULT_ROOTS",
+    "lint_source",
+    "iter_target_files",
+    "run_lint",
+    "LintResult",
+    "Project",
+]
+
+#: The CI gate's roots, relative to the repository root: what
+#: ``repro lint`` checks when given no paths.
+DEFAULT_ROOTS = ("src/repro", "examples", "benchmarks", "tests")
 
 #: Directory names never descended into.  ``fixtures`` holds lint-test
 #: inputs that are deliberately broken.

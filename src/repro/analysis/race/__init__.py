@@ -12,8 +12,9 @@ Three detectors, one reporting pipeline:
   order-dependent outcomes (MCH032) to the first diverging event.
 
 Only :mod:`.hooks` is imported here: it registers the rules and is safe
-to import from anywhere (stdlib + analysis core only).  The explorer and
-its scenarios import the full runtime stack; pull them in explicitly.
+to import from anywhere (stdlib + analysis core only).  The explorer
+imports the runtime lazily; the example-service scenarios live in
+:mod:`repro.scenarios` and ``repro race`` runs them.
 """
 
 from . import hooks

@@ -61,7 +61,7 @@ def boot_process(
     Returns the Margo instance and its Bedrock server.  A node-local
     store is attached (once per node) unless ``with_local_store=False``.
     The whole document is checked first (:func:`check_boot_config`, the
-    same check ``repro-lint`` runs on config files), so a bad document
+    same check ``repro lint`` runs on config files), so a bad document
     fails before any process exists, with the runtime's own exception.
     """
     check_boot_config(config)

@@ -226,8 +226,6 @@ class MargoInstance:
             self.profiler = ContinuousProfiler(
                 self,
                 window=obs.profile_window,
-                history=obs.profile_history,
-                waterfalls=obs.profile_waterfalls,
                 sample_every=obs.profile_sample_every,
             )
             self.add_monitor(self.profiler)
@@ -249,7 +247,7 @@ class MargoInstance:
         if obs.xray and self.profiler is not None:
             from ..observability.xray import XrayRecorder
 
-            self.xray = XrayRecorder(self, max_paths=obs.xray_paths)
+            self.xray = XrayRecorder(self)
             self.add_monitor(self.xray)
         process.on_message = self._on_message
         process.on_killed.append(self.shutdown)

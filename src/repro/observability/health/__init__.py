@@ -9,8 +9,8 @@ Entry points:
 * ``ObservabilitySpec.slos`` -- declarative objectives evaluated by a
   per-process :class:`SLOEngine` against profiler windows.
 * Bedrock ``get_health`` / ``get_incidents`` / ``get_slo_status`` RPCs,
-  ``tools.health_report`` / ``tools.fault_report``, and the
-  ``repro-health`` CLI.
+  ``tools.health_report`` / ``tools.fault_report``, and
+  ``repro health {crash,slo}`` (scenarios in :mod:`repro.scenarios`).
 """
 
 from .detector import PhiAccrualDetector

@@ -296,6 +296,20 @@ class HealthPlane:
             "recorded_events": self.recorder.recorded,
         }
 
+    def slo_status(self) -> tuple[dict[str, Any], list[dict[str, Any]]]:
+        """Per-process SLO states and every alert raised so far, over
+        the processes that run an SLO engine, in name order."""
+        slo_status: dict[str, Any] = {}
+        alerts: list[dict[str, Any]] = []
+        for name in sorted(self.cluster.margos):
+            engine = self.cluster.margos[name].slo_engine
+            if engine is None:
+                continue
+            status = engine.status()
+            slo_status[name] = status["slos"]
+            alerts.extend(status["alerts"])
+        return slo_status, alerts
+
     def dump(self, reason: str = "on-demand") -> dict[str, Any]:
         return self.recorder.dump(reason)
 

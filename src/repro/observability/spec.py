@@ -11,8 +11,6 @@ the Margo instance) accepts an ``observability`` object::
 
         "profiling": true,      # continuous profiler (default off)
         "profile_window": 1.0,  # rollup window, simulated seconds
-        "profile_history": 64,  # ring of closed windows kept in memory
-        "profile_waterfalls": 32,  # recent per-RPC waterfalls kept
 
         "profile_sample_every": 16,  # decompose every Nth RPC (default 1)
         "trace_sample_rate": 0.1,    # fraction of traces kept (default 1.0)
@@ -52,14 +50,11 @@ _KNOWN_KEYS = {
     "max_spans",
     "profiling",
     "profile_window",
-    "profile_history",
-    "profile_waterfalls",
     "profile_sample_every",
     "load_imbalance_threshold",
     "busy_threshold",
     "slos",
     "xray",
-    "xray_paths",
 }
 
 
@@ -79,10 +74,6 @@ class ObservabilitySpec:
     #: Rollup window length in simulated seconds (windows are aligned to
     #: multiples of this value, so boundaries are deterministic).
     profile_window: float = 1.0
-    #: Number of closed windows retained (fixed-memory ring).
-    profile_history: int = 64
-    #: Number of recent per-RPC waterfalls retained (fixed-memory ring).
-    profile_waterfalls: int = 32
     #: Adaptive observer sampling: decompose every Nth RPC only (1 =
     #: every RPC).  Sampled requests are weighted by N in the
     #: load-estimator counts, so measured rates stay unbiased.
@@ -102,9 +93,6 @@ class ObservabilitySpec:
     #: window.  Rides the profiler's sampling decision and cross-process
     #: stamps, so ``xray`` requires ``profiling``.
     xray: bool = False
-    #: Path-record budget: at most this many records per window (and
-    #: this many recent records kept for ``get_critical_path``).
-    xray_paths: int = 256
 
     @classmethod
     def from_json(cls, doc: Any) -> "ObservabilitySpec":
@@ -126,18 +114,6 @@ class ObservabilitySpec:
         if profile_window <= 0:
             raise ValueError(
                 f"profile_window must be positive, got {profile_window}"
-            )
-        profile_history = int(doc.get("profile_history", cls.profile_history))
-        if profile_history <= 0:
-            raise ValueError(
-                f"profile_history must be positive, got {profile_history}"
-            )
-        profile_waterfalls = int(
-            doc.get("profile_waterfalls", cls.profile_waterfalls)
-        )
-        if profile_waterfalls < 0:
-            raise ValueError(
-                f"profile_waterfalls must be >= 0, got {profile_waterfalls}"
             )
         load_imbalance_threshold = float(
             doc.get("load_imbalance_threshold", cls.load_imbalance_threshold)
@@ -187,9 +163,6 @@ class ObservabilitySpec:
                 "'xray' rides the profiler's sampling and phase stamps: "
                 "set 'profiling': true"
             )
-        xray_paths = int(doc.get("xray_paths", cls.xray_paths))
-        if xray_paths < 1:
-            raise ValueError(f"xray_paths must be >= 1, got {xray_paths}")
         return cls(
             tracing=bool(doc.get("tracing", False)),
             trace_sample_rate=trace_sample_rate,
@@ -197,14 +170,11 @@ class ObservabilitySpec:
             max_spans=max_spans,
             profiling=profiling,
             profile_window=profile_window,
-            profile_history=profile_history,
-            profile_waterfalls=profile_waterfalls,
             profile_sample_every=profile_sample_every,
             load_imbalance_threshold=load_imbalance_threshold,
             busy_threshold=busy_threshold,
             slos=slos,
             xray=xray,
-            xray_paths=xray_paths,
         )
 
     def to_json(self) -> dict[str, Any]:
@@ -218,10 +188,6 @@ class ObservabilitySpec:
             doc["profiling"] = True
         if self.profile_window != ObservabilitySpec.profile_window:
             doc["profile_window"] = self.profile_window
-        if self.profile_history != ObservabilitySpec.profile_history:
-            doc["profile_history"] = self.profile_history
-        if self.profile_waterfalls != ObservabilitySpec.profile_waterfalls:
-            doc["profile_waterfalls"] = self.profile_waterfalls
         if self.profile_sample_every != ObservabilitySpec.profile_sample_every:
             doc["profile_sample_every"] = self.profile_sample_every
         if self.trace_sample_rate != ObservabilitySpec.trace_sample_rate:
@@ -234,6 +200,4 @@ class ObservabilitySpec:
             doc["slos"] = [slo.to_json() for slo in self.slos]
         if self.xray:
             doc["xray"] = True
-        if self.xray_paths != ObservabilitySpec.xray_paths:
-            doc["xray_paths"] = self.xray_paths
         return doc

@@ -2,14 +2,11 @@
 
 from .diagnostics import (
     cluster_report,
-    config_report,
     fault_report,
     health_report,
-    lint_report,
     monitoring_report,
     process_report,
     profile_report,
-    race_report,
     trace_report,
     xray_report,
 )
@@ -20,9 +17,6 @@ __all__ = [
     "monitoring_report",
     "trace_report",
     "profile_report",
-    "lint_report",
-    "config_report",
-    "race_report",
     "health_report",
     "fault_report",
     "xray_report",

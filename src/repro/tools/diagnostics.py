@@ -7,16 +7,15 @@ tools, and monitoring infrastructure."
 
 These helpers render the state of a cluster, a Bedrock-managed process,
 or a statistics monitor as human-readable text -- the simulated
-equivalent of those command-line tools.
+equivalent of those command-line tools.  The ``repro`` command
+(:mod:`repro.cli`) prints its health and xray scenarios through
+:func:`health_report` and :func:`xray_report`.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from ..analysis import sanitize as _sanitize
-from ..analysis.config_check import validate_config_doc, validate_config_file
-from ..analysis.findings import format_findings
 from ..bedrock.server import BedrockServer
 from ..cluster import Cluster
 from ..monitoring.stats_monitor import StatisticsMonitor
@@ -30,9 +29,6 @@ __all__ = [
     "monitoring_report",
     "trace_report",
     "profile_report",
-    "lint_report",
-    "config_report",
-    "race_report",
     "health_report",
     "fault_report",
     "xray_report",
@@ -234,108 +230,79 @@ def profile_report(
     return "\n".join(lines)
 
 
-def lint_report(*paths: str) -> str:
-    """Static-analysis health of a source tree (the ``repro-lint`` view).
+def health_report(target: Any, events: int = 10) -> str:
+    """The mochi-health view: per-target health states with phi levels,
+    incidents with suspect/detection latency and MTTR, per-process SLO
+    status and alerts, recoveries, and the tail of the flight recorder
+    (``events`` bounds how many recent events are shown).
 
-    Runs the full mochi-lint pass (every static rule plus Bedrock's
-    boot checks for any config JSON encountered) over
-    ``paths`` and appends whatever the runtime sanitizer has recorded so
-    far, so one report answers "is this deployment clean?" across all
-    three passes.
+    ``target`` is a :class:`~repro.cluster.Cluster` (its health plane is
+    read) or a health document, the dict the ``health`` scenarios of
+    :mod:`repro.scenarios` return.
     """
-    # Imported lazily: only this report needs the lint engine.
-    from ..analysis.engine import run_lint
-
-    findings = run_lint(paths or ("src", "examples", "benchmarks")).findings
-    findings = findings + list(_sanitize.violations)
-    if not findings:
-        return "mochi-lint: clean"
-    by_severity: dict[str, int] = {}
-    for finding in findings:
-        by_severity[finding.severity] = by_severity.get(finding.severity, 0) + 1
-    summary = ", ".join(f"{n} {sev}" for sev, n in sorted(by_severity.items()))
-    return f"mochi-lint: {len(findings)} finding(s) ({summary})\n" + format_findings(
-        findings
-    )
-
-
-def race_report(seeds: int = 8) -> str:
-    """Concurrency-correctness health of the example services.
-
-    Runs the full mochi-race suite -- the happens-before engine and the
-    lock-order graph watch every scenario while the schedule explorer
-    re-runs it under ``seeds`` seeded ready-queue perturbations -- and
-    renders one line per scenario plus any MCH03x/MCH04x findings.
-    """
-    # Imported lazily: the scenarios pull in the full runtime stack.
-    from ..analysis.race.scenarios import run_race_suite
-
-    lines: list[str] = []
-    findings, reports = run_race_suite(seeds=seeds, emit=lines.append)
-    total_runs = sum(len(r.runs) for r in reports)
-    if not findings:
-        lines.append(
-            f"mochi-race: clean ({len(reports)} scenario(s), "
-            f"{total_runs} perturbed runs)"
-        )
-        return "\n".join(lines)
-    lines.append(f"mochi-race: {len(findings)} finding(s)")
-    lines.append(format_findings(findings))
-    return "\n".join(lines)
-
-
-def health_report(cluster: Cluster, events: int = 10) -> str:
-    """The mochi-health view: per-target health states, phi levels,
-    open incidents, per-process SLO status, and the tail of the flight
-    recorder (``events`` bounds how many recent events are shown)."""
-    plane = getattr(cluster, "health", None)
-    if plane is None:
-        return "mochi-health: disabled (call cluster.enable_health() first)"
-    doc = plane.health_doc()
-    lines = [f"mochi-health @ t={doc['time']:.6f}s"]
-    states = doc["states"]
+    if isinstance(target, Cluster):
+        plane = target.health
+        if plane is None:
+            return "mochi-health: disabled (call cluster.enable_health() first)"
+        slo_status, alerts = plane.slo_status()
+        target = {
+            "health": plane.health_doc(),
+            "incidents": plane.incidents.to_json(),
+            "slo_status": slo_status,
+            "alerts": alerts,
+            "dump": plane.recorder.to_json(),
+        }
+    health = target["health"]
+    seed = f" (seed {target['seed']})" if "seed" in target else ""
+    lines = [f"mochi-health @ t={health['time']:.6f}s{seed}"]
+    states = health["states"]
     if states:
         lines.append("  health states:")
-        for target in sorted(states):
-            phi = doc["phi"].get(target)
+        for name in sorted(states):
+            phi = health["phi"].get(name)
             suffix = f"  phi={phi['phi']:.2f}" if phi else ""
-            lines.append(f"    {target:<16} {states[target]}{suffix}")
+            lines.append(f"    {name:<16} {states[name]}{suffix}")
     else:
         lines.append("  health states: (no observations yet)")
-    open_incidents = plane.incidents.open_incidents()
-    closed = [i for i in plane.incidents.incidents if not i.open]
-    lines.append(
-        f"  incidents: {len(open_incidents)} open / {len(closed)} closed"
-    )
-    for incident in plane.incidents.incidents:
-        status = "OPEN" if incident.open else f"closed ({incident.resolution})"
-        lines.append(
-            f"    {incident.incident_id} [{status}] {incident.kind}: "
-            f"{incident.target} opened@t={incident.opened_at:.3f}s"
+    incidents = target["incidents"]["incidents"]
+    opened = sum(1 for incident in incidents if incident["status"] == "open")
+    lines.append(f"  incidents: {opened} open / {len(incidents) - opened} closed")
+    for incident in incidents:
+        status = (
+            "OPEN" if incident["status"] == "open"
+            else f"closed ({incident['resolution']})"
         )
-        if incident.detection_latency is not None:
-            lines.append(
-                f"      detection latency: {incident.detection_latency:.3f}s"
-            )
-        if incident.mttr is not None:
-            lines.append(f"      mttr: {incident.mttr:.3f}s")
-    for name in sorted(cluster.margos):
-        engine = cluster.margos[name].slo_engine
-        if engine is None:
-            continue
-        status = engine.status()
-        lines.append(f"  slo status [{name}]:")
-        for slo in status["slos"]:
+        lines.append(
+            f"    {incident['id']} [{status}] {incident['kind']}: "
+            f"{incident['target']} opened@t={incident['opened_at']:.3f}s"
+        )
+        for key in ("suspect_latency", "detection_latency", "mttr"):
+            if incident[key] is not None:
+                lines.append(f"      {key.replace('_', ' ')}: {incident[key]:.3f}s")
+    for process, slos in target.get("slo_status", {}).items():
+        lines.append(f"  slo status [{process}]:")
+        for slo in slos:
             lines.append(
                 f"    {slo['slo']:<16} {slo['state']:<7} "
                 f"burn_short={slo['burn_short']:.2f} "
                 f"burn_long={slo['burn_long']:.2f} "
                 f"budget={slo['budget_remaining'] * 100:.0f}%"
             )
-    tail = list(plane.recorder.events)[-events:]
+    for alert in target.get("alerts", []):
+        lines.append(
+            f"  slo alert [{alert['process']}] {alert['slo']}: "
+            f"{alert['from']} -> {alert['to']} "
+            f"(burn_short={alert['burn_short']:.1f})"
+        )
+    for recovery in target.get("recoveries", []):
+        lines.append(
+            f"  recovery: {recovery['failed']} -> {recovery['replacement']} "
+            f"in {recovery['duration']:.3f}s"
+        )
+    dump = target["dump"]
+    tail = dump["events"][-events:] if events > 0 else []
     if tail:
-        lines.append(f"  flight recorder (last {len(tail)} of "
-                     f"{plane.recorder.recorded}):")
+        lines.append(f"  flight recorder (last {len(tail)} of {dump['recorded']}):")
         for event in tail:
             lines.append(
                 f"    t={event['time']:.3f}s [{event['category']}] "
@@ -395,24 +362,27 @@ def fault_report(cluster: Cluster) -> str:
     return "\n".join(lines)
 
 
-def config_report(config: "dict[str, Any] | str | None", name: str = "<config>") -> str:
-    """Check one Margo/Bedrock document and render the verdict.
-
-    ``config`` may be a parsed dict, JSON text, or a path to a ``.json``
-    file.  This is the same validation :func:`repro.bedrock.boot_process`
-    applies before booting, exposed as a report for interactive use.
-    """
-    if isinstance(config, str) and config.lstrip()[:1] not in ("{", "["):
-        findings = validate_config_file(config)
-        name = config
-    else:
-        import json
-
-        doc = json.loads(config) if isinstance(config, str) else config
-        findings = validate_config_doc(doc, path=name)
-    if not findings:
-        return f"{name}: config OK"
-    return f"{name}: {len(findings)} problem(s)\n" + format_findings(findings)
+def _attribution_lines(
+    head: str, attribution: dict[str, Any], whatif: dict[str, Any], actions: int
+) -> list[str]:
+    """One tail attribution and its what-if ranking: the p50/p99 line,
+    then the top ``actions`` segments and ranked actions."""
+    lines = [
+        f"  {head}p50={attribution['p50'] * 1e6:.2f}us "
+        f"p99={attribution['p99'] * 1e6:.2f}us"
+    ]
+    for segment in attribution["segments"][:actions]:
+        where = segment["pool"] or "-"
+        lines.append(
+            f"    excess {segment['excess'] * 1e6:>9.2f}us  "
+            f"{segment['phase']:<12} {segment['process']} [{where}]"
+        )
+    for action in whatif["actions"][:actions]:
+        lines.append(
+            f"    what-if {action['predicted_improvement']:>6.1%} p99: "
+            f"{action['action']} {action['target']} on {action['process']}"
+        )
+    return lines
 
 
 def xray_report(
@@ -422,11 +392,23 @@ def xray_report(
     rankings, and recent per-request critical paths.
 
     ``target`` is a :class:`~repro.cluster.Cluster` (its shared plane is
-    used) or an :class:`~repro.observability.xray.XrayPlane` directly;
-    ``last`` bounds the windows shown, ``actions`` the attribution
-    segments / ranked actions per window, ``paths`` the recent path
-    records rendered in full.
+    used), an :class:`~repro.observability.xray.XrayPlane` directly, or
+    the whole-run document an ``xray`` scenario of :mod:`repro.scenarios`
+    returns; ``last`` bounds the windows shown, ``actions`` the
+    attribution segments / ranked actions per window, ``paths`` the
+    recent path records rendered in full.
     """
+    if isinstance(target, dict):
+        lines = [
+            f"mochi-xray: scenario {target['scenario']} (seed {target['seed']}), "
+            f"{target['windows']} closed window(s)"
+        ]
+        lines += _attribution_lines(
+            f"whole run: {target['requests']} request(s), ",
+            target["attribution"], target["whatif"], actions,
+        )
+        return "\n".join(lines)
+
     from ..observability.xray.critical_path import format_path_record
 
     plane = target.xray_plane() if isinstance(target, Cluster) else target
@@ -440,26 +422,13 @@ def xray_report(
         f"{len(plane.recent)} recent path(s)"
     ]
     for window in plane.attribution(last=last):
-        attribution = window["attribution"]
-        lines.append(
-            f"  window {window['index']} "
+        lines += _attribution_lines(
+            f"window {window['index']} "
             f"[{window['start']:.3f}s..{window['end']:.3f}s]: "
             f"{window['requests']} request(s), "
-            f"{window['dropped_paths']} dropped, "
-            f"p50={attribution['p50'] * 1e6:.2f}us "
-            f"p99={attribution['p99'] * 1e6:.2f}us"
+            f"{window['dropped_paths']} dropped, ",
+            window["attribution"], window["whatif"], actions,
         )
-        for segment in attribution["segments"][:actions]:
-            where = segment["pool"] or "-"
-            lines.append(
-                f"    excess {segment['excess'] * 1e6:>9.2f}us  "
-                f"{segment['phase']:<12} {segment['process']} [{where}]"
-            )
-        for action in window["whatif"]["actions"][:actions]:
-            lines.append(
-                f"    what-if {action['predicted_improvement']:>6.1%} p99: "
-                f"{action['action']} {action['target']} on {action['process']}"
-            )
     for record in plane.critical_paths(last=paths):
         lines.extend("  " + line for line in format_path_record(record))
     return "\n".join(lines)

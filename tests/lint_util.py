@@ -5,13 +5,13 @@ from __future__ import annotations
 import ast
 import os
 
-from repro.analysis.engine import iter_target_files, run_lint
+from repro.analysis.engine import DEFAULT_ROOTS, iter_target_files, run_lint
 from repro.analysis.rules import FileContext
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(REPO, "tests", "fixtures")
-#: The default ``repro-lint`` roots, which the acceptance tests lint once.
-LINT_ROOTS = [os.path.join(REPO, name) for name in ("src/repro", "examples", "benchmarks")]
+#: The ``repro lint`` gate's roots, which the acceptance tests lint once.
+LINT_ROOTS = [os.path.join(REPO, name) for name in DEFAULT_ROOTS]
 
 
 def fixture_path(package: str, *names: str) -> str:

@@ -1,5 +1,5 @@
-"""The repro-lint command line: exit codes, formats, and the acceptance
-criterion that the repository itself lints clean."""
+"""``repro lint`` and ``repro race``: exit codes, formats, and the
+acceptance criterion that the repository itself lints clean."""
 
 import json
 import os
@@ -9,7 +9,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis.cli import main
+from repro.cli import main
 from repro.analysis.engine import lint_source, run_lint
 
 from .lint_util import REPO
@@ -37,13 +37,13 @@ def write(tmp_path, name, body):
 
 def test_clean_file_exits_zero(tmp_path, capsys):
     path = write(tmp_path, "clean.py", CLEAN)
-    assert main([path]) == 0
+    assert main(["lint", path]) == 0
     assert "clean" in capsys.readouterr().out
 
 
 def test_findings_exit_one_with_locations(tmp_path, capsys):
     path = write(tmp_path, "dirty.py", DIRTY)
-    assert main([path]) == 1
+    assert main(["lint", path]) == 1
     out = capsys.readouterr().out
     assert f"{path}:6: MCH001" in out
     assert "1 finding(s)" in out
@@ -51,7 +51,7 @@ def test_findings_exit_one_with_locations(tmp_path, capsys):
 
 def test_sarif_format(tmp_path, capsys):
     path = write(tmp_path, "dirty.py", DIRTY)
-    assert main(["--format", "sarif", path]) == 1
+    assert main(["lint", "--format", "sarif", path]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["version"] == "2.1.0"
     run = doc["runs"][0]
@@ -77,26 +77,26 @@ def test_sarif_format(tmp_path, capsys):
 
 def test_sarif_format_clean_is_empty_run(tmp_path, capsys):
     path = write(tmp_path, "clean.py", CLEAN)
-    assert main(["--format", "sarif", path]) == 0
+    assert main(["lint", "--format", "sarif", path]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["runs"][0]["results"] == []
 
 
 def test_race_cli_runs_suite(capsys):
-    assert main(["--race", "--race-seeds", "1"]) == 0
+    assert main(["race", "--seeds", "1"]) == 0
     out = capsys.readouterr().out
     assert "yokan-kv" in out and "raft-election" in out
     assert "clean (race suite)" in out
 
 
 def test_missing_path_exits_two(tmp_path, capsys):
-    assert main([str(tmp_path / "nope")]) == 2
-    assert "repro-lint:" in capsys.readouterr().err
+    assert main(["lint", str(tmp_path / "nope")]) == 2
+    assert "repro lint:" in capsys.readouterr().err
 
 
 def test_json_format(tmp_path, capsys):
     path = write(tmp_path, "dirty.py", DIRTY)
-    assert main(["--format", "json", path]) == 1
+    assert main(["lint", "--format", "json", path]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc[0]["rule_id"] == "MCH001"
     assert doc[0]["path"] == path
@@ -106,16 +106,16 @@ def test_json_format(tmp_path, capsys):
 
 def test_select_and_ignore(tmp_path):
     path = write(tmp_path, "dirty.py", DIRTY)
-    assert main(["--select", "MCH002", path]) == 0
-    assert main(["--ignore", "MCH001", path]) == 0
-    assert main(["--select", "MCH001", path]) == 1
+    assert main(["lint", "--select", "MCH002", path]) == 0
+    assert main(["lint", "--ignore", "MCH001", path]) == 0
+    assert main(["lint", "--select", "MCH001", path]) == 1
 
 
 def test_unknown_rule_id_is_a_usage_error(tmp_path, capsys):
     # A typo'd gate must not be green.
     path = write(tmp_path, "clean.py", CLEAN)
     for flag in ("--select", "--ignore"):
-        assert main([flag, "MCH001,MCH999", path]) == 2
+        assert main(["lint", flag, "MCH001,MCH999", path]) == 2
         captured = capsys.readouterr()
         assert "MCH999" in captured.err and "--list-rules" in captured.err
         assert "clean" not in captured.out
@@ -124,7 +124,10 @@ def test_unknown_rule_id_is_a_usage_error(tmp_path, capsys):
     with pytest.raises(ValueError, match="MCH999"):
         lint_source(CLEAN, ignore=["MCH999"])
     # Config, sanitizer and race ids are part of the catalog.
-    assert main(["--select", "MCH020,MCH012,MCH030", path]) == 0
+    assert main(["lint", "--select", "MCH020,MCH012,MCH030", path]) == 0
+    # A race gate that explores nothing must not be green either.
+    assert main(["race", "--seeds", "0"]) == 2
+    assert "--seeds" in capsys.readouterr().err
 
 
 def test_directory_walk_includes_configs(tmp_path, capsys):
@@ -132,7 +135,7 @@ def test_directory_walk_includes_configs(tmp_path, capsys):
     (tmp_path / "bad.json").write_text(
         json.dumps({"argobots": {}, "progress_pool": "ghost"})
     )
-    assert main([str(tmp_path)]) == 1
+    assert main(["lint", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "MCH001" in out
     assert "MCH020" in out
@@ -142,12 +145,12 @@ def test_directory_walk_includes_configs(tmp_path, capsys):
         json.dumps({"libraries": {"yokan": "libyokan.so"},
                     "providers": [{"name": "db", "type": "yokan", "provider_id": "x"}]})
     )
-    assert main([str(tmp_path / "bad.json")]) == 1
+    assert main(["lint", str(tmp_path / "bad.json")]) == 1
     assert "MCH020" in capsys.readouterr().out
 
 
 def test_list_rules_covers_catalog(capsys):
-    assert main(["--list-rules"]) == 0
+    assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in (
         "MCH001", "MCH002", "MCH003", "MCH004",
@@ -169,16 +172,16 @@ def test_list_rules_covers_catalog(capsys):
 
 
 def test_module_entry_point_matches_cli():
-    from repro.analysis import __main__  # noqa: F401 - importable
+    from repro import __main__  # noqa: F401 - importable
 
-    from repro.analysis.cli import main as cli_main
+    from repro.cli import main as cli_main
 
     assert cli_main is main
 
 
 def test_repository_lints_clean(repo_lint):
     """The acceptance criterion: zero unsuppressed findings, under every
-    rule, over src/repro, examples/, and benchmarks/."""
+    rule, over the gate's roots."""
     assert repo_lint.findings == [], "\n".join(
         f.format() for f in repo_lint.findings
     )
@@ -191,8 +194,9 @@ def test_runtime_import_does_not_load_the_lint_engine():
         "import sys, repro.cluster\n"
         "from repro.analysis import sanitize\n"
         "from repro.analysis.race import hooks\n"
-        "loaded = [m for m in ('engine', 'rules', 'cli', 'flow', 'interproc')\n"
-        "          if 'repro.analysis.' + m in sys.modules]\n"
+        "loaded = [m for m in ('analysis.engine', 'analysis.rules', 'cli',\n"
+        "                      'scenarios', 'analysis.flow', 'analysis.interproc')\n"
+        "          if 'repro.' + m in sys.modules]\n"
         "print(loaded, sanitize.ENABLED, hooks.ENABLED)\n"
     )
     for mode, expected in (

@@ -7,12 +7,11 @@ import pytest
 
 from repro import Cluster
 from repro.bedrock import boot_process
+from repro.cli import main
 from repro.monitoring import StatisticsMonitor
 from repro.margo.ult import Compute, UltSleep
 from repro.tools import (
     cluster_report,
-    config_report,
-    lint_report,
     monitoring_report,
     process_report,
     profile_report,
@@ -94,12 +93,13 @@ def test_monitoring_report_empty():
     assert "top 0" in report
 
 
-def test_lint_report_clean_tree(tmp_path):
+def test_lint_report_clean_tree(tmp_path, capsys):
     (tmp_path / "ok.py").write_text("def f(kernel):\n    return kernel.now\n")
-    assert lint_report(str(tmp_path)) == "mochi-lint: clean"
+    assert main(["lint", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "mochi-lint: clean\n"
 
 
-def test_lint_report_renders_findings(tmp_path):
+def test_lint_report_renders_findings(tmp_path, capsys):
     (tmp_path / "dirty.py").write_text(
         textwrap.dedent(
             """
@@ -110,36 +110,12 @@ def test_lint_report_renders_findings(tmp_path):
             """
         )
     )
-    report = lint_report(str(tmp_path))
+    assert main(["lint", str(tmp_path)]) == 1
+    report = capsys.readouterr().out
     assert "2 finding(s)" in report  # wall clock + blocking call in ULT
     assert "MCH001" in report
     assert "MCH014" in report
     assert "dirty.py:5" in report
-
-
-def test_lint_report_includes_sanitizer_violations(tmp_path):
-    from repro.analysis import sanitize
-    from repro.margo.ult import UltMutex, UltSleep
-
-    (tmp_path / "ok.py").write_text("x = 1\n")
-    sanitize.reset()
-    sanitize.enable(strict=False)
-    try:
-        cluster = Cluster(seed=3)
-        margo = cluster.add_margo("m", node="n0")
-        mutex = UltMutex(cluster.kernel, name="state")
-
-        def bad():
-            yield from mutex.acquire()
-            yield UltSleep(0.1)  # mochi-lint: disable=MCH011 -- the violation under test
-            mutex.release()
-
-        cluster.run_ult(margo, bad())
-        report = lint_report(str(tmp_path))
-        assert "MCH011" in report
-        assert "ult:" in report  # the runtime violation's context location
-    finally:
-        sanitize.disable()
 
 
 def test_profile_report_contents():
@@ -239,22 +215,20 @@ def test_trace_report_includes_critical_path():
         assert " > " in line or "rpc:" in line
 
 
-def test_config_report_on_documents_and_files(tmp_path):
+def test_config_report_on_documents_and_files(tmp_path, capsys):
     good = {
         "argobots": {
             "pools": [{"name": "p"}],
             "xstreams": [{"name": "x", "scheduler": {"pools": ["p"]}}],
         }
     }
-    assert config_report(good, "good") == "good: config OK"
-
-    bad = dict(good, progress_pool="ghost")
-    report = config_report(bad, "bad")
-    assert "1 problem(s)" in report
-    assert "MCH020" in report
-
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(bad))
-    assert "MCH020" in config_report(str(path))
+    path.write_text(json.dumps(good))
+    assert main(["lint", str(path)]) == 0
+    assert capsys.readouterr().out == "mochi-lint: clean\n"
 
-    assert "MCH020" in config_report(json.dumps(bad), "inline")
+    path.write_text(json.dumps(dict(good, progress_pool="ghost")))
+    assert main(["lint", str(path)]) == 1
+    report = capsys.readouterr().out
+    assert "1 finding(s)" in report
+    assert "MCH020" in report

@@ -37,7 +37,7 @@ def run_cli(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO, "src")
     return subprocess.run(
-        [sys.executable, "-m", "repro.analysis.cli", *args],
+        [sys.executable, "-m", "repro", "lint", *args],
         capture_output=True,
         text=True,
         cwd=REPO,

@@ -12,10 +12,7 @@ from repro.analysis.race import hooks as race_hooks
 from repro.bedrock.boot import boot_process
 from repro.bedrock.client import BedrockClient
 from repro.core import ReconfigurationController
-from repro.observability.health.scenarios import (
-    run_crash_scenario,
-    run_slo_scenario,
-)
+from repro.scenarios import run_crash_scenario, run_slo_scenario
 from repro.ssg import SwimConfig, create_group
 from repro.tools import fault_report, health_report
 from repro.yokan import YokanClient

@@ -384,6 +384,8 @@ def test_observability_spec_parses_and_validates():
     assert ObservabilitySpec.from_json(None) == ObservabilitySpec()
     with pytest.raises(ValueError, match="unknown observability keys"):
         ObservabilitySpec.from_json({"traicng": True})
+    with pytest.raises(ValueError, match="unknown observability keys"):
+        ObservabilitySpec.from_json({"profile_history": 64})
     with pytest.raises(ValueError, match="must be positive"):
         ObservabilitySpec.from_json({"max_spans": 0})
     with pytest.raises(ValueError, match="must be an object"):

@@ -11,7 +11,7 @@ import pytest
 
 from repro.analysis.race import hooks
 from repro.analysis.race.explore import explore
-from repro.analysis.race.scenarios import (
+from repro.scenarios import (
     SCENARIOS,
     raft_scenario,
     remi_scenario,
@@ -19,6 +19,8 @@ from repro.analysis.race.scenarios import (
     warabi_scenario,
     yokan_scenario,
 )
+
+RACE = SCENARIOS["race"]
 
 
 @pytest.fixture(autouse=True)
@@ -40,7 +42,7 @@ def test_scenarios_produce_facts_without_detection():
     assert facts["terms_converged"] and facts["all_running"]
 
 
-@pytest.mark.parametrize("name,scenario", SCENARIOS, ids=[n for n, _ in SCENARIOS])
+@pytest.mark.parametrize("name,scenario", RACE.items(), ids=list(RACE))
 def test_service_race_clean_across_eight_seeds(name, scenario):
     report = explore(scenario, name, seeds=tuple(range(1, 9)))
     assert len(report.runs) == 8
@@ -55,16 +57,7 @@ def test_run_race_suite_emits_summary_lines():
     lines = []
     findings, reports = run_race_suite(seeds=2, emit=lines.append)
     assert findings == []
-    assert len(reports) == len(SCENARIOS)
-    assert len(lines) == len(SCENARIOS)
-    for (name, _), line in zip(SCENARIOS, lines):
+    assert len(reports) == len(RACE)
+    assert len(lines) == len(RACE)
+    for name, line in zip(RACE, lines):
         assert name in line and "0 diverging" in line
-
-
-def test_race_report_tool_clean():
-    from repro.tools import race_report
-
-    text = race_report(seeds=2)
-    assert "mochi-race: clean" in text
-    for name, _ in SCENARIOS:
-        assert name in text

@@ -27,12 +27,7 @@ from repro.observability.xray import (
     segment_key,
     what_if,
 )
-from repro.observability.xray.scenarios import (
-    SCENARIOS,
-    scenario_lock,
-    scenario_network,
-    scenario_pool,
-)
+from repro.scenarios import SCENARIOS
 
 XRAY_OBS = {
     "tracing": True,
@@ -128,7 +123,7 @@ def test_candidate_action_mapping():
 _EXPECTED_ACTION = {"pool": "add_xstream", "lock": "migrate_provider", "network": "add_node"}
 
 
-@pytest.mark.parametrize("name,scenario", SCENARIOS)
+@pytest.mark.parametrize("name,scenario", SCENARIOS["xray"].items())
 def test_scenario_blames_injected_bottleneck(name, scenario):
     doc = scenario(seed=7)
     assert doc["requests"] > 0
@@ -143,7 +138,7 @@ def test_scenario_blames_injected_bottleneck(name, scenario):
     assert injected["process"].startswith(str(action["segment"]["process"]))
 
 
-@pytest.mark.parametrize("name,scenario", SCENARIOS)
+@pytest.mark.parametrize("name,scenario", SCENARIOS["xray"].items())
 def test_scenario_attribution_determinism(name, scenario):
     """Byte-identical across two seeded runs (CI repeats this under
     REPRO_SANITIZE=race)."""
@@ -349,19 +344,14 @@ def test_leaked_span_never_reaches_buffer():
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
-def test_cli_json_smoke(capsys):
-    from repro.observability.xray.cli import main
+@pytest.mark.parametrize("argv", [["xray", "pool"], ["health", "slo"]], ids="-".join)
+def test_cli_smoke(argv, capsys):
+    from repro.cli import main
 
-    assert main(["network", "--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["scenario"] == "network"
-    assert doc["top_action"]["action"] == "add_node"
-
-
-def test_cli_text_smoke(capsys):
-    from repro.observability.xray.cli import main
-
-    assert main(["pool"]) == 0
-    out = capsys.readouterr().out
-    assert "what-if ranking" in out
-    assert "recommendation: add_xstream hot" in out
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith(f"mochi-{argv[0]}")
+    runs = []
+    for _ in range(2):
+        assert main([*argv, "--format", "json"]) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1]
