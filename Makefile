@@ -1,9 +1,8 @@
 # CI as a script: every gate the workflow runs, runnable locally with no
 # network.  `make ci` is what .github/workflows/ci.yml calls, target by
-# target; `gates` comes last because it carries the rows known to fail:
-# fixed per-RPC observer costs read as a share of an echo that keeps
-# getting cheaper (race detector, sampled profiler, sampled xray on the
-# RPC path; ROADMAP item 1).
+# target; `gates` comes last because it is the only wall-clock target:
+# the race detector, sampled profiler and sampled xray are gated in
+# normalised µs per RPC (`added_us`), the off-path rows as ratios.
 
 PY := PYTHONPATH=src python
 
@@ -33,7 +32,7 @@ test:
 	REPRO_SANITIZE=race $(PY) -m pytest -x -q tests/test_yokan_provider.py -k cost_model
 	REPRO_SANITIZE=race $(PY) -m pytest -x -q tests/test_margo_rpc_pin.py
 
-# Overhead gates: exits 1 when a gated row fails.
+# Overhead gates (~1 min): exits 1 when a gated row fails.
 gates:
 	$(PY) benchmarks/bench_overhead.py
 

@@ -12,6 +12,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..analysis.race import hooks as _race
+from .config import PoolSpec
 from .errors import ConfigError
 from .ult import ULT, UltState
 
@@ -145,16 +146,8 @@ class Pool:
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "Pool":
         """Build a pool from a Listing-2-style JSON fragment."""
-        if not isinstance(doc, dict):
-            raise ConfigError(f"pool config must be an object, got {type(doc).__name__}")
-        unknown = set(doc) - {"name", "type", "access"}
-        if unknown:
-            raise ConfigError(f"unknown pool config keys: {sorted(unknown)}")
-        try:
-            name = doc["name"]
-        except KeyError as err:
-            raise ConfigError("pool config requires a 'name'") from err
-        return cls(name=name, kind=doc.get("type", "fifo_wait"), access=doc.get("access", "mpmc"))
+        spec = PoolSpec.from_json(doc)
+        return cls(spec.name, spec.kind, spec.access)
 
     def to_json(self) -> dict[str, Any]:
         return {"name": self.name, "type": self.kind, "access": self.access}

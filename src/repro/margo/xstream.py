@@ -1,10 +1,11 @@
 """Execution streams (xstreams): the OS threads of the Argobots model.
 
-Each :class:`XStream` repeatedly picks a ULT from its scheduler's pools
-(in priority order, like the "basic" Argobots scheduler) and runs it
-until the ULT yields.  ``Compute`` commands make the stream itself busy
-for simulated time, which is how CPU contention between providers
-sharing a stream (paper Fig. 2) arises.
+Each :class:`XStream` repeatedly picks an entry from its scheduler's
+pools (in priority order, like the "basic" Argobots scheduler) and runs
+it: a ULT until it yields, a run-to-completion item (Margo's network
+progress) for one ``step()``.  ``Compute`` commands and item charges make
+the stream itself busy for simulated time, which is how CPU contention
+between providers sharing a stream (paper Fig. 2) arises.
 
 The stream is a kernel *callback* state machine, not a kernel task:
 ``_drive`` is the one callback it posts, once per scheduling step, and an
@@ -14,7 +15,7 @@ generator task it replaced is ``tests/reference_scheduler.py``).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from ..analysis import sanitize as _sanitize
 from ..analysis.race import hooks as _race
@@ -34,14 +35,6 @@ SCHEDULER_TYPES = ("basic", "basic_wait", "prio")
 SCHED_OVERHEAD = 20e-9
 
 _COMMANDS = (Compute, Park, UltSleep, UltYield)
-
-
-def _command_base(cmd: Any) -> Optional[type]:
-    """The ULT command class ``cmd`` is an instance of, or None."""
-    for base in _COMMANDS:
-        if isinstance(cmd, base):
-            return base
-    return None
 
 
 class XStream:
@@ -99,10 +92,6 @@ class XStream:
             pool.detach_xstream(self)
         self.pools = []
 
-    @property
-    def stopped(self) -> bool:
-        return self._stopping
-
     def notify(self) -> None:
         """Wake the stream because work may be available (pool push)."""
         if self._idle:
@@ -131,12 +120,15 @@ class XStream:
     # the scheduling loop
     # ------------------------------------------------------------------
     # mochi-lint: hotpath
-    def _drive(self, ult: Optional[ULT] = None) -> None:
+    def _drive(self, ult: Any = None) -> None:
         """The stream's one kernel callback: posted bare to take a turn
-        (start, or a push found it idle), with the running ULT when its
-        ``Compute`` ends.  A ULT body's exception fails that ULT; one
-        from the machinery (a finish callback, a park, a push) leaves
-        through ``kernel.run()`` with the next turn already posted."""
+        (start, or a push found it idle), with the running entry when its
+        charge ends.  A pool entry that is not a :class:`ULT` is a
+        run-to-completion item: ``step()``, run with ``current_ult()`` set
+        to it, returns the seconds to charge before the next ``step()``,
+        or None when done.  A ULT body's exception fails that ULT; one
+        from the machinery (a finish callback, a park, a push, a ``step``)
+        leaves through ``kernel.run()`` with the next turn already posted."""
         value = exc = None
         try:
             while True:
@@ -151,11 +143,24 @@ class XStream:
                         self._idle = True
                         return
                     self.slices_run += 1
-                    ult.state = UltState.RUNNING
-                    value = ult._resume_value
-                    exc = ult._resume_exc
-                    ult._resume_value = None
-                    ult._resume_exc = None
+                    if type(ult) is ULT:
+                        ult.state = UltState.RUNNING
+                        value = ult._resume_value
+                        exc = ult._resume_exc
+                        ult._resume_value = None
+                        ult._resume_exc = None
+                if type(ult) is not ULT:
+                    _ult._CURRENT = ult
+                    try:
+                        charge = ult.step()
+                    finally:
+                        _ult._CURRENT = None
+                    if charge is None:
+                        ult = None
+                        continue
+                    self.busy_time += charge
+                    self.kernel.post(charge + SCHED_OVERHEAD, self._run, ult)
+                    return
                 try:
                     # For the body and finish callbacks, not the command.
                     _ult._CURRENT = ult
@@ -177,10 +182,10 @@ class XStream:
                     continue
                 finally:
                     _ult._CURRENT = None
-                # Hot commands by exact type, the rest by isinstance.
+                # Commands by exact type, subclasses by isinstance.
                 kind = type(cmd)
-                if kind is not Compute and kind is not Park:
-                    kind = _command_base(cmd)
+                if kind not in _COMMANDS:
+                    kind = next((c for c in _COMMANDS if isinstance(cmd, c)), None)
                 if kind is Compute:
                     self.busy_time += cmd.duration
                     self.kernel.post(cmd.duration + SCHED_OVERHEAD, self._run, ult)

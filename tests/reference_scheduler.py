@@ -1,20 +1,56 @@
-"""Reference scheduler: the xstream as a kernel *task*.
+"""Reference scheduler: the xstream as a kernel *task*, progress as a ULT.
 
 This is the generator scheduler ``repro.margo.xstream`` had before the
 stream became a kernel callback (``Task._step`` -> ``_loop`` ->
-``yield from _run_slice`` -> ULT, woken through a ``SimEvent``), kept as
-the oracle ``test_scheduler_differential.py`` runs random ULT programs
-against: same posts in the same order, or the property fails.  Slow and
-obvious on purpose; nothing under ``src/`` imports it.
+``yield from _run_slice`` -> ULT, woken through a ``SimEvent``), and the
+network progress loop ``MargoInstance`` ran as a ULT parked on an event
+before it became a run-to-completion item.  Both are kept as the oracle
+``test_scheduler_differential.py`` runs random ULT programs against:
+same posts in the same order, or the property fails.  Slow and obvious
+on purpose; nothing under ``src/`` imports it.
 """
 
 from repro.analysis import sanitize
 from repro.analysis.race import hooks as race
 from repro.margo import ult as ult_module
+from repro.margo.errors import MargoError
 from repro.margo.pool import Pool
-from repro.margo.ult import Compute, Park, UltSleep, UltState, UltYield
+from repro.margo.ult import ULT, Compute, Park, UltEvent, UltSleep, UltState, UltYield
 from repro.margo.xstream import SCHED_OVERHEAD, XStream
+from repro.mercury import RPCRequest, RPCResponse
 from repro.sim.kernel import Sleep, WaitEvent
+
+
+class ReferenceProgress:
+    """The progress loop as a generator ULT parked on an event between
+    messages: ``deliver`` sets the event, the loop clears it to park."""
+
+    def __init__(self, margo, name):
+        self.margo = margo
+        self.event = UltEvent(margo.kernel, name=name)
+        self.ult = ULT(self._loop(), name=name)
+
+    def deliver(self, payload):
+        if self.margo._finalized:
+            return
+        self.margo._incoming.append(payload)
+        self.event.set()
+
+    def _loop(self):
+        margo = self.margo
+        while not margo._finalized:
+            if margo._incoming:
+                message = margo._incoming.popleft()
+                yield Compute(margo.config.dispatch_cost)
+                if isinstance(message, RPCRequest):
+                    margo._dispatch_request(message)
+                elif isinstance(message, RPCResponse):
+                    margo._dispatch_response(message)
+                else:
+                    raise MargoError(f"unexpected message on the wire: {message!r}")
+            else:
+                self.event.clear()
+                yield Park(self.event, None)
 
 
 class ReferencePool(Pool):

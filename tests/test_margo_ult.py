@@ -55,14 +55,19 @@ def test_pool_validation():
 
 
 def test_commands_compare_by_value():
-    """``Compute`` is slotted by hand (six per RPC) but still compares
-    like the three dataclass commands."""
+    """The four commands are slotted by hand (several per RPC) and still
+    compare, hash and print by value."""
     assert Compute(1e-6) == Compute(1e-6) and hash(Compute(1e-6)) == hash(Compute(1e-6))
     assert Compute(1e-6) != Compute(2e-6) and Compute(1e-6) != UltSleep(1e-6)
     assert UltSleep(1e-6) == UltSleep(1e-6) and UltYield() == UltYield()
+    assert hash(UltSleep(1e-6)) == hash(UltSleep(1e-6)) and hash(UltYield()) == hash(UltYield())
+    event = UltEvent(SimKernel(), "e")
+    assert Park(event) == Park(event, None) != Park(event, 1.0)
     assert repr(Compute(0.5)) == "Compute(duration=0.5)"
-    with pytest.raises(ValueError):
-        Compute(-1.0)
+    assert repr(UltSleep(0.5)) == "UltSleep(duration=0.5)" and repr(UltYield()) == "UltYield()"
+    for command in (Compute, UltSleep):
+        with pytest.raises(ValueError):
+            command(-1.0)
 
 
 def test_event_named_after_a_request_formats_the_name_on_first_use():

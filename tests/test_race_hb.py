@@ -207,6 +207,25 @@ def test_run_end_barrier_orders_root_read(race):
     assert race.findings == []
 
 
+def test_finished_ults_leave_the_context_table(race):
+    # Every ULT ever pushed used to keep its (ult, Ctx) entry for the
+    # whole session.  A finished ULT's clock is folded into one clock the
+    # run-end barrier joins, so the table holds only what is still live:
+    # here the two progress items, whatever many echoes ran.
+    cluster = Cluster(seed=13)
+    server = cluster.add_margo("server", node="n0")
+    client = cluster.add_margo("client", node="n1")
+    server.register("echo", lambda ctx: ctx.args)
+
+    def driver():
+        for i in range(300):
+            yield from client.forward(server.address, "echo", i)
+
+    cluster.run_ult(client, driver())
+    assert len(race._STATE.ult_ctx) <= 2 + 1
+    assert race.findings == []
+
+
 def test_same_seed_reports_identically(race):
     def run_once():
         hooks.disable()
