@@ -1,8 +1,9 @@
 # CI as a script: every gate the workflow runs, runnable locally with no
 # network.  `make ci` is what .github/workflows/ci.yml calls, target by
 # target; `gates` comes last because it is the only wall-clock target:
-# the race detector, sampled profiler and sampled xray are gated in
-# normalised µs per RPC (`added_us`), the off-path rows as ratios.
+# the runtime checker (record mode), sampled profiler and sampled xray
+# are gated in normalised µs per RPC (`added_us`), the off-path rows as
+# ratios.
 
 PY := PYTHONPATH=src python
 
@@ -13,7 +14,8 @@ ci: lint test e2e contract gates
 # Every static rule + the config boot check over the gate's roots
 # (`repro lint` with no paths), twice (the report must be
 # byte-identical), then mochi-race: happens-before + lock order +
-# schedule exploration, and the example services under the sanitizer.
+# schedule exploration with every runtime check recording, and the
+# example services under REPRO_SANITIZE=race.
 lint:
 	$(PY) -m repro lint
 	$(PY) -m repro lint --format json > lint-run-1.json || true
@@ -25,7 +27,7 @@ lint:
 mochi-lint.sarif:
 	$(PY) -m repro lint --format sarif > $@ || true
 
-# Tier-1, then the pins that must also hold with the race sanitizer on.
+# Tier-1, then the pins that must also hold with the runtime checker on.
 test:
 	$(PY) -m pytest -x -q
 	REPRO_SANITIZE=race $(PY) -m pytest -x -q tests/test_xray.py -k determinism

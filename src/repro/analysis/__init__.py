@@ -1,4 +1,4 @@
-"""mochi-lint: Mochi-aware static analysis + runtime sanitizing.
+"""mochi-lint: Mochi-aware static analysis + runtime checking.
 
 The reproduction rests on invariants no off-the-shelf tool checks: code
 under the simulated Margo runtime must never touch wall-clock time,
@@ -11,12 +11,11 @@ of that three ways:
   file-scope, whole-program and path-sensitive rules in one pipeline;
 * a configuration check (:mod:`repro.analysis.config_check`) that runs
   Bedrock's own boot checks on config files, so files and boots agree;
-* runtime layers (:mod:`repro.analysis.sanitize`, ``REPRO_SANITIZE=1``;
-  :mod:`repro.analysis.race`, ``REPRO_SANITIZE=race``) asserting the
-  invariants the AST cannot prove, under the same ``MCH0xx`` rule ids.
+* one runtime checker (:mod:`repro.analysis.race`; ``REPRO_SANITIZE=1``
+  raises, ``REPRO_SANITIZE=race`` records) asserting the invariants the
+  AST cannot prove, under the same ``MCH0xx`` rule ids.
 
 This module exports nothing: the runtime (``margo/*``) imports
-:mod:`.sanitize` and :mod:`.race.hooks` through here on every
-``import repro``, and must not pay for the lint engine.  Import the
-static API from :mod:`.engine`.
+:mod:`.race.hooks` through here on every ``import repro``, and must not
+pay for the lint engine.  Import the static API from :mod:`.engine`.
 """

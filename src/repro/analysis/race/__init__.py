@@ -1,12 +1,16 @@
-"""mochi-race: concurrency correctness for the simulated Mochi runtime.
+"""mochi-race: the runtime checker for the simulated Mochi runtime.
 
-Three detectors, one reporting pipeline:
+One switch (``REPRO_SANITIZE``, or :func:`.hooks.enable`), one list of
+findings, every check:
 
-* :mod:`.hb` + :mod:`.hooks` -- vector-clock happens-before engine
-  flagging unordered accesses to tracked shared state (MCH030/MCH031);
-* :mod:`.lockgraph` -- lock-order cycles and wait-while-holding
-  deadlock potential (MCH040/MCH041), reported without the deadlock
-  ever firing;
+* :mod:`.hooks` -- the gated entry points margo, Yokan, Warabi and REMI
+  call, and the checks that only read what the runtime already keeps:
+  MCH011 (suspending or finishing while holding a mutex), MCH012 (a
+  handler that never answers) and MCH070 (respond exactly once);
+* :mod:`.hb` -- vector-clock happens-before engine flagging unordered
+  accesses to tracked shared state (MCH030/MCH031);
+* :mod:`.lockgraph` -- lock-order cycles (MCH040), reported without the
+  deadlock ever firing, and the held table MCH011 reads;
 * :mod:`.explore` -- deterministic schedule explorer re-running a
   scenario under seeded ready-queue perturbations and pinning
   order-dependent outcomes (MCH032) to the first diverging event.

@@ -87,15 +87,14 @@ def explore(
     from ...margo.ult import ULT
 
     start_counter = ULT._counter
-    was_enabled = hooks.ENABLED
+    was_enabled, was_strict = hooks.ENABLED, hooks._strict
 
     def one_run(seed: Optional[int]) -> RunResult:
         ULT._counter = start_counter
         hooks.disable()
-        hooks.reset()
         # Full precision: the explorer's divergence pinpointing needs a
         # complete fire trace, so timer-edge sampling is turned off here.
-        hooks.enable(sample_every=1)
+        hooks.enable(exact=True)
         trace: list[str] = []
         hooks.TRACE = trace
         hooks.set_perturbation(seed)
@@ -110,9 +109,8 @@ def explore(
     baseline = one_run(None)
     runs = [one_run(seed) for seed in seeds]
     hooks.disable()
-    hooks.reset()
     if was_enabled:
-        hooks.enable()
+        hooks.enable(strict=was_strict)
     findings = list(baseline.findings)
     for run in runs:
         if run.digest != baseline.digest:

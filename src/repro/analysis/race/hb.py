@@ -67,10 +67,11 @@ __all__ = ["Ctx", "VarState", "HBState", "approx_snapshot"]
 # positives), coarse (each extra edge is a potential missed race, and
 # nothing more).
 #
-# Epoch mode (``race_sample_every`` > 1) leaves the kernel's
-# ``schedule``/``post`` un-swapped, so timer fires resolve to the root
-# context; publications made from such fires hand out R instead of
-# root's own constant clock.  Exact mode never consults R.
+# Epoch mode (the default; ``hooks.enable(exact=True)`` is exact mode)
+# leaves the kernel's ``schedule``/``post`` un-swapped, so timer fires
+# resolve to the root context; publications made from such fires hand
+# out R instead of root's own constant clock.  Exact mode never
+# consults R.
 #
 # Module-level rather than per-:class:`HBState` because
 # :meth:`Ctx.publish` carries no back-reference to its session; exactly
@@ -304,10 +305,6 @@ class HBState:
     def publish_to(self, obj: Any, ctx: Ctx) -> None:
         """Record ``ctx``'s publication on a sync object (event/mutex)."""
         self.sync_clock[id(obj)] = (obj, ctx.publish())
-
-    def publish_to_epoch(self, obj: Any, ctx: Ctx) -> None:
-        """Epoch-batched publication on a sync object (non-lock edges)."""
-        self.sync_clock[id(obj)] = (obj, ctx.publish_epoch())
 
     def publish_snapshot(self, obj: Any, snap: dict[str, int]) -> None:
         """Record a pre-computed publication snapshot (e.g. the

@@ -1,45 +1,51 @@
-"""mochi-race runtime hooks: the gated entry points the runtime calls.
+"""mochi-race: the one runtime checker, and the gated entry points the
+runtime calls.
 
-This module is to the race detector what :mod:`repro.analysis.sanitize`
-is to the classic sanitizer: the kernel and the margo layer call the
-``note_*`` functions below behind ``if _race.ENABLED:`` module-attribute
-gates, so the disabled cost is one attribute load per call site -- and
-the hottest site of all, :meth:`SimKernel.schedule`, is *method-swapped*
-(see ``_set_race_hooks`` in ``sim/kernel.py``) so the disabled path pays
+The kernel, margo, Yokan, Warabi and REMI call the ``note_*`` functions
+below behind ``if _race.ENABLED:`` module-attribute gates, so the
+disabled cost is one attribute load per call site -- and the hottest
+site of all, :meth:`SimKernel.schedule`, is *method-swapped* (see
+``_set_race_hooks`` in ``sim/kernel.py``) so the disabled path pays
 literally nothing there.
 
-Three detectors share the state recorded here:
+One switch, two modes, every check in both.  ``REPRO_SANITIZE=1``
+(``true``, ``yes``; or ``enable(strict=True)``) is strict mode: an
+MCH011/MCH012/MCH070 violation raises :class:`SanitizerError` where it
+happens.  ``REPRO_SANITIZE=race`` (or ``enable()``) is record mode.
+Either way every finding lands in :data:`findings`, in detection order,
+which is deterministic for a deterministic schedule: same seed, same
+report.  The checks, under the static rules' ids:
 
-* the happens-before engine (:mod:`.hb`) flags unordered access pairs on
-  tracked shared state -- ``MCH030`` (write/write), ``MCH031``
-  (read/write);
-* the lock-order graph (:mod:`.lockgraph`) flags acquisition-order
-  cycles (``MCH040``) and unbounded wait-while-holding (``MCH041``),
-  even when the deadlock did not fire this run;
-* the schedule explorer (:mod:`.explore`) re-runs scenarios under seeded
-  ready-queue perturbations (the :data:`PERTURB` gate in ``Pool.pop``)
-  and reports order-dependent outcomes as ``MCH032``.
-
-Enable via ``REPRO_SANITIZE=race`` (which also turns on the classic
-sanitizer in record mode) or programmatically with :func:`enable`.
-Findings accumulate in :data:`findings` in detection order, which is
-deterministic for a deterministic schedule: same seed, same report.
+* ``MCH011`` -- a ULT parked, slept or finished while holding a
+  :class:`~repro.margo.ult.UltMutex`, read off the lock-order graph's
+  held table (:mod:`.lockgraph`);
+* ``MCH012`` -- a handler ULT died without a reply, or a healthy process
+  finalized with a handler still live and unanswered, read off the
+  live-ULT table (:attr:`HBState.ult_ctx`);
+* ``MCH070`` -- respond exactly once: a second ``respond()``, or a raise
+  or a returned value after an explicit reply;
+* ``MCH030``/``MCH031`` -- unordered write/write and read/write pairs on
+  tracked shared state (the happens-before engine, :mod:`.hb`);
+* ``MCH040`` -- an acquisition-order cycle between mutexes, even when
+  the deadlock did not fire this run;
+* ``MCH032`` -- an outcome that changes under seeded ready-queue
+  perturbations (the schedule explorer, :mod:`.explore`, through the
+  :data:`PERTURB` gate in ``Pool.pop``).
 
 P1 cost model (ROADMAP item 3, detector half).  The detector-on price
 used to be a full clock snapshot (plus a wrapper call and a wrap
 object) on *every* scheduled timer.  Measurement killed the obvious
 fix: even a counter-only wrapper around ``SimKernel.post`` costs ~10%
 of the event loop, so any per-event interception busts the <=10%
-budget by itself.  ``race_sample_every`` therefore selects between two
+budget by itself.  ``enable(exact=...)`` therefore selects between two
 modes that differ in *where* clocks are captured, not just how often:
 
-* **Exact mode** (``race_sample_every=1``): ``schedule``/``post`` are
+* **Exact mode** (``exact=True``): ``schedule``/``post`` are
   method-swapped; every timer carries its scheduler's exact clock
   through a :class:`_TimerWrap` (copy-on-write, free-listed).  Full
   timer-edge precision -- the schedule explorer runs here, so MCH032
   divergence traces are complete.
-* **Epoch mode** (``race_sample_every`` > 1, default
-  :data:`DEFAULT_SAMPLE_EVERY`): the kernel is left *pristine* -- the
+* **Epoch mode** (the default): the kernel is left *pristine* -- the
   event loop pays literally zero -- and timer fires therefore resolve
   to the root context.  Soundness is recovered at the margo layer:
   a publication (push / release) whose context resolves to root during
@@ -50,16 +56,16 @@ modes that differ in *where* clocks are captured, not just how often:
   fold points), never invented; clean stays clean.  ULT-context edges
   publish their cached epoch snapshot (no copy, no increment); a cache
   miss -- the publisher's clock actually moved -- advances the edge
-  tick, and every ``race_sample_every``-th miss takes an exact publish
+  tick, and every :data:`_EPOCH_PERIOD`-th miss takes an exact publish
   to close the interval.  Two further call-elimination gates keep the
   steady state under the budget: ``UltEvent.set`` publishes nothing
   (:data:`EVENT_EDGES` is False -- woken waiters get the setter's
   clock through the push the set performs, late joiners take R in
-  :func:`note_event_join`), and parks skip the MCH041 hook entirely
-  unless some ULT currently holds a mutex (:data:`ANY_HELD`).
+  :func:`note_event_join`), and a park or sleep skips the MCH011 hook
+  entirely unless some ULT currently holds a mutex (:data:`ANY_HELD`).
 
 Lock edges (release→acquire) and the lock-order graph stay exact and
-always-on in both modes -- they are cheap and MCH040/041 depend on
+always-on in both modes -- they are cheap and MCH011/040 depend on
 them.  Tracked accesses made *from* timer fires are attributed to root
 in epoch mode (invisible to MCH030/031 -- a known, sound
 precision loss; exact mode sees them fully).
@@ -72,8 +78,8 @@ import sys
 from random import Random
 from typing import Any, Optional
 
-from ..findings import Finding
-from ..registry import GROUP_CONCURRENCY, RuleInfo, Severity, make_finding, register
+from ..findings import Finding, Severity
+from ..registry import GROUP_CONCURRENCY, RuleInfo, register
 from . import hb as _hb
 from .hb import Ctx, HBState, approx_snapshot
 from .lockgraph import LockOrderGraph
@@ -82,8 +88,7 @@ __all__ = [
     "ENABLED",
     "PERTURB",
     "TRACE",
-    "SAMPLE_EVERY",
-    "DEFAULT_SAMPLE_EVERY",
+    "SanitizerError",
     "findings",
     "enable",
     "disable",
@@ -93,11 +98,13 @@ __all__ = [
     "note_write",
 ]
 
+RULE_LOCK_ACROSS_YIELD = "MCH011"
+RULE_DROPPED_HANDLE = "MCH012"
+RULE_RESPOND = "MCH070"
 RULE_UNORDERED_WRITES = "MCH030"
 RULE_UNORDERED_READ_WRITE = "MCH031"
 RULE_ORDER_DEPENDENT_OUTCOME = "MCH032"
 RULE_LOCK_ORDER_CYCLE = "MCH040"
-RULE_WAIT_WHILE_HOLDING = "MCH041"
 
 register(
     RuleInfo(
@@ -161,25 +168,24 @@ register(
         runtime_checked=True,
     )
 )
-register(
-    RuleInfo(
-        id=RULE_WAIT_WHILE_HOLDING,
-        name="wait-while-holding",
-        group=GROUP_CONCURRENCY,
-        severity=Severity.ERROR,
-        summary="ULT parks on an event with no timeout while holding a mutex",
-        rationale=(
-            "if the signaler ever needs the held mutex the system "
-            "deadlocks, and nothing bounds the wait; release first, or "
-            "park with a timeout"
-        ),
-        runtime_checked=True,
-    )
-)
 
 
-#: Fast-path gate read by the margo-layer hooks (pool/ult/xstream/runtime).
+class SanitizerError(AssertionError):
+    """A strict-mode MCH011/MCH012/MCH070 violation."""
+
+    def __init__(self, finding: Finding) -> None:
+        super().__init__(finding.format())
+        self.finding = finding
+
+
+#: Fast-path gate read by every runtime call site.
 ENABLED: bool = False
+
+#: Strict mode: MCH011/012/070 raise :class:`SanitizerError`.
+_strict: bool = False
+
+#: ``REPRO_SANITIZE`` value -> strict mode (unset or empty: off).
+_MODES = {"1": True, "true": True, "yes": True, "race": False}
 
 #: Seeded ready-queue perturbation source, read by ``Pool.pop``.
 PERTURB: Optional[Random] = None
@@ -187,12 +193,11 @@ PERTURB: Optional[Random] = None
 #: When not None, scheduling events are appended here (explorer runs).
 TRACE: Optional[list[str]] = None
 
-#: Default timer-edge sampling period: one exact publication every N
-#: scheduled events (``RACE_SAMPLE_EVERY`` overrides; 1 = exact mode).
-DEFAULT_SAMPLE_EVERY = 16
+#: Epoch mode takes one exact publication every this many edge misses.
+_EPOCH_PERIOD = 16
 
-#: Active sampling period (set by :func:`enable`).
-SAMPLE_EVERY: int = DEFAULT_SAMPLE_EVERY
+#: Active period: 1 in exact mode, where every edge publishes exactly.
+_period: int = _EPOCH_PERIOD
 
 #: True while the instrumented ``schedule``/``post`` are swapped in
 #: (exact mode); epoch mode leaves the kernel pristine.
@@ -206,21 +211,25 @@ _SWAPPED: bool = False
 #: anyway.  Cuts ~3 hook calls per RPC off the steady state.
 EVENT_EDGES: bool = False
 
-#: Site gate for ``note_park``: True only while some ULT holds at least
-#: one mutex (maintained by ``note_acquire``/``note_release``).  MCH041
-#: can only fire for a lock-holding parker, so a lock-free workload
-#: pays one extra attribute load per park instead of a hook call.
+#: Site gate for ``note_suspend``: True only while some ULT holds at
+#: least one mutex (maintained by ``note_acquire``/``note_release``).
+#: MCH011 can only fire for a lock-holding ULT, so a lock-free workload
+#: pays one attribute load per park or sleep instead of a hook call.
 ANY_HELD: bool = False
 
 #: Deterministic edge counter driving the epoch-mode sampling decision.
 _tick = 0
 
-#: Race findings in detection order (deterministic per seed).
+#: Every finding, in detection order (deterministic per seed).
 findings: list[Finding] = []
 
 _STATE = HBState()
 _LOCKS = LockOrderGraph()
 _reported: set[tuple] = set()
+
+#: id(request) -> request, for requests answered by an explicit
+#: ``respond()`` whose handler ULT has not finished yet.
+_responded: dict[int, Any] = {}
 
 #: Lazily-bound ``repro.margo.ult`` module (imported on first hook call
 #: because hooks can be enabled, via REPRO_SANITIZE, while margo.ult is
@@ -237,45 +246,35 @@ _FIRE_WRAP: Optional["_TimerWrap"] = None
 # ----------------------------------------------------------------------
 # lifecycle
 # ----------------------------------------------------------------------
-def enable(sample_every: Optional[int] = None) -> None:
-    """Turn the race layer on (idempotent).
+def enable(strict: bool = False, exact: bool = False) -> None:
+    """Turn every runtime check on (idempotent).
 
-    ``sample_every`` selects the timer-edge mode (see the module
-    docstring): ``1`` is exact mode (the explorer uses it) and swaps
-    the instrumented ``SimKernel.schedule``/``post`` in; any larger
-    value is epoch mode, which leaves the kernel pristine.  ``None``
-    keeps the ``RACE_SAMPLE_EVERY`` environment override or
-    :data:`DEFAULT_SAMPLE_EVERY`.  Re-enabling with a different mode
-    re-swaps accordingly.
+    ``strict`` raises :class:`SanitizerError` at an MCH011/012/070
+    violation instead of only recording it.  ``exact`` selects the
+    timer-edge mode (see the module docstring): the explorer's full
+    precision, which swaps the instrumented ``SimKernel.schedule``/
+    ``post`` in; the default epoch mode leaves the kernel pristine.
+    Re-enabling with a different mode re-swaps accordingly.
     """
-    global ENABLED, SAMPLE_EVERY, _SWAPPED, EVENT_EDGES
-    if sample_every is None:
-        env = os.environ.get("RACE_SAMPLE_EVERY", "").strip()
-        sample_every = int(env) if env else DEFAULT_SAMPLE_EVERY
-    if sample_every < 1:
-        raise ValueError(f"race_sample_every must be >= 1, got {sample_every}")
-    SAMPLE_EVERY = sample_every
-    want_swap = sample_every == 1
-    if ENABLED and want_swap == _SWAPPED:
+    global ENABLED, _strict, _period, _SWAPPED, EVENT_EDGES
+    _strict = strict
+    _period = 1 if exact else _EPOCH_PERIOD
+    if ENABLED and exact == _SWAPPED:
         return
     from ...sim import kernel as _kernel_mod
 
-    _kernel_mod._set_race_hooks(sys.modules[__name__], swap=want_swap)
-    _SWAPPED = want_swap
-    EVENT_EDGES = want_swap
+    _kernel_mod._set_race_hooks(sys.modules[__name__], swap=exact)
+    _SWAPPED = EVENT_EDGES = exact
     ENABLED = True
 
 
 def disable() -> None:
-    global ENABLED, _SWAPPED, EVENT_EDGES
-    if not ENABLED:
-        return
-    from ...sim import kernel as _kernel_mod
+    global ENABLED, _strict, _SWAPPED, EVENT_EDGES
+    if ENABLED:
+        from ...sim import kernel as _kernel_mod
 
-    _kernel_mod._set_race_hooks(None)
-    ENABLED = False
-    _SWAPPED = False
-    EVENT_EDGES = False
+        _kernel_mod._set_race_hooks(None)
+    ENABLED = _strict = _SWAPPED = EVENT_EDGES = False
     reset()
 
 
@@ -286,6 +285,7 @@ def reset() -> None:
     _LOCKS = LockOrderGraph()
     ANY_HELD = False
     _reported.clear()
+    _responded.clear()
     findings.clear()
     _FIRE = None
     _FIRE_WRAP = None
@@ -298,6 +298,41 @@ def set_perturbation(seed: Optional[int]) -> None:
     """Install (or clear) the seeded ready-queue perturbation source."""
     global PERTURB
     PERTURB = None if seed is None else Random(seed)
+
+
+def _finding(rule_id: str, path: str, message: str) -> Finding:
+    return Finding(
+        rule_id=rule_id,
+        severity=Severity.ERROR,
+        path=path,
+        line=0,
+        message=message,
+        source="runtime",
+    )
+
+
+def _report(rule_id: str, path: str, message: str) -> None:
+    """Record an MCH011/012/070 violation; strict mode raises it here."""
+    finding = _finding(rule_id, path, message)
+    findings.append(finding)
+    if _strict:
+        raise SanitizerError(finding)
+
+
+def _report_at_finish(ult: Any, rule_id: str, path: str, message: str) -> None:
+    """Record a violation found as ``ult`` finishes.
+
+    There is no live generator to throw into, and raising here would
+    propagate through ``ULT.finish`` into the xstream's scheduling loop,
+    killing the stream (and every other ULT it serves).  Instead, strict
+    mode attaches the error to the finished ULT, where ``run_ult`` /
+    ``wait_ults`` re-raise it -- unless the ULT already died of a primary
+    error (e.g. the suspend-while-holding raise that caused this state).
+    """
+    finding = _finding(rule_id, path, message)
+    findings.append(finding)
+    if _strict and ult.error is None:
+        ult.error = SanitizerError(finding)
 
 
 # ----------------------------------------------------------------------
@@ -394,12 +429,12 @@ _WRAP_FREE: list = []
 _WRAP_FREE_MAX = 512
 
 
-def _make_instrumented(plain: Any) -> Any:
-    """Build the exact-mode ``SimKernel.schedule``/``post`` around the
-    pristine fast path (``_set_race_hooks`` swaps it in at the class
-    level, so subclass-free method dispatch still finds it).
+def make_instrumented(plain: Any) -> Any:
+    """Build the exact-mode ``SimKernel.schedule`` or ``post`` around
+    the pristine fast path ``plain`` (``_set_race_hooks`` swaps it in
+    at the class level, so subclass-free method dispatch still finds it).
 
-    Only installed at ``race_sample_every=1``: every scheduled event
+    Only installed by ``enable(exact=True)``: every scheduled event
     carries its scheduler's exact publication (snapshot plus
     own-component advance) in a free-listed :class:`_TimerWrap`.  Epoch
     mode never installs this wrapper at all -- even a counter-only
@@ -423,17 +458,6 @@ def _make_instrumented(plain: Any) -> Any:
     return _race_scheduled
 
 
-def make_race_schedule(plain: Any) -> Any:
-    """Instrumented ``SimKernel.schedule`` (see :func:`_make_instrumented`)."""
-    return _make_instrumented(plain)
-
-
-def make_race_post(plain: Any) -> Any:
-    """Instrumented ``SimKernel.post`` (same sampling policy; the two
-    share the event counter)."""
-    return _make_instrumented(plain)
-
-
 def note_run_end() -> None:
     """End of ``SimKernel.run``: order the host after everything that ran."""
     _STATE.barrier_into_root()
@@ -442,39 +466,26 @@ def note_run_end() -> None:
 # ----------------------------------------------------------------------
 # scheduling / synchronization edges
 # ----------------------------------------------------------------------
-def _edge_snapshot(ctx: Ctx) -> dict:
-    """Publication snapshot for an always-on margo edge (push / set).
-
-    In epoch mode a context that resolves to root mid-run is a timer
-    fire whose true clock the kernel did not propagate (no wraps);
-    publish the approximation clock R instead -- a pointwise upper
-    bound on every live clock, so the receiver only gains edges.  Other
-    publishers hand out their cached epoch snapshot, with every
-    ``SAMPLE_EVERY``-th edge taking an exact publish to close the
-    interval.  In exact mode ``_tick % 1`` is always 0, so every edge
-    publishes exactly, and fires never resolve to root.
-    """
-    global _tick
-    if ctx.tid == "root" and not _SWAPPED:
-        return approx_snapshot()
-    _tick += 1
-    if _tick % SAMPLE_EVERY:
-        return ctx.publish_epoch()
-    return ctx.publish()
-
-
 def note_push(pool: Any, ult: Any) -> None:
     """``Pool.push``: the pusher's clock flows into the pushed ULT.
 
     The hottest hook in the system (every wake is a push), so the body
     is flattened -- context resolution and the edge snapshot are
-    inlined (the out-of-line versions live in :func:`_current_ctx` /
-    :func:`_edge_snapshot`) -- and the join is identity-memoized:
-    snapshot dicts are replaced on invalidation, never mutated, and
-    joins are idempotent, so re-joining the same dict the target last
-    joined is provably a no-op.  In steady state (R and epoch caches
-    unchanged) a push costs a handful of dict lookups and a pointer
-    compare.
+    inlined -- and the join is identity-memoized: snapshot dicts are
+    replaced on invalidation, never mutated, and joins are idempotent,
+    so re-joining the same dict the target last joined is provably a
+    no-op.  In steady state (R and epoch caches unchanged) a push costs
+    a handful of dict lookups and a pointer compare.
+
+    Publication rule (shared with :func:`note_event_set`): in epoch mode
+    a context that resolves to root mid-run is a timer fire whose true
+    clock the kernel did not propagate, so it publishes the
+    approximation clock R -- a pointwise upper bound on every live
+    clock, so the receiver only gains edges.  Other publishers hand out
+    their cached epoch snapshot, with every ``_period``-th edge taking
+    an exact publish to close the interval.  In exact mode ``_period``
+    is 1, so every edge publishes exactly, and fires never resolve to
+    root.
     """
     global _tick
     mod = _ult_mod
@@ -514,7 +525,7 @@ def note_push(pool: Any, ult: Any) -> None:
             snap = ctx._snap
             if snap is None:
                 _tick += 1
-                if _tick % SAMPLE_EVERY:
+                if _tick % _period:
                     snap = ctx.publish_epoch()
                 else:
                     snap = ctx.publish()
@@ -538,11 +549,42 @@ def note_push(pool: Any, ult: Any) -> None:
 
 
 def note_finish(ult: Any) -> None:
-    """``ULT.finish``, as its last act: drop the finished ULT's entry
-    and fold its clock (:meth:`HBState.retire_clock`)."""
+    """``ULT.finish``, as its last act: drop the finished ULT's entry,
+    fold its clock (:meth:`HBState.retire_clock`), and check the ULT
+    answered its request (MCH012) and let go of every mutex (MCH011).
+
+    A handler ULT finishes with an error only when one escaped the
+    runtime's reply path (``_handler_body`` turns every ``Exception``
+    into an error reply), so the reply went out only if the handler had
+    already answered through ``respond()``.
+    """
+    global ANY_HELD
     entry = _STATE.ult_ctx.pop(id(ult), None)
     if entry is not None:
         _STATE.retire_clock(entry[1].clock)
+    if ult.error is not None and ult.rpc_context is not None:
+        request = ult.rpc_context
+        if _responded.pop(id(request), None) is None:
+            _report_at_finish(
+                ult,
+                RULE_DROPPED_HANDLE,
+                f"ult:{ult.name}",
+                f"handler ULT {ult.name!r} for RPC {request.rpc_name!r} died "
+                f"({type(ult.error).__name__}) without responding; the caller "
+                "is left waiting for its timeout",
+            )
+    if ANY_HELD:
+        held = _LOCKS.held_names(ult)
+        if held:
+            del _LOCKS.held[id(ult)]
+            ANY_HELD = bool(_LOCKS.held)
+            _report_at_finish(
+                ult,
+                RULE_LOCK_ACROSS_YIELD,
+                f"ult:{ult.name}",
+                f"ULT {ult.name!r} finished while still holding mutex(es) "
+                f"{held}; every waiter is now deadlocked",
+            )
 
 
 def note_event_set(event: Any) -> None:
@@ -573,7 +615,7 @@ def note_event_set(event: Any) -> None:
             snap = approx_snapshot()
     else:
         _tick += 1
-        if _tick % SAMPLE_EVERY:
+        if _tick % _period:
             snap = ctx._snap
             if snap is None:
                 snap = ctx.publish_epoch()
@@ -617,16 +659,12 @@ def note_acquire(ult: Any, mutex: Any) -> None:
         if key not in _reported:
             _reported.add(key)
             findings.append(
-                make_finding(
+                _finding(
                     RULE_LOCK_ORDER_CYCLE,
-                    path="race:lock-order",
-                    line=0,
-                    message=(
-                        f"lock-order cycle {' -> '.join(cycle)} "
-                        f"(closed by ULT {ult.name!r}); two ULTs taking "
-                        "these mutexes concurrently can deadlock"
-                    ),
-                    source="runtime",
+                    "race:lock-order",
+                    f"lock-order cycle {' -> '.join(cycle)} "
+                    f"(closed by ULT {ult.name!r}); two ULTs taking "
+                    "these mutexes concurrently can deadlock",
                 )
             )
 
@@ -634,10 +672,10 @@ def note_acquire(ult: Any, mutex: Any) -> None:
 def note_release(ult: Any, mutex: Any) -> None:
     """``UltMutex.release``: publish the releaser's clock on the lock.
 
-    Exact (no epoch batching) for ULT releasers -- MCH040/041 precision
+    Exact (no epoch batching) for ULT releasers -- MCH011/040 precision
     rides on lock edges.  A releaser that resolves to root in epoch
     mode is a timer fire; its true clock is unknown, so R stands in
-    (superset join: sound, coarse -- same rule as :func:`_edge_snapshot`).
+    (superset join: sound, coarse -- same rule as :func:`note_push`).
     """
     global ANY_HELD
     ctx = _current_ctx()
@@ -646,45 +684,96 @@ def note_release(ult: Any, mutex: Any) -> None:
     else:
         _STATE.publish_to(mutex, ctx)
     _LOCKS.note_release(ult, mutex)
-    if ANY_HELD and not any(e[1] for e in _LOCKS.held.values()):
-        ANY_HELD = False
+    ANY_HELD = bool(_LOCKS.held)
 
 
-def note_park(ult: Any, cmd: Any) -> None:
-    """``XStream._drive`` Park branch: wait-while-holding check."""
-    if cmd.timeout is not None:
-        return
-    entry = _LOCKS.held.get(id(ult))
-    if entry is None or not entry[1]:
-        # Fast path: no locks held (the overwhelming majority of parks)
-        # -- skip the held_names list build.
-        return
+def note_suspend(ult: Any, cmd: Any) -> None:
+    """``XStream._drive``, on a Park or an UltSleep while some ULT holds
+    a mutex: MCH011 if that ULT is ``ult``."""
     held = _LOCKS.held_names(ult)
     if not held:
         return
-    event_name = getattr(cmd.event, "name", "") or "<unnamed>"
-    if event_name.startswith("mutex:"):
-        # Contended UltMutex.acquire parks on an internal gate event;
-        # nested-acquisition ordering is the lock-order graph's job
-        # (MCH040), not a wait-while-holding finding.
-        return
-    key = (RULE_WAIT_WHILE_HOLDING, ult.name, event_name, tuple(held))
-    if key in _reported:
-        return
-    _reported.add(key)
-    findings.append(
-        make_finding(
-            RULE_WAIT_WHILE_HOLDING,
-            path="race:lock-order",
-            line=0,
-            message=(
-                f"ULT {ult.name!r} parks on event {event_name!r} with no "
-                f"timeout while holding mutex(es) {held}; if the signaler "
-                "needs those locks this deadlocks, and nothing bounds the wait"
-            ),
-            source="runtime",
-        )
+    event = getattr(cmd, "event", None)
+    what = type(cmd).__name__ if event is None else f"Park on {event.name!r}"
+    _report(
+        RULE_LOCK_ACROSS_YIELD,
+        f"ult:{ult.name}",
+        f"ULT {ult.name!r} suspended ({what}) while holding mutex(es) "
+        f"{held}; release before parking or sleeping",
     )
+
+
+# ----------------------------------------------------------------------
+# replies (MCH012, MCH070)
+# ----------------------------------------------------------------------
+def note_explicit_respond(margo: Any, request: Any, already: bool) -> None:
+    """``RequestContext.respond`` at its send point.
+
+    ``already`` is the context's own responded flag; :data:`_responded`
+    catches the same double reply when a handler builds two contexts
+    for one request.
+    """
+    if already or id(request) in _responded:
+        _report(
+            RULE_RESPOND,
+            f"margo:{margo.process.name}",
+            f"handler for RPC {request.rpc_name!r} (seq {request.seq}) "
+            "called respond() twice; each request must be answered "
+            "exactly once",
+        )
+        return
+    _responded[id(request)] = request
+
+
+def note_post_respond(
+    margo: Any, request: Any, ok: bool, value: Any, error_message: Any
+) -> None:
+    """``_handler_body``, when a handler that already replied via
+    ``respond()`` ends: raising or returning a value there cannot reach
+    the caller, so silence would hide real failures (MCH070)."""
+    if not ok:
+        _report(
+            RULE_RESPOND,
+            f"margo:{margo.process.name}",
+            f"handler for RPC {request.rpc_name!r} (seq {request.seq}) "
+            f"raised after respond() ({error_message}); the caller "
+            "already got a success reply and never sees this error",
+        )
+    elif value is not None:
+        _report(
+            RULE_RESPOND,
+            f"margo:{margo.process.name}",
+            f"handler for RPC {request.rpc_name!r} (seq {request.seq}) "
+            "returned a value after respond(); the value is silently "
+            "dropped -- pass it to respond() instead",
+        )
+    _responded.pop(id(request), None)
+
+
+def check_margo_shutdown(margo: Any) -> None:
+    """``MargoInstance.shutdown``: a *healthy* process must not finalize
+    with a dispatched handler still live and unanswered (MCH012).
+
+    A killed process is exempt: dropping in-flight handles is exactly
+    what a crash does.
+    """
+    if not margo.process.alive:
+        return
+    pools = list(margo.pools.values())
+    stuck = sorted(
+        (request.seq, request.rpc_name)
+        for ult, _ctx in _STATE.ult_ctx.values()
+        if (request := ult.rpc_context) is not None
+        and ult.pool in pools
+        and id(request) not in _responded
+    )
+    for seq, name in stuck:
+        _report(
+            RULE_DROPPED_HANDLE,
+            f"margo:{margo.process.name}",
+            f"margo instance finalized with handler for RPC {name!r} "
+            f"(seq {seq}) still pending; it never responded",
+        )
 
 
 # ----------------------------------------------------------------------
@@ -704,16 +793,12 @@ def _report_pair(
         return
     _reported.add(dedup)
     findings.append(
-        make_finding(
+        _finding(
             rule_id,
-            path=f"race:{state_name}",
-            line=0,
-            message=(
-                f"unordered {kinds} on {state_name}[{key!r}]: "
-                f"{prev_label} vs {cur_label}; no synchronization edge "
-                "orders them, so the outcome depends on the schedule"
-            ),
-            source="runtime",
+            f"race:{state_name}",
+            f"unordered {kinds} on {state_name}[{key!r}]: "
+            f"{prev_label} vs {cur_label}; no synchronization edge "
+            "orders them, so the outcome depends on the schedule",
         )
     )
 
@@ -805,22 +890,23 @@ def note_read(state: Any, key: Any, where: str) -> None:
 
 def report_order_dependence(scenario: str, seed: int, divergence: str) -> Finding:
     """Used by the explorer to emit MCH032 for a diverging scenario."""
-    finding = make_finding(
+    finding = _finding(
         RULE_ORDER_DEPENDENT_OUTCOME,
-        path=f"race:{scenario}",
-        line=0,
-        message=(
-            f"final state of scenario {scenario!r} diverged under "
-            f"perturbation seed {seed}; first diverging scheduling event: "
-            f"{divergence}"
-        ),
-        source="runtime",
+        f"race:{scenario}",
+        f"final state of scenario {scenario!r} diverged under "
+        f"perturbation seed {seed}; first diverging scheduling event: "
+        f"{divergence}",
     )
     findings.append(finding)
     return finding
 
 
-# Environment opt-in: REPRO_SANITIZE=race turns the race layer on (the
-# classic sanitizer reads the same variable and switches to record mode).
-if os.environ.get("REPRO_SANITIZE", "").strip().lower() == "race":
-    enable()
+# The one switch, parsed once: 1/true/yes are strict, race records.
+_env = os.environ.get("REPRO_SANITIZE", "").strip().lower()
+if _env:
+    if _env not in _MODES:
+        raise ValueError(
+            f"REPRO_SANITIZE={_env!r}: expected 1, true or yes (strict) or "
+            "race (record); leave it unset or empty to turn the checker off"
+        )
+    enable(strict=_MODES[_env])

@@ -1,13 +1,12 @@
-"""Lock-order graph: deadlock *potential* detection (MCH04x).
+"""Lock-order graph: deadlock *potential* detection (MCH040).
 
 A deadlock needs a cycle in the lock-acquisition-order graph, but any
 single run usually serializes the acquisitions and never trips it.  The
 graph persists the order across the whole session: whenever a ULT
 acquires mutex B while holding mutex A, the edge ``A -> B`` is recorded;
 a cycle among the recorded edges is reported (MCH040) even though no
-run ever actually deadlocked.  Waiting on an event with no timeout while
-holding a mutex (MCH041) is the other classic shape: the signaler may
-need the held mutex, and nothing bounds the wait.
+run ever actually deadlocked.  The per-ULT held table is also what the
+runtime checker reads for MCH011 (suspending or finishing while holding).
 """
 
 from __future__ import annotations
@@ -25,7 +24,8 @@ class LockOrderGraph:
         self.locks: dict[int, tuple[Any, str]] = {}
         #: id(mutex) -> ordered {id(successor): (held name, acq name, where)}.
         self.edges: dict[int, dict[int, tuple[str, str, str]]] = {}
-        #: id(ult) -> (ult, [lock ids in acquisition order]).
+        #: id(ult) -> (ult, [lock ids in acquisition order]), for ULTs
+        #: holding at least one mutex.
         self.held: dict[int, tuple[Any, list[int]]] = {}
         #: cycle signatures already reported (frozenset of lock ids).
         self.reported_cycles: set[frozenset[int]] = set()
@@ -76,14 +76,14 @@ class LockOrderGraph:
     def note_release(self, ult: Any, mutex: Any) -> None:
         mid = id(mutex)
         entry = self.held.get(id(ult))
-        if entry is not None and mid in entry[1]:
-            entry[1].remove(mid)
-            return
-        # Cross-ULT release (legal for handoff protocols): find the holder.
-        for _ult, held_ids in self.held.values():
-            if mid in held_ids:
-                held_ids.remove(mid)
+        if entry is None or mid not in entry[1]:
+            # Cross-ULT release (legal for handoff protocols): find the holder.
+            entry = next((e for e in self.held.values() if mid in e[1]), None)
+            if entry is None:
                 return
+        entry[1].remove(mid)
+        if not entry[1]:
+            del self.held[id(entry[0])]
 
     def _find_path(self, start: int, goal: int) -> Optional[list[int]]:
         """DFS over recorded edges; returns the lock-id path start..goal."""

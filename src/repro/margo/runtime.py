@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from types import GeneratorType
 from typing import Any, Callable, Iterable, Optional
 
-from ..analysis import sanitize as _sanitize
 from ..analysis.race import hooks as _race
 from ..mercury import (
     BULK_OP_PULL,
@@ -111,15 +110,15 @@ class RequestContext:
         The protocol is *respond exactly once*: the implicit reply the
         runtime sends on handler return is skipped once this has fired,
         a second ``respond()`` is dropped on the floor, and the
-        sanitizer reports both misuses under MCH070.
+        runtime checker reports both misuses under MCH070.
         """
         margo = self.margo
         payload_size = estimate_size(value)
         yield Compute(serialize_cost(payload_size))
         already = self._responded
         self._responded = True
-        if _sanitize.ENABLED:
-            _sanitize.note_explicit_respond(margo, self.request, already)
+        if _race.ENABLED:
+            _race.note_explicit_respond(margo, self.request, already)
         if already:
             return
         response = RPCResponse(
@@ -128,8 +127,6 @@ class RequestContext:
         margo.network.send(
             margo.process, self.request.src_address, response, response.wire_size
         )
-        if _sanitize.ENABLED:
-            _sanitize.note_handler_responded(margo, self.request.seq)
         if self.observed:
             margo._emit("on_respond", request=self.request, response=response)
 
@@ -404,6 +401,11 @@ class MargoInstance:
         target.push(ult)
         return ult
 
+    def _note_write(self, table: dict, title: str, key: Any, where: str) -> None:
+        """Tell the runtime checker about a write to one of this instance's tables."""
+        _race.track(table, f"{self.process.name}.{title}")
+        _race.note_write(table, key, f"margo:{self.process.name}.{where}")
+
     def _resolve_pool(self, pool: str | Pool) -> Pool:
         if isinstance(pool, Pool):
             return pool
@@ -446,11 +448,7 @@ class MargoInstance:
         target = self._resolve_pool(pool) if pool is not None else self.pools[self.config.rpc_pool]
         self._registry[key] = Registration(name, rpc_id, provider_id, handler, target)
         if _race.ENABLED:
-            _race.track(self._registry, f"{self.process.name}.rpc_registry")
-            _race.note_write(
-                self._registry, key,
-                f"margo:{self.process.name}.register:{name}/{provider_id}",
-            )
+            self._note_write(self._registry, "rpc_registry", key, f"register:{name}/{provider_id}")
         return rpc_id
 
     def deregister(self, name: str, provider_id: int = NULL_PROVIDER) -> None:
@@ -459,11 +457,8 @@ class MargoInstance:
             raise NoSuchRpcError(f"RPC {name!r} not registered for provider {provider_id}")
         del self._registry[key]
         if _race.ENABLED:
-            _race.track(self._registry, f"{self.process.name}.rpc_registry")
-            _race.note_write(
-                self._registry, key,
-                f"margo:{self.process.name}.deregister:{name}/{provider_id}",
-            )
+            where = f"deregister:{name}/{provider_id}"
+            self._note_write(self._registry, "rpc_registry", key, where)
 
     def registered_rpcs(self) -> list[tuple[str, int]]:
         """(name, provider_id) pairs currently registered."""
@@ -681,8 +676,6 @@ class MargoInstance:
             self._handler_body(registration, request, enqueued_at, observed),
             rpc_context=request,
         )
-        if _sanitize.ENABLED:
-            _sanitize.note_handler_dispatched(self, request, ult)
         registration.pool.push(ult)
         if observed:
             self._emit("on_ult_enqueued", request=request, pool=registration.pool)
@@ -711,18 +704,19 @@ class MargoInstance:
         status = STATUS_OK
         value: Any = None
         error_message: Optional[str] = None
+        payload_size = 0
         try:
             result = registration.handler(context)
             if type(result) is GeneratorType or isinstance(result, Generator):
                 result = yield from result
+            payload_size = estimate_size(result)
             value = result
         except Exception as err:  # noqa: BLE001 - handler error -> error response
             # Any handler failure -- including a *nested* RPC that failed
-            # or timed out -- becomes an error response; the caller must
-            # never be left waiting.
+            # or timed out, or a value that cannot be sized -- becomes an
+            # error response; the caller must never be left waiting.
             status = STATUS_ERROR
             error_message = f"{type(err).__name__}: {err}"
-        payload_size = estimate_size(value) if status == STATUS_OK else 0
         if context._responded:
             # context.respond() already serialized and sent the reply;
             # the implicit path must not charge or send a second one.
@@ -754,9 +748,9 @@ class MargoInstance:
         if context._responded:
             # Respond exactly once: the explicit reply already went out.
             # A raise or a returned value after respond() is invisible
-            # to the caller -- the sanitizer reports it under MCH070.
-            if _sanitize.ENABLED:
-                _sanitize.note_post_respond(
+            # to the caller -- the runtime checker reports it under MCH070.
+            if _race.ENABLED:
+                _race.note_post_respond(
                     self, request, status == STATUS_OK, value, error_message
                 )
             return
@@ -764,8 +758,6 @@ class MargoInstance:
             request.seq, status, value, payload_size, self.process.address, error_message
         )
         self.network.send(self.process, request.src_address, response, response.wire_size)
-        if _sanitize.ENABLED:
-            _sanitize.note_handler_responded(self, request.seq)
         if observed:
             self._emit("on_respond", request=request, response=response)
 
@@ -797,10 +789,7 @@ class MargoInstance:
         self.pools[spec.name] = pool
         self.config.pools.append(spec)
         if _race.ENABLED:
-            _race.track(self.pools, f"{self.process.name}.pools")
-            _race.note_write(
-                self.pools, spec.name, f"margo:{self.process.name}.add_pool:{spec.name}"
-            )
+            self._note_write(self.pools, "pools", spec.name, f"add_pool:{spec.name}")
         return pool
 
     def remove_pool(self, name: str) -> None:
@@ -823,10 +812,7 @@ class MargoInstance:
         del self.pools[name]
         self.config.pools = [p for p in self.config.pools if p.name != name]
         if _race.ENABLED:
-            _race.track(self.pools, f"{self.process.name}.pools")
-            _race.note_write(
-                self.pools, name, f"margo:{self.process.name}.remove_pool:{name}"
-            )
+            self._note_write(self.pools, "pools", name, f"remove_pool:{name}")
 
     def add_xstream(self, spec: str | dict[str, Any] | XStreamSpec) -> XStream:
         if isinstance(spec, str):
@@ -840,11 +826,7 @@ class MargoInstance:
         self.xstreams[spec.name] = xstream
         self.config.xstreams.append(spec)
         if _race.ENABLED:
-            _race.track(self.xstreams, f"{self.process.name}.xstreams")
-            _race.note_write(
-                self.xstreams, spec.name,
-                f"margo:{self.process.name}.add_xstream:{spec.name}",
-            )
+            self._note_write(self.xstreams, "xstreams", spec.name, f"add_xstream:{spec.name}")
         xstream.start()
         return xstream
 
@@ -864,10 +846,7 @@ class MargoInstance:
         del self.xstreams[name]
         self.config.xstreams = [x for x in self.config.xstreams if x.name != name]
         if _race.ENABLED:
-            _race.track(self.xstreams, f"{self.process.name}.xstreams")
-            _race.note_write(
-                self.xstreams, name, f"margo:{self.process.name}.remove_xstream:{name}"
-            )
+            self._note_write(self.xstreams, "xstreams", name, f"remove_xstream:{name}")
 
     def _pool_has_users(self, pool: Pool) -> bool:
         if pool.size:
@@ -917,8 +896,8 @@ class MargoInstance:
         if self._finalized:
             return
         self._finalized = True
-        if _sanitize.ENABLED:
-            _sanitize.check_margo_shutdown(self)
+        if _race.ENABLED:
+            _race.check_margo_shutdown(self)
         self._emit("on_finalize")
         if self.profiler is not None:
             self.profiler.stop()

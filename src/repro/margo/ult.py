@@ -24,7 +24,6 @@ from collections.abc import Generator
 from types import GeneratorType
 from typing import Any, Callable, Optional
 
-from ..analysis import sanitize as _sanitize
 from ..analysis.race import hooks as _race
 from ..sim.kernel import SimKernel, TIMED_OUT
 
@@ -337,8 +336,6 @@ class UltMutex:
             if waited_from is not None:
                 edges.append(("lock", self.name, self.kernel.now - waited_from))
         self._locked = True
-        if _sanitize.ENABLED:
-            _sanitize.note_acquire(current_ult(), self)
         if _race.ENABLED:
             _race.note_acquire(current_ult(), self)
         return None
@@ -347,8 +344,6 @@ class UltMutex:
         if not self._locked:
             raise RuntimeError(f"mutex {self.name!r} released while unlocked")
         self._locked = False
-        if _sanitize.ENABLED:
-            _sanitize.note_release(current_ult(), self)
         if _race.ENABLED:
             _race.note_release(current_ult(), self)
         if self._waiters:

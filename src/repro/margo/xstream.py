@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..analysis import sanitize as _sanitize
 from ..analysis.race import hooks as _race
 from ..sim.kernel import SimKernel
 from . import ult as _ult
@@ -199,11 +198,14 @@ class XStream:
                     )
                     continue
                 else:
-                    if _sanitize.ENABLED:
-                        # A strict violation fails the offending ULT (via
-                        # gen.throw on the next loop turn), not the stream.
+                    if _race.ANY_HELD:
+                        # MCH011 needs a ULT suspending *while holding a
+                        # mutex*; ANY_HELD is False in a lock-free phase,
+                        # so the common case pays one load here.  A strict
+                        # violation fails the offending ULT (via gen.throw
+                        # on the next loop turn), not the stream.
                         try:
-                            _sanitize.check_blocking_yield(ult, cmd)
+                            _race.note_suspend(ult, cmd)
                         except AssertionError as err:
                             exc = err
                             continue
@@ -211,11 +213,6 @@ class XStream:
                         ult.state = UltState.BLOCKED
                         self.kernel.post(cmd.duration, ult._timed_ready, ult._park_token)
                     else:
-                        if _race.ANY_HELD and cmd.timeout is None:
-                            # MCH041 needs an unbounded park *while holding
-                            # a mutex*; ANY_HELD is False in a lock-free
-                            # phase, so the common case pays one load here.
-                            _race.note_park(ult, cmd)
                         cmd.event._park(ult, cmd.timeout)
                 ult = None
         except BaseException:

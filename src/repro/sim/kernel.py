@@ -312,7 +312,7 @@ class Task:
             self._finish(result=None)
             # Daemon failures are normally tolerated (service loops dying
             # at shutdown), but assertion failures -- including the
-            # runtime sanitizer's SanitizerError -- must always surface.
+            # runtime checker's SanitizerError -- must always surface.
             if not self.daemon or isinstance(err, AssertionError):
                 kernel._task_failures.append(self)
             return
@@ -652,7 +652,7 @@ def _set_race_hooks(mod: Any, swap: bool = True) -> None:
 
     Called by :func:`repro.analysis.race.hooks.enable` / ``disable`` --
     the kernel never imports the race layer itself.  ``swap`` selects
-    the detector's timer-edge mode: exact mode (``race_sample_every=1``)
+    the detector's timer-edge mode: exact mode (``enable(exact=True)``)
     swaps instrumented ``schedule``/``post`` in so every timer carries
     its scheduler's clock, while epoch mode (``swap=False``) leaves the
     pristine methods in place -- the detector prices the event loop at
@@ -666,5 +666,5 @@ def _set_race_hooks(mod: Any, swap: bool = True) -> None:
         SimKernel.schedule = _plain_schedule
         SimKernel.post = _plain_post
         return
-    SimKernel.schedule = mod.make_race_schedule(_plain_schedule)
-    SimKernel.post = mod.make_race_post(_plain_post)
+    SimKernel.schedule = mod.make_instrumented(_plain_schedule)
+    SimKernel.post = mod.make_instrumented(_plain_post)

@@ -10,7 +10,6 @@ same posts in the same order, or the property fails.  Slow and obvious
 on purpose; nothing under ``src/`` imports it.
 """
 
-from repro.analysis import sanitize
 from repro.analysis.race import hooks as race
 from repro.margo import ult as ult_module
 from repro.margo.errors import MargoError
@@ -117,9 +116,9 @@ class ReferenceXStream(XStream):
                 self.busy_time += cmd.duration
                 yield Sleep(cmd.duration + SCHED_OVERHEAD)
             elif isinstance(cmd, (Park, UltSleep)):
-                if sanitize.ENABLED:
+                if race.ANY_HELD:
                     try:
-                        sanitize.check_blocking_yield(ult, cmd)
+                        race.note_suspend(ult, cmd)
                     except AssertionError as err:
                         exc = err
                         continue
@@ -127,8 +126,6 @@ class ReferenceXStream(XStream):
                     ult.state = UltState.BLOCKED
                     self.kernel.post(cmd.duration, ult._timed_ready, ult._park_token)
                 else:
-                    if race.ANY_HELD and cmd.timeout is None:
-                        race.note_park(ult, cmd)
                     cmd.event._park(ult, cmd.timeout)
                 return
             elif isinstance(cmd, UltYield):

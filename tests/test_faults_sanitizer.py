@@ -1,10 +1,11 @@
-"""Fault injection x sanitizers: crash exemptions and seeded race fixtures.
+"""Fault injection x the runtime checker: crash exemptions and seeded
+race fixtures.
 
 Two contracts meet here:
 
-* the classic sanitizer's MCH012 check exempts *killed* processes --
-  dropping in-flight handlers is exactly what a crash does, only a
-  healthy finalize with pending handlers is a bug;
+* the MCH012 check exempts *killed* processes -- dropping in-flight
+  handlers is exactly what a crash does, only a healthy finalize with
+  pending handlers is a bug;
 * the race layer must stay deterministic under fault schedules: a seeded
   racy fixture yields the same MCH03x report every run, and a clean
   fixture is never flagged.
@@ -13,9 +14,8 @@ Two contracts meet here:
 import pytest
 
 from repro import Cluster
-from repro.analysis import sanitize
 from repro.analysis.race import hooks
-from repro.analysis.sanitize import SanitizerError
+from repro.analysis.race.hooks import SanitizerError
 from repro.margo import RpcError
 from repro.margo.ult import UltEvent, UltSleep
 from repro.storage import LocalStore
@@ -23,10 +23,10 @@ from repro.storage import LocalStore
 
 @pytest.fixture()
 def strict():
-    sanitize.reset()
-    sanitize.enable(strict=True)
-    yield sanitize
-    sanitize.disable()
+    hooks.disable()
+    hooks.enable(strict=True)
+    yield hooks
+    hooks.disable()
 
 
 @pytest.fixture()
@@ -116,7 +116,7 @@ def test_killed_process_exempt_from_pending_handler_check(strict):
     with pytest.raises(RpcError):
         cluster.run_ult(client, driver())
     assert server.finalized  # on_killed ran margo.shutdown()
-    assert strict.violations == []
+    assert strict.findings == []
 
 
 def test_healthy_finalize_with_pending_handler_still_flagged(strict):
@@ -139,7 +139,7 @@ def test_healthy_finalize_with_pending_handler_still_flagged(strict):
         cluster.run_ult(client, driver())
     with pytest.raises(SanitizerError, match="MCH012"):
         server.shutdown()
-    assert strict.violations[0].rule_id == "MCH012"
+    assert strict.findings[0].rule_id == "MCH012"
 
 
 # ----------------------------------------------------------------------

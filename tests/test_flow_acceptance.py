@@ -29,7 +29,7 @@ def test_flow_rules_registered_in_catalog():
     for rule_id in ("MCH070", "MCH071", "MCH072", "MCH073"):
         assert rule_id in infos
         assert infos[rule_id].group == GROUP_FLOW
-    # MCH070 has a runtime half (sanitize.py), same split as MCH011/012.
+    # MCH070 has a runtime half (race/hooks.py), same split as MCH011/012.
     assert infos["MCH070"].runtime_checked
 
 

@@ -9,14 +9,13 @@ reply, a call that times out before its handler finishes and a call to
 an RPC nobody registered.  The literals are what the generator-task
 xstream (``Task._step`` -> ``XStream._loop`` -> ``_run_slice``) produced
 for this script at the commit before the xstream became a kernel
-callback; every mode -- plain, sanitizer strict, race detector -- must
-reproduce them exactly.
+callback; every mode -- plain, the runtime checker strict and
+recording -- must reproduce them exactly.
 """
 
 import pytest
 
 from repro import Cluster
-from repro.analysis import sanitize
 from repro.analysis.race import hooks as race_hooks
 from repro.margo import Compute, NoSuchRpcError, RpcTimeoutError
 
@@ -165,30 +164,21 @@ def run_deployment():
 
 @pytest.fixture(params=["plain", "sanitize-strict", "race"])
 def mode(request):
-    """Run under no checker, the strict sanitizer, or what
-    ``REPRO_SANITIZE=race`` turns on (race layer + recording sanitizer);
-    whatever the environment had enabled is restored afterwards."""
-    was_sanitizing, was_strict = sanitize.ENABLED, sanitize._strict
-    was_racing = race_hooks.ENABLED
-    sanitize.disable()
+    """Run with the runtime checker off, strict (``REPRO_SANITIZE=1``) or
+    recording (``REPRO_SANITIZE=race``); whatever the environment had
+    enabled is restored afterwards."""
+    was_enabled, was_strict = race_hooks.ENABLED, race_hooks._strict
     race_hooks.disable()
-    if request.param == "sanitize-strict":
-        sanitize.enable(strict=True)
-    elif request.param == "race":
-        sanitize.enable(strict=False)
-        race_hooks.enable()
+    if request.param != "plain":
+        race_hooks.enable(strict=request.param == "sanitize-strict")
     yield request.param
-    sanitize.disable()
     race_hooks.disable()
-    if was_sanitizing:
-        sanitize.enable(strict=was_strict)
-    if was_racing:
-        race_hooks.enable()
+    if was_enabled:
+        race_hooks.enable(strict=was_strict)
 
 
 def test_rpc_path_cost_model_is_pinned(mode):
     observed = run_deployment()
-    assert sanitize.violations == []
     assert race_hooks.findings == []
     assert observed == PINNED
 

@@ -99,12 +99,16 @@ def test_handler_exception_becomes_rpc_failed(cluster):
         raise ValueError("intentional")
 
     server.register("bad", bad)
+    # A return value that cannot be sized fails the call the same way.
+    server.register("unsizable", lambda ctx: object())
 
-    def driver():
-        yield from client.forward(server.address, "bad")
+    def driver(name):
+        yield from client.forward(server.address, name)
 
     with pytest.raises(RpcFailedError, match="intentional"):
-        cluster.run_ult(client, driver())
+        cluster.run_ult(client, driver("bad"))
+    with pytest.raises(RpcFailedError, match="TypeError: cannot estimate wire size"):
+        cluster.run_ult(client, driver("unsizable"))
 
 
 def test_rpc_timeout_on_dead_server(cluster):

@@ -1,19 +1,18 @@
 """Epoch-sampled race detection (P1, ROADMAP item 3 detector half).
 
-``race_sample_every`` selects between two detector modes:
+``enable(exact=...)`` selects between two detector modes:
 
-* exact mode (``1``): ``SimKernel.schedule``/``post`` are method-swapped
-  so every timer carries its scheduler's clock -- full precision, used
-  by the schedule explorer;
-* epoch mode (``> 1``, the default): the kernel stays pristine and
-  publications are epoch-batched; races can be missed inside a batching
-  window, but never invented.
+* exact mode (``exact=True``): ``SimKernel.schedule``/``post`` are
+  method-swapped so every timer carries its scheduler's clock -- full
+  precision, used by the schedule explorer;
+* epoch mode (the default): the kernel stays pristine and publications
+  are epoch-batched, one exact publication every 16 edge misses; races
+  can be missed inside a batching window, but never invented.
 
-These tests pin the mode mechanics (what gets swapped when), the knob
-surfaces (argument, environment, validation), and the headline
-soundness claims: the deterministic seeded MCH030 fixture is still
-caught at the *default* sampling period, and clean workloads stay
-clean in both modes.
+These tests pin the mode mechanics (what gets swapped when) and the
+headline soundness claims: the deterministic seeded MCH030 fixture is
+still caught in epoch mode, and clean workloads stay clean in both
+modes.  A ``period`` parameter of 1 is exact mode.
 """
 
 import pytest
@@ -41,7 +40,6 @@ def test_default_mode_is_epoch_and_leaves_kernel_pristine(race):
     plain_schedule = SimKernel.schedule
     plain_post = SimKernel.post
     race.enable()
-    assert race.SAMPLE_EVERY == race.DEFAULT_SAMPLE_EVERY > 1
     # Epoch mode: the event loop pays literally zero -- no method swap.
     assert SimKernel.schedule is plain_schedule
     assert SimKernel.post is plain_post
@@ -51,7 +49,7 @@ def test_default_mode_is_epoch_and_leaves_kernel_pristine(race):
 
 def test_exact_mode_swaps_kernel_methods(race):
     plain_schedule = SimKernel.schedule
-    race.enable(sample_every=1)
+    race.enable(exact=True)
     assert race._SWAPPED
     assert race.EVENT_EDGES
     assert SimKernel.schedule is not plain_schedule
@@ -59,16 +57,16 @@ def test_exact_mode_swaps_kernel_methods(race):
     assert SimKernel.schedule is plain_schedule  # restored
 
 
-@pytest.mark.parametrize("sample_every", [1, None])  # exact mode swaps, epoch must not
-def test_disable_restores_everything(race, sample_every):
+@pytest.mark.parametrize("period", [1, None])  # exact mode swaps, epoch must not
+def test_disable_restores_everything(race, period):
     """The off path is the pristine path: a cycled detector leaves the
     kernel's own ``schedule``/``post`` in place and every flag down."""
-    race.enable(sample_every=sample_every)
+    race.enable(strict=True, exact=period == 1)
     race.disable()
     race.reset()
     assert SimKernel.schedule is kernel_mod._plain_schedule
     assert SimKernel.post is kernel_mod._plain_post
-    for flag in ("ENABLED", "EVENT_EDGES", "ANY_HELD", "_SWAPPED"):
+    for flag in ("ENABLED", "EVENT_EDGES", "ANY_HELD", "_SWAPPED", "_strict"):
         assert not getattr(race, flag), flag
     assert kernel_mod._RACE is None
 
@@ -76,23 +74,10 @@ def test_disable_restores_everything(race, sample_every):
 def test_reenable_switches_modes(race):
     plain_schedule = SimKernel.schedule
     race.enable()  # epoch
-    race.enable(sample_every=1)  # re-enable into exact: must re-swap
+    race.enable(exact=True)  # re-enable into exact: must re-swap
     assert SimKernel.schedule is not plain_schedule
-    race.enable(sample_every=16)  # and back
+    race.enable()  # and back
     assert SimKernel.schedule is plain_schedule
-
-
-def test_sample_every_env_knob(race, monkeypatch):
-    monkeypatch.setenv("RACE_SAMPLE_EVERY", "4")
-    race.enable()
-    assert race.SAMPLE_EVERY == 4
-
-
-def test_sample_every_validation(race):
-    with pytest.raises(ValueError, match="race_sample_every"):
-        race.enable(sample_every=0)
-    with pytest.raises(ValueError, match="race_sample_every"):
-        race.enable(sample_every=-3)
 
 
 # ----------------------------------------------------------------------
@@ -122,13 +107,14 @@ def test_sampled_mode_catches_seeded_mch030(race):
 
 
 def test_exact_mode_agrees_on_seeded_mch030(race):
-    race.enable(sample_every=1)
+    race.enable(exact=True)
     assert _seeded_mch030_fixture() == [("MCH030", "race:sampled-state")]
 
 
-@pytest.mark.parametrize("sample_every", [2, 16, 64])
-def test_fixture_caught_across_sampling_periods(race, sample_every):
-    race.enable(sample_every=sample_every)
+@pytest.mark.parametrize("period", [16])
+def test_fixture_caught_across_sampling_periods(race, period):
+    race.enable()
+    assert race._period == period
     assert _seeded_mch030_fixture() == [("MCH030", "race:sampled-state")]
 
 
@@ -161,9 +147,9 @@ def _event_ordered_fixture():
     return list(hooks.findings)
 
 
-@pytest.mark.parametrize("sample_every", [1, 16])
-def test_event_ordered_writes_clean_in_both_modes(race, sample_every):
-    race.enable(sample_every=sample_every)
+@pytest.mark.parametrize("period", [1, 16])
+def test_event_ordered_writes_clean_in_both_modes(race, period):
+    race.enable(exact=period == 1)
     assert _event_ordered_fixture() == []
 
 

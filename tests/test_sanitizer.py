@@ -1,33 +1,49 @@
-"""Runtime sanitizer (REPRO_SANITIZE): the dynamic half of MCH011/MCH012."""
+"""Runtime checker, strict and record mode: the dynamic half of
+MCH011/MCH012/MCH070."""
 
 import pytest
 
 from repro import Cluster
-from repro.analysis import sanitize
-from repro.analysis.sanitize import SanitizerError
-from repro.margo.ult import UltMutex, UltSleep
+from repro.analysis.race import hooks
+from repro.analysis.race.hooks import SanitizerError
+from repro.margo import RpcTimeoutError
+from repro.margo.ult import UltEvent, UltMutex, UltSleep
 
 
 @pytest.fixture()
 def strict():
-    sanitize.reset()
-    sanitize.enable(strict=True)
-    yield sanitize
-    sanitize.disable()
+    hooks.disable()
+    hooks.enable(strict=True)
+    yield hooks
+    hooks.disable()
 
 
 @pytest.fixture()
 def recording():
-    sanitize.reset()
-    sanitize.enable(strict=False)
-    yield sanitize
-    sanitize.disable()
+    hooks.disable()
+    hooks.enable()
+    yield hooks
+    hooks.disable()
 
 
 def make_rig():
     cluster = Cluster(seed=13)
     margo = cluster.add_margo("m", node="n0")
     return cluster, margo
+
+
+def respond_rig():
+    cluster = Cluster(seed=31)
+    server = cluster.add_margo("server", node="n0")
+    client = cluster.add_margo("client", node="n1")
+    return cluster, server, client
+
+
+def call(cluster, client, server, name, args=None, **kwargs):
+    def driver():
+        return (yield from client.forward(server.address, name, args, **kwargs))
+
+    return cluster.run_ult(client, driver())
 
 
 # ----------------------------------------------------------------------
@@ -44,8 +60,8 @@ def test_sleep_while_holding_mutex_raises(strict):
 
     with pytest.raises(SanitizerError, match="MCH011"):
         cluster.run_ult(margo, bad())
-    assert strict.violations[0].rule_id == "MCH011"
-    assert strict.violations[0].source == "runtime"
+    assert strict.findings[0].rule_id == "MCH011"
+    assert strict.findings[0].source == "runtime"
 
 
 def test_finishing_while_holding_mutex_raises(strict):
@@ -71,7 +87,7 @@ def test_release_before_suspend_is_clean(strict):
         return "ok"
 
     assert cluster.run_ult(margo, good()) == "ok"
-    assert strict.violations == []
+    assert strict.findings == []
 
 
 def test_contended_mutex_stays_clean(strict):
@@ -90,7 +106,7 @@ def test_contended_mutex_stays_clean(strict):
     ults = [cluster.spawn(margo, worker(i), name=f"w{i}") for i in range(3)]
     cluster.wait_ults(ults)
     assert order == [0, 1, 2]
-    assert strict.violations == []
+    assert strict.findings == []
 
 
 def test_strict_violation_fails_only_the_offending_ult(strict):
@@ -113,7 +129,7 @@ def test_strict_violation_fails_only_the_offending_ult(strict):
         return "still scheduling"
 
     assert cluster.run_ult(margo, good()) == "still scheduling"
-    assert strict.violations == []
+    assert strict.findings == []
 
 
 def test_recording_mode_collects_without_raising(recording):
@@ -127,11 +143,11 @@ def test_recording_mode_collects_without_raising(recording):
         return "finished"
 
     assert cluster.run_ult(margo, bad()) == "finished"
-    assert [v.rule_id for v in recording.violations] == ["MCH011"]
+    assert [v.rule_id for v in recording.findings] == ["MCH011"]
 
 
 def test_disabled_sanitizer_is_a_no_op():
-    sanitize.disable()
+    hooks.disable()
     cluster, margo = make_rig()
     mutex = UltMutex(cluster.kernel, name="state")
 
@@ -142,73 +158,77 @@ def test_disabled_sanitizer_is_a_no_op():
         return "finished"
 
     assert cluster.run_ult(margo, bad()) == "finished"
-    assert sanitize.violations == []
+    assert hooks.findings == []
 
 
 # ----------------------------------------------------------------------
 # MCH012: dropped RPC handles
 # ----------------------------------------------------------------------
-class _FakeProcess:
-    def __init__(self, alive=True):
-        self.alive = alive
-        self.name = "fake"
-
-
-class _FakeMargo:
-    def __init__(self, alive=True):
-        self.process = _FakeProcess(alive)
-
-
-class _FakeRequest:
-    def __init__(self, seq, rpc_name="echo"):
-        self.seq = seq
-        self.rpc_name = rpc_name
-
-
-class _FakeUlt:
-    def __init__(self, name="handler"):
-        self.name = name
-        self.error = None
-        self.on_finish = []
-
-    def finish(self):
-        for hook in self.on_finish:
-            hook(self)
+class _Abort(BaseException):
+    """Escapes the runtime's reply path, which no ``Exception`` can."""
 
 
 def test_handler_finishing_without_response_fails_the_ult(strict):
-    # Finish-time violations attach to the ULT (there is no generator
-    # left to throw into, and raising would kill the xstream instead).
-    margo, ult = _FakeMargo(), _FakeUlt()
-    sanitize.note_handler_dispatched(margo, _FakeRequest(7), ult)
-    ult.finish()
-    assert isinstance(ult.error, SanitizerError)
-    assert ult.error.finding.rule_id == "MCH012"
-    assert [v.rule_id for v in strict.violations] == ["MCH012"]
+    # Recorded as the handler ULT dies; the ULT keeps the error it died
+    # of, and the caller is left to its timeout.
+    cluster, server, client = respond_rig()
+
+    def abort(ctx):
+        raise _Abort("gone")
+
+    server.register("abort", abort)
+    with pytest.raises(RpcTimeoutError):
+        call(cluster, client, server, "abort", timeout=0.5)
+    (finding,) = strict.findings
+    assert finding.rule_id == "MCH012" and "_Abort" in finding.message
 
 
 def test_responded_handler_is_clean(strict):
-    margo, ult = _FakeMargo(), _FakeUlt()
-    sanitize.note_handler_dispatched(margo, _FakeRequest(7), ult)
-    sanitize.note_handler_responded(margo, 7)
-    ult.finish()
-    assert strict.violations == []
+    # Answered through respond() and still running at a healthy
+    # shutdown: not a dropped handle.
+    cluster, server, client = respond_rig()
+
+    def handler(ctx):
+        yield from ctx.respond("ack")
+        yield UltSleep(1.0)
+
+    server.register("ack", handler)
+    assert call(cluster, client, server, "ack") == "ack"
+    server.shutdown()
+    assert strict.findings == []
+
+
+def pending_rig():
+    # A handler parked on an event that never fires: dispatched, live and
+    # unanswered once the caller has timed out.
+    cluster, server, client = respond_rig()
+    gate = UltEvent(cluster.kernel, name="never")
+
+    def stuck(ctx):
+        yield from gate.wait(timeout=30.0)
+        return ctx.args
+
+    server.register("slow", stuck)
+    with pytest.raises(RpcTimeoutError):
+        call(cluster, client, server, "slow", 3, timeout=0.3)
+    return cluster, server
 
 
 def test_shutdown_with_pending_handler_raises(strict):
-    margo = _FakeMargo()
-    sanitize.note_handler_dispatched(margo, _FakeRequest(3, "slow"), _FakeUlt())
+    cluster, server = pending_rig()
     with pytest.raises(SanitizerError, match="MCH012"):
-        sanitize.check_margo_shutdown(margo)
+        hooks.check_margo_shutdown(server)
+    (finding,) = strict.findings
+    assert "'slow'" in finding.message
 
 
 def test_killed_process_may_drop_handles(strict):
     # Fault injection kills processes mid-RPC; dropping their in-flight
     # handles is crash semantics, not a bug.
-    margo = _FakeMargo(alive=False)
-    sanitize.note_handler_dispatched(margo, _FakeRequest(3), _FakeUlt())
-    sanitize.check_margo_shutdown(margo)
-    assert strict.violations == []
+    cluster, server = pending_rig()
+    cluster.faults.kill_process(server.process)
+    hooks.check_margo_shutdown(server)
+    assert strict.findings == []
 
 
 def test_rpc_roundtrip_is_clean_end_to_end(strict):
@@ -231,7 +251,7 @@ def test_rpc_roundtrip_is_clean_end_to_end(strict):
     assert cluster.run_ult(client, driver()) == 42
     server.shutdown()
     client.shutdown()
-    assert strict.violations == []
+    assert strict.findings == []
 
 
 def test_suite_scenarios_under_sanitizer(strict):
@@ -258,26 +278,12 @@ def test_suite_scenarios_under_sanitizer(strict):
         return value
 
     assert cluster.run_ult(app, driver()) == b"v"
-    assert strict.violations == []
+    assert strict.findings == []
 
 
 # ----------------------------------------------------------------------
 # MCH070: respond exactly once (runtime half of the mochi-flow rule)
 # ----------------------------------------------------------------------
-def respond_rig():
-    cluster = Cluster(seed=31)
-    server = cluster.add_margo("server", node="n0")
-    client = cluster.add_margo("client", node="n1")
-    return cluster, server, client
-
-
-def call(cluster, client, server, name, args=None):
-    def driver():
-        return (yield from client.forward(server.address, name, args))
-
-    return cluster.run_ult(client, driver())
-
-
 def test_early_respond_then_post_reply_work_is_clean(strict):
     from repro.margo import Compute
 
@@ -292,7 +298,7 @@ def test_early_respond_then_post_reply_work_is_clean(strict):
     server.register("dbl", handler)
     assert call(cluster, client, server, "dbl", 21) == 42
     cluster.run()  # drain the handler's post-reply tail
-    assert post and strict.violations == []
+    assert post and strict.findings == []
 
 
 def test_double_respond_reported(recording):
@@ -308,7 +314,7 @@ def test_double_respond_reported(recording):
     cluster.run()
     assert any(
         v.rule_id == "MCH070" and "respond() twice" in v.message
-        for v in recording.violations
+        for v in recording.findings
     )
 
 
@@ -325,7 +331,7 @@ def test_raise_after_respond_reported(recording):
     cluster.run()
     assert any(
         v.rule_id == "MCH070" and "raised after respond()" in v.message
-        for v in recording.violations
+        for v in recording.findings
     )
 
 
@@ -341,7 +347,7 @@ def test_value_after_respond_reported(recording):
     cluster.run()
     assert any(
         v.rule_id == "MCH070" and "returned a value after respond()" in v.message
-        for v in recording.violations
+        for v in recording.findings
     )
 
 
@@ -350,4 +356,4 @@ def test_implicit_respond_path_stays_clean(strict):
     server.register("echo", lambda ctx: ctx.args)
     assert call(cluster, client, server, "echo", 7) == 7
     cluster.run()
-    assert strict.violations == []
+    assert strict.findings == []
