@@ -173,6 +173,8 @@ def bench_rpc_echo(n_rpcs: int, config: dict, health: bool = False) -> dict:
     }
     if health:
         stats["recorder_events"] = cluster.health.recorder.recorded
+    if cluster.tracers():
+        stats["spans"] = sum(len(tracer.spans) for tracer in cluster.tracers())
     if stats["profiled"]:
         stats["windows_closed"] = len(server.profiler.store.windows)
         stats["waterfalls"] = len(client.profiler.waterfalls)

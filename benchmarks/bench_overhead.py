@@ -132,6 +132,11 @@ ARMS = {
     "rpc_xray_unsampled": _rpc(_profiled(profile_sample_every=NEVER, xray=True)),
     "rpc_xray_sampled": _rpc(_profiled(profile_sample_every=64, xray=True)),
     "rpc_xray_full": _rpc(_profiled(xray=True)),
+    # The observer stack the churn workload keeps on (minus its Listing-1
+    # monitor): tracing at 1/64, metrics, profiling every 64th request.
+    "rpc_traced_sampled": _rpc(
+        _profiled(tracing=True, trace_sample_rate=1 / 64, metrics=True, profile_sample_every=64)
+    ),
 }
 
 #: ``added_us`` bounds, µs per RPC on the reference machine: the median
@@ -141,6 +146,10 @@ ARMS = {
 RACE_US = 8.1
 PROFILED_SAMPLED_US = 4.8
 XRAY_SAMPLED_US = 5.1
+#: Halfway between the medians of three runs each before (29.83) and
+#: after (12.83) the runtime stopped calling the hooks of planes that
+#: sampled a request out.
+TRACED_SAMPLED_US = 21.3
 
 #: (group, base arm, test arm, statistic, bound or None = informational).
 ROWS = [
@@ -156,6 +165,8 @@ ROWS = [
     ("xray_sampled", "rpc_off", "rpc_xray_sampled", "added_us", XRAY_SAMPLED_US),
     ("xray_sampled", "rpc_off", "rpc_xray_sampled", "overhead", None),
     ("xray_full", "rpc_off", "rpc_xray_full", "overhead", None),
+    ("traced_sampled", "rpc_off", "rpc_traced_sampled", "added_us", TRACED_SAMPLED_US),
+    ("traced_sampled", "rpc_off", "rpc_traced_sampled", "overhead", None),
     ("observers_on", "rpc_off", "rpc_profiled_full", "overhead", None),
     ("observers_on", "rpc_off", "rpc_profiled_rotating", "overhead", None),
     ("observers_on", "rpc_off", "rpc_traced", "overhead", None),
@@ -173,6 +184,7 @@ SIZES = {
     "xray_offpath": dict(repeats=20, n_rpcs=2500),
     "xray_sampled": dict(repeats=96, n_rpcs=1000),
     "xray_full": dict(repeats=3, n_rpcs=2500),
+    "traced_sampled": dict(repeats=96, n_rpcs=1000),
     "observers_on": dict(repeats=6, n_rpcs=2500),
 }
 SMOKE = dict(repeats=1, n_tasks=40, n_steps=10, n_rpcs=60)
@@ -282,6 +294,8 @@ def check_facts(groups: dict) -> None:
     assert "xray_paths" not in arms["rpc_profiled_unsampled"]
     assert arms["rpc_xray_unsampled"]["xray_paths"] == 1
     assert 0 < arms["rpc_xray_sampled"]["xray_paths"] < arms["rpc_xray_full"]["xray_paths"]
+    # Trace sampling really dropped whole traces, and kept some.
+    assert 0 < arms["rpc_traced_sampled"]["spans"] < arms["rpc_traced"]["spans"]
 
 
 def main(argv: list[str]) -> int:

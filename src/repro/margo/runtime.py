@@ -79,9 +79,9 @@ class RequestContext:
 
     margo: "MargoInstance"
     request: RPCRequest
-    #: per-request sampling decision made at dispatch (monitor emissions
-    #: inside :meth:`respond` honor it, same as the implicit reply path).
-    observed: bool = False
+    #: the hook table picked at dispatch, ``None`` for an unobserved
+    #: request (:meth:`respond` fires from it, as the implicit reply does).
+    observed: Optional[dict] = None
     #: set once a reply for this request has hit the wire.
     _responded: bool = False
 
@@ -127,8 +127,8 @@ class RequestContext:
         margo.network.send(
             margo.process, self.request.src_address, response, response.wire_size
         )
-        if self.observed:
-            margo._emit("on_respond", request=self.request, response=response)
+        if self.observed is not None:
+            margo._fire(self.observed, "on_respond", request=self.request, response=response)
 
 
 @dataclass
@@ -213,12 +213,7 @@ class MargoInstance:
         self._finalized = False
         # ``monitors`` is an immutable tuple: ``add_monitor`` and
         # ``remove_monitor`` are the only way to change it, and each
-        # rebuilds the two things the RPC fast path reads -- the
-        # hook name -> bound methods table (with no monitors attached,
-        # emit sites skip kwargs construction and iteration entirely)
-        # and ``_skip_unsampled``, true when every attached monitor
-        # declares ``respects_profile_sampling`` so request-scoped hooks
-        # may be skipped wholesale for sampled-out requests.
+        # rebuilds ``_tables``, the one thing the RPC fast path reads.
         self._set_monitors(tuple(monitors))
 
         self.pools: dict[str, Pool] = {}
@@ -341,52 +336,70 @@ class MargoInstance:
         self._set_monitors(tuple(kept))
 
     def _set_monitors(self, monitors: tuple[Any, ...]) -> None:
+        """Attach ``monitors`` and rebuild ``_tables``: ``None`` with no
+        monitor, else four hook tables indexed ``2 * profile_kept +
+        trace_kept``, from which forward / _dispatch_request pick one
+        per request.  A table maps each hook name to ``(charge, fns)``:
+        ``charge`` counts every attached monitor with that hook (what an
+        observed request pays, pre-charged into an adjacent Compute),
+        ``fns`` are the hooks, minus ``Monitor``'s base no-ops, of the
+        monitors that see that outcome: profiler and xray only
+        profile-kept requests, the tracer only trace-kept ones, any
+        other monitor all; the last table, every monitor's, also serves
+        the hooks of no request (bulk transfer, finalize).  With every
+        monitor riding the profile stamp the profile-dropped entries are
+        ``None``: unobserved, uncharged."""
         self.monitors = monitors
-        self._skip_unsampled = all(
-            getattr(m, "respects_profile_sampling", False) for m in monitors
+        if not monitors:
+            self._tables = None
+            return
+        # Here, not at module level: repro.monitoring imports this module,
+        # and a process with no monitor never loads it.
+        from ..monitoring.monitor import HOOK_NAMES, Monitor
+
+        def table(profile_kept: bool, trace_kept: bool) -> dict[str, tuple]:
+            seen = [
+                m for m in monitors
+                if (profile_kept or not getattr(m, "respects_profile_sampling", False))
+                and (trace_kept or not isinstance(m, Tracer))
+            ]
+            return {
+                name: (
+                    sum(getattr(m, name, None) is not None for m in monitors),
+                    tuple(
+                        fn for fn in (getattr(m, name, None) for m in seen)
+                        if fn is not None
+                        and getattr(fn, "__func__", None) is not getattr(Monitor, name)
+                    ),
+                )
+                for name in HOOK_NAMES
+            }
+
+        skip = all(getattr(m, "respects_profile_sampling", False) for m in monitors)
+        self._tables = tuple(
+            None if skip and not profile_kept else table(profile_kept, trace_kept)
+            for profile_kept in (False, True)
+            for trace_kept in (False, True)
         )
-        names = {name for m in monitors for name in dir(m) if name.startswith("on_")}
-        self._hooks: dict[str, tuple[Callable[..., None], ...]] = {
-            name: tuple(
-                fn
-                for fn in (getattr(m, name, None) for m in monitors)
-                if fn is not None
-            )
-            for name in names
-        }
 
-    def _hook_fns(self, hook: str) -> tuple[Callable[..., None], ...]:
-        """The bound ``hook`` methods of the attached monitors."""
-        return self._hooks.get(hook, ())
-
-    def _emit(self, hook: str, **kwargs: Any) -> int:
-        """Fire ``hook`` on every monitor; return the number fired (the
-        RPC path charges ``monitoring_cost_per_event`` per firing).
+    def _fire(self, table: dict[str, tuple], hook: str, **kwargs: Any) -> int:
+        """Call ``table``'s ``hook`` functions; return its charge (the
+        RPC path charges ``monitoring_cost_per_event`` per attached hook).
 
         The ``Monitor`` contract says hooks must not raise; if one does
         anyway, the failure is contained here -- counted in
         ``margo_monitor_errors`` -- rather than crashing the RPC fast
         path: a monitoring failure must never take the data path down.
         """
-        fns = self._hook_fns(hook)
-        if not fns:
-            return 0
-        now = self.kernel.now
-        for fn in fns:
-            try:
-                fn(time=now, margo=self, **kwargs)
-            except Exception:
-                self._monitor_errors.inc()
-        return len(fns)
-
-    # Request-scoped lifecycle hooks are emitted inline by forward /
-    # _dispatch_request / _handler_body: each path decides ``observed``
-    # once per request (False when every attached monitor respects the
-    # profile-sampling stamp and the request was sampled out) and then
-    # branches, so a sampled-out request pays one attribute read total
-    # instead of a helper call per hook.  Hook charges are pre-charged
-    # into an adjacent Compute (``fired * monitoring_cost_per_event``)
-    # rather than paid as separate kernel events.
+        charge, fns = table[hook]
+        if fns:
+            now = self.kernel.now
+            for fn in fns:
+                try:
+                    fn(time=now, margo=self, **kwargs)
+                except Exception:
+                    self._monitor_errors.inc()
+        return charge
 
     # ------------------------------------------------------------------
     # ULT utilities
@@ -510,36 +523,36 @@ class MargoInstance:
                 child_span_id(parent.span_id, HANDLER_SUFFIX) if trace_id else "",
             )
         started = self.kernel.now
-        # Observability fast path: one ``observed`` decision per request
-        # -- False with no monitors attached, and False when every
-        # attached monitor honors the profile-sampling stamp and this
-        # request was sampled out.  The emit sites below are then plain
-        # branches; per-hook helper calls were measurably hot on the
-        # sampled-out path (this is what makes every-Nth observer
-        # sampling actually cheap).
-        observed = bool(self.monitors)
-        prof = self.profiler
-        if observed and prof is not None:
-            # Stamp the sampling decision before the first hook so a
-            # sampled-out request skips even on_forward_start.  The
-            # decision is ContinuousProfiler._sample_weight inlined (a
-            # helper call per forward was measurably hot) on the request
-            # built above, which nothing has stamped yet.
-            every = prof.sample_every
-            if every == 1:
-                weight = 1
-            else:
-                prof._sample_seq += 1
-                weight = every if prof._sample_seq % every == 1 else 0
-            setattr(request, SAMPLE_STAMP, weight)
-            if weight == 0 and self._skip_unsampled:
-                observed = False
-        if observed:
-            fired = self._emit("on_forward_start", request=request)
+        # Observability fast path: one decision per request picks the
+        # hook table (``observed``) every site below fires from -- None
+        # with no monitors attached, or when every attached monitor
+        # rides the profile stamp and this request was sampled out.
+        observed = tables = self._tables
+        if tables is not None:
+            kept = 2
+            prof = self.profiler
+            if prof is not None:
+                # Stamp the sampling decision before the first hook.  The
+                # decision is ContinuousProfiler._sample_weight inlined (a
+                # helper call per forward was measurably hot) on the
+                # request built above, which nothing has stamped yet.
+                every = prof.sample_every
+                if every == 1:
+                    weight = 1
+                else:
+                    prof._sample_seq += 1
+                    weight = every if prof._sample_seq % every == 1 else 0
+                setattr(request, SAMPLE_STAMP, weight)
+                if weight == 0:
+                    kept = 0
+            tracer = self.tracer
+            observed = tables[kept + (tracer is None or tracer.keeps(request))]
+        if observed is not None:
+            fired = self._fire(observed, "on_forward_start", request=request)
             # The on_forward_sent firing below is pre-charged here: one
             # Compute covers both hooks (identical modeled cost) instead
             # of a second kernel event on every monitored send.
-            fired += len(self._hook_fns("on_forward_sent"))
+            fired += observed["on_forward_sent"][0]
             yield Compute(
                 serialize_cost(payload_size)
                 + fired * self.config.monitoring_cost_per_event
@@ -552,8 +565,8 @@ class MargoInstance:
         self.inflight_outgoing += 1
         self.rpcs_sent += 1
         known = self.network.send(self.process, address, request, request.wire_size)
-        if observed:
-            self._emit("on_forward_sent", request=request)
+        if observed is not None:
+            self._fire(observed, "on_forward_sent", request=request)
         if not known and timeout is None:
             # The destination does not exist and no timeout would ever
             # fire: fail fast instead of hanging the simulation.
@@ -570,8 +583,9 @@ class MargoInstance:
                 f"timed out after {timeout}s"
             )
         response: RPCResponse = value
-        if observed:
-            fired = self._emit(
+        if observed is not None:
+            fired = self._fire(
+                observed,
                 "on_response_received",
                 request=request,
                 response=response,
@@ -616,10 +630,12 @@ class MargoInstance:
             raise RpcTimeoutError(f"bulk transfer to {remote_address} unreachable (partition)")
         duration = self.network.transfer_time(self.process, remote, size, bulk=True)
         started = self.kernel.now
-        if self.monitors:
+        if self._tables is not None:
             # Pre-charged like the RPC path: the hook fires after the
-            # transfer, its cost rides the setup Compute.
-            pre = len(self._hook_fns("on_bulk_transfer"))
+            # transfer, its cost rides the setup Compute.  A transfer
+            # belongs to no request, so every monitor's hook fires (the
+            # tracer samples it by its trace id).
+            pre = self._tables[-1]["on_bulk_transfer"][0]
             yield Compute(
                 BULK_SETUP_COST + pre * self.config.monitoring_cost_per_event
             )
@@ -627,8 +643,9 @@ class MargoInstance:
             yield Compute(BULK_SETUP_COST)
         yield UltSleep(duration)
         self.network.bytes_sent += size
-        if self.monitors:
-            self._emit(
+        if self._tables is not None:
+            self._fire(
+                self._tables[-1],
                 "on_bulk_transfer",
                 remote=remote_address,
                 size=size,
@@ -641,19 +658,23 @@ class MargoInstance:
     # dispatch (the progress item's callbacks, paper Fig. 2)
     # ------------------------------------------------------------------
     def _dispatch_request(self, request: RPCRequest) -> None:
-        # Same per-request ``observed`` decision as forward(); a request
-        # from an unprofiled client arrives unstamped, so the server-side
+        # Same per-request table pick as forward(); a request from an
+        # unprofiled client arrives unstamped, so the server-side
         # profiler decides here, before the first hook.
-        observed = bool(self.monitors)
-        prof = self.profiler
-        if observed and prof is not None:
-            weight = getattr(request, SAMPLE_STAMP, None)
-            if weight is None:
-                weight = prof._sample_weight(request)
-            if weight == 0 and self._skip_unsampled:
-                observed = False
-        if observed:
-            self._emit("on_request_received", request=request)
+        observed = tables = self._tables
+        if tables is not None:
+            kept = 2
+            prof = self.profiler
+            if prof is not None:
+                weight = getattr(request, SAMPLE_STAMP, None)
+                if weight is None:
+                    weight = prof._sample_weight(request)
+                if weight == 0:
+                    kept = 0
+            tracer = self.tracer
+            observed = tables[kept + (tracer is None or tracer.keeps(request))]
+        if observed is not None:
+            self._fire(observed, "on_request_received", request=request)
         key = (request.rpc_id, request.provider_id)
         if _race.ENABLED:
             label = self._race_labels.get(key)
@@ -677,23 +698,23 @@ class MargoInstance:
             rpc_context=request,
         )
         registration.pool.push(ult)
-        if observed:
-            self._emit("on_ult_enqueued", request=request, pool=registration.pool)
+        if observed is not None:
+            self._fire(observed, "on_ult_enqueued", request=request, pool=registration.pool)
 
     def _handler_body(
         self,
         registration: Registration,
         request: RPCRequest,
         enqueued_at: float,
-        observed: bool,
+        observed: Optional[dict],
     ) -> Generator:
-        # ``observed`` is the per-request sampling decision made at
-        # dispatch; it covers the whole handler ULT.
+        # ``observed`` is the hook table picked at dispatch; it covers
+        # the whole handler ULT.
         self.inflight_incoming += 1
         queued_for = self.kernel.now - enqueued_at
         ult_started = self.kernel.now
-        if observed:
-            fired = self._emit("on_ult_start", request=request, queued_for=queued_for)
+        if observed is not None:
+            fired = self._fire(observed, "on_ult_start", request=request, queued_for=queued_for)
             yield Compute(
                 deserialize_cost(request.payload_size)
                 + fired * self.config.monitoring_cost_per_event
@@ -721,10 +742,10 @@ class MargoInstance:
             # context.respond() already serialized and sent the reply;
             # the implicit path must not charge or send a second one.
             payload_size = 0
-        if observed:
+        if observed is not None:
             # Pre-charge the on_ult_complete firing: same modeled cost,
             # one fewer kernel event per handled RPC.
-            pre = len(self._hook_fns("on_ult_complete"))
+            pre = observed["on_ult_complete"][0]
             yield Compute(
                 serialize_cost(payload_size)
                 + pre * self.config.monitoring_cost_per_event
@@ -736,8 +757,9 @@ class MargoInstance:
         # the monitoring charge (the phases Listing 1's
         # "ult"/"duration" aggregates).
         duration = self.kernel.now - ult_started
-        if observed:
-            self._emit(
+        if observed is not None:
+            self._fire(
+                observed,
                 "on_ult_complete",
                 request=request,
                 duration=duration,
@@ -758,8 +780,8 @@ class MargoInstance:
             request.seq, status, value, payload_size, self.process.address, error_message
         )
         self.network.send(self.process, request.src_address, response, response.wire_size)
-        if observed:
-            self._emit("on_respond", request=request, response=response)
+        if observed is not None:
+            self._fire(observed, "on_respond", request=request, response=response)
 
     def _dispatch_response(self, response: RPCResponse) -> None:
         pending = self._pending.pop(response.seq, None)
@@ -898,7 +920,8 @@ class MargoInstance:
         self._finalized = True
         if _race.ENABLED:
             _race.check_margo_shutdown(self)
-        self._emit("on_finalize")
+        if self._tables is not None:
+            self._fire(self._tables[-1], "on_finalize")
         if self.profiler is not None:
             self.profiler.stop()
         for xstream in self.xstreams.values():

@@ -9,9 +9,9 @@ processes -- a property the dispatch path relies on.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from typing import Any, Optional
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Any, Callable, Optional
 
 __all__ = [
     "rpc_id_of",
@@ -46,6 +46,26 @@ def rpc_id_of(name: str) -> int:
     return zlib.crc32(name.encode("utf-8")) & 0xFFFFFFFF
 
 
+class _lazy:
+    """A value computed on first read and stored in the instance dict.
+
+    ``functools.cached_property`` without its lock: on Python 3.11 its
+    first read takes an ``RLock``, and a simulated request is only ever
+    read from one thread.  Not a data descriptor, so the stored value
+    shadows it from then on.
+    """
+
+    def __init__(self, fn: Callable[[Any], Any]) -> None:
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj: Any, owner: Any = None) -> Any:
+        if obj is None:
+            return self
+        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
+        return value
+
+
 @dataclass
 class RPCRequest:
     """A request message on the wire."""
@@ -71,12 +91,12 @@ class RPCRequest:
     #: Fixed header size added to the payload on the wire.
     HEADER_SIZE = 64
 
-    @cached_property
+    @_lazy
     def span_id(self) -> str:
         """This call's id: deterministic, unique per calling process."""
         return f"{self.origin}:{self.seq}" if self.origin else ""
 
-    @cached_property
+    @_lazy
     def trace_id(self) -> str:
         """The causal tree this call belongs to (a root call names it)."""
         return self.parent_trace_id or self.span_id

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Optional
 
-from ..mercury import NULL_PROVIDER, NULL_RPC
 from .monitor import Monitor
 from .statistics import RunningStats
 
@@ -44,21 +43,22 @@ class _RpcRecord:
         self.parent_rpc_id = request.parent_rpc_id
         self.parent_provider_id = request.parent_provider_id
         self.name = request.rpc_name
-        # origin: per "sent to <addr>" -> phase -> RunningStats
+        # origin: per destination address -> phase -> RunningStats
         self.origin: dict[str, dict[str, RunningStats]] = {}
-        # target: per "received from <addr>" -> phase -> RunningStats
+        # target: per source address -> phase -> RunningStats
         self.target: dict[str, dict[str, RunningStats]] = {}
 
-    def _phase(self, side: dict, peer_label: str, phase: str) -> RunningStats:
-        peer = side.setdefault(peer_label, {})
-        stats = peer.get(phase)
+    def _phase(self, side: dict, peer: str, phase: str) -> RunningStats:
+        phases = side.get(peer)
+        if phases is None:
+            phases = side[peer] = {}
+        stats = phases.get(phase)
         if stats is None:
-            stats = RunningStats()
-            peer[phase] = stats
+            stats = phases[phase] = RunningStats()
         return stats
 
     def to_json(self) -> dict[str, Any]:
-        def render(side: dict[str, dict[str, RunningStats]]) -> dict:
+        def render(side: dict[str, dict[str, RunningStats]], prefix: str) -> dict:
             out: dict[str, Any] = {}
             for peer, phases in side.items():
                 peer_doc: dict[str, Any] = {}
@@ -68,7 +68,7 @@ class _RpcRecord:
                         peer_doc.setdefault("ult", {})[phase[4:]] = stats.to_json()
                     else:
                         peer_doc[phase] = stats.to_json()
-                out[peer] = peer_doc
+                out[f"{prefix} {peer}"] = peer_doc
             return out
 
         return {
@@ -77,13 +77,18 @@ class _RpcRecord:
             "parent_rpc_id": self.parent_rpc_id,
             "parent_provider_id": self.parent_provider_id,
             "name": self.name,
-            "origin": render(self.origin),
-            "target": render(self.target),
+            "origin": render(self.origin, "sent to"),
+            "target": render(self.target, "received from"),
         }
 
 
 class StatisticsMonitor(Monitor):
     """Aggregates per-RPC statistics in the paper's Listing-1 schema.
+
+    The hooks key records by the four context ints and peers by
+    address; :meth:`to_json` alone formats their Listing-1 text.  It
+    sees every request a Margo instance handles: it rides no sampling
+    decision.
 
     Parameters
     ----------
@@ -94,20 +99,22 @@ class StatisticsMonitor(Monitor):
     """
 
     def __init__(self, dump_callback: Optional[Callable[[str], None]] = None) -> None:
-        self._rpcs: dict[str, _RpcRecord] = {}
+        #: (parent_rpc_id, parent_provider_id, rpc_id, provider_id) -> record
+        self._rpcs: dict[tuple[int, int, int, int], _RpcRecord] = {}
         self._bulk = RunningStats()
         self._bulk_bytes = RunningStats()
+        #: id(request) -> forward start, for forwards not yet on the wire.
         self._pending_forward: dict[int, float] = {}
         self.dump_callback = dump_callback
         self.finalized_at: Optional[float] = None
 
     # ------------------------------------------------------------------
     def _record(self, request: Any) -> _RpcRecord:
-        key = rpc_key(request)
+        key = (request.parent_rpc_id, request.parent_provider_id,
+               request.rpc_id, request.provider_id)
         record = self._rpcs.get(key)
         if record is None:
-            record = _RpcRecord(request)
-            self._rpcs[key] = record
+            record = self._rpcs[key] = _RpcRecord(request)
         return record
 
     # ---- origin (client) side ----------------------------------------
@@ -115,43 +122,36 @@ class StatisticsMonitor(Monitor):
         self._pending_forward[id(request)] = time
 
     def on_forward_sent(self, time: float, margo: Any, request: Any) -> None:
-        started = self._pending_forward.get(id(request))
+        # Popped here, its only reader: a forward that times out never
+        # reaches on_response_received.
+        started = self._pending_forward.pop(id(request), None)
         if started is None:
             return
         record = self._record(request)
         # wire-bound serialization+send phase
-        record._phase(record.origin, f"sent to {request_dst(request, margo)}", "serialize") \
+        record._phase(record.origin, request_dst(request, margo), "serialize") \
             .update(time - started)
 
     def on_response_received(
         self, time: float, margo: Any, request: Any, response: Any, elapsed: float
     ) -> None:
-        self._pending_forward.pop(id(request), None)
         record = self._record(request)
-        record._phase(
-            record.origin, f"sent to {request_dst(request, margo)}", "forward"
-        ).update(elapsed)
+        record._phase(record.origin, request_dst(request, margo), "forward").update(elapsed)
 
     # ---- target (server) side ----------------------------------------
     def on_request_received(self, time: float, margo: Any, request: Any) -> None:
         record = self._record(request)
-        record._phase(
-            record.target, f"received from {request.src_address}", "received"
-        ).update(0.0)
+        record._phase(record.target, request.src_address, "received").update(0.0)
 
     def on_ult_start(self, time: float, margo: Any, request: Any, queued_for: float) -> None:
         record = self._record(request)
-        record._phase(
-            record.target, f"received from {request.src_address}", "ult_queued"
-        ).update(queued_for)
+        record._phase(record.target, request.src_address, "ult_queued").update(queued_for)
 
     def on_ult_complete(
         self, time: float, margo: Any, request: Any, duration: float, queued_for: float
     ) -> None:
         record = self._record(request)
-        record._phase(
-            record.target, f"received from {request.src_address}", "ult_duration"
-        ).update(duration)
+        record._phase(record.target, request.src_address, "ult_duration").update(duration)
 
     # ---- bulk ----------------------------------------------------------
     def on_bulk_transfer(
@@ -170,7 +170,9 @@ class StatisticsMonitor(Monitor):
     # query API (available at run time, paper section 4)
     # ------------------------------------------------------------------
     def to_json(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {"rpcs": {k: r.to_json() for k, r in self._rpcs.items()}}
+        doc: dict[str, Any] = {
+            "rpcs": {":".join(map(str, k)): r.to_json() for k, r in self._rpcs.items()}
+        }
         if self._bulk.num:
             doc["bulk"] = {
                 "duration": self._bulk.to_json(),

@@ -50,9 +50,8 @@ _RESPONDED_STAMP = "_profile_responded_at"
 #: request first decides, so both halves agree and cross-process phases
 #: stay complete; the weight travels with the request so a peer with a
 #: different ``profile_sample_every`` still counts it correctly.  Public
-#: because the Margo emit layer reads it to skip dispatching request
-#: hooks for sampled-out requests (the per-request ``observed``
-#: decision in ``MargoInstance.forward`` / ``_dispatch_request``).
+#: because the Margo runtime reads it to pick the per-request hook table
+#: (``MargoInstance.forward`` / ``_dispatch_request``).
 SAMPLE_STAMP = "_profile_sample_weight"
 _SAMPLE_STAMP = SAMPLE_STAMP
 
@@ -72,10 +71,9 @@ class ContinuousProfiler:
     and call :meth:`start` to begin window sampling.
     """
 
-    #: Every request-scoped hook of this monitor is a no-op for a
-    #: request stamped ``SAMPLE_STAMP == 0``, so the emit layer may skip
-    #: dispatch (and the modeled monitoring charge) entirely for
-    #: sampled-out requests when all attached monitors declare this.
+    #: The runtime calls this monitor's request-scoped hooks only for
+    #: requests stamped ``SAMPLE_STAMP != 0``, and charges nothing for a
+    #: sampled-out request when every attached monitor declares this.
     respects_profile_sampling = True
 
     def __init__(
@@ -294,12 +292,9 @@ class ContinuousProfiler:
     def _sample_weight(self, request: Any) -> int:
         """The request's sampling weight: 0 to skip decomposition, N >=
         1 to record it standing for N requests.  First profiler to see
-        the request decides and stamps; later hooks (either endpoint)
-        reuse the stamp.  The Margo RPC paths call this before the first
-        lifecycle hook so that a sampled-out request never pays a single
-        monitor dispatch; the hooks below read the stamp directly and
-        only fall back here for a request stamped by neither endpoint
-        (profiler attached mid-flight)."""
+        the request decides and stamps; the other endpoint reuses the
+        stamp.  The Margo RPC paths decide before the first lifecycle
+        hook and call the hooks below for stamped-in requests only."""
         weight = getattr(request, _SAMPLE_STAMP, None)
         if weight is None:
             if self.sample_every == 1:
@@ -316,19 +311,9 @@ class ContinuousProfiler:
 
     # client side ------------------------------------------------------
     def on_forward_start(self, time: float, margo: Any, request: Any) -> None:
-        weight = getattr(request, _SAMPLE_STAMP, None)
-        if weight is None:
-            weight = self._sample_weight(request)
-        if not weight:
-            return
         request._profile_fwd_start = time
 
     def on_forward_sent(self, time: float, margo: Any, request: Any) -> None:
-        weight = getattr(request, _SAMPLE_STAMP, None)
-        if weight is None:
-            weight = self._sample_weight(request)
-        if not weight:
-            return
         started = getattr(request, "_profile_fwd_start", None)
         if started is not None:
             self._phase(request, "client_queue", time - started)
@@ -337,11 +322,6 @@ class ContinuousProfiler:
     def on_response_received(
         self, time: float, margo: Any, request: Any, response: Any, elapsed: float
     ) -> None:
-        weight = getattr(request, _SAMPLE_STAMP, None)
-        if weight is None:
-            weight = self._sample_weight(request)
-        if not weight:
-            return
         responded = getattr(response, _RESPONDED_STAMP, None)
         if responded is not None:
             self._phase(request, "respond", time - responded)
@@ -351,11 +331,6 @@ class ContinuousProfiler:
 
     # server side ------------------------------------------------------
     def on_request_received(self, time: float, margo: Any, request: Any) -> None:
-        weight = getattr(request, _SAMPLE_STAMP, None)
-        if weight is None:
-            weight = self._sample_weight(request)
-        if not weight:
-            return
         sent = getattr(request, _SENT_STAMP, None)
         if sent is not None:
             self._phase(request, "network", time - sent)
@@ -364,41 +339,26 @@ class ContinuousProfiler:
     def on_ult_start(
         self, time: float, margo: Any, request: Any, queued_for: float
     ) -> None:
-        weight = getattr(request, _SAMPLE_STAMP, None)
-        if weight is None:
-            weight = self._sample_weight(request)
-        if not weight:
-            return
         self._phase(request, "server_queue", queued_for)
         self.store.current.note_request(
             _provider_key(request.rpc_name, request.provider_id),
             request.payload_size,
-            weight=weight,
+            weight=getattr(request, _SAMPLE_STAMP),
         )
         request._profile_ult_start_at = time
 
     def on_ult_complete(
         self, time: float, margo: Any, request: Any, duration: float, queued_for: float
     ) -> None:
-        weight = getattr(request, _SAMPLE_STAMP, None)
-        if weight is None:
-            weight = self._sample_weight(request)
-        if not weight:
-            return
         self._phase(request, "handler", duration)
         setattr(request, _ULT_END_STAMP, time)
 
     def on_respond(self, time: float, margo: Any, request: Any, response: Any) -> None:
-        weight = getattr(request, _SAMPLE_STAMP, None)
-        if weight is None:
-            weight = self._sample_weight(request)
-        if not weight:
-            return
         self.store.current.note_response(
             _provider_key(request.rpc_name, request.provider_id),
             response.payload_size,
             error=response.status != STATUS_OK,
-            weight=weight,
+            weight=getattr(request, _SAMPLE_STAMP),
         )
         setattr(response, _RESPONDED_STAMP, time)
 

@@ -74,6 +74,10 @@ class Tracer:
     RPCs; the tracer only appends to in-memory structures.  ``max_spans``
     bounds memory for long runs (oldest spans are retained; once the cap
     is hit new spans are dropped and counted in :attr:`dropped_spans`).
+    Sampling is one :meth:`keeps` decision per request per endpoint: the
+    runtime calls the request hooks of kept requests only, and still
+    charges a dropped one for them (the decision selects calls, never
+    simulated cost).
     """
 
     def __init__(
@@ -84,15 +88,16 @@ class Tracer:
         self.max_spans = max_spans
         #: Probabilistic trace sampling (ISSUE 6, adaptive observer
         #: sampling): the keep/drop decision hashes the *trace id*, so
-        #: every span of one trace -- across all processes and tracer
-        #: instances -- samples together and trees never come out
-        #: partial.  CRC32 is seed-free and platform-stable, so the
-        #: decision is deterministic across identical runs.
+        #: every span of one trace -- bulk transfers included, across all
+        #: processes and tracer instances -- samples together and trees
+        #: never come out partial.  CRC32 is seed-free and platform-
+        #: stable, so the decision is deterministic across identical runs.
         self.sample_rate = sample_rate
         self._sample_cutoff = int(sample_rate * (1 << 32))
         self.spans: list[Span] = []
         self.dropped_spans = 0
-        #: hook observations skipped by the sampling decision (distinct
+        #: requests :meth:`keeps` dropped, counted once per endpoint (a
+        #: request dropped by client and server counts twice; distinct
         #: from ``dropped_spans``, the max_spans overflow count).
         self.sampled_out = 0
         #: (trace_id, span_id) -> client-side in-progress forward span.
@@ -116,35 +121,34 @@ class Tracer:
     def _sampled(self, trace_id: str) -> bool:
         if self.sample_rate >= 1.0:
             return True
-        if self.sample_rate <= 0.0:
-            return False
         return zlib.crc32(trace_id.encode("utf-8")) < self._sample_cutoff
 
-    def _key(self, request: Any) -> Optional[tuple[str, str]]:
-        trace_id = getattr(request, "trace_id", "")
+    def keeps(self, request: Any) -> bool:
+        """The per-request decision: does this endpoint trace ``request``?
+
+        The Margo runtime asks once per request, before the first hook,
+        and calls the request hooks below only when the answer is yes,
+        so they do no sampling of their own.
+        """
+        trace_id = request.trace_id
         if not trace_id:
-            return None
-        if not self._sampled(trace_id):
-            self.sampled_out += 1
-            return None
-        return (trace_id, request.span_id)
+            return False
+        if self._sampled(trace_id):
+            return True
+        self.sampled_out += 1
+        return False
 
     # ------------------------------------------------------------------
     # client-side hooks
     # ------------------------------------------------------------------
     def on_forward_start(self, time: float, margo: Any, request: Any) -> None:
-        key = self._key(request)
-        if key is None:
-            return
-        self._forward_open[key] = {
+        self._forward_open[(request.trace_id, request.span_id)] = {
             "start": time,
             "process": margo.process.name,
         }
 
     def on_forward_sent(self, time: float, margo: Any, request: Any) -> None:
-        key = self._key(request)
-        if key is None:
-            return
+        key = (request.trace_id, request.span_id)
         edge = self.edges.setdefault(key, {"name": request.rpc_name})
         edge["sent"] = time
         edge["src"] = margo.process.name
@@ -152,10 +156,7 @@ class Tracer:
     def on_response_received(
         self, time: float, margo: Any, request: Any, response: Any, elapsed: float
     ) -> None:
-        key = self._key(request)
-        if key is None:
-            return
-        open_span = self._forward_open.pop(key, None)
+        open_span = self._forward_open.pop((request.trace_id, request.span_id), None)
         if open_span is None:
             return
         self._add(
@@ -181,18 +182,13 @@ class Tracer:
     # server-side hooks
     # ------------------------------------------------------------------
     def on_request_received(self, time: float, margo: Any, request: Any) -> None:
-        key = self._key(request)
-        if key is None:
-            return
+        key = (request.trace_id, request.span_id)
         edge = self.edges.setdefault(key, {"name": request.rpc_name})
         edge["received"] = time
         edge["dst"] = margo.process.name
 
     def on_ult_enqueued(self, time: float, margo: Any, request: Any, pool: Any) -> None:
-        key = self._key(request)
-        if key is None:
-            return
-        self._server_open[key] = {
+        self._server_open[(request.trace_id, request.span_id)] = {
             "enqueued": time,
             "pool": pool.name,
             "process": margo.process.name,
@@ -201,10 +197,9 @@ class Tracer:
     def on_ult_start(
         self, time: float, margo: Any, request: Any, queued_for: float
     ) -> None:
-        key = self._key(request)
-        if key is None:
-            return
-        state = self._server_open.setdefault(key, {"process": margo.process.name})
+        state = self._server_open.setdefault(
+            (request.trace_id, request.span_id), {"process": margo.process.name}
+        )
         enqueued = state.get("enqueued")
         if enqueued is not None:
             self._add(
@@ -225,10 +220,7 @@ class Tracer:
     def on_ult_complete(
         self, time: float, margo: Any, request: Any, duration: float, queued_for: float
     ) -> None:
-        key = self._key(request)
-        if key is None:
-            return
-        state = self._server_open.pop(key, None)
+        state = self._server_open.pop((request.trace_id, request.span_id), None)
         if state is None or "handler_start" not in state:
             return
         self._add(
@@ -246,9 +238,6 @@ class Tracer:
         )
 
     def on_respond(self, time: float, margo: Any, request: Any, response: Any) -> None:
-        key = self._key(request)
-        if key is None:
-            return
         self._add(
             Span(
                 name=request.rpc_name,
@@ -269,14 +258,19 @@ class Tracer:
     def on_bulk_transfer(
         self, time: float, margo: Any, remote: str, size: int, op: str, duration: float
     ) -> None:
+        # A transfer inside a handler joins that request's trace and so
+        # its sampling decision; one outside any handler roots its own.
         context = current_span_context()
         self._manual_seq += 1
         span_id = f"bulk:{margo.process.name}:{self._manual_seq}"
+        trace_id = context.trace_id if context else span_id
+        if not self._sampled(trace_id):
+            return
         self._add(
             Span(
                 name=f"bulk_{op}",
                 category="bulk",
-                trace_id=context.trace_id if context else span_id,
+                trace_id=trace_id,
                 span_id=span_id,
                 parent_span_id=context.span_id if context else "",
                 process=margo.process.name,

@@ -133,9 +133,8 @@ class XrayRecorder:
     decision, its cross-process phase stamps, and its window boundaries.
     """
 
-    #: Same contract as the profiler: every request-scoped hook no-ops
-    #: for ``SAMPLE_STAMP == 0`` requests, so the emit layer may skip
-    #: dispatching hooks for sampled-out requests entirely.
+    #: Same contract as the profiler: the runtime calls the hooks below
+    #: only for requests stamped ``SAMPLE_STAMP != 0``.
     respects_profile_sampling = True
 
     def __init__(self, margo: Any, max_paths: int = 256) -> None:
@@ -163,11 +162,6 @@ class XrayRecorder:
     # monitor hooks (client side)
     # ------------------------------------------------------------------
     def on_forward_start(self, time: float, margo: Any, request: Any) -> None:
-        weight = getattr(request, _SAMPLE_STAMP, None)
-        if weight is None:
-            weight = self.margo.profiler._sample_weight(request)
-        if not weight:
-            return
         setattr(request, EDGES_ATTR, [])
 
     def on_response_received(

@@ -2,6 +2,7 @@
 weighted (unbiased) rates, probabilistic trace sampling, and error
 accounting for the SLO engine."""
 
+import hashlib
 import json
 
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from repro import Cluster
 from repro.margo.errors import RpcFailedError
 from repro.margo.ult import Compute, UltSleep
-from repro.observability import ObservabilitySpec, Tracer
+from repro.monitoring import HOOK_NAMES, CallbackMonitor, StatisticsMonitor
+from repro.observability import ContinuousProfiler, ObservabilitySpec, Tracer
 
 SAMPLED_PROFILE = {
     "observability": {
@@ -25,15 +27,18 @@ def _echo_handler(ctx):
     return {"ok": True}
 
 
-def _run_sampled_pair(seed=7, config=SAMPLED_PROFILE, n_rpcs=20):
+def _run_sampled_pair(seed=7, config=SAMPLED_PROFILE, n_rpcs=20, handler=_echo_handler):
     cluster = Cluster(seed=seed)
     a = cluster.add_margo("a", "node0", config=config)
     b = cluster.add_margo("b", "node1", config=config)
-    b.register("echo_ping", _echo_handler, provider_id=3)
+    b.register("echo_ping", handler, provider_id=3)
 
     def client():
         for _ in range(n_rpcs):
-            yield from a.forward(b.address, "echo_ping", {"x": 1}, provider_id=3)
+            try:
+                yield from a.forward(b.address, "echo_ping", {"x": 1}, provider_id=3)
+            except RpcFailedError:
+                pass
             yield UltSleep(0.01)
 
     cluster.run_ult(a, client())
@@ -80,23 +85,10 @@ def test_sampling_stamp_agrees_across_processes():
     assert server_handler_count == 5
 
 
-def test_sampled_profile_byte_identical():
-    def run():
-        _c, a, b = _run_sampled_pair(seed=17)
-        return (json.dumps(a.profiler.profile(), sort_keys=True)
-                + json.dumps(b.profiler.profile(), sort_keys=True))
-
-    assert run() == run()
-
-
 # ----------------------------------------------------------------------
 # error accounting (feeds the error_rate / availability SLOs)
 # ----------------------------------------------------------------------
 def test_failed_responses_counted_as_errors():
-    cluster = Cluster(seed=9)
-    config = {"observability": {"profiling": True, "profile_window": 0.05}}
-    a = cluster.add_margo("a", "node0", config=config)
-    b = cluster.add_margo("b", "node1", config=config)
     calls = {"n": 0}
 
     def flaky(ctx):
@@ -106,72 +98,120 @@ def test_failed_responses_counted_as_errors():
             raise ValueError("boom")
         return {"ok": True}
 
-    b.register("echo_ping", flaky, provider_id=3)
-
-    def client():
-        for _ in range(20):
-            try:
-                yield from a.forward(b.address, "echo_ping", {}, provider_id=3)
-            except RpcFailedError:
-                pass
-            yield UltSleep(0.01)
-
-    cluster.run_ult(a, client())
-    cluster.kernel.run(until=0.5)
-    requests = errors = 0
-    for window in b.profiler.store.windows:
-        entry = window["providers"].get("echo:3")
-        if entry:
-            requests += entry["requests"]
-            errors += entry["errors"]
-    assert requests == 20
-    assert errors == 4  # every 5th call failed
+    config = {"observability": {"profiling": True, "profile_window": 0.05}}
+    _cluster, _a, b = _run_sampled_pair(seed=9, config=config, handler=flaky)
+    entries = [w["providers"]["echo:3"] for w in b.profiler.store.windows
+               if "echo:3" in w["providers"]]
+    assert sum(entry["requests"] for entry in entries) == 20
+    assert sum(entry["errors"] for entry in entries) == 4  # every 5th call failed
 
 
 # ----------------------------------------------------------------------
 # trace sampling
 # ----------------------------------------------------------------------
-def _run_traced_pair(rate, seed=7, n_rpcs=40):
-    config = {"observability": {"tracing": True, "trace_sample_rate": rate}}
-    cluster = Cluster(seed=seed)
-    a = cluster.add_margo("a", "node0", config=config)
-    b = cluster.add_margo("b", "node1", config=config)
-    b.register("echo_ping", _echo_handler, provider_id=3)
-
-    def client():
-        for _ in range(n_rpcs):
-            yield from a.forward(b.address, "echo_ping", {}, provider_id=3)
-
-    cluster.run_ult(a, client())
-    return cluster, a, b
-
-
 def test_trace_sampling_drops_whole_traces():
-    _cluster, a, b = _run_traced_pair(rate=0.5)
-    sampled_traces = {s.trace_id for s in a.tracer.spans}
-    # Roughly half the traces survive; whole traces sample together, so
-    # the server's span set covers exactly the client's trace ids.
-    assert 0 < len(sampled_traces) < 40
-    assert {s.trace_id for s in b.tracer.spans} == sampled_traces
-    assert a.tracer.sampled_out > 0
+    cluster, _stats, _calls = _observer_stack()
+    cli, leaf, srv = cluster.tracers()
+    sampled_traces = {s.trace_id for s in cli.spans}
+    # Some traces survive; whole traces sample together, bulk transfers
+    # included, so each server's span set covers the client's trace ids.
+    assert 0 < len(sampled_traces) < 48
+    assert {s.trace_id for s in srv.spans} == sampled_traces
+    assert {s.trace_id for s in leaf.spans} < sampled_traces
+    assert cli.sampled_out > 0
 
 
-def test_trace_sampling_edges_and_determinism():
-    _cluster, a, _b = _run_traced_pair(rate=0.0)
-    assert a.tracer.spans == [] and a.tracer.sampled_out > 0
-    _cluster, a2, _b2 = _run_traced_pair(rate=1.0)
-    assert len({s.trace_id for s in a2.tracer.spans}) == 40
-    assert a2.tracer.sampled_out == 0
+# ----------------------------------------------------------------------
+# every plane at once: one hook table per request
+# ----------------------------------------------------------------------
+def _observer_stack(trace_rate=0.25):
+    """Listing-1 and callback monitors beside tracing and profiling every
+    4th request; nested RPCs, a bulk pull after an explicit respond() and
+    one bulk transfer outside any handler."""
+    config = {"observability": {
+        "tracing": True, "trace_sample_rate": trace_rate, "metrics": True,
+        "profiling": True, "profile_sample_every": 4, "profile_window": 20e-6}}
+    cluster = Cluster(seed=4)
+    calls = []
+    callbacks = CallbackMonitor(
+        {hook: (lambda _hook=hook, **kw: calls.append(_hook)) for hook in HOOK_NAMES}
+    )
+    stats = StatisticsMonitor(), StatisticsMonitor()
+    srv = cluster.add_margo("srv", "n0", config=config, monitors=(stats[0], callbacks))
+    leaf = cluster.add_margo("leaf", "n1", config=config, monitors=(stats[1],))
+    cli = cluster.add_margo("cli", "n2", config=config, monitors=(callbacks,))
+    leaf.register("get", lambda ctx: ctx.args * 2, provider_id=2)
 
-    def run():
-        _c, a3, b3 = _run_traced_pair(rate=0.5, seed=23)
-        return json.dumps(
-            [s.to_json() for s in a3.tracer.spans]
-            + [s.to_json() for s in b3.tracer.spans],
-            sort_keys=True,
-        )
+    def relay(ctx):
+        yield Compute(1e-6)
+        return (yield from srv.forward(leaf.address, "get", ctx.args, provider_id=2))
 
-    assert run() == run()
+    def store(ctx):
+        yield from ctx.respond("ack")
+        yield from srv.bulk_transfer(ctx.source, 4096)
+
+    srv.register("relay", relay)
+    srv.register("store", store, provider_id=5)
+
+    def driver():
+        for i in range(24):
+            assert (yield from cli.forward(srv.address, "relay", i)) == 2 * i
+            assert (yield from cli.forward(srv.address, "store", i, provider_id=5)) == "ack"
+        yield from cli.bulk_transfer(srv.address, 1 << 16)
+
+    cluster.run_ult(cli, driver())
+    cluster.run(until=cluster.now + 1e-3)
+    for margo in (srv, leaf, cli):
+        margo.shutdown()
+    return cluster, stats, calls
+
+
+#: simulated end of ``_observer_stack()``, whatever the trace rate.
+STACK_NOW = 0.0014700825333333325
+
+
+def test_observer_outputs_are_pinned():
+    """Literals recorded before the runtime picked one hook table per
+    request.  Only the tracer's moved: it also kept 17 bulk spans of
+    sampled-out traces then, 16 of them children of no recorded span."""
+    cluster, stats, _calls = _observer_stack()
+    outputs = {
+        "tracer": json.dumps([tracer.to_json() for tracer in cluster.tracers()], sort_keys=True),
+        "profile": json.dumps([p.profile() for p in cluster.profilers()], sort_keys=True),
+        "listing1": "".join(monitor.dumps() for monitor in stats),
+        "metrics": json.dumps(cluster.metrics_snapshot(), sort_keys=True),
+    }
+    assert cluster.now == STACK_NOW
+    assert {k: hashlib.sha256(v.encode()).hexdigest()[:16] for k, v in outputs.items()} == {
+        "tracer": "7a9c2688837daa4d", "profile": "bf1f5bdea04926a6",
+        "listing1": "241c8f506ac8336d", "metrics": "9cbf59fd12c7540e",
+    }
+
+
+def test_request_dropped_by_both_planes_enters_no_plane_hook(monkeypatch):
+    """At trace rate 0 the tracer drops every request and the profiler 3
+    in 4: those call no tracer or profiler hook, while the Listing-1 and
+    callback monitors see every request and the charge is unchanged."""
+    entered = []
+
+    def spy(cls, hook):
+        real = getattr(cls, hook)
+        monkeypatch.setattr(cls, hook, lambda self, **kw: (
+            entered.append((cls, kw["request"])), real(self, **kw)))
+
+    for cls in (Tracer, ContinuousProfiler):
+        for hook in HOOK_NAMES[:8]:
+            if hasattr(cls, hook):
+                spy(cls, hook)
+    cluster, stats, calls = _observer_stack(trace_rate=0.0)
+    assert entered and {cls for cls, _ in entered} == {ContinuousProfiler}
+    assert all(request._profile_sample_weight == 4 for _, request in entered)
+    tracers = cluster.tracers()  # sampled_out counts requests per endpoint
+    assert [t.sampled_out for t in tracers] == [48, 24, 72] and not any(t.spans for t in tracers)
+    targets = [r["target"] for r in stats[0].to_json()["rpcs"].values()]
+    assert sum(p["received"]["num"] for t in targets for p in t.values()) == 48
+    assert calls.count("on_ult_start") == 48
+    assert cluster.now == STACK_NOW
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import Cluster
-from repro.margo import Compute
+from repro.margo import Compute, RpcTimeoutError
 from repro.mercury import NULL_PROVIDER, NULL_RPC, rpc_id_of
 from repro.monitoring import (
     HOOK_NAMES,
@@ -95,11 +95,7 @@ def test_callback_monitor_invoked_at_lifecycle_points():
     server = cluster.add_margo("server", node="n0", monitors=(monitor,))
     client = cluster.add_margo("client", node="n1", monitors=(monitor,))
     server.register("echo", lambda ctx: ctx.args)
-
-    def driver():
-        return (yield from client.forward(server.address, "echo", 1))
-
-    cluster.run_ult(client, driver())
+    cluster.run_ult(client, client.forward(server.address, "echo", 1))
     assert events == ["forward_start", "ult_start", "respond", "response"]
 
 
@@ -177,14 +173,23 @@ def test_statistics_monitor_origin_forward_stats():
     server = cluster.add_margo("server", node="n0")
     client = cluster.add_margo("client", node="n1", monitors=(client_mon,))
     echo_workload(cluster, server, client, n=5)
+
+    def timed_out():  # never reach on_response_received
+        for _ in range(3):
+            with pytest.raises(RpcTimeoutError):
+                yield from client.forward(server.address, "echo", 1, timeout=1e-9)
+
+    cluster.run_ult(client, timed_out())
     (record,) = client_mon.find_by_name("echo")
     peer = record["origin"][f"sent to {server.address}"]
     assert peer["forward"]["num"] == 5
     assert peer["forward"]["avg"] > 0
-    assert peer["serialize"]["num"] == 5
+    assert peer["serialize"]["num"] == 8
+    assert client_mon._pending_forward == {}  # bounded: nothing kept per timed-out RPC
 
 
-def test_statistics_monitor_nested_rpc_parent_context():
+def nested_listing1():
+    """a -> b "relay" (provider 3) -> c "leaf" (provider 7); b monitored."""
     cluster = Cluster(seed=1)
     b_mon = StatisticsMonitor()
     a = cluster.add_margo("a", node="n0")
@@ -196,14 +201,14 @@ def test_statistics_monitor_nested_rpc_parent_context():
         return (yield from b.forward(c.address, "leaf", provider_id=7))
 
     b.register("relay", relay, provider_id=3)
+    cluster.run_ult(a, a.forward(b.address, "relay", provider_id=3))
+    return b_mon
 
-    def driver():
-        return (yield from a.forward(b.address, "relay", provider_id=3))
 
-    cluster.run_ult(a, driver())
+def test_statistics_monitor_nested_rpc_parent_context():
     # b's origin-side record for "leaf" must carry the parent context
     # (relay, provider 3) -- paper Listing 1's parent_rpc_id semantics.
-    (leaf_record,) = b_mon.find_by_name("leaf")
+    (leaf_record,) = nested_listing1().find_by_name("leaf")
     assert leaf_record["parent_rpc_id"] == rpc_id_of("relay")
     assert leaf_record["parent_provider_id"] == 3
     assert leaf_record["provider_id"] == 7
@@ -213,30 +218,14 @@ def test_statistics_monitor_json_round_trip_nested_rpcs():
     # Under nested RPCs the document carries one record per calling
     # context (Listing 1's parent_rpc_id keys); the JSON text must
     # round-trip losslessly back to the in-memory document.
-    cluster = Cluster(seed=1)
-    b_mon = StatisticsMonitor()
-    a = cluster.add_margo("a", node="n0")
-    b = cluster.add_margo("b", node="n1", monitors=(b_mon,))
-    c = cluster.add_margo("c", node="n2")
-    c.register("leaf", lambda ctx: 1, provider_id=7)
-
-    def relay(ctx):
-        return (yield from b.forward(c.address, "leaf", provider_id=7))
-
-    b.register("relay", relay, provider_id=3)
-
-    def driver():
-        return (yield from a.forward(b.address, "relay", provider_id=3))
-
-    cluster.run_ult(a, driver())
+    b_mon = nested_listing1()
     doc = b_mon.to_json()
     assert json.loads(b_mon.dumps()) == doc
     # Both contexts present: relay called from the top (parent NULL_RPC)
     # and leaf called from inside relay's handler.
     relay_key = f"{NULL_RPC}:{NULL_PROVIDER}:{rpc_id_of('relay')}:3"
     leaf_key = f"{rpc_id_of('relay')}:3:{rpc_id_of('leaf')}:7"
-    assert relay_key in doc["rpcs"]
-    assert leaf_key in doc["rpcs"]
+    assert list(doc["rpcs"]) == [relay_key, leaf_key]  # in first-seen order
 
 
 def test_statistics_monitor_runtime_query_and_dump():
@@ -344,14 +333,11 @@ def test_sampler_stops_on_finalize():
 
 
 def test_monitor_base_hooks_are_noops():
-    # The base class must tolerate every hook without state.
+    # The base class's no-op hooks are charged for but never called.
     cluster = Cluster(seed=1)
     monitor = Monitor()
     server = cluster.add_margo("server", node="n0", monitors=(monitor,))
     client = cluster.add_margo("client", node="n1", monitors=(monitor,))
     server.register("echo", lambda ctx: ctx.args)
-
-    def driver():
-        return (yield from client.forward(server.address, "echo", 1))
-
-    assert cluster.run_ult(client, driver()) == 1
+    assert cluster.run_ult(client, client.forward(server.address, "echo", 1)) == 1
+    assert all(table[hook] == (1, ()) for table in client._tables for hook in HOOK_NAMES)
