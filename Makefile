@@ -54,7 +54,10 @@ e2e:
 census:
 	python benchmarks/mem_census.py
 
-# Behaviour contract: every E*/A* table regenerates byte-identical.
+# Behaviour contract: every E*/A* table regenerates byte-identical, under
+# two hash seeds (no persisted order may follow string hashing).
 contract:
-	python -m pytest -q benchmarks/bench_e*.py benchmarks/bench_a*.py
-	git diff --exit-code -- 'benchmarks/results/E*.json' 'benchmarks/results/A*.json'
+	for seed in 0 4242; do \
+		PYTHONHASHSEED=$$seed python -m pytest -q benchmarks/bench_e*.py benchmarks/bench_a*.py && \
+		git diff --exit-code -- 'benchmarks/results/E*.json' 'benchmarks/results/A*.json' || exit 1; \
+	done

@@ -22,6 +22,7 @@ from ..margo.runtime import MargoInstance, RequestContext
 from ..margo.ult import Compute, UltSleep
 from ..mercury import BULK_OP_PULL, BULK_OP_PUSH, BulkHandle
 from ..storage.local import LocalStore
+from ..storage.segments import decode_records, encode_records
 
 __all__ = ["WarabiProvider", "WarabiError", "NoSuchBlobError"]
 
@@ -274,8 +275,6 @@ class WarabiProvider(Provider):
     _META_KEY = b"meta"
 
     def checkpoint(self, pfs: Any, path: str) -> Generator:
-        from ..yokan.backend import encode_records
-
         records = [
             (self._META_KEY, json.dumps({"next_id": self._next_id}).encode())
         ]
@@ -289,8 +288,6 @@ class WarabiProvider(Provider):
         return len(image)
 
     def restore(self, pfs: Any, path: str) -> Generator:
-        from ..yokan.backend import decode_records
-
         image = pfs.read(path)
         yield UltSleep(pfs.read_cost(len(image)))
         blobs: dict[int, bytes] = {}

@@ -12,9 +12,10 @@ provider boundary).  Backends must implement a codec-stable
 
 from __future__ import annotations
 
-import struct
-from itertools import chain
 from typing import Callable, Iterable, Optional
+
+from ..storage import StorageError, segments as _segments
+from ..storage.segments import encode_records, records_size
 
 __all__ = [
     "KVBackend",
@@ -50,54 +51,14 @@ class UnknownBackendError(YokanError, ValueError):
 
 
 # ----------------------------------------------------------------------
-# binary codec for dump/load (length-prefixed records)
+# binary codec for dump/load: the segment log's record stream
 # ----------------------------------------------------------------------
-_LEN = struct.Struct("<I")
-
-
-def encode_records(items: Iterable[tuple[bytes, bytes]]) -> bytes:
-    """Serialize (key, value) pairs to a flat byte string."""
-    pack = _LEN.pack
-    return b"".join(
-        [
-            field
-            for key, value in items
-            for field in (pack(len(key)), key, pack(len(value)), value)
-        ]
-    )
-
-
-def records_size(items: Iterable[tuple[bytes, bytes]]) -> int:
-    """``len(encode_records(items))`` without building the stream: what
-    a batch that travels by reference occupies on the bulk path."""
-    lengths = list(map(len, chain.from_iterable(items)))
-    return _LEN.size * len(lengths) + sum(lengths)
-
-
 def decode_records(data: bytes) -> list[tuple[bytes, bytes]]:
     """Inverse of :func:`encode_records`."""
-    items: list[tuple[bytes, bytes]] = []
-    offset = 0
-    total = len(data)
-    while offset < total:
-        if offset + _LEN.size > total:
-            raise YokanError("truncated record stream (key length)")
-        (klen,) = _LEN.unpack_from(data, offset)
-        offset += _LEN.size
-        key = data[offset : offset + klen]
-        if len(key) != klen:
-            raise YokanError("truncated record stream (key body)")
-        offset += klen
-        if offset + _LEN.size > total:
-            raise YokanError("truncated record stream (value length)")
-        (vlen,) = _LEN.unpack_from(data, offset)
-        offset += _LEN.size
-        value = data[offset : offset + vlen]
-        if len(value) != vlen:
-            raise YokanError("truncated record stream (value body)")
-        offset += vlen
-        items.append((key, value))
-    return items
+    try:
+        return _segments.decode_records(data)  # type: ignore[return-value]
+    except StorageError as err:
+        raise YokanError(str(err)) from None
 
 
 # ----------------------------------------------------------------------

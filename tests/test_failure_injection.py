@@ -271,7 +271,7 @@ def test_node_death_destroys_persistent_data_but_pfs_survives():
         yield from provider.checkpoint(pfs, "ckpt/db")
 
     cluster.run_ult(app, phase1())
-    assert store.exists("yokan/db.db")
+    assert store.exists("yokan/db.db/0-server/1")
 
     cluster.faults.kill_node(node)
     assert store.wiped  # permanent failure: local data gone
