@@ -714,7 +714,7 @@ class BedrockServer(Provider):
     def _on_migrate_provider(self, ctx: RequestContext) -> Generator:
         """Migrate a provider to another Bedrock-managed process.
 
-        Steps: (1) the provider flushes and REMI-ships its files to the
+        Steps: (1) the provider persists and REMI-ships its files to the
         destination node, (2) the destination Bedrock instantiates an
         identical provider over them, (3) the local provider is stopped.
         """
@@ -918,9 +918,9 @@ class _BoundRemi:
     """Adapter: a REMI client pre-bound to one destination provider.
 
     Component ``migrate`` hooks call ``migrate_files(dest_address,
-    paths, dest_provider_id=...)`` and ``have`` alike: ``dest_address``
-    is the target *process*; Bedrock knows which REMI provider id serves
-    it and which transfer method to use.
+    paths, dest_provider_id=..., loaded=...)`` and ``have`` alike:
+    ``dest_address`` is the target *process*; Bedrock knows which REMI
+    provider id serves it and which transfer method to use.
     """
 
     def __init__(self, remi_client: Any, dest_address: str, remi_provider_id: int, method: str) -> None:
@@ -929,9 +929,10 @@ class _BoundRemi:
         self._remi_id = remi_provider_id
         self._method = method
 
-    def migrate_files(self, dest_address: str, paths: list, dest_provider_id: int = 0):
+    def migrate_files(self, dest_address: str, paths: list, dest_provider_id: int = 0,
+                      loaded: Optional[dict] = None):
         report = yield from self._client.migrate_files(
-            self._dest, paths, dest_provider_id=self._remi_id, method=self._method
+            self._dest, paths, dest_provider_id=self._remi_id, method=self._method, loaded=loaded
         )
         return report
 

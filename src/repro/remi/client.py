@@ -82,11 +82,16 @@ class MigrationHandle(ResourceHandle):
                     {
                         "path": path,
                         "bulk": bulk,
-                        "src_read_cost": fileset.store.read_cost(len(data)),
+                        "src_read_cost": 0.0 if path in fileset.loaded
+                        else fileset.store.read_cost(len(data)),
                     },
                 )
         else:
-            yield UltSleep(fileset.store.read_cost(total_bytes))
+            # Bytes the caller holds are not read; any store read, even of
+            # nothing, is charged.
+            stored = [data for path, data in files if path not in fileset.loaded]
+            if stored or not fileset.loaded:
+                yield UltSleep(fileset.store.read_cost(sum(map(len, stored))))
             chunks = self._pack(files, chunk_size)
             num_chunks = len(chunks)
             # Pipeline: up to `window` chunk RPCs in flight.
@@ -119,10 +124,12 @@ class MigrationHandle(ResourceHandle):
         )
 
     def migrate_files(
-        self, paths: list[str], store: Optional[LocalStore] = None, **kwargs: Any
+        self, paths: list[str], store: Optional[LocalStore] = None,
+        loaded: Optional[dict[str, bytes]] = None, **kwargs: Any
     ) -> Generator:
-        """Convenience: build the fileset from this process's local store."""
-        fileset = FileSet(store or self._local_store(), list(paths))
+        """Convenience: build the fileset from this process's local store
+        and the bytes of ``paths`` the caller already holds (``loaded``)."""
+        fileset = FileSet(store or self._local_store(), list(paths), loaded or {})
         report = yield from self.migrate_fileset(fileset, **kwargs)
         return report
 

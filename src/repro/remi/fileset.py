@@ -21,13 +21,15 @@ class RemiError(RuntimeError):
 
 @dataclass
 class FileSet:
-    """A named set of paths inside a local store."""
+    """A named set of paths inside a local store; ``loaded`` holds the
+    bytes of those the caller already has in memory, read from there."""
 
     store: LocalStore
     paths: list[str] = field(default_factory=list)
+    loaded: dict[str, bytes] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        missing = [p for p in self.paths if not self.store.exists(p)]
+        missing = [p for p in self.paths if p not in self.loaded and not self.store.exists(p)]
         if missing:
             raise RemiError(f"fileset references missing files: {missing}")
 
@@ -37,11 +39,11 @@ class FileSet:
 
     @property
     def total_bytes(self) -> int:
-        return sum(self.store.size_of(p) for p in self.paths)
+        return sum(len(data) for _, data in self.read_all())
 
     @property
     def num_files(self) -> int:
         return len(self.paths)
 
     def read_all(self) -> list[tuple[str, bytes]]:
-        return [(p, self.store.read(p)) for p in self.paths]
+        return [(p, self.loaded[p] if p in self.loaded else self.store.read(p)) for p in self.paths]

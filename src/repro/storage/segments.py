@@ -128,6 +128,14 @@ class SegmentLog:
         first, last = self.written
         return [self.name(seq) for seq in range(first, last + 1)]
 
+    def live(self) -> list[tuple[str, Optional[bytes]]]:
+        """The live range as of the last seal, oldest first, as (name,
+        data) pairs: ``data`` is a pending segment's own bytes, ``None``
+        for one the store holds."""
+        pending = {segment.name: segment.data for segment in self.pending}
+        return [(self.name(seq), pending.get(self.name(seq)))
+                for seq in range(self.first, self.last + 1)]
+
     def replay(self) -> dict[bytes, bytes]:
         """The image the live range describes."""
         image: dict[bytes, bytes] = {}

@@ -17,11 +17,12 @@ from typing import Any, Generator, Optional
 
 from ..analysis.race import hooks as _race
 from ..core.component import Provider
+from ..core.parallel import ParallelError, parallel
 from ..margo.runtime import MargoInstance, RequestContext
 from ..margo.ult import Compute, UltSleep
 from ..mercury import BULK_OP_PULL, BULK_OP_PUSH, BulkHandle
 from ..storage.local import LocalStore
-from ..storage.segments import lineage_of, newest_lineage
+from ..storage.segments import Segment, lineage_of, newest_lineage
 from . import backends as _backends  # noqa: F401 - registers built-ins
 from .backend import KVBackend, YokanError, create_backend, records_size
 
@@ -244,11 +245,15 @@ class YokanProvider(Provider):
         if seal is None:
             return 0  # memory backend
         segment = seal()
+        yield from self._write_sealed(segment)
+        return len(segment.data) if segment is not None else 0
+
+    def _write_sealed(self, segment: Optional[Segment]) -> Generator:
+        """Sleep for a sealed segment's bytes, then write it."""
         if segment is not None:
             store = self.backend.store  # type: ignore[attr-defined]
             yield UltSleep(store.write_cost(len(segment.data)))
         self.backend.log.write(segment)  # type: ignore[attr-defined]
-        return len(segment.data) if segment is not None else 0
 
     def local_files(self) -> list[str]:
         """Local-store paths holding this provider's persistent state."""
@@ -269,35 +274,37 @@ class YokanProvider(Provider):
         return doc
 
     def migrate(self, remi_client: Any, dest_address: str, dest_provider_id: int) -> Generator:
-        """Flush, then ship the files the destination lacks (by name and size).
+        """Seal, then write the segment locally while shipping the live
+        segments the destination lacks (by name and size); the one just
+        sealed travels from memory, so neither waits for the other.
 
         REMI moves the files; the caller (Bedrock) is responsible for
         instantiating the destination provider over them and destroying
         this one (paper section 6: "the migration of a component can be
         reduced to the migration of its files to a new location...").
         """
-        yield from self._flush_backend()
-        files = getattr(self.backend, "files", None)
-        if files is not None:
-            # Delta: live segments the destination lacks, listed after the check.
+        log = getattr(self.backend, "log", None)
+        if log is None:
+            raise YokanError("migration requires a persistent database")
+        segment = self.backend.seal()  # type: ignore[attr-defined]
+
+        def ship() -> Generator:
             held = yield from remi_client.have(
-                dest_address, files(), dest_provider_id=dest_provider_id
+                dest_address, log.files(), dest_provider_id=dest_provider_id
             )
-            paths = [path for path in files() if path not in held]
-        else:
-            # Memory backend: materialize a one-off image file to migrate.
-            store = self.margo.process.node.attachments.get("disk")
-            if not isinstance(store, LocalStore):
-                raise YokanError("migration of a memory database needs a local store")
-            image = self.backend.dump()
-            path = f"yokan/{self.name}.migrate.db"
-            yield UltSleep(store.write_cost(len(image)))
-            store.write(path, image)
-            paths = [path]
-        result = yield from remi_client.migrate_files(
-            dest_address, paths, dest_provider_id=dest_provider_id
-        )
-        return result
+            # Listed after the check: a compaction meanwhile retires files.
+            live = [(name, data) for name, data in log.live() if name not in held]
+            report = yield from remi_client.migrate_files(
+                dest_address, [name for name, _ in live], dest_provider_id=dest_provider_id,
+                loaded={name: data for name, data in live if data is not None},
+            )
+            return report
+
+        try:
+            _, report = yield from parallel(self.margo, [self._write_sealed(segment), ship()])
+        except ParallelError as err:
+            raise err.errors[0][1]
+        return report
 
     def checkpoint(self, pfs: Any, path: str) -> Generator:
         image = self.backend.dump()

@@ -3,6 +3,8 @@
 import pytest
 
 from repro import Cluster
+from repro.bedrock import BedrockClient, boot_process
+from repro.margo import RpcFailedError
 from repro.remi import (
     AUTO_RDMA_THRESHOLD,
     FileSet,
@@ -62,6 +64,29 @@ def test_migrate_fileset_both_methods(rig, method):
     assert report.duration > 0
     for i in range(5):
         assert dst_store.read(f"data/{i:04d}") == src_store.read(f"data/{i:04d}")
+
+
+@pytest.mark.parametrize("method", ["rdma", "chunks"])
+def test_loaded_bytes_ship_without_a_store_read(rig, method):
+    """Bytes the caller holds travel as they are, unchecked against the
+    store and with no read charge; stored files beside them are read."""
+    cluster, src, _, src_store, dst_store, handle = rig
+    src_store.write("stored", b"s" * 4000)
+
+    def run(fileset):
+        def driver():
+            report = yield from handle.migrate_fileset(fileset, method=method)
+            return report.duration
+
+        return cluster.run_ult(src, driver())
+
+    loaded = run(FileSet(src_store, ["stored", "held"], {"held": b"m" * 4000}))
+    assert (dst_store.read("stored"), dst_store.read("held")) == (b"s" * 4000, b"m" * 4000)
+    src_store.write("held", b"m" * 4000)
+    stored = run(FileSet(src_store, ["stored", "held"]))
+    # RDMA overlaps the source read with the destination's longer write.
+    saved = src_store.read_cost(8000) - src_store.read_cost(4000) if method == "chunks" else 0
+    assert stored - loaded == pytest.approx(saved, abs=1e-12)
 
 
 def test_chunked_splits_large_file(rig):
@@ -233,18 +258,31 @@ def test_yokan_provider_migration_end_to_end(rig):
     assert cluster.run_ult(cm, phase2()) == b"v7"
 
 
-def test_memory_backend_migration_materializes_image(rig):
-    cluster, src, dst, src_store, dst_store, _ = rig
-    provider = YokanProvider(src, "memdb", provider_id=2)  # map backend
-    remi_client = RemiClient(src)
+def test_memory_backend_migration_is_refused_before_anything_moves():
+    """A map database has no files for REMI to move: refused, not lost."""
+    cluster = Cluster(seed=7)
+    doc = {"libraries": {"yokan": "libyokan.so", "remi": "libremi.so"}}
+    db = {"name": "memdb", "type": "yokan", "provider_id": 1}  # map backend
+    remi = {"name": "remi0", "type": "remi", "provider_id": 0}
+    src, src_bedrock = boot_process(cluster, "src", "ns", dict(doc, providers=[db]))
+    dst, dst_bedrock = boot_process(cluster, "dst", "nd", dict(doc, providers=[remi]))
     cm = cluster.add_margo("client", node="nc")
-    db = YokanClient(cm).make_handle(src.address, 2)
+    handle = YokanClient(cm).make_handle(src.address, 1)
 
-    def driver():
-        yield from db.put("k", "v")
-        report = yield from provider.migrate(remi_client, dst.address, 0)
-        return report
+    def fill():
+        yield from handle.put_multi([(f"k{i}", f"v{i}") for i in range(10)])
 
-    report = cluster.run_ult(src, driver())
-    assert report.num_files == 1
-    assert dst_store.exists("yokan/memdb.migrate.db")
+    def migrate():
+        bedrock = BedrockClient(cm).make_service_handle(src.address)
+        yield from bedrock.migrate_provider("memdb", dst.address, remi_provider_id=0)
+
+    def read():
+        return (yield from handle.count()), (yield from handle.get("k3"))
+
+    cluster.run_ult(cm, fill())
+    with pytest.raises(RpcFailedError, match="requires a persistent database"):
+        cluster.run_ult(cm, migrate())
+    assert "memdb" in src_bedrock.records and "memdb" not in dst_bedrock.records
+    assert dst_bedrock.records["remi0"].instance.files_received == 0
+    assert not dst.process.node.attachments["disk"].list("yokan/")
+    assert cluster.run_ult(cm, read()) == (10, b"v3")

@@ -1,6 +1,8 @@
 """Yokan's persistent backend against ``KVModel`` (``tests/model.py``)
-over programs long enough to compact, with crash-reopens; and one
-database moved A -> B -> A -> B -> A through Bedrock and REMI."""
+over programs long enough to compact, with crash-reopens; one database
+moved A -> B -> A -> B -> A through Bedrock and REMI; and a migration
+that writes its sealed tail while shipping it, then one whose
+destination dies mid-ship."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,9 +10,12 @@ from hypothesis import strategies as st
 
 from repro import Cluster
 from repro.bedrock import BedrockClient, boot_process
+from repro.margo import RpcFailedError, RpcTimeoutError
+from repro.remi import RemiClient, RemiProvider
 from repro.sim.network import Node
 from repro.storage import LocalStore
-from repro.yokan import NoSuchKeyError, PersistentBackend, YokanClient, decode_records, encode_records
+from repro.yokan import (NoSuchKeyError, PersistentBackend, YokanClient, YokanProvider,
+                         decode_records, encode_records)
 
 from .model import KVModel, ModelError
 
@@ -107,3 +112,78 @@ def test_migration_there_and_back_ships_only_new_segments():
     live = state["live"]
     assert len(live) == 1 and stores[b.address].list(live[0].rpartition("/")[0] + "/") == live
     assert PersistentBackend({"store": stores[b.address], "path": "yokan/db.db"}).get(b"ghost")
+
+
+def _tail(size):
+    """16 records of ``size`` bytes in all: a put_multi's worth of tail."""
+    return [(f"k{i:02d}".encode(), bytes([i]) * (size // 16)) for i in range(16)]
+
+
+@pytest.mark.parametrize("size, pinned_us", [(64 << 10, 114.2954), (1 << 20, 632.0656)])
+def test_migration_writes_and_ships_the_sealed_tail_at_once(size, pinned_us):
+    cluster = Cluster(seed=5)
+    src_store, dst_store = LocalStore(cluster.node("src")), LocalStore(cluster.node("dst"))
+    src = cluster.add_margo("src-proc", node="src")
+    dst = cluster.add_margo("dst-proc", node="dst")
+    RemiProvider(dst, "remi", provider_id=0)
+    provider = YokanProvider(src, "db", provider_id=1,
+                             config={"database": {"type": "persistent"}})
+    cm = cluster.add_margo("client", node="nc")
+    pairs = _tail(size)
+
+    def driver():
+        yield from YokanClient(cm).make_handle(src.address, 1).put_multi(pairs)
+        started = cluster.now
+        yield from provider.migrate(RemiClient(src), dst.address, 0)
+        return cluster.now - started
+
+    took = cluster.run_ult(cm, driver())
+    (segment,) = provider.local_files()
+    # Chunks below 256 KiB, RDMA above; both stores pay the same write.
+    write = src_store.write_cost(src_store.size_of(segment))
+    assert write < took < 2 * write  # the longer branch, not the sum
+    assert took * 1e6 == pytest.approx(pinned_us, abs=1e-3)
+    assert dst_store.read(segment) == src_store.read(segment)
+    for store in (src_store, dst_store):
+        assert dict(PersistentBackend({"store": store, "path": "yokan/db.db"}).items()) == dict(pairs)
+
+
+@pytest.mark.parametrize("kill", ["remi", "node"])
+def test_migration_whose_destination_dies_mid_ship_keeps_the_source(kill):
+    cluster = Cluster(seed=5)
+    remi = {"name": "remi0", "type": "remi", "provider_id": 0}
+    db = {"name": "db", "type": "yokan", "provider_id": 1,
+          "config": {"database": {"type": "persistent"}}}
+    doc = {"libraries": {"yokan": "libyokan.so", "remi": "libremi.so"}}
+    a, a_bedrock = boot_process(cluster, "pa", "na", dict(doc, providers=[remi, db]))
+    b, b_bedrock = boot_process(cluster, "pb", "nb", dict(doc, providers=[remi]))
+    store = a.process.node.attachments["disk"]
+    cm = cluster.add_margo("client", node="nc")
+    handle = YokanClient(cm).make_handle(a.address, 1)
+    pairs = _tail(1 << 20)
+
+    def fill():
+        yield from handle.put_multi(pairs)
+
+    def migrate():
+        bedrock = BedrockClient(cm).make_service_handle(a.address)
+        yield from bedrock.migrate_provider("db", b.address, remi_provider_id=0)
+
+    def count():
+        return (yield from handle.count())
+
+    cluster.run_ult(cm, fill())
+    assert not store.list("yokan/")  # the tail is acknowledged, not written
+    # ~200 us in, the 1 MiB segment is on the wire (the ship takes ~600 us).
+    if kill == "remi":
+        cluster.kernel.schedule(200e-6, b_bedrock.records["remi0"].instance.destroy)
+    else:
+        cluster.faults.kill_node_at(200e-6, b.process.node)
+    with pytest.raises(RpcFailedError if kill == "remi" else RpcTimeoutError):
+        cluster.run_ult(cm, migrate())
+    # The local write finished regardless: the source serves and is durable.
+    assert "db" in a_bedrock.records
+    assert store.list("yokan/") == a_bedrock.records["db"].instance.local_files()
+    assert cluster.run_ult(cm, count()) == len(pairs)
+    cluster.faults.kill_process(a.process)
+    assert dict(PersistentBackend({"store": store, "path": "yokan/db.db"}).items()) == dict(pairs)
