@@ -56,10 +56,14 @@ e2e:
 census:
 	python benchmarks/mem_census.py
 
-# Behaviour contract: every E*/A* table regenerates byte-identical, under
-# two hash seeds (no persisted order may follow string hashing).
+# Behaviour contract: every E*/A* table regenerates byte-identical and
+# the end-to-end `exact` tables come out equal, under two hash seeds (no
+# persisted order or simulated number may follow string hashing).
 contract:
 	for seed in 0 4242; do \
 		PYTHONHASHSEED=$$seed python -m pytest -q benchmarks/bench_e*.py benchmarks/bench_a*.py && \
-		git diff --exit-code -- 'benchmarks/results/E*.json' 'benchmarks/results/A*.json' || exit 1; \
+		git diff --exit-code -- 'benchmarks/results/E*.json' 'benchmarks/results/A*.json' && \
+		PYTHONHASHSEED=$$seed python benchmarks/e2e/run.py --workload all --seconds 3 \
+			--out e2e-exact-$$seed.json > /dev/null || exit 1; \
 	done
+	python benchmarks/exact_tables.py e2e-exact-0.json e2e-exact-4242.json

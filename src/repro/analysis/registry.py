@@ -7,9 +7,9 @@ same vocabulary.
 
 Rule id blocks:
 
-* ``MCH00x`` -- determinism (wall clock, unseeded randomness,
-  environment-dependent iteration), observability (``MCH004``:
-  monitoring callbacks growing unbounded state), and performance
+* ``MCH00x`` -- determinism (wall clock, unseeded randomness),
+  observability (``MCH004``: monitoring callbacks growing unbounded
+  state), and performance
   (``MCH006``: a per-event lambda, closure or dict inside
   ``# mochi-lint: hotpath`` functions);
 * ``MCH01x`` -- cooperative scheduling (blocking calls reachable from

@@ -2,9 +2,11 @@
 
 Code running under the simulated Margo runtime must produce bit-identical
 schedules for equal seeds.  Anything that reads the real world -- the
-wall clock, the process RNG, the environment -- silently breaks that
-contract without failing a single functional test, which is exactly why
-these are lint rules and not assertions.
+wall clock, the process RNG -- silently breaks that contract without
+failing a single functional test, which is exactly why these are lint
+rules and not assertions.  Iteration order that follows the hash seed
+is checked by running instead: ``make contract`` regenerates every
+table under two ``PYTHONHASHSEED`` values and diffs them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import ast
 
 from ..findings import Finding, Severity
 from ..registry import GROUP_DETERMINISM, RuleInfo, rule
-from . import FileContext, call_name, dotted_name
+from . import FileContext, call_name
 
 __all__ = ["WALL_CLOCK_CALLS", "UNSEEDED_RANDOM_CALLS"]
 
@@ -70,11 +72,6 @@ UNSEEDED_RANDOM_CALLS = frozenset(
 ENTROPY_CALLS = frozenset(
     {"os.urandom", "uuid.uuid1", "uuid.uuid4", "os.getrandom"}
 )
-
-_UNORDERED_LISTING_CALLS = frozenset(
-    {"os.listdir", "os.scandir", "glob.glob", "glob.iglob"}
-)
-
 
 @rule(
     RuleInfo(
@@ -155,63 +152,4 @@ def check_unseeded_random(ctx: FileContext) -> list[Finding]:
                     "RandomSource stream instead",
                 )
             )
-    return findings
-
-
-def _is_unordered_iterable(node: ast.AST) -> str | None:
-    """Describe ``node`` if iterating it is environment-dependent."""
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return "a set (iteration order follows PYTHONHASHSEED)"
-    if isinstance(node, ast.Call):
-        name = call_name(node)
-        if name in ("set", "frozenset"):
-            return f"{name}() (iteration order follows PYTHONHASHSEED)"
-        if name in _UNORDERED_LISTING_CALLS:
-            return f"{name}() (directory order is filesystem-dependent)"
-    if dotted_name(node) == "os.environ":
-        return "os.environ (order and content are host-dependent)"
-    return None
-
-
-@rule(
-    RuleInfo(
-        id="MCH003",
-        name="env-dependent-iteration",
-        group=GROUP_DETERMINISM,
-        severity=Severity.ERROR,
-        summary="iteration order depends on the environment, not the seed",
-        rationale=(
-            "set iteration order changes with PYTHONHASHSEED and "
-            "os.listdir order with the filesystem; if such an order ever "
-            "decides which event is scheduled first, two identical runs "
-            "produce different schedules -- wrap the iterable in sorted()"
-        ),
-    )
-)
-def check_env_iteration(ctx: FileContext) -> list[Finding]:
-    findings = []
-
-    def flag(node: ast.AST, where: str) -> None:
-        why = _is_unordered_iterable(node)
-        if why is not None:
-            findings.append(
-                Finding(
-                    "MCH003",
-                    Severity.ERROR,
-                    ctx.path,
-                    node.lineno,
-                    f"{where} iterates {why}; wrap it in sorted(...)",
-                )
-            )
-
-    for node in ctx.nodes:
-        if isinstance(node, ast.For):
-            flag(node.iter, "for loop")
-        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
-            for comp in node.generators:
-                flag(comp.iter, "comprehension")
-        elif isinstance(node, ast.Call):
-            name = call_name(node)
-            if name in ("list", "tuple") and len(node.args) == 1:
-                flag(node.args[0], f"{name}()")
     return findings

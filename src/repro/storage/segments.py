@@ -17,13 +17,12 @@ The record codec is also Yokan's dump and Warabi's checkpoint image.
 from __future__ import annotations
 
 import struct
-from itertools import chain
 from typing import Any, Iterable, NamedTuple, Optional
 
 from .local import LocalStore, StorageError
 
 __all__ = ["COMPACT_FACTOR", "Segment", "SegmentLog", "decode_records", "encode_records",
-           "lineage_of", "newest_lineage", "records_size"]
+           "lineage_of", "newest_lineage"]
 
 _LEN = struct.Struct("<I")
 #: the value length of a tombstone: no value is 4 GiB long.
@@ -47,13 +46,6 @@ def encode_records(items: Iterable[tuple[bytes, Optional[bytes]]], header: bytes
                       else (pack(len(key)), key, pack(len(value)), value))
     ]
     return b"".join(fields)
-
-
-def records_size(items: Iterable[tuple[bytes, bytes]]) -> int:
-    """``len(encode_records(items))`` without building the stream: what
-    a batch that travels by reference occupies on the bulk path."""
-    lengths = list(map(len, chain.from_iterable(items)))
-    return _LEN.size * len(lengths) + sum(lengths)
 
 
 def decode_records(data: bytes, offset: int = 0) -> list[tuple[bytes, Optional[bytes]]]:

@@ -7,6 +7,7 @@ replication, paper section 7 Observation 10).  Client side:
 """
 
 from .backend import (
+    Batch,
     KVBackend,
     NoSuchKeyError,
     UnknownBackendError,
@@ -15,7 +16,6 @@ from .backend import (
     create_backend,
     decode_records,
     encode_records,
-    records_size,
     register_backend,
 )
 from .backends import MapBackend, OrderedBackend, PersistentBackend
@@ -28,6 +28,7 @@ __all__ = [
     "VirtualYokanProvider",
     "YokanClient",
     "DatabaseHandle",
+    "Batch",
     "KVBackend",
     "MapBackend",
     "OrderedBackend",
@@ -37,7 +38,6 @@ __all__ = [
     "backend_types",
     "encode_records",
     "decode_records",
-    "records_size",
     "YokanError",
     "NoSuchKeyError",
     "UnknownBackendError",

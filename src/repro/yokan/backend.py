@@ -12,19 +12,20 @@ provider boundary).  Backends must implement a codec-stable
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from itertools import chain
+from typing import Any, Callable, Iterable, Optional
 
 from ..storage import StorageError, segments as _segments
-from ..storage.segments import encode_records, records_size
+from ..storage.segments import encode_records
 
 __all__ = [
+    "Batch",
     "KVBackend",
     "register_backend",
     "create_backend",
     "backend_types",
     "encode_records",
     "decode_records",
-    "records_size",
     "YokanError",
     "NoSuchKeyError",
     "UnknownBackendError",
@@ -48,6 +49,57 @@ class NoSuchKeyError(YokanError, KeyError):
 
 class UnknownBackendError(YokanError, ValueError):
     """Backend type name not registered."""
+
+
+def _to_bytes(value: Any) -> bytes:
+    if isinstance(value, bytes):
+        return value
+    if isinstance(value, (bytearray, memoryview)):
+        return bytes(value)
+    if isinstance(value, str):
+        return value.encode("utf-8")
+    raise YokanError(f"keys/values must be bytes or str, got {type(value).__name__}")
+
+
+class Batch(list):
+    """Keys, values or (key, value) pairs as ``bytes``, measured once
+    where the batch is built, as C Yokan's ``yk_put_multi`` takes
+    ``ksizes``/``vsizes`` from its caller.  ``nbytes`` sums the field
+    lengths; ``__wire_size__`` is what ``estimate_size`` returns for the
+    same plain list (8 for the list, 8 per pair), so no later layer
+    walks it.  Never mutated once built."""
+
+    __slots__ = ("nbytes", "__wire_size__")
+
+    def __init__(self, items: Iterable = (), nbytes: int = 0, per_item: int = 0) -> None:
+        super().__init__(items)
+        self.nbytes = nbytes
+        self.__wire_size__ = 8 + per_item * len(self) + nbytes
+
+    @classmethod
+    def of_pairs(cls, pairs: Iterable[tuple[Any, Any]]) -> "Batch":
+        """A copy of ``pairs`` with ``bytes`` fields (``str`` encoded),
+        type-checked and measured in C-level passes."""
+        items = list(pairs)
+        fields = list(chain.from_iterable(items))
+        if {*map(type, items)} - {tuple} or {*map(type, fields)} - {bytes} \
+                or {*map(len, items)} - {2}:
+            items = [(_to_bytes(key), _to_bytes(value)) for key, value in items]
+            fields = list(chain.from_iterable(items))
+        return cls(items, sum(map(len, fields)), 8)
+
+    @classmethod
+    def of_keys(cls, keys: Iterable[Any]) -> "Batch":
+        """A copy of ``keys`` as ``bytes`` (``str`` encoded), measured."""
+        items = list(keys)
+        if {*map(type, items)} - {bytes}:
+            items = list(map(_to_bytes, items))
+        return cls(items, sum(map(len, items)))
+
+    def records(self) -> int:
+        """``len(encode_records(self))`` of a batch of pairs: what it
+        occupies on the bulk path (a 4-byte length per field)."""
+        return 8 * len(self) + self.nbytes
 
 
 # ----------------------------------------------------------------------

@@ -34,13 +34,15 @@ class MapBackend(KVBackend):
     def put_multi(self, pairs: Iterable[tuple[bytes, bytes]]) -> None:
         # One pass over a local dict reference: no per-key method dispatch.
         data = self._data
+        get = data.get
         nbytes = self._bytes
         for key, value in pairs:
-            old = data.get(key)
-            if old is not None:
-                nbytes -= len(key) + len(old)
+            old = get(key)
+            if old is None:
+                nbytes += len(key) + len(value)
+            else:
+                nbytes += len(value) - len(old)
             data[key] = value
-            nbytes += len(key) + len(value)
         self._bytes = nbytes
 
     def get_multi(self, keys: Iterable[bytes]) -> list[bytes]:

@@ -43,16 +43,17 @@ class OrderedBackend(KVBackend):
         # One pass over the batch, then one merge of its new keys into
         # the key array.
         data = self._data
+        get = data.get
         nbytes = self._bytes
         fresh: list[bytes] = []
         for key, value in pairs:
-            old = data.get(key)
+            old = get(key)
             if old is None:
                 fresh.append(key)
+                nbytes += len(key) + len(value)
             else:
-                nbytes -= len(key) + len(old)
+                nbytes += len(value) - len(old)
             data[key] = value
-            nbytes += len(key) + len(value)
         self._bytes = nbytes
         if not fresh:
             return

@@ -9,25 +9,14 @@ getting key-value pairs" (section 3.1).  All methods are generators:
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Any, Generator, Iterable, Optional
 
 from ..core.component import Client, ResourceHandle
 from ..mercury import BulkHandle
-from .backend import YokanError, records_size
+from .backend import Batch, _to_bytes
 from .provider import DEFAULT_BULK_THRESHOLD
 
 __all__ = ["YokanClient", "DatabaseHandle"]
-
-
-def _to_bytes(value: Any) -> bytes:
-    if isinstance(value, bytes):
-        return value
-    if isinstance(value, (bytearray, memoryview)):
-        return bytes(value)
-    if isinstance(value, str):
-        return value.encode("utf-8")
-    raise YokanError(f"keys/values must be bytes or str, got {type(value).__name__}")
 
 
 class DatabaseHandle(ResourceHandle):
@@ -77,38 +66,26 @@ class DatabaseHandle(ResourceHandle):
             "max_keys": max_keys,
         }
         result = yield from self._forward("list_keys", args)
-        return result
+        return list(result)  # a plain list: a measured Batch stays unmutated
 
     def put_multi(self, pairs: Iterable[tuple[Any, Any]]) -> Generator:
-        # Always a list of our own: the caller may mutate theirs while
+        # Always a batch of our own: the caller may mutate theirs while
         # this RPC is parked, and the bulk path carries it by reference.
-        normalized = [
-            (
-                k if type(k) is bytes else _to_bytes(k),
-                v if type(v) is bytes else _to_bytes(v),
-            )
-            for k, v in pairs
-        ]
-        total = sum(map(len, chain.from_iterable(normalized)))
-        if total >= DEFAULT_BULK_THRESHOLD:
+        batch = Batch.of_pairs(pairs)
+        if batch.nbytes >= DEFAULT_BULK_THRESHOLD:
             # Large batches travel over the bulk path: the provider pulls
             # what would be one encoded record stream with RDMA.
-            args: dict = {
-                "bulk": BulkHandle(
-                    self.client.margo.address, records_size(normalized), normalized
-                )
-            }
+            args: dict = {"bulk": BulkHandle(self.client.margo.address, batch.records(), batch)}
         else:
-            args = {"pairs": normalized}
+            args = {"pairs": batch}
         yield from self._forward("put_multi", args)
         return None
 
     def get_multi(self, keys: Iterable[Any]) -> Generator:
-        encoded = [k if type(k) is bytes else _to_bytes(k) for k in keys]
-        result = yield from self._forward("get_multi", {"keys": encoded})
+        result = yield from self._forward("get_multi", {"keys": Batch.of_keys(keys)})
         if isinstance(result, BulkHandle):
             return result.data
-        return result
+        return list(result)
 
     # Batch aliases matching the C Yokan API naming (``yk_put_multi`` /
     # ``yk_get_multi`` are exposed there as the "multi" family).  Bulk

@@ -12,7 +12,6 @@ paper section 7 Observation 9).
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Any, Generator, Optional
 
 from ..analysis.race import hooks as _race
@@ -24,7 +23,7 @@ from ..mercury import BULK_OP_PULL, BULK_OP_PUSH, BulkHandle
 from ..storage.local import LocalStore
 from ..storage.segments import Segment, lineage_of, newest_lineage
 from . import backends as _backends  # noqa: F401 - registers built-ins
-from .backend import KVBackend, YokanError, create_backend, records_size
+from .backend import Batch, KVBackend, YokanError, create_backend
 
 __all__ = ["YokanProvider", "OP_BASE_COST", "BYTES_PER_SECOND"]
 
@@ -152,36 +151,38 @@ class YokanProvider(Provider):
         prefix = args.get("prefix", b"")
         start_after = args.get("start_after")
         max_keys = args.get("max_keys", 0)
+        if max_keys < 0:
+            raise YokanError(f"max_keys must be 0 (no limit) or positive, got {max_keys}")
         yield Compute(OP_BASE_COST)
         keys = self.backend.list_keys(prefix, start_after, max_keys)
-        yield Compute(sum(map(len, keys)) / BYTES_PER_SECOND)
-        return keys
+        total = sum(map(len, keys))
+        yield Compute(total / BYTES_PER_SECOND)
+        return Batch(keys, total)
 
     def _on_put_multi(self, ctx: RequestContext) -> Generator:
         args = ctx.args
         bulk = args.get("bulk")
         if bulk is not None:
             # Batch arrived via the bulk path: ``data`` is the client's
-            # own list of pairs, ``size`` what its record stream occupies.
+            # own batch, ``size`` what its record stream occupies.
             yield from self.margo.bulk_transfer(ctx.source, bulk.size, op=BULK_OP_PULL)
             pairs = bulk.data
         else:
             pairs = args["pairs"]
-            if not isinstance(pairs, list):
-                # Materialize so computing the total below cannot exhaust
-                # a one-shot iterator before put_multi sees it.
-                pairs = list(pairs)
-        total = sum(map(len, chain.from_iterable(pairs)))
+        if type(pairs) is not Batch:
+            pairs = Batch.of_pairs(pairs)  # from a sender other than DatabaseHandle
         if _race.ENABLED:
             for key, _value in pairs:
                 _race.note_write(self.backend, key, f"yokan:{self.name}.put_multi")
         self.backend.put_multi(pairs)
-        yield Compute(OP_BASE_COST * max(1, len(pairs)) + total / BYTES_PER_SECOND)
+        yield Compute(OP_BASE_COST * max(1, len(pairs)) + pairs.nbytes / BYTES_PER_SECOND)
         yield from self._maybe_sync()
         return None
 
     def _on_get_multi(self, ctx: RequestContext) -> Generator:
         keys = ctx.args["keys"]
+        if type(keys) is not Batch:
+            keys = Batch.of_keys(keys)
         yield Compute(OP_BASE_COST * max(1, len(keys)))
         if _race.ENABLED:
             for key in keys:
@@ -190,10 +191,10 @@ class YokanProvider(Provider):
         total = sum(map(len, values))
         yield Compute(total / BYTES_PER_SECOND)
         if total >= self.bulk_threshold:
-            size = records_size(zip(keys, values))
+            size = 8 * len(keys) + keys.nbytes + total  # the (key, value) record stream
             yield from self.margo.bulk_transfer(ctx.source, size, op=BULK_OP_PUSH)
             return BulkHandle(self.margo.address, size, values)
-        return values
+        return Batch(values, total)
 
     def _on_erase_matching(self, ctx: RequestContext) -> Generator:
         """Erase all keys with ``prefix`` and (optionally) ``suffix``.

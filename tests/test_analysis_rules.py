@@ -77,40 +77,6 @@ def test_mch002_clean_on_seeded_sources():
 
 
 # ----------------------------------------------------------------------
-# MCH003 env-dependent-iteration
-# ----------------------------------------------------------------------
-def test_mch003_flags_unordered_iteration():
-    findings = lint(
-        """
-        import os, glob
-        def sweep(names):
-            for n in set(names):
-                print(n)
-            for f in os.listdir("."):
-                print(f)
-            out = [k for k in os.environ]
-            pairs = list({1, 2, 3})
-            return out, pairs
-        """
-    )
-    assert ids(findings) == ["MCH003"] * 4
-
-
-def test_mch003_clean_when_sorted():
-    findings = lint(
-        """
-        import os
-        def sweep(names):
-            for n in sorted(set(names)):
-                print(n)
-            for f in sorted(os.listdir(".")):
-                print(f)
-        """
-    )
-    assert findings == []
-
-
-# ----------------------------------------------------------------------
 # MCH004 unbounded-monitoring-state
 # ----------------------------------------------------------------------
 def test_mch004_flags_unbounded_module_growth():

@@ -15,7 +15,7 @@ from repro.monitoring import RunningStats
 from repro.poesie import MiniInterpreter
 from repro.raft import LogEntry, RaftLog
 from repro.ssg import SwimConfig, SwimState, Update
-from repro.yokan import encode_records, records_size
+from repro.yokan import Batch, encode_records
 
 # ----------------------------------------------------------------------
 # mercury: wire-size estimation
@@ -134,11 +134,45 @@ def test_estimate_size_matches_recursive_walk_on_json(value):
     assert estimate_size(value) == recursive_estimate_size(value)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.binary(max_size=64), st.binary(max_size=256)), max_size=30))
-def test_records_size_is_the_encoded_length(pairs):
-    assert records_size(pairs) == len(encode_records(pairs))
-    assert records_size(iter(pairs)) == len(encode_records(pairs))  # one-shot iterables too
+# ----------------------------------------------------------------------
+# yokan: a batch's declared size is the walk
+# ----------------------------------------------------------------------
+#: every input type a batch field may arrive as; some values are large
+#: enough that a batch lands on either side of the 8 KiB bulk threshold.
+batch_fields = (
+    byte_strings
+    | st.text(max_size=12)
+    | st.integers(0, 3000).map(bytes)
+)
+#: few distinct keys, across input types: batches repeat keys.
+repeated_keys = st.sampled_from([b"k", "k", bytearray(b"k"), memoryview(b"j"), "j"])
+
+
+def as_bytes(field):
+    return field.encode("utf-8") if isinstance(field, str) else bytes(field)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(repeated_keys | batch_fields, batch_fields), max_size=12))
+def test_pair_batch_declares_the_walk(pairs):
+    batch = Batch.of_pairs(pairs)
+    plain = list(batch)
+    assert plain == [(as_bytes(key), as_bytes(value)) for key, value in pairs]
+    assert all(type(key) is bytes and type(value) is bytes for key, value in plain)
+    assert estimate_size(batch) == recursive_estimate_size(plain)
+    assert batch.records() == len(encode_records(batch))
+    assert Batch.of_pairs(iter(pairs)) == batch  # one-shot iterables too
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(repeated_keys | batch_fields, max_size=12))
+def test_key_batch_declares_the_walk(keys):
+    batch = Batch.of_keys(keys)
+    plain = list(batch)
+    assert plain == [as_bytes(key) for key in keys]
+    assert all(type(key) is bytes for key in plain)
+    assert estimate_size(batch) == recursive_estimate_size(plain)
+    assert batch.nbytes == sum(map(len, plain))
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from repro.core.component import ProviderIdError
 from repro.core.parallel import ParallelError, parallel
 from repro.margo import RpcFailedError
 from repro.margo.ult import UltSleep
+from repro.mercury import BulkHandle
 from repro.storage import LocalStore, ParallelFileSystem
 from repro.yokan import (
     DatabaseHandle,
@@ -80,6 +81,23 @@ def test_multi_ops_and_list_keys(rig):
     keys, values = run(cluster, cm, driver())
     assert keys == [b"k0", b"k1", b"k2"]
     assert values == [b"v0", b"v4"]
+
+
+@pytest.mark.parametrize("backend_type", ["map", "ordered"])
+def test_list_keys_rejects_negative_max_keys(backend_type):
+    """A negative page size is an error reply on every backend, not a
+    backend-specific slice; 0 still means no limit."""
+    cluster = Cluster(seed=3)
+    server = cluster.add_margo("server", node="n0")
+    client_margo = cluster.add_margo("client", node="n1")
+    YokanProvider(server, "db0", provider_id=1,
+                  config={"database": {"type": backend_type}})
+    db = YokanClient(client_margo).make_handle(server.address, 1)
+    run(cluster, client_margo, db.put_multi([(f"a{i}", "v") for i in range(5)]))
+    for start_after, max_keys in ((None, -2), ("a1", -1)):
+        with pytest.raises(RpcFailedError, match="max_keys"):
+            run(cluster, client_margo, db.list_keys("a", start_after, max_keys))
+    assert run(cluster, client_margo, db.list_keys("a", "a1", 0)) == [b"a2", b"a3", b"a4"]
 
 
 def test_large_value_uses_bulk_path(rig):
@@ -487,3 +505,97 @@ def test_batch_cost_model_under_race_detector(request, monkeypatch):
     assert written == [key for key, _value in BULK_PAIRS]
     assert [key for state, key in noted["read"] if state is backend] == keys
     assert now == PINNED_NOW["rig", "bulk"]
+
+
+# ----------------------------------------------------------------------
+# a batch is measured once, where it is built: no size can go stale
+# ----------------------------------------------------------------------
+def _plain(value):
+    """A copy of ``value`` with every list (a Batch too) a plain list
+    and every byte string ``bytes``."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    if type(value) is tuple:
+        return tuple(_plain(item) for item in value)
+    if isinstance(value, BulkHandle):
+        return BulkHandle(value.owner_address, value.size, _plain(value.data))
+    return bytes(value) if isinstance(value, (bytearray, memoryview)) else value
+
+
+def test_provider_measures_plain_batches_from_other_senders(rig):
+    """A sender that is not a DatabaseHandle sends plain lists (and
+    ``str``); the provider normalises them as the client would."""
+    cluster, _, cm, provider, db = rig
+
+    def driver():
+        yield from db._forward("put_multi", {"pairs": [("a", b"1"), (b"b", bytearray(b"22"))]})
+        values = yield from db._forward("get_multi", {"keys": ["a", b"b"]})
+        return values
+
+    values = run(cluster, cm, driver())
+    assert dict(provider.backend.items()) == {b"a": b"1", b"b": b"22"}
+    assert values == [b"1", b"22"]
+
+
+@pytest.mark.parametrize("value_size", [16, 4096])  # inline and bulk batches
+def test_batch_sizes_cannot_go_stale(rig, monkeypatch, value_size):
+    from repro.mercury import RPCRequest, estimate_size
+    from repro.sim.network import Network
+    from repro.yokan import encode_records
+
+    cluster, _, cm, provider, db = rig
+    sent = []
+    plain_send = Network.send
+
+    def recording_send(self, src, dst_address, payload, size):
+        if isinstance(payload, RPCRequest):
+            sent.append((payload, _plain(payload.args)))
+        return plain_send(self, src, dst_address, payload, size)
+
+    monkeypatch.setattr(Network, "send", recording_send)
+    pairs = [(f"k{i}".encode(), bytearray(b"v" * value_size)) for i in range(4)]
+    want = {f"k{i}".encode(): b"v" * value_size for i in range(4)}
+
+    def mutate_input():
+        # Runs while put_multi is parked: the caller reuses its list
+        # and its buffers.
+        pairs[0][1][:] = b"x"
+        pairs[1] = ("k1", "short")
+        pairs.append(("late", "pair"))
+        yield UltSleep(0)
+
+    def driver():
+        yield from parallel(cm, [db.put_multi(pairs), mutate_input()])
+        yield from db.put_multi([("p0", "k1"), ("p1", "k2")])
+        listed = yield from db.list_keys(prefix="k")
+        values = yield from db.get_multi(listed)
+        pointers = yield from db.get_multi(["p0", "p1"])
+        replies = [listed, values, pointers]
+        listed.append(b"k0")  # mutate each reply, then send it back as keys
+        listed[0] = b"k3"
+        pointers.append(b"k0")
+        replies.append((yield from db.get_multi(listed)))
+        replies.append((yield from db.get_multi(pointers)))
+        return replies
+
+    replies = run(cluster, cm, driver())
+    assert all(type(reply) is list for reply in replies)
+    assert replies[-2] == [want[key] for key in (b"k3", b"k1", b"k2", b"k3", b"k0")]
+    assert replies[-1] == [want[b"k1"], want[b"k2"], want[b"k0"]]
+    assert {key: provider.backend.get(key) for key in want} == want
+    assert [request.rpc_name for request, _args in sent] == (
+        ["yokan_put_multi"] * 2 + ["yokan_list_keys"] + ["yokan_get_multi"] * 4
+    )
+    for request, args in sent:
+        # Measured at send time, and nothing changed it since.
+        assert request.payload_size == estimate_size(args)
+        assert _plain(request.args) == args
+        bulk = args.get("bulk")
+        if bulk is not None:
+            assert bulk.size == len(encode_records(bulk.data))
+    assert sent[0][1] == (
+        {"bulk": BulkHandle(cm.address, sent[0][0].args["bulk"].size, list(want.items()))}
+        if value_size == 4096 else {"pairs": list(want.items())}
+    )
