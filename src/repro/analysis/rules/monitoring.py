@@ -176,10 +176,10 @@ _OBSERVING_CALLS = frozenset({"inc", "record"})
 
 def _is_observer(func: ast.AST) -> bool:
     """Functions MCH005 holds to the observe-or-reraise contract:
-    ``on_<event>`` monitor hooks (the MCH004 convention) and Bedrock
-    introspection handlers (``_on_get_*`` / ``_on_query``)."""
+    ``on_<event>`` monitor hooks (the MCH004 convention) and Bedrock's
+    introspection handler ``_on_query``."""
     name = getattr(func, "name", "")
-    return name.startswith("on_") or name.startswith("_on_get_") or name == "_on_query"
+    return name.startswith("on_") or name == "_on_query"
 
 
 def _handler_observes(handler: ast.ExceptHandler) -> bool:

@@ -86,69 +86,11 @@ class ServiceHandle(ResourceHandle):
         return result
 
     def query(self, jx9_script: str) -> Generator:
-        """Run a Jx9 query on the remote process's configuration."""
+        """Run a Jx9 query on the remote process: ``$__config__`` and the
+        observer planes (``$__metrics__``, ``$__traces__``,
+        ``$__profile__``, ``$__health__``, ``$__incidents__``,
+        ``$__slo__``, ``$__xray__``; ``null`` when a plane is off)."""
         result = yield from self._forward("query", {"script": jx9_script})
-        return result
-
-    # ---- observability access ------------------------------------------
-    def get_metrics(self) -> Generator:
-        """Snapshot of the remote process's metrics registry."""
-        result = yield from self._forward("get_metrics")
-        return result
-
-    def get_traces(self) -> Generator:
-        """Remote process's spans as a Chrome trace-event document."""
-        result = yield from self._forward("get_traces")
-        return result
-
-    def get_profile(self, last: Optional[int] = None) -> Generator:
-        """Closed profile windows of the remote continuous profiler
-        (``last`` limits the reply to the N most recent windows)."""
-        args: dict[str, Any] = {} if last is None else {"last": last}
-        result = yield from self._forward("get_profile", args)
-        return result
-
-    def get_utilization(self) -> Generator:
-        """Latest closed window's utilization and per-provider rates."""
-        result = yield from self._forward("get_utilization")
-        return result
-
-    def get_health(self) -> Generator:
-        """Cluster health snapshot (per-target states, phi levels)."""
-        result = yield from self._forward("get_health")
-        return result
-
-    def get_incidents(self, last: Optional[int] = None) -> Generator:
-        """The incident log: faults correlated with SWIM detection,
-        elections, and recovery (``last`` limits to the N most recent)."""
-        args: dict[str, Any] = {} if last is None else {"last": last}
-        result = yield from self._forward("get_incidents", args)
-        return result
-
-    def get_slo_status(self) -> Generator:
-        """The remote process's SLO engine status (burn rates, budgets,
-        alert transitions)."""
-        result = yield from self._forward("get_slo_status")
-        return result
-
-    def get_critical_path(
-        self, last: Optional[int] = None, trace_id: Optional[str] = None
-    ) -> Generator:
-        """Recorded per-request critical paths from the mochi-xray plane
-        (``last`` limits the reply, ``trace_id`` filters to one trace)."""
-        args: dict[str, Any] = {}
-        if last is not None:
-            args["last"] = last
-        if trace_id is not None:
-            args["trace_id"] = trace_id
-        result = yield from self._forward("get_critical_path", args)
-        return result
-
-    def get_attribution(self, last: Optional[int] = None) -> Generator:
-        """Per-window tail-latency attribution and what-if rankings from
-        the mochi-xray plane (``last`` limits to the N most recent)."""
-        args: dict[str, Any] = {} if last is None else {"last": last}
-        result = yield from self._forward("get_attribution", args)
         return result
 
     # ---- dynamic-service operations --------------------------------------

@@ -7,18 +7,31 @@ Executes queries like paper Listing 4 verbatim::
         array_push($result, $p.name); }
     return $result;
 
-The host (Bedrock) injects ``$__config__``; the script returns a JSON
+The host (Bedrock) supplies a mapping of ``$``-names (``$__config__``
+and the observer planes), read as given; the script returns a JSON
 value.  Execution is sandboxed: only the builtins below are callable and
-a step budget bounds runtime.
+one step budget bounds both runtime and what the script builds.  A
+concatenation pays one step per ``BYTES_PER_STEP`` bytes of its result,
+and a value stored into a literal, ``array_push`` or an assignment is
+stored as a fresh tree, one step per node copied: no stored value
+aliases another (or the host's), and none grows faster than its steps.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+import operator
+from typing import Any, Callable, Mapping, Optional
 
 from .lexer import Jx9SyntaxError, Token, tokenize
 
 __all__ = ["Jx9Error", "Jx9SyntaxError", "jx9_execute"]
+
+#: A concatenation pays one step per this many bytes of its result.
+BYTES_PER_STEP = 64
+#: Stored values nest at most this deep (replies are walked recursively).
+MAX_DEPTH = 64
+#: Integers past 64 bits become floats (PHP's overflow rule).
+_INT_LIMIT = 2**63
 
 
 class Jx9Error(RuntimeError):
@@ -40,6 +53,17 @@ def _array_push(array: Any, *values: Any) -> int:
     return len(array)
 
 
+def _array_slice(array: Any, offset: int, length: Optional[int] = None) -> list:
+    """PHP's ``array_slice``: a negative offset counts from the end, a
+    negative length stops that many elements before it."""
+    if not isinstance(array, list):
+        raise Jx9Error("array_slice() expects an array")
+    if length is None or length < 0:
+        return array[offset:length]
+    start = offset if offset >= 0 else max(len(array) + offset, 0)
+    return array[start : start + length]
+
+
 def _count(value: Any) -> int:
     if isinstance(value, (list, dict, str)):
         return len(value)
@@ -48,6 +72,7 @@ def _count(value: Any) -> int:
 
 BUILTINS: dict[str, Callable[..., Any]] = {
     "array_push": _array_push,
+    "array_slice": _array_slice,
     "count": _count,
     "array_keys": lambda obj: sorted(obj.keys()) if isinstance(obj, dict) else list(range(len(obj))),
     "array_values": lambda obj: list(obj.values()) if isinstance(obj, dict) else list(obj),
@@ -292,24 +317,47 @@ class _Parser:
 # ----------------------------------------------------------------------
 # evaluator
 # ----------------------------------------------------------------------
+_OPERATORS: dict[str, Callable[[Any, Any], Any]] = {
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge, "+": operator.add, "-": operator.sub,
+    "*": operator.mul, "/": operator.truediv, "%": operator.mod,
+}
+_NUMBER = (int, float)
+
+
 class _Evaluator:
-    def __init__(self, env: dict[str, Any], max_steps: int = 200_000) -> None:
-        self.env = env
+    def __init__(self, host: Mapping[str, Any], max_steps: int = 200_000) -> None:
+        self.host = host
+        self.env: dict[str, Any] = {}
         self.max_steps = max_steps
         self.steps = 0
 
-    def tick(self) -> None:
-        self.steps += 1
+    def tick(self, steps: int = 1) -> None:
+        self.steps += steps
         if self.steps > self.max_steps:
             raise Jx9Error(f"script exceeded {self.max_steps} steps")
+
+    def copy(self, value: Any, depth: int = 0) -> Any:
+        """A fresh tree of ``value``, one step per node."""
+        self.tick()
+        if isinstance(value, (list, dict)):
+            if depth >= MAX_DEPTH:
+                raise Jx9Error(f"value nests deeper than {MAX_DEPTH}")
+            if isinstance(value, list):
+                return [self.copy(item, depth + 1) for item in value]
+            return {k: self.copy(v, depth + 1) for k, v in value.items()}
+        return value
+
+    def store(self, node) -> Any:
+        """Evaluate ``node`` into a value that aliases nothing."""
+        value = self.eval(node)
+        # A literal is built fresh (its elements were stored already).
+        return value if node[0] in ("array", "object") else self.copy(value)
 
     # ---- statements ---------------------------------------------------
     def run(self, stmts: list) -> Any:
         try:
-            last = None
-            for stmt in stmts:
-                last = self.exec_stmt(stmt)
-            return last
+            return self.exec_block(stmts)
         except _Return as signal:
             return signal.value
 
@@ -325,7 +373,7 @@ class _Evaluator:
         if kind == "expr":
             return self.eval(stmt[1])
         if kind == "assign":
-            value = self.eval(stmt[2])
+            value = self.store(stmt[2])
             self.assign(stmt[1], value)
             return None
         if kind == "return":
@@ -380,7 +428,10 @@ class _Evaluator:
             container = self.eval(target[1])
             index = self.eval(target[2])
             if isinstance(container, list):
-                container[int(index)] = value
+                try:
+                    container[int(index)] = value
+                except (IndexError, TypeError, ValueError) as err:
+                    raise Jx9Error(f"bad index {index!r}") from err
             elif isinstance(container, dict):
                 container[index] = value
             else:
@@ -400,13 +451,16 @@ class _Evaluator:
             return node[1]
         if kind == "var":
             name = node[1]
-            if name not in self.env:
-                raise Jx9Error(f"undefined variable ${name}")
-            return self.env[name]
+            if name in self.env:
+                return self.env[name]
+            try:
+                return self.host[name]
+            except KeyError:
+                raise Jx9Error(f"undefined variable ${name}") from None
         if kind == "array":
-            return [self.eval(e) for e in node[1]]
+            return [self.store(e) for e in node[1]]
         if kind == "object":
-            return {k: self.eval(v) for k, v in node[1]}
+            return {k: self.store(v) for k, v in node[1]}
         if kind == "member":
             container = self.eval(node[1])
             if isinstance(container, dict):
@@ -430,12 +484,21 @@ class _Evaluator:
             fn = BUILTINS.get(name)
             if fn is None:
                 raise Jx9Error(f"call to unknown function {name}()")
-            args = [self.eval(a) for a in arg_nodes]
-            return fn(*args)
+            if fn is _array_push:  # the pushed values are stored
+                args = [*map(self.eval, arg_nodes[:1]), *map(self.store, arg_nodes[1:])]
+            else:
+                args = [self.eval(a) for a in arg_nodes]
+            try:
+                return fn(*args)
+            except (TypeError, ValueError, AttributeError) as err:
+                raise Jx9Error(f"{name}(): {err}") from err
         if kind == "not":
             return not self.truthy(self.eval(node[1]))
         if kind == "neg":
-            return -self.eval(node[1])
+            value = self.eval(node[1])
+            if not isinstance(value, _NUMBER):
+                raise Jx9Error("unary '-' takes a number")
+            return -value
         if kind == "or":
             left = self.eval(node[1])
             return left if self.truthy(left) else self.eval(node[2])
@@ -445,41 +508,41 @@ class _Evaluator:
         if kind == "cmp":
             op, left, right = node[1], self.eval(node[2]), self.eval(node[3])
             try:
-                return {
-                    "==": lambda: left == right,
-                    "!=": lambda: left != right,
-                    "<": lambda: left < right,
-                    "<=": lambda: left <= right,
-                    ">": lambda: left > right,
-                    ">=": lambda: left >= right,
-                }[op]()
+                return _OPERATORS[op](left, right)
             except TypeError as err:
                 raise Jx9Error(f"bad comparison {op} between types") from err
         if kind == "bin":
             op, left, right = node[1], self.eval(node[2]), self.eval(node[3])
+            if op == "+" and (isinstance(left, str) or isinstance(right, str)):
+                return self.concat(left, right)
+            if not (isinstance(left, _NUMBER) and isinstance(right, _NUMBER)):
+                raise Jx9Error(f"{op!r} takes numbers")
             try:
-                if op == "+":
-                    if isinstance(left, str) or isinstance(right, str):
-                        return f"{left}{right}"
-                    return left + right
-                if op == "-":
-                    return left - right
-                if op == "*":
-                    return left * right
-                if op == "/":
-                    return left / right
-                if op == "%":
-                    return left % right
-            except (TypeError, ZeroDivisionError) as err:
+                result = _OPERATORS[op](left, right)
+            except ZeroDivisionError as err:
                 raise Jx9Error(f"arithmetic error for {op!r}: {err}") from err
+            if isinstance(result, int) and not -_INT_LIMIT <= result < _INT_LIMIT:
+                return float(result)
+            return result
         raise Jx9Error(f"unknown expression kind {kind!r}")
 
+    def concat(self, left: Any, right: Any) -> str:
+        """``left + right`` with a string operand, paid before it is built."""
+        if isinstance(left, (list, dict)) or isinstance(right, (list, dict)):
+            raise Jx9Error("'+' cannot join an array or object to a string")
+        left, right = str(left), str(right)
+        self.tick((len(left) + len(right)) // BYTES_PER_STEP)
+        return left + right
 
-def jx9_execute(source: str, env: Optional[dict[str, Any]] = None, max_steps: int = 200_000) -> Any:
+
+def jx9_execute(
+    source: str, env: Optional[Mapping[str, Any]] = None, max_steps: int = 200_000
+) -> Any:
     """Run a Jx9 query; ``env`` supplies ``$``-variables (e.g.
-    ``{"__config__": {...}}``)."""
-    tokens = tokenize(source)
-    parser = _Parser(tokens)
-    program = parser.parse_program()
-    evaluator = _Evaluator(dict(env or {}), max_steps=max_steps)
-    return evaluator.run(program)
+    ``{"__config__": {...}}``), each read from it when the script names
+    it (never copied up front).  Assignments never write back to ``env``."""
+    try:
+        program = _Parser(tokenize(source)).parse_program()
+        return _Evaluator(env if env is not None else {}, max_steps=max_steps).run(program)
+    except RecursionError:
+        raise Jx9Error("script nests too deeply") from None

@@ -20,8 +20,9 @@ Responsibilities implemented here:
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass, field
-from typing import Any, Container, Generator, Optional
+from typing import Any, Callable, Container, Generator, Optional
 
 from ..core.component import Provider
 from ..margo.runtime import MargoInstance, RequestContext
@@ -46,27 +47,6 @@ __all__ = ["BedrockServer", "ProviderRecord", "BEDROCK_PROVIDER_ID"]
 BEDROCK_PROVIDER_ID = 0
 
 OP_COST = 500e-9
-
-#: Read-only introspection operations (metric export / profile query):
-#: their handlers are wrapped so an exception degrades to an error
-#: response -- counted in ``bedrock_introspection_errors`` -- instead of
-#: propagating through the Bedrock ULT (mirrors the
-#: ``margo_monitor_errors`` treatment of monitor hooks).
-_INTROSPECTION_OPS = frozenset(
-    {
-        "get_metrics",
-        "get_traces",
-        "get_profile",
-        "get_utilization",
-        "get_health",
-        "get_incidents",
-        "get_slo_status",
-        "get_critical_path",
-        "get_attribution",
-        "query",
-    }
-)
-
 
 @dataclass
 class ProviderRecord:
@@ -225,15 +205,6 @@ class BedrockServer(Provider):
             "add_xstream",
             "remove_xstream",
             "get_config",
-            "get_metrics",
-            "get_traces",
-            "get_profile",
-            "get_utilization",
-            "get_health",
-            "get_incidents",
-            "get_slo_status",
-            "get_critical_path",
-            "get_attribution",
             "query",
             "migrate_provider",
             "checkpoint_provider",
@@ -245,15 +216,12 @@ class BedrockServer(Provider):
             "tx_commit",
             "tx_abort",
         ):
-            handler = getattr(self, f"_on_{operation}")
-            if operation in _INTROSPECTION_OPS:
-                handler = self._contain_introspection(operation, handler)
-            self.register_rpc(operation, handler)
+            self.register_rpc(operation, getattr(self, f"_on_{operation}"))
 
         self._introspection_errors = margo.metrics.counter(
             "bedrock_introspection_errors",
-            "introspection/query RPCs whose handler raised (contained: "
-            "a malformed query degrades to an error response)",
+            "queries that raised (contained: a malformed query "
+            "degrades to an error response)",
         )
         self._providers_started = margo.metrics.counter(
             "bedrock_providers_started", "providers started on this process"
@@ -372,8 +340,9 @@ class BedrockServer(Provider):
         }
 
     def query(self, script: str) -> Any:
-        """Run a Jx9 query against the live configuration (Listing 4)."""
-        return jx9_execute(script, {"__config__": self.get_config()})
+        """Run a Jx9 query (Listing 4) over the live configuration and
+        the observer planes (see :class:`_Documents`)."""
+        return jx9_execute(script, _Documents(self))
 
     def boot_document(self) -> dict[str, Any]:
         """A Listing-3 document that re-creates this process's current
@@ -520,189 +489,13 @@ class BedrockServer(Provider):
         yield Compute(OP_COST)
         return self.get_config()
 
-    def _on_get_metrics(self, ctx: RequestContext) -> Generator:
-        """The process's metrics registry as a JSON snapshot (the
-        observability counterpart of ``bedrock_get_config``)."""
-        yield Compute(OP_COST)
-        return self.margo.metrics.snapshot()
-
-    def _on_get_traces(self, ctx: RequestContext) -> Generator:
-        """Spans collected on this process, as Chrome trace-event JSON.
-
-        Empty document when tracing is off; note that wire spans whose
-        other endpoint lives on an untraced process are omitted (they
-        pair up when exports are merged cluster-side).
-        """
-        yield Compute(OP_COST)
-        if self.margo.tracer is None:
-            return chrome_trace()
-        return chrome_trace(self.margo.tracer)
-
-    def _on_get_profile(self, ctx: RequestContext) -> Generator:
-        """Closed profile windows (rolling store) as one JSON document.
-
-        Args: ``{"last": N}`` limits the reply to the N most recent
-        windows.  Replies ``{"enabled": False}`` when profiling is off.
-        """
-        yield Compute(OP_COST)
-        profiler = self.margo.profiler
-        if profiler is None:
-            return {"enabled": False, "process": self.margo.process.name, "windows": []}
-        args = ctx.args or {}
-        unknown = set(args) - {"last"}
-        if unknown:
-            raise BedrockError(f"unknown get_profile keys: {sorted(unknown)}")
-        doc = profiler.profile(last=args.get("last"))
-        doc["enabled"] = True
-        return doc
-
-    def _on_get_utilization(self, ctx: RequestContext) -> Generator:
-        """The latest closed window's utilization + per-provider rates
-        (what the reconfiguration controller polls)."""
-        yield Compute(OP_COST)
-        profiler = self.margo.profiler
-        if profiler is None:
-            return {
-                "enabled": False,
-                "process": self.margo.process.name,
-                "providers": {},
-                "pools": {},
-                "xstreams": {},
-            }
-        doc = profiler.utilization()
-        doc["enabled"] = True
-        return doc
-
-    def _health_plane(self) -> Any:
-        """The cluster health plane, reachable through the network the
-        Margo instance is attached to; ``None`` when not enabled."""
-        return getattr(self.margo.network, "health_plane", None)
-
-    def _on_get_health(self, ctx: RequestContext) -> Generator:
-        """The cluster health snapshot: per-target states, phi suspicion
-        levels, open incident count.  ``{"enabled": False}`` when the
-        cluster runs without a health plane."""
-        yield Compute(OP_COST)
-        plane = self._health_plane()
-        if plane is None:
-            return {"enabled": False, "process": self.margo.process.name}
-        doc = plane.health_doc()
-        doc["enabled"] = True
-        doc["process"] = self.margo.process.name
-        return doc
-
-    def _on_get_incidents(self, ctx: RequestContext) -> Generator:
-        """The incident log (faults correlated with detection and
-        recovery).  Args: ``{"last": N}`` limits to the N most recent."""
-        yield Compute(OP_COST)
-        plane = self._health_plane()
-        if plane is None:
-            return {
-                "enabled": False,
-                "process": self.margo.process.name,
-                "incidents": [],
-            }
-        args = ctx.args or {}
-        unknown = set(args) - {"last"}
-        if unknown:
-            raise BedrockError(f"unknown get_incidents keys: {sorted(unknown)}")
-        doc = plane.incidents.to_json(last=args.get("last"))
-        doc["enabled"] = True
-        doc["process"] = self.margo.process.name
-        return doc
-
-    def _on_get_slo_status(self, ctx: RequestContext) -> Generator:
-        """This process's SLO engine status (objectives, burn rates,
-        error budgets, alert ring); ``{"enabled": False}`` when the
-        process declares no SLOs."""
-        yield Compute(OP_COST)
-        engine = self.margo.slo_engine
-        if engine is None:
-            return {
-                "enabled": False,
-                "process": self.margo.process.name,
-                "slos": [],
-            }
-        doc = engine.status()
-        doc["enabled"] = True
-        return doc
-
-    def _xray_plane(self) -> Any:
-        """The shared mochi-xray plane (critical paths + attribution),
-        reachable through the kernel; ``None`` when no process on the
-        cluster enabled xray."""
-        return getattr(self.margo.kernel, "xray_plane", None)
-
-    def _on_get_critical_path(self, ctx: RequestContext) -> Generator:
-        """Recorded per-request critical paths (most recent first is the
-        caller's job; the ring is in recording order).  Args:
-        ``{"last": N}`` limits the reply, ``{"trace_id": T}`` filters to
-        one trace.  ``{"enabled": False}`` without an xray plane."""
-        yield Compute(OP_COST)
-        plane = self._xray_plane()
-        if plane is None:
-            return {
-                "enabled": False,
-                "process": self.margo.process.name,
-                "paths": [],
-            }
-        args = ctx.args or {}
-        unknown = set(args) - {"last", "trace_id"}
-        if unknown:
-            raise BedrockError(f"unknown get_critical_path keys: {sorted(unknown)}")
-        return {
-            "enabled": True,
-            "process": self.margo.process.name,
-            "paths": plane.critical_paths(
-                last=args.get("last"), trace_id=args.get("trace_id")
-            ),
-        }
-
-    def _on_get_attribution(self, ctx: RequestContext) -> Generator:
-        """Per-window tail-latency attribution + what-if rankings.
-        Args: ``{"last": N}`` limits to the N most recent closed
-        windows.  ``{"enabled": False}`` without an xray plane."""
-        yield Compute(OP_COST)
-        plane = self._xray_plane()
-        if plane is None:
-            return {
-                "enabled": False,
-                "process": self.margo.process.name,
-                "windows": [],
-            }
-        args = ctx.args or {}
-        unknown = set(args) - {"last"}
-        if unknown:
-            raise BedrockError(f"unknown get_attribution keys: {sorted(unknown)}")
-        return {
-            "enabled": True,
-            "process": self.margo.process.name,
-            "windows": plane.attribution(last=args.get("last")),
-        }
-
-    def _contain_introspection(self, operation: str, handler: Any) -> Any:
-        """Wrap an introspection handler: failures become error responses
-        plus a ``bedrock_introspection_errors`` tick, never a dead ULT."""
-
-        def guarded(ctx: RequestContext) -> Generator:
-            try:
-                result = handler(ctx)
-                if isinstance(result, Generator):
-                    result = yield from result
-                return result
-            except Exception as err:
-                self._introspection_errors.inc()
-                raise BedrockError(
-                    f"introspection operation {operation!r} failed: "
-                    f"{type(err).__name__}: {err}"
-                ) from err
-
-        guarded.__name__ = f"_guarded_{operation}"
-        return guarded
-
     def _on_query(self, ctx: RequestContext) -> Generator:
         yield Compute(OP_COST)
-        return self.query(ctx.args["script"])
+        try:
+            return self.query(ctx.args["script"])
+        except Exception as err:
+            self._introspection_errors.inc()
+            raise BedrockError(f"query failed: {type(err).__name__}: {err}") from err
 
     def _on_list_providers(self, ctx: RequestContext) -> Generator:
         yield Compute(OP_COST)
@@ -781,7 +574,7 @@ class BedrockServer(Provider):
         self._execute_stop({"name": name})
         self._migrations.inc()
         self._migrated_bytes.inc(report.total_bytes)
-        plane = self._health_plane()
+        plane = getattr(self.margo.network, "health_plane", None)
         if plane is not None:
             plane.note_migration(
                 name,
@@ -912,6 +705,57 @@ class BedrockServer(Provider):
 
     def _release_locks(self, txid: str) -> None:
         self._locks = {e: t for e, t in self._locks.items() if t != txid}
+
+
+def _profile_doc(margo: MargoInstance) -> Any:
+    profiler = margo.profiler
+    if profiler is None:
+        return None
+    return dict(profiler.profile(), utilization=profiler.utilization())
+
+
+def _health_doc(margo: MargoInstance, incidents: bool) -> Any:
+    plane = getattr(margo.network, "health_plane", None)
+    if plane is None:
+        return None
+    doc = plane.incidents.to_json() if incidents else plane.health_doc()
+    return dict(doc, process=margo.process.name)
+
+
+def _xray_doc(margo: MargoInstance) -> Any:
+    plane = getattr(margo.kernel, "xray_plane", None)
+    if plane is None:
+        return None
+    return {"paths": plane.critical_paths(), "windows": plane.attribution()}
+
+
+#: The names a query reads besides its own variables, and their builders.
+_DOCUMENTS: dict[str, Callable[[MargoInstance], Any]] = {
+    "__metrics__": lambda m: m.metrics.snapshot() if m.metrics.enabled else None,
+    "__traces__": lambda m: None if m.tracer is None else chrome_trace(m.tracer),
+    "__profile__": _profile_doc,
+    "__health__": lambda m: _health_doc(m, incidents=False),
+    "__incidents__": lambda m: _health_doc(m, incidents=True),
+    "__slo__": lambda m: None if m.slo_engine is None else m.slo_engine.status(),
+    "__xray__": _xray_doc,
+}
+
+
+class _Documents(dict):
+    """What a query reads: ``__config__`` and one document per observer
+    plane (``null`` when the plane is off).  Each is built on first
+    read, at most once per query, as a fresh tree: neither the script
+    nor its reply can reach plane state."""
+
+    def __init__(self, server: BedrockServer) -> None:
+        super().__init__()
+        self._server = server
+
+    def __missing__(self, name: str) -> Any:
+        server = self._server
+        doc = server.get_config() if name == "__config__" else _DOCUMENTS[name](server.margo)
+        self[name] = doc = deepcopy(doc)
+        return doc
 
 
 class _BoundRemi:

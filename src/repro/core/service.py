@@ -356,9 +356,10 @@ class ReconfigurationController:
     """Autonomic monitor -> decide -> reconfigure loop (ROADMAP north
     star: the paper's "performance introspection" made actionable).
 
-    Each control cycle the controller queries every live process's
-    Bedrock ``get_profile`` / ``get_utilization`` RPCs, reduces the
-    measured windows to per-provider loads with a
+    Each control cycle the controller sends every live process's
+    Bedrock one ``query`` for its last profile windows and xstream
+    utilization (``$__profile__``), reduces the measured windows to
+    per-provider loads with a
     :class:`~repro.observability.profile.LoadEstimator`, and compares
     them against the declarative thresholds of the processes'
     :class:`~repro.observability.ObservabilitySpec`:
@@ -375,7 +376,7 @@ class ReconfigurationController:
     two identical runs produce byte-identical decision traces (tested).
 
     When a process runs mochi-xray, each cycle additionally queries the
-    latest tail-attribution window over Bedrock ``get_attribution`` and
+    latest tail-attribution window (``$__xray__``) and
     records the top-ranked what-if action under ``decision["xray"]``.
     With ``apply_xray_actions`` the controller *acts* on ``add_xstream``
     recommendations whose predicted p99 improvement clears
@@ -452,19 +453,20 @@ class ReconfigurationController:
             process = service.processes[name]
             if not process.alive:
                 continue
-            handle = service.handle_for(name)
-            profile = yield from handle.get_profile(last=self.estimator.smoothing)
-            if not profile.get("enabled"):
+            profile = yield from service.handle_for(name).query(
+                "if ($__profile__ == null) { return null; }"
+                ' return {"windows": array_slice($__profile__.windows, -%d),'
+                ' "xstreams": $__profile__.utilization.xstreams};' % self.estimator.smoothing
+            )
+            if profile is None:
                 continue
             estimates[name] = self.estimator.estimate(profile)
-            windows = profile.get("windows", [])
+            windows = profile["windows"]
             windows_used[name] = (
                 [windows[0]["index"], windows[-1]["index"]] if windows else None
             )
-            utilization = yield from handle.get_utilization()
-            xstreams = utilization.get("xstreams", {})
             busy[name] = max(
-                (s["utilization"] for s in xstreams.values()), default=0.0
+                (s["utilization"] for s in profile["xstreams"].values()), default=0.0
             )
         placement = service.measured_placement(estimates)
         imbalance = placement.load_imbalance()
@@ -548,10 +550,13 @@ class ReconfigurationController:
                 break
         if source is None:
             return None
-        reply = yield from service.handle_for(source).get_attribution(last=1)
-        if not reply.get("enabled") or not reply["windows"]:
+        windows = yield from service.handle_for(source).query(
+            "if ($__xray__ == null) { return null; }"
+            " return array_slice($__xray__.windows, -1);"
+        )
+        if not windows:  # no xray plane (null) or no closed window yet
             return None
-        window = reply["windows"][-1]
+        window = windows[-1]
         attribution = window["attribution"]
         actions = window["whatif"]["actions"]
         top = actions[0] if actions else None

@@ -8,7 +8,7 @@ Entry points:
   ``watch_raft`` / ``watch_resilience`` individually).
 * ``ObservabilitySpec.slos`` -- declarative objectives evaluated by a
   per-process :class:`SLOEngine` against profiler windows.
-* Bedrock ``get_health`` / ``get_incidents`` / ``get_slo_status`` RPCs,
+* Bedrock queries over ``$__health__`` / ``$__incidents__`` / ``$__slo__``,
   ``tools.health_report`` / ``tools.fault_report``, and
   ``repro health {crash,slo}`` (scenarios in :mod:`repro.scenarios`).
 """

@@ -166,14 +166,9 @@ class IncidentLog:
         return incident
 
     # ------------------------------------------------------------------
-    def to_json(self, last: Optional[int] = None) -> dict[str, Any]:
-        incidents = [i.to_json() for i in self.incidents]
-        if last is not None:
-            if last < 0:
-                raise ValueError(f"'last' must be >= 0, got {last}")
-            incidents = incidents[-last:] if last else []
+    def to_json(self) -> dict[str, Any]:
         return {
             "opened": self._opened,
             "open": len(self._open_by_target),
-            "incidents": incidents,
+            "incidents": [i.to_json() for i in self.incidents],
         }

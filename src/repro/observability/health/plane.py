@@ -22,8 +22,8 @@ request fast path (gated by ``BENCH_HEALTH.json``).
 
 The plane installs itself as ``cluster.health`` and as
 ``network.health_plane`` -- the network object is reachable from every
-Margo instance, which is how the Bedrock ``get_health``/``get_incidents``
-introspection RPCs find it without new plumbing.
+Margo instance, which is how Bedrock queries reading ``$__health__`` /
+``$__incidents__`` find it without new plumbing.
 """
 
 from __future__ import annotations
@@ -285,7 +285,7 @@ class HealthPlane:
             return address
 
     def health_doc(self) -> dict[str, Any]:
-        """The cluster health snapshot served by ``get_health``."""
+        """The cluster health snapshot (a query's ``$__health__``)."""
         now = self.kernel.now
         return {
             "time": now,

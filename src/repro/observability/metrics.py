@@ -8,7 +8,7 @@ replaces those with one registry per process: components register
 **counters**, **gauges** and **histograms** (optionally labelled) into
 ``margo.metrics``, and the whole process state becomes one deterministic
 JSON snapshot -- queryable at run time through Bedrock
-(``bedrock_get_metrics``) and dumped alongside the Listing-1 statistics
+(a ``$__metrics__`` query) and dumped alongside the Listing-1 statistics
 document on finalize.
 
 Determinism: metrics carry no wall-clock timestamps; snapshots are

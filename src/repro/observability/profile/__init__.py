@@ -7,7 +7,7 @@ Layered on the PR 1 tracer/metrics plane:
   windowed rollups (p50/p95/p99, rates, utilization) with deterministic
   window boundaries;
 * :class:`ContinuousProfiler` -- the per-Margo sampler + monitor that
-  fills the store and answers ``get_profile`` / ``get_utilization``;
+  fills the store that Bedrock queries read as ``$__profile__``;
 * :class:`LoadEstimator` -- measured windows reduced to Pufferscale
   ``Shard.load`` / ``size`` inputs, closing the monitor -> decide ->
   reconfigure loop.

@@ -7,8 +7,8 @@ continuous profiler actually measured -- per-provider request rates and
 payload bytes over the last ``smoothing`` closed windows -- so the
 rebalancing loop runs on observations instead of assumptions.
 
-The estimator is pure arithmetic over ``get_utilization``/``get_profile``
-documents: no I/O, no clocks, fully deterministic.
+The estimator is pure arithmetic over profile documents
+(``$__profile__``): no I/O, no clocks, fully deterministic.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ class LoadEstimator:
         self.smoothing = smoothing
 
     def estimate(self, profile_doc: dict[str, Any]) -> dict[str, dict[str, float]]:
-        """Per-provider-key estimates from one process's ``get_profile``
-        document: ``{provider_key: {load, bytes_in, bytes_out}}``."""
+        """Per-provider-key estimates from one process's profile windows
+        (``profile_doc["windows"]``): ``{provider_key: {load, bytes_in, bytes_out}}``."""
         windows = profile_doc.get("windows", [])[-self.smoothing:]
         if not windows:
             return {}

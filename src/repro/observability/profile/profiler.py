@@ -24,7 +24,7 @@ Two data paths feed one :class:`~.store.ProfileStore`:
   ``tools.profile_report`` and the Chrome-trace exporter.
 
 Determinism: all timestamps are simulated; windows, rings, and JSON
-reductions are seed-pure, so ``get_profile`` documents are byte-
+reductions are seed-pure, so ``$__profile__`` documents are byte-
 identical across identical runs (tested, including under
 ``REPRO_SANITIZE=race`` record mode).
 """

@@ -26,8 +26,8 @@ end to end:
 At every closed profiler window the plane runs tail-latency
 attribution (:func:`~.attribution.attribute_paths`) and the what-if
 engine (:func:`~.whatif.what_if`) over the window's records and
-appends the resulting document to a bounded ring, which Bedrock's
-``get_attribution`` / ``get_critical_path`` RPCs serve.
+appends the resulting document to a bounded ring, which Bedrock
+queries read as ``$__xray__``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class XrayPlane:
 
     Bounded everywhere: at most ``max_paths`` records per window (the
     overflow is counted, never silently dropped), ``max_paths`` recent
-    records for ``get_critical_path``, and ``history`` closed windows.
+    records for ``$__xray__.paths``, and ``history`` closed windows.
     """
 
     def __init__(self, kernel: Any, max_paths: int = 256, history: int = 64) -> None:
@@ -112,13 +112,9 @@ class XrayPlane:
             windows = windows[-last:] if last > 0 else []
         return windows
 
-    def critical_paths(
-        self, last: Optional[int] = None, trace_id: Optional[str] = None
-    ) -> list[dict[str, Any]]:
-        """Recent path records, optionally filtered to one trace."""
+    def critical_paths(self, last: Optional[int] = None) -> list[dict[str, Any]]:
+        """The last ``last`` path records (all retained when None)."""
         records = list(self.recent)
-        if trace_id is not None:
-            records = [r for r in records if r["trace_id"] == trace_id]
         if last is not None:
             last = int(last)
             records = records[-last:] if last > 0 else []

@@ -157,7 +157,7 @@ def test_mch005_flags_swallowing_hooks_and_introspection():
                     pass
 
         class Server:
-            def _on_get_health(self, ctx):
+            def on_respond(self, ctx):
                 try:
                     return self.plane.health_doc()
                 except KeyError:

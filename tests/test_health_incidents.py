@@ -116,35 +116,26 @@ def test_get_health_and_incidents_rpcs():
     cluster, margo, ctl, handle = _health_rig()
     cluster.health.registry.observe("kv0", "degraded", "test")
     cluster.health.incidents.open("crash", "kv0", fault_kind="process")
-    doc = cluster.run_ult(ctl, handle.get_health())
-    assert doc["enabled"] is True and doc["process"] == "kv0"
+    doc = cluster.run_ult(ctl, handle.query("return $__health__;"))
+    assert doc["process"] == "kv0"
     assert doc["states"] == {"kv0": "degraded"}
     assert doc["open_incidents"] == 1
-    incidents = cluster.run_ult(ctl, handle.get_incidents())
-    assert incidents["enabled"] is True
+    incidents = cluster.run_ult(ctl, handle.query("return $__incidents__;"))
+    assert incidents["process"] == "kv0"
     assert [i["id"] for i in incidents["incidents"]] == ["INC-1"]
     cluster.health.incidents.open("crash", "other")
-    limited = cluster.run_ult(ctl, handle.get_incidents(last=1))
-    assert [i["id"] for i in limited["incidents"]] == ["INC-2"]
+    limited = cluster.run_ult(
+        ctl, handle.query("return array_slice($__incidents__.incidents, -1);")
+    )
+    assert [i["id"] for i in limited] == ["INC-2"]
 
 
 def test_get_slo_status_rpc():
     cluster, margo, ctl, handle = _health_rig()
-    status = cluster.run_ult(ctl, handle.get_slo_status())
-    assert status["enabled"] is True
+    status = cluster.run_ult(ctl, handle.query("return $__slo__;"))
     assert [s["slo"] for s in status["slos"]] == ["kv-err"]
     assert status["slos"][0]["state"] == "ok"
     assert status["slos"][0]["windows_seen"] > 0  # traffic was measured
-
-
-def test_health_rpcs_disabled_paths():
-    cluster, margo, ctl, handle = _health_rig(slos=False, plane=False)
-    doc = cluster.run_ult(ctl, handle.get_health())
-    assert doc == {"enabled": False, "process": "kv0"}
-    incidents = cluster.run_ult(ctl, handle.get_incidents())
-    assert incidents["enabled"] is False
-    status = cluster.run_ult(ctl, handle.get_slo_status())
-    assert status["enabled"] is False and status["slos"] == []
 
 
 # ----------------------------------------------------------------------

@@ -103,6 +103,9 @@ def test_builtins():
     assert jx9_execute('return array_values({"a": 7});') == [7]
     assert jx9_execute("return max(1, 5) + min(2, 0) + abs(-3);") == 8
     assert jx9_execute("return is_array([]) && is_object({}) && is_string(\"s\");") is True
+    for args, sliced in [("-2", [3, 4]), ("1, 2", [2, 3]), ("-3, -1", [2, 3]),
+                         ("-9, 2", [1, 2]), ("1, -9", []), ("9", [])]:
+        assert jx9_execute(f"return array_slice([1, 2, 3, 4], {args});") == sliced
 
 
 def test_comments():
@@ -117,6 +120,17 @@ def test_unknown_function_rejected():
 def test_step_budget():
     with pytest.raises(Jx9Error, match="steps"):
         jx9_execute("$i = 0; while (true) { $i = $i + 1; }", max_steps=1000)
+    # What a script builds pays the budget: a doubled string per byte, a
+    # stored container per node copied (a DAG cannot escape as a tree).
+    for script in ['$s = "x";' + " $s = $s + $s;" * 25 + " return $s;",
+                   "$a = [];" + " $a = [$a, $a];" * 20 + " return $a;"]:
+        with pytest.raises(Jx9Error, match="steps"):
+            jx9_execute(script)
+    # Stored values are copies: no aliasing, no cycles, no deep nests.
+    assert jx9_execute("$a = [1]; $b = [$a]; $a[0] = 2; $a[0] = $a; return [$a, $b];") == [
+        [[2]], [[1]]]
+    with pytest.raises(Jx9Error, match="nests"):
+        jx9_execute("$a = []; while (true) { $a = [$a]; }")
 
 
 def test_syntax_errors():
@@ -137,6 +151,11 @@ def test_runtime_type_errors():
         jx9_execute("return 1 / 0;")
     with pytest.raises(Jx9Error):
         jx9_execute("return array_push(5, 1);")
+    for script in ['return "x" * 100000000;', 'return -"x";', "return [1] + [2];",
+                   'return "a" + [1];', "return strlen(5);", "$a = [1]; $a[7] = 0;"]:
+        with pytest.raises(Jx9Error):
+            jx9_execute(script)
+    assert jx9_execute("$x = 3037000500; return $x * $x;") == 3037000500.0**2
 
 
 def test_parameterized_config_generation():

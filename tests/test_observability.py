@@ -432,60 +432,62 @@ def test_metrics_spec_disables_snapshot_but_not_counters():
 # ----------------------------------------------------------------------
 # bedrock query surface
 # ----------------------------------------------------------------------
-def test_bedrock_serves_metrics_and_traces():
+def _remote_query(doc):
+    """Boot ``doc`` as process "server"; returns a function running one
+    Bedrock query from a client process."""
     cluster = Cluster(seed=41)
-    margo, bedrock = boot_process(
-        cluster,
-        "server",
-        "n0",
-        {
-            "margo": {"observability": {"tracing": True}},
-            "libraries": {"yokan": "libyokan.so"},
-            "providers": [
-                {
-                    "name": "db",
-                    "type": "yokan",
-                    "provider_id": 1,
-                    "config": {"database": {"type": "map"}},
-                }
-            ],
-        },
-    )
+    margo, _ = boot_process(cluster, "server", "n0", doc)
     client_margo = cluster.add_margo("client", node="nc")
     handle = BedrockClient(client_margo).make_service_handle(margo.address)
+    return lambda script: cluster.run_ult(client_margo, handle.query(script))
 
-    def driver():
-        metrics = yield from handle.get_metrics()
-        traces = yield from handle.get_traces()
-        return metrics, traces
 
-    metrics, traces = cluster.run_ult(client_margo, driver())
+def test_bedrock_serves_metrics_and_traces():
+    query = _remote_query({
+        "margo": {"observability": {"tracing": True}},
+        "libraries": {"yokan": "libyokan.so"},
+        "providers": [{"name": "db", "type": "yokan", "provider_id": 1,
+                       "config": {"database": {"type": "map"}}}],
+    })
+    metrics = query("return $__metrics__;")
+    traces = query("return $__traces__;")
     # The metrics document is the remote registry snapshot...
     assert metrics["bedrock_providers_started"]["series"][""]["value"] == 1.0
-    # The snapshot is taken *inside* the get_metrics handler, so that
-    # very RPC shows up as an in-flight handler ULT.
+    # The snapshot is taken *inside* the query handler, so that very
+    # RPC shows up as an in-flight handler ULT.
     assert metrics["margo_inflight_incoming"]["series"][""]["value"] == 1.0
     assert "margo_rpcs_handled" in metrics
     # ...and the trace document is Chrome trace-event shaped, already
-    # containing the server-side spans of the get_metrics call itself.
+    # containing the server-side spans of the first query itself.
     assert traces["displayTimeUnit"] == "ms"
     assert any(
-        e["name"] == "bedrock_get_metrics" and e["cat"] == "handler"
+        e["name"] == "bedrock_query" and e["cat"] == "handler"
         for e in traces["traceEvents"]
     )
 
 
-def test_bedrock_get_traces_without_tracer_is_empty():
-    cluster = Cluster(seed=41)
-    margo, _ = boot_process(cluster, "server", "n0", {})
-    client_margo = cluster.add_margo("client", node="nc")
-    handle = BedrockClient(client_margo).make_service_handle(margo.address)
+PLANES = ["__metrics__", "__traces__", "__profile__", "__health__", "__incidents__",
+          "__slo__", "__xray__"]
 
-    def driver():
-        return (yield from handle.get_traces())
 
-    traces = cluster.run_ult(client_margo, driver())
-    assert traces == {"traceEvents": [], "displayTimeUnit": "ms"}
+@pytest.mark.parametrize("name", PLANES)
+def test_absent_plane_reads_null(name):
+    query = _remote_query({"margo": {"observability": {"metrics": False}}})
+    assert query(f"return ${name};") is None
+
+
+def test_config_query_builds_no_plane_document(monkeypatch):
+    from repro.bedrock import server
+
+    built = []
+    for name in PLANES:
+        monkeypatch.setitem(server._DOCUMENTS, name, lambda m, name=name: built.append(name))
+    query = _remote_query({})
+    assert query("$r = []; foreach ($__config__.providers as $p) { array_push($r, $p.name); }"
+                 " return $r;") == []
+    assert built == []
+    query("return [$__slo__, $__slo__];")
+    assert built == ["__slo__"]  # built on first read, once per query
 
 
 # ----------------------------------------------------------------------

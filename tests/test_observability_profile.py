@@ -321,84 +321,67 @@ def test_bedrock_get_profile_rpc():
     cluster, ctl, handle, _bedrock = _bedrock_rig()
 
     def query():
-        full = yield from handle.get_profile()
-        last2 = yield from handle.get_profile(last=2)
+        full = yield from handle.query("return $__profile__;")
+        last2 = yield from handle.query("return array_slice($__profile__.windows, -2);")
         return full, last2
 
     full, last2 = cluster.run_ult(ctl, query())
-    assert full["enabled"] is True
     assert full["process"] == "kv0"
     assert len(full["windows"]) > 2
-    assert len(last2["windows"]) == 2
-    assert last2["windows"] == full["windows"][-2:]
+    assert last2 == full["windows"][-2:]
     measured = [w for w in full["windows"] if "yokan:1" in w["providers"]]
     assert measured and all(w["providers"]["yokan:1"]["rate"] > 0 for w in measured)
 
 
 def test_bedrock_get_utilization_rpc():
     cluster, ctl, handle, _bedrock = _bedrock_rig()
-
-    def query():
-        return (yield from handle.get_utilization())
-
-    doc = cluster.run_ult(ctl, query())
-    assert doc["enabled"] is True
+    doc = cluster.run_ult(ctl, handle.query("return $__profile__.utilization;"))
     assert doc["window"] == 0.05
     assert "__primary__" in doc["xstreams"]
     assert 0.0 <= doc["xstreams"]["__primary__"]["utilization"] <= 1.0
 
 
-def test_bedrock_profile_disabled_degrades_gracefully():
-    cluster, ctl, handle, _bedrock = _bedrock_rig(profiling=False)
+def test_query_reply_shares_nothing_with_plane_state():
+    """Neither a caller mutating a reply nor a script mutating its
+    document reaches the profiler's store."""
+    cluster, ctl, handle, _bedrock = _bedrock_rig()
 
-    def query():
-        profile = yield from handle.get_profile()
-        utilization = yield from handle.get_utilization()
-        return profile, utilization
+    def windows():
+        return cluster.run_ult(ctl, handle.query("return $__profile__.windows;"))
 
-    profile, utilization = cluster.run_ult(ctl, query())
-    assert profile == {"enabled": False, "process": "kv0", "windows": []}
-    assert utilization["enabled"] is False
+    reply = windows()
+    before = json.dumps(reply, sort_keys=True)
+    reply[0]["providers"].clear()
+    reply[0]["index"] = -7
+    assert json.dumps(windows(), sort_keys=True) == before
+    script = "$__profile__.windows[0].index = 5; return $__profile__.windows[0].index;"
+    assert cluster.run_ult(ctl, handle.query(script)) == 5
+    assert json.dumps(windows(), sort_keys=True) == before
 
 
 def test_malformed_introspection_contained():
-    """A malformed query degrades to an error response + counter tick;
-    the Bedrock server stays fully operational afterwards."""
+    """A malformed or over-budget query degrades to an error response +
+    counter tick; the Bedrock server stays fully operational afterwards."""
     cluster, ctl, handle, bedrock = _bedrock_rig()
     assert bedrock._introspection_errors.value == 0
+    nested_copies = "$a = [];" + " $a = [$a, $a];" * 20 + " return $a;"
+    for ticks, script in enumerate(
+        ["return $__profile__.windows[;", nested_copies, "definitely not jx9 $$$"], 1
+    ):
+        with pytest.raises(RpcFailedError, match="query"):
+            cluster.run_ult(ctl, handle.query(script))
+        assert bedrock._introspection_errors.value == ticks
 
-    def bad_get_profile():
-        yield from ctl.forward(
-            handle.address, "bedrock_get_profile", {"bogus": 1}, provider_id=0
-        )
-
-    with pytest.raises(RpcFailedError, match="get_profile"):
-        cluster.run_ult(ctl, bad_get_profile())
-    assert bedrock._introspection_errors.value == 1
-
-    def bad_query():
-        yield from handle.query("definitely not jx9 $$$")
-
-    with pytest.raises(RpcFailedError, match="query"):
-        cluster.run_ult(ctl, bad_query())
-    assert bedrock._introspection_errors.value == 2
-
-    # Still alive: a well-formed introspection RPC succeeds afterwards.
-    def good():
-        return (yield from handle.get_metrics())
-
-    snapshot = cluster.run_ult(ctl, good())
-    assert snapshot["bedrock_introspection_errors"]["series"][""]["value"] == 2
+    # Still alive: a well-formed query succeeds afterwards.
+    snapshot = cluster.run_ult(ctl, handle.query("return $__metrics__;"))
+    assert snapshot["bedrock_introspection_errors"]["series"][""]["value"] == 3
 
 
 def test_get_profile_json_identical_across_bedrock_runs():
     def run():
         cluster, ctl, handle, _bedrock = _bedrock_rig(seed=33)
-
-        def query():
-            return (yield from handle.get_profile())
-
-        return json.dumps(cluster.run_ult(ctl, query()), sort_keys=True)
+        profile = cluster.run_ult(ctl, handle.query("return $__profile__;"))
+        return json.dumps(profile, sort_keys=True)
 
     assert run() == run()
 

@@ -289,33 +289,23 @@ def test_bedrock_xray_rpcs():
     cluster.run(until=cluster.now + 0.02)
 
     handle = BedrockClient(client).make_service_handle(margo.address)
-    paths = cluster.run_ult(client, handle.get_critical_path())
-    assert paths["enabled"]
-    assert paths["paths"]
-    one = paths["paths"][0]
-    filtered = cluster.run_ult(
-        client, handle.get_critical_path(trace_id=one["trace_id"])
+    xray = cluster.run_ult(client, handle.query("return $__xray__;"))
+    assert xray["paths"]
+    one = json.dumps(xray["paths"][0]["trace_id"])
+    filtered = cluster.run_ult(client, handle.query(
+        f"$out = []; foreach ($__xray__.paths as $p) {{ if ($p.trace_id == {one}) "
+        "{ array_push($out, $p); } } return $out;"
+    ))
+    assert filtered and all(json.dumps(r["trace_id"]) == one for r in filtered)
+    limited = cluster.run_ult(client, handle.query("return array_slice($__xray__.paths, -3);"))
+    assert len(limited) <= 3
+
+    attribution = cluster.run_ult(
+        client, handle.query("return array_slice($__xray__.windows, -2);")
     )
-    assert all(r["trace_id"] == one["trace_id"] for r in filtered["paths"])
-    limited = cluster.run_ult(client, handle.get_critical_path(last=3))
-    assert len(limited["paths"]) <= 3
-
-    attribution = cluster.run_ult(client, handle.get_attribution(last=2))
-    assert attribution["enabled"]
-    assert attribution["windows"]
-    window = attribution["windows"][-1]
+    assert attribution
+    window = attribution[-1]
     assert {"attribution", "whatif", "requests", "index"} <= set(window)
-
-
-def test_bedrock_xray_rpcs_disabled():
-    cluster = Cluster(seed=13)
-    margo, _bedrock = boot_process(cluster, "srv", "n0", {})
-    client = cluster.add_margo("cli", node="n1")
-    handle = BedrockClient(client).make_service_handle(margo.address)
-    paths = cluster.run_ult(client, handle.get_critical_path())
-    assert paths == {"enabled": False, "process": "srv", "paths": []}
-    attribution = cluster.run_ult(client, handle.get_attribution())
-    assert attribution == {"enabled": False, "process": "srv", "windows": []}
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Acceptance scenario (ISSUE 10): a service runs with a deliberately
 under-provisioned pool; the controller reads the xray plane's what-if
-ranking over Bedrock ``get_attribution``, applies the top-ranked
+ranking over a Bedrock ``$__xray__`` query, applies the top-ranked
 ``add_xstream`` action, and on the next cycle records the *realized*
 p99 improvement next to the prediction.  The realized improvement must
 be at least ``REALIZATION_FACTOR`` of the predicted one -- the factor
