@@ -144,12 +144,14 @@ ARMS = {
 #: commit before the one that introduced it (EXPERIMENTS.md "Overhead
 #: gates"), rounded down.  The matching shares are printed as info.
 RACE_US = 8.1
-PROFILED_SAMPLED_US = 4.8
-XRAY_SAMPLED_US = 5.1
-#: Halfway between the medians of three runs each before (29.83) and
-#: after (12.83) the runtime stopped calling the hooks of planes that
-#: sampled a request out.
-TRACED_SAMPLED_US = 21.3
+#: The sampled planes' bounds are halfway between the medians of three
+#: runs each before and after a change that cut them, rounded down: for
+#: these three, before (4.16 / 5.01 / 13.09) and after (3.86 / 4.60 /
+#: 7.76) the trace decision became an integer on a slotted request and
+#: hook sites stopped calling hooks that do not listen.
+PROFILED_SAMPLED_US = 4.0
+XRAY_SAMPLED_US = 4.8
+TRACED_SAMPLED_US = 10.4
 
 #: (group, base arm, test arm, statistic, bound or None = informational).
 ROWS = [

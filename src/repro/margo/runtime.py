@@ -20,6 +20,7 @@ RPCs to handler ULTs in per-registration pools, and exposes:
 from __future__ import annotations
 
 import json
+import zlib
 from collections import deque
 from collections.abc import Generator
 from dataclasses import dataclass
@@ -43,6 +44,7 @@ from ..mercury import (
     rpc_id_of,
     serialize_cost,
 )
+from ..mercury.hg import NO_TRACE
 from ..observability.metrics import MetricsRegistry
 from ..observability.profile import SAMPLE_STAMP, ContinuousProfiler
 from ..observability.span import HANDLER_SUFFIX, child_span_id
@@ -128,7 +130,11 @@ class RequestContext:
             margo.process, self.request.src_address, response, response.wire_size
         )
         if self.observed is not None:
-            margo._fire(self.observed, "on_respond", request=self.request, response=response)
+            for fn in self.observed["on_respond"][1]:
+                try:
+                    fn(time=margo.kernel.now, margo=margo, request=self.request, response=response)
+                except Exception:
+                    margo._monitor_errors.inc()
 
 
 @dataclass
@@ -225,6 +231,8 @@ class MargoInstance:
         # formatting their report labels fresh each time is measurable.
         self._race_labels: dict[Any, str] = {}
         self._seq = 0
+        # A root call's trace_crc is CRC-32 of "<origin>:<seq>", prefix once.
+        self._origin_crc = zlib.crc32(f"{process.name}:".encode("utf-8"))
         self._pending: dict[int, tuple[UltEvent, RPCRequest, float]] = {}
         self._incoming: deque[Any] = deque()
 
@@ -343,12 +351,12 @@ class MargoInstance:
         ``charge`` counts every attached monitor with that hook (what an
         observed request pays, pre-charged into an adjacent Compute),
         ``fns`` are the hooks, minus ``Monitor``'s base no-ops, of the
-        monitors that see that outcome: profiler and xray only
-        profile-kept requests, the tracer only trace-kept ones, any
-        other monitor all; the last table, every monitor's, also serves
-        the hooks of no request (bulk transfer, finalize).  With every
-        monitor riding the profile stamp the profile-dropped entries are
-        ``None``: unobserved, uncharged."""
+        monitors that see that outcome (called inline by the hook site, a
+        raise counted in ``margo_monitor_errors``): profiler and xray only
+        profile-kept requests, the tracer only trace-kept ones, any other
+        monitor all; the last table, every monitor's, also serves the
+        hooks of no request (bulk transfer, finalize).  With every monitor
+        riding the profile stamp the profile-dropped entries are ``None``."""
         self.monitors = monitors
         if not monitors:
             self._tables = None
@@ -381,25 +389,6 @@ class MargoInstance:
             for profile_kept in (False, True)
             for trace_kept in (False, True)
         )
-
-    def _fire(self, table: dict[str, tuple], hook: str, **kwargs: Any) -> int:
-        """Call ``table``'s ``hook`` functions; return its charge (the
-        RPC path charges ``monitoring_cost_per_event`` per attached hook).
-
-        The ``Monitor`` contract says hooks must not raise; if one does
-        anyway, the failure is contained here -- counted in
-        ``margo_monitor_errors`` -- rather than crashing the RPC fast
-        path: a monitoring failure must never take the data path down.
-        """
-        charge, fns = table[hook]
-        if fns:
-            now = self.kernel.now
-            for fn in fns:
-                try:
-                    fn(time=now, margo=self, **kwargs)
-                except Exception:
-                    self._monitor_errors.inc()
-        return charge
 
     # ------------------------------------------------------------------
     # ULT utilities
@@ -507,20 +496,22 @@ class MargoInstance:
         # has a deterministic span id (RPCRequest formats it when an
         # observer asks); a call issued from inside a handler joins its
         # parent's trace as a child of the handler span, so nested RPCs
-        # form one causal tree.  Positional: keywords cost more than stores.
+        # form one causal tree and share its trace_crc (``NO_TRACE``: the
+        # first tracer's decision computes it).  Positional: keywords cost more.
         process = self.process
         if parent is None:
             request = RPCRequest(
                 seq, rpc_id_of(rpc_name), rpc_name, provider_id, args, payload_size,
-                process.address, address, NULL_RPC, NULL_PROVIDER, process.name,
+                process.address, address, NULL_RPC, NULL_PROVIDER, process.name, "", "",
+                NO_TRACE if self.tracer is None else zlib.crc32(b"%d" % seq, self._origin_crc),
             )
         else:
-            trace_id = getattr(parent, "trace_id", "")
+            trace_id = parent.trace_id
             request = RPCRequest(
                 seq, rpc_id_of(rpc_name), rpc_name, provider_id, args, payload_size,
-                process.address, address, parent.rpc_id, parent.provider_id,
-                process.name, trace_id,
-                child_span_id(parent.span_id, HANDLER_SUFFIX) if trace_id else "",
+                process.address, address, parent.rpc_id, parent.provider_id, process.name,
+                trace_id, child_span_id(parent.span_id, HANDLER_SUFFIX) if trace_id else "",
+                parent.trace_crc if trace_id else NO_TRACE,
             )
         started = self.kernel.now
         # Observability fast path: one decision per request picks the
@@ -542,20 +533,31 @@ class MargoInstance:
                 else:
                     prof._sample_seq += 1
                     weight = every if prof._sample_seq % every == 1 else 0
-                setattr(request, SAMPLE_STAMP, weight)
+                request._profile_sample_weight = weight  # SAMPLE_STAMP
                 if weight == 0:
                     kept = 0
             tracer = self.tracer
-            observed = tables[kept + (tracer is None or tracer.keeps(request))]
+            if tracer is None or request.trace_crc < tracer._sample_cutoff or (
+                request.trace_crc == NO_TRACE and tracer.keeps(request)
+            ):
+                kept += 1
+            elif request.trace_crc != NO_TRACE:
+                tracer.sampled_out += 1
+            observed = tables[kept]
         if observed is not None:
-            fired = self._fire(observed, "on_forward_start", request=request)
+            charge, fns = observed["on_forward_start"]
+            for fn in fns:
+                try:
+                    fn(time=started, margo=self, request=request)
+                except Exception:
+                    self._monitor_errors.inc()
             # The on_forward_sent firing below is pre-charged here: one
             # Compute covers both hooks (identical modeled cost) instead
             # of a second kernel event on every monitored send.
-            fired += observed["on_forward_sent"][0]
+            charge += observed["on_forward_sent"][0]
             yield Compute(
                 serialize_cost(payload_size)
-                + fired * self.config.monitoring_cost_per_event
+                + charge * self.config.monitoring_cost_per_event
             )
         else:
             yield Compute(serialize_cost(payload_size))
@@ -566,7 +568,11 @@ class MargoInstance:
         self.rpcs_sent += 1
         known = self.network.send(self.process, address, request, request.wire_size)
         if observed is not None:
-            self._fire(observed, "on_forward_sent", request=request)
+            for fn in observed["on_forward_sent"][1]:
+                try:
+                    fn(time=self.kernel.now, margo=self, request=request)
+                except Exception:
+                    self._monitor_errors.inc()
         if not known and timeout is None:
             # The destination does not exist and no timeout would ever
             # fire: fail fast instead of hanging the simulation.
@@ -584,16 +590,16 @@ class MargoInstance:
             )
         response: RPCResponse = value
         if observed is not None:
-            fired = self._fire(
-                observed,
-                "on_response_received",
-                request=request,
-                response=response,
-                elapsed=self.kernel.now - started,
-            )
+            charge, fns = observed["on_response_received"]
+            for fn in fns:
+                try:
+                    fn(time=self.kernel.now, margo=self, request=request, response=response,
+                       elapsed=self.kernel.now - started)
+                except Exception:
+                    self._monitor_errors.inc()
             yield Compute(
                 deserialize_cost(response.payload_size)
-                + fired * self.config.monitoring_cost_per_event
+                + charge * self.config.monitoring_cost_per_event
             )
         else:
             yield Compute(deserialize_cost(response.payload_size))
@@ -644,14 +650,12 @@ class MargoInstance:
         yield UltSleep(duration)
         self.network.bytes_sent += size
         if self._tables is not None:
-            self._fire(
-                self._tables[-1],
-                "on_bulk_transfer",
-                remote=remote_address,
-                size=size,
-                op=op,
-                duration=self.kernel.now - started,
-            )
+            for fn in self._tables[-1]["on_bulk_transfer"][1]:
+                try:
+                    fn(time=self.kernel.now, margo=self, remote=remote_address, size=size,
+                       op=op, duration=self.kernel.now - started)
+                except Exception:
+                    self._monitor_errors.inc()
         return duration
 
     # ------------------------------------------------------------------
@@ -672,9 +676,19 @@ class MargoInstance:
                 if weight == 0:
                     kept = 0
             tracer = self.tracer
-            observed = tables[kept + (tracer is None or tracer.keeps(request))]
+            if tracer is None or request.trace_crc < tracer._sample_cutoff or (
+                request.trace_crc == NO_TRACE and tracer.keeps(request)
+            ):
+                kept += 1
+            elif request.trace_crc != NO_TRACE:
+                tracer.sampled_out += 1
+            observed = tables[kept]
         if observed is not None:
-            self._fire(observed, "on_request_received", request=request)
+            for fn in observed["on_request_received"][1]:
+                try:
+                    fn(time=self.kernel.now, margo=self, request=request)
+                except Exception:
+                    self._monitor_errors.inc()
         key = (request.rpc_id, request.provider_id)
         if _race.ENABLED:
             label = self._race_labels.get(key)
@@ -699,7 +713,11 @@ class MargoInstance:
         )
         registration.pool.push(ult)
         if observed is not None:
-            self._fire(observed, "on_ult_enqueued", request=request, pool=registration.pool)
+            for fn in observed["on_ult_enqueued"][1]:
+                try:
+                    fn(time=enqueued_at, margo=self, request=request, pool=registration.pool)
+                except Exception:
+                    self._monitor_errors.inc()
 
     def _handler_body(
         self,
@@ -714,10 +732,15 @@ class MargoInstance:
         queued_for = self.kernel.now - enqueued_at
         ult_started = self.kernel.now
         if observed is not None:
-            fired = self._fire(observed, "on_ult_start", request=request, queued_for=queued_for)
+            charge, fns = observed["on_ult_start"]
+            for fn in fns:
+                try:
+                    fn(time=ult_started, margo=self, request=request, queued_for=queued_for)
+                except Exception:
+                    self._monitor_errors.inc()
             yield Compute(
                 deserialize_cost(request.payload_size)
-                + fired * self.config.monitoring_cost_per_event
+                + charge * self.config.monitoring_cost_per_event
             )
         else:
             yield Compute(deserialize_cost(request.payload_size))
@@ -758,13 +781,12 @@ class MargoInstance:
         # "ult"/"duration" aggregates).
         duration = self.kernel.now - ult_started
         if observed is not None:
-            self._fire(
-                observed,
-                "on_ult_complete",
-                request=request,
-                duration=duration,
-                queued_for=queued_for,
-            )
+            for fn in observed["on_ult_complete"][1]:
+                try:
+                    fn(time=self.kernel.now, margo=self, request=request, duration=duration,
+                       queued_for=queued_for)
+                except Exception:
+                    self._monitor_errors.inc()
         self.inflight_incoming -= 1
         self.rpcs_handled += 1
         if context._responded:
@@ -781,7 +803,11 @@ class MargoInstance:
         )
         self.network.send(self.process, request.src_address, response, response.wire_size)
         if observed is not None:
-            self._fire(observed, "on_respond", request=request, response=response)
+            for fn in observed["on_respond"][1]:
+                try:
+                    fn(time=self.kernel.now, margo=self, request=request, response=response)
+                except Exception:
+                    self._monitor_errors.inc()
 
     def _dispatch_response(self, response: RPCResponse) -> None:
         pending = self._pending.pop(response.seq, None)
@@ -921,7 +947,11 @@ class MargoInstance:
         if _race.ENABLED:
             _race.check_margo_shutdown(self)
         if self._tables is not None:
-            self._fire(self._tables[-1], "on_finalize")
+            for fn in self._tables[-1]["on_finalize"][1]:
+                try:
+                    fn(time=self.kernel.now, margo=self)
+                except Exception:
+                    self._monitor_errors.inc()
         if self.profiler is not None:
             self.profiler.stop()
         for xstream in self.xstreams.values():

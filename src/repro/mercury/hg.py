@@ -11,7 +11,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 __all__ = [
     "rpc_id_of",
@@ -46,28 +46,27 @@ def rpc_id_of(name: str) -> int:
     return zlib.crc32(name.encode("utf-8")) & 0xFFFFFFFF
 
 
-class _lazy:
-    """A value computed on first read and stored in the instance dict.
-
-    ``functools.cached_property`` without its lock: on Python 3.11 its
-    first read takes an ``RLock``, and a simulated request is only ever
-    read from one thread.  Not a data descriptor, so the stored value
-    shadows it from then on.
-    """
-
-    def __init__(self, fn: Callable[[Any], Any]) -> None:
-        self.fn = fn
-        self.__doc__ = fn.__doc__
-
-    def __get__(self, obj: Any, owner: Any = None) -> Any:
-        if obj is None:
-            return self
-        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
-        return value
+#: ``RPCRequest.trace_crc`` before it is known, or of a call in no trace:
+#: above every CRC-32, so no sample rate keeps it.
+NO_TRACE = 1 << 32
 
 
-@dataclass
-class RPCRequest:
+def trace_crc_of(trace_id: str) -> int:
+    """What trace sampling compares: the trace id's (seed-free) CRC-32."""
+    return zlib.crc32(trace_id.encode("utf-8")) if trace_id else NO_TRACE
+
+
+class _RequestStamps:
+    """Observer stamps and cached ids: declared slots, unset until set, so
+    ``getattr(request, name, default)`` reads "not stamped" as ``default``."""
+
+    __slots__ = ("_profile_sample_weight", "_profile_fwd_start", "_profile_sent_at",
+                 "_profile_received_at", "_profile_ult_start_at", "_profile_ult_end_at",
+                 "_xray_edges", "_span_id", "_trace_id")
+
+
+@dataclass(slots=True)
+class RPCRequest(_RequestStamps):
     """A request message on the wire."""
 
     seq: int
@@ -87,27 +86,44 @@ class RPCRequest:
     origin: str = ""
     parent_trace_id: str = ""
     parent_span_id: str = ""
+    #: ``trace_crc_of(trace_id)``, set by a traced forward without
+    #: formatting ``trace_id``; else the first tracer's decision sets it.
+    trace_crc: int = NO_TRACE
 
     #: Fixed header size added to the payload on the wire.
     HEADER_SIZE = 64
 
-    @_lazy
+    @property
     def span_id(self) -> str:
         """This call's id: deterministic, unique per calling process."""
-        return f"{self.origin}:{self.seq}" if self.origin else ""
+        try:
+            return self._span_id
+        except AttributeError:
+            value = self._span_id = f"{self.origin}:{self.seq}" if self.origin else ""
+            return value
 
-    @_lazy
+    @property
     def trace_id(self) -> str:
         """The causal tree this call belongs to (a root call names it)."""
-        return self.parent_trace_id or self.span_id
+        try:
+            return self._trace_id
+        except AttributeError:
+            value = self._trace_id = self.parent_trace_id or self.span_id
+            return value
 
     @property
     def wire_size(self) -> int:
         return self.HEADER_SIZE + self.payload_size
 
 
-@dataclass
-class RPCResponse:
+class _ResponseStamps:
+    """The profiler's respond stamp, a declared slot unset until stamped."""
+
+    __slots__ = ("_profile_responded_at",)
+
+
+@dataclass(slots=True)
+class RPCResponse(_ResponseStamps):
     """A response message on the wire."""
 
     seq: int

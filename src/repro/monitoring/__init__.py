@@ -9,14 +9,13 @@ a :class:`PeriodicSampler` for pool-size / in-flight-RPC time series.
 from .monitor import CallbackMonitor, HOOK_NAMES, Monitor
 from .sampler import PeriodicSampler
 from .statistics import RunningStats
-from .stats_monitor import StatisticsMonitor, rpc_key
+from .stats_monitor import StatisticsMonitor
 
 __all__ = [
     "Monitor",
     "CallbackMonitor",
     "HOOK_NAMES",
     "StatisticsMonitor",
-    "rpc_key",
     "PeriodicSampler",
     "RunningStats",
 ]

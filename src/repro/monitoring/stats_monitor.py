@@ -20,15 +20,7 @@ from typing import Any, Callable, Optional
 from .monitor import Monitor
 from .statistics import RunningStats
 
-__all__ = ["StatisticsMonitor", "rpc_key"]
-
-
-def rpc_key(request: Any) -> str:
-    """Listing-1 context key for a request."""
-    return (
-        f"{request.parent_rpc_id}:{request.parent_provider_id}:"
-        f"{request.rpc_id}:{request.provider_id}"
-    )
+__all__ = ["StatisticsMonitor"]
 
 
 class _RpcRecord:
@@ -47,15 +39,6 @@ class _RpcRecord:
         self.origin: dict[str, dict[str, RunningStats]] = {}
         # target: per source address -> phase -> RunningStats
         self.target: dict[str, dict[str, RunningStats]] = {}
-
-    def _phase(self, side: dict, peer: str, phase: str) -> RunningStats:
-        phases = side.get(peer)
-        if phases is None:
-            phases = side[peer] = {}
-        stats = phases.get(phase)
-        if stats is None:
-            stats = phases[phase] = RunningStats()
-        return stats
 
     def to_json(self) -> dict[str, Any]:
         def render(side: dict[str, dict[str, RunningStats]], prefix: str) -> dict:
@@ -101,6 +84,8 @@ class StatisticsMonitor(Monitor):
     def __init__(self, dump_callback: Optional[Callable[[str], None]] = None) -> None:
         #: (parent_rpc_id, parent_provider_id, rpc_id, provider_id) -> record
         self._rpcs: dict[tuple[int, int, int, int], _RpcRecord] = {}
+        #: (those four ints, peer, phase) -> RunningStats: a hook's one lookup
+        self._stats: dict[tuple, RunningStats] = {}
         self._bulk = RunningStats()
         self._bulk_bytes = RunningStats()
         #: id(request) -> forward start, for forwards not yet on the wire.
@@ -117,6 +102,12 @@ class StatisticsMonitor(Monitor):
             record = self._rpcs[key] = _RpcRecord(request)
         return record
 
+    def _new_stats(self, key: tuple, request: Any, side: str) -> RunningStats:
+        """``key``'s stats, made in the nested record (the JSON's order)."""
+        stats = self._stats[key] = RunningStats()
+        getattr(self._record(request), side).setdefault(key[4], {})[key[5]] = stats
+        return stats
+
     # ---- origin (client) side ----------------------------------------
     def on_forward_start(self, time: float, margo: Any, request: Any) -> None:
         self._pending_forward[id(request)] = time
@@ -127,31 +118,58 @@ class StatisticsMonitor(Monitor):
         started = self._pending_forward.pop(id(request), None)
         if started is None:
             return
-        record = self._record(request)
         # wire-bound serialization+send phase
-        record._phase(record.origin, request_dst(request, margo), "serialize") \
-            .update(time - started)
+        key = (request.parent_rpc_id, request.parent_provider_id, request.rpc_id,
+               request.provider_id, request.dst_address, "serialize")
+        (self._stats.get(key) or self._new_stats(key, request, "origin")).update(time - started)
 
     def on_response_received(
         self, time: float, margo: Any, request: Any, response: Any, elapsed: float
     ) -> None:
-        record = self._record(request)
-        record._phase(record.origin, request_dst(request, margo), "forward").update(elapsed)
+        key = (request.parent_rpc_id, request.parent_provider_id, request.rpc_id,
+               request.provider_id, request.dst_address, "forward")
+        (self._stats.get(key) or self._new_stats(key, request, "origin")).update(elapsed)
 
     # ---- target (server) side ----------------------------------------
+    # Run for every RPC a server handles: one lookup, RunningStats.update inline.
     def on_request_received(self, time: float, margo: Any, request: Any) -> None:
-        record = self._record(request)
-        record._phase(record.target, request.src_address, "received").update(0.0)
+        key = (request.parent_rpc_id, request.parent_provider_id, request.rpc_id,
+               request.provider_id, request.src_address, "received")
+        stats = self._stats.get(key)
+        if stats is None:
+            self._new_stats(key, request, "target").update(0.0)
+        else:
+            stats.num += 1  # every sample is 0.0: after the first, only num moves
 
     def on_ult_start(self, time: float, margo: Any, request: Any, queued_for: float) -> None:
-        record = self._record(request)
-        record._phase(record.target, request.src_address, "ult_queued").update(queued_for)
+        key = (request.parent_rpc_id, request.parent_provider_id, request.rpc_id,
+               request.provider_id, request.src_address, "ult_queued")
+        stats = self._stats.get(key) or self._new_stats(key, request, "target")
+        stats.num += 1
+        stats.sum += queued_for
+        if queued_for < stats.min:
+            stats.min = queued_for
+        if queued_for > stats.max:
+            stats.max = queued_for
+        delta = queued_for - stats._mean
+        stats._mean += delta / stats.num
+        stats._m2 += delta * (queued_for - stats._mean)
 
     def on_ult_complete(
         self, time: float, margo: Any, request: Any, duration: float, queued_for: float
     ) -> None:
-        record = self._record(request)
-        record._phase(record.target, request.src_address, "ult_duration").update(duration)
+        key = (request.parent_rpc_id, request.parent_provider_id, request.rpc_id,
+               request.provider_id, request.src_address, "ult_duration")
+        stats = self._stats.get(key) or self._new_stats(key, request, "target")
+        stats.num += 1
+        stats.sum += duration
+        if duration < stats.min:
+            stats.min = duration
+        if duration > stats.max:
+            stats.max = duration
+        delta = duration - stats._mean
+        stats._mean += delta / stats.num
+        stats._m2 += delta * (duration - stats._mean)
 
     # ---- bulk ----------------------------------------------------------
     def on_bulk_transfer(
@@ -195,8 +213,3 @@ class StatisticsMonitor(Monitor):
     def num_contexts(self) -> int:
         return len(self._rpcs)
 
-
-def request_dst(request: Any, margo: Any) -> str:
-    """Label of the peer the request was sent to."""
-    dst = getattr(request, "dst_address", None)
-    return dst if dst is not None else f"provider {request.provider_id}"

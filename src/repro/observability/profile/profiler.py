@@ -39,12 +39,8 @@ from .store import PHASES, ProfileStore
 
 __all__ = ["ContinuousProfiler", "PHASES"]
 
-#: Attribute names stamped on in-flight RPCRequest/RPCResponse objects
-#: (plain dataclasses, shared across the simulated wire) so the two
-#: endpoint profilers can close cross-process phases exactly.
-_SENT_STAMP = "_profile_sent_at"
-_ULT_END_STAMP = "_profile_ult_end_at"
-_RESPONDED_STAMP = "_profile_responded_at"
+#: The endpoint profilers close cross-process phases exactly through the
+#: ``_profile_*`` stamp slots of the in-flight request and response.
 #: Sampling decision stamp: 0 = not sampled (skip all decomposition),
 #: N >= 1 = sampled with weight N.  Whichever endpoint profiler sees the
 #: request first decides, so both halves agree and cross-process phases
@@ -53,7 +49,6 @@ _RESPONDED_STAMP = "_profile_responded_at"
 #: because the Margo runtime reads it to pick the per-request hook table
 #: (``MargoInstance.forward`` / ``_dispatch_request``).
 SAMPLE_STAMP = "_profile_sample_weight"
-_SAMPLE_STAMP = SAMPLE_STAMP
 
 
 def _provider_key(rpc_name: str, provider_id: int) -> str:
@@ -295,7 +290,7 @@ class ContinuousProfiler:
         the request decides and stamps; the other endpoint reuses the
         stamp.  The Margo RPC paths decide before the first lifecycle
         hook and call the hooks below for stamped-in requests only."""
-        weight = getattr(request, _SAMPLE_STAMP, None)
+        weight = getattr(request, SAMPLE_STAMP, None)
         if weight is None:
             if self.sample_every == 1:
                 weight = 1
@@ -306,7 +301,7 @@ class ContinuousProfiler:
                     if self._sample_seq % self.sample_every == 1
                     else 0
                 )
-            setattr(request, _SAMPLE_STAMP, weight)
+            request._profile_sample_weight = weight
         return weight
 
     # client side ------------------------------------------------------
@@ -317,12 +312,12 @@ class ContinuousProfiler:
         started = getattr(request, "_profile_fwd_start", None)
         if started is not None:
             self._phase(request, "client_queue", time - started)
-        setattr(request, _SENT_STAMP, time)
+        request._profile_sent_at = time
 
     def on_response_received(
         self, time: float, margo: Any, request: Any, response: Any, elapsed: float
     ) -> None:
-        responded = getattr(response, _RESPONDED_STAMP, None)
+        responded = getattr(response, "_profile_responded_at", None)
         if responded is not None:
             self._phase(request, "respond", time - responded)
         self._phase(request, "total", elapsed)
@@ -331,7 +326,7 @@ class ContinuousProfiler:
 
     # server side ------------------------------------------------------
     def on_request_received(self, time: float, margo: Any, request: Any) -> None:
-        sent = getattr(request, _SENT_STAMP, None)
+        sent = getattr(request, "_profile_sent_at", None)
         if sent is not None:
             self._phase(request, "network", time - sent)
         request._profile_received_at = time
@@ -343,7 +338,7 @@ class ContinuousProfiler:
         self.store.current.note_request(
             _provider_key(request.rpc_name, request.provider_id),
             request.payload_size,
-            weight=getattr(request, _SAMPLE_STAMP),
+            weight=request._profile_sample_weight,
         )
         request._profile_ult_start_at = time
 
@@ -351,24 +346,24 @@ class ContinuousProfiler:
         self, time: float, margo: Any, request: Any, duration: float, queued_for: float
     ) -> None:
         self._phase(request, "handler", duration)
-        setattr(request, _ULT_END_STAMP, time)
+        request._profile_ult_end_at = time
 
     def on_respond(self, time: float, margo: Any, request: Any, response: Any) -> None:
         self.store.current.note_response(
             _provider_key(request.rpc_name, request.provider_id),
             response.payload_size,
             error=response.status != STATUS_OK,
-            weight=getattr(request, _SAMPLE_STAMP),
+            weight=request._profile_sample_weight,
         )
-        setattr(response, _RESPONDED_STAMP, time)
+        response._profile_responded_at = time
 
     # waterfall assembly (client side, all stamps present) -------------
     def _maybe_record_waterfall(self, now: float, request: Any, response: Any) -> None:
         fwd_start = getattr(request, "_profile_fwd_start", None)
-        sent = getattr(request, _SENT_STAMP, None)
+        sent = getattr(request, "_profile_sent_at", None)
         received = getattr(request, "_profile_received_at", None)
         ult_start = getattr(request, "_profile_ult_start_at", None)
-        ult_end = getattr(request, _ULT_END_STAMP, None)
+        ult_end = getattr(request, "_profile_ult_end_at", None)
         if None in (fwd_start, sent, received, ult_start, ult_end):
             return  # peer not profiled: no cross-process stamps
         self.waterfalls.append(
@@ -378,7 +373,7 @@ class ContinuousProfiler:
                 "rpc": request.rpc_name,
                 "provider": request.provider_id,
                 "process": self.margo.process.name,
-                "weight": getattr(request, _SAMPLE_STAMP, 1),
+                "weight": getattr(request, SAMPLE_STAMP, 1),
                 "start": fwd_start,
                 "end": now,
                 "phases": [

@@ -30,9 +30,9 @@ them at export time.
 
 from __future__ import annotations
 
-import zlib
 from typing import Any, Optional
 
+from ..mercury.hg import trace_crc_of
 from .span import (
     HANDLER_SUFFIX,
     QUEUE_SUFFIX,
@@ -74,8 +74,8 @@ class Tracer:
     RPCs; the tracer only appends to in-memory structures.  ``max_spans``
     bounds memory for long runs (oldest spans are retained; once the cap
     is hit new spans are dropped and counted in :attr:`dropped_spans`).
-    Sampling is one :meth:`keeps` decision per request per endpoint: the
-    runtime calls the request hooks of kept requests only, and still
+    Sampling is one decision per request per endpoint (:meth:`keeps`):
+    the runtime calls the request hooks of kept requests only, and still
     charges a dropped one for them (the decision selects calls, never
     simulated cost).
     """
@@ -96,7 +96,7 @@ class Tracer:
         self._sample_cutoff = int(sample_rate * (1 << 32))
         self.spans: list[Span] = []
         self.dropped_spans = 0
-        #: requests :meth:`keeps` dropped, counted once per endpoint (a
+        #: requests the sampling decision dropped, once per endpoint (a
         #: request dropped by client and server counts twice; distinct
         #: from ``dropped_spans``, the max_spans overflow count).
         self.sampled_out = 0
@@ -118,25 +118,18 @@ class Tracer:
             return
         self.spans.append(span)
 
-    def _sampled(self, trace_id: str) -> bool:
-        if self.sample_rate >= 1.0:
-            return True
-        return zlib.crc32(trace_id.encode("utf-8")) < self._sample_cutoff
-
     def keeps(self, request: Any) -> bool:
-        """The per-request decision: does this endpoint trace ``request``?
+        """Whether this tracer keeps ``request``'s trace, from the trace id;
+        sets ``request.trace_crc`` on the way.
 
-        The Margo runtime asks once per request, before the first hook,
-        and calls the request hooks below only when the answer is yes,
-        so they do no sampling of their own.
+        The Margo runtime decides once per request and endpoint, before
+        the first hook, and calls the request hooks below only for a kept
+        request, so they do no sampling of their own.  It compares
+        ``trace_crc`` with ``_sample_cutoff`` inline, asks here only while
+        that is ``NO_TRACE``, and counts what it drops in ``sampled_out``.
         """
-        trace_id = request.trace_id
-        if not trace_id:
-            return False
-        if self._sampled(trace_id):
-            return True
-        self.sampled_out += 1
-        return False
+        request.trace_crc = trace_crc_of(request.trace_id)
+        return request.trace_crc < self._sample_cutoff
 
     # ------------------------------------------------------------------
     # client-side hooks
@@ -264,7 +257,7 @@ class Tracer:
         self._manual_seq += 1
         span_id = f"bulk:{margo.process.name}:{self._manual_seq}"
         trace_id = context.trace_id if context else span_id
-        if not self._sampled(trace_id):
+        if trace_crc_of(trace_id) >= self._sample_cutoff:
             return
         self._add(
             Span(
@@ -353,12 +346,6 @@ class Tracer:
 
     def trace_ids(self) -> list[str]:
         return sorted({s.trace_id for s in self.spans})
-
-    def spans_of(self, trace_id: str) -> list[Span]:
-        return sorted(
-            (s for s in self.spans if s.trace_id == trace_id),
-            key=lambda s: (s.start, s.span_id),
-        )
 
     def to_json(self) -> dict[str, Any]:
         spans = sorted(self.spans, key=lambda s: (s.trace_id, s.start, s.span_id))

@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Optional
 
-from ..profile.profiler import _SAMPLE_STAMP, _SENT_STAMP, _ULT_END_STAMP
+from ..profile.profiler import SAMPLE_STAMP
 from .attribution import attribute_paths
 from .whatif import what_if
 
@@ -167,10 +167,10 @@ class XrayRecorder:
         if edges is None:
             return
         fwd_start = getattr(request, "_profile_fwd_start", None)
-        sent = getattr(request, _SENT_STAMP, None)
+        sent = getattr(request, "_profile_sent_at", None)
         received = getattr(request, "_profile_received_at", None)
         ult_start = getattr(request, "_profile_ult_start_at", None)
-        ult_end = getattr(request, _ULT_END_STAMP, None)
+        ult_end = getattr(request, "_profile_ult_end_at", None)
         if None in (fwd_start, sent, received, ult_start, ult_end):
             return  # peer not profiled: cross-process stamps missing
         client = self.margo.process.name
@@ -241,7 +241,7 @@ class XrayRecorder:
                 "span_id": request.span_id,
                 "rpc": request.rpc_name,
                 "provider": request.provider_id,
-                "weight": getattr(request, _SAMPLE_STAMP, 1),
+                "weight": getattr(request, SAMPLE_STAMP, 1),
                 "client": client,
                 "server": server,
                 "start": fwd_start,

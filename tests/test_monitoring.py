@@ -1,5 +1,6 @@
 """Tests for the monitoring subsystem: hooks, statistics, Listing-1 JSON."""
 
+import hashlib
 import json
 
 import pytest
@@ -341,3 +342,67 @@ def test_monitor_base_hooks_are_noops():
     server.register("echo", lambda ctx: ctx.args)
     assert cluster.run_ult(client, client.forward(server.address, "echo", 1)) == 1
     assert all(table[hook] == (1, ()) for table in client._tables for hook in HOOK_NAMES)
+
+
+# ----------------------------------------------------------------------
+# Listing-1 bytes, pinned
+# ----------------------------------------------------------------------
+#: SHA-256 of the scenario below's documents: every monitor's ``dumps()``
+#: and its ``to_json()`` in insertion order.  Taken before the hooks
+#: flattened their lookups and inlined the Welford update; neither may
+#: move one float bit or reorder one record.
+LISTING1_DIGEST = "cba5955c2e876039ac39612ccb4932e1d4da9053a79c0d75df6c0a981854adb5"
+
+
+def listing1_documents():
+    """A ``StatisticsMonitor`` on each of client, relay and leaf: echoes,
+    a nested forward, a timed-out RPC, and bulk transfers on both sides."""
+    cluster = Cluster(seed=3)
+    monitors = {name: StatisticsMonitor() for name in ("client", "relay", "leaf")}
+    client, relay, leaf = (
+        cluster.add_margo(name, node=f"n{i}", monitors=(monitors[name],))
+        for i, name in enumerate(monitors)
+    )
+    relay.register("echo", lambda ctx: ctx.args)
+    leaf.register("leaf_get", lambda ctx: ctx.args * 2, provider_id=7)
+
+    def relay_call(ctx):
+        value = yield from relay.forward(leaf.address, "leaf_get", ctx.args, provider_id=7)
+        return value + 1
+
+    def slow(ctx):
+        yield Compute(1e-3)
+        return "late"
+
+    def pull(ctx):
+        yield from relay.bulk_transfer(ctx.source, 1 << 16)
+        return "pulled"
+
+    relay.register("relay_call", relay_call, provider_id=3)
+    relay.register("slow", slow)
+    relay.register("pull", pull)
+
+    def driver():
+        for i in range(4):
+            yield from client.forward(relay.address, "echo", "x" * i)
+            yield from client.forward(relay.address, "relay_call", i, provider_id=3)
+        with pytest.raises(RpcTimeoutError):
+            yield from client.forward(relay.address, "slow", timeout=1e-5)
+        yield from client.forward(relay.address, "pull")
+        yield from client.bulk_transfer(relay.address, 1 << 12)
+
+    cluster.run_ult(client, driver())
+    cluster.run()  # the timed-out handler completes; its late reply is dropped
+    return [[name, m.dumps(), m.to_json()] for name, m in monitors.items()]
+
+
+def test_listing1_documents_are_pinned():
+    docs = listing1_documents()
+    # The scenario reaches every phase it means to.
+    relay_doc = json.loads(docs[1][1])
+    assert relay_doc["bulk"]["size"]["num"] == 1
+    assert {r["name"] for r in relay_doc["rpcs"].values()} == {
+        "echo", "relay_call", "slow", "pull", "leaf_get",
+    }
+    digest = hashlib.sha256(json.dumps(docs).encode()).hexdigest()
+    assert digest == LISTING1_DIGEST

@@ -15,6 +15,7 @@ from repro import Cluster
 from repro.bedrock import BedrockClient, boot_process
 from repro.margo import MargoConfig
 from repro.margo.errors import ConfigError
+from repro.monitoring import CallbackMonitor
 from repro.observability import (
     DEFAULT_BUCKETS,
     MetricError,
@@ -158,28 +159,64 @@ def test_sharing_a_margo_reading_gets_its_value_and_a_clear_error():
 # ----------------------------------------------------------------------
 # satellite: a faulty monitor must not take the data path down
 # ----------------------------------------------------------------------
-def test_faulty_monitor_contained_and_counted():
-    class ExplodingMonitor:
-        def on_forward_start(self, **kwargs):
-            # The raise is the point: the runtime must contain it.
-            raise RuntimeError("monitor bug")  # mochi-lint: disable=MCH013 -- faulty-hook fixture
+#: Every hook an RPC fires, by side; the client pays 3 per RPC, the server 5.
+CLIENT_HOOKS = ("on_forward_start", "on_forward_sent", "on_response_received")
+SERVER_HOOKS = (
+    "on_request_received", "on_ult_enqueued", "on_ult_start", "on_ult_complete", "on_respond",
+)
 
-        def on_ult_start(self, **kwargs):
-            raise ValueError("another monitor bug")  # mochi-lint: disable=MCH013 -- faulty-hook fixture
+
+def _boom(**kwargs):
+    # The raise is the point: every hook site must contain it.
+    raise RuntimeError("monitor bug")
+
+
+def test_faulty_monitor_contained_and_counted():
+    """A monitor raising in every request hook and in on_bulk_transfer:
+    each site counts exactly one error per raise, the RPC still
+    succeeds, and a healthy monitor sharing the site still fires."""
+    hooks = CLIENT_HOOKS + SERVER_HOOKS + ("on_bulk_transfer",)
+    fired = []
+
+    def monitors():
+        healthy = CallbackMonitor(
+            {h: (lambda _h=h, **kw: fired.append((kw["margo"].process.name, _h))) for h in hooks}
+        )
+        return CallbackMonitor({h: _boom for h in hooks}), healthy
 
     cluster = Cluster(seed=1)
-    server = cluster.add_margo("server", node="n0", monitors=(ExplodingMonitor(),))
-    client = cluster.add_margo("client", node="n1", monitors=(ExplodingMonitor(),))
+    server = cluster.add_margo("server", node="n0", monitors=monitors())
+    client = cluster.add_margo("client", node="n1", monitors=monitors())
     server.register("echo", lambda ctx: ctx.args)
 
-    def driver():
-        return (yield from client.forward(server.address, "echo", "payload"))
+    def early(ctx):
+        yield from ctx.respond("early")  # on_respond from RequestContext.respond
 
-    # The RPC succeeds despite both monitors raising on the fast path...
-    assert cluster.run_ult(client, driver()) == "payload"
-    # ...and the failures are visible in the error counter.
-    assert client.monitor_errors >= 1
-    assert server.monitor_errors >= 1
+    def pull(ctx):
+        yield from server.bulk_transfer(ctx.source, 1 << 10)
+        return "pulled"
+
+    server.register("early", early)
+    server.register("pull", pull)
+
+    def call(rpc):
+        return (yield from client.forward(server.address, rpc, "payload"))
+
+    for rpc, reply, bulk in (("echo", "payload", 0), ("early", "early", 0), ("pull", "pulled", 1)):
+        before = (client.monitor_errors, server.monitor_errors)
+        fired.clear()
+        assert cluster.run_ult(client, call(rpc)) == reply
+        cluster.run()
+        assert client.monitor_errors - before[0] == 3
+        assert server.monitor_errors - before[1] == 5 + bulk
+        assert sorted(fired) == sorted(
+            [("client", h) for h in CLIENT_HOOKS]
+            + [("server", h) for h in SERVER_HOOKS + ("on_bulk_transfer",) * bulk]
+        )
+    fired.clear()
+    cluster.run_ult(client, client.bulk_transfer(server.address, 1 << 10))
+    assert (client.monitor_errors, server.monitor_errors) == (10, 16)
+    assert fired == [("client", "on_bulk_transfer")]
 
 
 def test_faulty_monitor_does_not_starve_healthy_monitors():
