@@ -1,9 +1,9 @@
 # CI as a script: every gate the workflow runs, runnable locally with no
 # network.  `make ci` is what .github/workflows/ci.yml calls, target by
 # target; `gates` comes last because it is the only wall-clock target:
-# the runtime checker (record mode), sampled profiler and sampled xray
-# are gated in normalised µs per RPC (`added_us`), the off-path rows as
-# ratios.
+# the runtime checker (record mode), sampled profiler, sampled xray and
+# sampled tracing are gated in normalised µs per RPC (`added_us`); the
+# off-path arms are priced in exact call counts by tier-1 `test`.
 
 PY := PYTHONPATH=src python
 

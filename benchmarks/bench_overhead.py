@@ -13,19 +13,22 @@ interleaved in palindrome-ordered paired rounds (``_harness.run_rounds``)
 so machine drift cancels within a round.  A row's statistic is
 
 * ``overhead`` -- ``1 - 1/r`` for ``r`` the median per-round wall ratio
-  test/base; gated rows fail at ``>= bound``;
-* ``ratio`` -- ``r`` itself; fails at ``> bound``;
-* ``ratio_and_best`` -- ``r`` and the ratio of the two arms' best walls;
-  fails only when *both* exceed the bound (a real leak taxes every
-  sample, noise on a shared runner rarely inflates both);
+  test/base;
+* ``ratio`` -- ``r`` itself;
 * ``added_us`` -- the median per-round test-minus-base cost in µs per
   RPC, each round normalised by the e2e benchmark's calibration loop
   (``benchmarks/e2e/measure.calibrate``) so that it reads as µs on the
-  reference machine; fails at ``> bound``.  An observer's fixed per-RPC
-  cost is gated here rather than as a share, which grows every time the
-  RPC path gets cheaper;
+  reference machine.  An observer's fixed per-RPC cost is gated here
+  rather than as a share, which grows every time the RPC path gets
+  cheaper;
 
-and a bound of ``None`` makes the row informational.  Groups are kept
+and a row fails when its value is above its bound; a bound of ``None``
+makes the row informational.  Only ``added_us`` rows are gated.  The
+wall ratios of the off-path arms (a plane off, cycled, or on and idle
+against its base) are informational: their promise, no call per
+request, is checked as exact Python call counts by
+``tests/test_offpath_calls.py`` over these same ``ARMS``, with the same
+verdict on every host.  Groups are kept
 small on purpose: the further apart two paired runs sit inside a round,
 the more drift reads as phantom overhead, so each xray gate has its own
 two-arm group.
@@ -155,15 +158,15 @@ TRACED_SAMPLED_US = 10.4
 
 #: (group, base arm, test arm, statistic, bound or None = informational).
 ROWS = [
-    ("race", "kernel", "kernel_race_on", "overhead", 0.10),
+    ("race", "kernel", "kernel_race_on", "overhead", None),
     ("race_rpc", "rpc_off", "rpc_race_on", "added_us", RACE_US),
     ("race_rpc", "rpc_off", "rpc_race_on", "overhead", None),
-    ("offpath", "rpc_off", "rpc_race_cycled", "ratio_and_best", 1.02),
-    ("offpath", "rpc_off", "rpc_explicit_off", "ratio_and_best", 1.02),
-    ("health", "rpc_off", "rpc_health_on", "ratio", 1.02),
+    ("offpath", "rpc_off", "rpc_race_cycled", "ratio", None),
+    ("offpath", "rpc_off", "rpc_explicit_off", "ratio", None),
+    ("health", "rpc_off", "rpc_health_on", "ratio", None),
     ("profiled_sampled", "rpc_off", "rpc_profiled_sampled", "added_us", PROFILED_SAMPLED_US),
     ("profiled_sampled", "rpc_off", "rpc_profiled_sampled", "overhead", None),
-    ("xray_offpath", "rpc_profiled_unsampled", "rpc_xray_unsampled", "ratio", 1.02),
+    ("xray_offpath", "rpc_profiled_unsampled", "rpc_xray_unsampled", "ratio", None),
     ("xray_sampled", "rpc_off", "rpc_xray_sampled", "added_us", XRAY_SAMPLED_US),
     ("xray_sampled", "rpc_off", "rpc_xray_sampled", "overhead", None),
     ("xray_full", "rpc_off", "rpc_xray_full", "overhead", None),
@@ -246,7 +249,6 @@ def compare(groups: dict) -> list[dict]:
         best_wall = arms[test]["wall_s"] / arms[base]["wall_s"]
         if statistic == "overhead":
             value = 1.0 - 1.0 / ratio
-            failed = bound is not None and value >= bound
         elif statistic == "added_us":
             # An arm's round wall covers two runs of n RPCs each.
             scale = CALIB_REF_S / (2 * groups[group]["sizes"]["n_rpcs"]) * 1e6
@@ -254,12 +256,9 @@ def compare(groups: dict) -> list[dict]:
                 [(r[test] - r[base]) / calib * scale
                  for r, calib in zip(rounds, groups[group]["round_calib_s"])]
             )
-            failed = bound is not None and value > bound
         else:
             value = ratio
-            failed = bound is not None and ratio > bound
-            if statistic == "ratio_and_best":
-                failed = failed and best_wall > bound
+        failed = bound is not None and value > bound
         verdict = "info" if bound is None else "FAIL" if failed else "pass"
         out.append(
             dict(group=group, base=base, test=test, statistic=statistic, value=value,

@@ -8,7 +8,7 @@ documents must cross-reference consistently.  This package enforces all
 of that three ways:
 
 * a static pass (:mod:`repro.analysis.engine`, ``repro lint``):
-  file-scope, whole-program and path-sensitive rules in one pipeline;
+  file-scope and whole-program rules in one pipeline;
 * a configuration check (:mod:`repro.analysis.config_check`) that runs
   Bedrock's own boot checks on config files, so files and boots agree;
 * one runtime checker (:mod:`repro.analysis.race`; ``REPRO_SANITIZE=1``

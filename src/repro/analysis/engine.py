@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
-from . import flow, interproc, rules  # noqa: F401 - register the static rules
+from . import interproc, rules  # noqa: F401 - register the static rules
 from .config_check import validate_config_file  # also registers MCH020
 from .findings import Finding, Severity
 from .interproc.callgraph import ProjectIndex, build_project

@@ -2,7 +2,7 @@
 
 The file-scope rules see one file at a time; everything here sees the
 program, through the project index (:mod:`callgraph`) and the effect
-fixpoint (:mod:`effects`, MCH014/MCH015) the engine builds once per
+fixpoint (:mod:`effects`, MCH014) the engine builds once per
 run: RPC contracts (:mod:`contracts`, MCH050-MCH052), partition safety
 (:mod:`partition`, MCH060) and migration coverage (:mod:`migration`,
 MCH061).  Importing this package registers those rules.

@@ -14,7 +14,7 @@ MCH011/MCH012/MCH070 violation raises :class:`SanitizerError` where it
 happens.  ``REPRO_SANITIZE=race`` (or ``enable()``) is record mode.
 Either way every finding lands in :data:`findings`, in detection order,
 which is deterministic for a deterministic schedule: same seed, same
-report.  The checks, under the static rules' ids:
+report.  The checks, under the rule catalog's ids:
 
 * ``MCH011`` -- a ULT parked, slept or finished while holding a
   :class:`~repro.margo.ult.UltMutex`, read off the lock-order graph's
@@ -22,8 +22,9 @@ report.  The checks, under the static rules' ids:
 * ``MCH012`` -- a handler ULT died without a reply, or a healthy process
   finalized with a handler still live and unanswered, read off the
   live-ULT table (:attr:`HBState.ult_ctx`);
-* ``MCH070`` -- respond exactly once: a second ``respond()``, or a raise
-  or a returned value after an explicit reply;
+* ``MCH070`` -- respond exactly once: a second ``respond()``, one that
+  is called but never driven, or a raise or a returned value after an
+  explicit reply;
 * ``MCH030``/``MCH031`` -- unordered write/write and read/write pairs on
   tracked shared state (the happens-before engine, :mod:`.hb`);
 * ``MCH040`` -- an acquisition-order cycle between mutexes, even when
@@ -726,11 +727,23 @@ def note_explicit_respond(margo: Any, request: Any, already: bool) -> None:
 
 
 def note_post_respond(
-    margo: Any, request: Any, ok: bool, value: Any, error_message: Any
+    margo: Any, context: Any, ok: bool, value: Any, error_message: Any
 ) -> None:
-    """``_handler_body``, when a handler that already replied via
-    ``respond()`` ends: raising or returning a value there cannot reach
-    the caller, so silence would hide real failures (MCH070)."""
+    """``_handler_body``, when a handler that called ``respond()`` ends
+    (MCH070).  A ``respond()`` never driven sent nothing; after a reply
+    that did go out, raising or returning a value cannot reach the
+    caller, so silence would hide real failures."""
+    request = context.request
+    if not context._responded:
+        _report(
+            RULE_RESPOND,
+            f"margo:{margo.process.name}",
+            f"handler for RPC {request.rpc_name!r} (seq {request.seq}) "
+            "called respond() but never drove it; the reply went out only "
+            "through the implicit return path -- write "
+            "`yield from ctx.respond(...)`",
+        )
+        return
     if not ok:
         _report(
             RULE_RESPOND,

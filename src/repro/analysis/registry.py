@@ -23,9 +23,8 @@ Rule id blocks:
   shapes, results no handler returns);
 * ``MCH06x`` -- partitioning & migration (cross-component shared-state
   writes, migration snapshot coverage);
-* ``MCH07x`` -- flow protocols (path-sensitive typestate over
-  per-function CFGs -- respond-exactly-once, lock release balance,
-  exception-path resource leaks, use-after-release/migrate);
+* ``MCH070`` -- respond exactly once (runtime only: a second reply, a
+  reply never driven, or a raise/value after the reply);
 * ``MCH09x`` -- meta (parse errors, bare suppressions).
 
 A static rule's check has one of two scopes: ``file`` checks take the
@@ -57,7 +56,6 @@ __all__ = [
     "GROUP_PERF",
     "GROUP_CONTRACTS",
     "GROUP_PARTITION",
-    "GROUP_FLOW",
     "GROUP_META",
 ]
 
@@ -69,7 +67,6 @@ GROUP_CONCURRENCY = "concurrency"
 GROUP_PERF = "performance"
 GROUP_CONTRACTS = "rpc-contracts"
 GROUP_PARTITION = "partitioning"
-GROUP_FLOW = "flow-protocols"
 GROUP_META = "meta"
 
 

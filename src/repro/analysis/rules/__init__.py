@@ -75,7 +75,7 @@ class FileContext:
     """One parsed file, plus the traversals every rule would otherwise
     repeat: the node list, the function list and each function's
     own-body node list are computed once per lint run and shared by the
-    file rules, the call graph, the effect seed and the flow pass."""
+    file rules, the call graph and the effect seed."""
 
     path: str
     source: str

@@ -98,7 +98,7 @@ def _module_containers(tree: ast.Module) -> dict[str, tuple[str, int]]:
 
 def _is_hook(func: ast.AST) -> bool:
     """Monitoring callbacks follow the ``on_<event>`` hook convention
-    (RPC handlers use ``_on_<rpc>`` and are covered by MCH070)."""
+    (RPC handlers use ``_on_<rpc>`` and are not hooks)."""
     return getattr(func, "name", "").startswith("on_")
 
 

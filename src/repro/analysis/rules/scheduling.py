@@ -3,16 +3,14 @@
 The kernel is single-threaded and cooperative: an RPC handler ULT that
 blocks for real, parks forever, or suspends while holding a mutex does
 not crash anything -- it silently wedges or serializes the simulation.
-PR 2 fixed two shipped bugs of exactly this shape; these rules catch the
-class statically.  The file-scope rules live here; the whole-program
-ones (``MCH014``/``MCH015``) and the path-sensitive ``MCH070`` share the
-vocabulary below.
+The file-scope rules live here, next to the catalog entries of the
+runtime-only checks (``MCH012``, ``MCH070``); the whole-program
+``MCH014`` shares :data:`BLOCKING_CALLS`.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Optional
 
 from ..findings import Finding, Severity
 from ..registry import GROUP_SCHEDULING, RuleInfo, register, rule
@@ -54,15 +52,6 @@ _SUSPENDING_COMMANDS = frozenset({"Sleep", "UltSleep", "Park", "WaitEvent"})
 
 #: ``yield from`` delegates that suspend the calling ULT.
 _SUSPENDING_DELEGATES = frozenset({"forward", "wait", "ult_sleep", "bulk_transfer"})
-
-
-def _is_handler(func: ast.AST, body: list[ast.AST]) -> bool:
-    """Heuristic: RPC handler bodies follow the ``_on_<rpc>`` convention
-    (and must be generators to yield kernel commands)."""
-    name = getattr(func, "name", "")
-    if not name.startswith(("on_", "_on_")):
-        return False
-    return any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in body)
 
 
 def _lock_events(body: list[ast.AST]) -> list[tuple[int, int, str, str]]:
@@ -139,37 +128,13 @@ def check_yield_holding_lock(ctx: FileContext) -> list[Finding]:
     return findings
 
 
-def _unbounded_wait(node: ast.AST) -> Optional[str]:
-    """Describe ``node`` if it waits with no timeout, else None."""
-    if not isinstance(node, ast.Call):
-        return None
-    attr = last_attr(node.func)
-    if attr in ("Park", "WaitEvent"):
-        timeout: Optional[ast.expr] = None
-        if len(node.args) >= 2:
-            timeout = node.args[1]
-        for kw in node.keywords:
-            if kw.arg == "timeout":
-                timeout = kw.value
-        if timeout is None or (
-            isinstance(timeout, ast.Constant) and timeout.value is None
-        ):
-            return f"{attr} with no timeout"
-    elif attr == "wait" and not node.args and not node.keywords:
-        return "wait() with no timeout"
-    return None
-
-
 register(
     RuleInfo(
         id="MCH012",
         name="handler-never-responds",
         group=GROUP_SCHEDULING,
         severity=Severity.ERROR,
-        summary=(
-            "dispatched RPC handler finished without a response (runtime "
-            "only; the static half is MCH070)"
-        ),
+        summary="dispatched RPC handler finished without a response (runtime only)",
         rationale=(
             "every dispatched RPC must end in a response or an error "
             "response -- a handler that drops its handle leaves the caller "
@@ -177,7 +142,24 @@ register(
             "paper's services wedge under reconfiguration"
         ),
         runtime_checked=True,
-    )
+    ),
+    RuleInfo(
+        id="MCH070",
+        name="respond-exactly-once",
+        group=GROUP_SCHEDULING,
+        severity=Severity.ERROR,
+        summary=(
+            "RPC handler called respond() twice, never drove it, or raised "
+            "or returned a value after it (runtime only)"
+        ),
+        rationale=(
+            "margo_respond semantics: each dispatched RPC gets exactly one "
+            "response.  A second respond is dropped, an error or value "
+            "after the reply never reaches the caller, and a respond() "
+            "generator that is built but never driven sends nothing"
+        ),
+        runtime_checked=True,
+    ),
 )
 
 

@@ -86,6 +86,8 @@ class RequestContext:
     observed: Optional[dict] = None
     #: set once a reply for this request has hit the wire.
     _responded: bool = False
+    #: set when :meth:`respond` is called, whether or not it is driven.
+    _respond_called: bool = False
 
     @property
     def args(self) -> Any:
@@ -111,9 +113,15 @@ class RequestContext:
         handler ULT keeps running (post-reply cleanup, deferred work).
         The protocol is *respond exactly once*: the implicit reply the
         runtime sends on handler return is skipped once this has fired,
-        a second ``respond()`` is dropped on the floor, and the
-        runtime checker reports both misuses under MCH070.
+        a second ``respond()`` is dropped on the floor, a ``respond()``
+        that is called but never driven sends nothing (the implicit
+        reply goes out instead), and the runtime checker reports all
+        three misuses under MCH070.
         """
+        self._respond_called = True
+        return self._send_reply(value)
+
+    def _send_reply(self, value: Any) -> Generator:
         margo = self.margo
         payload_size = estimate_size(value)
         yield Compute(serialize_cost(payload_size))
@@ -789,15 +797,17 @@ class MargoInstance:
                     self._monitor_errors.inc()
         self.inflight_incoming -= 1
         self.rpcs_handled += 1
-        if context._responded:
-            # Respond exactly once: the explicit reply already went out.
-            # A raise or a returned value after respond() is invisible
-            # to the caller -- the runtime checker reports it under MCH070.
+        if context._respond_called:
+            # Respond exactly once.  A respond() never driven sent
+            # nothing, and a raise or a returned value after a reply that
+            # went out is invisible to the caller -- the runtime checker
+            # reports both under MCH070.
             if _race.ENABLED:
                 _race.note_post_respond(
-                    self, request, status == STATUS_OK, value, error_message
+                    self, context, status == STATUS_OK, value, error_message
                 )
-            return
+            if context._responded:
+                return
         response = RPCResponse(
             request.seq, status, value, payload_size, self.process.address, error_message
         )

@@ -68,7 +68,7 @@ from .health import (
 )
 from .span import Span, SpanContext, child_span_id
 from .spec import ObservabilitySpec
-from .tracer import OpenSpan, Tracer, current_span_context
+from .tracer import Tracer, current_span_context
 from .xray import (
     XrayPlane,
     XrayRecorder,
@@ -115,7 +115,6 @@ __all__ = [
     "PhiAccrualDetector",
     "SLOEngine",
     "SLOSpec",
-    "OpenSpan",
     "XrayPlane",
     "XrayRecorder",
     "attribute_paths",

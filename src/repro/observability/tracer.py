@@ -43,7 +43,7 @@ from .span import (
     child_span_id,
 )
 
-__all__ = ["OpenSpan", "Tracer", "current_span_context"]
+__all__ = ["Tracer", "current_span_context"]
 
 
 def current_span_context() -> Optional[SpanContext]:
@@ -108,8 +108,6 @@ class Tracer:
         #: (trace_id, span_id) -> queue/handler start bookkeeping.
         self._server_open: dict[tuple[str, str], dict[str, Any]] = {}
         self._manual_seq = 0
-        #: spans begun via :meth:`start_span` and not yet ended.
-        self._manual_open = 0
 
     # ------------------------------------------------------------------
     def _add(self, span: Span) -> None:
@@ -309,41 +307,9 @@ class Tracer:
         self._add(span)
         return span
 
-    def start_span(
-        self,
-        name: str,
-        category: str,
-        process: str,
-        start: float,
-        attributes: Optional[dict[str, Any]] = None,
-        context: Optional[SpanContext] = None,
-    ) -> "OpenSpan":
-        """Begin a manually-timed span; close it with ``.end(t)``.
-
-        The begin/end form exists for operations whose duration is not
-        known up front (a migration that can fail halfway, a rebalance
-        spanning nested RPCs).  The protocol is *end exactly once, on
-        every path*: a started span that escapes on an exception path
-        without ``end()`` never reaches the span buffer and counts in
-        :attr:`open_span_count` forever -- wrap the risky region in
-        ``try/finally`` (mochi-flow reports violations as MCH074).
-        """
-        if context is None:
-            context = current_span_context()
-        self._manual_open += 1
-        return OpenSpan(self, name, category, process, start, attributes, context)
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    @property
-    def open_span_count(self) -> int:
-        """Spans begun but not completed: client forwards awaiting a
-        response, server handlers in flight, and manual
-        :meth:`start_span` spans not yet ended (a steady growth here is
-        the run-time signature of the MCH074 leak)."""
-        return len(self._forward_open) + len(self._server_open) + self._manual_open
-
     def trace_ids(self) -> list[str]:
         return sorted({s.trace_id for s in self.spans})
 
@@ -353,64 +319,3 @@ class Tracer:
             "spans": [s.to_json() for s in spans],
             "dropped_spans": self.dropped_spans,
         }
-
-
-class OpenSpan:
-    """A span begun with :meth:`Tracer.start_span`, awaiting ``end()``.
-
-    ``end`` is idempotent (the first call records, later calls no-op),
-    but it must be *reached* on every path, exception paths included --
-    otherwise the span is silently lost and the tracer's
-    ``open_span_count`` never drains.
-    """
-
-    __slots__ = (
-        "tracer",
-        "name",
-        "category",
-        "process",
-        "start",
-        "attributes",
-        "context",
-        "ended",
-    )
-
-    def __init__(
-        self,
-        tracer: Tracer,
-        name: str,
-        category: str,
-        process: str,
-        start: float,
-        attributes: Optional[dict[str, Any]],
-        context: Optional[SpanContext],
-    ) -> None:
-        self.tracer = tracer
-        self.name = name
-        self.category = category
-        self.process = process
-        self.start = start
-        self.attributes = dict(attributes or {})
-        self.context = context
-        self.ended = False
-
-    def end(
-        self, end: float, attributes: Optional[dict[str, Any]] = None
-    ) -> Optional[Span]:
-        """Close the span at simulated time ``end`` and record it."""
-        if self.ended:
-            return None
-        self.ended = True
-        self.tracer._manual_open -= 1
-        merged = dict(self.attributes)
-        if attributes:
-            merged.update(attributes)
-        return self.tracer.record_span(
-            self.name,
-            self.category,
-            self.process,
-            self.start,
-            end,
-            attributes=merged,
-            context=self.context,
-        )

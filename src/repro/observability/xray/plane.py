@@ -140,7 +140,7 @@ class XrayRecorder:
         plane = getattr(self.kernel, "xray_plane", None)
         if plane is None:
             # First xray-enabled process creates the shared plane; its
-            # sizing wins (documented in DESIGN.md section 12).
+            # sizing wins (documented in DESIGN.md section 11).
             plane = XrayPlane(
                 self.kernel,
                 max_paths=max_paths,

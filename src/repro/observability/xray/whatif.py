@@ -29,7 +29,7 @@ __all__ = ["SHRINK", "what_if", "candidate_for"]
 #: Fraction of the attributed segment assumed removable by the action.
 #: 0.5 is deliberately conservative: adding one xstream to a one-xstream
 #: pool at most halves queue waits; a migration relocates roughly half
-#: of a convoy's contention.  Documented in DESIGN.md section 12.
+#: of a convoy's contention.  Documented in DESIGN.md section 11.
 SHRINK = 0.5
 
 #: Which reconfiguration verb plausibly shrinks which phase.

@@ -1,22 +1,23 @@
-"""MCH015 fixture: mutex held across a suspension inside a callee."""
+"""Call-graph fixture: delegate edges into a suspending and a pure callee
+(the running form is ``Store`` in ``tests/test_sanitizer.py``)."""
 
 
 class Store:
     def locked_bad(self, ctx):
-        """Positive: _refresh suspends while the lock is held."""
+        """_refresh suspends while the lock is held."""
         yield from self._lock.acquire()
         yield from self._refresh()
         self._lock.release()
 
     def locked_ok(self, ctx):
-        """Negative: the lock is released before delegating."""
+        """The lock is released before delegating."""
         yield from self._lock.acquire()
         self._count = 1
         self._lock.release()
         yield from self._refresh()
 
     def locked_pure(self, ctx):
-        """Negative: the callee never suspends."""
+        """The callee never suspends."""
         yield from self._lock.acquire()
         yield from self._drain()
         self._lock.release()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import ast
 import os
 
 from repro.analysis.engine import DEFAULT_ROOTS, iter_target_files, run_lint
@@ -15,12 +14,11 @@ LINT_ROOTS = [os.path.join(REPO, name) for name in DEFAULT_ROOTS]
 
 
 def fixture_path(package: str, *names: str) -> str:
-    """Path inside a fixture package (names are unique across layers)."""
-    for layer in ("interproc", "flow"):
-        root = os.path.join(FIXTURES, layer, package)
-        if os.path.isdir(root):
-            return os.path.join(root, *names)
-    raise AssertionError(f"no fixture package {package!r}")
+    """Path inside a fixture package."""
+    root = os.path.join(FIXTURES, "interproc", package)
+    if not os.path.isdir(root):
+        raise AssertionError(f"no fixture package {package!r}")
+    return os.path.join(root, *names)
 
 
 def parse_paths(*paths: str) -> list[FileContext]:
@@ -51,14 +49,3 @@ def line_of(path: str, needle: str) -> int:
                 return lineno
     raise AssertionError(f"{needle!r} not found in {path}")
 
-
-def func_cfg(source: str, name: str, **kwargs):
-    """Build the CFG of one function defined in ``source``."""
-    from repro.analysis.flow.cfg import build_cfg
-
-    tree = ast.parse(source)
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node.name == name:
-                return build_cfg(node, **kwargs)
-    raise AssertionError(f"no function {name!r} in source")

@@ -375,63 +375,6 @@ def test_mch011_clean_when_released_before_suspend():
 
 
 # ----------------------------------------------------------------------
-# MCH070 respond-exactly-once (stall before any response)
-# ----------------------------------------------------------------------
-def test_mch012_flags_unbounded_park_in_handler():
-    findings = lint(
-        """
-        def on_fetch(ctx, gate):
-            value = yield Park(gate)
-            return value
-        """,
-        select=["MCH070"],
-    )
-    assert ids(findings) == ["MCH070"]
-    assert "no timeout" in findings[0].message
-
-
-def test_mch012_flags_exitless_loop_in_handler():
-    findings = lint(
-        """
-        def on_poll(ctx):
-            while True:
-                yield UltSleep(0.1)
-        """,
-        select=["MCH070"],
-    )
-    assert ids(findings) == ["MCH070"]
-
-
-def test_mch012_clean_with_timeout_or_exit():
-    findings = lint(
-        """
-        def on_fetch(ctx, gate):
-            value = yield Park(gate, 5.0)
-            while True:
-                if value is not None:
-                    return value
-                value = yield Park(gate, timeout=1.0)
-        """,
-        select=["MCH070"],
-    )
-    assert findings == []
-
-
-def test_mch012_ignores_non_handler_functions():
-    # Unbounded waits are legal outside the RPC-handler naming convention
-    # (e.g. daemon loops that the kernel tears down at exit).
-    findings = lint(
-        """
-        def progress_loop(gate):
-            value = yield Park(gate)
-            return value
-        """,
-        select=["MCH070"],
-    )
-    assert findings == []
-
-
-# ----------------------------------------------------------------------
 # MCH013 monitor-hook-misbehavior
 # ----------------------------------------------------------------------
 def test_mch013_flags_raising_and_forwarding_hooks():

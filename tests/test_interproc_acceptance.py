@@ -16,7 +16,7 @@ from repro.analysis.interproc.contracts import build_contracts
 from .lint_util import LINT_ROOTS, REPO, parse_paths
 
 _PROJECT_IDS = {
-    "MCH014", "MCH015", "MCH050", "MCH051", "MCH052", "MCH060", "MCH061",
+    "MCH014", "MCH050", "MCH051", "MCH052", "MCH060", "MCH061",
 }
 
 

@@ -1,4 +1,4 @@
-"""Effect fixpoint: MCH014 deep blocking, MCH015 lock-across-callee."""
+"""Effect fixpoint: MCH014 deep blocking."""
 
 from .lint_util import fixture_path, line_of, lint_fixture
 
@@ -62,22 +62,3 @@ def test_select_does_not_change_the_verdict():
         sum(f.line == line_of(service, "local_block()") for f in selected) == 1
     )
 
-
-# -- MCH015 ------------------------------------------------------------
-def test_lock_across_callee_suspension_found():
-    findings = _findings(["lockyield"], ["MCH015"])
-    svc = fixture_path("lockyield", "svc.py")
-    assert len(findings) == 1
-    assert findings[0].path == svc
-    assert findings[0].line == line_of(svc, "yield from self._refresh()")
-    assert "_refresh" in findings[0].message
-
-
-def test_release_before_delegate_is_negative():
-    findings = _findings(["lockyield"], ["MCH015"])
-    assert not any("locked_ok" in f.message for f in findings)
-
-
-def test_non_suspending_callee_is_negative():
-    findings = _findings(["lockyield"], ["MCH015"])
-    assert not any("_drain" in f.message for f in findings)

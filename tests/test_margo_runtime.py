@@ -440,9 +440,9 @@ def test_finalized_instance_rejects_operations(cluster):
     server, client = two_procs(cluster)
     server.shutdown()
     with pytest.raises(FinalizedError):
-        server.register("x", lambda ctx: 1)  # mochi-lint: disable=MCH073 -- the use after shutdown() is the behaviour under test
+        server.register("x", lambda ctx: 1)
     with pytest.raises(FinalizedError):
-        server.spawn_ult((x for x in []))  # mochi-lint: disable=MCH073 -- the use after shutdown() is the behaviour under test
+        server.spawn_ult((x for x in []))
 
 
 def test_process_death_finalizes_margo(cluster):

@@ -1,13 +1,19 @@
-"""Runtime checker, strict and record mode: the dynamic half of
-MCH011/MCH012/MCH070."""
+"""Runtime checker, strict and record mode: MCH011/MCH012/MCH070, and
+the running proofs that retired the static rules MCH015 and
+MCH070-MCH074."""
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro import Cluster
 from repro.analysis.race import hooks
 from repro.analysis.race.hooks import SanitizerError
-from repro.margo import RpcTimeoutError
-from repro.margo.ult import UltEvent, UltMutex, UltSleep
+from repro.bedrock import BedrockClient, boot_process
+from repro.margo import Compute, NoSuchRpcError, RpcTimeoutError
+from repro.margo.ult import Park, UltEvent, UltMutex, UltSleep
+from repro.observability import Tracer
+from repro.yokan import YokanClient
 
 
 @pytest.fixture()
@@ -70,7 +76,7 @@ def test_finishing_while_holding_mutex_raises(strict):
 
     def leaky():
         yield from mutex.acquire()
-        return "done"  # mochi-lint: disable=MCH071 -- never releases on purpose: the runtime sanitizer must catch it
+        return "done"
 
     with pytest.raises(SanitizerError, match="MCH011"):
         cluster.run_ult(margo, leaky())
@@ -232,8 +238,6 @@ def test_killed_process_may_drop_handles(strict):
 
 
 def test_rpc_roundtrip_is_clean_end_to_end(strict):
-    from repro.margo import Compute
-
     cluster = Cluster(seed=13)
     server = cluster.add_margo("server", node="n0")
     client = cluster.add_margo("client", node="n1")
@@ -282,11 +286,9 @@ def test_suite_scenarios_under_sanitizer(strict):
 
 
 # ----------------------------------------------------------------------
-# MCH070: respond exactly once (runtime half of the mochi-flow rule)
+# MCH070: respond exactly once
 # ----------------------------------------------------------------------
 def test_early_respond_then_post_reply_work_is_clean(strict):
-    from repro.margo import Compute
-
     cluster, server, client = respond_rig()
     post = []
 
@@ -357,3 +359,366 @@ def test_implicit_respond_path_stays_clean(strict):
     assert call(cluster, client, server, "echo", 7) == 7
     cluster.run()
     assert strict.findings == []
+
+
+# ----------------------------------------------------------------------
+# Retired static rules, checked by running.  Each fixture of the former
+# static rules MCH015 and MCH070-MCH074 runs here as a ULT or an RPC
+# handler under the strict checker: every positive is caught by a check
+# that runs, every negative runs clean.
+# ----------------------------------------------------------------------
+def _cases(*rows):
+    return [pytest.param(*row, id=row[0].__name__) for row in rows]
+
+
+def _load(args):
+    raise RuntimeError("backend down")
+
+
+def _on_double(ctx, gate):
+    yield Compute(1e-6)
+    yield from ctx.respond("first")
+    yield from ctx.respond("second")
+
+
+def _on_stall(ctx, gate):
+    try:
+        yield from ctx.respond(_load(ctx.args))
+    except RuntimeError:
+        pass
+    yield Park(gate)
+
+
+def _on_undriven(ctx, gate):
+    yield Compute(1e-6)
+    ctx.respond("lost")
+
+
+def _on_value_after(ctx, gate):
+    yield from ctx.respond("early")
+    return "dropped"
+
+
+def _on_raise_after(ctx, gate):
+    yield from ctx.respond("early")
+    raise RuntimeError("late failure")
+
+
+def _on_delegate_stall(ctx, gate):
+    yield from _wait_for_signal(gate)
+    yield from ctx.respond("late")
+
+
+def _wait_for_signal(gate):
+    yield Park(gate)
+
+
+def on_fetch(ctx, gate):
+    value = yield Park(gate)
+    return value
+
+
+def on_poll(ctx, gate):
+    while True:
+        yield UltSleep(0.1)
+
+
+def _on_ok_early_reply(ctx, gate):
+    yield from ctx.respond(ctx.args)
+    yield Park(gate)  # after the reply: not a stall
+
+
+def _on_ok_implicit(ctx, gate):
+    yield Compute(1e-6)
+    return ctx.args
+
+
+def on_fetch_bounded(ctx, gate):
+    value = yield Park(gate, 5.0)
+    while True:
+        if value is not None:
+            return value
+        value = yield Park(gate, timeout=1.0)
+
+
+def progress_loop(gate):
+    value = yield Park(gate)  # not a handler: waiting forever is legal
+    return value
+
+
+@pytest.mark.parametrize(
+    "handler, rule, fragment",
+    _cases(
+        (_on_double, "MCH070", "respond() twice"),
+        (_on_stall, "MCH012", "still pending"),
+        (_on_undriven, "MCH070", "never drove it"),
+        (_on_value_after, "MCH070", "returned a value after respond()"),
+        (_on_raise_after, "MCH070", "raised after respond()"),
+        (_on_delegate_stall, "MCH012", "still pending"),
+        (on_fetch, "MCH012", "still pending"),
+        (on_poll, "MCH012", "still pending"),
+        (_on_ok_early_reply, None, None),
+        (_on_ok_implicit, None, None),
+        (on_fetch_bounded, None, None),
+    ),
+)
+def test_mch070_respond_exactly_once_by_running(strict, handler, rule, fragment):
+    # The gate is never set: a handler that parks on it without a reply
+    # or a timeout is still unanswered when the process shuts down.  A
+    # daemon ULT parked on it beside every handler is never reported.
+    cluster, server, client = respond_rig()
+    gate = UltEvent(cluster.kernel, name="never")
+    cluster.spawn(server, progress_loop(gate))
+    server.register("rpc", lambda ctx: handler(ctx, gate))
+    try:
+        call(cluster, client, server, "rpc", 1, timeout=0.5)
+    except RpcTimeoutError:
+        pass
+    cluster.run(until=cluster.now + 10.0)
+    try:
+        server.shutdown()
+    except SanitizerError:
+        pass
+    if rule is None:
+        assert strict.findings == []
+    else:
+        first = strict.findings[0]
+        assert first.rule_id == rule and fragment in first.message, first.message
+
+
+def update_bad(state, mu):
+    yield from mu.acquire()
+    if state.dirty:
+        return None
+    mu.release()
+    return state.value
+
+
+def guard_bad(state, mu):
+    yield from mu.acquire()
+    if state.closed:
+        raise RuntimeError("closed while locked")
+    mu.release()
+    return state.value
+
+
+def update_ok(state, mu):
+    yield from mu.acquire()
+    try:
+        if state.dirty:
+            return None
+        return state.value
+    finally:
+        mu.release()
+
+
+def straight_ok(state, mu):
+    yield from mu.acquire()
+    value = state.value
+    mu.release()
+    return value
+
+
+@pytest.mark.parametrize(
+    "body, leaks",
+    _cases((update_bad, True), (guard_bad, True), (update_ok, False), (straight_ok, False)),
+)
+def test_mch071_release_on_every_exit_by_running(strict, body, leaks):
+    cluster, margo = make_rig()
+    mutex = UltMutex(cluster.kernel, name="state")
+    state = SimpleNamespace(dirty=True, closed=True, value=7)
+    if not leaks:
+        cluster.run_ult(margo, body(state, mutex))
+        assert strict.findings == []
+        return
+    with pytest.raises((SanitizerError, RuntimeError)):
+        cluster.run_ult(margo, body(state, mutex))
+    (finding,) = strict.findings
+    assert finding.rule_id == "MCH011"
+    assert "finished while still holding" in finding.message
+
+
+class _Validation(RuntimeError):
+    pass
+
+
+def _validate(spec):
+    raise _Validation(spec["name"])
+
+
+def grow_bad(bedrock, spec):
+    yield from bedrock.add_xstream(spec)
+    _validate(spec)
+
+
+def grow_guarded(bedrock, spec):
+    yield from bedrock.add_xstream(spec)
+    try:
+        _validate(spec)
+    except _Validation:
+        yield from bedrock.remove_xstream(spec["name"])
+        raise
+
+
+@pytest.mark.parametrize("body, kept", _cases((grow_bad, True), (grow_guarded, False)))
+def test_mch072_added_xstream_is_owned_by_running(strict, body, kept):
+    # The leak MCH072 looked for cannot happen: add_xstream hands the
+    # xstream to the margo instance before it returns, so a raise right
+    # after it leaves an xstream the live config lists and
+    # remove_xstream reclaims.  (The fixture's other negative handed the
+    # xstream to an owner before validating; margo is that owner.)
+    cluster = Cluster(seed=41)
+    margo, _bedrock = boot_process(cluster, "server", "n0", {})
+    app = cluster.add_margo("client", node="nc")
+    handle = BedrockClient(app).make_service_handle(margo.address)
+    spec = {"name": "ES-grow", "scheduler": {"type": "basic", "pools": ["__primary__"]}}
+
+    def listed():
+        xstreams = cluster.run_ult(
+            app, handle.query("return $__config__.margo.argobots.xstreams;")
+        )
+        return spec["name"] in [x["name"] for x in xstreams]
+
+    with pytest.raises(_Validation):
+        cluster.run_ult(app, body(handle, spec))
+    assert listed() is kept
+    if kept:
+        cluster.run_ult(app, handle.remove_xstream(spec["name"]))
+        assert not listed()
+    assert strict.findings == []
+
+
+def _audit(db):
+    return (yield from db.count())
+
+
+def handoff_bad(bedrock, db, dest):
+    yield from bedrock.migrate_provider("db", dest, remi_provider_id=0)
+    yield from db.put("k", "v")
+
+
+def retire_bad(bedrock, db, dest):
+    yield from bedrock.stop_provider("db")  # Provider.destroy()
+    yield from db.put("k", "v")
+
+
+def retire_arg_bad(bedrock, db, dest):
+    yield from bedrock.stop_provider("db")
+    return (yield from _audit(db))
+
+
+def retire_rebound_ok(bedrock, db, dest):
+    yield from bedrock.stop_provider("db")
+    yield from bedrock.start_provider("db", "yokan", provider_id=1)
+    yield from db.put("k", "v")
+
+
+def handoff_ok(bedrock, db, dest):
+    yield from bedrock.migrate_provider("db", dest, remi_provider_id=0)
+    config = yield from bedrock.get_config()
+    return config["providers"]
+
+
+@pytest.mark.parametrize(
+    "body, gone",
+    _cases(
+        (handoff_bad, True), (retire_bad, True), (retire_arg_bad, True),
+        (retire_rebound_ok, False), (handoff_ok, False),
+    ),
+)
+def test_mch073_use_after_release_by_running(strict, body, gone):
+    # A destroyed or migrated provider's RPCs are deregistered, so any
+    # later use of it -- direct or through a helper -- is a forward the
+    # runtime answers with NoSuchRpcError.
+    cluster = Cluster(seed=43)
+    src, _ = boot_process(
+        cluster, "src", "ns",
+        {
+            "libraries": {"yokan": "libyokan.so"},
+            "providers": [
+                {"name": "db", "type": "yokan", "provider_id": 1,
+                 "config": {"database": {"type": "persistent"}}},
+            ],
+        },
+    )
+    dst, _ = boot_process(
+        cluster, "dst", "nd",
+        {
+            "libraries": {"yokan": "libyokan.so", "remi": "libremi.so"},
+            "providers": [{"name": "remi0", "type": "remi", "provider_id": 0}],
+        },
+    )
+    app = cluster.add_margo("client", node="nc")
+    bedrock = BedrockClient(app).make_service_handle(src.address)
+    db = YokanClient(app).make_handle(src.address, 1)
+    run = body(bedrock, db, dst.address)
+    if gone:
+        with pytest.raises(NoSuchRpcError):
+            cluster.run_ult(app, run)
+    else:
+        cluster.run_ult(app, run)
+    assert strict.findings == []
+
+
+def migrate_bad(tracer, margo, name):
+    span = tracer.start_span(name, "migration", margo.process.name, margo.kernel.now)
+    yield from margo.forward(name, "migrate", {})
+    span.end(margo.kernel.now)
+
+
+def test_mch074_manual_span_api_is_gone_by_running(strict):
+    # MCH074 guarded Tracer.start_span, which had no caller; the API is
+    # deleted, so the leaking pattern cannot be written any more.
+    cluster, margo = make_rig()
+    with pytest.raises(AttributeError, match="start_span"):
+        cluster.run_ult(margo, migrate_bad(Tracer(), margo, "db"))
+    assert strict.findings == []
+
+
+class Store:
+    def __init__(self, kernel):
+        self._lock = UltMutex(kernel, name="store")
+        self._pending = []
+        self._count = 0
+
+    def locked_bad(self):
+        yield from self._lock.acquire()
+        yield from self._refresh()
+        self._lock.release()
+
+    def locked_ok(self):
+        yield from self._lock.acquire()
+        self._count = 1
+        self._lock.release()
+        yield from self._refresh()
+
+    def locked_pure(self):
+        yield from self._lock.acquire()
+        yield from self._drain()
+        self._lock.release()
+
+    def _refresh(self):
+        yield UltSleep(0.1)
+
+    def _drain(self):
+        for item in list(self._pending):
+            yield item
+
+
+@pytest.mark.parametrize(
+    "method, caught",
+    _cases((Store.locked_bad, True), (Store.locked_ok, False), (Store.locked_pure, False)),
+)
+def test_mch015_lock_across_callee_suspend_by_running(strict, method, caught):
+    # MCH011 checks every suspension while a mutex is held, whichever
+    # frame of the ULT's generator stack issued it.
+    cluster, margo = make_rig()
+    store = Store(cluster.kernel)
+    if not caught:
+        cluster.run_ult(margo, method(store))
+        assert strict.findings == []
+        return
+    with pytest.raises(SanitizerError):
+        cluster.run_ult(margo, method(store))
+    first = strict.findings[0]
+    assert first.rule_id == "MCH011" and "suspended (UltSleep)" in first.message

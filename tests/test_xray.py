@@ -14,7 +14,7 @@ import pytest
 from repro import Cluster
 from repro.bedrock import BedrockClient, boot_process
 from repro.margo.ult import Compute
-from repro.observability import ObservabilitySpec, Tracer
+from repro.observability import ObservabilitySpec
 from repro.observability.exporters import chrome_trace_profile
 from repro.observability.xray import (
     EDGES_ATTR,
@@ -306,29 +306,6 @@ def test_bedrock_xray_rpcs():
     assert attribution
     window = attribution[-1]
     assert {"attribution", "whatif", "requests", "index"} <= set(window)
-
-
-# ----------------------------------------------------------------------
-# manual spans (MCH074's runtime counterpart)
-# ----------------------------------------------------------------------
-def test_start_span_records_and_drains():
-    tracer = Tracer()
-    span = tracer.start_span("migrate:db", "migration", "srv", 1.0, {"a": 1})  # mochi-lint: disable=MCH074 -- a failing assert ends the test; this tracer does not outlive it
-    assert tracer.open_span_count == 1
-    recorded = span.end(2.0, attributes={"b": 2})
-    assert tracer.open_span_count == 0
-    assert recorded in tracer.spans
-    assert recorded.attributes == {"a": 1, "b": 2}
-    assert recorded.duration == pytest.approx(1.0)
-    assert span.end(3.0) is None  # idempotent
-    assert tracer.open_span_count == 0
-
-
-def test_leaked_span_never_reaches_buffer():
-    tracer = Tracer()
-    tracer.start_span("lost", "manual", "srv", 1.0)
-    assert tracer.open_span_count == 1
-    assert all(s.name != "lost" for s in tracer.spans)
 
 
 # ----------------------------------------------------------------------

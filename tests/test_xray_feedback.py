@@ -6,7 +6,7 @@ ranking over a Bedrock ``$__xray__`` query, applies the top-ranked
 ``add_xstream`` action, and on the next cycle records the *realized*
 p99 improvement next to the prediction.  The realized improvement must
 be at least ``REALIZATION_FACTOR`` of the predicted one -- the factor
-documented in DESIGN.md section 12 (the prediction is conservative for
+documented in DESIGN.md section 11 (the prediction is conservative for
 queueing bottlenecks, so the realized win is usually larger).
 """
 
@@ -24,7 +24,7 @@ from repro.core import (
 from repro.margo.ult import Compute, UltSleep
 
 #: Documented lower bound on realized/predicted improvement (DESIGN.md
-#: section 12): the what-if model ignores second-order queue draining,
+#: section 11): the what-if model ignores second-order queue draining,
 #: so realized improvements land at or above roughly half the
 #: prediction; below this the prediction would be misleading.
 REALIZATION_FACTOR = 0.25
