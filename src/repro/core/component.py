@@ -179,19 +179,18 @@ class ResourceHandle:
         self.auth_token: Optional[str] = None
 
     def _forward(self, operation: str, args: Any = None, timeout: Any = _UNSET) -> Generator:
-        """Issue ``<component_type>_<operation>`` to the remote provider."""
-        rpc_name = f"{self.client.component_type}_{operation}"
+        """Issue ``<component_type>_<operation>`` to the remote provider:
+        Margo's own forward generator, so no frame of ours sits between
+        the caller's ``yield from`` and Margo on any resume."""
+        client = self.client
+        rpc_name = f"{client.component_type}_{operation}"
         if self.auth_token is not None:
             args = {"__token__": self.auth_token, "__args__": args}
         if timeout is _UNSET:
             timeout = self.timeout
-        kwargs: dict[str, Any] = {}
-        if timeout is not _UNSET:
-            kwargs["timeout"] = timeout
-        result = yield from self.client.margo.forward(
-            self.address, rpc_name, args, provider_id=self.provider_id, **kwargs
-        )
-        return result
+            if timeout is _UNSET:
+                return client.margo.forward(self.address, rpc_name, args, self.provider_id)
+        return client.margo.forward(self.address, rpc_name, args, self.provider_id, timeout)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

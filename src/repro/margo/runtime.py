@@ -634,15 +634,18 @@ class MargoInstance:
             raise ValueError(f"unknown bulk op {op!r}")
         if size < 0:
             raise ValueError(f"negative bulk size {size}")
-        try:
-            remote = self.network.lookup(remote_address)
-        except Exception as err:
-            raise RpcError(f"bulk transfer to unknown address {remote_address!r}") from err
+        network = self.network
+        route = self.process.routes.get(remote_address) or network.route(
+            self.process, remote_address
+        )
+        if route is None:
+            raise RpcError(f"bulk transfer to unknown address {remote_address!r}")
+        remote, _, _, latency, bandwidth, _, _ = route
         if not remote.alive:
             raise RpcError(f"bulk transfer peer {remote_address} is dead")
-        if self.network.is_partitioned(self.process.node, remote.node):
+        if network._partitions and network.is_partitioned(self.process.node, remote.node):
             raise RpcTimeoutError(f"bulk transfer to {remote_address} unreachable (partition)")
-        duration = self.network.transfer_time(self.process, remote, size, bulk=True)
+        duration = latency + (size / bandwidth if size else 0.0)
         started = self.kernel.now
         if self._tables is not None:
             # Pre-charged like the RPC path: the hook fires after the

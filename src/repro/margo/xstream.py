@@ -135,8 +135,9 @@ class XStream:
                     if self._stopping:
                         return
                     for pool in self.pools:
-                        ult = pool.pop()
-                        if ult is not None:
+                        # Probe before pop: an empty pool costs no call.
+                        if pool._queue:
+                            ult = pool.pop()
                             break
                     else:
                         self._idle = True

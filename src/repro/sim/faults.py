@@ -24,6 +24,11 @@ from .network import Network, Node, Process
 __all__ = ["FaultInjector", "FaultRecord"]
 
 
+def _edge_label(a: Node | str, b: Node | str) -> str:
+    """``"a|b"`` by node name, in the given order, whichever form came in."""
+    return "|".join(n if isinstance(n, str) else n.name for n in (a, b))
+
+
 @dataclass(frozen=True)
 class FaultRecord:
     """One injected fault, for post-run inspection."""
@@ -79,11 +84,11 @@ class FaultInjector:
 
     def partition(self, a: Node | str, b: Node | str) -> None:
         self.network.partition(a, b)
-        self._record("partition", f"{a}|{b}")
+        self._record("partition", _edge_label(a, b))
 
     def heal(self, a: Node | str, b: Node | str) -> None:
         self.network.heal(a, b)
-        self._record("heal", f"{a}|{b}")
+        self._record("heal", _edge_label(a, b))
 
     def set_message_loss(self, probability: float) -> None:
         if not 0.0 <= probability <= 1.0:

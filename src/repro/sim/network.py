@@ -127,6 +127,9 @@ class Process:
         self.address = f"na+ofi://{node.name}/{name}"
         self.on_message: Optional[Callable[[Any], None]] = None
         self.on_killed: list[Callable[[], None]] = []
+        #: Destination address -> resolved route (:meth:`Network.route`),
+        #: Mercury's looked-up ``hg_addr_t``; emptied on topology change.
+        self.routes: dict[str, tuple] = {}
 
     def deliver(self, payload: Any) -> None:
         if not self.alive:
@@ -179,6 +182,7 @@ class Network:
             raise ValueError(f"duplicate process name {name!r}")
         proc = Process(self, name, node)
         self.processes[proc.address] = proc
+        self._forget_routes()
         return proc
 
     def lookup(self, address: str) -> Process:
@@ -190,6 +194,11 @@ class Network:
     def remove_process(self, proc: Process) -> None:
         """Forget a dead process entirely (permanent failure)."""
         self.processes.pop(proc.address, None)
+        self._forget_routes()
+
+    def _forget_routes(self) -> None:
+        for proc in self.processes.values():
+            proc.routes.clear()
 
     # ------------------------------------------------------------------
     # transport model
@@ -207,6 +216,23 @@ class Network:
         if bulk and transport == Transport.FABRIC:
             transport = Transport.RDMA
         return self.config.link(transport).time(size)
+
+    def route(self, src: Process, address: str) -> Optional[tuple]:
+        """Resolve ``src``'s route to ``address`` into ``src.routes``:
+        ``(dst, rpc latency, rpc bandwidth, bulk latency, bulk bandwidth,
+        cross_node, dst.deliver)``; None, and nothing cached, for an
+        unknown address.  Callers try ``src.routes`` first."""
+        dst = self.processes.get(address)
+        if dst is None:
+            return None
+        transport = self.transport_between(src, dst)
+        rpc = self.config.link(transport)
+        bulk = self.config.link(Transport.RDMA if transport == Transport.FABRIC else transport)
+        route = src.routes[address] = (
+            dst, rpc.latency, rpc.bandwidth, bulk.latency, bulk.bandwidth,
+            src.node is not dst.node, dst.deliver,
+        )
+        return route
 
     # ------------------------------------------------------------------
     # partitions / loss
@@ -241,17 +267,22 @@ class Network:
         """
         self.messages_sent += 1
         self.bytes_sent += size
-        dst = self.processes.get(dst_address)
-        if dst is None or not src.alive:
+        route = src.routes.get(dst_address) or self.route(src, dst_address)
+        if route is None or not src.alive:
             self.messages_dropped += 1
             return False
-        if src.node is not dst.node and self.is_partitioned(src.node, dst.node):
+        dst, latency, bandwidth, _, _, cross_node, deliver = route
+        if cross_node and self._partitions and self.is_partitioned(src.node, dst.node):
             self.messages_dropped += 1
             return True
         if self.loss_probability > 0 and src is not dst:
             if self._loss_rng.random() < self.loss_probability:
                 self.messages_dropped += 1
                 return True
-        delay = self.transfer_time(src, dst, size) + self.config.send_overhead
-        self.kernel.post(delay, dst.deliver, payload)
+        if size < 0:
+            raise ValueError(f"negative message size: {size}")
+        # LinkModel.time's expression, term for term: simulated times
+        # stay bit-identical to transfer_time's.
+        delay = (latency + (size / bandwidth if size else 0.0)) + self.config.send_overhead
+        self.kernel.post(delay, deliver, payload)
         return True

@@ -243,3 +243,143 @@ def test_random_source_fork():
     child2 = root.fork("p2")
     assert child1.seed != child2.seed
     assert root.fork("p1").seed == child1.seed
+
+
+# ----------------------------------------------------------------------
+# route table: each case runs after src's route to dst is cached
+# ----------------------------------------------------------------------
+def cached_pair(network):
+    p1, p2 = make_pair(network)
+    received = []
+    p2.on_message = received.append
+    assert network.send(p1, p2.address, "warm", 10) is True
+    assert p2.address in p1.routes
+    return p1, p2, received
+
+
+def test_cached_route_honours_a_later_partition_and_heal(net):
+    kernel, network = net
+    p1, p2, received = cached_pair(network)
+    network.partition("n1", "n2")
+    assert network.send(p1, p2.address, "cut", 10) is True
+    kernel.run()
+    assert received == ["warm"]
+    network.heal("n1", "n2")
+    network.send(p1, p2.address, "healed", 10)
+    kernel.run()
+    assert received == ["warm", "healed"]
+
+
+def test_route_to_a_process_added_later(net):
+    kernel, network = net
+    p1, _, _ = cached_pair(network)
+    address = "na+ofi://n2/p3"
+    assert network.send(p1, address, "m", 10) is False
+    assert address not in p1.routes  # an unknown address is never cached
+    p3 = network.add_process("p3", "n2")
+    assert p3.address == address and p1.routes == {}
+    received = []
+    p3.on_message = received.append
+    assert network.send(p1, address, "m", 10) is True
+    kernel.run()
+    assert received == ["m"]
+
+
+def test_removed_process_is_unknown_again(net):
+    _, network = net
+    p1, p2, _ = cached_pair(network)
+    network.remove_process(p2)
+    assert network.send(p1, p2.address, "m", 10) is False
+
+
+def test_cached_route_to_a_killed_process_drops_at_delivery(net):
+    kernel, network = net
+    p1, p2, received = cached_pair(network)
+    kernel.run()
+    FaultInjector(kernel, network).kill_process(p2)
+    assert network.send(p1, p2.address, "m", 10) is True
+    kernel.run()
+    assert received == ["warm"]
+
+
+def test_cached_route_keeps_loss_and_spares_self_sends(net):
+    kernel, network = net
+    p1, p2, received = cached_pair(network)
+    mine = []
+    p1.on_message = mine.append
+    network.send(p1, p1.address, "warm", 10)
+    kernel.run()
+    network.loss_probability = 1.0
+    for _ in range(5):
+        network.send(p1, p2.address, "lost", 10)
+        network.send(p1, p1.address, "kept", 10)
+    kernel.run()
+    assert received == ["warm"]
+    assert mine == ["warm"] + ["kept"] * 5
+
+
+SIZES = (0, 1, 64 * 1024)
+
+
+def test_routes_cost_exactly_what_transfer_time_says(net):
+    kernel, network = net
+    n1 = network.add_node("n1")
+    n2 = network.add_node("n2")
+    src = network.add_process("src", n1)
+    peers = {
+        Transport.SELF: src,
+        Transport.SM: network.add_process("sm", n1),
+        Transport.FABRIC: network.add_process("fabric", n2),
+    }
+    arrivals = []
+    for transport, dst in peers.items():
+        assert network.transport_between(src, dst) == transport
+        dst.on_message = lambda m: arrivals.append(kernel.now)
+        for size in SIZES:
+            for _ in range(2):  # cold route, then cached
+                start = kernel.now
+                network.send(src, dst.address, None, size)
+                kernel.run()
+                expected = network.transfer_time(src, dst, size) + network.config.send_overhead
+                assert arrivals[-1] == start + expected
+
+
+def test_bulk_routes_cost_exactly_what_transfer_time_says():
+    from repro import Cluster
+
+    cluster = Cluster(seed=1)
+    client = cluster.add_margo("client", node="n0")
+    peers = {
+        Transport.SELF: client,
+        Transport.SM: cluster.add_margo("sm", node="n0"),
+        Transport.FABRIC: cluster.add_margo("fabric", node="n1"),
+    }
+
+    def driver(address, size):
+        return (yield from client.bulk_transfer(address, size))
+
+    network = cluster.network
+    for transport, peer in peers.items():
+        assert network.transport_between(client.process, peer.process) == transport
+        for size in SIZES:
+            for _ in range(2):  # cold route, then cached
+                duration = cluster.run_ult(client, driver(peer.address, size))
+                assert duration == network.transfer_time(
+                    client.process, peer.process, size, bulk=True
+                )
+
+
+def test_fault_records_name_nodes_in_the_given_order(net):
+    kernel, network = net
+    n1 = network.add_node("n1")
+    n2 = network.add_node("n2")
+    injector = FaultInjector(kernel, network)
+    injector.partition(n1, n2)
+    injector.heal("n1", "n2")
+    injector.partition(n2, "n1")
+    assert [(r.kind, r.target) for r in injector.history] == [
+        ("partition", "n1|n2"),
+        ("heal", "n1|n2"),
+        ("partition", "n2|n1"),
+    ]
+    assert network.is_partitioned(n1, n2)
