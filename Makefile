@@ -28,13 +28,16 @@ mochi-lint.sarif:
 	$(PY) -m repro lint --format sarif > $@ || true
 
 # Tier-1, then the pins that must also hold with the runtime checker on
-# (the Yokan differential: a migration runs two ULTs over one segment log).
+# (the Yokan differential: a migration runs two ULTs over one segment log;
+# the scheduler differential: the oracle's own task driver joins the
+# race checker where the kernel's task runner did).
 test:
 	$(PY) -m pytest -x -q
 	REPRO_SANITIZE=race $(PY) -m pytest -x -q tests/test_xray.py -k determinism
 	REPRO_SANITIZE=race $(PY) -m pytest -x -q tests/test_yokan_provider.py -k cost_model
 	REPRO_SANITIZE=race $(PY) -m pytest -x -q tests/test_margo_rpc_pin.py
 	REPRO_SANITIZE=race $(PY) -m pytest -x -q tests/test_yokan_model.py
+	REPRO_SANITIZE=race $(PY) -m pytest -x -q tests/test_scheduler_differential.py
 
 # Overhead gates (~1 min): exits 1 when a gated row fails.
 gates:

@@ -18,7 +18,7 @@ Two disciplines:
   on shared runners.  Every enforced gate is computed from arms of the
   same run, never against a number pinned on another machine.
 
-The two workload shapes (kernel sleep-swarm + timer fan, echo RPC) also
+The two workload shapes (kernel callback swarm + timer fan, echo RPC) also
 live here so every measurement uses the identical workload.
 """
 
@@ -93,26 +93,27 @@ OBS_OFF = {"observability": {"tracing": False, "metrics": False}}
 
 
 def bench_kernel_swarm(n_tasks: int, n_steps: int) -> dict:
-    """The kernel workload: a swarm of sleeping tasks driven by
-    ``run(until_tasks=...)`` plus a same-timestamp timer fan.
+    """The kernel workload: a swarm of self-posting callbacks plus a
+    same-timestamp timer fan, run until the queue drains.
 
-    A synthetic shape, not a deployment's: many live tasks with the
-    kernel asked to detect completion of a subset, plus bursts of
+    A synthetic shape, not a deployment's: ``n_tasks`` callbacks that
+    each post themselves ``n_steps`` times, plus bursts of
     ``n_tasks // 4`` timers on identical deadlines.  Such bursts are
     rare in the e2e workloads (under 1 % of events join a deadline
     already queued, EXPERIMENTS.md), so this rate measures the kernel
     under a tie-heavy load and does not predict ``wall_us_per_rpc``.
     """
-    from repro.sim.kernel import SimKernel, Sleep
+    from repro.sim.kernel import SimKernel
 
     kernel = SimKernel()
 
-    def worker(i: int):
-        for step in range(n_steps):
-            yield Sleep(1e-6 * ((i + step) % 7 + 1))
-        return i
+    def worker(state: tuple) -> None:
+        i, step = state
+        if step < n_steps:
+            kernel.post(1e-6 * ((i + step) % 7 + 1), worker, (i, step + 1))
 
-    tasks = [kernel.spawn(worker(i), name=f"w{i}") for i in range(n_tasks)]
+    for i in range(n_tasks):
+        kernel.post(0.0, worker, (i, 0))
     fired = [0]
 
     def tick() -> None:
@@ -123,9 +124,9 @@ def bench_kernel_swarm(n_tasks: int, n_steps: int) -> dict:
             kernel.schedule(1e-6 * (burst + 1), tick)
 
     started = time.perf_counter()
-    kernel.run(until_tasks=tasks)
+    kernel.run()
     wall = time.perf_counter() - started
-    events = kernel._seq  # every schedule() is exactly one queue event
+    events = kernel._seq  # every post()/schedule() is exactly one queue event
     return {
         "events": events,
         "wall_s": wall,

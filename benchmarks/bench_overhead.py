@@ -5,7 +5,7 @@ Every observer and checker in the stack -- the runtime checker
 recorder, tracing + metrics --
 promises to be free when off and affordable at its documented sampled
 setting.  This is the one runner that prices those promises on the two
-workload shapes of ``_harness.py`` (kernel sleep-swarm, echo RPC).
+workload shapes of ``_harness.py`` (kernel callback swarm, echo RPC).
 
 ``ROWS`` is the whole specification: each row compares a *test* arm
 against a *base* arm of the same group, and a group's arms run

@@ -155,7 +155,7 @@ def _short(qualname: str) -> str:
             "simulated process at once, and the paper's breadcrumb design "
             "(one blocked ES starves every ULT mapped to it) makes that a "
             "whole-service outage; blocking must be expressed as "
-            "Sleep/UltSleep/Park so the scheduler can run other work"
+            "UltSleep/Park so the scheduler can run other work"
         ),
     ),
     scope="project",

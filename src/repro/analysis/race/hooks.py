@@ -589,7 +589,7 @@ def note_finish(ult: Any) -> None:
 
 
 def note_event_set(event: Any) -> None:
-    """``UltEvent.set`` / ``SimEvent.set``: publish the setter's clock.
+    """``UltEvent.set``: publish the setter's clock.
 
     Epoch-batched: the receiver sees exactly the setter's current clock,
     only the setter's own post-set accesses fold into the same interval

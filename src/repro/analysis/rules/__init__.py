@@ -22,16 +22,12 @@ __all__ = [
 
 FunctionNode = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-#: Kernel / ULT command constructors: a generator that yields one of
-#: these is, by construction, code running under the simulation kernel.
-ULT_COMMANDS = frozenset(
-    {"Sleep", "WaitEvent", "Compute", "Park", "UltSleep", "UltYield"}
-)
+#: ULT command constructors: a generator that yields one of these is,
+#: by construction, a ULT body.
+ULT_COMMANDS = frozenset({"Compute", "Park", "UltSleep", "UltYield"})
 
 #: Methods whose generators ULT code composes with ``yield from``.
-ULT_DELEGATES = frozenset(
-    {"forward", "bulk_transfer", "acquire", "wait", "ult_sleep"}
-)
+ULT_DELEGATES = frozenset({"forward", "bulk_transfer", "acquire", "wait"})
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -110,9 +106,8 @@ class FileContext:
 
 
 def is_ult_generator(body: Iterable[ast.AST]) -> bool:
-    """True when the own-body nodes are a kernel task / ULT body: they
-    yield kernel commands, or delegate to runtime generators via
-    yield-from."""
+    """True when the own-body nodes are a ULT body: they yield ULT
+    commands, or delegate to runtime generators via yield-from."""
     for node in body:
         if isinstance(node, ast.Yield) and isinstance(node.value, ast.Call):
             if last_attr(node.value.func) in ULT_COMMANDS:

@@ -82,7 +82,7 @@ ENTROPY_CALLS = frozenset(
         summary="call reads or blocks on the host wall clock",
         rationale=(
             "simulated components must take time only from SimKernel.now "
-            "and pass time only via Sleep/UltSleep/Compute; a wall-clock "
+            "and pass time only via UltSleep/Compute; a wall-clock "
             "read makes two runs with the same seed diverge, and a real "
             "sleep stalls the single-threaded event loop"
         ),
@@ -101,7 +101,7 @@ def check_wall_clock(ctx: FileContext) -> list[Finding]:
                         ctx.path,
                         node.lineno,
                         f"wall-clock call {name}(); use SimKernel.now / "
-                        "Sleep for simulated time",
+                        "UltSleep for simulated time",
                     )
                 )
     return findings

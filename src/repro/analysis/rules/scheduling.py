@@ -17,7 +17,7 @@ from ..registry import GROUP_SCHEDULING, RuleInfo, register, rule
 from . import FileContext, FunctionNode, last_attr
 
 #: Real-world blocking calls that stall the whole event loop when issued
-#: from inside a kernel task / ULT body.
+#: from inside a ULT body.
 BLOCKING_CALLS = frozenset(
     {
         "time.sleep",
@@ -48,10 +48,10 @@ BLOCKING_CALLS = frozenset(
 )
 
 #: Yielded commands that suspend the ULT (give up the stream).
-_SUSPENDING_COMMANDS = frozenset({"Sleep", "UltSleep", "Park", "WaitEvent"})
+_SUSPENDING_COMMANDS = frozenset({"UltSleep", "Park"})
 
 #: ``yield from`` delegates that suspend the calling ULT.
-_SUSPENDING_DELEGATES = frozenset({"forward", "wait", "ult_sleep", "bulk_transfer"})
+_SUSPENDING_DELEGATES = frozenset({"forward", "wait", "bulk_transfer"})
 
 
 def _lock_events(body: list[ast.AST]) -> list[tuple[int, int, str, str]]:
@@ -95,7 +95,7 @@ def _lock_events(body: list[ast.AST]) -> list[tuple[int, int, str, str]]:
         name="yield-while-holding-lock",
         group=GROUP_SCHEDULING,
         severity=Severity.ERROR,
-        summary="ULT suspends (Sleep/Park/forward/...) while holding a mutex",
+        summary="ULT suspends (UltSleep/Park/forward/...) while holding a mutex",
         rationale=(
             "a suspended lock holder serializes every other ULT that "
             "needs the mutex behind an arbitrary sleep or remote peer -- "

@@ -22,12 +22,12 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from .margo.runtime import MargoInstance
-from .margo.ult import ULT
+from .margo.ult import ULT, UltState
 from .observability import exporters as _obs_exporters
 from .observability.health.plane import HealthPlane
 from .observability.tracer import Tracer
 from .sim.faults import FaultInjector
-from .sim.kernel import SimKernel, WaitEvent
+from .sim.kernel import DeadlockError, SimKernel, Timer
 from .sim.network import Network, NetworkConfig, Node, Process
 from .sim.random import RandomSource
 
@@ -97,23 +97,9 @@ class Cluster:
     def run_ult(self, margo: MargoInstance, gen: Generator, pool: Any = None) -> Any:
         """Run ``gen`` as a ULT on ``margo`` until it finishes.
 
-        Returns the ULT's return value; re-raises its exception wrapped
-        in :class:`UltFailedError` context for a clear traceback.
+        Returns the ULT's return value; re-raises its exception.
         """
-        ult = self.spawn(margo, gen, pool=pool)
-        done = self.kernel.event(name=f"cluster-wait:{ult.name}")
-        ult.on_finish.append(lambda _ult: done.set(None))
-
-        def waiter():
-            if ult.state.value != "done":
-                yield WaitEvent(done)
-            return None
-
-        task = self.kernel.spawn(waiter(), name=f"wait:{ult.name}")
-        self.kernel.run(until_tasks=[task])
-        if ult.error is not None:
-            raise ult.error
-        return ult.result
+        return self.wait_ults([self.spawn(margo, gen, pool=pool)])[0]
 
     def spawn(self, margo: MargoInstance, gen: Generator, pool: Any = None, name: str = "") -> ULT:
         """Start a ULT without waiting for it."""
@@ -123,27 +109,37 @@ class Cluster:
         """Run the simulation until every ULT in ``ults`` finishes.
 
         Unlike ``kernel.run()`` with no stop condition, this works in the
-        presence of perpetual background activity (SWIM loops, samplers).
-        Returns the ULTs' results; re-raises the first error.
+        presence of perpetual background activity (SWIM loops, samplers):
+        the last ULT to finish posts :meth:`SimKernel.halt`.  Returns the
+        ULTs' results; re-raises the first error, and raises
+        :class:`DeadlockError` when the event queue drains first.
         """
-        pending = [u for u in ults if u.state.value != "done"]
+        pending = [u for u in ults if u.state is not UltState.DONE]
         if pending:
-            done = self.kernel.event(name="cluster-wait-ults")
-            remaining = {"n": len(pending)}
+            kernel = self.kernel
+            left = len(pending)
+            halt: Optional[Timer] = None
 
-            def on_one_finished(_ult) -> None:
-                remaining["n"] -= 1
-                if remaining["n"] == 0:
-                    done.set(None)
+            def on_one_finished(_ult: ULT) -> None:
+                nonlocal left, halt
+                left -= 1
+                if not left:
+                    halt = kernel.schedule(0.0, kernel.halt)
 
             for ult in pending:
                 ult.on_finish.append(on_one_finished)
-
-            def waiter():
-                yield WaitEvent(done)
-
-            task = self.kernel.spawn(waiter(), name="wait-ults")
-            self.kernel.run(until_tasks=[task])
+            try:
+                kernel.run()
+            finally:
+                # A wait given up on must not stop a later run(): drop
+                # the callbacks and any halt not yet fired.
+                for ult in pending:
+                    ult.on_finish.remove(on_one_finished)
+                if halt is not None:
+                    halt.cancel()
+            if left:
+                names = [u.name for u in pending if u.state is not UltState.DONE]
+                raise DeadlockError(f"event queue drained but ULTs still pending: {names}")
         for ult in ults:
             if ult.error is not None:
                 raise ult.error

@@ -26,7 +26,6 @@ from .ult import (
     UltState,
     UltYield,
     current_ult,
-    ult_sleep,
 )
 from .xstream import XStream
 
@@ -48,7 +47,6 @@ __all__ = [
     "UltSleep",
     "UltYield",
     "current_ult",
-    "ult_sleep",
     "MargoError",
     "ConfigError",
     "DuplicateNameError",

@@ -19,6 +19,7 @@ that also hosts the progress loop, matching Margo's defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -146,8 +147,8 @@ class MargoConfig:
             xstreams=xstreams,
             progress_pool=doc.get("progress_pool", pools[0].name),
             rpc_pool=doc.get("rpc_pool", pools[0].name),
-            dispatch_cost=_number(doc, "dispatch_cost", cls.dispatch_cost),
-            monitoring_cost_per_event=_number(
+            dispatch_cost=_cost(doc, "dispatch_cost", cls.dispatch_cost),
+            monitoring_cost_per_event=_cost(
                 doc, "monitoring_cost_per_event", cls.monitoring_cost_per_event
             ),
             observability=_parse_observability(doc.get("observability")),
@@ -192,11 +193,15 @@ class MargoConfig:
         }
 
 
-def _number(doc: dict[str, Any], key: str, default: float) -> float:
+def _cost(doc: dict[str, Any], key: str, default: float) -> float:
+    """A simulated cost in seconds: a finite number, at least 0."""
     try:
-        return float(doc.get(key, default))
+        value = float(doc.get(key, default))
     except (TypeError, ValueError):
         raise ConfigError(f"{key!r} must be a number, got {doc[key]!r}") from None
+    if not 0 <= value < math.inf:  # also refuses NaN
+        raise ConfigError(f"{key!r} must be a finite number >= 0, got {doc[key]!r}")
+    return value
 
 
 def _parse_observability(doc: Any) -> ObservabilitySpec:

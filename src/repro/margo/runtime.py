@@ -49,7 +49,7 @@ from ..observability.metrics import MetricsRegistry
 from ..observability.profile import SAMPLE_STAMP, ContinuousProfiler
 from ..observability.span import HANDLER_SUFFIX, child_span_id
 from ..observability.tracer import Tracer
-from ..sim.kernel import TIMED_OUT, SimKernel
+from ..sim.kernel import SimKernel
 from ..sim.network import Network, Process
 from . import ult as _ult
 from .config import MargoConfig, PoolSpec, XStreamSpec
@@ -67,7 +67,7 @@ from .errors import (
     RpcTimeoutError,
 )
 from .pool import Pool
-from .ult import ULT, Compute, Park, UltEvent, UltSleep
+from .ult import TIMED_OUT, ULT, Compute, Park, UltEvent, UltSleep
 from .xstream import XStream
 
 __all__ = ["MargoInstance", "RequestContext", "Registration"]

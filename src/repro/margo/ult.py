@@ -25,7 +25,7 @@ from types import GeneratorType
 from typing import Any, Callable, Optional
 
 from ..analysis.race import hooks as _race
-from ..sim.kernel import SimKernel, TIMED_OUT
+from ..sim.kernel import SimKernel
 
 __all__ = [
     "Compute",
@@ -106,6 +106,16 @@ class UltState(enum.Enum):
 
 
 UltGen = Generator[Any, Any, Any]
+
+
+class _TimedOut:
+    """Resumption value of a :class:`Park` whose timeout fired first."""
+
+    def __repr__(self) -> str:  # pragma: no cover - trivial
+        return "TIMED_OUT"
+
+
+TIMED_OUT = _TimedOut()
 
 
 class ULT:
@@ -348,12 +358,6 @@ class UltMutex:
             _race.note_release(current_ult(), self)
         if self._waiters:
             self._waiters.pop(0).set()
-
-
-def ult_sleep(duration: float) -> UltGen:
-    """Convenience: ``yield from ult_sleep(d)``."""
-    yield UltSleep(duration)
-    return None
 
 
 # ----------------------------------------------------------------------

@@ -7,10 +7,10 @@ progress) for one ``step()``.  ``Compute`` commands and item charges make
 the stream itself busy for simulated time, which is how CPU contention
 between providers sharing a stream (paper Fig. 2) arises.
 
-The stream is a kernel *callback* state machine, not a kernel task:
+The stream is a kernel *callback* state machine, not a generator:
 ``_drive`` is the one callback it posts, once per scheduling step, and an
 ``_idle`` flag stands in for a wakeup event (DESIGN.md section 3; the
-generator task it replaced is ``tests/reference_scheduler.py``).
+generator stream it replaced is ``tests/reference_scheduler.py``).
 """
 
 from __future__ import annotations

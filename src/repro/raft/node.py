@@ -19,8 +19,7 @@ from typing import Any, Callable, Generator, Optional
 from ..core.component import Provider
 from ..margo.errors import RpcError
 from ..margo.runtime import MargoInstance, RequestContext
-from ..margo.ult import Compute, Park, UltEvent, UltSleep
-from ..sim.kernel import TIMED_OUT
+from ..margo.ult import TIMED_OUT, Compute, Park, UltEvent, UltSleep
 from .log import LogEntry, RaftLog
 from .smr import StateMachine
 

@@ -2,23 +2,13 @@
 
 Public surface:
 
-* :class:`~repro.sim.kernel.SimKernel` and friends -- the scheduler;
+* :class:`~repro.sim.kernel.SimKernel` -- the event queue;
 * :class:`~repro.sim.network.Network` / ``Node`` / ``Process`` -- topology;
 * :class:`~repro.sim.faults.FaultInjector` -- crash/partition injection;
 * :class:`~repro.sim.random.RandomSource` -- named deterministic RNG streams.
 """
 
-from .kernel import (
-    DeadlockError,
-    SimEvent,
-    SimKernel,
-    SimulationError,
-    Sleep,
-    Task,
-    Timer,
-    WaitEvent,
-    TIMED_OUT,
-)
+from .kernel import DeadlockError, SimKernel, SimulationError, Timer
 from .network import (
     AddressError,
     LinkModel,
@@ -33,11 +23,6 @@ from .random import RandomSource
 
 __all__ = [
     "SimKernel",
-    "SimEvent",
-    "Sleep",
-    "WaitEvent",
-    "TIMED_OUT",
-    "Task",
     "Timer",
     "SimulationError",
     "DeadlockError",

@@ -1,7 +1,7 @@
 """MCH014 fixture: depth 0, one hop, deep chains, recursion.
 
-Parsed by the lint tests, never imported: ``Sleep``/``Compute``
-stand in for the kernel command constructors the linter recognizes.
+Parsed by the lint tests, never imported: ``UltSleep``/``Compute``
+stand in for the ULT command constructors the linter recognizes.
 """
 
 import time
@@ -25,14 +25,14 @@ def clean_handler(ctx):
 
 def direct_handler(ctx):
     """Positive at depth 0: the blocking call is in the ULT body."""
-    yield Sleep(0.5)  # noqa: F821
+    yield UltSleep(0.5)  # noqa: F821
     time.sleep(0.25)
     return ctx
 
 
 def one_hop_handler(ctx):
     """Positive one hop down, in a same-file helper."""
-    yield Sleep(0.5)  # noqa: F821
+    yield UltSleep(0.5)  # noqa: F821
     local_block()
     return ctx
 

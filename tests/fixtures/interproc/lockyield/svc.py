@@ -23,7 +23,7 @@ class Store:
         self._lock.release()
 
     def _refresh(self):
-        yield Sleep(0.1)  # noqa: F821
+        yield UltSleep(0.1)  # noqa: F821
 
     def _drain(self):
         for item in list(self._pending):

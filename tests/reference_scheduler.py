@@ -1,10 +1,12 @@
-"""Reference scheduler: the xstream as a kernel *task*, progress as a ULT.
+"""Reference scheduler: the xstream as a generator task, progress as a ULT.
 
 This is the generator scheduler ``repro.margo.xstream`` had before the
-stream became a kernel callback (``Task._step`` -> ``_loop`` ->
-``yield from _run_slice`` -> ULT, woken through a ``SimEvent``), and the
-network progress loop ``MargoInstance`` ran as a ULT parked on an event
-before it became a run-to-completion item.  Both are kept as the oracle
+stream became a kernel callback (``ReferenceTask._step`` -> ``_loop`` ->
+``yield from _run_slice`` -> ULT, woken through a ``ReferenceWakeup``),
+and the network progress loop ``MargoInstance`` ran as a ULT parked on
+an event before it became a run-to-completion item.  The task driver
+below makes the posts the kernel's own task runner made, which the
+kernel no longer has.  Both are kept as the oracle
 ``test_scheduler_differential.py`` runs random ULT programs against:
 same posts in the same order, or the property fails.  Slow and obvious
 on purpose; nothing under ``src/`` imports it.
@@ -17,7 +19,54 @@ from repro.margo.pool import Pool
 from repro.margo.ult import ULT, Compute, Park, UltEvent, UltSleep, UltState, UltYield
 from repro.margo.xstream import SCHED_OVERHEAD, XStream
 from repro.mercury import RPCRequest, RPCResponse
-from repro.sim.kernel import Sleep, WaitEvent
+
+
+class ReferenceTask:
+    """A generator driven by kernel posts: the first step at delay 0, a
+    yielded number ``d`` resumes it after ``d`` seconds, and a yielded
+    :class:`ReferenceWakeup` resumes it at delay 0 from the ``set`` (or
+    right away, joining the setter for the race checker, when already
+    set).  An exception leaves through ``kernel.run()``."""
+
+    def __init__(self, kernel, gen):
+        self.kernel = kernel
+        self.gen = gen
+        kernel.post(0.0, self._step)
+
+    def _step(self):
+        try:
+            cmd = self.gen.send(None)
+        except StopIteration:
+            return
+        if not isinstance(cmd, ReferenceWakeup):
+            self.kernel.post(cmd, self._step)
+        elif cmd.is_set:
+            if race.ENABLED:
+                race.note_event_join(cmd)
+            self.kernel.post(0.0, self._step)
+        else:
+            cmd.waiter = self._step
+
+
+class ReferenceWakeup:
+    """A level-triggered event with one waiter: ``set`` posts the waiter
+    at delay 0 and stays set until ``clear``."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.is_set = False
+        self.waiter = None
+
+    def set(self):
+        if self.is_set:
+            return
+        self.is_set = True
+        waiter, self.waiter = self.waiter, None
+        if waiter is not None:
+            self.kernel.post(0.0, waiter)
+
+    def clear(self):
+        self.is_set = False
 
 
 class ReferenceProgress:
@@ -72,13 +121,13 @@ class ReferencePool(Pool):
 class ReferenceXStream(XStream):
     def __init__(self, kernel, name, pools, scheduler="basic_wait"):
         super().__init__(kernel, name, pools, scheduler)
-        self._wakeup = kernel.event(name=f"xstream:{name}")
+        self._wakeup = ReferenceWakeup(kernel)
 
     def start(self):
         if self._started:
             raise RuntimeError(f"xstream {self.name} already started")
         self._started = True
-        self.kernel.spawn(self._loop(), name=f"xstream:{self.name}", daemon=True)
+        ReferenceTask(self.kernel, self._loop())
 
     def notify(self):
         self._wakeup.set()  # idempotent while set, like the _idle flag
@@ -88,7 +137,7 @@ class ReferenceXStream(XStream):
             ult = next((u for u in (p.pop() for p in self.pools) if u is not None), None)
             if ult is None:
                 self._wakeup.clear()
-                yield WaitEvent(self._wakeup)
+                yield self._wakeup
                 continue
             yield from self._run_slice(ult)
 
@@ -114,7 +163,7 @@ class ReferenceXStream(XStream):
                 ult_module._CURRENT = None  # mochi-lint: disable=MCH060 -- same: the executing stream clears it
             if isinstance(cmd, Compute):
                 self.busy_time += cmd.duration
-                yield Sleep(cmd.duration + SCHED_OVERHEAD)
+                yield cmd.duration + SCHED_OVERHEAD
             elif isinstance(cmd, (Park, UltSleep)):
                 if race.ANY_HELD:
                     try:

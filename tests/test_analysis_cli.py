@@ -16,7 +16,7 @@ from .lint_util import REPO
 
 CLEAN = """
 def worker(kernel):
-    yield Sleep(kernel.now + 1.0)
+    yield UltSleep(kernel.now + 1.0)
     return kernel.now
 """
 
@@ -24,7 +24,7 @@ DIRTY = """
 import time
 
 def worker():
-    yield Sleep(1.0)
+    yield UltSleep(1.0)
     return time.time()
 """
 

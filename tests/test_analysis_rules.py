@@ -38,7 +38,7 @@ def test_mch001_clean_on_simulated_time():
         """
         def stamp(kernel):
             now = kernel.now
-            yield Sleep(0.5)
+            yield UltSleep(0.5)
             return now
         """
     )
@@ -219,7 +219,7 @@ def test_mch010_flags_blocking_call_in_ult_body():
         """
         import subprocess
         def worker():
-            yield Sleep(1.0)
+            yield UltSleep(1.0)
             subprocess.run(["ls"])
         """,
         select=["MCH014"],
@@ -250,7 +250,7 @@ def test_mch010_ignores_nested_non_ult_helpers():
         def worker():
             def helper():
                 return subprocess.run(["ls"])
-            yield Sleep(1.0)
+            yield UltSleep(1.0)
             return helper
         """,
         select=["MCH014"],
@@ -266,7 +266,7 @@ def test_mch010_flags_call_to_blocking_helper():
         def pause():
             time.sleep(0.5)
         def worker():
-            yield Sleep(1.0)
+            yield UltSleep(1.0)
             pause()
         """,
         select=["MCH014"],
@@ -302,7 +302,7 @@ def test_mch010_ignores_call_to_clean_helper():
         def shape(data):
             return sorted(data)
         def worker(data):
-            yield Sleep(1.0)
+            yield UltSleep(1.0)
             return shape(data)
         """,
         select=["MCH014"],
@@ -317,10 +317,10 @@ def test_mch010_blocking_ult_helper_not_double_flagged():
         """
         import time
         def inner():
-            yield Sleep(1.0)
+            yield UltSleep(1.0)
             time.sleep(0.5)
         def outer():
-            yield Sleep(1.0)
+            yield UltSleep(1.0)
             yield from inner()
         """,
         select=["MCH014"],

@@ -105,7 +105,7 @@ def test_lint_report_renders_findings(tmp_path, capsys):
             """
             import time
             def worker():
-                yield Sleep(1.0)
+                yield UltSleep(1.0)
                 time.sleep(1.0)
             """
         )

@@ -1,19 +1,14 @@
 """Regression tests for the hot-path kernel optimizations (P0).
 
 These pin the *semantics* that the perf work must not change:
-
-* WaitEvent timeout and wake both resume the task on a fresh
-  event-loop turn (symmetric scheduling, deterministic ordering);
-* ``SimKernel.run`` reports every pending task failure, not just the
-  first;
-* cancelled-timer compaction is invisible: bit-identical event
-  order with and without it, and mass cancellation does not grow the
-  queue without bound.
+cancelled-timer compaction is invisible (bit-identical event order with
+and without it, and mass cancellation does not grow the queue without
+bound), and the ``max_events`` guard fires inside a same-timestamp loop.
 """
 
 import pytest
 
-from repro.sim import SimKernel, SimulationError, Sleep, Task, WaitEvent
+from repro.sim import SimKernel, SimulationError
 from repro.sim import kernel as kernel_mod
 
 
@@ -25,137 +20,54 @@ def kernel(request):
 
 
 # ----------------------------------------------------------------------
-# WaitEvent timeout/wake symmetry (satellite a)
-# ----------------------------------------------------------------------
-def test_wait_event_timeout_resumes_on_fresh_turn(kernel):
-    """A timed-out waiter resumes *after* other callbacks at the same
-    deadline, exactly like an event wake would -- not synchronously
-    inside the timeout timer's fire."""
-    evt = kernel.event()
-    order = []
-
-    def waiter():
-        yield WaitEvent(evt, timeout=1.0)
-        order.append("resumed")
-
-    kernel.spawn(waiter())
-    kernel.run(until=0.0)  # let the wait register its timeout timer
-    # This timer lands at the same deadline but with a *later* seq than
-    # the timeout timer.  If the timeout resumed synchronously the task
-    # would run first; the symmetric fix defers it to a fresh turn.
-    kernel.schedule(1.0, lambda: order.append("tick"))
-    kernel.run()
-    assert order == ["tick", "resumed"]
-
-
-def test_wait_event_wake_resumes_on_fresh_turn(kernel):
-    """Mirror of the timeout case: an event wake also defers."""
-    evt = kernel.event()
-    order = []
-
-    def waiter():
-        value = yield WaitEvent(evt, timeout=10.0)
-        order.append(("resumed", value))
-
-    kernel.spawn(waiter())
-    kernel.run(until=0.0)
-
-    def setter():
-        evt.set("go")
-        order.append(("set",))
-
-    kernel.schedule(1.0, setter)
-    kernel.schedule(1.0, lambda: order.append(("tick",)))
-    kernel.run()
-    assert order == [("set",), ("tick",), ("resumed", "go")]
-
-
-def test_wait_event_timeout_removes_waiter(kernel):
-    """After a timeout the waiter is deregistered: a later set() must
-    not step the task a second time."""
-    evt = kernel.event()
-    resumes = []
-
-    def waiter():
-        value = yield WaitEvent(evt, timeout=1.0)
-        resumes.append(value)
-        yield Sleep(5.0)
-
-    kernel.spawn(waiter(), daemon=True)
-    kernel.schedule(2.0, lambda: evt.set("late"))
-    kernel.run()
-    assert resumes == [kernel_mod.TIMED_OUT]
-    assert evt._waiters == []
-
-
-# ----------------------------------------------------------------------
-# All pending task failures are reported (satellite b)
-# ----------------------------------------------------------------------
-def test_run_reports_all_pending_task_failures(kernel):
-
-    def boom(msg):
-        raise ValueError(msg)
-        yield  # pragma: no cover - makes this a generator
-
-    t1 = Task(kernel, boom("first"), "t1", False)
-    t2 = Task(kernel, boom("second"), "t2", False)
-    # Step both outside run() so two failures are pending at once.
-    t1._step()
-    t2._step()
-    with pytest.raises(ValueError, match="first") as info:
-        kernel.run()
-    error = info.value
-    assert any("second" in note for note in error.__notes__)
-    assert [t.name for t in error.pending_task_failures] == ["t2"]
-    # The queue was drained: a later run does not re-raise stale errors.
-    kernel.run()
-
-
-def test_single_task_failure_has_no_notes(kernel):
-
-    def bad():
-        yield Sleep(1.0)
-        raise ValueError("boom")
-
-    kernel.spawn(bad())
-    with pytest.raises(ValueError, match="boom") as info:
-        kernel.run()
-    assert not getattr(info.value, "pending_task_failures", None)
-
-
-# ----------------------------------------------------------------------
 # Timer cancellation + compaction (satellite c)
 # ----------------------------------------------------------------------
 def _golden_workload(kernel):
-    """A seeded mix of sleeps, waits, timers and mass cancellation."""
+    """A seeded mix of self-posting sleepers, a wait with a timeout,
+    timers and mass cancellation, all started by a post at time 0."""
     log = []
-    evt = kernel.event()
 
     def sleeper(i):
-        for n in range(3):
-            yield Sleep(0.5 * (i + 1))
-            log.append((kernel.now, f"s{i}.{n}"))
+        def step(n):
+            if n:
+                log.append((kernel.now, f"s{i}.{n - 1}"))
+            if n < 3:
+                kernel.post(0.5 * (i + 1), step, n + 1)
 
-    def waiter():
-        value = yield WaitEvent(evt, timeout=2.0)
+        return step
+
+    def resume(value):
         log.append((kernel.now, f"wait:{value!r}"))
+
+    def wait():
+        timeout.append(kernel.schedule(2.0, time_out))
+
+    def time_out():  # resumes on a fresh turn, like the wake below
+        kernel.post(0.0, resume, "timed out")
+
+    def wake():
+        timeout[0].cancel()
+        kernel.post(0.0, resume, "go")
 
     def canceller():
         timers = [
             kernel.schedule(5.0 + j, lambda: log.append((kernel.now, "never")))
             for j in range(200)
         ]
-        yield Sleep(0.25)
+        kernel.post(0.25, cancel_all, timers)
+
+    def cancel_all(timers):
         for timer in timers:
             timer.cancel()
         log.append((kernel.now, "cancelled"))
 
+    timeout = []
     for i in range(3):
-        kernel.spawn(sleeper(i), name=f"s{i}")
-    kernel.spawn(waiter(), name="w")
-    kernel.spawn(canceller(), name="c")
+        kernel.post(0.0, sleeper(i), 0)
+    kernel.post(0.0, wait)
+    kernel.post(0.0, canceller)
     kernel.schedule(1.0, lambda: log.append((kernel.now, "tick1")))
-    kernel.schedule(1.0, lambda: evt.set("go"))
+    kernel.schedule(1.0, wake)
     kernel.run()
     return kernel, log
 

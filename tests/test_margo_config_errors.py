@@ -1,7 +1,10 @@
-"""MargoConfig parse-time rejection paths (duplicates, dangling refs)."""
+"""MargoConfig parse-time rejection paths (duplicates, dangling refs, costs)."""
+
+import json
 
 import pytest
 
+from repro.bedrock import check_boot_config
 from repro.margo import MargoConfig
 from repro.margo.errors import ConfigError
 
@@ -79,6 +82,16 @@ def test_unknown_keys_rejected_at_every_level():
                 }
             }
         )
+
+
+@pytest.mark.parametrize("key", ["dispatch_cost", "monitoring_cost_per_event"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-1e-9"])
+def test_non_finite_or_negative_cost_rejected_naming_the_key(key, value):
+    text = f'{{"{key}": {value}}}'
+    with pytest.raises(ConfigError, match=key):
+        MargoConfig.from_json(text)
+    with pytest.raises(ConfigError, match=key):
+        check_boot_config({"margo": json.loads(text)})
 
 
 def test_invalid_json_text_rejected():

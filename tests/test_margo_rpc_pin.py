@@ -7,10 +7,11 @@ server's node (shared memory) and one across the fabric, a nested RPC
 to a backend process, an explicit ``respond()`` with work after the
 reply, a call that times out before its handler finishes and a call to
 an RPC nobody registered.  The literals are what the generator-task
-xstream (``Task._step`` -> ``XStream._loop`` -> ``_run_slice``) produced
-for this script at the commit before the xstream became a kernel
-callback; every mode -- plain, the runtime checker strict and
-recording -- must reproduce them exactly.
+xstream (now ``tests/reference_scheduler.py``) produced for this script
+at the commit before the xstream became a kernel callback, except
+``seq``: it is one lower since ``run_ult`` stopped spawning a waiter
+task, whose first step was one event.  Every mode -- plain, the
+runtime checker strict and recording -- must reproduce them exactly.
 """
 
 import pytest
@@ -37,7 +38,7 @@ SERVER_CONFIG = {
 
 PINNED = {
     "now": 0.0002729969333333333,
-    "seq": 194,
+    "seq": 193,
     "xstreams": {
         "server/es_progress": (17, 3.199999999999999e-06),
         "server/es_h0": (8, 5.5206750000000005e-05),

@@ -68,6 +68,13 @@ def test_off_arm_adds_no_call_per_rpc(arm):
     assert _slope(arm) == _slope("rpc_off")
 
 
+def test_kernel_event_call_slope_is_pinned():
+    # 40 more callbacks of 11 events each: a post and a heappush to
+    # queue, a heappop and the call to fire (44), plus 100 more timers
+    # (schedule, _schedule_timer, Timer, heappush, heappop, tick: 600).
+    assert _slope("kernel", _tasks) == 2_360
+
+
 def test_race_checker_on_adds_no_call_per_kernel_event():
     assert _slope("kernel_race_on", _tasks) == _slope("kernel", _tasks)
 

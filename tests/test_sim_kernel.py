@@ -1,15 +1,10 @@
-"""Unit tests for the discrete-event kernel."""
+"""Unit tests for the discrete-event kernel and for driving ULTs on it."""
 
 import pytest
 
-from repro.sim import (
-    TIMED_OUT,
-    DeadlockError,
-    SimKernel,
-    SimulationError,
-    Sleep,
-    WaitEvent,
-)
+from repro import Cluster
+from repro.margo import Park, UltEvent, UltSleep
+from repro.sim import DeadlockError, SimKernel
 
 
 def test_time_starts_at_zero():
@@ -50,137 +45,12 @@ def test_negative_delay_rejected():
         SimKernel().schedule(-1.0, lambda: None)
 
 
-def test_task_sleep_advances_time():
+@pytest.mark.parametrize("method", ["post", "schedule"])
+def test_nan_delay_rejected(method):
     kernel = SimKernel()
-
-    def main():
-        yield Sleep(1.5)
-        yield Sleep(2.5)
-        return kernel.now
-
-    task = kernel.spawn(main())
-    kernel.run()
-    assert task.finished
-    assert task.result == pytest.approx(4.0)
-
-
-def test_task_wait_event_gets_payload():
-    kernel = SimKernel()
-    evt = kernel.event("data")
-
-    def producer():
-        yield Sleep(1.0)
-        evt.set("hello")
-
-    def consumer():
-        value = yield WaitEvent(evt)
-        return value
-
-    kernel.spawn(producer())
-    task = kernel.spawn(consumer())
-    kernel.run()
-    assert task.result == "hello"
-
-
-def test_wait_on_already_set_event_resumes_immediately():
-    kernel = SimKernel()
-    evt = kernel.event()
-    evt.set(42)
-
-    def consumer():
-        value = yield WaitEvent(evt)
-        return value
-
-    task = kernel.spawn(consumer())
-    kernel.run()
-    assert task.result == 42
-    assert kernel.now == 0.0
-
-
-def test_wait_event_timeout():
-    kernel = SimKernel()
-    evt = kernel.event()
-
-    def consumer():
-        value = yield WaitEvent(evt, timeout=2.0)
-        return value
-
-    task = kernel.spawn(consumer())
-    kernel.run()
-    assert task.result is TIMED_OUT
-    assert kernel.now == pytest.approx(2.0)
-
-
-def test_wait_event_timeout_not_fired_when_event_set_first():
-    kernel = SimKernel()
-    evt = kernel.event()
-    kernel.schedule(0.5, lambda: evt.set("ok"))
-
-    def consumer():
-        value = yield WaitEvent(evt, timeout=2.0)
-        return value
-
-    task = kernel.spawn(consumer())
-    kernel.run()
-    assert task.result == "ok"
-
-
-def test_event_set_wakes_all_waiters():
-    kernel = SimKernel()
-    evt = kernel.event()
-    results = []
-
-    def consumer(i):
-        value = yield WaitEvent(evt)
-        results.append((i, value))
-
-    for i in range(3):
-        kernel.spawn(consumer(i))
-    kernel.schedule(1.0, lambda: evt.set("x"))
-    kernel.run()
-    assert sorted(results) == [(0, "x"), (1, "x"), (2, "x")]
-
-
-def test_event_clear_and_reuse():
-    kernel = SimKernel()
-    evt = kernel.event()
-    seen = []
-
-    def consumer():
-        value = yield WaitEvent(evt)
-        seen.append(value)
-        evt.clear()
-        value = yield WaitEvent(evt)
-        seen.append(value)
-
-    kernel.spawn(consumer())
-    kernel.schedule(1.0, lambda: evt.set("first"))
-    kernel.schedule(2.0, lambda: evt.set("second"))
-    kernel.run()
-    assert seen == ["first", "second"]
-
-
-def test_task_failure_propagates_from_run():
-    kernel = SimKernel()
-
-    def bad():
-        yield Sleep(1.0)
-        raise ValueError("boom")
-
-    kernel.spawn(bad())
-    with pytest.raises(ValueError, match="boom"):
-        kernel.run()
-
-
-def test_daemon_task_failure_is_swallowed():
-    kernel = SimKernel()
-
-    def bad():
-        yield Sleep(1.0)
-        raise ValueError("boom")
-
-    kernel.spawn(bad(), daemon=True)
-    kernel.run()  # does not raise
+    with pytest.raises(ValueError, match="nan"):
+        getattr(kernel, method)(float("nan"), lambda: None)
+    assert kernel.queued() == 0
 
 
 def test_run_until_time():
@@ -195,77 +65,53 @@ def test_run_until_time():
     assert fired == [1, 2]
 
 
-def test_run_until_tasks():
+def test_halt_stops_after_the_current_event():
     kernel = SimKernel()
+    fired = []
+    kernel.schedule(1.0, lambda: (fired.append(1), kernel.halt()))
+    kernel.schedule(1.0, lambda: fired.append(2))
+    kernel.run()
+    assert fired == [1] and kernel.now == 1.0 and kernel.queued() == 1
+    kernel.run()
+    assert fired == [1, 2]
+
+
+# ----------------------------------------------------------------------
+# driving ULTs: Cluster.run_ult / wait_ults
+# ----------------------------------------------------------------------
+def _rig():
+    cluster = Cluster(seed=1)
+    return cluster, cluster.add_margo("p", node="n0")
+
+
+def _parks_on(event):
+    yield Park(event, None)
+
+
+def test_run_until_tasks():
+    """``wait_ults`` returns when its ULTs finish, although perpetual
+    background timers keep the queue from draining."""
+    cluster, margo = _rig()
+
+    def tick():
+        if cluster.now < 1000.0:
+            cluster.kernel.schedule(1.0, tick)
+
+    cluster.kernel.schedule(1.0, tick)
 
     def short():
-        yield Sleep(1.0)
+        yield UltSleep(2.5)
         return "done"
 
-    def forever():
-        while True:
-            yield Sleep(1.0)
-
-    kernel.spawn(forever(), daemon=True)
-    task = kernel.spawn(short())
-    kernel.run(until_tasks=[task], max_events=10_000)
-    assert task.result == "done"
-
-
-def test_deadlock_detection():
-    kernel = SimKernel()
-    evt = kernel.event()
-
-    def stuck():
-        yield WaitEvent(evt)
-
-    task = kernel.spawn(stuck())
-    with pytest.raises(DeadlockError):
-        kernel.run(until_tasks=[task])
-
-
-def test_unsupported_yield_raises_into_task():
-    kernel = SimKernel()
-
-    def bad():
-        yield "nonsense"
-
-    kernel.spawn(bad())
-    with pytest.raises(SimulationError, match="unsupported command"):
-        kernel.run()
-
-
-def test_spawn_requires_generator():
-    with pytest.raises(TypeError):
-        SimKernel().spawn(lambda: None)  # type: ignore[arg-type]
-
-
-def test_spawn_accepts_a_generator_by_protocol():
-    from collections.abc import Generator
-
-    class Once(Generator):
-        woke = False
-
-        def send(self, value):
-            if self.woke:
-                raise StopIteration("done")
-            self.woke = True
-            return Sleep(2.0)
-
-        def throw(self, typ=None, val=None, tb=None):
-            raise typ
-
-    kernel = SimKernel()
-    task = kernel.spawn(Once())
-    kernel.run()
-    assert task.result == "done" and kernel.now == 2.0
+    assert cluster.wait_ults([cluster.spawn(margo, short())]) == ["done"]
+    assert cluster.now == 2.5
 
 
 def test_nested_yield_from():
-    kernel = SimKernel()
+    cluster, margo = _rig()
 
     def inner():
-        yield Sleep(1.0)
+        yield UltSleep(1.0)
         return 10
 
     def outer():
@@ -273,7 +119,61 @@ def test_nested_yield_from():
         b = yield from inner()
         return a + b
 
-    task = kernel.spawn(outer())
-    kernel.run()
-    assert task.result == 20
-    assert kernel.now == pytest.approx(2.0)
+    assert cluster.run_ult(margo, outer()) == 20
+    assert cluster.now == pytest.approx(2.0)
+
+
+def test_deadlock_detection():
+    """A ULT parked on an event nobody sets: the queue drains first, and
+    both drivers name the ULT they were waiting for."""
+    cluster, margo = _rig()
+    never = UltEvent(cluster.kernel, name="never")
+    with pytest.raises(DeadlockError, match=r"pending: \['ult-\d+'\]"):
+        cluster.run_ult(margo, _parks_on(never))
+    with pytest.raises(DeadlockError, match="'stuck'"):
+        cluster.wait_ults([cluster.spawn(margo, _parks_on(never), name="stuck")])
+
+
+def test_abandoned_wait_does_not_halt_a_later_run():
+    cluster, margo = _rig()
+    event = UltEvent(cluster.kernel, name="late")
+    stuck = cluster.spawn(margo, _parks_on(event), name="stuck")
+    with pytest.raises(DeadlockError):
+        cluster.wait_ults([stuck])
+    fired = []
+    cluster.kernel.schedule(1.0, event.set)
+    cluster.kernel.schedule(5.0, fired.append, "after")
+    start = cluster.now
+    cluster.run(until=start + 10.0)
+    assert stuck.state.value == "done"
+    assert fired == ["after"] and cluster.now == start + 10.0
+
+
+def test_task_failure_propagates_from_run():
+    """``wait_ults`` re-raises the first failed ULT's error, in list order."""
+    cluster, margo = _rig()
+
+    def fails(delay, message):
+        yield UltSleep(delay)
+        raise ValueError(message)
+
+    ults = [cluster.spawn(margo, fails(2.0, "first")), cluster.spawn(margo, fails(1.0, "second"))]
+    with pytest.raises(ValueError, match="first"):
+        cluster.wait_ults(ults)
+    with pytest.raises(ValueError, match="boom"):
+        cluster.run_ult(margo, fails(1.0, "boom"))
+
+
+def test_wait_ults_on_finished_ults_does_not_run_the_kernel():
+    cluster, margo = _rig()
+
+    def quick():
+        yield UltSleep(1.0)
+        return 7
+
+    ult = cluster.spawn(margo, quick())
+    cluster.wait_ults([ult])
+    cluster.kernel.schedule(1.0, lambda: pytest.fail("the kernel ran"))
+    seq, now = cluster.kernel._seq, cluster.now
+    assert cluster.wait_ults([ult, ult]) == [7, 7]
+    assert (cluster.kernel._seq, cluster.now) == (seq, now)
