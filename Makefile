@@ -27,17 +27,23 @@ lint:
 mochi-lint.sarif:
 	$(PY) -m repro lint --format sarif > $@ || true
 
-# Tier-1, then the pins that must also hold with the runtime checker on
-# (the Yokan differential: a migration runs two ULTs over one segment log;
-# the scheduler differential: the oracle's own task driver joins the
-# race checker where the kernel's task runner did).
+# Tier-1, the service-controller examples, then the pins that must also
+# hold with the runtime checker on (the Yokan differential: a migration
+# runs two ULTs over one segment log; the scheduler differential: the
+# oracle's own task driver joins the race checker where the kernel's task
+# runner did; the controller's policies, strict).
 test:
 	$(PY) -m pytest -x -q
+	$(PY) examples/resilient_kv.py > /dev/null
+	$(PY) examples/elastic_rebalance.py > /dev/null
+	$(PY) examples/dynamic_hepnos.py > /dev/null
 	REPRO_SANITIZE=race $(PY) -m pytest -x -q tests/test_xray.py -k determinism
 	REPRO_SANITIZE=race $(PY) -m pytest -x -q tests/test_yokan_provider.py -k cost_model
 	REPRO_SANITIZE=race $(PY) -m pytest -x -q tests/test_margo_rpc_pin.py
 	REPRO_SANITIZE=race $(PY) -m pytest -x -q tests/test_yokan_model.py
 	REPRO_SANITIZE=race $(PY) -m pytest -x -q tests/test_scheduler_differential.py
+	REPRO_SANITIZE=1 $(PY) -m pytest -x -q tests/test_core_service.py \
+		tests/test_profile_feedback.py tests/test_xray_feedback.py
 
 # Overhead gates (~1 min): exits 1 when a gated row fails.
 gates:

@@ -13,9 +13,9 @@ import pytest
 from repro import Cluster
 from repro.core import (
     DynamicService,
-    ElasticityManager,
     ElasticityPolicy,
     ProcessSpec,
+    ServiceController,
     ServiceSpec,
 )
 from repro.margo import Compute
@@ -66,25 +66,25 @@ def run_trial(elastic: bool):
     register_query(service.processes["svc0"].margo)
 
     free_nodes = [f"spare{i}" for i in range(3)]
-    manager = None
+    controller = None
+    decisions = []  # the whole history: the ring keeps only the last ones
     if elastic:
-        def make_spec(name, node):
-            return kv_process(name, node)
-
-        manager = ElasticityManager(
+        controller = ServiceController(
             service,
-            ElasticityPolicy(
+            ("watermark",),
+            period=1.0,
+            elasticity=ElasticityPolicy(
                 high_watermark=0.6,
                 low_watermark=0.05,
-                decision_interval=1.0,
                 patience=1,
                 max_processes=4,
             ),
             allocate_node=lambda: free_nodes.pop(0) if free_nodes else None,
             release_node=free_nodes.append,
-            make_process_spec=make_spec,
+            make_process_spec=kv_process,
         )
-        manager.start()
+        controller.on_decision.append(decisions.append)
+        controller.start()
 
         # New processes must also serve the query RPC.
         original_grow = service.grow
@@ -116,30 +116,26 @@ def run_trial(elastic: bool):
     for _ in range(N_WORKERS):
         cluster.spawn(app, worker())
     cluster.run(until=RUN_FOR)
-    if manager is not None:
-        manager.stop()
+    if controller is not None:
+        controller.stop()
+    events = [d for d in decisions if d["kind"] in ("scale_out", "scale_in")]
+    outs = sum(1 for e in events if e["kind"] == "scale_out")
 
     return {
         "deployment": "elastic" if elastic else "static-1",
         "completed_queries": completed["count"],
-        "peak_processes": (
-            1 + max((1 for e in (manager.events if manager else [])
-                     if e.kind == "out"), default=0)
-            if manager
-            else 1
-        ),
-        "scale_out_events": sum(
-            1 for e in (manager.events if manager else []) if e.kind == "out"
-        ),
-        "scale_in_events": sum(
-            1 for e in (manager.events if manager else []) if e.kind == "in"
-        ),
+        "peak_processes": 1 + min(outs, 1) if controller else 1,
+        "scale_out_events": outs,
+        "scale_in_events": len(events) - outs,
         "final_processes": len(service.processes),
         "events": [
-            {"t": e.time, "kind": e.kind, "process": e.process}
-            for e in (manager.events if manager else [])
+            {"t": e["time"], "kind": e["kind"][len("scale_"):],
+             "process": e["process"]}
+            for e in events
         ],
-        "load_history": manager.load_history if manager else [],
+        "load_history": [
+            [d["time"], d["load"]] for d in decisions if d["kind"] == "watermark"
+        ],
     }
 
 

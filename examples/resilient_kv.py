@@ -17,7 +17,7 @@ Run: ``python examples/resilient_kv.py``
 """
 
 from repro import Cluster
-from repro.core import DynamicService, ProcessSpec, ResilienceManager, ServiceSpec
+from repro.core import DynamicService, ProcessSpec, ServiceController, ServiceSpec
 from repro.raft import KVStateMachine, RaftClient, RaftConfig, RaftNode
 from repro.ssg import SwimConfig
 from repro.storage import ParallelFileSystem
@@ -55,11 +55,13 @@ def checkpoint_recovery_demo() -> None:
     )
     service = DynamicService.deploy(cluster, spec, pfs=pfs)
     spares = ["spare0"]
-    manager = ResilienceManager(
-        service, checkpoint_interval=2.0,
+    controller = ServiceController(
+        service, ("resilience",), period=2.0,
         allocate_node=lambda: spares.pop(0) if spares else None,
     )
-    manager.start()
+    decisions = []  # the whole history: the ring keeps only the last ones
+    controller.on_decision.append(decisions.append)
+    controller.start()
 
     db = YokanClient(service.control).make_handle(service.processes["kv1"].address, 1)
 
@@ -68,15 +70,15 @@ def checkpoint_recovery_demo() -> None:
 
     service.run_control(fill())
     cluster.run(until=5.0)  # let a checkpoint happen
-    print(f"checkpoints taken: {manager.checkpoints_taken}; killing kv1...")
+    print(f"checkpoints taken: {controller.counts['checkpoint']}; killing kv1...")
     cluster.faults.kill_process(service.processes["kv1"].margo.process)
     cluster.run(until=45.0)
-    manager.stop()
-    recovery = manager.recoveries[0]
-    print(f"SWIM detected the death; recovered as {recovery.replacement_process!r} "
-          f"on a spare node in {recovery.recovery_duration:.2f}s "
+    controller.stop()
+    recovery = next(d for d in decisions if d["kind"] == "recovery")
+    print(f"SWIM detected the death; recovered as {recovery['replacement']!r} "
+          f"on a spare node in {recovery['duration']:.2f}s "
           f"(includes detection)")
-    replacement = service.processes[recovery.replacement_process]
+    replacement = service.processes[recovery["replacement"]]
     restored = replacement.bedrock.records["db-kv1"]
     print(f"restored value for k25: {restored.instance.backend.get(b'k25')!r}")
     print(f"group view back to {service.view().size} members\n")

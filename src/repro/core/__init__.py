@@ -26,26 +26,18 @@ __all__ = [
     "ProcessSpec",
     "SpecError",
     "DynamicService",
-    "ReconfigurationController",
     "ManagedProcess",
     "ServiceError",
-    "ElasticityManager",
+    "ServiceController",
     "ElasticityPolicy",
-    "ScalingEvent",
-    "ResilienceManager",
-    "RecoveryEvent",
 ]
 
 _LAZY = {
     "DynamicService": "service",
-    "ReconfigurationController": "service",
     "ManagedProcess": "service",
     "ServiceError": "service",
-    "ElasticityManager": "elasticity",
-    "ElasticityPolicy": "elasticity",
-    "ScalingEvent": "elasticity",
-    "ResilienceManager": "resilience",
-    "RecoveryEvent": "resilience",
+    "ServiceController": "controller",
+    "ElasticityPolicy": "controller",
 }
 
 

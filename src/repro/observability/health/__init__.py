@@ -5,7 +5,7 @@ Entry points:
 
 * ``cluster.enable_health()`` -- attach a :class:`HealthPlane` to a
   cluster; then ``plane.watch_service(service)`` (or ``watch_group`` /
-  ``watch_raft`` / ``watch_resilience`` individually).
+  ``watch_raft`` / ``watch_controller`` individually).
 * ``ObservabilitySpec.slos`` -- declarative objectives evaluated by a
   per-process :class:`SLOEngine` against profiler windows.
 * Bedrock queries over ``$__health__`` / ``$__incidents__`` / ``$__slo__``,

@@ -8,7 +8,7 @@ The two latencies the paper's resilience story needs fall out directly:
 
 * **detection latency** -- fault injection to SWIM's confirmed-dead
   transition (suspicion latency is kept separately);
-* **MTTR** -- fault injection to the resilience manager's recovery
+* **MTTR** -- fault injection to the service controller's recovery
   completing (replacement provisioned and providers restored).
 
 Incident ids are dense (``INC-1``, ``INC-2``, ...) in open order; the

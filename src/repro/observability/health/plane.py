@@ -83,9 +83,13 @@ class HealthPlane:
             lambda role, term, n=node: self._on_role_change(n, role, term)
         )
 
-    def watch_resilience(self, manager: Any) -> None:
-        manager.on_recovery.append(
-            lambda event, m=manager: self._on_recovery(m, event)
+    def watch_controller(self, controller: Any) -> None:
+        """Subscribe to a ServiceController's decision stream: rebalance
+        cycles are black-boxed, recoveries close their incident.  A
+        controller built on a cluster with a health plane calls this
+        itself."""
+        controller.on_decision.append(
+            lambda decision, c=controller: self._on_decision(c, decision)
         )
 
     def watch_margo(self, margo: Any) -> None:
@@ -150,20 +154,34 @@ class HealthPlane:
             "election", {"process": target, "role": role, "term": term}
         )
 
-    def _on_recovery(self, manager: Any, event: Any) -> None:
+    def _on_decision(self, controller: Any, decision: dict[str, Any]) -> None:
+        if decision["kind"] == "rebalance":
+            self.recorder.record(
+                "reconfiguration",
+                "rebalance" if decision["triggered"] else "steady",
+                "",
+                cycle=decision["cycle"],
+                load_imbalance=decision["load_imbalance"],
+                moves=len(decision["moves"]),
+                vetoed=len(decision["vetoed_nodes"]),
+            )
+        elif decision["kind"] == "recovery":
+            self._on_recovery(controller.service, decision)
+
+    def _on_recovery(self, service: Any, decision: dict[str, Any]) -> None:
         self.recorder.record(
             "recovery",
             "recovered",
-            event.failed_process,
-            replacement=event.replacement_process,
-            providers_restored=event.providers_restored,
-            duration=event.recovery_duration,
+            decision["process"],
+            replacement=decision["replacement"],
+            providers_restored=decision["providers_restored"],
+            duration=decision["duration"],
         )
         incident = self.incidents.close(
-            event.failed_process,
+            decision["process"],
             "recovered",
-            replacement=event.replacement_process,
-            providers_restored=event.providers_restored,
+            replacement=decision["replacement"],
+            providers_restored=decision["providers_restored"],
         )
         if incident is not None:
             self.recorder.record(
@@ -171,9 +189,8 @@ class HealthPlane:
                 id=incident.incident_id, mttr=incident.mttr,
             )
         # The replacement is a new, healthy member; watch it like the
-        # resilience manager does.
-        service = manager.service
-        replacement = service.processes.get(event.replacement_process)
+        # controller does.
+        replacement = service.processes.get(decision["replacement"])
         if replacement is not None:
             if replacement.group is not None:
                 self.watch_group(replacement.group)
@@ -215,18 +232,6 @@ class HealthPlane:
         self.recorder.record(
             "migration", "migrated", shard,
             source=source, destination=destination, duration=duration,
-        )
-
-    def note_decision(self, decision: dict[str, Any]) -> None:
-        """Called by the reconfiguration controller after each cycle."""
-        self.recorder.record(
-            "reconfiguration",
-            "rebalance" if decision.get("triggered") else "steady",
-            "",
-            cycle=decision.get("cycle", 0),
-            load_imbalance=decision.get("load_imbalance", 0.0),
-            moves=len(decision.get("moves", [])),
-            vetoed=len(decision.get("vetoed_nodes", [])),
         )
 
     # ------------------------------------------------------------------

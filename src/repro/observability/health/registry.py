@@ -9,7 +9,7 @@ its state is one of the ordered ladder
 the process responsive), ``suspect``/``dead`` come from the failure
 detectors.  The registry keeps the current state map plus a bounded
 transition log, and notifies subscribers on every change -- this is what
-the :class:`~repro.core.service.ReconfigurationController` consults
+the :class:`~repro.core.controller.ServiceController` consults
 before migrating shards onto a node (never onto suspect/dead).
 """
 

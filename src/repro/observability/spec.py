@@ -27,7 +27,7 @@ the Margo instance) accepts an ``observability`` object::
 
 The ``profile_*`` keys configure :mod:`repro.observability.profile`;
 the two thresholds are the declarative knobs the autonomic
-:class:`~repro.core.service.ReconfigurationController` compares measured
+:class:`~repro.core.controller.ServiceController` compares measured
 windows against.  Like every other part of the Listing-2/Listing-3
 configuration it is validated on parse and reflected back by
 ``get_config`` so a shared configuration document reproduces the

@@ -7,8 +7,8 @@ closed profiler window, (1) where each sampled request actually blocked
 ``(process, pool, phase)`` segments make the p99 cohort slower than the
 p50 cohort -- :func:`attribute_paths`; and (3) which reconfiguration
 action would shrink the tail the most -- :func:`what_if`, a Coz-style
-virtual-speedup estimate the :class:`~repro.core.service.\
-ReconfigurationController` ranks and (optionally) applies.
+virtual-speedup estimate the :class:`~repro.core.controller.\
+ServiceController` ranks and (optionally) applies.
 """
 
 from .attribution import attribute_paths, nearest_rank, segment_key

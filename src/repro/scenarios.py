@@ -26,7 +26,7 @@ from typing import Any, Callable
 
 from .analysis.race.explore import ExplorationReport, explore
 from .cluster import Cluster
-from .core import DynamicService, ProcessSpec, ResilienceManager, ServiceSpec
+from .core import DynamicService, ProcessSpec, ServiceController, ServiceSpec
 from .margo.ult import Compute, UltMutex, UltSleep
 from .observability.xray.attribution import attribute_paths
 from .observability.xray.whatif import what_if
@@ -275,17 +275,18 @@ def run_crash_scenario(seed: int = 42) -> dict[str, Any]:
         health.watch_raft(node)
 
     spares = ["spare0", "spare1"]
-    manager = ResilienceManager(
-        service, checkpoint_interval=1.5,
+    controller = ServiceController(
+        service, ("resilience",), period=1.5,
         allocate_node=lambda: spares.pop(0) if spares else None,
     )
-    manager.start()
-    health.watch_resilience(manager)
+    decisions: list[dict[str, Any]] = []
+    controller.on_decision.append(decisions.append)
+    controller.start()
 
     _spawn_writers(cluster, service, count=250)
     cluster.faults.kill_node_at(6.0, cluster.network.nodes["n1"])
     cluster.run(until=45.0)
-    manager.stop()
+    controller.stop()
     health.stop_sweep()
 
     return {
@@ -294,9 +295,10 @@ def run_crash_scenario(seed: int = 42) -> dict[str, Any]:
         "incidents": health.incidents.to_json(),
         "dump": health.dump("scenario-end"),
         "recoveries": [
-            {"failed": r.failed_process, "replacement": r.replacement_process,
-             "duration": r.recovery_duration}
-            for r in manager.recoveries
+            {"failed": d["process"], "replacement": d["replacement"],
+             "duration": d["duration"]}
+            for d in decisions
+            if d["kind"] == "recovery"
         ],
     }
 

@@ -9,7 +9,7 @@ unit suites cannot.
 import pytest
 
 from repro import Cluster
-from repro.core import DynamicService, ProcessSpec, ResilienceManager, ServiceSpec
+from repro.core import DynamicService, ProcessSpec, ServiceController, ServiceSpec
 from repro.margo.ult import UltSleep
 from repro.raft import KVStateMachine, RaftClient, RaftConfig, RaftNode, Role
 from repro.ssg import SwimConfig, create_group
@@ -112,7 +112,8 @@ def test_chaos_raft_random_crashes_and_partitions(seed):
 
 
 def test_chaos_service_with_resilience_manager_survives_crash_storm():
-    """A 4-process service with the resilience manager; three staggered
+    """A 4-process service under the controller's checkpoint and
+    recovery policies; three staggered
     process crashes (each recovered onto a spare).  At the end, all data
     written before each crash's last checkpoint is present, and the
     group view matches the live processes."""
@@ -126,11 +127,11 @@ def test_chaos_service_with_resilience_manager_survives_crash_storm():
     )
     service = DynamicService.deploy(cluster, spec, pfs=pfs)
     spares = [f"spare{i}" for i in range(4)]
-    manager = ResilienceManager(
-        service, checkpoint_interval=1.5,
+    controller = ServiceController(
+        service, ("resilience",), period=1.5,
         allocate_node=lambda: spares.pop(0) if spares else None,
     )
-    manager.start()
+    controller.start()
 
     app = service.control
     yokan = YokanClient(app)
@@ -154,18 +155,19 @@ def test_chaos_service_with_resilience_manager_survives_crash_storm():
     cluster.faults.kill_process_at(4.0, service.processes["kv1"].margo.process)
     cluster.faults.kill_process_at(9.0, service.processes["kv2"].margo.process)
     cluster.run(until=60.0)
-    manager.stop()
+    controller.stop()
 
-    assert len(manager.recoveries) == 2
-    recovered_names = {r.failed_process for r in manager.recoveries}
+    recoveries = [d for d in controller.decisions if d["kind"] == "recovery"]
+    assert len(recoveries) == 2
+    recovered_names = {r["process"] for r in recoveries}
     assert recovered_names == {"kv1", "kv2"}
     # All service processes are live and the group converged.
     live = [p for p in service.processes.values() if p.alive]
     assert len(live) == 4
     assert service.view().size == 4
     # Each recovered provider holds a full checkpoint's worth of data.
-    for recovery in manager.recoveries:
-        replacement = service.processes[recovery.replacement_process]
+    for recovery in recoveries:
+        replacement = service.processes[recovery["replacement"]]
         restored = [
             r for r in replacement.bedrock.records.values()
             if r.type_name == "yokan"

@@ -1,15 +1,14 @@
 """Tests for the dynamic-service layer: deploy, grow/shrink, rebalance,
-elasticity manager, resilience manager."""
+and the service controller's watermark, checkpoint and recovery policies."""
 
 import pytest
 
 from repro import Cluster
 from repro.core import (
     DynamicService,
-    ElasticityManager,
     ElasticityPolicy,
     ProcessSpec,
-    ResilienceManager,
+    ServiceController,
     ServiceError,
     ServiceSpec,
     SpecError,
@@ -218,13 +217,42 @@ def test_rebalance_moves_providers():
 
 
 # ----------------------------------------------------------------------
-# ElasticityManager
+# ServiceController: watermark elasticity
 # ----------------------------------------------------------------------
 def test_elasticity_policy_validation():
     with pytest.raises(ValueError):
         ElasticityPolicy(high_watermark=1.0, low_watermark=2.0)
     with pytest.raises(ValueError):
         ElasticityPolicy(min_processes=0)
+    cluster = Cluster(seed=54)
+    service = deploy(cluster, n=1)
+    with pytest.raises(ValueError, match="unknown policies"):
+        ServiceController(service, ("elastic",))
+    with pytest.raises(ValueError, match="make_process_spec"):
+        ServiceController(service, ("watermark",))
+    with pytest.raises(ValueError, match="allocate_node"):
+        ServiceController(
+            service, ("watermark",), release_node=print,
+            make_process_spec=kv_process,
+        )
+    with pytest.raises(ValueError, match="rebalance"):
+        ServiceController(service, ("xray",))
+
+
+def elastic_controller(service, policy, free_nodes, period=1.0):
+    return ServiceController(
+        service,
+        ("watermark",),
+        period=period,
+        elasticity=policy,
+        allocate_node=lambda: free_nodes.pop(0) if free_nodes else None,
+        release_node=free_nodes.append,
+        make_process_spec=lambda name, node: kv_process(name, node),
+    )
+
+
+def kinds(controller):
+    return [d["kind"] for d in controller.decisions]
 
 
 def test_elasticity_manager_scales_out_under_load():
@@ -232,17 +260,10 @@ def test_elasticity_manager_scales_out_under_load():
     service = deploy(cluster, n=1)
     free_nodes = [f"spare{i}" for i in range(3)]
     policy = ElasticityPolicy(
-        high_watermark=0.5, low_watermark=0.01, decision_interval=1.0, patience=1,
-        max_processes=3,
+        high_watermark=0.5, low_watermark=0.01, patience=1, max_processes=3
     )
-    manager = ElasticityManager(
-        service,
-        policy,
-        allocate_node=lambda: free_nodes.pop(0) if free_nodes else None,
-        release_node=free_nodes.append,
-        make_process_spec=lambda name, node: kv_process(name, node),
-    )
-    manager.start()
+    controller = elastic_controller(service, policy, free_nodes)
+    controller.start()
     # Sustained CPU-bound load on kv0 (e.g. expensive queries).
     from repro.margo import Compute
 
@@ -262,12 +283,12 @@ def test_elasticity_manager_scales_out_under_load():
     for _ in range(4):
         cluster.spawn(cm, hammer())
     cluster.run(until=8.0)  # while the load is still running
-    assert any(e.kind == "out" for e in manager.events)
+    assert "scale_out" in kinds(controller)
     assert len(service.processes) > 1
     # After the load stops, the idle policy scales back in.
     cluster.run(until=25.0)
-    manager.stop()
-    assert any(e.kind == "in" for e in manager.events)
+    controller.stop()
+    assert "scale_in" in kinds(controller)
     assert len(service.processes) == 1
 
 
@@ -275,16 +296,8 @@ def test_elasticity_manager_scales_in_when_idle():
     cluster = Cluster(seed=56)
     service = deploy(cluster, n=1)
     free_nodes = ["spare0"]
-    policy = ElasticityPolicy(
-        high_watermark=1000.0, low_watermark=0.5, decision_interval=1.0, patience=1
-    )
-    manager = ElasticityManager(
-        service,
-        policy,
-        allocate_node=lambda: free_nodes.pop(0) if free_nodes else None,
-        release_node=free_nodes.append,
-        make_process_spec=lambda name, node: kv_process(name, node),
-    )
+    policy = ElasticityPolicy(high_watermark=1000.0, low_watermark=0.5, patience=1)
+    controller = elastic_controller(service, policy, free_nodes)
     # Manually grow an elastic process, then let the idle policy retire it.
     def grow():
         spec = kv_process(f"{service.spec.name}-elastic-1", free_nodes.pop(0))
@@ -292,22 +305,108 @@ def test_elasticity_manager_scales_in_when_idle():
 
     service.run_control(grow())
     assert len(service.processes) == 2
-    manager.start()
+    controller.start()
     cluster.run(until=15.0)
-    manager.stop()
-    assert any(e.kind == "in" for e in manager.events)
+    controller.stop()
+    assert "scale_in" in kinds(controller)
     assert len(service.processes) == 1
     assert free_nodes == ["spare0"]  # node returned to the resource manager
 
 
+def churn_service(cluster):
+    """One process, no group, no data: growing and shrinking is cheap."""
+    spec = ServiceSpec(name="svc", processes=[kv_process("svc0", "n0", dbs=0)])
+    return DynamicService.deploy(cluster, spec)
+
+
+def scripted_load(controller, loads):
+    """Replace the measured load with a script (the policy under test is
+    the decision, not the measurement)."""
+    measure = controller.current_load
+    script = iter(loads)
+
+    def current_load():
+        measure()  # keep the busy snapshots moving
+        return next(script)
+
+    controller.current_load = current_load
+
+
+def test_scale_in_retires_most_recently_added_first():
+    """Past ten elastic processes, name order ("-elastic-9" after
+    "-elastic-10") is not grow order; scale-in must follow grow order."""
+    cluster = Cluster(seed=57)
+    service = churn_service(cluster)
+    free_nodes = [f"spare{i}" for i in range(12)]
+    policy = ElasticityPolicy(
+        high_watermark=0.5, low_watermark=0.1, patience=1, max_processes=13
+    )
+    controller = ServiceController(
+        service, ("watermark",), period=0.1, elasticity=policy,
+        allocate_node=lambda: free_nodes.pop(0) if free_nodes else None,
+        release_node=free_nodes.append,
+        make_process_spec=lambda name, node: kv_process(name, node, dbs=0),
+    )
+    scripted_load(controller, [1.0] * 12 + [0.0] * 12)
+    cluster.spawn(service.control, controller.run(cycles=24))
+    cluster.run(until=3.0)
+    outs = [d["process"] for d in controller.decisions if d["kind"] == "scale_out"]
+    ins = [d["process"] for d in controller.decisions if d["kind"] == "scale_in"]
+    assert outs == [f"svc-elastic-{i}" for i in range(1, 13)]
+    assert ins == outs[::-1]
+    assert list(service.processes) == ["svc0"]
+
+
+def test_controller_state_stays_bounded_under_churn():
+    """1 000+ cycles of grow/shrink churn: the decision ring, the busy
+    snapshots and every other container stay at or under their cap."""
+    cluster = Cluster(seed=58)
+    service = churn_service(cluster)
+    free_nodes = ["spare0", "spare1"]
+    policy = ElasticityPolicy(
+        high_watermark=0.5, low_watermark=0.1, patience=1, max_processes=3
+    )
+    controller = ServiceController(
+        service, ("watermark",), period=0.01, elasticity=policy,
+        allocate_node=lambda: free_nodes.pop(0) if free_nodes else None,
+        release_node=free_nodes.append,
+        make_process_spec=lambda name, node: kv_process(name, node, dbs=0),
+    )
+    cycles = 1200
+    scripted_load(controller, [1.0, 1.0, 0.0, 0.0] * (cycles // 4))
+    cluster.spawn(service.control, controller.run(cycles=cycles))
+    cluster.run(until=cycles * 0.01 + 1.0)
+    assert controller.counts["watermark"] == cycles
+    assert controller.counts["scale_out"] == controller.counts["scale_in"] >= 500
+    assert len(controller.decisions) == controller.decisions.maxlen
+    # Snapshots cover the processes alive at the last observation only.
+    assert len(controller._busy_snapshots) <= policy.max_processes
+    assert len(controller.counts) <= 3
+    assert not controller._checkpoints and controller._pending_prediction is None
+    assert list(service.processes) == ["svc0"]
+
+
 # ----------------------------------------------------------------------
-# ResilienceManager
+# ServiceController: checkpoint and recovery
 # ----------------------------------------------------------------------
 def test_resilience_manager_needs_pfs():
     cluster = Cluster(seed=57)
     service = deploy(cluster, n=2)
     with pytest.raises(ServiceError, match="PFS"):
-        ResilienceManager(service, 1.0, allocate_node=lambda: None)
+        ServiceController(service, ("resilience",), period=1.0, allocate_node=lambda: None)
+    with pytest.raises(ValueError, match="allocate_node"):
+        ServiceController(service, ("resilience",), period=1.0)
+
+
+def test_controller_starts_once():
+    cluster = Cluster(seed=59)
+    controller = ServiceController(deploy(cluster, n=1), ("rebalance",), period=1.0)
+    controller.start()
+    with pytest.raises(ServiceError, match="already started"):
+        controller.start()
+    controller.stop()
+    with pytest.raises(ServiceError, match="already started"):
+        controller.start()
 
 
 def test_resilience_recovers_from_process_death():
@@ -315,12 +414,11 @@ def test_resilience_recovers_from_process_death():
     pfs = ParallelFileSystem()
     service = deploy(cluster, n=3, pfs=pfs)
     spares = ["spare0"]
-    manager = ResilienceManager(
-        service,
-        checkpoint_interval=2.0,
+    controller = ServiceController(
+        service, ("resilience",), period=2.0,
         allocate_node=lambda: spares.pop(0) if spares else None,
     )
-    manager.start()
+    controller.start()
     cm = service.control
     victim = service.processes["kv1"]
     db = YokanClient(cm).make_handle(victim.address, 1)
@@ -331,16 +429,17 @@ def test_resilience_recovers_from_process_death():
     service.run_control(fill())
     # Let at least one checkpoint happen, then kill the process.
     cluster.run(until=cluster.now + 5.0)
-    assert manager.checkpoints_taken >= 1
+    assert controller.counts["checkpoint"] >= 1
     cluster.faults.kill_process(victim.margo.process)
     cluster.run(until=cluster.now + 40.0)
-    manager.stop()
-    assert len(manager.recoveries) == 1
-    recovery = manager.recoveries[0]
-    assert recovery.failed_process == "kv1"
-    assert recovery.providers_restored >= 1
+    controller.stop()
+    recoveries = [d for d in controller.decisions if d["kind"] == "recovery"]
+    assert len(recoveries) == 1
+    recovery = recoveries[0]
+    assert recovery["process"] == "kv1"
+    assert recovery["providers_restored"] >= 1
     # The restored provider serves the checkpointed data.
-    replacement = service.processes[recovery.replacement_process]
+    replacement = service.processes[recovery["replacement"]]
     restored = replacement.bedrock.records["db-kv1-0"]
     assert restored.instance.backend.get(b"k7") == b"v7"
     # And the group converged to 3 members again.

@@ -11,7 +11,7 @@ from repro import Cluster
 from repro.analysis.race import hooks as race_hooks
 from repro.bedrock.boot import boot_process
 from repro.bedrock.client import BedrockClient
-from repro.core import ReconfigurationController
+from repro.core import ServiceController
 from repro.scenarios import run_crash_scenario, run_slo_scenario
 from repro.ssg import SwimConfig, create_group
 from repro.tools import fault_report, health_report
@@ -188,8 +188,8 @@ def test_controller_vetoes_suspect_targets():
     service, yokan = _hot_service(cluster)
     health = cluster.enable_health()
     health.registry.observe("kv1", "suspect", "test")
-    controller = ReconfigurationController(
-        service, objective=Objective(alpha=1.0, beta=0.0, gamma=0.0),
+    controller = ServiceController(
+        service, ("rebalance",), objective=Objective(alpha=1.0, beta=0.0, gamma=0.0),
         period=0.5, smoothing=2,
     )
 

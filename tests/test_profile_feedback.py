@@ -1,7 +1,7 @@
 """The monitor -> decide -> reconfigure loop, end to end.
 
 Acceptance scenario: a deliberately hot provider runs with profiling
-enabled; the :class:`ReconfigurationController` detects the imbalance
+enabled; the :class:`ServiceController`'s rebalance policy detects the imbalance
 from *measured* windows (no hand-fed loads), triggers ``plan_rebalance``,
 the migration executes, and the post-migration measurements show
 ``load_imbalance`` strictly improved -- fully deterministically."""
@@ -14,7 +14,7 @@ from repro import Cluster
 from repro.core import (
     DynamicService,
     ProcessSpec,
-    ReconfigurationController,
+    ServiceController,
     ServiceSpec,
 )
 from repro.margo.errors import MargoError, RpcError
@@ -103,8 +103,9 @@ def run_feedback_scenario(seed=61, cycles=10):
     stop = {"flag": False}
     for record_name, pause in (("db-kv0-0", 0.002), ("db-kv0-1", 0.004)):
         cluster.spawn(service.control, hammer(service, yokan, stop, record_name, pause))
-    controller = ReconfigurationController(
+    controller = ServiceController(
         service,
+        ("rebalance",),
         objective=Objective(alpha=1.0, beta=0.0, gamma=0.0),
         period=0.5,
         smoothing=2,
@@ -171,27 +172,26 @@ def test_controller_idle_guard():
     deployed idle service must not be 'rebalanced')."""
     cluster = Cluster(seed=62)
     service, _yokan = hot_service(cluster, fill=False)
-    controller = ReconfigurationController(service, period=0.5, smoothing=2)
-    # Thresholds defaulted from the processes' ObservabilitySpec.
+    controller = ServiceController(service, ("rebalance",), period=0.5, smoothing=2)
+    # Thresholds come from the processes' ObservabilitySpec.
     assert controller.load_imbalance_threshold == 1.5
     assert controller.busy_threshold == 0.9
     cluster.spawn(service.control, controller.run(cycles=3))
     cluster.run(until=2.5)
     assert len(controller.decisions) == 3
-    assert all(not d["triggered"] for d in controller.decisions)
-    assert controller.rebalances == 0
+    assert all(not d["triggered"] and not d["moves"] for d in controller.decisions)
 
 
 def test_controller_decisions_ring_is_bounded():
     cluster = Cluster(seed=63)
-    service, _yokan = hot_service(cluster)
-    controller = ReconfigurationController(
-        service, period=0.5, smoothing=2, max_decisions=2
-    )
-    cluster.spawn(service.control, controller.run(cycles=5))
-    cluster.run(until=4.0)
-    assert len(controller.decisions) == 2  # ring bound, not 5
-    assert [d["cycle"] for d in controller.decisions] == [3, 4]
+    service, _yokan = hot_service(cluster, fill=False)
+    controller = ServiceController(service, ("rebalance",), period=0.05, smoothing=1)
+    cycles = controller.decisions.maxlen + 3
+    cluster.spawn(service.control, controller.run(cycles=cycles))
+    cluster.run(until=0.05 * cycles + 1.0)
+    assert controller.counts["rebalance"] == cycles
+    assert len(controller.decisions) == controller.decisions.maxlen  # not cycles
+    assert controller.decisions[0]["cycle"] == 3
 
 
 def test_measured_placement_uses_estimates():
@@ -201,16 +201,18 @@ def test_measured_placement_uses_estimates():
         "kv0": {"yokan:1": {"load": 10.0}, "yokan:2": {"load": 2.0}},
         "kv1": {},
     }
-    placement = service.measured_placement(estimates)
+    placement = service.placement(estimates)
     assert placement.load_of("kv0") == 12.0
     assert placement.load_of("kv1") == 0.0
     # Unmeasured providers fall back to zero load, not synthetic counts.
-    placement_empty = service.measured_placement({})
+    placement_empty = service.placement({})
     assert placement_empty.load_of("kv0") == 0.0
+    # Without estimates, loads are the providers' request counts.
+    assert service.placement().load_of("kv0") > 0.0
 
 
 def test_controller_validation():
     cluster = Cluster(seed=65)
     service, _yokan = hot_service(cluster)
     with pytest.raises(ValueError, match="period"):
-        ReconfigurationController(service, period=0.0)
+        ServiceController(service, ("rebalance",), period=0.0)

@@ -1,4 +1,4 @@
-"""mochi-xray -> ReconfigurationController, end to end.
+"""mochi-xray -> ServiceController, end to end.
 
 Acceptance scenario (ISSUE 10): a service runs with a deliberately
 under-provisioned pool; the controller reads the xray plane's what-if
@@ -18,7 +18,7 @@ from repro import Cluster
 from repro.core import (
     DynamicService,
     ProcessSpec,
-    ReconfigurationController,
+    ServiceController,
     ServiceSpec,
 )
 from repro.margo.ult import Compute, UltSleep
@@ -87,12 +87,8 @@ def run_scenario(seed=23, cycles=6):
     client = cluster.add_margo("cli", node="n0", config={"observability": dict(OBS)})
     stop = {"flag": False}
     cluster.spawn(client, burst_load(cluster, client, margo.address, stop)())
-    controller = ReconfigurationController(
-        service,
-        period=0.1,
-        smoothing=2,
-        apply_xray_actions=True,
-        xray_min_improvement=0.05,
+    controller = ServiceController(
+        service, ("rebalance", "xray"), period=0.1, smoothing=2
     )
     cluster.spawn(service.control, controller.run(cycles=cycles))
     cluster.run(until=0.1 * cycles + 0.05)
@@ -119,7 +115,6 @@ def test_controller_applies_top_action_and_records_realized():
     # Exactly one application (a pending prediction blocks re-applying
     # until it resolves, and the resolved bottleneck stops ranking #1).
     applied = [d for d in decisions if d.get("xray", {}) and "applied" in d["xray"]]
-    assert controller.xray_actions_applied >= 1
     assert applied
     doc = applied[0]["xray"]
     assert doc["applied"]["pool"] == "hot"
@@ -143,7 +138,7 @@ def test_controller_without_apply_only_recommends():
     client = cluster.add_margo("cli", node="n0", config={"observability": dict(OBS)})
     stop = {"flag": False}
     cluster.spawn(client, burst_load(cluster, client, margo.address, stop)())
-    controller = ReconfigurationController(service, period=0.1, smoothing=2)
+    controller = ServiceController(service, ("rebalance",), period=0.1, smoothing=2)
     cluster.spawn(service.control, controller.run(cycles=3))
     cluster.run(until=0.4)
     stop["flag"] = True
@@ -151,7 +146,6 @@ def test_controller_without_apply_only_recommends():
     docs = [d["xray"] for d in controller.decisions if d.get("xray")]
     assert docs
     assert any(doc["top_action"] for doc in docs)
-    assert controller.xray_actions_applied == 0
     assert all("applied" not in doc for doc in docs)
     # Only the one baked-in xstream serves the hot pool.
     assert sorted(service.processes["srv"].margo.xstreams) == [
@@ -185,7 +179,7 @@ def test_no_xray_processes_leaves_decisions_unchanged():
         ],
     )
     service = DynamicService.deploy(cluster, spec)
-    controller = ReconfigurationController(service, period=0.1, smoothing=1)
+    controller = ServiceController(service, ("rebalance",), period=0.1, smoothing=1)
     cluster.spawn(service.control, controller.run(cycles=2))
     cluster.run(until=0.5)
     assert all(d["xray"] is None for d in controller.decisions)
