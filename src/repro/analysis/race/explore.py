@@ -84,13 +84,13 @@ def explore(
     seeds: Sequence[int] = tuple(range(1, 9)),
 ) -> ExplorationReport:
     """Run ``scenario`` unperturbed plus once per seed; diff digests."""
-    from ...margo.ult import ULT
+    from ...margo.ult import ULT_IDS
 
-    start_counter = ULT._counter
+    start_id = ULT_IDS.last
     was_enabled, was_strict = hooks.ENABLED, hooks._strict
 
     def one_run(seed: Optional[int]) -> RunResult:
-        ULT._counter = start_counter
+        ULT_IDS.last = start_id  # every run names its ULTs the same way
         hooks.disable()
         # Full precision: the explorer's divergence pinpointing needs a
         # complete fire trace, so timer-edge sampling is turned off here.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Generator, Optional
 
 from ..core.component import Client, ResourceHandle
@@ -10,6 +11,10 @@ from ..margo.runtime import MargoInstance
 from ..margo.ult import UltSleep
 
 __all__ = ["RaftClient", "RaftGroupHandle", "RaftUnavailableError"]
+
+# Process-wide handle numbers (h1, h2, ...), kept off the class: a store
+# to a class attribute resets CPython's attribute caches for its type.
+_HANDLE_IDS = itertools.count(1)
 
 
 class RaftUnavailableError(RuntimeError):
@@ -23,8 +28,6 @@ class RaftGroupHandle(ResourceHandle):
     candidate list used for discovery.
     """
 
-    _handle_counter = 0
-
     def __init__(
         self,
         client: "RaftClient",
@@ -37,9 +40,8 @@ class RaftGroupHandle(ResourceHandle):
         self.members = list(members)
         self.retry_interval = retry_interval
         self.max_attempts = max_attempts
-        RaftGroupHandle._handle_counter += 1
         #: Client-session identity for exactly-once command semantics.
-        self.client_id = f"{client.margo.address}/h{RaftGroupHandle._handle_counter}"
+        self.client_id = f"{client.margo.address}/h{next(_HANDLE_IDS)}"
         self._sequence = 0
 
     def submit(self, command: Any, rpc_timeout: float = 1.0) -> Generator:

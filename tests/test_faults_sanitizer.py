@@ -162,14 +162,14 @@ def _racy_run():
 
 
 def test_seeded_racy_fixture_deterministic_mch03x(race):
-    from repro.margo.ult import ULT
+    from repro.margo.ult import ULT_IDS
 
-    start = ULT._counter
+    start = ULT_IDS.last
     first = _racy_run()
     hooks.disable()
     hooks.reset()
     hooks.enable()
-    ULT._counter = start  # mochi-lint: disable=MCH060 -- rewinds the ULT id counter so the two same-seed runs compare byte-identical
+    ULT_IDS.last = start  # mochi-lint: disable=MCH060 -- rewinds the ULT id counter so the two same-seed runs compare byte-identical
     second = _racy_run()
     assert first == second  # same seed -> byte-identical report
     assert [f["rule_id"] for f in first] == ["MCH030"]

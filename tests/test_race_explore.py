@@ -69,6 +69,29 @@ def test_explorer_clean_scenario_has_identical_digests():
     assert {run.digest for run in report.runs} == {report.baseline.digest}
 
 
+def test_explorer_runs_name_their_ults_identically():
+    """Every run starts from the same ULT id, so unnamed ULTs get the
+    same ``ult-N`` names in the baseline and in each perturbed run."""
+    names = []
+
+    def scenario():
+        cluster = Cluster(seed=5)
+        margo = cluster.add_margo("m", node="n0")
+
+        def sleeper():
+            yield UltSleep(0.01)
+
+        ults = [cluster.spawn(margo, sleeper()) for _ in range(3)]
+        cluster.wait_ults(ults)
+        names.append([ult.name for ult in ults])
+        return {"names": names[-1]}
+
+    report = explore(scenario, "unnamed", seeds=(1, 2))
+    assert len(names) == 3 and names[0] == names[1] == names[2]
+    assert all(name.startswith("ult-") for name in names[0])
+    assert report.clean
+
+
 def test_same_seed_byte_identical_report():
     first = explore(racy_scenario, "racy", seeds=(1, 2, 3))
     second = explore(racy_scenario, "racy", seeds=(1, 2, 3))

@@ -243,10 +243,10 @@ def test_same_seed_reports_identically(race):
         cluster.wait_ults(ults)
         return [f.to_json() for f in hooks.findings]
 
-    from repro.margo.ult import ULT
+    from repro.margo.ult import ULT_IDS
 
-    start = ULT._counter
+    start = ULT_IDS.last
     first = run_once()
-    ULT._counter = start  # mochi-lint: disable=MCH060 -- rewinds the ULT id counter so the two same-seed runs compare byte-identical
+    ULT_IDS.last = start  # mochi-lint: disable=MCH060 -- rewinds the ULT id counter so the two same-seed runs compare byte-identical
     second = run_once()
     assert first == second and first  # byte-identical report, same seed
