@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Any, Optional
 from ..analysis.race import hooks as _race
 from .config import PoolSpec
 from .errors import ConfigError
-from .ult import ULT, UltState
+from .ult import READY, ULT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .xstream import XStream
@@ -69,7 +69,7 @@ class Pool:
     # mochi-lint: hotpath
     def push(self, ult: ULT) -> None:
         ult.pool = self
-        ult.state = UltState.READY
+        ult.state = READY
         self._queue.append(ult)
         self.total_pushed += 1
         if _race.ENABLED:

@@ -22,7 +22,7 @@ from ..sim.kernel import SimKernel
 from . import ult as _ult
 from .errors import ConfigError
 from .pool import Pool
-from .ult import ULT, Compute, Park, UltSleep, UltState, UltYield
+from .ult import BLOCKED, RUNNING, ULT, Compute, Park, UltSleep, UltYield
 
 __all__ = ["XStream", "SCHEDULER_TYPES"]
 
@@ -144,7 +144,7 @@ class XStream:
                         return
                     self.slices_run += 1
                     if type(ult) is ULT:
-                        ult.state = UltState.RUNNING
+                        ult.state = RUNNING
                         value = ult._resume_value
                         exc = ult._resume_exc
                         ult._resume_value = None
@@ -211,7 +211,7 @@ class XStream:
                             exc = err
                             continue
                     if kind is UltSleep:
-                        ult.state = UltState.BLOCKED
+                        ult.state = BLOCKED
                         self.kernel.post(cmd.duration, ult._timed_ready, ult._park_token)
                     else:
                         cmd.event._park(ult, cmd.timeout)
