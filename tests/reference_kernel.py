@@ -1,7 +1,7 @@
 """Reference kernel: the event queue as a plain binary heap.
 
 The specification ``repro.sim.SimKernel``'s event heap is held to by
-``test_kernel_wheel.py``: events fire in ``(deadline, seq)``
+``test_kernel_heap.py``: events fire in ``(deadline, seq)``
 order, a cancelled timer never fires and never advances the clock, and
 an exception leaves everything not yet fired in the queue.  Slow and
 obvious on purpose; it imports nothing from ``repro``.

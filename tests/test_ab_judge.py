@@ -1,0 +1,52 @@
+"""The verdict rule of ``benchmarks/ab.py``, on synthetic paired runs
+(no subprocess, no git): a gain needs the change better in at least 9
+of 10 pairs *and* its median ahead by more than the parent's IQR."""
+
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "benchmarks"))
+
+from ab import judge  # noqa: E402
+
+# Parent runs with quartiles 29.5 / 30.0 / 30.5 (IQR 1.0).
+PARENT = [29.0, 29.5, 29.5, 30.0, 30.0, 30.0, 30.0, 30.5, 30.5, 31.0]
+
+
+def test_nine_wins_and_a_gap_beyond_the_iqr_is_a_gain():
+    change = [p - 3.0 for p in PARENT[:9]] + [PARENT[9] + 1.0]
+    judged = judge(PARENT, change, "lower", bound=0.25)
+    assert judged["wins"] == "9/10"
+    assert judged["gap_over_parent_iqr"] > 1.0
+    assert judged["gain"] and not judged["regress"]
+
+
+def test_eight_wins_is_no_gain_however_large_the_gap():
+    change = [p - 3.0 for p in PARENT[:8]] + [p + 1.0 for p in PARENT[8:]]
+    judged = judge(PARENT, change, "lower")
+    assert judged["wins"] == "8/10"
+    assert judged["gap_over_parent_iqr"] > 1.0
+    assert not judged["gain"]
+
+
+def test_a_gap_inside_the_parent_iqr_is_no_gain_even_winning_every_pair():
+    change = [p - 0.5 for p in PARENT]
+    judged = judge(PARENT, change, "lower")
+    assert judged["wins"] == "10/10"
+    assert judged["gap_over_parent_iqr"] == 0.5
+    assert not judged["gain"]
+
+
+def test_higher_is_better_metrics_and_the_regression_bound():
+    faster = [p * 2.0 for p in PARENT]
+    assert judge(PARENT, faster, "higher")["gain"]
+    assert judge(PARENT, faster, "lower", bound=0.25)["regress"]
+    assert not judge(PARENT, list(PARENT), "lower", bound=0.25)["regress"]
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved_unless_separated():
+    noisy = [20.0, 25.0, 30.0, 35.0, 40.0, 20.0, 25.0, 30.0, 35.0, 40.0]
+    assert judge(PARENT, noisy, "lower", bound=0.1)["unresolved"]
+    assert not judge(PARENT, PARENT, "lower", bound=0.1)["unresolved"]
+    below = [v / 4.0 for v in noisy]  # as spread out, but every run beats every parent run
+    assert not judge(PARENT, below, "lower", bound=0.1)["unresolved"]
