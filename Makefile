@@ -13,14 +13,15 @@ ci: lint test e2e contract gates
 
 # Every static rule + the config boot check over the gate's roots
 # (`repro lint` with no paths), twice (the report must be
-# byte-identical), then mochi-race: happens-before + lock order +
-# schedule exploration with every runtime check recording, and the
-# example services under REPRO_SANITIZE=race.
+# byte-identical; the first run's exit status is the gate), then
+# mochi-race: happens-before + lock order + schedule exploration with
+# every runtime check recording, and the example services under
+# REPRO_SANITIZE=race.
 lint:
-	$(PY) -m repro lint
-	$(PY) -m repro lint --format json > lint-run-1.json || true
-	$(PY) -m repro lint --format json > lint-run-2.json || true
-	cmp lint-run-1.json lint-run-2.json
+	$(PY) -m repro lint --format json > lint-run-1.json; status=$$?; \
+		$(PY) -m repro lint --format json > lint-run-2.json; \
+		cmp lint-run-1.json lint-run-2.json || exit 1; \
+		[ $$status -eq 0 ] || { cat lint-run-1.json; exit $$status; }
 	$(PY) -m repro race --seeds 8
 	REPRO_SANITIZE=race $(PY) -m pytest -x -q tests/test_race_services.py
 

@@ -156,13 +156,12 @@ class Cluster:
     # ------------------------------------------------------------------
     # observability (cluster-wide views over per-process planes)
     # ------------------------------------------------------------------
-    def enable_health(self, **kwargs: Any) -> HealthPlane:
-        """Attach the cluster health plane (flight recorder, failure
-        detector, health registry, incident log).  Idempotent: a second
-        call returns the existing plane.  Keyword arguments pass through
-        to :class:`~repro.observability.health.HealthPlane`."""
+    def enable_health(self) -> HealthPlane:
+        """Attach the cluster health plane (flight recorder, health
+        registry, incident log).  Idempotent: a second call returns the
+        existing plane."""
         if self.health is None:
-            HealthPlane(self, **kwargs)  # installs itself as self.health
+            HealthPlane(self)  # installs itself as self.health
         return self.health
 
     def tracers(self) -> list[Tracer]:

@@ -15,9 +15,9 @@ elasticity, resilience) need to act on:
 * :class:`ObservabilitySpec` -- the ``"observability"`` section of the
   margo/bedrock JSON configuration that turns it all on;
 * :mod:`~repro.observability.health` -- the mochi-health plane (ISSUE
-  6): declarative SLOs with burn-rate alerting, phi-accrual failure
-  detection over SWIM heartbeats, incident correlation (detection
-  latency / MTTR), and the always-on flight recorder;
+  6): declarative SLOs with burn-rate alerting, a health registry fed
+  by SWIM membership, incident correlation (detection latency / MTTR),
+  and the always-on flight recorder;
 * :mod:`~repro.observability.xray` -- the mochi-xray causal plane
   (ISSUE 10): per-request critical paths from sampled blocked-on/wakeup
   edges, differential tail-latency attribution per closed profiler
@@ -62,7 +62,6 @@ from .health import (
     HealthRegistry,
     Incident,
     IncidentLog,
-    PhiAccrualDetector,
     SLOEngine,
     SLOSpec,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "HealthRegistry",
     "Incident",
     "IncidentLog",
-    "PhiAccrualDetector",
     "SLOEngine",
     "SLOSpec",
     "XrayPlane",

@@ -1,4 +1,4 @@
-"""mochi-health: SLO engine, failure-detection health plane, and the
+"""mochi-health: SLO engine, the SWIM-fed health plane, and the
 always-on flight recorder (ISSUE 6).
 
 Entry points:
@@ -13,7 +13,6 @@ Entry points:
   ``repro health {crash,slo}`` (scenarios in :mod:`repro.scenarios`).
 """
 
-from .detector import PhiAccrualDetector
 from .incidents import Incident, IncidentLog
 from .plane import HealthPlane
 from .recorder import EVENT_CATEGORIES, FlightRecorder
@@ -29,7 +28,6 @@ __all__ = [
     "Incident",
     "IncidentLog",
     "OBJECTIVES",
-    "PhiAccrualDetector",
     "SLOEngine",
     "SLOSpec",
 ]

@@ -19,13 +19,15 @@ runs is byte-identical -- the E2E acceptance test of ISSUE 6.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 __all__ = ["Incident", "IncidentLog"]
 
 #: Correlated events per incident are capped: a flapping cluster must
 #: not grow one incident without bound.  Overflow is counted.
 MAX_EVENTS_PER_INCIDENT = 64
+#: Incidents the log keeps, open or closed.
+MAX_INCIDENTS = 128
 
 
 class Incident:
@@ -91,15 +93,13 @@ class Incident:
 class IncidentLog:
     """Bounded store of incidents with open/close bookkeeping."""
 
-    def __init__(self, kernel: Any, max_incidents: int = 128) -> None:
+    def __init__(self, kernel: Any) -> None:
         self.kernel = kernel
-        self.incidents: deque[Incident] = deque(maxlen=max(1, max_incidents))
+        self.incidents: deque[Incident] = deque(maxlen=MAX_INCIDENTS)
         self._opened = 0
         #: open incidents by target (one open incident per target: a
         #: second fault on the same target folds into the first).
         self._open_by_target: dict[str, Incident] = {}
-        self.on_open: list[Callable[[Incident], None]] = []
-        self.on_close: list[Callable[[Incident], None]] = []
 
     # ------------------------------------------------------------------
     def open(
@@ -118,12 +118,7 @@ class IncidentLog:
         if evicted is not None and evicted.open:
             self._open_by_target.pop(evicted.target, None)
         self._open_by_target[target] = incident
-        for callback in list(self.on_open):
-            callback(incident)
         return incident
-
-    def open_incident_for(self, target: str) -> Optional[Incident]:
-        return self._open_by_target.get(target)
 
     def open_incidents(self) -> list[Incident]:
         return [i for i in self.incidents if i.open]
@@ -161,8 +156,6 @@ class IncidentLog:
         incident.resolution = resolution
         if attrs:
             incident.attach(now, "resolution", attrs)
-        for callback in list(self.on_close):
-            callback(incident)
         return incident
 
     # ------------------------------------------------------------------

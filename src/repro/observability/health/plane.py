@@ -1,16 +1,15 @@
-"""The cluster health plane: detectors, registry, incidents, recorder.
+"""The cluster health plane: registry, incidents, recorder.
 
 One :class:`HealthPlane` per :class:`~repro.cluster.Cluster` (opt-in via
 ``cluster.enable_health()``) ties the pieces of ISSUE 6 together:
 
 * the **flight recorder** receives every fault, membership transition,
-  election, migration, recovery, SLO alert, and reconfiguration
-  decision (the always-on black box);
+  health transition, election, migration, recovery, SLO alert, and
+  reconfiguration decision (the always-on black box);
 * the **health registry** holds the observed per-target state ladder
   (healthy/degraded/suspect/dead) that the reconfiguration controller
-  consults before placing shards;
-* the **phi-accrual detector** accrues continuous suspicion from SWIM
-  heartbeats (pings and acks), shading between SWIM's binary states;
+  consults before placing shards.  SWIM, the one failure detector, sets
+  ``suspect``/``dead``/``healthy``; SLO alerts set ``degraded``;
 * the **incident log** correlates injected faults with SWIM detection,
   Raft elections, and REMI recoveries into measured detection-latency
   and MTTR numbers.
@@ -28,10 +27,9 @@ Margo instance, which is how Bedrock queries reading ``$__health__`` /
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from ...sim.faults import FaultRecord
-from .detector import PhiAccrualDetector
 from .incidents import IncidentLog
 from .recorder import FlightRecorder
 from .registry import HealthRegistry
@@ -42,26 +40,12 @@ __all__ = ["HealthPlane"]
 class HealthPlane:
     """Cluster-wide failure detection, incidents, and post-mortems."""
 
-    def __init__(
-        self,
-        cluster: Any,
-        recorder_capacity: int = 4096,
-        max_incidents: int = 128,
-        max_transitions: int = 256,
-        phi_threshold: float = 8.0,
-        phi_window: int = 32,
-        auto_dump: bool = True,
-    ) -> None:
+    def __init__(self, cluster: Any) -> None:
         self.cluster = cluster
         self.kernel = cluster.kernel
-        self.recorder = FlightRecorder(self.kernel, capacity=recorder_capacity)
-        self.registry = HealthRegistry(self.kernel, max_transitions=max_transitions)
-        self.incidents = IncidentLog(self.kernel, max_incidents=max_incidents)
-        self.detector = PhiAccrualDetector(threshold=phi_threshold, window=phi_window)
-        self.auto_dump = auto_dump
-        self._sweep_running = False
-        # Every registry transition is black-boxed.
-        self.registry.on_transition.append(self._on_registry_transition)
+        self.recorder = FlightRecorder(self.kernel)
+        self.registry = HealthRegistry(self.recorder)
+        self.incidents = IncidentLog(self.kernel)
         # Ground truth: the chaos controller's injections open incidents.
         cluster.faults.on_fault.append(self.on_fault)
         cluster.health = self
@@ -72,11 +56,10 @@ class HealthPlane:
     # ------------------------------------------------------------------
     def watch_group(self, group: Any) -> None:
         """Subscribe to one SSG group: membership transitions feed the
-        registry/incidents, ping traffic feeds the phi detector."""
+        registry and the incidents."""
         group.on_membership_event.append(
             lambda kind, address, g=group: self._on_membership(g, kind, address)
         )
-        group.on_heartbeat.append(self.detector.heartbeat)
 
     def watch_raft(self, node: Any) -> None:
         node.on_role_change.append(
@@ -122,9 +105,8 @@ class HealthPlane:
             # registry is *not* told: it tracks observed state only, so
             # detection latency is honestly measured.
             self.incidents.open("crash", record.target, fault_kind=record.kind)
-            if self.auto_dump:
-                # The black-box use case: everything up to the crash.
-                self.recorder.dump(f"crash:{record.target}")
+            # The black-box use case: everything up to the crash.
+            self.recorder.dump(f"crash:{record.target}")
         elif record.kind in ("partition", "heal", "loss"):
             self.incidents.attach_all("network", {"event": record.kind,
                                                   "detail": record.target})
@@ -141,7 +123,6 @@ class HealthPlane:
         elif kind == "dead":
             self.registry.observe(target, "dead", source)
             self.incidents.note_detection(target, "dead")
-            self.detector.forget(address)
         elif kind == "alive":
             self.registry.observe(target, "healthy", source)
 
@@ -210,21 +191,12 @@ class HealthPlane:
             self.incidents.open(
                 "slo", target, slo=alert["slo"], state=state
             )
-            if self.auto_dump and state == "breach":
+            if state == "breach":
                 self.recorder.dump(f"slo:{target}:{alert['slo']}")
         elif state == "ok":
             if self.registry.state_of(target) == "degraded":
                 self.registry.observe(target, "healthy", f"slo:{alert['slo']}")
             self.incidents.close(target, "slo_recovered", slo=alert["slo"])
-
-    def _on_registry_transition(self, transition: dict[str, Any]) -> None:
-        self.recorder.record(
-            "health",
-            transition["to"],
-            transition["target"],
-            previous=transition["from"],
-            source=transition["source"],
-        )
 
     def note_migration(self, shard: str, source: str, destination: str,
                        duration: float) -> None:
@@ -233,52 +205,6 @@ class HealthPlane:
             "migration", "migrated", shard,
             source=source, destination=destination, duration=duration,
         )
-
-    # ------------------------------------------------------------------
-    # the phi sweep (optional periodic evaluation)
-    # ------------------------------------------------------------------
-    def evaluate_detector(self) -> dict[str, Any]:
-        """One phi sweep: every watched address's suspicion level; the
-        registry picks up ``degraded`` (phi past half the threshold) and
-        ``suspect`` (past it) shades ahead of SWIM's confirmation."""
-        now = self.kernel.now
-        snapshot = self.detector.snapshot(now)
-        for address in sorted(snapshot):
-            info = snapshot[address]
-            if info["samples"] < 2:
-                continue
-            target = self._process_of(address)
-            current = self.registry.state_of(target)
-            if current == "dead":
-                continue
-            phi = info["phi"]
-            if phi >= self.detector.threshold:
-                self.registry.observe(target, "suspect", "phi")
-            elif phi >= self.detector.threshold / 2.0:
-                if current == "healthy":
-                    self.registry.observe(target, "degraded", "phi")
-            elif current in ("degraded", "suspect"):
-                self.registry.observe(target, "healthy", "phi")
-        return snapshot
-
-    def start_sweep(self, period: float) -> None:
-        """Schedule a recurring phi sweep every ``period`` sim-seconds."""
-        if period <= 0:
-            raise ValueError(f"sweep period must be positive, got {period}")
-        if self._sweep_running:
-            return
-        self._sweep_running = True
-
-        def tick() -> None:
-            if not self._sweep_running:
-                return
-            self.evaluate_detector()
-            self.kernel.schedule(period, tick)
-
-        self.kernel.schedule(period, tick)
-
-    def stop_sweep(self) -> None:
-        self._sweep_running = False
 
     # ------------------------------------------------------------------
     # queries
@@ -291,12 +217,10 @@ class HealthPlane:
 
     def health_doc(self) -> dict[str, Any]:
         """The cluster health snapshot (a query's ``$__health__``)."""
-        now = self.kernel.now
         return {
-            "time": now,
+            "time": self.kernel.now,
             "states": dict(sorted(self.registry.states.items())),
             "unhealthy": self.registry.unhealthy(),
-            "phi": self.detector.snapshot(now),
             "open_incidents": len(self.incidents.open_incidents()),
             "recorded_events": self.recorder.recorded,
         }

@@ -1,7 +1,7 @@
 """The flight recorder: an always-on bounded ring of structured events.
 
 Aviation-style post-mortem support for the health plane (ISSUE 6): the
-recorder keeps the last ``capacity`` structured events -- membership
+recorder keeps the last :data:`CAPACITY` structured events -- membership
 transitions, migrations, elections, faults, SLO alerts, reconfiguration
 decisions -- in a ``deque(maxlen=...)`` ring (the MCH004-sanctioned
 bounded pattern), so it can stay attached for the whole life of a
@@ -19,9 +19,15 @@ byte-identical (tested, including under ``REPRO_SANITIZE=race``).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional
+from typing import Any
 
 __all__ = ["FlightRecorder", "EVENT_CATEGORIES", "events_to_chrome"]
+
+#: Events the ring keeps.
+CAPACITY = 4096
+#: Post-mortem dumps kept (a crash storm must not turn the recorder
+#: itself into a leak).
+MAX_DUMPS = 8
 
 #: The event taxonomy.  Keeping it closed makes dumps greppable and the
 #: Chrome export's category lanes stable.
@@ -41,18 +47,14 @@ EVENT_CATEGORIES = (
 class FlightRecorder:
     """A bounded, always-on structured-event ring with dump support."""
 
-    def __init__(self, kernel: Any, capacity: int = 4096, max_dumps: int = 8) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+    def __init__(self, kernel: Any) -> None:
         self.kernel = kernel
-        self.capacity = capacity
-        self.events: deque[dict[str, Any]] = deque(maxlen=capacity)
+        self.events: deque[dict[str, Any]] = deque(maxlen=CAPACITY)
         #: total events ever recorded (``seq`` of the next event); the
         #: difference with ``len(events)`` is how many fell off the ring.
         self.recorded = 0
-        #: Post-mortem dumps taken so far (bounded: a crash storm must
-        #: not turn the recorder itself into a leak).
-        self.dumps: deque[dict[str, Any]] = deque(maxlen=max(1, max_dumps))
+        #: Post-mortem dumps taken so far.
+        self.dumps: deque[dict[str, Any]] = deque(maxlen=MAX_DUMPS)
 
     # ------------------------------------------------------------------
     # recording
@@ -92,7 +94,7 @@ class FlightRecorder:
         doc = {
             "reason": reason,
             "time": self.kernel.now,
-            "capacity": self.capacity,
+            "capacity": self.events.maxlen,
             "recorded": self.recorded,
             "dropped": self.dropped,
             "events": [dict(e) for e in self.events],
@@ -103,7 +105,7 @@ class FlightRecorder:
     def to_json(self) -> dict[str, Any]:
         """The live ring (without taking a dump)."""
         return {
-            "capacity": self.capacity,
+            "capacity": self.events.maxlen,
             "recorded": self.recorded,
             "dropped": self.dropped,
             "events": [dict(e) for e in self.events],

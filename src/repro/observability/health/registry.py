@@ -6,17 +6,16 @@ its state is one of the ordered ladder
     healthy < degraded < suspect < dead
 
 ``degraded`` is the SLO engine's contribution (objectives burning but
-the process responsive), ``suspect``/``dead`` come from the failure
-detectors.  The registry keeps the current state map plus a bounded
-transition log, and notifies subscribers on every change -- this is what
-the :class:`~repro.core.controller.ServiceController` consults
-before migrating shards onto a node (never onto suspect/dead).
+the process responsive), ``suspect``/``dead`` come from SWIM, the one
+failure detector.  The registry keeps the current state map and writes
+every change into the flight recorder as a ``health`` event -- the
+map is what the :class:`~repro.core.controller.ServiceController`
+consults before migrating shards onto a node (never onto suspect/dead).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable
+from typing import Any
 
 __all__ = ["HealthRegistry", "HEALTH_STATES"]
 
@@ -26,14 +25,11 @@ HEALTH_STATES = ("healthy", "degraded", "suspect", "dead")
 
 
 class HealthRegistry:
-    """Current health state per target + bounded transition history."""
+    """Current health state per target; transitions go to ``recorder``."""
 
-    def __init__(self, kernel: Any, max_transitions: int = 256) -> None:
-        self.kernel = kernel
+    def __init__(self, recorder: Any) -> None:
+        self.recorder = recorder
         self.states: dict[str, str] = {}
-        self.transitions: deque[dict[str, Any]] = deque(maxlen=max(1, max_transitions))
-        #: called with each transition document after it is recorded.
-        self.on_transition: list[Callable[[dict[str, Any]], None]] = []
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -60,20 +56,10 @@ class HealthRegistry:
         if previous == state:
             return False
         self.states[target] = state
-        transition = {
-            "time": self.kernel.now,
-            "target": target,
-            "from": previous,
-            "to": state,
-            "source": source,
-        }
-        self.transitions.append(transition)
-        for callback in list(self.on_transition):
-            callback(transition)
+        self.recorder.record(
+            "health", state, target, previous=previous, source=source
+        )
         return True
-
-    def forget(self, target: str) -> None:
-        self.states.pop(target, None)
 
     # ------------------------------------------------------------------
     def unhealthy(self) -> dict[str, str]:
@@ -85,7 +71,4 @@ class HealthRegistry:
         }
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "states": dict(sorted(self.states.items())),
-            "transitions": [dict(t) for t in self.transitions],
-        }
+        return {"states": dict(sorted(self.states.items()))}

@@ -51,6 +51,9 @@ OBJECTIVES = ("latency_p99", "availability", "error_rate")
 #: severity order of alert states, worst-last.
 ALERT_STATES = ("ok", "warn", "page", "breach")
 
+#: Alert transitions an engine keeps.
+MAX_ALERTS = 64
+
 
 class SLOSpec:
     """One validated objective declaration (parsed from JSON)."""
@@ -271,13 +274,13 @@ class _SLOState:
 class SLOEngine:
     """Evaluates a process's SLOs at every profiler window boundary."""
 
-    def __init__(self, margo: Any, specs: list[SLOSpec], max_alerts: int = 64) -> None:
+    def __init__(self, margo: Any, specs: list[SLOSpec]) -> None:
         self.margo = margo
         self.kernel = margo.kernel
         self.specs = list(specs)
         self._states = {spec.name: _SLOState(spec) for spec in self.specs}
         #: alert-state transition ring (bounded; see MCH004).
-        self.alerts: deque[dict[str, Any]] = deque(maxlen=max(1, max_alerts))
+        self.alerts: deque[dict[str, Any]] = deque(maxlen=MAX_ALERTS)
         #: subscribers, called with each alert transition document.
         self.on_alert: list[Callable[[dict[str, Any]], None]] = []
 

@@ -50,6 +50,11 @@ __all__ = ["ContinuousProfiler", "PHASES"]
 #: (``MargoInstance.forward`` / ``_dispatch_request``).
 SAMPLE_STAMP = "_profile_sample_weight"
 
+#: Closed windows the profile store keeps.
+HISTORY = 64
+#: Recent complete per-RPC waterfalls kept.
+WATERFALLS = 32
+
 
 def _provider_key(rpc_name: str, provider_id: int) -> str:
     """``"<component>:<provider_id>"`` -- RPC names follow the
@@ -75,13 +80,11 @@ class ContinuousProfiler:
         self,
         margo: Any,
         window: float = 1.0,
-        history: int = 64,
-        waterfalls: int = 32,
         sample_every: int = 1,
     ) -> None:
         self.margo = margo
         self.kernel = margo.kernel
-        self.store = ProfileStore(window=window, history=history)
+        self.store = ProfileStore(window=window, history=HISTORY)
         self.store.open_window(self.store.window_index(self.kernel.now))
         #: Adaptive observer sampling (ISSUE 6 / ROADMAP item 3):
         #: decompose every Nth RPC only.  The decision counter is a
@@ -107,8 +110,7 @@ class ContinuousProfiler:
         self._xray: Optional[Any] = None
         #: Recent complete per-RPC waterfalls (bounded ring; the MCH004
         #: sanctioned pattern -- a profiler must never grow unboundedly).
-        self.waterfalls: deque[dict[str, Any]] = deque(maxlen=max(1, waterfalls))
-        self._keep_waterfalls = waterfalls > 0
+        self.waterfalls: deque[dict[str, Any]] = deque(maxlen=WATERFALLS)
         self._timer: Optional[Any] = None
         self._running = False
         # Last cumulative counters per pool/xstream, for window deltas.
@@ -321,8 +323,7 @@ class ContinuousProfiler:
         if responded is not None:
             self._phase(request, "respond", time - responded)
         self._phase(request, "total", elapsed)
-        if self._keep_waterfalls:
-            self._maybe_record_waterfall(time, request, response)
+        self._maybe_record_waterfall(time, request, response)
 
     # server side ------------------------------------------------------
     def on_request_received(self, time: float, margo: Any, request: Any) -> None:

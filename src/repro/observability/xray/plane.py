@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Optional
 
-from ..profile.profiler import SAMPLE_STAMP
+from ..profile.profiler import HISTORY, SAMPLE_STAMP
 from .attribution import attribute_paths
 from .whatif import what_if
 
@@ -47,23 +47,26 @@ __all__ = ["EDGES_ATTR", "XrayPlane", "XrayRecorder"]
 #: checks before paying any recording cost.
 EDGES_ATTR = "_xray_edges"
 
+#: Path records a window analyses (the overflow is counted) and recent
+#: records kept for ``$__xray__.paths``.
+MAX_PATHS = 256
+
 
 class XrayPlane:
     """Kernel-shared sink for path records + per-window analyses.
 
-    Bounded everywhere: at most ``max_paths`` records per window (the
-    overflow is counted, never silently dropped), ``max_paths`` recent
-    records for ``$__xray__.paths``, and ``history`` closed windows.
+    Bounded everywhere: at most :data:`MAX_PATHS` records per window
+    (the overflow is counted, never silently dropped), as many recent
+    records for ``$__xray__.paths``, and as many closed windows as the
+    profilers keep.
     """
 
-    def __init__(self, kernel: Any, max_paths: int = 256, history: int = 64) -> None:
+    def __init__(self, kernel: Any) -> None:
         self.kernel = kernel
-        self.max_paths = max(1, int(max_paths))
-        self.history = max(1, int(history))
         #: Most recent complete path records (survives window closes).
-        self.recent: deque[dict[str, Any]] = deque(maxlen=self.max_paths)
+        self.recent: deque[dict[str, Any]] = deque(maxlen=MAX_PATHS)
         #: Closed-window analysis documents.
-        self.windows: deque[dict[str, Any]] = deque(maxlen=self.history)
+        self.windows: deque[dict[str, Any]] = deque(maxlen=HISTORY)
         self._window_paths: list[dict[str, Any]] = []
         self._window_drops = 0
         self._closed_through = -1
@@ -73,7 +76,7 @@ class XrayPlane:
     # ------------------------------------------------------------------
     def add_path(self, record: dict[str, Any]) -> None:
         self.recent.append(record)
-        if len(self._window_paths) < self.max_paths:
+        if len(self._window_paths) < MAX_PATHS:
             self._window_paths.append(record)
         else:
             self._window_drops += 1
@@ -133,19 +136,14 @@ class XrayRecorder:
     #: only for requests stamped ``SAMPLE_STAMP != 0``.
     respects_profile_sampling = True
 
-    def __init__(self, margo: Any, max_paths: int = 256) -> None:
+    def __init__(self, margo: Any) -> None:
         self.margo = margo
         self.kernel = margo.kernel
         profiler = margo.profiler
         plane = getattr(self.kernel, "xray_plane", None)
         if plane is None:
-            # First xray-enabled process creates the shared plane; its
-            # sizing wins (documented in DESIGN.md section 11).
-            plane = XrayPlane(
-                self.kernel,
-                max_paths=max_paths,
-                history=profiler.store.windows.maxlen or 64,
-            )
+            # The first xray-enabled process creates the shared plane.
+            plane = XrayPlane(self.kernel)
             self.kernel.xray_plane = plane
         self.plane = plane
         profiler._xray = self

@@ -253,7 +253,6 @@ def run_crash_scenario(seed: int = 42) -> dict[str, Any]:
     service = _kv_service(cluster, n=3, latency_threshold=0.05)
     health = cluster.enable_health()
     health.watch_service(service)
-    health.start_sweep(0.5)
 
     # A Raft group co-hosted on the service processes, so the victim's
     # death also forces a leader election the incident log correlates.
@@ -287,7 +286,6 @@ def run_crash_scenario(seed: int = 42) -> dict[str, Any]:
     cluster.faults.kill_node_at(6.0, cluster.network.nodes["n1"])
     cluster.run(until=45.0)
     controller.stop()
-    health.stop_sweep()
 
     return {
         "seed": seed,

@@ -65,10 +65,6 @@ class SSGGroup(Provider):
         #: {"alive", "suspect", "dead"} -- the health plane's registry
         #: and incident correlation subscribe here.
         self.on_membership_event: list[Callable[[str, str], None]] = []
-        #: fired with (address, now) whenever a member proves liveness
-        #: (its ping reaches us, or it acks ours); feeds the phi-accrual
-        #: detector's inter-arrival estimator.
-        self.on_heartbeat: list[Callable[[str, float], None]] = []
         # protocol counters (benchmarks read the properties below);
         # registered into the process metrics registry per group.
         def _counter(suffix: str, help: str):
@@ -185,7 +181,6 @@ class SSGGroup(Provider):
     def _on_ping(self, ctx: RequestContext) -> Generator:
         now = self.margo.kernel.now
         args = ctx.args or {}
-        self._note_heartbeat(ctx.source, now)
         self.state.absorb_piggyback(args.get("updates", []), now)
         # Refutation path (SWIM's incarnation mechanism): the prober
         # tells us what it believes about *us*; if it thinks we are
@@ -318,7 +313,6 @@ class SSGGroup(Provider):
             timeout=self.swim_config.ping_timeout,
         )
         self.state.absorb_piggyback(reply.get("updates", []), self.margo.kernel.now)
-        self._note_heartbeat(target, self.margo.kernel.now)
         # If we believed the target suspect/dead, its ack (with a bumped
         # incarnation) resurrects it.
         if status is not None and status.value in ("suspect", "dead"):
@@ -329,10 +323,6 @@ class SSGGroup(Provider):
         return True
 
     # ------------------------------------------------------------------
-    def _note_heartbeat(self, address: str, now: float) -> None:
-        for callback in self.on_heartbeat:
-            callback(address, now)
-
     def _on_state_change(self, kind: str, address: str) -> None:
         for callback in self.on_membership_event:
             callback(kind, address)

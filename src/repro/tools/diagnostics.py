@@ -231,10 +231,10 @@ def profile_report(
 
 
 def health_report(target: Any, events: int = 10) -> str:
-    """The mochi-health view: per-target health states with phi levels,
-    incidents with suspect/detection latency and MTTR, per-process SLO
-    status and alerts, recoveries, and the tail of the flight recorder
-    (``events`` bounds how many recent events are shown).
+    """The mochi-health view: per-target health states, incidents with
+    suspect/detection latency and MTTR, per-process SLO status and
+    alerts, recoveries, and the tail of the flight recorder (``events``
+    bounds how many recent events are shown).
 
     ``target`` is a :class:`~repro.cluster.Cluster` (its health plane is
     read) or a health document, the dict the ``health`` scenarios of
@@ -259,9 +259,7 @@ def health_report(target: Any, events: int = 10) -> str:
     if states:
         lines.append("  health states:")
         for name in sorted(states):
-            phi = health["phi"].get(name)
-            suffix = f"  phi={phi['phi']:.2f}" if phi else ""
-            lines.append(f"    {name:<16} {states[name]}{suffix}")
+            lines.append(f"    {name:<16} {states[name]}")
     else:
         lines.append("  health states: (no observations yet)")
     incidents = target["incidents"]["incidents"]

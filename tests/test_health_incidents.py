@@ -48,6 +48,20 @@ def test_crash_scenario_measures_detection_and_mttr():
     assert [e["stage"] for e in detection_events] == ["suspect", "dead"]
 
 
+def test_crash_scenario_health_follows_swim_and_slos_only():
+    """SWIM is the one failure detector: every health transition comes
+    from SWIM membership or an SLO alert, the killed member never reads
+    healthy again, and no survivor is ever suspected."""
+    doc = run_crash_scenario(seed=11)
+    health = [e for e in doc["dump"]["events"] if e["category"] == "health"]
+    assert health
+    assert all(e["attrs"]["source"].startswith(("swim:", "slo:")) for e in health)
+    victim = [e["name"] for e in health if e["target"] == "kv1" and e["time"] >= 6.0]
+    assert "healthy" not in victim
+    assert victim == ["suspect", "dead"]
+    assert [e for e in health if e["target"] != "kv1" and e["name"] == "suspect"] == []
+
+
 def test_crash_scenario_byte_identical_across_runs():
     first = json.dumps(run_crash_scenario(seed=12), sort_keys=True)
     second = json.dumps(run_crash_scenario(seed=12), sort_keys=True)

@@ -1,63 +1,18 @@
-"""mochi-health plane: phi-accrual detection, the registry, the flight
-recorder, and SWIM-driven detection under loss and partitions."""
+"""mochi-health plane: the registry, the flight recorder, and
+SWIM-driven detection under loss and partitions."""
 
 import json
-import math
 
 import pytest
 
 from repro import Cluster
 from repro.analysis.race import hooks as race_hooks
-from repro.observability.health import (
-    FlightRecorder,
-    HealthRegistry,
-    PhiAccrualDetector,
-)
+from repro.observability.health import FlightRecorder, HealthRegistry
+from repro.observability.health import recorder as recorder_module
 from repro.observability.health.recorder import events_to_chrome
 from repro.ssg import SwimConfig, create_group
 
 SWIM = SwimConfig(period=0.5, ping_timeout=0.15, suspicion_timeout=2.0)
-
-
-# ----------------------------------------------------------------------
-# phi-accrual detector
-# ----------------------------------------------------------------------
-def test_phi_zero_until_two_heartbeats():
-    det = PhiAccrualDetector()
-    assert det.phi("a", 1.0) == 0.0
-    det.heartbeat("a", 0.0)
-    assert det.phi("a", 10.0) == 0.0  # one beat: no interval yet
-    det.heartbeat("a", 0.5)
-    assert det.phi("a", 1.0) > 0.0
-
-
-def test_phi_grows_with_silence_and_matches_formula():
-    det = PhiAccrualDetector(threshold=8.0)
-    for i in range(10):
-        det.heartbeat("a", 0.5 * i)  # mean interval 0.5
-    last = 4.5
-    for elapsed in (0.5, 1.0, 5.0):
-        expected = elapsed / (0.5 * math.log(10.0))
-        assert det.phi("a", last + elapsed) == pytest.approx(expected)
-    assert not det.is_suspect("a", last + 0.5)
-    # phi = 8 at elapsed = 8 * 0.5 * ln10 ~ 9.2s of silence.
-    assert det.is_suspect("a", last + 8 * 0.5 * math.log(10.0) + 1e-9)
-
-
-def test_phi_forget_and_snapshot_sorted():
-    det = PhiAccrualDetector()
-    for addr in ("b", "a"):
-        det.heartbeat(addr, 0.0)
-        det.heartbeat(addr, 1.0)
-    snap = det.snapshot(2.0)
-    assert list(snap) == ["a", "b"]
-    assert snap["a"]["samples"] == 1
-    det.forget("a")
-    assert list(det.snapshot(2.0)) == ["b"]
-    with pytest.raises(ValueError):
-        PhiAccrualDetector(threshold=0.0)
-    with pytest.raises(ValueError):
-        PhiAccrualDetector(window=1)
 
 
 # ----------------------------------------------------------------------
@@ -68,13 +23,18 @@ class _Kernel:
         self.now = 0.0
 
 
+def _health_events(recorder, target=None):
+    return [e for e in recorder.events if e["category"] == "health"
+            and (target is None or e["target"] == target)]
+
+
 def test_registry_ladder_and_placement():
-    reg = HealthRegistry(_Kernel())
+    reg = HealthRegistry(FlightRecorder(_Kernel()))
     assert reg.state_of("kv0") == "healthy"  # absence of evidence
     assert reg.is_placeable("kv0")
     assert reg.observe("kv0", "degraded", "slo:kv-p99") is True
     assert reg.is_placeable("kv0")  # degraded may still receive shards
-    reg.observe("kv0", "suspect", "phi")
+    reg.observe("kv0", "suspect", "swim:g")
     assert not reg.is_placeable("kv0")
     reg.observe("kv0", "dead", "swim:g")
     assert not reg.is_placeable("kv0")
@@ -84,24 +44,29 @@ def test_registry_ladder_and_placement():
         reg.observe("kv0", "zombie", "x")
 
 
-def test_registry_transitions_bounded_and_notified():
-    reg = HealthRegistry(_Kernel(), max_transitions=3)
-    seen = []
-    reg.on_transition.append(seen.append)
+def test_registry_transitions_bounded_and_notified(monkeypatch):
+    monkeypatch.setattr(recorder_module, "CAPACITY", 3)
+    recorder = FlightRecorder(_Kernel())
+    reg = HealthRegistry(recorder)
     states = ("degraded", "suspect", "dead", "healthy", "degraded")
     for state in states:
         reg.observe("t", state, "test")
-    assert len(seen) == 5
-    assert len(reg.transitions) == 3  # ring keeps only the tail
-    assert [t["to"] for t in reg.transitions] == ["dead", "healthy", "degraded"]
+    reg.observe("t", "degraded", "test")  # no change: not recorded
+    assert recorder.recorded == 5
+    events = _health_events(recorder)
+    assert len(events) == 3  # ring keeps only the tail
+    assert [e["name"] for e in events] == ["dead", "healthy", "degraded"]
+    assert [e["attrs"]["previous"] for e in events] == ["suspect", "dead", "healthy"]
+    assert {e["attrs"]["source"] for e in events} == {"test"}
     assert reg.to_json()["states"] == {"t": "degraded"}
 
 
 # ----------------------------------------------------------------------
 # flight recorder
 # ----------------------------------------------------------------------
-def test_recorder_ring_dump_and_chrome():
-    recorder = FlightRecorder(_Kernel(), capacity=4)
+def test_recorder_ring_dump_and_chrome(monkeypatch):
+    monkeypatch.setattr(recorder_module, "CAPACITY", 4)
+    recorder = FlightRecorder(_Kernel())
     for i in range(6):
         recorder.record("fault", "process", f"p{i}", attempt=i)
     assert recorder.recorded == 6
@@ -116,12 +81,12 @@ def test_recorder_ring_dump_and_chrome():
     assert event["ph"] == "i" and event["pid"] == "fault"
     with pytest.raises(ValueError, match="unknown flight-recorder category"):
         recorder.record("bogus", "x")
-    with pytest.raises(ValueError):
-        FlightRecorder(_Kernel(), capacity=0)
 
 
-def test_recorder_dumps_are_bounded():
-    recorder = FlightRecorder(_Kernel(), capacity=4, max_dumps=2)
+def test_recorder_dumps_are_bounded(monkeypatch):
+    monkeypatch.setattr(recorder_module, "CAPACITY", 4)
+    monkeypatch.setattr(recorder_module, "MAX_DUMPS", 2)
+    recorder = FlightRecorder(_Kernel())
     for i in range(5):
         recorder.dump(f"d{i}")
     assert [d["reason"] for d in recorder.dumps] == ["d3", "d4"]
@@ -149,7 +114,7 @@ def test_swim_detection_under_message_loss():
     cluster.run(until=30.0)
     # The victim walked the observed ladder to dead...
     assert health.registry.state_of("m2") == "dead"
-    kinds = [t["to"] for t in health.registry.transitions if t["target"] == "m2"]
+    kinds = [e["name"] for e in _health_events(health.recorder, "m2")]
     assert "dead" in kinds
     # ... and the incident measured both latencies against injection.
     incident = health.incidents.incidents[0]
@@ -180,37 +145,13 @@ def test_swim_detection_under_partition_without_fault():
     assert len(partition_events) == 3
 
 
-def test_phi_sweep_shades_ahead_of_swim():
-    """With the periodic sweep, a silent member goes degraded/suspect
-    via phi before SWIM's suspicion timeout confirms it dead."""
-    cluster, margos, _groups, health = _swim_rig(seed=63, n=3)
-    health.start_sweep(0.25)
-    cluster.run(until=4.0)
-    cluster.faults.kill_process(margos[1].process)
-    cluster.run(until=40.0)
-    health.stop_sweep()
-    phi_transitions = [
-        t for t in health.registry.transitions
-        if t["target"] == "m1" and t["source"] == "phi"
-    ]
-    swim_dead = [
-        t for t in health.registry.transitions
-        if t["target"] == "m1" and t["to"] == "dead"
-    ]
-    assert phi_transitions, "phi sweep never shaded the silent member"
-    assert swim_dead, "SWIM never confirmed the death"
-    assert phi_transitions[0]["time"] < swim_dead[0]["time"]
-
-
 # ----------------------------------------------------------------------
 # determinism (byte-identical, including race record mode)
 # ----------------------------------------------------------------------
 def _detection_bytes(seed=64):
     cluster, margos, _groups, health = _swim_rig(seed=seed, loss=0.05)
-    health.start_sweep(0.5)
     cluster.faults.kill_process_at(3.0, margos[1].process)
     cluster.run(until=25.0)
-    health.stop_sweep()
     return json.dumps(health.to_json(), sort_keys=True)
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.observability import ObservabilitySpec, SLOEngine, SLOSpec
+from repro.observability.health import slo as slo_module
 
 
 # ----------------------------------------------------------------------
@@ -113,8 +114,8 @@ class _StubMargo:
         self.process = type("P", (), {"name": "p0"})()
 
 
-def _engine(*specs, **kwargs):
-    return SLOEngine(_StubMargo(), list(specs), **kwargs)
+def _engine(*specs):
+    return SLOEngine(_StubMargo(), list(specs))
 
 
 def test_engine_breach_on_sustained_bad_latency():
@@ -176,11 +177,11 @@ def test_engine_warn_on_slow_burn():
     assert status["burn_long"] == pytest.approx(0.6)
 
 
-def test_engine_ignores_no_traffic_windows_and_bounds_alerts():
+def test_engine_ignores_no_traffic_windows_and_bounds_alerts(monkeypatch):
+    monkeypatch.setattr(slo_module, "MAX_ALERTS", 3)
     engine = _engine(
         SLOSpec("p99", "latency_p99", "put/1", 0.001, window=2,
                 short_windows=1),
-        max_alerts=3,
     )
     engine.observe_window(_window())  # nothing matching
     assert engine.status()["slos"][0]["windows_seen"] == 0

@@ -12,10 +12,9 @@ from repro.sim import SimKernel, SimulationError
 from repro.sim import kernel as kernel_mod
 
 
-@pytest.fixture(params=["wheel"])
-def kernel(request):
-    """A fresh kernel (one id, so these tests keep the names they had
-    beside their retired heap-backend twins)."""
+@pytest.fixture
+def kernel():
+    """A fresh kernel."""
     return SimKernel()
 
 

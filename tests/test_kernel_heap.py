@@ -192,7 +192,7 @@ def test_seeded_storm_matches_reference_other_seeds(seed):
 # ----------------------------------------------------------------------
 # far deadlines, mass cancel, the clock across run(until=...) slices
 # ----------------------------------------------------------------------
-def test_far_future_timers_overflow_then_migrate():
+def test_far_future_timers_fire_in_deadline_order():
     """Deadlines far in the future, scheduled out of order, fire in
     exact deadline order."""
     kernel = SimKernel()
@@ -205,7 +205,7 @@ def test_far_future_timers_overflow_then_migrate():
     assert kernel.queued() == 0
 
 
-def test_far_list_same_deadline_keeps_schedule_order():
+def test_same_far_deadline_keeps_schedule_order():
     """Twenty far entries on one deadline fire in scheduling order."""
     kernel = SimKernel()
     fired = []
@@ -215,7 +215,7 @@ def test_far_list_same_deadline_keeps_schedule_order():
     assert fired == list(range(20))
 
 
-def test_lazy_span_resize_on_sparse_far_list():
+def test_geometrically_spread_deadlines_fire_on_time():
     """Deadlines spread geometrically far apart (1x to 10 000x) fire in
     order, each at its own deadline."""
     kernel = SimKernel()
@@ -226,7 +226,7 @@ def test_lazy_span_resize_on_sparse_far_list():
     assert fired == [SPAN * m for m in (1, 10, 100, 1000, 10_000)]
 
 
-def test_mass_cancel_in_far_list_compacts():
+def test_mass_cancel_of_far_timers_compacts():
     """5 000 cancelled far timers are swept by compaction as the
     cancellations accumulate."""
     kernel = SimKernel()
@@ -275,7 +275,7 @@ def test_zero_delay_post_runaway_raises():
 # ----------------------------------------------------------------------
 # back-to-back batches and late cancels
 # ----------------------------------------------------------------------
-def test_drained_buckets_are_recycled_and_reused():
+def test_back_to_back_same_deadline_batches_keep_order():
     """Two same-deadline batches, the second posted after the first
     drained, each fire in posting order."""
     kernel = SimKernel()
@@ -290,7 +290,7 @@ def test_drained_buckets_are_recycled_and_reused():
     assert fired == [f"a{i}" for i in range(10)] + [f"b{i}" for i in range(10)]
 
 
-def test_cancel_after_fire_leaves_reused_slots_intact():
+def test_cancel_after_fire_leaves_later_timers_intact():
     """Cancelling a timer that already fired must not disturb timers
     queued since on the same relative delay."""
     kernel = SimKernel()

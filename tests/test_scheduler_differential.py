@@ -18,7 +18,6 @@ are where a reordered ``kernel.post`` would show.
 from collections import deque
 from types import SimpleNamespace
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -162,10 +161,9 @@ def run_scenario(scenario, pool_cls, xstream_cls, progress_cls):
     }
 
 
-@pytest.mark.parametrize("queue", ["wheel"])  # one id: the name this test had beside its heap twin
 @settings(max_examples=150, deadline=None)
 @given(scenario=scenarios)
-def test_callback_xstream_matches_generator_xstream(queue, scenario):
+def test_callback_xstream_matches_generator_xstream(scenario):
     expected = run_scenario(scenario, ReferencePool, ReferenceXStream, ReferenceProgress)
     assert run_scenario(scenario, Pool, XStream, _Progress) == expected
 

@@ -16,6 +16,7 @@ from repro.bedrock import BedrockClient, boot_process
 from repro.margo.ult import Compute
 from repro.observability import ObservabilitySpec
 from repro.observability.exporters import chrome_trace_profile
+from repro.observability.xray import plane as plane_module
 from repro.observability.xray import (
     EDGES_ATTR,
     XrayPlane,
@@ -150,8 +151,9 @@ def test_scenario_attribution_determinism(name, scenario):
 # ----------------------------------------------------------------------
 # plane + recorder mechanics
 # ----------------------------------------------------------------------
-def test_plane_window_close_is_idempotent():
-    plane = XrayPlane(kernel=None, max_paths=2, history=4)
+def test_plane_window_close_is_idempotent(monkeypatch):
+    monkeypatch.setattr(plane_module, "MAX_PATHS", 2)
+    plane = XrayPlane(kernel=None)
     plane.add_path(_path(20e-6, span="a"))
     plane.add_path(_path(20e-6, span="b"))
     plane.add_path(_path(20e-6, span="c"))  # over max_paths: counted, dropped
