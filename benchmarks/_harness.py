@@ -146,9 +146,7 @@ def bench_rpc_echo(n_rpcs: int, config: dict, health: bool = False) -> dict:
     server = cluster.add_margo("server", node="n0", config=dict(config))
     client = cluster.add_margo("client", node="n1", config=dict(config))
     if health:
-        plane = cluster.enable_health()
-        plane.watch_margo(server)
-        plane.watch_margo(client)
+        cluster.enable_health()
 
     def handler(ctx):
         yield Compute(1e-6)

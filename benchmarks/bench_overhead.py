@@ -1,8 +1,8 @@
 """Overhead gates: what each optional layer costs the hot paths.
 
 Every observer and checker in the stack -- the runtime checker
-(mochi-race), the health plane, the continuous profiler, the xray
-recorder, tracing + metrics --
+(mochi-race), the health plane, the continuous profiler and the xray
+paths it records, tracing + metrics --
 promises to be free when off and affordable at its documented sampled
 setting.  This is the one runner that prices those promises on the two
 workload shapes of ``_harness.py`` (kernel callback swarm, echo RPC).
@@ -196,9 +196,11 @@ SMOKE = dict(repeats=1, n_tasks=40, n_steps=10, n_rpcs=60)
 
 #: Test arms that must leave simulated time exactly where the base arm
 #: leaves it; every other test arm models observation as cost and must
-#: move it forward.
+#: move it forward.  xray is no monitor: over the profiler it rides, it
+#: is charged nothing.
 SAME_SIM_TIME = {
     "kernel_race_on", "rpc_race_on", "rpc_race_cycled", "rpc_explicit_off", "rpc_health_on",
+    "rpc_xray_unsampled",
 }
 
 
@@ -289,7 +291,7 @@ def check_facts(groups: dict) -> None:
     assert arms["rpc_profiled_full"]["waterfalls"] == 32
     assert 0 < arms["rpc_profiled_sampled"]["waterfalls"] <= 32
     assert arms["rpc_profiled_unsampled"]["waterfalls"] == 1
-    # Sampling really gated the recorder: one path when only request 1
+    # Sampling really gated xray recording: one path when only request 1
     # is stamped, fewer sampled than full; the profiler-only arm grows no
     # plane at all.
     assert "xray_paths" not in arms["rpc_profiled_unsampled"]

@@ -726,7 +726,7 @@ def _xray_doc(margo: MargoInstance) -> Any:
     plane = getattr(margo.kernel, "xray_plane", None)
     if plane is None:
         return None
-    return {"paths": plane.critical_paths(), "windows": plane.attribution()}
+    return {"paths": list(plane.recent), "windows": list(plane.windows)}
 
 
 #: The names a query reads besides its own variables, and their builders.

@@ -7,8 +7,8 @@ One control ULT wakes every ``period`` and runs the enabled policies:
 * ``watermark`` -- grow/shrink on execution-stream utilization
   (:class:`ElasticityPolicy`); it sends no RPC;
 * ``rebalance`` -- one profile ``query`` per live process, a Pufferscale
-  rebalance when the measured imbalance or busy fraction crosses the
-  processes' ``ObservabilitySpec`` thresholds (never onto a target the
+  rebalance when the measured imbalance or busy fraction crosses
+  ``LOAD_IMBALANCE_THRESHOLD`` or ``BUSY_THRESHOLD`` (never onto a target the
   health plane holds suspect or dead), and the latest xray window's top
   what-if action; ``xray`` also applies that action when it is an
   ``add_xstream`` and records the realized improvement a cycle later;
@@ -47,6 +47,10 @@ DECISION_RING = 256
 #: An ``add_xstream`` recommendation is applied only when it predicts at
 #: least this fractional p99 improvement.
 XRAY_MIN_IMPROVEMENT = 0.05
+#: Measured max/mean node load above which ``rebalance`` plans moves.
+LOAD_IMBALANCE_THRESHOLD = 1.5
+#: Measured peak execution-stream busy fraction that also triggers it.
+BUSY_THRESHOLD = 0.9
 
 
 @dataclass(frozen=True)
@@ -120,9 +124,6 @@ class ServiceController:
         self.allocate_node = allocate_node
         self.release_node = release_node
         self.make_process_spec = make_process_spec
-        #: Thresholds of the processes' declarative ObservabilitySpec.
-        self.load_imbalance_threshold = obs.load_imbalance_threshold
-        self.busy_threshold = obs.busy_threshold
         #: The bounded decision ring (every kind) and lifetime counts.
         self.decisions: deque[dict[str, Any]] = deque(maxlen=DECISION_RING)
         self.counts: dict[str, int] = {}
@@ -291,8 +292,8 @@ class ServiceController:
         max_busy = max(busy.values(), default=0.0)
         total_load = sum(placement.load_of(n) for n in placement.nodes)
         triggered = total_load > 0 and (
-            imbalance > self.load_imbalance_threshold
-            or max_busy > self.busy_threshold
+            imbalance > LOAD_IMBALANCE_THRESHOLD
+            or max_busy > BUSY_THRESHOLD
         )
         # Health veto: never plan migrations *onto* a target the health
         # plane currently holds suspect or dead -- moving shards to a

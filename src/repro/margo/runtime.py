@@ -277,6 +277,9 @@ class MargoInstance:
         # As a monitor it fires on the same hooks as the tracer and is
         # charged the same modeled monitoring cost per event; off, it
         # does not exist and the fast paths above stay monitor-free.
+        # xray records through it, and it feeds each closed window to
+        # the SLO engine (declarative objectives, evaluated off the RPC
+        # path).
         self.profiler: Optional[ContinuousProfiler] = None
         self.slo_engine: Optional[Any] = None
         if obs.profiling:
@@ -284,28 +287,14 @@ class MargoInstance:
                 self,
                 window=obs.profile_window,
                 sample_every=obs.profile_sample_every,
+                xray=obs.xray,
             )
             self.add_monitor(self.profiler)
             self.profiler.start()
             if obs.slos:
-                # Declarative objectives (ISSUE 6): evaluated off the
-                # RPC path, once per closed profiler window.
                 from ..observability.health.slo import SLOEngine
 
                 self.slo_engine = SLOEngine(self, list(obs.slos))
-                self.profiler.on_window_close.append(
-                    self.slo_engine.observe_window
-                )
-        # mochi-xray (ISSUE 10): per-request causal-path recording.  A
-        # monitor like the profiler it rides on (the spec guarantees
-        # profiling is enabled); off, nothing here exists and the hot
-        # paths keep their existing single-check gates.
-        self.xray: Optional[Any] = None
-        if obs.xray and self.profiler is not None:
-            from ..observability.xray import XrayRecorder
-
-            self.xray = XrayRecorder(self)
-            self.add_monitor(self.xray)
         process.on_message = self._progress.deliver
         process.on_killed.append(self.shutdown)
 
@@ -360,7 +349,7 @@ class MargoInstance:
         observed request pays, pre-charged into an adjacent Compute),
         ``fns`` are the hooks, minus ``Monitor``'s base no-ops, of the
         monitors that see that outcome (called inline by the hook site, a
-        raise counted in ``margo_monitor_errors``): profiler and xray only
+        raise counted in ``margo_monitor_errors``): the profiler only
         profile-kept requests, the tracer only trace-kept ones, any other
         monitor all; the last table, every monitor's, also serves the
         hooks of no request (bulk transfer, finalize).  With every monitor

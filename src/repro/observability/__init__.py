@@ -3,29 +3,28 @@
 The Listing-1 :class:`~repro.monitoring.StatisticsMonitor` answers
 "how long do RPCs of this kind take, on aggregate".  This package adds
 the causal, per-request view the dynamic pillars (reconfiguration,
-elasticity, resilience) need to act on:
+elasticity, resilience) act on.  Two switches turn it on, both off by
+default:
 
-* :class:`Tracer` -- per-RPC **spans** (forward -> wire -> queue ->
-  handler -> respond) with trace-context propagation across processes,
-  so nested RPCs form a single causal trace tree;
-* :class:`MetricsRegistry` -- labelled counters / gauges / histograms
-  that margo, bedrock, raft, remi, pufferscale and ssg register into;
-* exporters -- Chrome trace-event JSON (``chrome://tracing`` /
-  Perfetto) and a deterministic metrics snapshot;
-* :class:`ObservabilitySpec` -- the ``"observability"`` section of the
-  margo/bedrock JSON configuration that turns it all on;
-* :mod:`~repro.observability.health` -- the mochi-health plane (ISSUE
-  6): declarative SLOs with burn-rate alerting, a health registry fed
-  by SWIM membership, incident correlation (detection latency / MTTR),
-  and the always-on flight recorder;
-* :mod:`~repro.observability.xray` -- the mochi-xray causal plane
-  (ISSUE 10): per-request critical paths from sampled blocked-on/wakeup
-  edges, differential tail-latency attribution per closed profiler
-  window, and a Coz-style what-if engine ranking reconfiguration
-  actions by predicted p99 improvement.
+* the ``observability`` section of a margo/Bedrock configuration
+  (:class:`ObservabilitySpec`) builds, per process, the
+  :class:`Tracer` (per-RPC spans with cross-process trace context), the
+  :class:`MetricsRegistry` that margo, bedrock, raft, remi and ssg
+  register into, and the :class:`ContinuousProfiler` (windowed rollups
+  and RPC latency decomposition).  Two keys ride the profiler: ``xray``
+  makes it record per-request critical paths into the kernel's
+  :class:`XrayPlane`, which attributes each closed window's tail and
+  ranks what-if actions; ``slos`` gives the process an
+  :class:`SLOEngine` that the profiler feeds every closed window;
+* ``cluster.enable_health()`` builds the :class:`HealthPlane`
+  (registry, incidents, flight recorder).  SSG groups, Raft nodes and
+  SLO engines report to it by themselves.
 
-Everything is deterministic (simulated clocks only): same seed, same
-bytes out.
+Bedrock's ``query`` RPC reads every plane (``$__metrics__``,
+``$__traces__``, ``$__profile__``, ``$__health__``, ``$__incidents__``,
+``$__slo__``, ``$__xray__``); the exporters write Chrome trace-event
+JSON and deterministic metric snapshots.  Everything runs on simulated
+clocks: same seed, same bytes out.
 """
 
 from .exporters import (
@@ -70,7 +69,6 @@ from .spec import ObservabilitySpec
 from .tracer import Tracer, current_span_context
 from .xray import (
     XrayPlane,
-    XrayRecorder,
     attribute_paths,
     critical_chain,
     critical_span_ids,
@@ -114,7 +112,6 @@ __all__ = [
     "SLOEngine",
     "SLOSpec",
     "XrayPlane",
-    "XrayRecorder",
     "attribute_paths",
     "critical_chain",
     "critical_span_ids",

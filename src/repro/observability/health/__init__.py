@@ -1,16 +1,20 @@
 """mochi-health: SLO engine, the SWIM-fed health plane, and the
-always-on flight recorder (ISSUE 6).
+always-on flight recorder.
 
-Entry points:
+Two switches, nothing to wire:
 
-* ``cluster.enable_health()`` -- attach a :class:`HealthPlane` to a
-  cluster; then ``plane.watch_service(service)`` (or ``watch_group`` /
-  ``watch_raft`` / ``watch_controller`` individually).
-* ``ObservabilitySpec.slos`` -- declarative objectives evaluated by a
-  per-process :class:`SLOEngine` against profiler windows.
-* Bedrock queries over ``$__health__`` / ``$__incidents__`` / ``$__slo__``,
-  ``tools.health_report`` / ``tools.fault_report``, and
-  ``repro health {crash,slo}`` (scenarios in :mod:`repro.scenarios`).
+* ``cluster.enable_health()`` attaches the :class:`HealthPlane`.  SSG
+  groups, Raft nodes and SLO engines find it at
+  ``network.health_plane`` and report to it, whenever they were built;
+  a :class:`~repro.core.controller.ServiceController` subscribes its
+  decisions itself.
+* ``ObservabilitySpec.slos`` declares objectives; the process's
+  profiler feeds each closed window to its :class:`SLOEngine`.
+
+Read it through Bedrock queries over ``$__health__`` /
+``$__incidents__`` / ``$__slo__``, ``tools.health_report`` /
+``tools.fault_report``, or ``repro health {crash,slo}`` (scenarios in
+:mod:`repro.scenarios`).
 """
 
 from .incidents import Incident, IncidentLog

@@ -1,28 +1,31 @@
 """The cluster health plane: registry, incidents, recorder.
 
-One :class:`HealthPlane` per :class:`~repro.cluster.Cluster` (opt-in via
-``cluster.enable_health()``) ties the pieces of ISSUE 6 together:
+``cluster.enable_health()`` is the one switch: it builds the cluster's
+:class:`HealthPlane` and installs it as ``cluster.health`` and as
+``network.health_plane``.  Every Margo instance reaches the network, so
+components find the plane there -- the lookup Bedrock's ``$__health__``
+and ``$__incidents__`` use -- and report to it directly, whenever they
+were built; nothing subscribes them:
 
-* the **flight recorder** receives every fault, membership transition,
-  health transition, election, migration, recovery, SLO alert, and
-  reconfiguration decision (the always-on black box);
-* the **health registry** holds the observed per-target state ladder
-  (healthy/degraded/suspect/dead) that the reconfiguration controller
-  consults before placing shards.  SWIM, the one failure detector, sets
-  ``suspect``/``dead``/``healthy``; SLO alerts set ``degraded``;
-* the **incident log** correlates injected faults with SWIM detection,
-  Raft elections, and REMI recoveries into measured detection-latency
-  and MTTR numbers.
+* an SSG group reports each SWIM transition (:meth:`note_membership`):
+  SWIM, the one failure detector, sets ``suspect``/``dead``/``healthy``;
+* an SLO engine reports each alert transition (:meth:`note_slo_alert`),
+  which sets ``degraded`` and opens or closes an ``slo`` incident;
+* a Raft node reports each role change (:meth:`note_role_change`);
+* Bedrock reports each provider migration (:meth:`note_migration`);
+* the fault injector's ``on_fault`` and a controller's ``on_decision``
+  (subscribed by the controller itself) carry injected faults,
+  rebalance cycles and recoveries.
 
-The plane is *off the RPC path*: it subscribes to callbacks that
-components already fire (or fire at most once per protocol round), never
-to per-RPC monitor hooks, so enabling it costs nothing on the
-request fast path (gated by ``BENCH_HEALTH.json``).
+The **flight recorder** keeps all of it (the always-on black box); the
+**health registry** holds the observed per-target state ladder
+(healthy/degraded/suspect/dead) the controller's placement veto reads;
+the **incident log** correlates injected faults with detection, Raft
+elections and recoveries into detection-latency and MTTR numbers.
 
-The plane installs itself as ``cluster.health`` and as
-``network.health_plane`` -- the network object is reachable from every
-Margo instance, which is how Bedrock queries reading ``$__health__`` /
-``$__incidents__`` find it without new plumbing.
+Every report fires at most once per protocol round or window, never per
+RPC, so an enabled plane adds no call to the request path
+(``tests/test_offpath_calls.py``).
 """
 
 from __future__ import annotations
@@ -51,53 +54,24 @@ class HealthPlane:
         cluster.health = self
         cluster.network.health_plane = self
 
-    # ------------------------------------------------------------------
-    # watch_* -- subscribe to a component's existing callbacks
-    # ------------------------------------------------------------------
-    def watch_group(self, group: Any) -> None:
-        """Subscribe to one SSG group: membership transitions feed the
-        registry and the incidents."""
-        group.on_membership_event.append(
-            lambda kind, address, g=group: self._on_membership(g, kind, address)
-        )
-
-    def watch_raft(self, node: Any) -> None:
-        node.on_role_change.append(
-            lambda role, term, n=node: self._on_role_change(n, role, term)
-        )
-
     def watch_controller(self, controller: Any) -> None:
         """Subscribe to a ServiceController's decision stream: rebalance
         cycles are black-boxed, recoveries close their incident.  A
         controller built on a cluster with a health plane calls this
         itself."""
-        controller.on_decision.append(
-            lambda decision, c=controller: self._on_decision(c, decision)
-        )
+        controller.on_decision.append(self._on_decision)
 
     def watch_margo(self, margo: Any) -> None:
-        """Subscribe to a process's SLO engine (if it has one)."""
-        engine = getattr(margo, "slo_engine", None)
-        if engine is not None:
-            engine.on_alert.append(
-                lambda alert, m=margo: self._on_slo_alert(m, alert)
-            )
-
-    def watch_service(self, service: Any) -> None:
-        """Watch a whole :class:`DynamicService`: every member's group
-        and SLO engine (the common entry point for tests and demos)."""
-        for name in sorted(service.processes):
-            process = service.processes[name]
-            if process.group is not None:
-                self.watch_group(process.group)
-            self.watch_margo(process.margo)
+        """Does nothing: a process's SLO engine reports to the plane by
+        itself.  Kept because the end-to-end benchmark's frozen churn
+        workload (``benchmarks/e2e/wl_reconfig_churn.py``) calls it."""
 
     # ------------------------------------------------------------------
-    # event sinks
+    # reports (called by the components, see the module docstring)
     # ------------------------------------------------------------------
     def on_fault(self, record: FaultRecord) -> None:
-        """Ground-truth fault injection (satellite: the FaultRecord path
-        ends here instead of dead-ending in ``faults.history``)."""
+        """Ground-truth fault injection (the fault injector's
+        ``on_fault``)."""
         self.recorder.record("fault", record.kind, record.target)
         if record.kind == "process":
             # Incidents open at injection time; SWIM detection and REMI
@@ -111,7 +85,7 @@ class HealthPlane:
             self.incidents.attach_all("network", {"event": record.kind,
                                                   "detail": record.target})
 
-    def _on_membership(self, group: Any, kind: str, address: str) -> None:
+    def note_membership(self, group: Any, kind: str, address: str) -> None:
         target = self._process_of(address)
         self.recorder.record(
             "membership", kind, target, group=group.group_name, address=address
@@ -126,7 +100,7 @@ class HealthPlane:
         elif kind == "alive":
             self.registry.observe(target, "healthy", source)
 
-    def _on_role_change(self, node: Any, role: str, term: int) -> None:
+    def note_role_change(self, node: Any, role: str, term: int) -> None:
         target = node.margo.process.name
         self.recorder.record(
             "election", role, target, group=node.name, term=term
@@ -135,7 +109,7 @@ class HealthPlane:
             "election", {"process": target, "role": role, "term": term}
         )
 
-    def _on_decision(self, controller: Any, decision: dict[str, Any]) -> None:
+    def _on_decision(self, decision: dict[str, Any]) -> None:
         if decision["kind"] == "rebalance":
             self.recorder.record(
                 "reconfiguration",
@@ -147,9 +121,9 @@ class HealthPlane:
                 vetoed=len(decision["vetoed_nodes"]),
             )
         elif decision["kind"] == "recovery":
-            self._on_recovery(controller.service, decision)
+            self._on_recovery(decision)
 
-    def _on_recovery(self, service: Any, decision: dict[str, Any]) -> None:
+    def _on_recovery(self, decision: dict[str, Any]) -> None:
         self.recorder.record(
             "recovery",
             "recovered",
@@ -169,16 +143,9 @@ class HealthPlane:
                 "incident", "closed", incident.target,
                 id=incident.incident_id, mttr=incident.mttr,
             )
-        # The replacement is a new, healthy member; watch it like the
-        # controller does.
-        replacement = service.processes.get(decision["replacement"])
-        if replacement is not None:
-            if replacement.group is not None:
-                self.watch_group(replacement.group)
-            self.watch_margo(replacement.margo)
 
-    def _on_slo_alert(self, margo: Any, alert: dict[str, Any]) -> None:
-        target = margo.process.name
+    def note_slo_alert(self, alert: dict[str, Any]) -> None:
+        target = alert["process"]
         self.recorder.record(
             "slo", alert["to"], f"{target}:{alert['slo']}",
             previous=alert["from"],

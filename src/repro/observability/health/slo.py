@@ -33,23 +33,20 @@ scheme of the Google SRE workbook, discretized to profiler windows:
 * **warn**   -- burn over the full budget window >= ``slow_burn``;
 * **breach** -- the rolling budget is exhausted (mean burn >= 1).
 
-State transitions are recorded in a bounded ring and pushed to
-subscribers (the health plane: flight-recorder events, degraded health
-states, SLO incidents).  Everything is pure arithmetic over closed
+State transitions are recorded in a bounded ring and reported to the
+cluster's health plane, if one is on (flight-recorder events, degraded
+health states, SLO incidents).  Everything is pure arithmetic over closed
 windows, so two identical seeded runs alert at identical times.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 __all__ = ["SLOSpec", "SLOEngine", "OBJECTIVES"]
 
 OBJECTIVES = ("latency_p99", "availability", "error_rate")
-
-#: severity order of alert states, worst-last.
-ALERT_STATES = ("ok", "warn", "page", "breach")
 
 #: Alert transitions an engine keeps.
 MAX_ALERTS = 64
@@ -281,8 +278,6 @@ class SLOEngine:
         self._states = {spec.name: _SLOState(spec) for spec in self.specs}
         #: alert-state transition ring (bounded; see MCH004).
         self.alerts: deque[dict[str, Any]] = deque(maxlen=MAX_ALERTS)
-        #: subscribers, called with each alert transition document.
-        self.on_alert: list[Callable[[dict[str, Any]], None]] = []
 
     # ------------------------------------------------------------------
     def observe_window(self, window_doc: dict[str, Any]) -> None:
@@ -308,8 +303,9 @@ class SLOEngine:
                 }
                 state.state = status["state"]
                 self.alerts.append(alert)
-                for callback in list(self.on_alert):
-                    callback(alert)
+                plane = getattr(self.margo.network, "health_plane", None)
+                if plane is not None:
+                    plane.note_slo_alert(alert)
 
     # ------------------------------------------------------------------
     def status(self) -> dict[str, Any]:
@@ -319,10 +315,3 @@ class SLOEngine:
             "slos": [self._states[s.name].evaluate() for s in self.specs],
             "alerts": [dict(a) for a in self.alerts],
         }
-
-    def worst_state(self) -> str:
-        worst = "ok"
-        for state in self._states.values():
-            if ALERT_STATES.index(state.state) > ALERT_STATES.index(worst):
-                worst = state.state
-        return worst

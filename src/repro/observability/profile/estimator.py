@@ -13,7 +13,7 @@ The estimator is pure arithmetic over profile documents
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable
 
 __all__ = ["LoadEstimator"]
 
@@ -60,15 +60,6 @@ class LoadEstimator:
             }
             for key, acc in sorted(totals.items())
         }
-
-    def shard_load(
-        self,
-        estimates: dict[str, dict[str, float]],
-        provider_key: str,
-        default: float = 0.0,
-    ) -> float:
-        entry = estimates.get(provider_key)
-        return entry["load"] if entry is not None else default
 
     @staticmethod
     def merge(

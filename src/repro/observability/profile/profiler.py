@@ -23,6 +23,12 @@ Two data paths feed one :class:`~.store.ProfileStore`:
   five-phase waterfalls land in a bounded ring for
   ``tools.profile_report`` and the Chrome-trace exporter.
 
+Two more planes ride it, with no hook of their own.  With ``xray`` on,
+a sampled request carries an edge list and, under the waterfall's
+stamp check, leaves a path record in the kernel's
+:class:`~repro.observability.xray.XrayPlane`.  Each closed window goes
+to the process's SLO engine, then to the xray plane.
+
 Determinism: all timestamps are simulated; windows, rings, and JSON
 reductions are seed-pure, so ``$__profile__`` documents are byte-
 identical across identical runs (tested, including under
@@ -32,9 +38,11 @@ identical across identical runs (tested, including under
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from ...mercury.hg import STATUS_OK
+from ..xray.critical_path import path_record
+from ..xray.plane import XrayPlane
 from .store import PHASES, ProfileStore
 
 __all__ = ["ContinuousProfiler", "PHASES"]
@@ -81,6 +89,7 @@ class ContinuousProfiler:
         margo: Any,
         window: float = 1.0,
         sample_every: int = 1,
+        xray: bool = False,
     ) -> None:
         self.margo = margo
         self.kernel = margo.kernel
@@ -101,13 +110,15 @@ class ContinuousProfiler:
         #: the hottest call site in the system -- at two attribute
         #: loads when profiling is on but the push is sampled out.
         self._sched_on = self.sample_every == 1
-        #: Subscribers called with each closed window document (the
-        #: per-process SLO engine evaluates burn rates here).
-        self.on_window_close: list[Callable[[dict[str, Any]], None]] = []
-        #: The attached mochi-xray recorder, if any (set by
-        #: :class:`~repro.observability.xray.XrayRecorder`): pool pops
-        #: report causal sched edges through one extra None-check.
-        self._xray: Optional[Any] = None
+        #: The kernel's shared xray plane when ``xray`` is on (the first
+        #: such profiler creates it): sampled requests carry an edge
+        #: list and leave a path record, each behind this None-check.
+        self.xray_plane: Optional[XrayPlane] = None
+        if xray:
+            plane = getattr(self.kernel, "xray_plane", None)
+            if plane is None:
+                plane = self.kernel.xray_plane = XrayPlane(self.kernel)
+            self.xray_plane = plane
         #: Recent complete per-RPC waterfalls (bounded ring; the MCH004
         #: sanctioned pattern -- a profiler must never grow unboundedly).
         self.waterfalls: deque[dict[str, Any]] = deque(maxlen=WATERFALLS)
@@ -187,8 +198,10 @@ class ContinuousProfiler:
         doc = self.store.close_current(
             self._sample_pools(), self._sample_xstreams()
         )
-        for callback in list(self.on_window_close):
-            callback(doc)
+        if self.margo.slo_engine is not None:
+            self.margo.slo_engine.observe_window(doc)
+        if self.xray_plane is not None:
+            self.xray_plane.close_window(doc["index"], doc["start"], doc["end"])
         if self.sample_every > 1:
             self._begin_sched_burst()
         self._schedule_next_tick()
@@ -257,7 +270,7 @@ class ContinuousProfiler:
         series, pool_key = cached
         series.observe(latency)
         self.store.current.observe_phase(pool_key, "sched", latency)
-        if self._xray is not None:
+        if self.xray_plane is not None:
             # Causal sched edge for a sampled request: the edge list's
             # existence (stamped at forward time) is the gate.
             context = ult.rpc_context
@@ -309,6 +322,8 @@ class ContinuousProfiler:
     # client side ------------------------------------------------------
     def on_forward_start(self, time: float, margo: Any, request: Any) -> None:
         request._profile_fwd_start = time
+        if self.xray_plane is not None:
+            request._xray_edges = []
 
     def on_forward_sent(self, time: float, margo: Any, request: Any) -> None:
         started = getattr(request, "_profile_fwd_start", None)
@@ -358,23 +373,28 @@ class ContinuousProfiler:
         )
         response._profile_responded_at = time
 
-    # waterfall assembly (client side, all stamps present) -------------
+    # waterfall + xray path assembly (client side, all stamps present) -
     def _maybe_record_waterfall(self, now: float, request: Any, response: Any) -> None:
         fwd_start = getattr(request, "_profile_fwd_start", None)
         sent = getattr(request, "_profile_sent_at", None)
         received = getattr(request, "_profile_received_at", None)
         ult_start = getattr(request, "_profile_ult_start_at", None)
         ult_end = getattr(request, "_profile_ult_end_at", None)
-        if None in (fwd_start, sent, received, ult_start, ult_end):
+        stamps = (fwd_start, sent, received, ult_start, ult_end)
+        if None in stamps:
             return  # peer not profiled: no cross-process stamps
+        process = self.margo.process.name
+        weight = getattr(request, SAMPLE_STAMP, 1)
+        if self.xray_plane is not None:
+            self.xray_plane.add_path(path_record(request, process, weight, stamps, now))
         self.waterfalls.append(
             {
                 "trace_id": request.trace_id,
                 "span_id": request.span_id,
                 "rpc": request.rpc_name,
                 "provider": request.provider_id,
-                "process": self.margo.process.name,
-                "weight": getattr(request, SAMPLE_STAMP, 1),
+                "process": process,
+                "weight": weight,
                 "start": fwd_start,
                 "end": now,
                 "phases": [

@@ -15,23 +15,19 @@ the Margo instance) accepts an ``observability`` object::
         "profile_sample_every": 16,  # decompose every Nth RPC (default 1)
         "trace_sample_rate": 0.1,    # fraction of traces kept (default 1.0)
 
-        "load_imbalance_threshold": 1.5,  # reconfiguration trigger
-        "busy_threshold": 0.9,            # per-xstream overload trigger
-
         "slos": [                 # declarative objectives (needs profiling)
           {"name": "kv-p99", "objective": "latency_p99",
            "target": "yokan_put/1", "threshold": 0.002}
-        ]
+        ],
+        "xray": true              # critical paths + what-if (needs profiling)
       }
     }
 
 The ``profile_*`` keys configure :mod:`repro.observability.profile`;
-the two thresholds are the declarative knobs the autonomic
-:class:`~repro.core.controller.ServiceController` compares measured
-windows against.  Like every other part of the Listing-2/Listing-3
-configuration it is validated on parse and reflected back by
-``get_config`` so a shared configuration document reproduces the
-observability setup too.
+``slos`` and ``xray`` ride the profiler's closed windows.  Like every
+other part of the Listing-2/Listing-3 configuration it is validated on
+parse and reflected back by ``get_config`` so a shared configuration
+document reproduces the observability setup too.
 """
 
 from __future__ import annotations
@@ -51,8 +47,6 @@ _KNOWN_KEYS = {
     "profiling",
     "profile_window",
     "profile_sample_every",
-    "load_imbalance_threshold",
-    "busy_threshold",
     "slos",
     "xray",
 }
@@ -78,12 +72,6 @@ class ObservabilitySpec:
     #: every RPC).  Sampled requests are weighted by N in the
     #: load-estimator counts, so measured rates stay unbiased.
     profile_sample_every: int = 1
-    #: Measured max/mean node load above which the reconfiguration
-    #: controller plans a rebalance.
-    load_imbalance_threshold: float = 1.5
-    #: Measured per-xstream busy fraction above which a process counts
-    #: as overloaded (second reconfiguration trigger).
-    busy_threshold: float = 0.9
     #: Declarative service-level objectives (ISSUE 6): evaluated by the
     #: per-process SLO engine against closed profiler windows, so
     #: ``slos`` requires ``profiling``.
@@ -114,19 +102,6 @@ class ObservabilitySpec:
         if profile_window <= 0:
             raise ValueError(
                 f"profile_window must be positive, got {profile_window}"
-            )
-        load_imbalance_threshold = float(
-            doc.get("load_imbalance_threshold", cls.load_imbalance_threshold)
-        )
-        if load_imbalance_threshold < 1.0:
-            raise ValueError(
-                "load_imbalance_threshold must be >= 1.0 (1.0 = perfect "
-                f"balance), got {load_imbalance_threshold}"
-            )
-        busy_threshold = float(doc.get("busy_threshold", cls.busy_threshold))
-        if not 0.0 < busy_threshold <= 1.0:
-            raise ValueError(
-                f"busy_threshold must be in (0, 1], got {busy_threshold}"
             )
         trace_sample_rate = float(
             doc.get("trace_sample_rate", cls.trace_sample_rate)
@@ -171,8 +146,6 @@ class ObservabilitySpec:
             profiling=profiling,
             profile_window=profile_window,
             profile_sample_every=profile_sample_every,
-            load_imbalance_threshold=load_imbalance_threshold,
-            busy_threshold=busy_threshold,
             slos=slos,
             xray=xray,
         )
@@ -192,10 +165,6 @@ class ObservabilitySpec:
             doc["profile_sample_every"] = self.profile_sample_every
         if self.trace_sample_rate != ObservabilitySpec.trace_sample_rate:
             doc["trace_sample_rate"] = self.trace_sample_rate
-        if self.load_imbalance_threshold != ObservabilitySpec.load_imbalance_threshold:
-            doc["load_imbalance_threshold"] = self.load_imbalance_threshold
-        if self.busy_threshold != ObservabilitySpec.busy_threshold:
-            doc["busy_threshold"] = self.busy_threshold
         if self.slos:
             doc["slos"] = [slo.to_json() for slo in self.slos]
         if self.xray:

@@ -310,9 +310,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def trace_ids(self) -> list[str]:
-        return sorted({s.trace_id for s in self.spans})
-
     def to_json(self) -> dict[str, Any]:
         spans = sorted(self.spans, key=lambda s: (s.trace_id, s.start, s.span_id))
         return {

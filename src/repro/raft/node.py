@@ -14,7 +14,7 @@ application is any :class:`~repro.raft.smr.StateMachine`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Generator, Optional
 
 from ..core.component import Provider
 from ..margo.errors import RpcError
@@ -104,12 +104,6 @@ class RaftNode(Provider):
         self._next_heartbeat = 0.0
         self._reset_election_deadline()
 
-        #: Subscribers called with (role, term) on every role *change*
-        #: (not on same-role reaffirmations, so heartbeats stay silent);
-        #: the health plane's flight recorder correlates elections with
-        #: incidents here.
-        self.on_role_change: list[Callable[[str, int], None]] = []
-
         # Protocol counters (tests/benchmarks read the properties below);
         # registered into the process metrics registry, labelled by
         # group so several consensus groups per process stay distinct.
@@ -182,8 +176,11 @@ class RaftNode(Provider):
         if role is self.role:
             return
         self.role = role
-        for callback in list(self.on_role_change):
-            callback(role.value, self.current_term)
+        # Role *changes* only (heartbeats stay silent): the health
+        # plane, if one is on, correlates elections with incidents.
+        plane = getattr(self.margo.network, "health_plane", None)
+        if plane is not None:
+            plane.note_role_change(self, role.value, self.current_term)
 
     def _become_follower(self, term: int) -> None:
         if term > self.current_term:

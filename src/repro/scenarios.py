@@ -252,7 +252,6 @@ def run_crash_scenario(seed: int = 42) -> dict[str, Any]:
     cluster = Cluster(seed=seed)
     service = _kv_service(cluster, n=3, latency_threshold=0.05)
     health = cluster.enable_health()
-    health.watch_service(service)
 
     # A Raft group co-hosted on the service processes, so the victim's
     # death also forces a leader election the incident log correlates.
@@ -265,13 +264,12 @@ def run_crash_scenario(seed: int = 42) -> dict[str, Any]:
         rpc_timeout=0.06,
     )
     for i, margo in enumerate(margos):
-        node = RaftNode(
+        RaftNode(
             margo, f"raft{i}", provider_id=5,
             state_machine=KVStateMachine(MapBackend()),
             peers=peers, rng=cluster.randomness.stream(f"raft:{i}"),
             config=raft_config,
         )
-        health.watch_raft(node)
 
     spares = ["spare0", "spare1"]
     controller = ServiceController(
@@ -308,7 +306,6 @@ def run_slo_scenario(seed: int = 42) -> dict[str, Any]:
     # traffic is a bad window, burning 1/budget per window.
     service = _kv_service(cluster, n=2, latency_threshold=1e-9)
     health = cluster.enable_health()
-    health.watch_service(service)
     _spawn_writers(cluster, service, count=300)
     cluster.run(until=20.0)
     slo_status, alerts = health.slo_status()
@@ -343,7 +340,7 @@ def _xray_doc(
     on the plane; the aggregate makes the acceptance assertions
     independent of window phasing)."""
     plane = cluster.xray_plane()
-    paths = plane.critical_paths()
+    paths = list(plane.recent)
     attribution = attribute_paths(paths)
     ranking = what_if(paths, attribution)
     return {

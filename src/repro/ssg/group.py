@@ -61,10 +61,6 @@ class SSGGroup(Provider):
         #: user callbacks
         self.on_view_change: list[Callable[[GroupView], None]] = []
         self.on_member_died: list[Callable[[str], None]] = []
-        #: every SWIM state transition, as (kind, address) with kind in
-        #: {"alive", "suspect", "dead"} -- the health plane's registry
-        #: and incident correlation subscribe here.
-        self.on_membership_event: list[Callable[[str, str], None]] = []
         # protocol counters (benchmarks read the properties below);
         # registered into the process metrics registry per group.
         def _counter(suffix: str, help: str):
@@ -324,8 +320,11 @@ class SSGGroup(Provider):
 
     # ------------------------------------------------------------------
     def _on_state_change(self, kind: str, address: str) -> None:
-        for callback in self.on_membership_event:
-            callback(kind, address)
+        # Every SWIM transition ("alive", "suspect", "dead") feeds the
+        # cluster's health plane, if one is on: registry and incidents.
+        plane = getattr(self.margo.network, "health_plane", None)
+        if plane is not None:
+            plane.note_membership(self, kind, address)
         if kind == "dead":
             # Track false positives: the "dead" member is actually alive.
             try:

@@ -383,6 +383,12 @@ def _attribution_lines(
     return lines
 
 
+def _last(ring: Any, n: "int | None") -> list:
+    """The last ``n`` items of ``ring`` (all of them when ``n`` is None)."""
+    items = list(ring)
+    return items if n is None else items[len(items) - min(n, len(items)):]
+
+
 def xray_report(
     target: Any, last: "int | None" = 3, actions: int = 3, paths: int = 3
 ) -> str:
@@ -419,7 +425,7 @@ def xray_report(
         f"mochi-xray: {len(plane.windows)} closed window(s), "
         f"{len(plane.recent)} recent path(s)"
     ]
-    for window in plane.attribution(last=last):
+    for window in _last(plane.windows, last):
         lines += _attribution_lines(
             f"window {window['index']} "
             f"[{window['start']:.3f}s..{window['end']:.3f}s]: "
@@ -427,7 +433,7 @@ def xray_report(
             f"{window['dropped_paths']} dropped, ",
             window["attribution"], window["whatif"], actions,
         )
-    for record in plane.critical_paths(last=paths):
+    for record in _last(plane.recent, paths):
         lines.extend("  " + line for line in format_path_record(record))
     return "\n".join(lines)
 

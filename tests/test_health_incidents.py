@@ -111,8 +111,7 @@ def _health_rig(slos=True, plane=True, seed=31):
     }
     margo, _bedrock = boot_process(cluster, "kv0", "n0", config)
     if plane:
-        health = cluster.enable_health()
-        health.watch_margo(margo)
+        cluster.enable_health()
     ctl = cluster.add_margo("ctl", "ctl-node")
     handle = BedrockClient(ctl).make_service_handle(margo.address)
     db = YokanClient(ctl).make_handle(margo.address, 1)
@@ -171,8 +170,7 @@ def _hot_service(cluster):
             name=name, node=node,
             config={
                 "margo": {"observability": {
-                    "profiling": True, "profile_window": 0.2,
-                    "load_imbalance_threshold": 1.5}},
+                    "profiling": True, "profile_window": 0.2}},
                 "libraries": {"yokan": "libyokan.so", "remi": "libremi.so"},
                 "providers": providers,
             })
@@ -236,10 +234,8 @@ def test_controller_vetoes_suspect_targets():
 def _report_rig(seed=34):
     cluster = Cluster(seed=seed)
     margos = [cluster.add_margo(f"m{i}", node=f"n{i}") for i in range(3)]
-    groups = create_group("g", margos, cluster.randomness, swim=SWIM)
-    health = cluster.enable_health()
-    for group in groups:
-        health.watch_group(group)
+    create_group("g", margos, cluster.randomness, swim=SWIM)
+    cluster.enable_health()
     cluster.run(until=2.0)
     cluster.faults.kill_process(margos[2].process)
     cluster.run(until=15.0)

@@ -100,8 +100,6 @@ def _swim_rig(seed, loss=0.0, n=5):
     margos = [cluster.add_margo(f"m{i}", node=f"n{i}") for i in range(n)]
     groups = create_group("g", margos, cluster.randomness, swim=SWIM)
     health = cluster.enable_health()
-    for group in groups:
-        health.watch_group(group)
     cluster.run(until=2.0)
     if loss:
         cluster.faults.set_message_loss(loss)
@@ -125,6 +123,21 @@ def test_swim_detection_under_message_loss():
     # Survivors were never marked dead.
     for i in (0, 1, 3, 4):
         assert health.registry.state_of(f"m{i}") != "dead"
+
+
+def test_group_built_after_the_plane_reports_without_a_watch():
+    """SSG finds the plane on its own: no subscription call anywhere."""
+    cluster = Cluster(seed=63)
+    health = cluster.enable_health()
+    margos = [cluster.add_margo(f"m{i}", node=f"n{i}") for i in range(4)]
+    create_group("g", margos, cluster.randomness, swim=SWIM)
+    cluster.run(until=2.0)
+    cluster.faults.kill_process(margos[3].process)
+    cluster.run(until=20.0)
+    ladder = [e["name"] for e in _health_events(health.recorder, "m3")]
+    assert ladder == ["suspect", "dead"]
+    assert health.registry.state_of("m3") == "dead"
+    assert health.incidents.incidents[0].detection_latency is not None
 
 
 def test_swim_detection_under_partition_without_fault():

@@ -112,6 +112,7 @@ class _StubMargo:
     def __init__(self):
         self.kernel = _StubKernel()
         self.process = type("P", (), {"name": "p0"})()
+        self.network = None  # no health plane to report to
 
 
 def _engine(*specs):
@@ -127,7 +128,6 @@ def test_engine_breach_on_sustained_bad_latency():
     status = engine.status()["slos"][0]
     assert status["state"] == "breach"
     assert status["budget_remaining"] < 0
-    assert engine.worst_state() == "breach"
 
 
 def test_engine_pages_on_error_spike_then_recovers():
@@ -194,14 +194,33 @@ def test_engine_ignores_no_traffic_windows_and_bounds_alerts(monkeypatch):
     assert len(engine.alerts) == 3  # ring bounded
 
 
-def test_engine_on_alert_callbacks_fire():
-    engine = _engine(SLOSpec("p99", "latency_p99", "put/1", 0.001))
-    seen = []
-    engine.on_alert.append(seen.append)
-    engine.observe_window(
-        _window(rpc={"put/1": {"total": {"count": 1, "p99": 1.0}}})
-    )
-    assert len(seen) == 1 and seen[0]["slo"] == "p99"
+def test_engine_built_after_the_plane_reports_without_a_watch():
+    """A process's SLO engine finds the plane on its own: a breach marks
+    it degraded and opens an ``slo`` incident with no subscription."""
+    from repro import Cluster
+    from repro.margo.ult import UltSleep
+
+    cluster = Cluster(seed=5)
+    health = cluster.enable_health()
+    server = cluster.add_margo("srv", node="n0")
+    client = cluster.add_margo("cli", node="n1", config={"observability": {
+        "profiling": True, "profile_window": 0.01,
+        "slos": [{"name": "echo-p99", "objective": "latency_p99",
+                  "target": "echo/*", "threshold": 1e-9}],
+    }})
+    server.register("echo", lambda ctx: ctx.args)
+
+    def driver():
+        for i in range(20):
+            yield from client.forward(server.address, "echo", i)
+            yield UltSleep(0.002)
+
+    cluster.run_ult(client, driver())
+    cluster.run(until=cluster.now + 0.02)
+    assert [a["to"] for a in client.slo_engine.alerts] == ["breach"]
+    assert health.registry.state_of("cli") == "degraded"
+    [incident] = health.incidents.incidents
+    assert (incident.kind, incident.target, incident.open) == ("slo", "cli", True)
 
 
 # ----------------------------------------------------------------------

@@ -390,7 +390,7 @@ def test_record_span_roots_own_trace_outside_rpc():
     assert span.trace_id == span.span_id
     assert span.parent_span_id == ""
     assert span.duration == pytest.approx(1.5)
-    assert tracer.trace_ids() == [span.trace_id]
+    assert [s.trace_id for s in tracer.spans] == [span.trace_id]
 
 
 def test_trace_report_renders_tree():

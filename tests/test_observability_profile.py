@@ -96,22 +96,20 @@ def test_store_query_validation():
 def test_spec_profiling_validation():
     with pytest.raises(ValueError, match="profile_window"):
         ObservabilitySpec.from_json({"profiling": True, "profile_window": 0})
-    with pytest.raises(ValueError, match="load_imbalance_threshold"):
-        ObservabilitySpec.from_json({"load_imbalance_threshold": 0.5})
-    with pytest.raises(ValueError, match="busy_threshold"):
-        ObservabilitySpec.from_json({"busy_threshold": 1.5})
+    with pytest.raises(ValueError, match="profile_sample_every"):
+        ObservabilitySpec.from_json({"profile_sample_every": 0})
     with pytest.raises(ValueError, match="unknown observability keys"):
         ObservabilitySpec.from_json({"profilng": True})
 
 
 def test_spec_roundtrip_keeps_profiling_keys():
     spec = ObservabilitySpec.from_json(
-        {"profiling": True, "profile_window": 0.5, "busy_threshold": 0.8}
+        {"profiling": True, "profile_window": 0.5, "profile_sample_every": 8}
     )
     doc = spec.to_json()
     assert doc["profiling"] is True
     assert doc["profile_window"] == 0.5
-    assert doc["busy_threshold"] == 0.8
+    assert doc["profile_sample_every"] == 8
     assert ObservabilitySpec.from_json(doc) == spec
     # Non-profiled spec reflects without any profiling keys (round-trip
     # compatibility with pre-profiling configuration documents).
@@ -226,13 +224,20 @@ def test_profiling_off_is_zero_cost():
 
 def test_explicit_off_config_attaches_no_observer():
     """Every knob present and false is the same as absent: no monitor,
-    profiler, tracer or xray recorder exists for the RPC path to skip."""
+    profiler, tracer or xray plane exists for the RPC path to skip."""
     off = {"observability": {"tracing": False, "metrics": False, "profiling": False}}
     a = Cluster(seed=7).add_margo("a", "node0", config=off)
     assert a.monitors == ()
-    assert a.profiler is a.tracer is a.xray is None
+    assert a.profiler is a.tracer is None
     assert all(pool._profiler is None for pool in a.pools.values())
     assert not hasattr(a.kernel, "xray_plane")
+
+
+def test_xray_adds_no_monitor_to_the_profiler():
+    obs = {"observability": {"profiling": True, "xray": True}}
+    a = Cluster(seed=7).add_margo("a", "node0", config=obs)
+    assert a.monitors == (a.profiler,)
+    assert a.profiler.xray_plane is a.kernel.xray_plane
 
 
 def test_profiler_stops_on_shutdown():
@@ -412,8 +417,6 @@ def test_load_estimator_reduces_windows():
     estimates = estimator.estimate(b.profiler.profile())
     assert "echo:3" in estimates
     assert estimates["echo:3"]["load"] > 0
-    assert estimator.shard_load(estimates, "echo:3") == estimates["echo:3"]["load"]
-    assert estimator.shard_load(estimates, "missing:9", default=1.5) == 1.5
     merged = LoadEstimator.merge([estimates, {"echo:3": {"load": 1.0}}])
     assert merged["echo:3"]["load"] == pytest.approx(estimates["echo:3"]["load"] + 1.0)
     with pytest.raises(ValueError):

@@ -80,6 +80,25 @@ def test_race_checker_on_adds_no_call_per_kernel_event():
 
 
 def test_unsampled_xray_adds_only_per_window_work():
-    # 90 calls per 1 000 RPCs: the attribution and what-if analysis of
+    # 88 calls per 1 000 RPCs: the attribution and what-if analysis of
     # each closed profile window (two per 1 000 RPCs), none per request.
-    assert _slope("rpc_xray_unsampled") - _slope("rpc_profiled_unsampled") == 90
+    assert _slope("rpc_xray_unsampled") - _slope("rpc_profiled_unsampled") == 88
+
+
+@pytest.mark.parametrize(
+    "arm,calls",
+    [
+        ("rpc_profiled_unsampled", 135_227),
+        ("rpc_profiled_sampled", 137_167),
+        ("rpc_profiled_full", 240_249),
+    ],
+)
+def test_profiled_call_slope_is_pinned(arm, calls):
+    # A profiler without xray reads no edge list and builds no path.
+    assert _slope(arm) == calls
+
+
+def test_fully_sampled_xray_call_slope_is_pinned():
+    # Per request on top of the profiler: the sched edge, one path record
+    # and its add to the plane -- xray has no monitor hook of its own.
+    assert _slope("rpc_xray_full") - _slope("rpc_profiled_full") == 24_251

@@ -27,7 +27,6 @@ SWIM = SwimConfig(period=0.5, ping_timeout=0.15, suspicion_timeout=2.0)
 OBSERVABILITY = {
     "profiling": True,
     "profile_window": 0.2,
-    "load_imbalance_threshold": 1.5,
 }
 
 
@@ -173,9 +172,6 @@ def test_controller_idle_guard():
     cluster = Cluster(seed=62)
     service, _yokan = hot_service(cluster, fill=False)
     controller = ServiceController(service, ("rebalance",), period=0.5, smoothing=2)
-    # Thresholds come from the processes' ObservabilitySpec.
-    assert controller.load_imbalance_threshold == 1.5
-    assert controller.busy_threshold == 0.9
     cluster.spawn(service.control, controller.run(cycles=3))
     cluster.run(until=2.5)
     assert len(controller.decisions) == 3
