@@ -48,7 +48,7 @@ BEDROCK_PROVIDER_ID = 0
 
 OP_COST = 500e-9
 
-@dataclass
+@dataclass(init=False)
 class ProviderRecord:
     """Bookkeeping for one managed provider."""
 
@@ -60,6 +60,26 @@ class ProviderRecord:
     dependencies: dict[str, Any]
     module: BedrockModule
     instance: Any
+
+    def __init__(
+        self,
+        name: str,
+        type_name: str,
+        provider_id: int,
+        pool: str,
+        config: dict[str, Any],
+        dependencies: dict[str, Any],
+        module: BedrockModule,
+        instance: Any,
+    ) -> None:
+        self.name = name
+        self.type_name = type_name
+        self.provider_id = provider_id
+        self.pool = pool
+        self.config = config
+        self.dependencies = dependencies
+        self.module = module
+        self.instance = instance
 
     def describe(self) -> dict[str, Any]:
         return {

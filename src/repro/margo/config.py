@@ -31,11 +31,16 @@ __all__ = ["MargoConfig", "PoolSpec", "XStreamSpec"]
 DEFAULT_POOL = "__primary__"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PoolSpec:
     name: str
     kind: str = "fifo_wait"
     access: str = "mpmc"
+
+    def __init__(self, name: str, kind: str = "fifo_wait", access: str = "mpmc") -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "access", access)
 
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "PoolSpec":
@@ -56,11 +61,18 @@ class PoolSpec:
         return {"name": self.name, "type": self.kind, "access": self.access}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class XStreamSpec:
     name: str
     scheduler: str = "basic_wait"
     pools: tuple[str, ...] = ()
+
+    def __init__(
+        self, name: str, scheduler: str = "basic_wait", pools: tuple[str, ...] = ()
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "scheduler", scheduler)
+        object.__setattr__(self, "pools", pools)
 
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "XStreamSpec":

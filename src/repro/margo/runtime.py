@@ -75,7 +75,7 @@ __all__ = ["MargoInstance", "RequestContext", "Registration"]
 _UNSET = object()
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class RequestContext:
     """What a handler sees: the request plus accessors for the runtime."""
 
@@ -88,6 +88,20 @@ class RequestContext:
     _responded: bool = False
     #: set when :meth:`respond` is called, whether or not it is driven.
     _respond_called: bool = False
+
+    def __init__(
+        self,
+        margo: "MargoInstance",
+        request: RPCRequest,
+        observed: Optional[dict] = None,
+        _responded: bool = False,
+        _respond_called: bool = False,
+    ) -> None:
+        self.margo = margo
+        self.request = request
+        self.observed = observed
+        self._responded = _responded
+        self._respond_called = _respond_called
 
     @property
     def args(self) -> Any:
@@ -145,7 +159,7 @@ class RequestContext:
                     margo._monitor_errors.inc()
 
 
-@dataclass
+@dataclass(init=False)
 class Registration:
     """One registered (rpc name, provider id) handler."""
 
@@ -154,6 +168,20 @@ class Registration:
     provider_id: int
     handler: Callable[[RequestContext], Any]
     pool: Pool
+
+    def __init__(
+        self,
+        name: str,
+        rpc_id: int,
+        provider_id: int,
+        handler: Callable[[RequestContext], Any],
+        pool: Pool,
+    ) -> None:
+        self.name = name
+        self.rpc_id = rpc_id
+        self.provider_id = provider_id
+        self.handler = handler
+        self.pool = pool
 
 
 class _Progress:

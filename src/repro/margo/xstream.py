@@ -8,14 +8,15 @@ the stream itself busy for simulated time, which is how CPU contention
 between providers sharing a stream (paper Fig. 2) arises.
 
 The stream is a kernel *callback* state machine, not a generator:
-``_drive`` is the one callback it posts, once per scheduling step, and an
-``_idle`` flag stands in for a wakeup event (DESIGN.md section 3; the
-generator stream it replaced is ``tests/reference_scheduler.py``).
+``_drive`` is its one callback, posted on a wakeup and re-armed by
+returning a charge as the kernel's delay, and an ``_idle`` flag stands
+in for a wakeup event (DESIGN.md section 3; the generator stream it
+replaced is ``tests/reference_scheduler.py``).
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 from ..analysis.race import hooks as _race
 from ..sim.kernel import SimKernel
@@ -65,6 +66,8 @@ class XStream:
         self._stopping = False
         # Bound once: every post would otherwise allocate a bound method.
         self._run = self._drive
+        # The entry whose charge is running; the re-armed ``_drive`` resumes it.
+        self._charged: Any = None
         # Counters for monitoring/benchmarks.
         self.slices_run = 0
         self.busy_time = 0.0
@@ -119,15 +122,17 @@ class XStream:
     # the scheduling loop
     # ------------------------------------------------------------------
     # mochi-lint: hotpath
-    def _drive(self, ult: Any = None) -> None:
+    def _drive(self) -> Optional[float]:
         """The stream's one kernel callback: posted bare to take a turn
-        (start, or a push found it idle), with the running entry when its
-        charge ends.  A pool entry that is not a :class:`ULT` is a
-        run-to-completion item: ``step()``, run with ``current_ult()`` set
-        to it, returns the seconds to charge before the next ``step()``,
-        or None when done.  A ULT body's exception fails that ULT; one
-        from the machinery (a finish callback, a park, a push, a ``step``)
-        leaves through ``kernel.run()`` with the next turn already posted."""
+        (start, or a push found it idle), re-armed by returning a charge.
+        A pool entry that is not a :class:`ULT` is a run-to-completion
+        item: ``step()``, run with ``current_ult()`` set to it, returns the
+        seconds to charge before the next ``step()``, or None when done.
+        A ULT body's exception fails that ULT; one from the machinery (a
+        finish callback, a park, a push, a ``step``) leaves through
+        ``kernel.run()`` with the next turn already posted."""
+        ult = self._charged
+        self._charged = None
         value = exc = None
         try:
             while True:
@@ -159,8 +164,8 @@ class XStream:
                         ult = None
                         continue
                     self.busy_time += charge
-                    self.kernel.post(charge + SCHED_OVERHEAD, self._run, ult)
-                    return
+                    self._charged = ult
+                    return charge + SCHED_OVERHEAD
                 try:
                     # For the body and finish callbacks, not the command.
                     _ult._CURRENT = ult
@@ -188,8 +193,8 @@ class XStream:
                     kind = next((c for c in _COMMANDS if isinstance(cmd, c)), None)
                 if kind is Compute:
                     self.busy_time += cmd.duration
-                    self.kernel.post(cmd.duration + SCHED_OVERHEAD, self._run, ult)
-                    return
+                    self._charged = ult
+                    return cmd.duration + SCHED_OVERHEAD
                 if kind is UltYield:
                     ult.pool.push(ult)
                 elif kind is None:

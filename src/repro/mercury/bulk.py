@@ -21,7 +21,7 @@ BULK_OP_PUSH = "push"
 BULK_SETUP_COST = 1.5e-6
 
 
-@dataclass
+@dataclass(init=False)
 class BulkHandle:
     """A remotely accessible memory region of ``size`` bytes.
 
@@ -41,9 +41,12 @@ class BulkHandle:
     #: What the handle itself occupies inside an RPC message.
     __wire_size__ = 32
 
-    def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError(f"negative bulk size: {self.size}")
+    def __init__(self, owner_address: str, size: int, data: Any = b"") -> None:
+        if size < 0:
+            raise ValueError(f"negative bulk size: {size}")
+        self.owner_address = owner_address
+        self.size = size
+        self.data = data
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<BulkHandle {self.owner_address} size={self.size}>"

@@ -65,7 +65,7 @@ class _RequestStamps:
                  "_xray_edges", "_span_id", "_trace_id")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class RPCRequest(_RequestStamps):
     """A request message on the wire."""
 
@@ -92,6 +92,38 @@ class RPCRequest(_RequestStamps):
 
     #: Fixed header size added to the payload on the wire.
     HEADER_SIZE = 64
+
+    def __init__(
+        self,
+        seq: int,
+        rpc_id: int,
+        rpc_name: str,
+        provider_id: int,
+        args: Any,
+        payload_size: int,
+        src_address: str,
+        dst_address: str = "",
+        parent_rpc_id: int = NULL_RPC,
+        parent_provider_id: int = NULL_PROVIDER,
+        origin: str = "",
+        parent_trace_id: str = "",
+        parent_span_id: str = "",
+        trace_crc: int = NO_TRACE,
+    ) -> None:
+        self.seq = seq
+        self.rpc_id = rpc_id
+        self.rpc_name = rpc_name
+        self.provider_id = provider_id
+        self.args = args
+        self.payload_size = payload_size
+        self.src_address = src_address
+        self.dst_address = dst_address
+        self.parent_rpc_id = parent_rpc_id
+        self.parent_provider_id = parent_provider_id
+        self.origin = origin
+        self.parent_trace_id = parent_trace_id
+        self.parent_span_id = parent_span_id
+        self.trace_crc = trace_crc
 
     @property
     def span_id(self) -> str:
@@ -122,7 +154,7 @@ class _ResponseStamps:
     __slots__ = ("_profile_responded_at",)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class RPCResponse(_ResponseStamps):
     """A response message on the wire."""
 
@@ -134,6 +166,22 @@ class RPCResponse(_ResponseStamps):
     error_message: Optional[str] = None
 
     HEADER_SIZE = 48
+
+    def __init__(
+        self,
+        seq: int,
+        status: str,
+        value: Any,
+        payload_size: int,
+        src_address: str,
+        error_message: Optional[str] = None,
+    ) -> None:
+        self.seq = seq
+        self.status = status
+        self.value = value
+        self.payload_size = payload_size
+        self.src_address = src_address
+        self.error_message = error_message
 
     @property
     def wire_size(self) -> int:

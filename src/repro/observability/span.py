@@ -35,15 +35,19 @@ def child_span_id(span_id: str, suffix: str) -> str:
     return span_id + suffix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SpanContext:
     """What propagates across processes: which trace, which parent."""
 
     trace_id: str
     span_id: str
 
+    def __init__(self, trace_id: str, span_id: str) -> None:
+        object.__setattr__(self, "trace_id", trace_id)
+        object.__setattr__(self, "span_id", span_id)
 
-@dataclass
+
+@dataclass(init=False)
 class Span:
     """One completed, timed phase of a trace."""
 
@@ -56,6 +60,28 @@ class Span:
     start: float
     end: float
     attributes: dict[str, Any] = field(default_factory=dict)
+
+    def __init__(
+        self,
+        name: str,
+        category: str,
+        trace_id: str,
+        span_id: str,
+        parent_span_id: str,
+        process: str,
+        start: float,
+        end: float,
+        attributes: Optional[dict[str, Any]] = None,
+    ) -> None:
+        self.name = name
+        self.category = category
+        self.trace_id = trace_id
+        self.span_id = span_id
+        self.parent_span_id = parent_span_id
+        self.process = process
+        self.start = start
+        self.end = end
+        self.attributes = {} if attributes is None else attributes
 
     @property
     def duration(self) -> float:

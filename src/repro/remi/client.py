@@ -33,7 +33,7 @@ DEFAULT_CHUNK_SIZE = 1 << 20  # 1 MiB
 DEFAULT_WINDOW = 4  # chunks in flight
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MigrationReport:
     """Outcome of one fileset migration."""
 
@@ -42,6 +42,15 @@ class MigrationReport:
     total_bytes: int
     num_chunks: int
     duration: float
+
+    def __init__(
+        self, method: str, num_files: int, total_bytes: int, num_chunks: int, duration: float
+    ) -> None:
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "num_files", num_files)
+        object.__setattr__(self, "total_bytes", total_bytes)
+        object.__setattr__(self, "num_chunks", num_chunks)
+        object.__setattr__(self, "duration", duration)
 
 
 class MigrationHandle(ResourceHandle):

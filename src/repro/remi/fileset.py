@@ -8,7 +8,7 @@ transferring files between two nodes" (paper section 6).  A
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Optional
 
 from ..storage.local import LocalStore
 
@@ -19,7 +19,7 @@ class RemiError(RuntimeError):
     """Base class for REMI errors."""
 
 
-@dataclass
+@dataclass(init=False)
 class FileSet:
     """A named set of paths inside a local store; ``loaded`` holds the
     bytes of those the caller already has in memory, read from there."""
@@ -28,8 +28,16 @@ class FileSet:
     paths: list[str] = field(default_factory=list)
     loaded: dict[str, bytes] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        missing = [p for p in self.paths if p not in self.loaded and not self.store.exists(p)]
+    def __init__(
+        self,
+        store: LocalStore,
+        paths: Optional[list[str]] = None,
+        loaded: Optional[dict[str, bytes]] = None,
+    ) -> None:
+        self.store = store
+        self.paths = [] if paths is None else paths
+        self.loaded = {} if loaded is None else loaded
+        missing = [p for p in self.paths if p not in self.loaded and not store.exists(p)]
         if missing:
             raise RemiError(f"fileset references missing files: {missing}")
 

@@ -21,6 +21,7 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.race import hooks
 from repro.margo.errors import ConfigError
 from repro.margo.pool import Pool
 from repro.margo.runtime import _Progress
@@ -166,6 +167,25 @@ def run_scenario(scenario, pool_cls, xstream_cls, progress_cls):
 def test_callback_xstream_matches_generator_xstream(scenario):
     expected = run_scenario(scenario, ReferencePool, ReferenceXStream, ReferenceProgress)
     assert run_scenario(scenario, Pool, XStream, _Progress) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario=scenarios)
+def test_exact_race_mode_keeps_the_schedule(scenario):
+    """In exact mode every callback runs inside the race layer's timer
+    wrap, which re-posts a returned charge through the instrumented
+    ``post``: same log, same events, same counters as with race off."""
+    expected = run_scenario(scenario, Pool, XStream, _Progress)
+    # Under REPRO_SANITIZE the checker is already on: put its mode back.
+    before = (hooks.ENABLED, hooks._strict, hooks._SWAPPED)
+    hooks.disable()
+    hooks.enable(exact=True)
+    try:
+        assert run_scenario(scenario, Pool, XStream, _Progress) == expected
+    finally:
+        hooks.disable()
+        if before[0]:
+            hooks.enable(strict=before[1], exact=before[2])
 
 
 def test_the_property_notices_a_reordered_post():
