@@ -7,9 +7,9 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: ci lint test gates e2e contract census
+.PHONY: ci lint test gates e2e contract reach census
 
-ci: lint test e2e contract gates
+ci: lint test e2e contract reach gates
 
 # Every static rule + the config boot check over the gate's roots
 # (`repro lint` with no paths), twice (the report must be
@@ -60,6 +60,13 @@ e2e:
 	python benchmarks/e2e/run.py --workload objstore_mixed --seed 1 --seconds 3 --trace 1
 	python benchmarks/e2e/run.py --workload rpc_echo --seed 1 --seconds 3 --trace 1
 	python benchmarks/e2e/run.py --workload reconfig_churn --seed 1 --seconds 3 --trace 1
+
+# Every function of src/repro, sorted by what runs it (an artifact, only
+# tier-1, or nothing) into benchmarks/results/REACH.json: exits 1 when a
+# function no artifact runs is not on the file's short list with a
+# reason, or when a list entry is stale.
+reach:
+	python benchmarks/reach.py
 
 # Not a gate: which layer allocated what the object store holds, after
 # preload and after the timed phase (ROADMAP item 6's instrument).

@@ -1,11 +1,12 @@
 """E2 -- section 4: monitoring "at no engineering cost", and at what
 runtime cost.
 
-An echo-RPC storm runs four ways: no monitoring, the default
+An echo-RPC storm runs five ways: no monitoring, the default
 StatisticsMonitor (Listing 1), a full CallbackMonitor subscribed to
-every hook, and statistics plus the distributed tracer.  The experiment
-reports simulated completion time and the collected statistics' /
-spans' fidelity.  The claim being validated: monitoring is cheap enough
+every hook, statistics plus the distributed tracer, and statistics plus
+the periodic sampler, which tracks the server's pool size and in-flight
+RPCs.  The experiment reports simulated completion time and the
+collected statistics' / spans' / samples' fidelity.  The claim being validated: monitoring is cheap enough
 to be always-on (small single-digit-percent overhead), the Listing-1
 document is produced with zero component changes, and full per-RPC
 tracing stays within the same budget.
@@ -14,11 +15,14 @@ tracing stays within the same budget.
 import pytest
 
 from repro import Cluster
-from repro.monitoring import CallbackMonitor, HOOK_NAMES, StatisticsMonitor
+from repro.monitoring import CallbackMonitor, HOOK_NAMES, PeriodicSampler, StatisticsMonitor
 
 from common import print_table, save_results
 
 N_RPCS = 1500
+#: Simulated seconds between two samples of the sampler row (the storm
+#: lasts about 9 ms).
+SAMPLE_PERIOD = 1e-4
 
 
 def run_storm(monitor_kind: str):
@@ -38,10 +42,17 @@ def run_storm(monitor_kind: str):
         monitor = StatisticsMonitor()
         monitors = (monitor,)
         config = {"observability": {"tracing": True}}
+    elif monitor_kind == "statistics+sampler":
+        monitor = StatisticsMonitor()
+        monitors = (monitor,)
     cluster = Cluster(seed=102)
     server = cluster.add_margo("server", node="n0", config=config, monitors=monitors)
     client = cluster.add_margo("client", node="n1", config=config, monitors=monitors)
     server.register("echo", lambda ctx: ctx.args)
+    sampler = None
+    if monitor_kind == "statistics+sampler":
+        sampler = PeriodicSampler(server, period=SAMPLE_PERIOD)
+        sampler.start()
 
     def driver():
         for i in range(N_RPCS):
@@ -49,19 +60,31 @@ def run_storm(monitor_kind: str):
 
     cluster.run_ult(client, driver())
     spans = sum(len(t.spans) for t in cluster.tracers())
-    return {
+    row = {
         "monitoring": monitor_kind,
         "rpcs": N_RPCS,
         "simulated_seconds": cluster.now,
         "hook_events": counter["events"],
         "spans": spans,
-    }, monitor
+    }
+    if sampler is not None:
+        sampler.stop()
+        pool = sampler.pool_size_stats("__primary__")
+        inflight = sampler.inflight_stats("incoming")
+        row.update(
+            samples=len(sampler.samples),
+            pool_size_avg=pool.avg,
+            pool_size_max=pool.max,
+            inflight_incoming_avg=inflight.avg,
+            inflight_incoming_max=inflight.max,
+        )
+    return row, monitor
 
 
 def run_experiment():
     rows = []
     stats_monitor = None
-    for kind in ("off", "statistics", "callbacks-all-hooks", "statistics+tracing"):
+    for kind in ("off", "statistics", "callbacks-all-hooks", "statistics+tracing", "statistics+sampler"):
         row, monitor = run_storm(kind)
         if kind == "statistics":
             stats_monitor = monitor
@@ -89,6 +112,14 @@ def test_e2_monitoring_overhead(benchmark):
     assert traced["overhead_pct"] < 10.0
     # forward (client) + queue/handler/respond (server) per RPC.
     assert traced["spans"] == 4 * N_RPCS
+
+    # The sampler observes from a kernel timer: it charges no stream, so
+    # the storm takes exactly as long as with statistics alone, and it
+    # saw the server both idle and running the echo handler.
+    sampled = rows[4]
+    assert sampled["simulated_seconds"] == rows[1]["simulated_seconds"]
+    assert sampled["samples"] == int(sampled["simulated_seconds"] / SAMPLE_PERIOD) + 1
+    assert sampled["inflight_incoming_max"] == 1.0
 
     # Fidelity: the Listing-1 document accounts for every RPC, at no
     # engineering cost to the echo "component".

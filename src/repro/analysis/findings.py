@@ -15,17 +15,11 @@ __all__ = ["Finding", "Severity", "format_findings"]
 
 
 class Severity:
-    """Finding severities, ordered from least to most severe."""
+    """Finding severities."""
 
     INFO = "info"
     WARNING = "warning"
     ERROR = "error"
-
-    ORDER = (INFO, WARNING, ERROR)
-
-    @classmethod
-    def rank(cls, severity: str) -> int:
-        return cls.ORDER.index(severity)
 
 
 @dataclass(frozen=True)

@@ -71,10 +71,6 @@ class FunctionInfo:
     is_generator: bool = False
     edges: list[CallEdge] = field(default_factory=list)
 
-    @property
-    def line(self) -> int:
-        return self.node.lineno
-
 
 @dataclass
 class ClassInfo:
@@ -89,10 +85,6 @@ class ClassInfo:
     methods: dict[str, FunctionInfo] = field(default_factory=dict)
     #: simple ``NAME = <expr>`` statements in the class body.
     class_attrs: dict[str, ast.expr] = field(default_factory=dict)
-
-    @property
-    def line(self) -> int:
-        return self.node.lineno
 
 
 @dataclass

@@ -16,8 +16,8 @@ spelled in the source, a whole-program pass can diff them:
 
 Dynamic names -- f-strings (SSG's per-group RPCs), loop variables fed
 from runtime data (the security guard) -- are resolved where a constant
-can be proven (loops over literal tuples, single-constant locals,
-``getattr(self, f"_on_{op}")``) and otherwise skipped.  A dynamic
+can be proven (loops over literal tuples, single-constant locals) and
+otherwise skipped.  A dynamic
 registration attributed to a component marks that component **open**:
 its orphan check is skipped.  An unattributable one opens the world:
 forwards into no known namespace are no longer orphans.  Both are
@@ -129,26 +129,6 @@ def _name_candidates(
         return [const]
     if isinstance(node, ast.Name) and node.id in local_constants:
         return list(dict.fromkeys(local_constants[node.id]))
-    return None
-
-
-def _getattr_handler_pattern(node: ast.expr) -> Optional[str]:
-    """``getattr(self, f"_on_{op}")`` -> the ``"_on_"`` prefix."""
-    if not (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "getattr"
-        and len(node.args) >= 2
-    ):
-        return None
-    spec = node.args[1]
-    if (
-        isinstance(spec, ast.JoinedStr)
-        and len(spec.values) == 2
-        and isinstance(spec.values[0], ast.Constant)
-        and isinstance(spec.values[1], ast.FormattedValue)
-    ):
-        return spec.values[0].value
     return None
 
 
@@ -279,35 +259,17 @@ def _collect_registration(
         contracts.stats.dynamic_registrations += 1
         contracts.open_components.add(component)
         return
-    handler_prefix = None
     handler_attr = None
     handler_expr = node.args[1] if len(node.args) > 1 else None
     if isinstance(handler_expr, ast.Attribute) and isinstance(
         handler_expr.value, ast.Name
     ) and handler_expr.value.id == "self":
         handler_attr = handler_expr.attr
-    elif isinstance(handler_expr, ast.Name):
-        # ``handler = getattr(self, f"_on_{op}")`` somewhere in this
-        # function; later re-wraps (decorating the same method) keep
-        # the underlying contract, so the getattr binding wins.
-        for inner in func.body:
-            if (
-                isinstance(inner, ast.Assign)
-                and len(inner.targets) == 1
-                and isinstance(inner.targets[0], ast.Name)
-                and inner.targets[0].id == handler_expr.id
-            ):
-                prefix = _getattr_handler_pattern(inner.value)
-                if prefix is not None:
-                    handler_prefix = prefix
     for op in ops:
         handler: Optional[FunctionInfo] = None
         resolved = False
         if handler_attr is not None:
             handler = index.find_method(func.cls, handler_attr)
-            resolved = True
-        elif handler_prefix is not None:
-            handler = index.find_method(func.cls, handler_prefix + op)
             resolved = True
         contracts.registrations.append(
             Registration(

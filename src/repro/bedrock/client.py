@@ -138,9 +138,6 @@ class ServiceGroupHandle:
         self.addresses = list(addresses)
         self._tx_counter = 0
 
-    def handle_for(self, address: str) -> ServiceHandle:
-        return self.client.make_handle(address, BEDROCK_PROVIDER_ID)
-
     def _next_txid(self) -> str:
         self._tx_counter += 1
         return f"tx:{self.client.margo.address}:{self._tx_counter}"

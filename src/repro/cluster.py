@@ -23,7 +23,6 @@ from typing import Any, Generator, Optional
 
 from .margo.runtime import MargoInstance
 from .margo.ult import ULT, UltState
-from .observability import exporters as _obs_exporters
 from .observability.health.plane import HealthPlane
 from .observability.tracer import Tracer
 from .sim.faults import FaultInjector
@@ -58,9 +57,6 @@ class Cluster:
     # ------------------------------------------------------------------
     # topology helpers
     # ------------------------------------------------------------------
-    def add_node(self, name: str) -> Node:
-        return self.network.add_node(name)
-
     def node(self, name: str) -> Node:
         if name not in self.network.nodes:
             return self.network.add_node(name)
@@ -184,18 +180,3 @@ class Cluster:
         """The kernel-shared mochi-xray plane, or ``None`` when no
         process enabled ``observability.xray``."""
         return getattr(self.kernel, "xray_plane", None)
-
-    def chrome_trace(self, highlight_critical: bool = False) -> dict[str, Any]:
-        """All spans cluster-wide as one Chrome trace-event document."""
-        return _obs_exporters.chrome_trace(
-            *self.tracers(), highlight_critical=highlight_critical
-        )
-
-    def dumps_chrome_trace(self, indent: int = 2) -> str:
-        return _obs_exporters.dumps_chrome_trace(*self.tracers(), indent=indent)
-
-    def metrics_snapshot(self) -> dict[str, Any]:
-        """Every process's metrics registry, keyed by process name."""
-        return _obs_exporters.metrics_snapshot(
-            {name: margo.metrics for name, margo in self.margos.items()}
-        )

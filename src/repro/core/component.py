@@ -86,10 +86,6 @@ class Provider:
         self._registered.append(rpc_name)
 
     @property
-    def address(self) -> str:
-        return self.margo.address
-
-    @property
     def destroyed(self) -> bool:
         return self._destroyed
 
@@ -140,12 +136,6 @@ class Provider:
         )
         yield  # pragma: no cover
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<{type(self).__name__} {self.name!r} id={self.provider_id} "
-            f"at {self.margo.process.name}>"
-        )
-
 
 class Client:
     """Base class for the client side of a component."""
@@ -191,9 +181,3 @@ class ResourceHandle:
             if timeout is _UNSET:
                 return client.margo.forward(self.address, rpc_name, args, self.provider_id)
         return client.margo.forward(self.address, rpc_name, args, self.provider_id, timeout)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<{type(self).__name__} -> {self.address} "
-            f"provider={self.provider_id}>"
-        )

@@ -297,11 +297,3 @@ class DynamicService:
                 move.shard.shard_id, destination.address, remi_provider_id=remi_id
             )
         return plan
-
-    def shutdown(self) -> None:
-        for process in self.processes.values():
-            if process.group is not None:
-                process.group.stop()
-            process.margo.shutdown()
-        if self.control is not None:
-            self.control.shutdown()

@@ -56,10 +56,6 @@ class StepReport:
     duration: float
     operations: int
 
-    @property
-    def ops_per_second(self) -> float:
-        return self.operations / self.duration if self.duration > 0 else 0.0
-
 
 def nova_like_workflow(
     scale: int = 1, dataset: str = "nova"

@@ -151,6 +151,3 @@ class Pool:
 
     def to_json(self) -> dict[str, Any]:
         return {"name": self.name, "type": self.kind, "access": self.access}
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Pool {self.name} size={self.size}>"

@@ -111,14 +111,6 @@ class RequestContext:
     def source(self) -> str:
         return self.request.src_address
 
-    @property
-    def provider_id(self) -> int:
-        return self.request.provider_id
-
-    @property
-    def rpc_name(self) -> str:
-        return self.request.rpc_name
-
     def respond(self, value: Any = None) -> Generator:
         """Explicit early reply (``margo_respond`` equivalent).
 
@@ -988,6 +980,3 @@ class MargoInstance:
             xstream.stop()
         self._incoming.clear()
         self._pending.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<MargoInstance {self.process.address}>"

@@ -120,9 +120,6 @@ UltGen = Generator[Any, Any, Any]
 class _TimedOut:
     """Resumption value of a :class:`Park` whose timeout fired first."""
 
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return "TIMED_OUT"
-
 
 TIMED_OUT = _TimedOut()
 
@@ -229,9 +226,6 @@ class ULT:
             callback(self)
         if _race.ENABLED:
             _race.note_finish(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<ULT {self.name} {self.state.value}>"
 
 
 class UltEvent:

@@ -241,6 +241,3 @@ class XStream:
             "name": self.name,
             "scheduler": {"type": self.scheduler, "pools": [p.name for p in self.pools]},
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<XStream {self.name} pools={[p.name for p in self.pools]}>"

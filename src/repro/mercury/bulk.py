@@ -47,6 +47,3 @@ class BulkHandle:
         self.owner_address = owner_address
         self.size = size
         self.data = data
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<BulkHandle {self.owner_address} size={self.size}>"

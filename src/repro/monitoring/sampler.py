@@ -9,10 +9,13 @@ inside a Mochi process at any time."
 period.  It samples from a kernel timer -- modelling Margo's dedicated
 monitoring thread -- so that a saturated execution stream cannot starve
 the observer (which would bias the samples toward idle moments).
+The samples are a ring: a sampler left running for the life of a
+process holds the newest :data:`SAMPLES` of them.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Optional
 
 from ..margo.runtime import MargoInstance
@@ -20,22 +23,19 @@ from .statistics import RunningStats
 
 __all__ = ["PeriodicSampler"]
 
+#: Samples the ring keeps.
+SAMPLES = 1024
+
 
 class PeriodicSampler:
     """Samples ``margo.snapshot()`` every ``period`` simulated seconds."""
 
-    def __init__(
-        self,
-        margo: MargoInstance,
-        period: float = 1.0,
-        max_samples: Optional[int] = None,
-    ) -> None:
+    def __init__(self, margo: MargoInstance, period: float = 1.0) -> None:
         if period <= 0:
             raise ValueError(f"sampler period must be positive, got {period}")
         self.margo = margo
         self.period = period
-        self.max_samples = max_samples
-        self.samples: list[dict[str, Any]] = []
+        self.samples: deque[dict[str, Any]] = deque(maxlen=SAMPLES)
         self._running = False
 
     def start(self) -> None:
@@ -52,9 +52,6 @@ class PeriodicSampler:
             self._running = False
             return
         self.samples.append(self.margo.snapshot())
-        if self.max_samples is not None and len(self.samples) >= self.max_samples:
-            self._running = False
-            return
         self.margo.kernel.schedule(self.period, self._tick)
 
     # ------------------------------------------------------------------

@@ -78,6 +78,3 @@ class RunningStats:
             "var": self.var,
             "sum": self.sum,
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<RunningStats n={self.num} avg={self.avg:.3g}>"

@@ -22,21 +22,11 @@ default:
 
 Bedrock's ``query`` RPC reads every plane (``$__metrics__``,
 ``$__traces__``, ``$__profile__``, ``$__health__``, ``$__incidents__``,
-``$__slo__``, ``$__xray__``); the exporters write Chrome trace-event
-JSON and deterministic metric snapshots.  Everything runs on simulated
-clocks: same seed, same bytes out.
+``$__slo__``, ``$__xray__``); ``$__traces__`` is Chrome trace-event
+JSON.  Everything runs on simulated clocks: same seed, same bytes out.
 """
 
-from .exporters import (
-    build_trace_tree,
-    chrome_trace,
-    chrome_trace_profile,
-    collect_spans,
-    dumps_chrome_trace,
-    dumps_chrome_trace_profile,
-    dumps_metrics,
-    metrics_snapshot,
-)
+from .exporters import chrome_trace, collect_spans
 from .profile import (
     PHASES,
     ContinuousProfiler,
@@ -49,7 +39,6 @@ from .profile import (
 from .metrics import (
     Counter,
     DEFAULT_BUCKETS,
-    Gauge,
     Histogram,
     MetricError,
     MetricFamily,
@@ -67,13 +56,7 @@ from .health import (
 from .span import Span, SpanContext, child_span_id
 from .spec import ObservabilitySpec
 from .tracer import Tracer, current_span_context
-from .xray import (
-    XrayPlane,
-    attribute_paths,
-    critical_chain,
-    critical_span_ids,
-    what_if,
-)
+from .xray import XrayPlane, attribute_paths, what_if
 
 __all__ = [
     "Tracer",
@@ -84,19 +67,12 @@ __all__ = [
     "MetricsRegistry",
     "MetricFamily",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricError",
     "DEFAULT_BUCKETS",
     "ObservabilitySpec",
     "collect_spans",
     "chrome_trace",
-    "chrome_trace_profile",
-    "dumps_chrome_trace",
-    "dumps_chrome_trace_profile",
-    "metrics_snapshot",
-    "dumps_metrics",
-    "build_trace_tree",
     "PHASES",
     "ContinuousProfiler",
     "LoadEstimator",
@@ -113,7 +89,5 @@ __all__ = [
     "SLOSpec",
     "XrayPlane",
     "attribute_paths",
-    "critical_chain",
-    "critical_span_ids",
     "what_if",
 ]

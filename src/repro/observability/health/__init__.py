@@ -12,9 +12,8 @@ Two switches, nothing to wire:
   profiler feeds each closed window to its :class:`SLOEngine`.
 
 Read it through Bedrock queries over ``$__health__`` /
-``$__incidents__`` / ``$__slo__``, ``tools.health_report`` /
-``tools.fault_report``, or ``repro health {crash,slo}`` (scenarios in
-:mod:`repro.scenarios`).
+``$__incidents__`` / ``$__slo__``, ``tools.health_report``, or
+``repro health {crash,slo}`` (scenarios in :mod:`repro.scenarios`).
 """
 
 from .incidents import Incident, IncidentLog

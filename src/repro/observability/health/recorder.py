@@ -6,9 +6,7 @@ transitions, migrations, elections, faults, SLO alerts, reconfiguration
 decisions -- in a ``deque(maxlen=...)`` ring (the MCH004-sanctioned
 bounded pattern), so it can stay attached for the whole life of a
 service at fixed memory cost.  On a crash, an SLO breach, or on demand,
-:meth:`dump` freezes the ring into a post-mortem timeline document; the
-same events export as Chrome-trace instant events for side-by-side
-inspection with the tracer's spans.
+:meth:`dump` freezes the ring into a post-mortem timeline document.
 
 Determinism: events carry only simulated timestamps and a monotonic
 sequence number assigned at record time; the kernel's event order is a
@@ -21,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-__all__ = ["FlightRecorder", "EVENT_CATEGORIES", "events_to_chrome"]
+__all__ = ["FlightRecorder", "EVENT_CATEGORIES"]
 
 #: Events the ring keeps.
 CAPACITY = 4096
@@ -29,8 +27,7 @@ CAPACITY = 4096
 #: itself into a leak).
 MAX_DUMPS = 8
 
-#: The event taxonomy.  Keeping it closed makes dumps greppable and the
-#: Chrome export's category lanes stable.
+#: The event taxonomy.  Keeping it closed makes dumps greppable.
 EVENT_CATEGORIES = (
     "fault",          # FaultInjector injections (process/node/partition/heal/loss)
     "membership",     # SWIM suspect/alive/dead transitions
@@ -110,37 +107,3 @@ class FlightRecorder:
             "dropped": self.dropped,
             "events": [dict(e) for e in self.events],
         }
-
-    # ------------------------------------------------------------------
-    # Chrome-trace export (instant events on one lane per category)
-    # ------------------------------------------------------------------
-    def chrome_trace(self) -> dict[str, Any]:
-        """The live ring as Chrome trace-event JSON."""
-        return events_to_chrome(self.events)
-
-
-def events_to_chrome(events: Any) -> dict[str, Any]:
-    """Flight-recorder events as Chrome trace-event JSON
-    (``chrome://tracing`` / Perfetto).  Works on the live ring or on the
-    ``events`` list of a frozen dump.
-
-    Each event becomes a process-scoped instant event; ``pid`` is the
-    event's category lane and ``tid`` its target, so a crash reads as a
-    vertical line through the membership/election/recovery lanes.
-    """
-    trace_events: list[dict[str, Any]] = []
-    for event in events:
-        trace_events.append(
-            {
-                "name": f"{event['name']}:{event['target']}" if event["target"]
-                else event["name"],
-                "cat": event["category"],
-                "ph": "i",
-                "s": "p",
-                "ts": event["time"] * 1e6,
-                "pid": event["category"],
-                "tid": event["target"] or "-",
-                "args": dict(event["attrs"], seq=event["seq"]),
-            }
-        )
-    return {"traceEvents": trace_events, "displayTimeUnit": "ms"}

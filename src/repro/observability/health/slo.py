@@ -142,15 +142,6 @@ class SLOSpec:
             return NotImplemented
         return self._astuple() == other._astuple()
 
-    def __hash__(self) -> int:
-        return hash(self._astuple())
-
-    def __repr__(self) -> str:
-        return (
-            f"SLOSpec(name={self.name!r}, objective={self.objective!r}, "
-            f"target={self.target!r}, threshold={self.threshold!r})"
-        )
-
     # ------------------------------------------------------------------
     @classmethod
     def from_json(cls, doc: Any) -> "SLOSpec":

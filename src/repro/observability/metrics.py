@@ -5,7 +5,8 @@ component a *statistics* view of RPC traffic, but each component in this
 reproduction also grew ad-hoc live counters (``rpcs_sent`` on Margo,
 ``pings_sent`` on SSG, ``files_received`` on REMI, ...).  This module
 replaces those with one registry per process: components register
-**counters**, **gauges** and **histograms** (optionally labelled) into
+**counters** and **histograms** (optionally labelled) and read-only
+**readings** of their own attributes (counters or gauges) into
 ``margo.metrics``, and the whole process state becomes one deterministic
 JSON snapshot -- queryable at run time through Bedrock
 (a ``$__metrics__`` query) and dumped alongside the Listing-1 statistics
@@ -24,7 +25,6 @@ from typing import Any, Iterable, Optional, Sequence
 __all__ = [
     "MetricsRegistry",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricFamily",
     "MetricError",
@@ -79,32 +79,6 @@ class Counter(_Metric):
         if amount < 0:
             raise MetricError(f"counter {self.name!r} cannot decrease (inc {amount})")
         self._value += amount
-
-    def to_json(self) -> dict[str, Any]:
-        return {"value": self._value}
-
-
-class Gauge(_Metric):
-    """A value that can go up and down (in-flight RPCs, pool sizes)."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, family: "MetricFamily", label_values: tuple[str, ...]) -> None:
-        super().__init__(family, label_values)
-        self._value = 0.0
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def set(self, value: float) -> None:
-        self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
 
     def to_json(self) -> dict[str, Any]:
         return {"value": self._value}
@@ -173,7 +147,7 @@ class Histogram(_Metric):
         return doc
 
 
-_KIND_CLS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+_KIND_CLS = {"counter": Counter, "histogram": Histogram}
 
 
 class MetricFamily:
@@ -271,10 +245,6 @@ class MetricsRegistry:
         family = self._get_or_create(name, "counter", help, label_names)
         return family if label_names else family.labels()
 
-    def gauge(self, name: str, help: str = "", label_names: Sequence[str] = ()) -> Any:
-        family = self._get_or_create(name, "gauge", help, label_names)
-        return family if label_names else family.labels()
-
     def reading(self, name: str, kind: str, help: str, owner: Any, attr: str) -> None:
         """Export ``owner.<attr>`` as the unlabelled ``kind`` ``name``."""
         series = _Reading(self._get_or_create(name, kind, help, ()), ())
@@ -303,9 +273,3 @@ class MetricsRegistry:
 
     def dumps(self, indent: int = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._families
-
-    def __len__(self) -> int:
-        return len(self._families)

@@ -20,8 +20,7 @@ Two data paths feed one :class:`~.store.ProfileStore`:
   in-flight request/response objects (one simulated clock, so cross-
   process subtraction is exact).  Phases are recorded as histogram
   metrics in ``margo.metrics`` and as per-window aggregates; completed
-  five-phase waterfalls land in a bounded ring for
-  ``tools.profile_report`` and the Chrome-trace exporter.
+  five-phase waterfalls land in a bounded ring.
 
 Two more planes ride it, with no hook of their own.  With ``xray`` on,
 a sampled request carries an edge list and, under the waterfall's

@@ -99,9 +99,3 @@ class Span:
             "end": self.end,
             "attributes": dict(sorted(self.attributes.items())),
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<Span {self.category}:{self.name} {self.span_id} "
-            f"[{self.start:.6f}..{self.end:.6f}]>"
-        )

@@ -12,12 +12,7 @@ ServiceController` ranks and (optionally) applies.
 """
 
 from .attribution import attribute_paths, nearest_rank, segment_key
-from .critical_path import (
-    critical_chain,
-    critical_span_ids,
-    format_path_record,
-    path_record,
-)
+from .critical_path import path_record
 from .plane import XrayPlane
 from .whatif import SHRINK, candidate_for, what_if
 
@@ -26,9 +21,6 @@ __all__ = [
     "XrayPlane",
     "attribute_paths",
     "candidate_for",
-    "critical_chain",
-    "critical_span_ids",
-    "format_path_record",
     "nearest_rank",
     "path_record",
     "segment_key",

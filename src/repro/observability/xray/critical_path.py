@@ -1,65 +1,17 @@
-"""Critical-path extraction over the span tree and recorded edges.
+"""Per-request critical paths.
 
-Two complementary views of "what gated this request":
-
-* :func:`critical_span_ids` / :func:`critical_chain` walk the PR-1 span
-  tree (client op -> wire -> queue -> handler -> respond) and follow,
-  at every node, the child whose *end* time is latest -- the child that
-  gated the parent's completion.  The walk marks the longest blocking
-  chain from the client ``forward`` span down to the leaf that finished
-  last, which is the per-trace critical path at span granularity.
-
-* The per-request **path records** that :func:`path_record` builds for
-  the client's profiler refine the handler span with the causal edges
-  sampled inside the server (pool scheduling waits, ``UltMutex``
-  convoys, ``UltEvent`` parks); their ``segments`` lists are already in
-  causal order, so a record *is* its own critical path.
-  :func:`format_path_record` renders one.
-
-Ties in the walk break toward the smallest span id, so the chain is
-deterministic even when children end at the same simulated instant.
+The per-request **path records** that :func:`path_record` builds for
+the client's profiler refine the handler span with the causal edges
+sampled inside the server (pool scheduling waits, ``UltMutex``
+convoys, ``UltEvent`` parks); their ``segments`` lists are already in
+causal order, so a record *is* its own critical path.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
-__all__ = [
-    "critical_chain",
-    "critical_span_ids",
-    "format_path_record",
-    "path_record",
-]
-
-
-def _pick(nodes: list[dict[str, Any]]) -> Optional[dict[str, Any]]:
-    """The node that finished last (ties to the smallest span id)."""
-    best = None
-    for node in nodes:
-        span = node["span"]
-        key = (-span["end"], span["span_id"])
-        if best is None or key < best[0]:
-            best = (key, node)
-    return best[1] if best else None
-
-
-def critical_chain(spans: list[Any], trace_id: str) -> list[dict[str, Any]]:
-    """The critical path of one trace as an ordered list of span JSON
-    documents, root first.  Empty when the trace has no spans."""
-    from ..exporters import build_trace_tree  # late: exporters imports us lazily
-
-    roots = build_trace_tree(spans, trace_id)
-    chain: list[dict[str, Any]] = []
-    node = _pick(roots)
-    while node is not None:
-        chain.append(node["span"])
-        node = _pick(node["children"])
-    return chain
-
-
-def critical_span_ids(spans: list[Any], trace_id: str) -> set[str]:
-    """Span ids on the trace's critical path (for exporter highlighting)."""
-    return {span["span_id"] for span in critical_chain(spans, trace_id)}
+__all__ = ["path_record"]
 
 
 def path_record(
@@ -111,18 +63,3 @@ def path_record(
         "total": end - fwd_start,
         "segments": segments,
     }
-
-
-def format_path_record(record: dict[str, Any]) -> list[str]:
-    """Render one recorded path as indented report lines."""
-    lines = [
-        "trace {trace_id} {rpc}/{provider} {client} -> {server}  "
-        "total {total:.6f}s (weight {weight})".format(**record)
-    ]
-    for segment in record["segments"]:
-        where = segment["pool"] or "-"
-        lines.append(
-            f"  {segment['phase']:<12} {segment['duration']:>10.6f}s"
-            f"  {segment['process']} [{where}]"
-        )
-    return lines

@@ -140,24 +140,12 @@ class RaftNode(Provider):
         return self.margo.address
 
     @property
-    def is_leader(self) -> bool:
-        return self.role == Role.LEADER
-
-    @property
     def elections_started(self) -> int:
         return int(self._elections_started.value)
 
     @property
-    def terms_seen(self) -> int:
-        return int(self._terms_seen.value)
-
-    @property
     def snapshots_taken(self) -> int:
         return int(self._snapshots_taken.value)
-
-    @property
-    def entries_applied(self) -> int:
-        return int(self._entries_applied.value)
 
     def _majority(self) -> int:
         return len(self.peers) // 2 + 1
@@ -172,7 +160,7 @@ class RaftNode(Provider):
             self.margo.kernel.now + rc.election_timeout_min + self.rng.random() * span
         )
 
-    def _set_role(self, role: Role) -> None:
+    def _set_role(self, role: str) -> None:
         if role is self.role:
             return
         self.role = role
@@ -180,7 +168,7 @@ class RaftNode(Provider):
         # plane, if one is on, correlates elections with incidents.
         plane = getattr(self.margo.network, "health_plane", None)
         if plane is not None:
-            plane.note_role_change(self, role.value, self.current_term)
+            plane.note_role_change(self, role, self.current_term)
 
     def _become_follower(self, term: int) -> None:
         if term > self.current_term:

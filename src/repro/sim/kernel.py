@@ -341,9 +341,6 @@ class SimKernel:
                 delay = obj() if tag is no_arg else obj(tag)
         return False
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<SimKernel t={self._now:.9f} queued={self.queued()}>"
-
 
 #: The pristine fast-path ``schedule``/``post``, restored when the race
 #: layer disables.  Swapping the *methods* keeps the disabled path

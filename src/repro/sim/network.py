@@ -106,9 +106,6 @@ class Node:
     def attach(self, name: str, obj: Any) -> None:
         self.attachments[name] = obj
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Node {self.name}>"
-
 
 class Process:
     """A simulated OS process.
@@ -137,10 +134,6 @@ class Process:
         if self.on_message is None:
             raise RuntimeError(f"process {self.name} has no message handler")
         self.on_message(payload)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "up" if self.alive else "dead"
-        return f"<Process {self.name}@{self.node.name} {state}>"
 
 
 class Network:

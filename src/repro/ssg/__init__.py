@@ -2,18 +2,12 @@
 
 from .bootstrap import create_group, join_group
 from .group import DEFAULT_SSG_PROVIDER_ID, SSGError, SSGGroup
-from .groupfile import observer_from_group_file, read_group_file, write_group_file
-from .observer import SSGObserver
 from .swim import MemberStatus, SwimConfig, SwimState, Update
 from .view import GroupView, view_hash_of
 
 __all__ = [
     "SSGGroup",
     "SSGError",
-    "SSGObserver",
-    "write_group_file",
-    "read_group_file",
-    "observer_from_group_file",
     "DEFAULT_SSG_PROVIDER_ID",
     "create_group",
     "join_group",

@@ -61,8 +61,8 @@ class SSGGroup(Provider):
         #: user callbacks
         self.on_view_change: list[Callable[[GroupView], None]] = []
         self.on_member_died: list[Callable[[str], None]] = []
-        # protocol counters (benchmarks read the properties below);
-        # registered into the process metrics registry per group.
+        # protocol counters, registered into the process metrics
+        # registry per group.
         def _counter(suffix: str, help: str):
             return margo.metrics.counter(
                 f"ssg_{suffix}", help, label_names=("group",)
@@ -79,15 +79,6 @@ class SSGGroup(Provider):
         self.register_rpc(f"{group_name}_ping", self._on_ping)
         self.register_rpc(f"{group_name}_ping_req", self._on_ping_req)
         self.register_rpc(f"{group_name}_join", self._on_join)
-        self.register_rpc(f"{group_name}_get_view", self._on_get_view)
-
-    @property
-    def pings_sent(self) -> int:
-        return int(self._pings_sent.value)
-
-    @property
-    def ping_reqs_sent(self) -> int:
-        return int(self._ping_reqs_sent.value)
 
     @property
     def false_suspicions(self) -> int:
@@ -224,14 +215,6 @@ class SSGGroup(Provider):
         address = ctx.args["address"]
         self.state.local_join(address)
         return self.state.snapshot()
-        yield  # pragma: no cover - handler is synchronous
-
-    def _on_get_view(self, ctx: RequestContext) -> Generator:
-        """Observer support: client applications retrieve the current
-        view without being members (paper section 6: 'allows this view
-        to be retrieved by client applications')."""
-        view = self.view
-        return {"members": list(view.members), "hash": view.hash, "epoch": view.epoch}
         yield  # pragma: no cover - handler is synchronous
 
     # ------------------------------------------------------------------

@@ -117,6 +117,3 @@ class LocalStore:
     def _check_alive(self) -> None:
         if not self.node.alive:
             raise StorageError(f"node {self.node.name} is dead")
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<LocalStore {self.node.name}:{self.name} files={len(self._files)}>"

@@ -68,6 +68,3 @@ class ParallelFileSystem:
 
     def write_cost(self, size: int) -> float:
         return self.cost.write_time(size)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<ParallelFileSystem {self.name} files={len(self._files)}>"

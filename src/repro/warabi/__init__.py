@@ -2,11 +2,9 @@
 
 from .client import TargetHandle, WarabiClient
 from .provider import NoSuchBlobError, WarabiError, WarabiProvider
-from .virtual import VirtualWarabiProvider
 
 __all__ = [
     "WarabiProvider",
-    "VirtualWarabiProvider",
     "WarabiClient",
     "TargetHandle",
     "WarabiError",

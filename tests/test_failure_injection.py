@@ -229,24 +229,33 @@ def test_virtual_database_all_replicas_dead():
         cluster.run_ult(app, read())
 
 
-def test_colza_refresh_fails_when_everyone_is_dead():
+@pytest.mark.parametrize("alive", [False, True], ids=["everyone_dead", "live_member"])
+def test_colza_refresh(alive):
+    """A handle that knows two members refreshes to the live group's
+    view; with every member dead there is nothing to refresh from."""
     cluster = Cluster(seed=208)
-    margos = [cluster.add_margo(f"c{i}", node=f"n{i}") for i in range(2)]
+    margos = [cluster.add_margo(f"c{i}", node=f"n{i}") for i in range(3 if alive else 2)]
     groups = create_group("g", margos, cluster.randomness, swim=SWIM)
     for i, (margo, group) in enumerate(zip(margos, groups)):
         ColzaProvider(margo, f"colza{i}", provider_id=1, group=group)
     app = cluster.add_margo("app", node="na")
     pipeline = ColzaClient(app).make_pipeline_handle(
-        [m.address for m in margos], provider_id=1
+        [m.address for m in margos[:2]], provider_id=1
     )
-    for margo in margos:
-        cluster.faults.kill_process(margo.process)
+    if not alive:
+        for margo in margos:
+            cluster.faults.kill_process(margo.process)
 
     def driver():
-        yield from pipeline.refresh()
+        return (yield from pipeline.refresh())
 
-    with pytest.raises(ColzaError, match="no live pipeline member"):
-        cluster.run_ult(app, driver())
+    if not alive:
+        with pytest.raises(ColzaError, match="no live pipeline member"):
+            cluster.run_ult(app, driver())
+        return
+    assert cluster.run_ult(app, driver()) == pipeline.view_hash
+    assert pipeline.members == sorted(m.address for m in margos)
+    assert pipeline.view_refreshes == 1
 
 
 def test_node_death_destroys_persistent_data_but_pfs_survives():

@@ -14,7 +14,7 @@ from repro.bedrock.client import BedrockClient
 from repro.core import ServiceController
 from repro.scenarios import run_crash_scenario, run_slo_scenario
 from repro.ssg import SwimConfig, create_group
-from repro.tools import fault_report, health_report
+from repro.tools import health_report
 from repro.yokan import YokanClient
 
 SWIM = SwimConfig(period=0.5, ping_timeout=0.15, suspicion_timeout=2.0)
@@ -252,19 +252,7 @@ def test_health_report_renders_states_and_incidents():
     assert "flight recorder (last" in text
 
 
-def test_fault_report_correlates_incidents():
-    cluster = _report_rig()
-    text = fault_report(cluster)
-    assert "1 fault(s) injected" in text
-    assert "process: m2" in text
-    assert "incident INC-1" in text
-    assert "suspected after" in text and "detected after" in text
-
-
 def test_reports_without_health_plane():
     cluster = Cluster(seed=35)
     cluster.add_margo("a", "n0")
     assert "disabled" in health_report(cluster)
-    assert fault_report(cluster) == "fault report: no faults injected"
-    cluster.faults.kill_process(cluster.margos["a"].process)
-    assert "no incident correlation" in fault_report(cluster)

@@ -179,7 +179,7 @@ def test_observer_outputs_are_pinned():
         "tracer": json.dumps([tracer.to_json() for tracer in cluster.tracers()], sort_keys=True),
         "profile": json.dumps([p.profile() for p in cluster.profilers()], sort_keys=True),
         "listing1": "".join(monitor.dumps() for monitor in stats),
-        "metrics": json.dumps(cluster.metrics_snapshot(), sort_keys=True),
+        "metrics": json.dumps({n: m.metrics.snapshot() for n, m in cluster.margos.items()}, sort_keys=True),
     }
     assert cluster.now == STACK_NOW
     assert {k: hashlib.sha256(v.encode()).hexdigest()[:16] for k, v in outputs.items()} == {

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Cluster
 from repro.colza import ColzaClient, ColzaError, ColzaProvider
@@ -263,3 +265,41 @@ def test_pipeline_requires_members():
     app = cluster.add_margo("app", node="n")
     with pytest.raises(ColzaError):
         ColzaClient(app).make_pipeline_handle([], provider_id=1)
+
+
+# ----------------------------------------------------------------------
+# HEPnOS: paged iteration must agree with the parallel bulk scan
+# ----------------------------------------------------------------------
+@settings(max_examples=10, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),   # run
+            st.integers(min_value=0, max_value=2),   # subrun
+            st.integers(min_value=0, max_value=30),  # event
+        ),
+        min_size=1,
+        max_size=40,
+        unique=True,
+    ),
+    st.integers(min_value=1, max_value=16),  # page size
+)
+def test_hepnos_iterate_matches_list(events, page_size):
+    cluster = Cluster(seed=97)
+    service = HEPnOSService.deploy(cluster, ["n0", "n1"], databases_per_process=2)
+    app = cluster.add_margo("app", node="na")
+    client = service.client(app)
+
+    def driver():
+        items = [
+            (EventKey("ds", run, subrun, event), "raw", b"x")
+            for run, subrun, event in events
+        ]
+        yield from client.store_batch(items)
+        listed = yield from client.list_events("ds")
+        iterated = yield from client.iterate_events("ds", page_size=page_size)
+        return listed, iterated
+
+    listed, iterated = cluster.run_ult(app, driver())
+    assert listed == iterated
+    assert len(listed) == len(events)

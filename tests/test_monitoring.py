@@ -16,6 +16,7 @@ from repro.monitoring import (
     RunningStats,
     StatisticsMonitor,
 )
+from repro.monitoring.sampler import SAMPLES
 
 
 # ----------------------------------------------------------------------
@@ -291,7 +292,7 @@ def test_sampler_records_pool_sizes_and_inflight():
         return None
 
     server.register("slow", slow)
-    sampler = PeriodicSampler(server, period=0.01, max_samples=50)
+    sampler = PeriodicSampler(server, period=0.01)
     sampler.start()
 
     def driver():
@@ -299,11 +300,12 @@ def test_sampler_records_pool_sizes_and_inflight():
             yield from client.forward(server.address, "slow")
 
     cluster.run_ult(client, driver())
+    sampler.stop()
     cluster.run()
-    assert len(sampler.samples) == 50
+    assert len(sampler.samples) == 51  # t = 0, 0.01, ..., 0.5
     assert sampler.latest is not None
     stats = sampler.pool_size_stats("__primary__")
-    assert stats.num == 50
+    assert stats.num == 51
     inflight = sampler.inflight_stats("incoming")
     assert inflight.max >= 1.0  # at some sample, a slow RPC was executing
 
@@ -321,6 +323,18 @@ def test_sampler_validation():
     sampler.stop()
     with pytest.raises(ValueError):
         sampler.inflight_stats("sideways")
+
+
+def test_sampler_keeps_the_newest_samples():
+    cluster = Cluster(seed=1)
+    server = cluster.add_margo("server", node="n0")
+    sampler = PeriodicSampler(server, period=1.0)
+    sampler.start()
+    cluster.run(until=SAMPLES + 100.0)
+    sampler.stop()
+    assert len(sampler.samples) == SAMPLES
+    assert [s["time"] for s in sampler.samples] == [101.0 + i for i in range(SAMPLES)]
+    assert sampler.latest["time"] == SAMPLES + 100.0
 
 
 def test_sampler_stops_on_finalize():

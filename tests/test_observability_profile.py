@@ -15,8 +15,6 @@ from repro.observability import (
     ObservabilitySpec,
     PhaseAggregate,
     ProfileStore,
-    chrome_trace_profile,
-    dumps_chrome_trace_profile,
     quantile_from_buckets,
 )
 from repro.observability.profile.estimator import LoadEstimator
@@ -392,25 +390,8 @@ def test_get_profile_json_identical_across_bedrock_runs():
 
 
 # ----------------------------------------------------------------------
-# exporters / load estimator
+# load estimator
 # ----------------------------------------------------------------------
-def test_chrome_trace_profile_export():
-    _cluster, a, b = _run_profiled_pair()
-    doc = chrome_trace_profile(a.profiler, b.profiler)
-    cats = {e["cat"] for e in doc["traceEvents"]}
-    assert {"rpc", "rpc_phase", "profile"} <= cats
-    phase_names = {
-        e["name"] for e in doc["traceEvents"] if e["cat"] == "rpc_phase"
-    }
-    assert phase_names == {
-        "client_queue", "network", "server_queue", "handler", "respond",
-    }
-    # Deterministic rendering.
-    assert dumps_chrome_trace_profile(a.profiler) == dumps_chrome_trace_profile(
-        a.profiler
-    )
-
-
 def test_load_estimator_reduces_windows():
     _cluster, _a, b = _run_profiled_pair()
     estimator = LoadEstimator(smoothing=100)  # all windows

@@ -107,6 +107,44 @@ def test_leader_failover_preserves_committed_data():
     assert result == 115  # 1+2+3+4+5 + 100
 
 
+def _fail_over(health):
+    """A 5-node group commits 5 entries, then its leader is killed."""
+    cluster, margos, nodes, cm, handle = make_group(5)
+    if health:
+        cluster.enable_health()
+
+    def phase1():
+        for delta in range(1, 6):
+            yield from handle.submit(delta)
+
+    cluster.run_ult(cm, phase1())
+    (old_leader,) = leaders(nodes)
+    cluster.faults.kill_process(old_leader.margo.process)
+    cluster.run(until=cluster.now + 3.0)
+    return cluster, nodes, old_leader
+
+
+def test_health_plane_records_elections_without_changing_them():
+    _, bare_nodes, bare_old = _fail_over(health=False)
+    cluster, nodes, old_leader = _fail_over(health=True)
+    assert [n.current_term for n in nodes] == [n.current_term for n in bare_nodes]
+    (leader,) = leaders(n for n in nodes if n is not old_leader)
+    (bare_leader,) = leaders(n for n in bare_nodes if n is not bare_old)
+    assert leader.name == bare_leader.name
+    process = leader.margo.process.name
+    elected = [
+        e for e in cluster.health.recorder.events
+        if e["category"] == "election" and e["target"] == process and e["name"] == Role.LEADER
+    ]
+    assert elected and elected[-1]["attrs"]["term"] == leader.current_term
+    (incident,) = [
+        i for i in cluster.health.incidents.incidents
+        if i.target == old_leader.margo.process.name
+    ]
+    assert {"time": elected[-1]["time"], "kind": "election", "process": process,
+            "role": Role.LEADER, "term": leader.current_term} in incident.events
+
+
 def test_unavailable_without_majority():
     cluster, margos, nodes, cm, handle = make_group(3)
     cluster.run(until=2.0)

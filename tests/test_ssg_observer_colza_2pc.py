@@ -1,10 +1,10 @@
-"""Tests for SSG observers and Colza's 2PC-consistent view updates."""
+"""Tests for Colza's 2PC-consistent view updates over an SSG group."""
 
 import pytest
 
 from repro import Cluster
 from repro.colza import ColzaClient, ColzaError, ColzaProvider
-from repro.ssg import SSGError, SSGObserver, SwimConfig, create_group
+from repro.ssg import SwimConfig, create_group
 
 SWIM = SwimConfig(period=0.5, ping_timeout=0.15, suspicion_timeout=2.0)
 
@@ -14,76 +14,6 @@ def make_group(n, seed=91):
     margos = [cluster.add_margo(f"m{i}", node=f"n{i}") for i in range(n)]
     groups = create_group("svc", margos, cluster.randomness, swim=SWIM)
     return cluster, margos, groups
-
-
-# ----------------------------------------------------------------------
-# SSGObserver
-# ----------------------------------------------------------------------
-def test_observer_fetches_view_without_membership():
-    cluster, margos, groups = make_group(4)
-    cluster.run(until=2.0)
-    app = cluster.add_margo("app", node="na")
-    observer = SSGObserver(app, "svc", [margos[0].address], rpc_timeout=0.5)
-
-    def driver():
-        view = yield from observer.refresh()
-        return view
-
-    view = cluster.run_ult(app, driver())
-    assert view.size == 4
-    assert observer.view_hash == groups[0].view_hash
-    # The observer itself never joined.
-    assert app.address not in view.members
-
-
-def test_observer_tracks_membership_changes():
-    cluster, margos, groups = make_group(4)
-    cluster.run(until=2.0)
-    app = cluster.add_margo("app", node="na")
-    observer = SSGObserver(app, "svc", [margos[1].address], rpc_timeout=0.5)
-
-    def refresh():
-        view = yield from observer.refresh()
-        return view
-
-    assert cluster.run_ult(app, refresh()).size == 4
-    cluster.faults.kill_process(margos[0].process)
-    cluster.run(until=cluster.now + 30.0)
-    view = cluster.run_ult(app, refresh())
-    assert view.size == 3
-    assert margos[0].address not in view.members
-    assert observer.refreshes == 2
-
-
-def test_observer_fails_over_dead_bootstrap():
-    cluster, margos, groups = make_group(3)
-    cluster.run(until=2.0)
-    app = cluster.add_margo("app", node="na")
-    observer = SSGObserver(
-        app, "svc", [margos[0].address, margos[1].address], rpc_timeout=0.3
-    )
-    cluster.faults.kill_process(margos[0].process)
-
-    def refresh():
-        return (yield from observer.refresh())
-
-    assert cluster.run_ult(app, refresh()).size >= 2  # served by margos[1]
-
-
-def test_observer_errors():
-    cluster = Cluster(seed=92)
-    app = cluster.add_margo("app", node="na")
-    with pytest.raises(SSGError):
-        SSGObserver(app, "svc", [])
-    observer = SSGObserver(app, "svc", ["na+ofi://ghost/x"], rpc_timeout=0.2)
-    with pytest.raises(SSGError, match="no view yet"):
-        observer.view
-
-    def refresh():
-        yield from observer.refresh()
-
-    with pytest.raises(SSGError, match="no reachable member"):
-        cluster.run_ult(app, refresh())
 
 
 # ----------------------------------------------------------------------

@@ -302,92 +302,3 @@ def test_poesie_get_missing_var(poesie_rig):
 
     with pytest.raises(RpcFailedError, match="undefined"):
         cluster.run_ult(cm, driver())
-
-
-# ----------------------------------------------------------------------
-# Virtual (replicated) Warabi targets
-# ----------------------------------------------------------------------
-@pytest.fixture()
-def virtual_warabi_rig():
-    from repro.warabi import VirtualWarabiProvider
-
-    cluster = Cluster(seed=77)
-    backends = []
-    targets = []
-    for i in range(3):
-        margo = cluster.add_margo(f"rep{i}", node=f"n{i}")
-        backends.append(WarabiProvider(margo, f"blobs{i}", provider_id=1))
-        targets.append({"address": margo.address, "provider_id": 1})
-    front = cluster.add_margo("front", node="nf")
-    virtual = VirtualWarabiProvider(
-        front, "vblobs", provider_id=9,
-        config={"targets": targets, "rpc_timeout": 0.5},
-    )
-    app = cluster.add_margo("app", node="na")
-    handle = WarabiClient(app).make_handle(front.address, 9)
-    return cluster, backends, virtual, app, handle
-
-
-def test_virtual_warabi_replicates_writes(virtual_warabi_rig):
-    cluster, backends, _, app, target = virtual_warabi_rig
-
-    def driver():
-        blob_id = yield from target.create()
-        yield from target.write(blob_id, b"replicated-bytes")
-        return blob_id, (yield from target.read(blob_id))
-
-    blob_id, data = cluster.run_ult(app, driver())
-    assert data == b"replicated-bytes"
-    for backend in backends:
-        assert bytes(backend._blobs[0]) == b"replicated-bytes"
-
-
-def test_virtual_warabi_read_fails_over(virtual_warabi_rig):
-    cluster, backends, _, app, target = virtual_warabi_rig
-
-    def write():
-        blob_id = yield from target.create()
-        yield from target.write(blob_id, b"safe")
-        return blob_id
-
-    blob_id = cluster.run_ult(app, write())
-    cluster.faults.kill_process(backends[0].margo.process)
-
-    def read():
-        return (yield from target.read(blob_id))
-
-    assert cluster.run_ult(app, read()) == b"safe"
-
-
-def test_virtual_warabi_erase_and_list(virtual_warabi_rig):
-    cluster, backends, _, app, target = virtual_warabi_rig
-
-    def driver():
-        a = yield from target.create()
-        b = yield from target.create()
-        yield from target.erase(a)
-        return (yield from target.list()), b
-
-    listing, b = cluster.run_ult(app, driver())
-    assert listing == [b]
-
-
-def test_virtual_warabi_large_blob_bulk(virtual_warabi_rig):
-    cluster, backends, _, app, target = virtual_warabi_rig
-    big = bytes(range(256)) * 1024  # 256 KiB
-
-    def driver():
-        blob_id = yield from target.create()
-        yield from target.write(blob_id, big)
-        return (yield from target.read(blob_id))
-
-    assert cluster.run_ult(app, driver()) == big
-
-
-def test_virtual_warabi_requires_targets():
-    from repro.warabi import VirtualWarabiProvider
-
-    cluster = Cluster(seed=77)
-    margo = cluster.add_margo("front", node="n0")
-    with pytest.raises(WarabiError, match="at least one real target"):
-        VirtualWarabiProvider(margo, "v", provider_id=1, config={})

@@ -15,14 +15,11 @@ from repro import Cluster
 from repro.bedrock import BedrockClient, boot_process
 from repro.margo.ult import Compute
 from repro.observability import ObservabilitySpec
-from repro.observability.exporters import chrome_trace_profile
 from repro.observability.xray import plane as plane_module
 from repro.observability.xray import (
     XrayPlane,
     attribute_paths,
     candidate_for,
-    critical_chain,
-    critical_span_ids,
     nearest_rank,
     segment_key,
     what_if,
@@ -219,49 +216,6 @@ def test_no_xray_attr_when_disabled():
     obs = {"tracing": False, "profiling": True, "profile_window": 0.005}
     cluster, _server, _client = _echo_cluster(obs=obs)
     assert cluster.xray_plane() is None
-
-
-# ----------------------------------------------------------------------
-# exporters (satellite 1 + critical-path highlighting)
-# ----------------------------------------------------------------------
-def test_chrome_trace_profile_event_args():
-    cluster, _server, _client = _echo_cluster()
-    doc = chrome_trace_profile(*cluster.profilers())
-    rpc_events = [e for e in doc["traceEvents"] if e["cat"] == "rpc"]
-    phase_events = [e for e in doc["traceEvents"] if e["cat"] == "rpc_phase"]
-    assert rpc_events and phase_events
-    for event in rpc_events:
-        assert set(event["args"]) >= {"trace_id", "provider", "weight"}
-    for event in phase_events:
-        assert set(event["args"]) >= {"phase", "provider", "weight"}
-        assert event["args"]["phase"] == event["name"]
-
-
-def test_chrome_trace_critical_path_highlight():
-    cluster, _server, _client = _echo_cluster()
-    plain = cluster.chrome_trace()
-    assert not any("cname" in e for e in plain["traceEvents"])
-    doc = cluster.chrome_trace(highlight_critical=True)
-    marked = [e for e in doc["traceEvents"] if e["args"].get("critical_path")]
-    assert marked
-    assert all(e["cname"] == "terrible" for e in marked)
-    # Every trace has a critical chain; the marked ids are exactly it.
-    from repro.observability.exporters import collect_spans
-
-    spans = collect_spans(*cluster.tracers())
-    trace_ids = {e["tid"] for e in doc["traceEvents"]}
-    for tid in trace_ids:
-        ids = critical_span_ids(spans, tid)
-        assert ids == {
-            e["args"]["span_id"]
-            for e in marked
-            if e["tid"] == tid
-        }
-        chain = critical_chain(spans, tid)
-        assert [s["span_id"] for s in chain][0] == chain[0]["span_id"]
-        # Root-first, each child starts within its parent's window.
-        for parent, child in zip(chain, chain[1:]):
-            assert child["start"] >= parent["start"]
 
 
 # ----------------------------------------------------------------------
