@@ -306,6 +306,11 @@ class HBState:
         """Record ``ctx``'s publication on a sync object (event/mutex)."""
         self.sync_clock[id(obj)] = (obj, ctx.publish())
 
+    def publish_snapshot(self, obj: Any, snap: dict[str, int]) -> None:
+        """Record a pre-computed publication snapshot (e.g. the
+        approximation clock R) on a sync object."""
+        self.sync_clock[id(obj)] = (obj, snap)
+
     def join_from(self, obj: Any, ctx: Ctx) -> None:
         entry = self.sync_clock.get(id(obj))
         if entry is not None:

@@ -400,6 +400,10 @@ class _TimerWrap:
         self.snap = snap
         self.kernel = kernel  # a post's, to re-post a returned delay; None for a timer
 
+    def describe(self) -> str:
+        """Lazy fire-context label (built only if a report needs it)."""
+        return f"timer:{_fn_label(self.fn)}"
+
     def __call__(self) -> None:
         global _FIRE, _FIRE_WRAP
         if TRACE is not None:

@@ -142,6 +142,9 @@ class SLOSpec:
             return NotImplemented
         return self._astuple() == other._astuple()
 
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
     # ------------------------------------------------------------------
     @classmethod
     def from_json(cls, doc: Any) -> "SLOSpec":

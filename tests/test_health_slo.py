@@ -50,7 +50,9 @@ def test_slo_spec_roundtrip_and_offdefault_keys():
     assert doc["window"] == 24 and doc["slow_burn"] == 0.5
     assert "budget" not in doc  # default values stay implicit
     assert SLOSpec.from_json(doc) == spec
+    assert hash(SLOSpec.from_json(doc)) == hash(spec)
     minimal = SLOSpec("a", "error_rate", "yokan:*", 0.01)
+    assert {spec, SLOSpec.from_json(doc), minimal} == {spec, minimal}
     assert set(minimal.to_json()) == {"name", "objective", "target", "threshold"}
 
 

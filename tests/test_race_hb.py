@@ -107,6 +107,73 @@ def test_mutex_ordered_writes_clean(race):
     assert race.findings == []
 
 
+def test_timer_release_publishes_the_approximate_clock(race):
+    # Epoch mode leaves the kernel unswapped, so a mutex released from a
+    # timer callback resolves to root and publishes R on the lock.  R
+    # covers the first holder's write, so the next holder's is ordered.
+    # The first holder ending with the lock still held is reported.
+    cluster, margo = make_rig()
+    shared = {}
+    race.track(shared, "shared-dict")
+    mutex = UltMutex(cluster.kernel, name="guard")
+
+    def first():
+        yield from mutex.acquire()
+        race.note_write(shared, "k", "first")
+        shared["k"] = 1
+        cluster.kernel.schedule(0.01, mutex.release)
+
+    published = []
+
+    def second():
+        yield UltSleep(0.005)
+        yield from mutex.acquire()
+        first_write = race._STATE.var(shared, "k")
+        snap = race._STATE.sync_clock[id(mutex)][1]
+        published.append(snap.get(first_write.write_tid, 0) >= first_write.write_count)
+        race.note_write(shared, "k", "second")
+        shared["k"] = 2
+        mutex.release()
+
+    ults = [
+        cluster.spawn(margo, first(), name="first"),
+        cluster.spawn(margo, second(), name="second"),
+    ]
+    cluster.wait_ults(ults)
+    assert shared["k"] == 2
+    assert published == [True]
+    assert rule_ids(race) == ["MCH011"]
+
+
+def test_timer_fire_reports_name_the_timer():
+    # Exact mode wraps every timer; a report that involves a fire names
+    # the callback, not an anonymous ULT.
+    hooks.disable()
+    hooks.reset()
+    hooks.enable(exact=True)
+    try:
+        cluster, margo = make_rig()
+        shared = {}
+        hooks.track(shared, "shared-dict")
+
+        def tick():
+            hooks.note_write(shared, "k", "tick")
+
+        def writer():
+            yield UltSleep(0.005)
+            hooks.note_write(shared, "k", "writer")
+
+        cluster.kernel.schedule(0.01, tick)
+        cluster.wait_ults([cluster.spawn(margo, writer(), name="w")])
+        cluster.kernel.run()
+        [finding] = hooks.findings
+        assert "tick [timer:" in finding.message
+        assert "writer [ult:w]" in finding.message
+    finally:
+        hooks.disable()
+        hooks.reset()
+
+
 def test_event_edge_orders_writes(race):
     cluster, margo = make_rig()
     shared = {}
