@@ -2,7 +2,7 @@
 """Paired A/B judge of two revisions on the end-to-end benchmark.
 
     python3 benchmarks/ab.py PARENT [CHANGE] [--workload W] [--seeds 1,11]
-                             [--pairs 10] [--trace]
+                             [--pairs 10] [--trace] [--metric M]
 
 Checks PARENT and CHANGE out into local ``git worktree``s (CHANGE
 omitted: this checkout, uncommitted edits included) and runs each
@@ -21,8 +21,9 @@ by side, and whether every count row (calls, events, bytes) is equal.
 A later run of the same two revisions on another workload adds its
 section to the same file.
 
-The verdict on ``wall_us_per_rpc`` for one workload and seed
-(:func:`judge`): the change is better in at least nine pairs of ten,
+The verdict on the claimed metric ``M`` (an end-to-end metric of
+``BENCHMARK.json``, default ``wall_us_per_rpc``) for one workload and
+seed (:func:`judge`): the change is better in at least nine pairs of ten,
 and its median is better than the parent's by more than the parent's
 inter-quartile distance.  A metric whose median is worse than the parent's by more
 than its bound in ``BENCHMARK.json`` is a regression, and one whose
@@ -139,7 +140,8 @@ def run_once(tree: str, workload: str, seed: int, trace: bool = False) -> dict:
     }
 
 
-def collect(trees: dict[str, str], workloads: list[str], seeds: list[int], pairs: int) -> dict:
+def collect(trees: dict[str, str], workloads: list[str], seeds: list[int], pairs: int,
+            metric: str = CLAIM) -> dict:
     """Every run, as ``{workload: {seed: {"parent": [...], "change": [...]}}}``."""
     runs = {w: {s: {"parent": [], "change": []} for s in seeds} for w in workloads}
     for seed in seeds:
@@ -150,7 +152,7 @@ def collect(trees: dict[str, str], workloads: list[str], seeds: list[int], pairs
                     result = run_once(trees[side], workload, seed)
                     runs[workload][seed][side].append(result)
                     print(f"ab: seed {seed} pair {pair + 1}/{pairs} {workload} {side}: "
-                          f"{CLAIM} {result['metrics'][CLAIM]:.3f}",
+                          f"{metric} {result['metrics'][metric]:.3f}",
                           file=sys.stderr, flush=True)
     return runs
 
@@ -175,10 +177,12 @@ def ledger(trees: dict[str, str], workload: str, seed: int) -> dict:
 # ----------------------------------------------------------------------
 # the evidence document
 # ----------------------------------------------------------------------
-def section(runs: dict, contract: dict, protocol: dict, traced: dict | None = None) -> dict:
+def section(runs: dict, contract: dict, protocol: dict, traced: dict | None = None,
+            metric: str = CLAIM) -> dict:
     """The judged section of one workload: per seed, every end-to-end
-    metric judged, exact tables compared, failures counted; with
-    ``traced``, the per-layer ledger of both revisions."""
+    metric judged, exact tables compared, failures counted, the gain
+    asked of ``metric``; with ``traced``, the per-layer ledger of both
+    revisions."""
     entries = {entry["name"]: entry for entry in contract["end_to_end"]}
     seeds = {}
     for seed, sides in runs.items():
@@ -200,13 +204,13 @@ def section(runs: dict, contract: dict, protocol: dict, traced: dict | None = No
             "exact_differs": differing,
             "failed_share": failed_share,
         }
-    claim = [seeds[s]["metrics"][CLAIM]["gain"] for s in seeds]
+    claim = [seeds[s]["metrics"][metric]["gain"] for s in seeds]
     regressions = [f"seed {s}: {name}" for s in seeds
                    for name, judged in seeds[s]["metrics"].items() if judged["regress"]]
     unresolved = [f"seed {s}: {name}" for s in seeds
                   for name, judged in seeds[s]["metrics"].items() if judged["unresolved"]]
     verdict = {
-        "metric": CLAIM,
+        "metric": metric,
         "gain": all(claim),
         "regressions": regressions,
         "unresolved": unresolved,
@@ -277,10 +281,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--trace", action="store_true",
                         help="also one traced run per revision and workload (per-layer ledger)")
+    parser.add_argument("--metric", default=CLAIM,
+                        help=f"the end-to-end metric whose gain is claimed (default {CLAIM})")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         contract = json.load(handle)
+    if args.metric not in {entry["name"] for entry in contract["end_to_end"]}:
+        fail(f"--metric {args.metric!r} is not an end-to-end metric of BENCHMARK.json")
     seeds = [int(seed) for seed in args.seeds.split(",")]
     workloads = list(WORKLOADS) if args.workload == "all" else [args.workload]
 
@@ -296,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.change is not None:
             trees["change"] = os.path.join(scratch, "change")
             git("worktree", "add", "--detach", trees["change"], change)
-        runs = collect(trees, workloads, seeds, args.pairs)
+        runs = collect(trees, workloads, seeds, args.pairs, args.metric)
         traced = {w: ledger(trees, w, seeds[0]) for w in workloads} if args.trace else {}
     finally:
         for side in ("parent", "change"):
@@ -312,13 +320,14 @@ def main(argv: list[str] | None = None) -> int:
         "seeds": seeds,
         "order": "pair i: parent first when i is even, change first when odd",
     }
-    sections = {w: section(runs[w], contract, protocol, traced.get(w)) for w in workloads}
+    sections = {w: section(runs[w], contract, protocol, traced.get(w), args.metric)
+                for w in workloads}
     path, document = write_evidence(parent, change, sections)
     append_history(parent, change, sections)
     for workload, body in sections.items():
         for seed, per_seed in body["seeds"].items():
-            judged = per_seed["metrics"][CLAIM]
-            print(f"{workload} seed {seed} {CLAIM}: "
+            judged = per_seed["metrics"][args.metric]
+            print(f"{workload} seed {seed} {args.metric}: "
                   f"{judged['parent_q1_med_q3'][1]:.4g} -> {judged['change_q1_med_q3'][1]:.4g} "
                   f"({judged['change_pct']:+.2f} %), better in {judged['wins']}, "
                   f"gap {judged['gap_over_parent_iqr']} x parent IQR, "

@@ -38,17 +38,28 @@ def estimate_size(obj: Any) -> int:
     Deterministic and cheap; handles the JSON-ish values RPC payloads are
     made of, plus raw ``bytes`` buffers (data-plane payloads).
     """
-    # Objects can declare their own wire footprint; bulk handles use this
-    # so that RDMA-bound payloads are not double-charged as RPC payload.
-    declared = getattr(obj, "__wire_size__", None)
-    if declared is not None:
-        return declared
     t = type(obj)
-    prim = _PRIMITIVE_SIZES.get(t)
-    if prim is not None:
-        return prim
-    if t is bytes or t is bytearray or t is memoryview:
+    if t is bytes:
         return len(obj)
+    if t is dict:
+        # Argument dicts are sized in this frame: str names, byte-string
+        # and scalar values take no call of their own.
+        size = _CONTAINER_OVERHEAD
+        for k, v in obj.items():
+            if type(k) is str and k.isascii():
+                size += len(k) + 4
+            else:
+                size += estimate_size(k)
+            tv = type(v)
+            if tv is bytes:
+                size += len(v)
+            elif tv in _PRIMITIVE_SIZES:
+                size += _PRIMITIVE_SIZES[tv]
+            else:
+                size += estimate_size(v)
+        return size
+    if t in _PRIMITIVE_SIZES:
+        return _PRIMITIVE_SIZES[t]
     if t is str:
         return len(obj.encode("utf-8", errors="replace")) + 4
     if t is list or t is tuple:
@@ -65,12 +76,16 @@ def estimate_size(obj: Any) -> int:
                 map(len, chain.from_iterable(obj))
             )
         return _CONTAINER_OVERHEAD + sum(estimate_size(item) for item in obj)
-    if t is dict:
-        return _CONTAINER_OVERHEAD + sum(
-            estimate_size(k) + estimate_size(v) for k, v in obj.items()
-        )
+    if t is bytearray or t is memoryview:
+        return len(obj)
     if t is set or t is frozenset:
         return _CONTAINER_OVERHEAD + sum(estimate_size(item) for item in obj)
+    # The exact built-in types above cannot carry attributes; any other
+    # object can declare its own wire footprint.  Bulk handles do, so
+    # that RDMA-bound payloads are not double-charged as RPC payload.
+    declared = getattr(obj, "__wire_size__", None)
+    if declared is not None:
+        return declared
     if isinstance(obj, (int, float)):  # numpy scalars, enums, bools subclassing int
         return 8
     # Dataclass-like objects with __dict__: encode their fields.

@@ -16,14 +16,9 @@ class MapBackend(KVBackend):
 
     def __init__(self, config: Optional[dict] = None) -> None:
         self._data: dict[bytes, bytes] = {}
-        self._bytes = 0
 
     def put(self, key: bytes, value: bytes) -> None:
-        old = self._data.get(key)
-        if old is not None:
-            self._bytes -= len(key) + len(old)
         self._data[key] = value
-        self._bytes += len(key) + len(value)
 
     def get(self, key: bytes) -> bytes:
         try:
@@ -32,31 +27,20 @@ class MapBackend(KVBackend):
             raise NoSuchKeyError(key) from None
 
     def put_multi(self, pairs: Iterable[tuple[bytes, bytes]]) -> None:
-        # One pass over a local dict reference: no per-key method dispatch.
-        data = self._data
-        get = data.get
-        nbytes = self._bytes
-        for key, value in pairs:
-            old = get(key)
-            if old is None:
-                nbytes += len(key) + len(value)
-            else:
-                nbytes += len(value) - len(old)
-            data[key] = value
-        self._bytes = nbytes
+        # One C call for the whole batch, as C Yokan's yk_put_multi.
+        self._data.update(pairs)
 
     def get_multi(self, keys: Iterable[bytes]) -> list[bytes]:
-        data = self._data
         try:
-            return [data[key] for key in keys]
+            return list(map(self._data.__getitem__, keys))
         except KeyError as err:
             raise NoSuchKeyError(err.args[0]) from None
 
     def erase(self, key: bytes) -> None:
-        value = self._data.pop(key, None)
-        if value is None:
-            raise NoSuchKeyError(key)
-        self._bytes -= len(key) + len(value)
+        try:
+            del self._data[key]
+        except KeyError:
+            raise NoSuchKeyError(key) from None
 
     def exists(self, key: bytes) -> bool:
         return key in self._data
@@ -81,11 +65,13 @@ class MapBackend(KVBackend):
         return self._data.items()
 
     def size_bytes(self) -> int:
-        return self._bytes
+        """Summed on demand: only ``get_config`` asks, so no write path
+        keeps a running count."""
+        data = self._data
+        return sum(map(len, data)) + sum(map(len, data.values()))
 
     def clear(self) -> None:
         self._data.clear()
-        self._bytes = 0
 
 
 register_backend("map", MapBackend)

@@ -7,88 +7,56 @@ sorted key array is maintained with :mod:`bisect`.
 from __future__ import annotations
 
 import bisect
+from itertools import islice
 from typing import Iterable, Optional
 
-from ..backend import KVBackend, NoSuchKeyError, encode_records, register_backend
+from ..backend import encode_records, register_backend
+from .map import MapBackend
 
 __all__ = ["OrderedBackend"]
 
 
-class OrderedBackend(KVBackend):
-    """dict + sorted key list; O(log n) ordered scans."""
+class OrderedBackend(MapBackend):
+    """The map backend plus a sorted key list; O(log n) ordered scans."""
 
     type_name = "ordered"
 
     def __init__(self, config: Optional[dict] = None) -> None:
-        self._data: dict[bytes, bytes] = {}
+        super().__init__(config)
         self._keys: list[bytes] = []
-        self._bytes = 0
 
     def put(self, key: bytes, value: bytes) -> None:
-        old = self._data.get(key)
-        if old is None:
+        if key not in self._data:
             bisect.insort(self._keys, key)
-        else:
-            self._bytes -= len(key) + len(old)
         self._data[key] = value
-        self._bytes += len(key) + len(value)
-
-    def get(self, key: bytes) -> bytes:
-        try:
-            return self._data[key]
-        except KeyError:
-            raise NoSuchKeyError(key) from None
 
     def put_multi(self, pairs: Iterable[tuple[bytes, bytes]]) -> None:
-        # One pass over the batch, then one merge of its new keys into
-        # the key array.
+        # One dict update for the batch; the keys it added are the dict's
+        # newest entries (an overwrite keeps its place), sorted and
+        # merged into the key array once -- also when a malformed pair
+        # stops the update partway, so the two never disagree.
         data = self._data
-        get = data.get
-        nbytes = self._bytes
-        fresh: list[bytes] = []
-        for key, value in pairs:
-            old = get(key)
-            if old is None:
-                fresh.append(key)
-                nbytes += len(key) + len(value)
-            else:
-                nbytes += len(value) - len(old)
-            data[key] = value
-        self._bytes = nbytes
-        if not fresh:
-            return
-        fresh.sort()
-        keys = self._keys
-        at = bisect.bisect_left(keys, fresh[0])
-        if at == len(keys) or fresh[-1] < keys[at]:
-            # All new keys fall into one gap (or after the last key).
-            keys[at:at] = fresh
-        else:
-            # Spread over several gaps: Timsort merges the two sorted
-            # runs in linear time.
-            keys.extend(fresh)
-            keys.sort()
-
-    def get_multi(self, keys: Iterable[bytes]) -> list[bytes]:
-        data = self._data
+        before = len(data)
         try:
-            return [data[key] for key in keys]
-        except KeyError as err:
-            raise NoSuchKeyError(err.args[0]) from None
+            data.update(pairs)
+        finally:
+            added = len(data) - before
+            if added:
+                fresh = sorted(islice(reversed(data), added))
+                keys = self._keys
+                at = bisect.bisect_left(keys, fresh[0])
+                if at == len(keys) or fresh[-1] < keys[at]:
+                    # All new keys fall into one gap (or after the last key).
+                    keys[at:at] = fresh
+                else:
+                    # Spread over several gaps: Timsort merges the two
+                    # sorted runs in linear time.
+                    keys.extend(fresh)
+                    keys.sort()
 
     def erase(self, key: bytes) -> None:
-        value = self._data.pop(key, None)
-        if value is None:
-            raise NoSuchKeyError(key)
-        index = bisect.bisect_left(self._keys, key)
-        del self._keys[index]
-        self._bytes -= len(key) + len(value)
-
-    def exists(self, key: bytes) -> bool:
-        return key in self._data
-
-    def count(self) -> int:
-        return len(self._data)
+        super().erase(key)
+        del self._keys[bisect.bisect_left(self._keys, key)]
 
     def list_keys(
         self,
@@ -120,13 +88,9 @@ class OrderedBackend(KVBackend):
     def items(self) -> Iterable[tuple[bytes, bytes]]:
         return ((k, self._data[k]) for k in self._keys)
 
-    def size_bytes(self) -> int:
-        return self._bytes
-
     def clear(self) -> None:
-        self._data.clear()
+        super().clear()
         self._keys.clear()
-        self._bytes = 0
 
 
 register_backend("ordered", OrderedBackend)

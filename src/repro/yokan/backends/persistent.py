@@ -66,7 +66,13 @@ class PersistentBackend(OrderedBackend):
     def put_multi(self, pairs: Iterable[tuple[bytes, bytes]]) -> None:
         if not isinstance(pairs, list):
             pairs = list(pairs)  # one-shot iterables feed both maps
-        super().put_multi(pairs)
+        try:
+            super().put_multi(pairs)
+        except (TypeError, ValueError):
+            # A malformed pair stopped the batch partway; what it stored
+            # is not tracked, so the next seal writes the whole image.
+            self._rebase = True
+            raise
         self._tail.update(pairs)
 
     def erase(self, key: bytes) -> None:

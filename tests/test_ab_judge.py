@@ -7,7 +7,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "benchmarks"))
 
-from ab import judge  # noqa: E402
+from ab import judge, section  # noqa: E402
 
 # Parent runs with quartiles 29.5 / 30.0 / 30.5 (IQR 1.0).
 PARENT = [29.0, 29.5, 29.5, 30.0, 30.0, 30.0, 30.0, 30.5, 30.5, 31.0]
@@ -50,3 +50,25 @@ def test_a_spread_wider_than_the_bound_is_unresolved_unless_separated():
     assert not judge(PARENT, PARENT, "lower", bound=0.1)["unresolved"]
     below = [v / 4.0 for v in noisy]  # as spread out, but every run beats every parent run
     assert not judge(PARENT, below, "lower", bound=0.1)["unresolved"]
+
+
+def test_the_claimed_metric_decides_the_gain():
+    """``--metric`` moves the claim: runs whose simulated p99 drops while
+    the wall time stays put gain on ``sim_op_p99_us`` and not on the
+    default ``wall_us_per_rpc``."""
+    contract = {"end_to_end": [
+        {"name": "wall_us_per_rpc", "better": "lower", "bound": 0.25},
+        {"name": "sim_op_p99_us", "better": "lower", "bound": 0.25},
+    ]}
+
+    def runs(p99s):
+        return [{"metrics": {"wall_us_per_rpc": 30.0, "sim_op_p99_us": p99},
+                 "exact": {"n": 1}, "attempted": 10, "failed": 0} for p99 in p99s]
+
+    sides = {"1": {"parent": runs(PARENT), "change": runs([p - 3.0 for p in PARENT])}}
+    default = section(sides, contract, {})
+    assert default["verdict"]["metric"] == "wall_us_per_rpc"
+    assert not default["verdict"]["gain"] and not default["verdict"]["pass"]
+    claimed = section(sides, contract, {}, metric="sim_op_p99_us")
+    assert claimed["verdict"]["metric"] == "sim_op_p99_us"
+    assert claimed["verdict"]["gain"] and claimed["verdict"]["pass"]

@@ -134,6 +134,41 @@ def test_estimate_size_matches_recursive_walk_on_json(value):
     assert estimate_size(value) == recursive_estimate_size(value)
 
 
+#: RPC argument names: ASCII ones (sized in the dict's own frame) and
+#: non-ASCII ones, a lone surrogate included (sized by the walk), plus
+#: the odd non-str key.
+arg_names = (
+    st.text(alphabet=st.characters(max_codepoint=127), max_size=10)
+    | st.text(max_size=6)
+    | st.sampled_from(["key", "pairs", "bulk", "clé", "\ud800"])
+    | st.integers(-3, 3)
+    | st.binary(max_size=4)
+)
+arg_values = st.recursive(
+    st.binary(max_size=40)
+    | st.integers(-(2**40), 2**40)
+    | st.floats()
+    | st.booleans()
+    | st.none()
+    | st.text(max_size=8)
+    | byte_strings
+    | declared_bytes
+    | st.builds(BulkHandle, st.just("na+sim://n0:1"), st.integers(0, 1 << 20))
+    | st.lists(st.tuples(st.binary(max_size=8), st.binary(max_size=8)), max_size=5).map(
+        Batch.of_pairs)
+    | st.lists(st.binary(max_size=8), max_size=5).map(Batch.of_keys),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(arg_names, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(arg_names, arg_values, max_size=6))
+def test_estimate_size_matches_recursive_walk_on_argument_dicts(args):
+    assert estimate_size(args) == recursive_estimate_size(args)
+
+
 # ----------------------------------------------------------------------
 # yokan: a batch's declared size is the walk
 # ----------------------------------------------------------------------

@@ -220,6 +220,31 @@ def test_put_multi_keeps_ordered_listing():
     assert backend.list_keys() == [b"a", b"m", b"z"]
 
 
+@pytest.mark.parametrize("name", ["ordered", "persistent"])
+def test_failed_put_multi_keeps_the_key_array(name):
+    """A batch that a malformed pair stops partway keeps what it stored
+    before that pair, and the sorted key array (and the persistent
+    backend's log) agree with the map."""
+    store = make_store()
+    backend = (OrderedBackend() if name == "ordered"
+               else PersistentBackend({"store": store, "path": "db"}))
+    backend.put_multi([(b"c", b"3")])
+    with pytest.raises(ValueError):
+        backend.put_multi([(b"a", b"1"), (b"b",)])
+    assert backend.count() == 2
+    assert backend.list_keys() == [b"a", b"c"]
+    assert backend.size_bytes() == 4
+    backend.erase(b"a")
+    assert backend.list_keys() == [b"c"] and backend.get(b"c") == b"3"
+    with pytest.raises(ValueError):
+        backend.put_multi([(b"d", b"4"), (b"e", b"5", b"6")])
+    assert list(backend.items()) == [(b"c", b"3"), (b"d", b"4")]
+    if name == "persistent":
+        backend.flush()
+        reopened = PersistentBackend({"store": store, "path": "db"})
+        assert list(reopened.items()) == [(b"c", b"3"), (b"d", b"4")]
+
+
 def test_get_multi_missing_key_raises(backend):
     backend.put(b"k", b"v")
     with pytest.raises(NoSuchKeyError):
@@ -255,6 +280,18 @@ def apply_op(backend, model, op):
         _kind, pairs, one_shot = op
         backend.put_multi(iter(pairs) if one_shot else pairs)
         model.update(pairs)
+    elif kind == "put_multi_malformed":
+        # The batch stops at its 1-tuple: like a dict update, the
+        # backend keeps the pairs before it.
+        _kind, pairs = op
+        batch = pairs + [(b"m",)]
+        with pytest.raises(ValueError):
+            backend.put_multi(batch)
+        with pytest.raises(ValueError):
+            model.update(batch)
+    elif kind == "clear":
+        backend.clear()
+        model.clear()
     elif kind == "erase":
         _kind, key = op
         if key in model:
@@ -309,6 +346,8 @@ model_ops = st.one_of(
         st.lists(st.tuples(model_keys, model_values), max_size=8),
         st.booleans(),
     ),
+    st.tuples(st.just("put_multi_malformed"), st.lists(st.tuples(model_keys, model_values), max_size=4)),
+    st.tuples(st.just("clear")),
     st.tuples(st.just("erase"), model_keys),
     st.tuples(st.just("get_multi"), st.lists(model_keys, max_size=4)),
     st.tuples(

@@ -345,6 +345,32 @@ def test_virtual_write_with_dead_replica_still_succeeds(virtual_rig):
     assert backends[2].backend.get(b"k") == b"v"
 
 
+def test_virtual_count_exists_erase_with_a_dead_replica(virtual_rig):
+    cluster, backends, _, cm, db = virtual_rig
+
+    def write():
+        yield from db.put_multi([(b"a", b"1"), (b"b", b"2"), (b"c", b"3")])
+
+    run(cluster, cm, write())
+    cluster.faults.kill_process(backends[0].margo.process)
+
+    def driver():
+        # Reads fail over past the dead replica; the erase goes to all.
+        count = yield from db.count()
+        found = yield from db.exists(b"b")
+        yield from db.erase(b"b")
+        gone = yield from db.exists(b"b")
+        left = yield from db.count()
+        return count, found, gone, left
+
+    assert run(cluster, cm, driver()) == (3, True, False, 2)
+    assert [p.backend.list_keys() for p in backends] == [
+        [b"a", b"b", b"c"],  # dead: never saw the erase
+        [b"a", b"c"],
+        [b"a", b"c"],
+    ]
+
+
 def test_virtual_requires_targets():
     cluster = Cluster(seed=1)
     margo = cluster.add_margo("front", node="n0")
