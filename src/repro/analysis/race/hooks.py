@@ -694,13 +694,17 @@ def note_release(ult: Any, mutex: Any) -> None:
 
 
 def note_suspend(ult: Any, cmd: Any) -> None:
-    """``XStream._drive``, on a Park or an UltSleep while some ULT holds
-    a mutex: MCH011 if that ULT is ``ult``."""
+    """``XStream._drive``, on a Park, an UltSleep or an RPC's wait for
+    its reply (the ``RPCRequest`` itself) while some ULT holds a mutex:
+    MCH011 if that ULT is ``ult``."""
     held = _LOCKS.held_names(ult)
     if not held:
         return
-    event = getattr(cmd, "event", None)
-    what = type(cmd).__name__ if event is None else f"Park on {event.name!r}"
+    if hasattr(cmd, "rpc_name"):
+        what = f"Park on 'rpc:{cmd.rpc_name}:{cmd.seq}'"
+    else:
+        event = getattr(cmd, "event", None)
+        what = type(cmd).__name__ if event is None else f"Park on {event.name!r}"
     _report(
         RULE_LOCK_ACROSS_YIELD,
         f"ult:{ult.name}",

@@ -67,7 +67,7 @@ from .errors import (
     RpcTimeoutError,
 )
 from .pool import Pool
-from .ult import TIMED_OUT, ULT, Compute, Park, UltEvent, UltSleep
+from .ult import TIMED_OUT, ULT, UltEvent, UltSleep
 from .xstream import XStream
 
 __all__ = ["MargoInstance", "RequestContext", "Registration"]
@@ -130,7 +130,7 @@ class RequestContext:
     def _send_reply(self, value: Any) -> Generator:
         margo = self.margo
         payload_size = estimate_size(value)
-        yield Compute(serialize_cost(payload_size))
+        yield serialize_cost(payload_size)
         already = self._responded
         self._responded = True
         if _race.ENABLED:
@@ -261,7 +261,9 @@ class MargoInstance:
         self._seq = 0
         # A root call's trace_crc is CRC-32 of "<origin>:<seq>", prefix once.
         self._origin_crc = zlib.crc32(f"{process.name}:".encode("utf-8"))
-        self._pending: dict[int, tuple[UltEvent, RPCRequest, float]] = {}
+        #: seq -> the ULT waiting for that reply; the reply and the
+        #: timeout each pop it, so whichever comes first wakes the caller.
+        self._pending: dict[int, ULT] = {}
         self._incoming: deque[Any] = deque()
 
         # Live runtime metrics (sampled by the monitoring sampler,
@@ -366,7 +368,7 @@ class MargoInstance:
         trace_kept``, from which forward / _dispatch_request pick one
         per request.  A table maps each hook name to ``(charge, fns)``:
         ``charge`` counts every attached monitor with that hook (what an
-        observed request pays, pre-charged into an adjacent Compute),
+        observed request pays, added to an adjacent CPU charge),
         ``fns`` are the hooks, minus ``Monitor``'s base no-ops, of the
         monitors that see that outcome (called inline by the hook site, a
         raise counted in ``margo_monitor_errors``): the profiler only
@@ -569,18 +571,14 @@ class MargoInstance:
                 except Exception:
                     self._monitor_errors.inc()
             # The on_forward_sent firing below is pre-charged here: one
-            # Compute covers both hooks (identical modeled cost) instead
+            # charge covers both hooks (identical modeled cost) instead
             # of a second kernel event on every monitored send.
             charge += observed["on_forward_sent"][0]
-            yield Compute(
-                serialize_cost(payload_size)
-                + charge * self.config.monitoring_cost_per_event
-            )
+            yield serialize_cost(payload_size) + charge * self.config.monitoring_cost_per_event
         else:
-            yield Compute(serialize_cost(payload_size))
+            yield serialize_cost(payload_size)
 
-        event = UltEvent(self.kernel, request)  # named rpc:<name>:<seq> on first use
-        self._pending[seq] = (event, request, self.kernel.now)
+        self._pending[seq] = caller
         self.inflight_outgoing += 1
         self.rpcs_sent += 1
         known = self.network.send(self.process, address, request, request.wire_size)
@@ -596,11 +594,17 @@ class MargoInstance:
             self._pending.pop(seq, None)
             self.inflight_outgoing -= 1
             raise RpcError(f"unknown destination address {address!r}")
-
-        value = yield Park(event, timeout)
+        if timeout is not None:
+            self.kernel.post(timeout, self._reply_timeout, seq)
+        try:
+            # The request is the wait: the stream blocks the caller, and
+            # the reply (or the timeout) readies it with its value.
+            value = yield request
+        except Exception:
+            self._pending.pop(seq, None)  # thrown in instead: no late wake
+            raise
         self.inflight_outgoing -= 1
         if value is TIMED_OUT:
-            self._pending.pop(seq, None)
             raise RpcTimeoutError(
                 f"RPC {rpc_name!r} to {address} (provider {provider_id}) "
                 f"timed out after {timeout}s"
@@ -614,12 +618,12 @@ class MargoInstance:
                        elapsed=self.kernel.now - started)
                 except Exception:
                     self._monitor_errors.inc()
-            yield Compute(
+            yield (
                 deserialize_cost(response.payload_size)
                 + charge * self.config.monitoring_cost_per_event
             )
         else:
-            yield Compute(deserialize_cost(response.payload_size))
+            yield deserialize_cost(response.payload_size)
         if response.status == STATUS_OK:
             return response.value
         if response.status == STATUS_NO_RPC:
@@ -658,15 +662,13 @@ class MargoInstance:
         started = self.kernel.now
         if self._tables is not None:
             # Pre-charged like the RPC path: the hook fires after the
-            # transfer, its cost rides the setup Compute.  A transfer
+            # transfer, its cost rides the setup charge.  A transfer
             # belongs to no request, so every monitor's hook fires (the
             # tracer samples it by its trace id).
             pre = self._tables[-1]["on_bulk_transfer"][0]
-            yield Compute(
-                BULK_SETUP_COST + pre * self.config.monitoring_cost_per_event
-            )
+            yield BULK_SETUP_COST + pre * self.config.monitoring_cost_per_event
         else:
-            yield Compute(BULK_SETUP_COST)
+            yield BULK_SETUP_COST
         yield UltSleep(duration)
         self.network.bytes_sent += size
         if self._tables is not None:
@@ -758,12 +760,12 @@ class MargoInstance:
                     fn(time=ult_started, margo=self, request=request, queued_for=queued_for)
                 except Exception:
                     self._monitor_errors.inc()
-            yield Compute(
+            yield (
                 deserialize_cost(request.payload_size)
                 + charge * self.config.monitoring_cost_per_event
             )
         else:
-            yield Compute(deserialize_cost(request.payload_size))
+            yield deserialize_cost(request.payload_size)
         context = RequestContext(self, request, observed)
         status = STATUS_OK
         value: Any = None
@@ -789,12 +791,9 @@ class MargoInstance:
             # Pre-charge the on_ult_complete firing: same modeled cost,
             # one fewer kernel event per handled RPC.
             pre = observed["on_ult_complete"][0]
-            yield Compute(
-                serialize_cost(payload_size)
-                + pre * self.config.monitoring_cost_per_event
-            )
+            yield serialize_cost(payload_size) + pre * self.config.monitoring_cost_per_event
         else:
-            yield Compute(serialize_cost(payload_size))
+            yield serialize_cost(payload_size)
         # The ULT duration covers the whole handler ULT: input
         # deserialization, the handler body, output serialization, and
         # the monitoring charge (the phases Listing 1's
@@ -832,11 +831,15 @@ class MargoInstance:
                     self._monitor_errors.inc()
 
     def _dispatch_response(self, response: RPCResponse) -> None:
-        pending = self._pending.pop(response.seq, None)
-        if pending is None:
-            return  # late response after timeout: drop
-        event, _request, _sent_at = pending
-        event.set(response)
+        caller = self._pending.pop(response.seq, None)
+        if caller is not None:  # else a late response after timeout: drop
+            caller.ready(response)
+
+    def _reply_timeout(self, seq: int) -> None:
+        """A forward's timeout: wake the caller unless its reply won."""
+        caller = self._pending.pop(seq, None)
+        if caller is not None:
+            caller.ready(TIMED_OUT)
 
     # ------------------------------------------------------------------
     # online reconfiguration (paper section 5, Observation 2)

@@ -5,14 +5,17 @@ cooperative units of work that live in pools and are executed by
 execution streams.  A ULT is a Python generator that yields *ULT
 commands*:
 
-* :class:`Compute` -- occupy the executing stream for some simulated time
-  (models actual CPU work; other ULTs on that stream wait);
+* a float -- a :class:`Compute` or a bare one -- occupies the executing
+  stream for that many simulated seconds (models actual CPU work; other
+  ULTs on that stream wait);
 * :class:`UltYield` -- cooperative yield back to the pool tail;
 * :class:`UltSleep` -- release the stream and become ready again later;
-* :class:`Park` -- block on a :class:`UltEvent` (with optional timeout).
+* :class:`Park` -- block on a :class:`UltEvent` (with optional timeout);
+* an ``RPCRequest`` -- Margo's ``forward`` waiting for that request's
+  reply, which readies the ULT directly (as does its timeout).
 
-Handlers and clients compose via plain ``yield from``.  The four
-commands are slotted by hand (several are built per RPC) and compare by
+Handlers and clients compose via plain ``yield from``.  ``Compute`` is a
+float subclass; the other commands are slotted by hand and compare by
 value.  A pool may also hold a *run-to-completion item* instead of a
 ULT: see ``XStream._drive``.
 """
@@ -59,15 +62,24 @@ class _Command:
         return f"{type(self).__name__}({args})"
 
 
-class Compute(_Command):
-    """Occupy the executing stream for ``duration`` simulated seconds."""
+class Compute(float):
+    """Occupy the executing stream for ``duration`` simulated seconds: a
+    float whose value is the duration, so a stream charges it exactly as
+    it charges a bare float."""
 
-    __slots__ = ("duration",)
+    __slots__ = ()
 
-    def __init__(self, duration: float) -> None:
+    def __new__(cls, duration: float) -> "Compute":
         if duration < 0:
             raise ValueError(f"negative compute duration: {duration}")
-        self.duration = duration
+        return float.__new__(cls, duration)
+
+    @property
+    def duration(self) -> float:
+        return float(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(duration={float(self)!r})"
 
 
 class UltYield(_Command):
@@ -236,20 +248,14 @@ class UltEvent:
     resumes on the next scheduling turn.
     """
 
-    __slots__ = ("kernel", "_name", "_set", "_payload", "_parked")
+    __slots__ = ("kernel", "name", "_set", "_payload", "_parked")
 
-    def __init__(self, kernel: SimKernel, name: Any = "") -> None:
+    def __init__(self, kernel: SimKernel, name: str = "") -> None:
         self.kernel = kernel
-        self._name = name  # or the request a reply event is named after
+        self.name = name
         self._set = False
         self._payload: Any = None
         self._parked: list[tuple[ULT, int]] = []
-
-    @property
-    def name(self) -> str:
-        if type(self._name) is not str:
-            self._name = f"rpc:{self._name.rpc_name}:{self._name.seq}"
-        return self._name
 
     @property
     def is_set(self) -> bool:
@@ -315,8 +321,8 @@ class UltEvent:
 
 
 class _ParkTimeout:
-    """Slotted timeout callback for :meth:`UltEvent._park` (replaces a
-    per-park closure on the RPC timeout path)."""
+    """Slotted timeout callback for :meth:`UltEvent._park` (no closure
+    per timed park)."""
 
     __slots__ = ("event", "ult", "token")
 

@@ -3,8 +3,8 @@
 Each :class:`XStream` repeatedly picks an entry from its scheduler's
 pools (in priority order, like the "basic" Argobots scheduler) and runs
 it: a ULT until it yields, a run-to-completion item (Margo's network
-progress) for one ``step()``.  ``Compute`` commands and item charges make
-the stream itself busy for simulated time, which is how CPU contention
+progress) for one ``step()``.  Float charges (``Compute`` or bare) and
+item charges make the stream itself busy for simulated time, which is how CPU contention
 between providers sharing a stream (paper Fig. 2) arises.
 
 The stream is a kernel *callback* state machine, not a generator:
@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..analysis.race import hooks as _race
+from ..mercury import RPCRequest
 from ..sim.kernel import SimKernel
 from . import ult as _ult
 from .errors import ConfigError
@@ -34,7 +35,8 @@ SCHEDULER_TYPES = ("basic", "basic_wait", "prio")
 # simulated time.
 SCHED_OVERHEAD = 20e-9
 
-_COMMANDS = (Compute, Park, UltSleep, UltYield)
+#: float first, so a subclass of it (``Compute``'s) resolves to a charge.
+_COMMANDS = (float, Compute, RPCRequest, Park, UltSleep, UltYield)
 
 
 class XStream:
@@ -191,16 +193,19 @@ class XStream:
                 kind = type(cmd)
                 if kind not in _COMMANDS:
                     kind = next((c for c in _COMMANDS if isinstance(cmd, c)), None)
-                if kind is Compute:
-                    self.busy_time += cmd.duration
+                if kind is float or kind is Compute:
+                    if cmd < 0:
+                        exc = ValueError(f"negative compute duration: {cmd}")
+                        continue
+                    self.busy_time += cmd
                     self._charged = ult
-                    return cmd.duration + SCHED_OVERHEAD
+                    return cmd + SCHED_OVERHEAD
                 if kind is UltYield:
                     ult.pool.push(ult)
                 elif kind is None:
                     exc = TypeError(
                         f"ULT {ult.name!r} yielded unsupported command {cmd!r}; "
-                        "ULTs may yield Compute, UltYield, UltSleep, or Park"
+                        "ULTs may yield a float, Compute, UltYield, UltSleep, or Park"
                     )
                     continue
                 else:
@@ -215,7 +220,10 @@ class XStream:
                         except AssertionError as err:
                             exc = err
                             continue
-                    if kind is UltSleep:
+                    if kind is RPCRequest:
+                        # forward's wait: the reply or its timeout readies it.
+                        ult.state = BLOCKED
+                    elif kind is UltSleep:
                         ult.state = BLOCKED
                         self.kernel.post(cmd.duration, ult._timed_ready, ult._park_token)
                     else:

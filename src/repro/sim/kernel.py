@@ -135,7 +135,8 @@ class SimKernel:
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current simulated time, in seconds; only the event loop moves it.
+        self.now = 0.0
         self._seq = 0
         self._running = False
         #: Cancelled timers still sitting in the queue (compaction trigger).
@@ -146,13 +147,8 @@ class SimKernel:
         self._heap: list[tuple] = []
 
     # ------------------------------------------------------------------
-    # time and scheduling
+    # scheduling
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time, in seconds."""
-        return self._now
-
     # mochi-lint: hotpath
     def post(self, delay: float, fn: Callable[..., None], arg: Any = _NO_ARG) -> None:
         """Run ``fn()`` -- or ``fn(arg)`` -- after ``delay`` simulated
@@ -167,7 +163,7 @@ class SimKernel:
             raise ValueError(f"delay must be >= 0, got {delay}")
         seq = self._seq + 1
         self._seq = seq
-        heappush(self._heap, (self._now + delay, seq, fn, arg))
+        heappush(self._heap, (self.now + delay, seq, fn, arg))
 
     # mochi-lint: hotpath
     def schedule(self, delay: float, fn: Callable[..., None], arg: Any = _NO_ARG) -> Timer:
@@ -175,7 +171,7 @@ class SimKernel:
         ``delay`` simulated seconds; return a cancellable handle."""
         if not delay >= 0:  # also refuses NaN
             raise ValueError(f"delay must be >= 0, got {delay}")
-        return self._schedule_timer(self._now + delay, fn, arg)
+        return self._schedule_timer(self.now + delay, fn, arg)
 
     def schedule_at(self, deadline: float, fn: Callable[..., None], arg: Any = _NO_ARG) -> Timer:
         """Run ``fn()`` -- or ``fn(arg)`` if ``arg`` is given -- at the
@@ -186,8 +182,8 @@ class SimKernel:
         window boundaries (``k * window``) need for deterministic,
         drift-free rollups.
         """
-        if not deadline >= self._now:  # also refuses NaN
-            raise ValueError(f"deadline {deadline} is NaN or before now={self._now}")
+        if not deadline >= self.now:  # also refuses NaN
+            raise ValueError(f"deadline {deadline} is NaN or before now={self.now}")
         return self._schedule_timer(deadline, fn, arg)
 
     def _schedule_timer(self, deadline: float, fn: Callable[..., None], arg: Any) -> Timer:
@@ -258,8 +254,8 @@ class SimKernel:
                 return
             # The queue drained before ``until``: time still advances to
             # it (idle simulated time passes like any other).
-            if until is not None and until > self._now:
-                self._now = until
+            if until is not None and until > self.now:
+                self.now = until
         except _Halt:
             pass
         finally:
@@ -279,7 +275,7 @@ class SimKernel:
         is_timer = _IS_TIMER
         # Only this loop moves the clock while it runs, so a local copy
         # stays exact.
-        now = self._now
+        now = self.now
         processed = 0
         while heap:
             entry = heappop(heap)
@@ -292,12 +288,12 @@ class SimKernel:
             if deadline > stop:
                 heappush(heap, entry)
                 if stop > now:
-                    self._now = stop
+                    self.now = stop
                 return True
             if deadline != now:
                 if deadline < now:
                     raise SimulationError("event queue went backwards in time")
-                self._now = now = deadline
+                self.now = now = deadline
             if tag is is_timer:
                 # The timer has left the queue: a late cancel() must not
                 # count toward the compaction trigger.
@@ -337,7 +333,7 @@ class SimKernel:
                     )
                 if delay is None:
                     break
-                self._now = now = deadline
+                self.now = now = deadline
                 delay = obj() if tag is no_arg else obj(tag)
         return False
 

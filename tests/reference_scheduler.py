@@ -161,17 +161,22 @@ class ReferenceXStream(XStream):
                 return
             finally:
                 ult_module._CURRENT = None  # mochi-lint: disable=MCH060 -- same: the executing stream clears it
-            if isinstance(cmd, Compute):
-                self.busy_time += cmd.duration
-                yield cmd.duration + SCHED_OVERHEAD
-            elif isinstance(cmd, (Park, UltSleep)):
+            if isinstance(cmd, float):  # a Compute or a bare charge
+                if cmd < 0:
+                    exc = ValueError(f"negative compute duration: {cmd}")
+                    continue
+                self.busy_time += cmd
+                yield cmd + SCHED_OVERHEAD
+            elif isinstance(cmd, (Park, UltSleep, RPCRequest)):
                 if race.ANY_HELD:
                     try:
                         race.note_suspend(ult, cmd)
                     except AssertionError as err:
                         exc = err
                         continue
-                if isinstance(cmd, UltSleep):
+                if isinstance(cmd, RPCRequest):  # forward's wait for its reply
+                    ult.state = UltState.BLOCKED
+                elif isinstance(cmd, UltSleep):
                     ult.state = UltState.BLOCKED
                     self.kernel.post(cmd.duration, ult._timed_ready, ult._park_token)
                 else:

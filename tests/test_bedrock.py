@@ -589,20 +589,26 @@ def bare_library():
 
 
 def test_listing3_remote_dependencies_get_client_handles(bare_library):
+    import repro.dataset  # noqa: F401 - registers libdataset.so
+
+    libraries = {**REMOTE_LIBRARIES, "yokan": "libyokan.so", "dataset": "libdataset.so"}
     cluster = Cluster(seed=45)
     margo_a, _ = boot_process(cluster, "a", "na", {
-        "libraries": REMOTE_LIBRARIES,
+        "libraries": libraries,
         "providers": [
             {"name": "blobs", "type": "warabi", "provider_id": 1},
             {"name": "mover", "type": "remi", "provider_id": 0},
             {"name": "interp", "type": "poesie", "provider_id": 2},
+            {"name": "metadb", "type": "yokan", "provider_id": 3},
+            {"name": "catalog", "type": "dataset", "provider_id": 4,
+             "dependencies": {"metadata": "metadb", "data": "blobs"}},
         ],
     })
     remote = {name: {"type": type_name, "address": margo_a.address, "provider_id": pid}
               for name, type_name, pid in (("blobs", "warabi", 1), ("mover", "remi", 0),
-                                           ("interp", "poesie", 2))}
+                                           ("interp", "poesie", 2), ("catalog", "dataset", 4))}
     margo_b, bedrock_b = boot_process(cluster, "b", "nb", {
-        "libraries": REMOTE_LIBRARIES,
+        "libraries": libraries,
         "providers": [{"name": "user", "type": "bare", "provider_id": 1,
                        "dependencies": remote}],
     })
@@ -612,12 +618,15 @@ def test_listing3_remote_dependencies_get_client_handles(bare_library):
         "blobs": ("TargetHandle", margo_a.address, 1),
         "mover": ("MigrationHandle", margo_a.address, 0),
         "interp": ("InterpreterHandle", margo_a.address, 2),
+        "catalog": ("DatasetHandle", margo_a.address, 4),
     }
 
-    def driver():  # the handle Bedrock built reaches the remote provider
-        return (yield from handles["blobs"].create(size=4))
+    def driver():  # the handles Bedrock built reach the remote providers
+        region = yield from handles["blobs"].create(size=4)
+        yield from handles["catalog"].create("runs")
+        return region, (yield from handles["catalog"].list())
 
-    assert run(cluster, margo_b, driver()) == 0
+    assert run(cluster, margo_b, driver()) == (0, ["runs"])
 
 
 def test_providers_without_the_hooks_refuse_migrate_checkpoint_restore(bare_library):

@@ -1,5 +1,7 @@
 """Integration tests for the Margo runtime: RPC paths, config, reconfiguration."""
 
+import math
+
 import pytest
 
 from repro import Cluster
@@ -14,6 +16,7 @@ from repro.margo import (
     PoolInUseError,
     RpcFailedError,
     RpcTimeoutError,
+    UltSleep,
 )
 from repro.mercury import NULL_PROVIDER
 
@@ -119,6 +122,45 @@ def test_rpc_timeout_on_dead_server(cluster):
     with pytest.raises(RpcTimeoutError):
         cluster.run_ult(client, driver())
     assert cluster.now >= 0.5
+
+
+def test_reply_and_timeout_at_one_deadline_resolve_once():
+    """The forward's timeout and its reply's dispatch land at the same
+    simulated time: the timeout, posted first, wins on ``seq``; the reply
+    is dropped and must not wake the caller's next wait."""
+
+    def rig():
+        cluster = Cluster(seed=1)
+        server, client = two_procs(cluster)
+        server.register("echo", lambda ctx: ctx.args)
+        sent, dispatched = [], []
+        send, dispatch = cluster.network.send, client._dispatch_response
+        cluster.network.send = lambda *a: (sent.append(cluster.now), send(*a))[1]
+        client._dispatch_response = lambda r: (dispatched.append(cluster.now), dispatch(r))
+        return cluster, server, client, sent, dispatched
+
+    cluster, server, client, sent, dispatched = rig()
+    assert cluster.run_ult(client, client.forward(server.address, "echo", 1)) == 1
+    started, replied = sent[0], dispatched[0]
+    timeout = replied - started
+    while started + timeout != replied:  # the kernel's own sum must hit it
+        timeout = math.nextafter(timeout, math.inf if started + timeout < replied else 0.0)
+
+    cluster, server, client, sent, dispatched = rig()
+    outcomes = []
+
+    def caller():
+        try:
+            yield from client.forward(server.address, "echo", 1, timeout=timeout)
+        except RpcTimeoutError:
+            outcomes.append(("timed out", cluster.now))
+        yield UltSleep(1.0)
+        outcomes.append(("slept", cluster.now))
+
+    cluster.run_ult(client, caller())
+    assert dispatched == [replied]
+    assert outcomes == [("timed out", replied), ("slept", replied + 1.0)]
+    assert client.inflight_outgoing == 0 and not client._pending
 
 
 def test_rpc_to_unknown_address_fails_fast_without_timeout(cluster):

@@ -70,15 +70,20 @@ def test_commands_compare_by_value():
             command(-1.0)
 
 
-def test_event_named_after_a_request_formats_the_name_on_first_use():
-    class Request:
-        rpc_name, seq = "echo", 7
+def test_a_negative_bare_charge_fails_its_ult_and_the_stream_goes_on():
+    kernel, (pool,), (xs,) = make_rig()
 
-    kernel = SimKernel()
-    assert UltEvent(kernel).name == "" and UltEvent(kernel, "gate").name == "gate"
-    event = UltEvent(kernel, Request)
-    assert event._name is Request
-    assert event.name == "rpc:echo:7" and event._name == "rpc:echo:7"
+    def charges(*durations):
+        for duration in durations:
+            yield duration
+        return "ran"
+
+    bad, good = ULT(charges(0.5, -1e-6)), ULT(charges(0.25))
+    pool.push(bad)
+    pool.push(good)
+    kernel.run()
+    assert type(bad.error) is ValueError and "negative" in str(bad.error)
+    assert good.result == "ran" and xs.busy_time == 0.75 and xs.ults_finished == 2
 
 
 def test_ult_requires_generator():

@@ -58,11 +58,13 @@ def _slope(name, size_of=_rpcs) -> int:
 
 
 def test_bare_rpc_call_slope_is_pinned():
-    # 109 calls per RPC (77 Python, 32 C): a new per-message call fails
+    # 95 calls per RPC (63 Python, 32 C): a new per-message call fails
     # here, not in a wall-clock gate.  A stream's charge re-arms inside
     # the kernel loop, with no post, heappush or heappop (it was 134); an
-    # int payload is sized by its type, with no getattr or dict.get (113).
-    assert _slope("rpc_off") == 109_000
+    # int payload is sized by its type, with no getattr or dict.get (113);
+    # charges are bare floats, the reply readies its caller with no event
+    # or Park, and the clock is an attribute, not a property (109).
+    assert _slope("rpc_off") == 95_000
 
 
 @pytest.mark.parametrize("arm", ["rpc_race_cycled", "rpc_explicit_off", "rpc_health_on"])
@@ -90,9 +92,9 @@ def test_unsampled_xray_adds_only_per_window_work():
 @pytest.mark.parametrize(
     "arm,calls",
     [
-        ("rpc_profiled_unsampled", 110_229),
-        ("rpc_profiled_sampled", 112_167),
-        ("rpc_profiled_full", 215_251),
+        ("rpc_profiled_unsampled", 96_229),
+        ("rpc_profiled_sampled", 97_887),
+        ("rpc_profiled_full", 187_251),
     ],
 )
 def test_profiled_call_slope_is_pinned(arm, calls):

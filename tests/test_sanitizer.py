@@ -138,6 +138,27 @@ def test_strict_violation_fails_only_the_offending_ult(strict):
     assert strict.findings == []
 
 
+def test_a_strict_violation_at_an_rpc_wait_leaves_no_late_wake(strict):
+    # The caller never blocks on that RPC: its reply, still on the way,
+    # must not wake the caller's next wait.
+    cluster, margo = make_rig()
+    margo.register("echo", lambda ctx: ctx.args)
+    mutex = UltMutex(cluster.kernel, name="state")
+    slept = []
+
+    def caller():
+        yield from mutex.acquire()
+        with pytest.raises(SanitizerError):
+            yield from margo.forward(margo.address, "echo", 1)  # mochi-lint: disable=MCH011 -- the violation under test
+        mutex.release()
+        slept.append(cluster.now)
+        yield UltSleep(1.0)
+        slept.append(cluster.now)
+
+    cluster.run_ult(margo, caller())
+    assert slept[1] == slept[0] + 1.0 and not margo._pending
+
+
 def test_recording_mode_collects_without_raising(recording):
     cluster, margo = make_rig()
     mutex = UltMutex(cluster.kernel, name="state")

@@ -1,6 +1,7 @@
 """Differential property: the callback xstream against the generator one.
 
-Random ULT programs -- ``Compute``/``UltYield``/``UltSleep``/``Park``
+Random ULT programs -- ``Compute``, a bare float charge, ``UltYield``,
+``UltSleep``, ``Park``
 with and without a timeout, events set and cleared from other ULTs, a
 failing ULT, a bogus command, a ``stop()`` and a ``remove_pool`` issued
 mid-slice, and messages arriving for a network progress entity that
@@ -38,6 +39,8 @@ events = st.integers(0, N_EVENTS - 1)
 small = st.integers(0, 2)
 steps = st.one_of(
     st.tuples(st.just("compute"), durations),
+    # the bare float Margo's own paths yield
+    st.tuples(st.just("charge"), durations),
     st.tuples(st.just("yield")),
     st.tuples(st.just("sleep"), durations),
     st.tuples(st.just("park"), events, st.none() | durations),
@@ -50,7 +53,7 @@ steps = st.one_of(
     # a message delivered to the progress entity after a delay
     st.tuples(st.just("message"), st.sampled_from(["request", "response"]), durations),
 )
-# "stop"/"remove_pool"/"raise"/"bogus" are one alternative in eleven
+# "stop"/"remove_pool"/"raise"/"bogus" are one alternative in twelve
 # each, so most programs keep their streams long enough to interleave.
 scenarios = st.fixed_dictionaries(
     {
@@ -102,6 +105,8 @@ def body(index, program, kernel, pools, xstreams, ult_events, log, progress):
         op = step[0]
         if op == "compute":
             yield Compute(step[1])
+        elif op == "charge":
+            yield step[1]
         elif op == "yield":
             yield UltYield()
         elif op == "sleep":
@@ -169,6 +174,19 @@ def test_callback_xstream_matches_generator_xstream(scenario):
     assert run_scenario(scenario, Pool, XStream, _Progress) == expected
 
 
+def run_in_exact_race_mode(scenario):
+    # Under REPRO_SANITIZE the checker is already on: put its mode back.
+    before = (hooks.ENABLED, hooks._strict, hooks._SWAPPED)
+    hooks.disable()
+    hooks.enable(exact=True)
+    try:
+        return run_scenario(scenario, Pool, XStream, _Progress)
+    finally:
+        hooks.disable()
+        if before[0]:
+            hooks.enable(strict=before[1], exact=before[2])
+
+
 @settings(max_examples=40, deadline=None)
 @given(scenario=scenarios)
 def test_exact_race_mode_keeps_the_schedule(scenario):
@@ -176,16 +194,22 @@ def test_exact_race_mode_keeps_the_schedule(scenario):
     wrap, which re-posts a returned charge through the instrumented
     ``post``: same log, same events, same counters as with race off."""
     expected = run_scenario(scenario, Pool, XStream, _Progress)
-    # Under REPRO_SANITIZE the checker is already on: put its mode back.
-    before = (hooks.ENABLED, hooks._strict, hooks._SWAPPED)
-    hooks.disable()
-    hooks.enable(exact=True)
-    try:
-        assert run_scenario(scenario, Pool, XStream, _Progress) == expected
-    finally:
-        hooks.disable()
-        if before[0]:
-            hooks.enable(strict=before[1], exact=before[2])
+    assert run_in_exact_race_mode(scenario) == expected
+
+
+def test_exact_race_mode_parks_on_an_event_already_set(monkeypatch):
+    """The draw above reaches a park on an event that is already set
+    (``note_event_join``: join the setter, resume on a fresh turn) only
+    on some seeds; this case reaches it on every run."""
+    joined = []
+    join = hooks.note_event_join
+    monkeypatch.setattr(hooks, "note_event_join", lambda event: (joined.append(event.name), join(event)))
+    program = [("set", 0), ("park", 0, None), ("charge", 1e-6)]
+    scenario = {"n_pools": 1, "xstreams": [[0]], "progress_pool": 0, "ults": [(0, 0.0, program)]}
+    expected = run_scenario(scenario, Pool, XStream, _Progress)
+    joined.clear()
+    assert run_in_exact_race_mode(scenario) == expected
+    assert joined == ["e0"]
 
 
 def test_the_property_notices_a_reordered_post():
