@@ -600,8 +600,9 @@ class MargoInstance:
             # The request is the wait: the stream blocks the caller, and
             # the reply (or the timeout) readies it with its value.
             value = yield request
-        except Exception:
-            self._pending.pop(seq, None)  # thrown in instead: no late wake
+        except Exception:  # thrown in at the wait: no late wake, not in flight
+            self._pending.pop(seq, None)
+            self.inflight_outgoing -= 1
             raise
         self.inflight_outgoing -= 1
         if value is TIMED_OUT:

@@ -140,7 +140,7 @@ def test_strict_violation_fails_only_the_offending_ult(strict):
 
 def test_a_strict_violation_at_an_rpc_wait_leaves_no_late_wake(strict):
     # The caller never blocks on that RPC: its reply, still on the way,
-    # must not wake the caller's next wait.
+    # must not wake the caller's next wait, nor count as in flight.
     cluster, margo = make_rig()
     margo.register("echo", lambda ctx: ctx.args)
     mutex = UltMutex(cluster.kernel, name="state")
@@ -156,7 +156,7 @@ def test_a_strict_violation_at_an_rpc_wait_leaves_no_late_wake(strict):
         slept.append(cluster.now)
 
     cluster.run_ult(margo, caller())
-    assert slept[1] == slept[0] + 1.0 and not margo._pending
+    assert slept[1] == slept[0] + 1.0 and not margo._pending and margo.inflight_outgoing == 0
 
 
 def test_recording_mode_collects_without_raising(recording):
