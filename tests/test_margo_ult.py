@@ -70,6 +70,12 @@ def test_commands_compare_by_value():
             command(-1.0)
 
 
+def test_compute_is_a_float_whose_value_is_its_duration():
+    charge = Compute(0.5)
+    assert isinstance(charge, float) and charge == 0.5 and charge + 0.25 == 0.75
+    assert charge.duration == 0.5 and type(charge.duration) is float
+
+
 def test_a_negative_bare_charge_fails_its_ult_and_the_stream_goes_on():
     kernel, (pool,), (xs,) = make_rig()
 
