@@ -4,8 +4,9 @@ Each :class:`XStream` repeatedly picks an entry from its scheduler's
 pools (in priority order, like the "basic" Argobots scheduler) and runs
 it: a ULT until it yields, a run-to-completion item (Margo's network
 progress) for one ``step()``.  Float charges (``Compute`` or bare) and
-item charges make the stream itself busy for simulated time, which is how CPU contention
-between providers sharing a stream (paper Fig. 2) arises.
+item charges make the stream itself busy for simulated time, which is
+how CPU contention between providers sharing a stream (paper Fig. 2)
+arises.
 
 The stream is a kernel *callback* state machine, not a generator:
 ``_drive`` is its one callback, posted on a wakeup and re-armed by
