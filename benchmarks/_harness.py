@@ -141,6 +141,7 @@ def bench_rpc_echo(n_rpcs: int, config: dict, health: bool = False) -> dict:
     observer mix."""
     from repro import Cluster
     from repro.margo import Compute
+    from repro.mercury import NULL_PROVIDER
 
     cluster = Cluster(seed=7)
     server = cluster.add_margo("server", node="n0", config=dict(config))
@@ -176,7 +177,13 @@ def bench_rpc_echo(n_rpcs: int, config: dict, health: bool = False) -> dict:
         stats["spans"] = sum(len(tracer.spans) for tracer in cluster.tracers())
     if stats["profiled"]:
         stats["windows_closed"] = len(server.profiler.store.windows)
-        stats["waterfalls"] = len(client.profiler.waterfalls)
+        # Requests the client decomposed: the ``total`` counts of its
+        # rollup, closed windows and the open one.  A list, not a
+        # generator, so the count costs no Python call per window.
+        store, key = client.profiler.store, f"echo/{NULL_PROVIDER}"
+        totals = [w["rpc"][key]["total"]["count"] for w in store.windows if key in w["rpc"]]
+        current = store.current.phases.get((key, "total"))
+        stats["decomposed"] = sum(totals) + (current.count if current else 0)
         plane = getattr(cluster.kernel, "xray_plane", None)
         if plane is not None:
             stats["xray_paths"] = len(plane.recent)

@@ -17,7 +17,8 @@ IQR, the verdict, and whether the ``exact`` tables (every ``sim_*`` and
 count) are equal -- and appends one line of medians and quartiles to
 ``benchmarks/history.jsonl``.  ``--trace`` adds one ``--trace 1`` run
 per revision and workload on the first seed: the per-layer ledger side
-by side, and whether every count row (calls, events, bytes) is equal.
+by side, whether every count row (calls, events, bytes) is equal, and
+each moved one with its signed change.
 A later run of the same two revisions on another workload adds its
 section to the same file.
 
@@ -29,8 +30,8 @@ inter-quartile distance.  A metric whose median is worse than the parent's by mo
 than its bound in ``BENCHMARK.json`` is a regression, and one whose
 runs spread wider than that bound is unresolved.  Exit status 0 when
 every section gains and none regresses, is unresolved, differs in
-``exact`` or in a traced count, or fails more operations; 1 otherwise;
-2 on a usage or run error.
+``exact``, or fails more operations; 1 otherwise; 2 on a usage or run
+error.
 """
 
 from __future__ import annotations
@@ -162,15 +163,17 @@ def ledger(trees: dict[str, str], workload: str, seed: int) -> dict:
     Rows counted in calls, events, operations or bytes (``count``/``B``)
     should be a function of the code path and the seed, so
     ``counts_equal`` says whether the change left the path's shape
-    alone (``python.calls_per_rpc`` can also move by a few calls between
-    two runs of one tree, see DESIGN.md section 9)."""
+    alone and ``counts_moved`` maps each moved row to ``change - parent``
+    (``python.calls_per_rpc`` can also move by a few calls between two
+    runs of one tree, see DESIGN.md section 9).  A moved count is
+    evidence to read, not a verdict: a path that shrank moves them too."""
     rows = {side: run_once(trees[side], workload, seed, trace=True)["per_layer"]
             for side in ("parent", "change")}
     table = {name: {"parent": entry["value"], "change": rows["change"][name]["value"],
                     "unit": entry["unit"]}
              for name, entry in rows["parent"].items()}
-    moved = sorted(name for name, row in table.items()
-                   if row["unit"] in ("count", "B") and row["parent"] != row["change"])
+    moved = {name: row["change"] - row["parent"] for name, row in sorted(table.items())
+             if row["unit"] in ("count", "B") and row["parent"] != row["change"]}
     return {"seed": seed, "rows": table, "counts_equal": not moved, "counts_moved": moved}
 
 
@@ -224,7 +227,7 @@ def section(runs: dict, contract: dict, protocol: dict, traced: dict | None = No
         verdict["counts_equal"] = traced["counts_equal"]
     verdict["pass"] = (verdict["gain"] and not regressions and not unresolved
                        and verdict["exact_equal"]
-                       and not verdict["fails_more"] and verdict.get("counts_equal", True))
+                       and not verdict["fails_more"])
     return body
 
 

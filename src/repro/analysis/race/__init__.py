@@ -5,8 +5,8 @@ findings, every check:
 
 * :mod:`.hooks` -- the gated entry points margo, Yokan, Warabi and REMI
   call, and the checks that only read what the runtime already keeps:
-  MCH011 (suspending or finishing while holding a mutex), MCH012 (a
-  handler that never answers) and MCH070 (respond exactly once);
+  MCH011 (suspending or finishing while holding a mutex) and MCH012 (a
+  handler that never answers);
 * :mod:`.hb` -- vector-clock happens-before engine flagging unordered
   accesses to tracked shared state (MCH030/MCH031);
 * :mod:`.lockgraph` -- lock-order cycles (MCH040), reported without the

@@ -10,7 +10,7 @@ literally nothing there.
 
 One switch, two modes, every check in both.  ``REPRO_SANITIZE=1``
 (``true``, ``yes``; or ``enable(strict=True)``) is strict mode: an
-MCH011/MCH012/MCH070 violation raises :class:`SanitizerError` where it
+MCH011/MCH012 violation raises :class:`SanitizerError` where it
 happens.  ``REPRO_SANITIZE=race`` (or ``enable()``) is record mode.
 Either way every finding lands in :data:`findings`, in detection order,
 which is deterministic for a deterministic schedule: same seed, same
@@ -22,9 +22,6 @@ report.  The checks, under the rule catalog's ids:
 * ``MCH012`` -- a handler ULT died without a reply, or a healthy process
   finalized with a handler still live and unanswered, read off the
   live-ULT table (:attr:`HBState.ult_ctx`);
-* ``MCH070`` -- respond exactly once: a second ``respond()``, one that
-  is called but never driven, or a raise or a returned value after an
-  explicit reply;
 * ``MCH030``/``MCH031`` -- unordered write/write and read/write pairs on
   tracked shared state (the happens-before engine, :mod:`.hb`);
 * ``MCH040`` -- an acquisition-order cycle between mutexes, even when
@@ -101,7 +98,6 @@ __all__ = [
 
 RULE_LOCK_ACROSS_YIELD = "MCH011"
 RULE_DROPPED_HANDLE = "MCH012"
-RULE_RESPOND = "MCH070"
 RULE_UNORDERED_WRITES = "MCH030"
 RULE_UNORDERED_READ_WRITE = "MCH031"
 RULE_ORDER_DEPENDENT_OUTCOME = "MCH032"
@@ -172,7 +168,7 @@ register(
 
 
 class SanitizerError(AssertionError):
-    """A strict-mode MCH011/MCH012/MCH070 violation."""
+    """A strict-mode MCH011/MCH012 violation."""
 
     def __init__(self, finding: Finding) -> None:
         super().__init__(finding.format())
@@ -182,7 +178,7 @@ class SanitizerError(AssertionError):
 #: Fast-path gate read by every runtime call site.
 ENABLED: bool = False
 
-#: Strict mode: MCH011/012/070 raise :class:`SanitizerError`.
+#: Strict mode: MCH011/012 raise :class:`SanitizerError`.
 _strict: bool = False
 
 #: ``REPRO_SANITIZE`` value -> strict mode (unset or empty: off).
@@ -228,10 +224,6 @@ _STATE = HBState()
 _LOCKS = LockOrderGraph()
 _reported: set[tuple] = set()
 
-#: id(request) -> request, for requests answered by an explicit
-#: ``respond()`` whose handler ULT has not finished yet.
-_responded: dict[int, Any] = {}
-
 #: Lazily-bound ``repro.margo.ult`` module (imported on first hook call
 #: because hooks can be enabled, via REPRO_SANITIZE, while margo.ult is
 #: still mid-import).  Binding the module and reading ``_CURRENT`` as an
@@ -250,7 +242,7 @@ _FIRE_WRAP: Optional["_TimerWrap"] = None
 def enable(strict: bool = False, exact: bool = False) -> None:
     """Turn every runtime check on (idempotent).
 
-    ``strict`` raises :class:`SanitizerError` at an MCH011/012/070
+    ``strict`` raises :class:`SanitizerError` at an MCH011/012
     violation instead of only recording it.  ``exact`` selects the
     timer-edge mode (see the module docstring): the explorer's full
     precision, which swaps the instrumented ``SimKernel.schedule``/
@@ -286,7 +278,6 @@ def reset() -> None:
     _LOCKS = LockOrderGraph()
     ANY_HELD = False
     _reported.clear()
-    _responded.clear()
     findings.clear()
     _FIRE = None
     _FIRE_WRAP = None
@@ -313,7 +304,7 @@ def _finding(rule_id: str, path: str, message: str) -> Finding:
 
 
 def _report(rule_id: str, path: str, message: str) -> None:
-    """Record an MCH011/012/070 violation; strict mode raises it here."""
+    """Record an MCH011/012 violation; strict mode raises it here."""
     finding = _finding(rule_id, path, message)
     findings.append(finding)
     if _strict:
@@ -561,24 +552,21 @@ def note_finish(ult: Any) -> None:
 
     A handler ULT finishes with an error only when one escaped the
     runtime's reply path (``_handler_body`` turns every ``Exception``
-    into an error reply), so the reply went out only if the handler had
-    already answered through ``respond()``.
+    into an error reply), so no reply went out.
     """
     global ANY_HELD
     entry = _STATE.ult_ctx.pop(id(ult), None)
     if entry is not None:
         _STATE.retire_clock(entry[1].clock)
     if ult.error is not None and ult.rpc_context is not None:
-        request = ult.rpc_context
-        if _responded.pop(id(request), None) is None:
-            _report_at_finish(
-                ult,
-                RULE_DROPPED_HANDLE,
-                f"ult:{ult.name}",
-                f"handler ULT {ult.name!r} for RPC {request.rpc_name!r} died "
-                f"({type(ult.error).__name__}) without responding; the caller "
-                "is left waiting for its timeout",
-            )
+        _report_at_finish(
+            ult,
+            RULE_DROPPED_HANDLE,
+            f"ult:{ult.name}",
+            f"handler ULT {ult.name!r} for RPC {ult.rpc_context.rpc_name!r} "
+            f"died ({type(ult.error).__name__}) without responding; the "
+            "caller is left waiting for its timeout",
+        )
     if ANY_HELD:
         held = _LOCKS.held_names(ult)
         if held:
@@ -714,67 +702,12 @@ def note_suspend(ult: Any, cmd: Any) -> None:
 
 
 # ----------------------------------------------------------------------
-# replies (MCH012, MCH070)
+# replies (MCH012)
 # ----------------------------------------------------------------------
-def note_explicit_respond(margo: Any, request: Any, already: bool) -> None:
-    """``RequestContext.respond`` at its send point.
-
-    ``already`` is the context's own responded flag; :data:`_responded`
-    catches the same double reply when a handler builds two contexts
-    for one request.
-    """
-    if already or id(request) in _responded:
-        _report(
-            RULE_RESPOND,
-            f"margo:{margo.process.name}",
-            f"handler for RPC {request.rpc_name!r} (seq {request.seq}) "
-            "called respond() twice; each request must be answered "
-            "exactly once",
-        )
-        return
-    _responded[id(request)] = request
-
-
-def note_post_respond(
-    margo: Any, context: Any, ok: bool, value: Any, error_message: Any
-) -> None:
-    """``_handler_body``, when a handler that called ``respond()`` ends
-    (MCH070).  A ``respond()`` never driven sent nothing; after a reply
-    that did go out, raising or returning a value cannot reach the
-    caller, so silence would hide real failures."""
-    request = context.request
-    if not context._responded:
-        _report(
-            RULE_RESPOND,
-            f"margo:{margo.process.name}",
-            f"handler for RPC {request.rpc_name!r} (seq {request.seq}) "
-            "called respond() but never drove it; the reply went out only "
-            "through the implicit return path -- write "
-            "`yield from ctx.respond(...)`",
-        )
-        return
-    if not ok:
-        _report(
-            RULE_RESPOND,
-            f"margo:{margo.process.name}",
-            f"handler for RPC {request.rpc_name!r} (seq {request.seq}) "
-            f"raised after respond() ({error_message}); the caller "
-            "already got a success reply and never sees this error",
-        )
-    elif value is not None:
-        _report(
-            RULE_RESPOND,
-            f"margo:{margo.process.name}",
-            f"handler for RPC {request.rpc_name!r} (seq {request.seq}) "
-            "returned a value after respond(); the value is silently "
-            "dropped -- pass it to respond() instead",
-        )
-    _responded.pop(id(request), None)
-
-
 def check_margo_shutdown(margo: Any) -> None:
     """``MargoInstance.shutdown``: a *healthy* process must not finalize
-    with a dispatched handler still live and unanswered (MCH012).
+    with a dispatched handler still live (MCH012): the reply goes out
+    only as the handler ends, so a live handler is unanswered.
 
     A killed process is exempt: dropping in-flight handles is exactly
     what a crash does.
@@ -787,7 +720,6 @@ def check_margo_shutdown(margo: Any) -> None:
         for ult, _ctx in _STATE.ult_ctx.values()
         if (request := ult.rpc_context) is not None
         and ult.pool in pools
-        and id(request) not in _responded
     )
     for seq, name in stuck:
         _report(

@@ -23,8 +23,6 @@ Rule id blocks:
   shapes, results no handler returns);
 * ``MCH06x`` -- partitioning & migration (cross-component shared-state
   writes, migration snapshot coverage);
-* ``MCH070`` -- respond exactly once (runtime only: a second reply, a
-  reply never driven, or a raise/value after the reply);
 * ``MCH09x`` -- meta (parse errors, bare suppressions).
 
 A static rule's check has one of two scopes: ``file`` checks take the

@@ -3,9 +3,9 @@
 The kernel is single-threaded and cooperative: an RPC handler ULT that
 blocks for real, parks forever, or suspends while holding a mutex does
 not crash anything -- it silently wedges or serializes the simulation.
-The file-scope rules live here, next to the catalog entries of the
-runtime-only checks (``MCH012``, ``MCH070``); the whole-program
-``MCH014`` shares :data:`BLOCKING_CALLS`.
+The file-scope rules live here, next to the catalog entry of the
+runtime-only check ``MCH012``; the whole-program ``MCH014`` shares
+:data:`BLOCKING_CALLS`.
 """
 
 from __future__ import annotations
@@ -140,23 +140,6 @@ register(
             "response -- a handler that drops its handle leaves the caller "
             "waiting until its own timeout (or forever), which is how the "
             "paper's services wedge under reconfiguration"
-        ),
-        runtime_checked=True,
-    ),
-    RuleInfo(
-        id="MCH070",
-        name="respond-exactly-once",
-        group=GROUP_SCHEDULING,
-        severity=Severity.ERROR,
-        summary=(
-            "RPC handler called respond() twice, never drove it, or raised "
-            "or returned a value after it (runtime only)"
-        ),
-        rationale=(
-            "margo_respond semantics: each dispatched RPC gets exactly one "
-            "response.  A second respond is dropped, an error or value "
-            "after the reply never reaches the caller, and a respond() "
-            "generator that is built but never driven sends nothing"
         ),
         runtime_checked=True,
     ),

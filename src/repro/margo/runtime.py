@@ -77,31 +77,17 @@ _UNSET = object()
 
 @dataclass(slots=True, init=False)
 class RequestContext:
-    """What a handler sees: the request plus accessors for the runtime."""
+    """What a handler sees: the request plus accessors for the runtime.
+
+    A handler answers by returning (or raising): the runtime sends the
+    one reply when the handler ULT ends."""
 
     margo: "MargoInstance"
     request: RPCRequest
-    #: the hook table picked at dispatch, ``None`` for an unobserved
-    #: request (:meth:`respond` fires from it, as the implicit reply does).
-    observed: Optional[dict] = None
-    #: set once a reply for this request has hit the wire.
-    _responded: bool = False
-    #: set when :meth:`respond` is called, whether or not it is driven.
-    _respond_called: bool = False
 
-    def __init__(
-        self,
-        margo: "MargoInstance",
-        request: RPCRequest,
-        observed: Optional[dict] = None,
-        _responded: bool = False,
-        _respond_called: bool = False,
-    ) -> None:
+    def __init__(self, margo: "MargoInstance", request: RPCRequest) -> None:
         self.margo = margo
         self.request = request
-        self.observed = observed
-        self._responded = _responded
-        self._respond_called = _respond_called
 
     @property
     def args(self) -> Any:
@@ -110,45 +96,6 @@ class RequestContext:
     @property
     def source(self) -> str:
         return self.request.src_address
-
-    def respond(self, value: Any = None) -> Generator:
-        """Explicit early reply (``margo_respond`` equivalent).
-
-        Drive with ``yield from context.respond(result)``.  The caller's
-        ``forward`` unblocks as soon as this reply lands, while the
-        handler ULT keeps running (post-reply cleanup, deferred work).
-        The protocol is *respond exactly once*: the implicit reply the
-        runtime sends on handler return is skipped once this has fired,
-        a second ``respond()`` is dropped on the floor, a ``respond()``
-        that is called but never driven sends nothing (the implicit
-        reply goes out instead), and the runtime checker reports all
-        three misuses under MCH070.
-        """
-        self._respond_called = True
-        return self._send_reply(value)
-
-    def _send_reply(self, value: Any) -> Generator:
-        margo = self.margo
-        payload_size = estimate_size(value)
-        yield serialize_cost(payload_size)
-        already = self._responded
-        self._responded = True
-        if _race.ENABLED:
-            _race.note_explicit_respond(margo, self.request, already)
-        if already:
-            return
-        response = RPCResponse(
-            self.request.seq, STATUS_OK, value, payload_size, margo.process.address
-        )
-        margo.network.send(
-            margo.process, self.request.src_address, response, response.wire_size
-        )
-        if self.observed is not None:
-            for fn in self.observed["on_respond"][1]:
-                try:
-                    fn(time=margo.kernel.now, margo=margo, request=self.request, response=response)
-                except Exception:
-                    margo._monitor_errors.inc()
 
 
 @dataclass(init=False)
@@ -767,13 +714,12 @@ class MargoInstance:
             )
         else:
             yield deserialize_cost(request.payload_size)
-        context = RequestContext(self, request, observed)
         status = STATUS_OK
         value: Any = None
         error_message: Optional[str] = None
         payload_size = 0
         try:
-            result = registration.handler(context)
+            result = registration.handler(RequestContext(self, request))
             if type(result) is GeneratorType or isinstance(result, Generator):
                 result = yield from result
             payload_size = estimate_size(result)
@@ -784,10 +730,6 @@ class MargoInstance:
             # error response; the caller must never be left waiting.
             status = STATUS_ERROR
             error_message = f"{type(err).__name__}: {err}"
-        if context._responded:
-            # context.respond() already serialized and sent the reply;
-            # the implicit path must not charge or send a second one.
-            payload_size = 0
         if observed is not None:
             # Pre-charge the on_ult_complete firing: same modeled cost,
             # one fewer kernel event per handled RPC.
@@ -809,17 +751,6 @@ class MargoInstance:
                     self._monitor_errors.inc()
         self.inflight_incoming -= 1
         self.rpcs_handled += 1
-        if context._respond_called:
-            # Respond exactly once.  A respond() never driven sent
-            # nothing, and a raise or a returned value after a reply that
-            # went out is invisible to the caller -- the runtime checker
-            # reports both under MCH070.
-            if _race.ENABLED:
-                _race.note_post_respond(
-                    self, context, status == STATUS_OK, value, error_message
-                )
-            if context._responded:
-                return
         response = RPCResponse(
             request.seq, status, value, payload_size, self.process.address, error_message
         )

@@ -18,13 +18,12 @@ Two data paths feed one :class:`~.store.ProfileStore`:
   server queue -> handler -> respond* phases.  The halves of a phase
   observed on different processes meet through timestamp stamps on the
   in-flight request/response objects (one simulated clock, so cross-
-  process subtraction is exact).  Phases are recorded as histogram
-  metrics in ``margo.metrics`` and as per-window aggregates; completed
-  five-phase waterfalls land in a bounded ring.
+  process subtraction is exact).  The window rollup is the one place a
+  phase latency is recorded.
 
 Two more planes ride it, with no hook of their own.  With ``xray`` on,
-a sampled request carries an edge list and, under the waterfall's
-stamp check, leaves a path record in the kernel's
+a sampled request carries an edge list and, once both endpoints have
+stamped it, leaves a path record in the kernel's
 :class:`~repro.observability.xray.XrayPlane`.  Each closed window goes
 to the process's SLO engine, then to the xray plane.
 
@@ -36,7 +35,6 @@ identical across identical runs (tested, including under
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Optional
 
 from ...mercury.hg import STATUS_OK
@@ -59,8 +57,6 @@ SAMPLE_STAMP = "_profile_sample_weight"
 
 #: Closed windows the profile store keeps.
 HISTORY = 64
-#: Recent complete per-RPC waterfalls kept.
-WATERFALLS = 32
 
 
 def _provider_key(rpc_name: str, provider_id: int) -> str:
@@ -118,32 +114,11 @@ class ContinuousProfiler:
             if plane is None:
                 plane = self.kernel.xray_plane = XrayPlane(self.kernel)
             self.xray_plane = plane
-        #: Recent complete per-RPC waterfalls (bounded ring; the MCH004
-        #: sanctioned pattern -- a profiler must never grow unboundedly).
-        self.waterfalls: deque[dict[str, Any]] = deque(maxlen=WATERFALLS)
         self._timer: Optional[Any] = None
         self._running = False
         # Last cumulative counters per pool/xstream, for window deltas.
         self._pool_marks: dict[str, tuple[int, int]] = {}
         self._xstream_marks: dict[str, dict[str, float]] = {}
-        # Phase histograms (labelled) in the process registry, so phase
-        # distributions export alongside every other metric.
-        self._phase_hist = margo.metrics.histogram(
-            "margo_rpc_phase_seconds",
-            "per-RPC latency decomposition (client_queue/network/"
-            "server_queue/handler/respond/total)",
-            label_names=("rpc", "provider", "phase"),
-        )
-        self._sched_hist = margo.metrics.histogram(
-            "margo_pool_sched_latency_seconds",
-            "pool push-to-pop latency of ULTs (scheduling delay)",
-            label_names=("pool",),
-        )
-        # Bounded label-handle caches (keys: registered rpc x phase and
-        # pool names): labels() re-derives its series key per call, too
-        # hot for the per-phase decomposition path.
-        self._phase_series: dict[tuple[str, int, str], Any] = {}
-        self._sched_series: dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -260,15 +235,7 @@ class ContinuousProfiler:
             return  # sampled out, or pushed before profiling started
         latency = self.kernel.now - enqueued
         ult.profile_enqueued_at = None
-        cached = self._sched_series.get(pool.name)
-        if cached is None:
-            cached = self._sched_series[pool.name] = (
-                self._sched_hist.labels(pool=pool.name),
-                f"pool/{pool.name}",
-            )
-        series, pool_key = cached
-        series.observe(latency)
-        self.store.current.observe_phase(pool_key, "sched", latency)
+        self.store.current.observe_phase(f"pool/{pool.name}", "sched", latency)
         if self.xray_plane is not None:
             # Causal sched edge for a sampled request: the edge list's
             # existence (stamped at forward time) is the gate.
@@ -282,21 +249,9 @@ class ContinuousProfiler:
     # monitor hooks (RPC latency decomposition)
     # ------------------------------------------------------------------
     def _phase(self, request: Any, phase: str, value: float) -> None:
-        cached = self._phase_series.get((request.rpc_name, request.provider_id, phase))
-        if cached is None:
-            cached = self._phase_series[
-                (request.rpc_name, request.provider_id, phase)
-            ] = (
-                self._phase_hist.labels(
-                    rpc=request.rpc_name,
-                    provider=str(request.provider_id),
-                    phase=phase,
-                ),
-                f"{request.rpc_name}/{request.provider_id}",
-            )
-        series, rpc_key = cached
-        series.observe(value)
-        self.store.current.observe_phase(rpc_key, phase, value)
+        self.store.current.observe_phase(
+            f"{request.rpc_name}/{request.provider_id}", phase, value
+        )
 
     def _sample_weight(self, request: Any) -> int:
         """The request's sampling weight: 0 to skip decomposition, N >=
@@ -337,7 +292,8 @@ class ContinuousProfiler:
         if responded is not None:
             self._phase(request, "respond", time - responded)
         self._phase(request, "total", elapsed)
-        self._maybe_record_waterfall(time, request, response)
+        if self.xray_plane is not None:
+            self._record_path(time, request)
 
     # server side ------------------------------------------------------
     def on_request_received(self, time: float, margo: Any, request: Any) -> None:
@@ -372,38 +328,20 @@ class ContinuousProfiler:
         )
         response._profile_responded_at = time
 
-    # waterfall + xray path assembly (client side, all stamps present) -
-    def _maybe_record_waterfall(self, now: float, request: Any, response: Any) -> None:
-        fwd_start = getattr(request, "_profile_fwd_start", None)
-        sent = getattr(request, "_profile_sent_at", None)
-        received = getattr(request, "_profile_received_at", None)
-        ult_start = getattr(request, "_profile_ult_start_at", None)
-        ult_end = getattr(request, "_profile_ult_end_at", None)
-        stamps = (fwd_start, sent, received, ult_start, ult_end)
+    # xray path assembly (client side, all stamps present) ------------
+    def _record_path(self, now: float, request: Any) -> None:
+        stamps = (
+            getattr(request, "_profile_fwd_start", None),
+            getattr(request, "_profile_sent_at", None),
+            getattr(request, "_profile_received_at", None),
+            getattr(request, "_profile_ult_start_at", None),
+            getattr(request, "_profile_ult_end_at", None),
+        )
         if None in stamps:
             return  # peer not profiled: no cross-process stamps
-        process = self.margo.process.name
         weight = getattr(request, SAMPLE_STAMP, 1)
-        if self.xray_plane is not None:
-            self.xray_plane.add_path(path_record(request, process, weight, stamps, now))
-        self.waterfalls.append(
-            {
-                "trace_id": request.trace_id,
-                "span_id": request.span_id,
-                "rpc": request.rpc_name,
-                "provider": request.provider_id,
-                "process": process,
-                "weight": weight,
-                "start": fwd_start,
-                "end": now,
-                "phases": [
-                    {"phase": "client_queue", "start": fwd_start, "end": sent},
-                    {"phase": "network", "start": sent, "end": received},
-                    {"phase": "server_queue", "start": received, "end": ult_start},
-                    {"phase": "handler", "start": ult_start, "end": ult_end},
-                    {"phase": "respond", "start": ult_end, "end": now},
-                ],
-            }
+        self.xray_plane.add_path(
+            path_record(request, self.margo.process.name, weight, stamps, now)
         )
 
     # ------------------------------------------------------------------

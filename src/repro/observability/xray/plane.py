@@ -13,8 +13,8 @@ records on its own sampled requests:
   ``("lock", mutex, wait)`` from a contended ``UltMutex.acquire``,
   ``("park", event, wait)`` from ``UltEvent.wait``.  The request object
   crosses the simulated wire by reference, so the client sees them;
-* when the response arrives with all five phase stamps -- the check
-  that also keeps the waterfall -- the client's profiler hands
+* when the response arrives with all five phase stamps the client's
+  profiler hands
   :func:`~.critical_path.path_record` to :meth:`XrayPlane.add_path`.
 
 At each window boundary the profiler calls :meth:`XrayPlane.close_window`,

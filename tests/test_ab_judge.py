@@ -72,3 +72,23 @@ def test_the_claimed_metric_decides_the_gain():
     claimed = section(sides, contract, {}, metric="sim_op_p99_us")
     assert claimed["verdict"]["metric"] == "sim_op_p99_us"
     assert claimed["verdict"]["gain"] and claimed["verdict"]["pass"]
+
+
+def test_moved_counts_are_evidence_and_differing_exact_tables_fail():
+    """A traced ledger whose only moved counts are fewer calls does not
+    fail a section that gains; ``exact`` tables that differ still do."""
+    contract = {"end_to_end": [{"name": "wall_us_per_rpc", "better": "lower", "bound": 0.25}]}
+
+    def runs(walls, exact):
+        return [{"metrics": {"wall_us_per_rpc": wall}, "exact": exact,
+                 "attempted": 10, "failed": 0} for wall in walls]
+
+    faster = [p - 3.0 for p in PARENT]
+    traced = {"seed": 1, "counts_equal": False,
+              "counts_moved": {"python.calls_per_rpc": -16.0}}
+    shrank = section({"1": {"parent": runs(PARENT, {"n": 1}), "change": runs(faster, {"n": 1})}},
+                     contract, {}, traced)
+    assert not shrank["verdict"]["counts_equal"] and shrank["verdict"]["pass"]
+    moved = section({"1": {"parent": runs(PARENT, {"n": 1}), "change": runs(faster, {"n": 2})}},
+                    contract, {}, traced)
+    assert moved["verdict"]["exact_equal"] is False and not moved["verdict"]["pass"]

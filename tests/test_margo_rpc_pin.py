@@ -4,14 +4,18 @@ the simulated schedule may not move.
 One small deployment exercises every branch of the per-RPC machinery:
 a server whose handler pool is drained by two xstreams, a client on the
 server's node (shared memory) and one across the fabric, a nested RPC
-to a backend process, an explicit ``respond()`` with work after the
-reply, a call that times out before its handler finishes and a call to
-an RPC nobody registered.  The literals are what the generator-task
-xstream (now ``tests/reference_scheduler.py``) produced for this script
-at the commit before the xstream became a kernel callback, except
-``seq``: it is one lower since ``run_ult`` stopped spawning a waiter
-task, whose first step was one event.  Every mode -- plain, the
-runtime checker strict and recording -- must reproduce them exactly.
+to a backend process, a handler that replies after 4 us of work, a call
+that times out before its handler finishes and a call to an RPC nobody
+registered.  The literals are what the generator-task xstream (now
+``tests/reference_scheduler.py``) produced for this script at the
+commit before the xstream became a kernel callback, except ``seq``: it
+is one lower since ``run_ult`` stopped spawning a waiter task, whose
+first step was one event; and except every literal the ``early``
+handler moves: it answered through an explicit ``respond()`` before its
+work until that second reply path was deleted, and this script, with
+the handler returning, was recorded on the last tree that still had it.
+Every mode -- plain, the runtime checker strict and recording -- must
+reproduce them exactly.
 """
 
 import pytest
@@ -37,12 +41,12 @@ SERVER_CONFIG = {
 }
 
 PINNED = {
-    "now": 0.0002729969333333333,
-    "seq": 193,
+    "now": 0.0002770169333333333,
+    "seq": 194,
     "xstreams": {
         "server/es_progress": (17, 3.199999999999999e-06),
-        "server/es_h0": (8, 5.5206750000000005e-05),
-        "server/es_h1": (6, 6.214275000000001e-05),
+        "server/es_h0": (9, 5.55125e-05),
+        "server/es_h1": (5, 6.1537e-05),
         "backend/__primary__": (5, 1.00775e-06),
         "near/__primary__": (16, 3.4714999999999997e-06),
         "far/__primary__": (16, 3.4685e-06),
@@ -60,12 +64,12 @@ PINNED = {
         ("near", "work", 4.564999999999999e-06),
         ("far", "work", 7.766949999999999e-06),
         ("near", "relay", 8.60773333333333e-06),
-        ("near", "early", 2.5396666666666687e-06),
+        ("near", "early", 6.5596666666666675e-06),
         ("far", "relay", 1.1808999999999997e-05),
         ("near", "work", 1.0174874999999998e-05),
-        ("near", "nobody-home", 2.1895416666666616e-06),
-        ("far", "early", 5.741350000000009e-06),
-        ("near", "echo", 3.409933333333336e-06),
+        ("near", "nobody-home", 2.1895416666666684e-06),
+        ("far", "early", 9.761350000000015e-06),
+        ("near", "echo", 2.5773333333333333e-06),
         ("far", "work", 1.0174875000000001e-05),
         ("far", "nobody-home", 5.391425000000006e-06),
         ("far", "echo", 2.61511333333333e-05),
@@ -92,8 +96,8 @@ def build():
         return [leaf, len(ctx.args)]
 
     def early(ctx):
-        yield from ctx.respond({"ack": ctx.args})
         yield Compute(4e-6)
+        return {"ack": ctx.args}
 
     server.register("echo", lambda ctx: ctx.args)
     server.register("work", work, provider_id=3)

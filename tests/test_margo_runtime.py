@@ -1,6 +1,7 @@
 """Integration tests for the Margo runtime: RPC paths, config, reconfiguration."""
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -14,11 +15,13 @@ from repro.margo import (
     NoSuchPoolError,
     NoSuchRpcError,
     PoolInUseError,
+    RpcError,
     RpcFailedError,
     RpcTimeoutError,
     UltSleep,
 )
-from repro.mercury import NULL_PROVIDER
+from repro.mercury import NULL_PROVIDER, RPCRequest, RPCResponse
+from repro.sim.network import Network
 
 
 @pytest.fixture()
@@ -161,6 +164,65 @@ def test_reply_and_timeout_at_one_deadline_resolve_once():
     assert dispatched == [replied]
     assert outcomes == [("timed out", replied), ("slept", replied + 1.0)]
     assert client.inflight_outgoing == 0 and not client._pending
+
+
+def test_every_dispatched_request_gets_exactly_one_response(monkeypatch):
+    """A handler's end, or the no-handler branch, is the one place a
+    reply is sent: each request on the wire is answered by exactly one
+    response, whether the handler returns, raises, fails on a nested
+    RPC, outlives its caller's timeout or was never registered."""
+    sent = []
+    send = Network.send
+
+    def tap(self, src, dst_address, payload, size):
+        sent.append((dst_address, payload))
+        return send(self, src, dst_address, payload, size)
+
+    monkeypatch.setattr(Network, "send", tap)
+    cluster = Cluster(seed=1)
+    server, client = two_procs(cluster)
+    backend = cluster.add_margo("backend", node="n2")
+
+    def boom(ctx):
+        raise ValueError("boom")
+
+    def nested(ctx):
+        return (yield from server.forward(backend.address, "missing"))
+
+    def slow(ctx):
+        yield Compute(1e-3)
+        return "late"
+
+    server.register("ok", lambda ctx: ctx.args)
+    server.register("boom", boom)
+    server.register("nested", nested)
+    server.register("slow", slow)
+
+    def call(name, **kwargs):
+        try:
+            return (yield from client.forward(server.address, name, 7, **kwargs))
+        except RpcError as err:
+            return type(err).__name__
+
+    outcomes = [
+        cluster.run_ult(client, call(name, **kwargs))
+        for name, kwargs in (
+            ("ok", {}), ("boom", {}), ("nested", {}), ("slow", {"timeout": 1e-4}),
+            ("unknown", {}),
+        )
+    ]
+    cluster.run()  # the timed-out handler ends and its reply lands late
+    assert outcomes == [
+        7, "RpcFailedError", "RpcFailedError", "RpcTimeoutError", "NoSuchRpcError",
+    ]
+    requests = Counter(
+        (msg.src_address, msg.seq) for _, msg in sent if isinstance(msg, RPCRequest)
+    )
+    responses = Counter(
+        (dst, msg.seq) for dst, msg in sent if isinstance(msg, RPCResponse)
+    )
+    assert len(requests) == 6  # the nested call to the backend included
+    assert responses == requests and set(responses.values()) == {1}
 
 
 def test_rpc_to_unknown_address_fails_fast_without_timeout(cluster):

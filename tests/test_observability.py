@@ -13,7 +13,7 @@ import pytest
 
 from repro import Cluster
 from repro.bedrock import BedrockClient, boot_process
-from repro.margo import MargoConfig
+from repro.margo import Compute, MargoConfig
 from repro.margo.errors import ConfigError
 from repro.monitoring import CallbackMonitor
 from repro.observability import (
@@ -174,20 +174,21 @@ def test_faulty_monitor_contained_and_counted():
     client = cluster.add_margo("client", node="n1", monitors=monitors())
     server.register("echo", lambda ctx: ctx.args)
 
-    def early(ctx):
-        yield from ctx.respond("early")  # on_respond from RequestContext.respond
+    def work(ctx):
+        yield Compute(1e-6)
+        return "worked"
 
     def pull(ctx):
         yield from server.bulk_transfer(ctx.source, 1 << 10)
         return "pulled"
 
-    server.register("early", early)
+    server.register("work", work)
     server.register("pull", pull)
 
     def call(rpc):
         return (yield from client.forward(server.address, rpc, "payload"))
 
-    for rpc, reply, bulk in (("echo", "payload", 0), ("early", "early", 0), ("pull", "pulled", 1)):
+    for rpc, reply, bulk in (("echo", "payload", 0), ("work", "worked", 0), ("pull", "pulled", 1)):
         before = (client.monitor_errors, server.monitor_errors)
         fired.clear()
         assert cluster.run_ult(client, call(rpc)) == reply

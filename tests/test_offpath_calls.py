@@ -93,16 +93,18 @@ def test_unsampled_xray_adds_only_per_window_work():
     "arm,calls",
     [
         ("rpc_profiled_unsampled", 96_229),
-        ("rpc_profiled_sampled", 97_887),
-        ("rpc_profiled_full", 187_251),
+        ("rpc_profiled_sampled", 97_351),
+        ("rpc_profiled_full", 156_267),
     ],
 )
 def test_profiled_call_slope_is_pinned(arm, calls):
-    # A profiler without xray reads no edge list and builds no path.
+    # A profiler without xray reads no edge list, checks no stamps and
+    # builds no path; each phase goes to the window rollup only.
     assert _slope(arm) == calls
 
 
 def test_fully_sampled_xray_call_slope_is_pinned():
-    # Per request on top of the profiler: the sched edge, one path record
-    # and its add to the plane -- xray has no monitor hook of its own.
-    assert _slope("rpc_xray_full") - _slope("rpc_profiled_full") == 24_251
+    # Per request on top of the profiler: the sched edge, the five-stamp
+    # check, one path record and its add to the plane -- xray has no
+    # monitor hook of its own.
+    assert _slope("rpc_xray_full") - _slope("rpc_profiled_full") == 32_251

@@ -1,5 +1,5 @@
-"""Runtime checker, strict and record mode: MCH011/MCH012/MCH070, and
-the running proofs that retired the static rules MCH015 and
+"""Runtime checker, strict and record mode: MCH011/MCH012, and the
+running proofs that retired the static rules MCH015 and
 MCH070-MCH074."""
 
 from types import SimpleNamespace
@@ -210,21 +210,6 @@ def test_handler_finishing_without_response_fails_the_ult(strict):
     assert finding.rule_id == "MCH012" and "_Abort" in finding.message
 
 
-def test_responded_handler_is_clean(strict):
-    # Answered through respond() and still running at a healthy
-    # shutdown: not a dropped handle.
-    cluster, server, client = respond_rig()
-
-    def handler(ctx):
-        yield from ctx.respond("ack")
-        yield UltSleep(1.0)
-
-    server.register("ack", handler)
-    assert call(cluster, client, server, "ack") == "ack"
-    server.shutdown()
-    assert strict.findings == []
-
-
 def pending_rig():
     # A handler parked on an event that never fires: dispatched, live and
     # unanswered once the caller has timed out.
@@ -306,74 +291,6 @@ def test_suite_scenarios_under_sanitizer(strict):
     assert strict.findings == []
 
 
-# ----------------------------------------------------------------------
-# MCH070: respond exactly once
-# ----------------------------------------------------------------------
-def test_early_respond_then_post_reply_work_is_clean(strict):
-    cluster, server, client = respond_rig()
-    post = []
-
-    def handler(ctx):
-        yield from ctx.respond(ctx.args * 2)
-        yield Compute(5e-3)  # post-reply work, perfectly legal
-        post.append(cluster.now)
-
-    server.register("dbl", handler)
-    assert call(cluster, client, server, "dbl", 21) == 42
-    cluster.run()  # drain the handler's post-reply tail
-    assert post and strict.findings == []
-
-
-def test_double_respond_reported(recording):
-    cluster, server, client = respond_rig()
-
-    def handler(ctx):
-        yield from ctx.respond("first")
-        yield from ctx.respond("second")
-
-    server.register("dup", handler)
-    # The caller gets the *first* reply; the duplicate is dropped.
-    assert call(cluster, client, server, "dup") == "first"
-    cluster.run()
-    assert any(
-        v.rule_id == "MCH070" and "respond() twice" in v.message
-        for v in recording.findings
-    )
-
-
-def test_raise_after_respond_reported(recording):
-    cluster, server, client = respond_rig()
-
-    def handler(ctx):
-        yield from ctx.respond("ok")
-        raise RuntimeError("late failure")
-
-    server.register("late", handler)
-    # The caller sees success: the error fired after the reply went out.
-    assert call(cluster, client, server, "late") == "ok"
-    cluster.run()
-    assert any(
-        v.rule_id == "MCH070" and "raised after respond()" in v.message
-        for v in recording.findings
-    )
-
-
-def test_value_after_respond_reported(recording):
-    cluster, server, client = respond_rig()
-
-    def handler(ctx):
-        yield from ctx.respond("ok")
-        return "dropped"
-
-    server.register("extra", handler)
-    assert call(cluster, client, server, "extra") == "ok"
-    cluster.run()
-    assert any(
-        v.rule_id == "MCH070" and "returned a value after respond()" in v.message
-        for v in recording.findings
-    )
-
-
 def test_implicit_respond_path_stays_clean(strict):
     cluster, server, client = respond_rig()
     server.register("echo", lambda ctx: ctx.args)
@@ -396,38 +313,17 @@ def _load(args):
     raise RuntimeError("backend down")
 
 
-def _on_double(ctx, gate):
-    yield Compute(1e-6)
-    yield from ctx.respond("first")
-    yield from ctx.respond("second")
-
-
 def _on_stall(ctx, gate):
     try:
-        yield from ctx.respond(_load(ctx.args))
+        return _load(ctx.args)
     except RuntimeError:
         pass
     yield Park(gate)
 
 
-def _on_undriven(ctx, gate):
-    yield Compute(1e-6)
-    ctx.respond("lost")
-
-
-def _on_value_after(ctx, gate):
-    yield from ctx.respond("early")
-    return "dropped"
-
-
-def _on_raise_after(ctx, gate):
-    yield from ctx.respond("early")
-    raise RuntimeError("late failure")
-
-
 def _on_delegate_stall(ctx, gate):
     yield from _wait_for_signal(gate)
-    yield from ctx.respond("late")
+    return "late"
 
 
 def _wait_for_signal(gate):
@@ -442,11 +338,6 @@ def on_fetch(ctx, gate):
 def on_poll(ctx, gate):
     while True:
         yield UltSleep(0.1)
-
-
-def _on_ok_early_reply(ctx, gate):
-    yield from ctx.respond(ctx.args)
-    yield Park(gate)  # after the reply: not a stall
 
 
 def _on_ok_implicit(ctx, gate):
@@ -470,20 +361,15 @@ def progress_loop(gate):
 @pytest.mark.parametrize(
     "handler, rule, fragment",
     _cases(
-        (_on_double, "MCH070", "respond() twice"),
         (_on_stall, "MCH012", "still pending"),
-        (_on_undriven, "MCH070", "never drove it"),
-        (_on_value_after, "MCH070", "returned a value after respond()"),
-        (_on_raise_after, "MCH070", "raised after respond()"),
         (_on_delegate_stall, "MCH012", "still pending"),
         (on_fetch, "MCH012", "still pending"),
         (on_poll, "MCH012", "still pending"),
-        (_on_ok_early_reply, None, None),
         (_on_ok_implicit, None, None),
         (on_fetch_bounded, None, None),
     ),
 )
-def test_mch070_respond_exactly_once_by_running(strict, handler, rule, fragment):
+def test_mch012_unanswered_handler_by_running(strict, handler, rule, fragment):
     # The gate is never set: a handler that parks on it without a reply
     # or a timeout is still unanswered when the process shuts down.  A
     # daemon ULT parked on it beside every handler is never reported.
