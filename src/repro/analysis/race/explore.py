@@ -6,7 +6,7 @@ any zero-argument callable that builds a cluster, drives it, and returns
 a dict of **schedule-invariant facts** (final KV contents, blob
 checksums, "exactly one leader") -- is run once unperturbed and then
 once per seed with :data:`repro.analysis.race.hooks.PERTURB` installed,
-which makes every ``Pool.pop`` pick a seeded-random ready ULT instead of
+which makes every stream's pool pop pick a seeded-random ready ULT instead of
 the head.  Any pop order is a legal cooperative schedule, so a final
 state whose digest differs from the baseline is an order-dependent
 outcome (MCH032), pinned to the first scheduling event (pool push or

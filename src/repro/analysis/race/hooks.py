@@ -28,7 +28,7 @@ report.  The checks, under the rule catalog's ids:
   the deadlock did not fire this run;
 * ``MCH032`` -- an outcome that changes under seeded ready-queue
   perturbations (the schedule explorer, :mod:`.explore`, through the
-  :data:`PERTURB` gate in ``Pool.pop``).
+  :data:`PERTURB` gate in ``XStream._drive``'s pool pop).
 
 P1 cost model (ROADMAP item 3, detector half).  The detector-on price
 used to be a full clock snapshot (plus a wrapper call and a wrap
@@ -184,7 +184,7 @@ _strict: bool = False
 #: ``REPRO_SANITIZE`` value -> strict mode (unset or empty: off).
 _MODES = {"1": True, "true": True, "yes": True, "race": False}
 
-#: Seeded ready-queue perturbation source, read by ``Pool.pop``.
+#: Seeded ready-queue perturbation source, read by ``XStream._drive``'s pop.
 PERTURB: Optional[Random] = None
 
 #: When not None, scheduling events are appended here (explorer runs).

@@ -52,9 +52,8 @@ class Pool:
         # case); ``_wakeN`` the multi-watcher tuple, in watcher order.
         self._wake1: Optional["XStream"] = None
         self._wakeN: tuple["XStream", ...] = ()
-        # Cumulative counters for monitoring/benchmarks.
+        # Cumulative counter for monitoring/benchmarks.
         self.total_pushed = 0
-        self.total_popped = 0
         # Continuous profiler hook (None when profiling is off, so the
         # hot path pays a single identity check -- same discipline as the
         # race-detector gates below).
@@ -65,6 +64,11 @@ class Pool:
     def size(self) -> int:
         """Number of ULTs currently waiting in the pool."""
         return len(self._queue)
+
+    @property
+    def total_popped(self) -> int:
+        """ULTs taken out so far; the one taker is ``XStream._drive``."""
+        return self.total_pushed - len(self._queue)
 
     # mochi-lint: hotpath
     def push(self, ult: ULT) -> None:
@@ -96,25 +100,6 @@ class Pool:
                 if wake._idle:
                     wake._idle = False
                     wake.kernel.post(0.0, wake._run)
-
-    # mochi-lint: hotpath
-    def pop(self) -> Optional[ULT]:
-        queue = self._queue
-        if not queue:
-            return None
-        self.total_popped += 1
-        if _race.PERTURB is not None:
-            # Schedule-explorer mode: pop a seeded-random ready ULT
-            # instead of the head.  Any pop order is a legal cooperative
-            # schedule, so outcomes that change under it are bugs.
-            index = _race.PERTURB.randrange(len(queue))
-            ult = queue[index]
-            del queue[index]
-        else:
-            ult = queue.popleft()
-        if self._profiler is not None and ult.profile_enqueued_at is not None:
-            self._profiler._note_pool_pop(self, ult)
-        return ult
 
     # ------------------------------------------------------------------
     def attach_xstream(self, xstream: "XStream") -> None:

@@ -39,10 +39,8 @@ from ..mercury import (
     STATUS_ERROR,
     STATUS_NO_RPC,
     STATUS_OK,
-    deserialize_cost,
     estimate_size,
     rpc_id_of,
-    serialize_cost,
 )
 from ..mercury.hg import NO_TRACE
 from ..observability.metrics import MetricsRegistry
@@ -126,11 +124,11 @@ class Registration:
 class _Progress:
     """The network progress loop, a run-to-completion pool item.
 
-    :meth:`deliver` (the process's ``on_message``) queues a message and
-    pushes the item unless it is ``queued`` already.  :meth:`step`
-    dispatches the message popped before its charge, then charges
-    ``dispatch_cost`` for the next one while any is left (drain before
-    giving up the stream), else clears ``queued``.
+    :meth:`deliver` (installed as the process's ``deliver``, which routes
+    post) queues a message and pushes the item unless it is ``queued``
+    already.  :meth:`step` dispatches the message popped before its
+    charge, then charges ``dispatch_cost`` for the next one while any is
+    left (drain before giving up the stream), else clears ``queued``.
     """
 
     __slots__ = ("margo", "name", "pool", "state", "profile_enqueued_at", "queued", "_message")
@@ -264,7 +262,10 @@ class MargoInstance:
                 from ..observability.health.slo import SLOEngine
 
                 self.slo_engine = SLOEngine(self, list(obs.slos))
-        process.on_message = self._progress.deliver
+        # Routes post the progress loop's deliver with no Process.deliver
+        # hop: it drops messages once this instance is finalized, and a
+        # kill finalizes it through on_killed.
+        process.on_message = process.deliver = self._progress.deliver
         process.on_killed.append(self.shutdown)
 
     # ------------------------------------------------------------------
@@ -521,9 +522,9 @@ class MargoInstance:
             # charge covers both hooks (identical modeled cost) instead
             # of a second kernel event on every monitored send.
             charge += observed["on_forward_sent"][0]
-            yield serialize_cost(payload_size) + charge * self.config.monitoring_cost_per_event
+            yield request.codec_cost + charge * self.config.monitoring_cost_per_event
         else:
-            yield serialize_cost(payload_size)
+            yield request.codec_cost
 
         self._pending[seq] = caller
         self.inflight_outgoing += 1
@@ -566,12 +567,9 @@ class MargoInstance:
                        elapsed=self.kernel.now - started)
                 except Exception:
                     self._monitor_errors.inc()
-            yield (
-                deserialize_cost(response.payload_size)
-                + charge * self.config.monitoring_cost_per_event
-            )
+            yield response.codec_cost + charge * self.config.monitoring_cost_per_event
         else:
-            yield deserialize_cost(response.payload_size)
+            yield response.codec_cost
         if response.status == STATUS_OK:
             return response.value
         if response.status == STATUS_NO_RPC:
@@ -677,10 +675,9 @@ class MargoInstance:
             self.network.send(self.process, request.src_address, response, response.wire_size)
             return
         enqueued_at = self.kernel.now
-        ult = ULT(  # named rpc:<name>:<seq> on first use
-            self._handler_body(registration, request, enqueued_at, observed),
-            rpc_context=request,
-        )
+        # Positional (a keyword costs more); named rpc:<name>:<seq> on first use.
+        body = self._handler_body(registration, request, enqueued_at, observed)
+        ult = ULT(body, "", None, request)
         registration.pool.push(ult)
         if observed is not None:
             for fn in observed["on_ult_enqueued"][1]:
@@ -708,35 +705,32 @@ class MargoInstance:
                     fn(time=ult_started, margo=self, request=request, queued_for=queued_for)
                 except Exception:
                     self._monitor_errors.inc()
-            yield (
-                deserialize_cost(request.payload_size)
-                + charge * self.config.monitoring_cost_per_event
-            )
+            yield request.codec_cost + charge * self.config.monitoring_cost_per_event
         else:
-            yield deserialize_cost(request.payload_size)
-        status = STATUS_OK
-        value: Any = None
-        error_message: Optional[str] = None
-        payload_size = 0
+            yield request.codec_cost
+        # The reply is built, so sized and costed, before its encode charge.
         try:
             result = registration.handler(RequestContext(self, request))
             if type(result) is GeneratorType or isinstance(result, Generator):
                 result = yield from result
-            payload_size = estimate_size(result)
-            value = result
+            response = RPCResponse(
+                request.seq, STATUS_OK, result, estimate_size(result), self.process.address
+            )
         except Exception as err:  # noqa: BLE001 - handler error -> error response
             # Any handler failure -- including a *nested* RPC that failed
             # or timed out, or a value that cannot be sized -- becomes an
             # error response; the caller must never be left waiting.
-            status = STATUS_ERROR
-            error_message = f"{type(err).__name__}: {err}"
+            response = RPCResponse(
+                request.seq, STATUS_ERROR, None, 0, self.process.address,
+                f"{type(err).__name__}: {err}",
+            )
         if observed is not None:
             # Pre-charge the on_ult_complete firing: same modeled cost,
             # one fewer kernel event per handled RPC.
             pre = observed["on_ult_complete"][0]
-            yield serialize_cost(payload_size) + pre * self.config.monitoring_cost_per_event
+            yield response.codec_cost + pre * self.config.monitoring_cost_per_event
         else:
-            yield serialize_cost(payload_size)
+            yield response.codec_cost
         # The ULT duration covers the whole handler ULT: input
         # deserialization, the handler body, output serialization, and
         # the monitoring charge (the phases Listing 1's
@@ -751,9 +745,6 @@ class MargoInstance:
                     self._monitor_errors.inc()
         self.inflight_incoming -= 1
         self.rpcs_handled += 1
-        response = RPCResponse(
-            request.seq, status, value, payload_size, self.process.address, error_message
-        )
         self.network.send(self.process, request.src_address, response, response.wire_size)
         if observed is not None:
             for fn in observed["on_respond"][1]:

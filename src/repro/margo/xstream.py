@@ -143,9 +143,20 @@ class XStream:
                     if self._stopping:
                         return
                     for pool in self.pools:
-                        # Probe before pop: an empty pool costs no call.
-                        if pool._queue:
-                            ult = pool.pop()
+                        queue = pool._queue
+                        if queue:
+                            if _race.PERTURB is not None:
+                                # Schedule-explorer mode: pop a seeded-random
+                                # ready entry instead of the head.  Any pop
+                                # order is a legal cooperative schedule, so
+                                # outcomes that change under it are bugs.
+                                index = _race.PERTURB.randrange(len(queue))
+                                ult = queue[index]
+                                del queue[index]
+                            else:
+                                ult = queue.popleft()
+                            if pool._profiler is not None and ult.profile_enqueued_at is not None:
+                                pool._profiler._note_pool_pop(pool, ult)
                             break
                     else:
                         self._idle = True
@@ -180,12 +191,12 @@ class XStream:
                     value = None
                 except StopIteration as stop:
                     self.ults_finished += 1
-                    ult.finish(result=stop.value)
+                    ult.finish(stop.value)
                     ult = None
                     continue
                 except BaseException as err:  # noqa: BLE001 - ULT failure path
                     self.ults_finished += 1
-                    ult.finish(error=err)
+                    ult.finish(None, err)
                     ult = None
                     continue
                 finally:

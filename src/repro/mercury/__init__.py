@@ -11,7 +11,7 @@ from .hg import (
     STATUS_OK,
     rpc_id_of,
 )
-from .serialization import deserialize_cost, estimate_size, serialize_cost
+from .serialization import codec_cost, estimate_size
 
 __all__ = [
     "rpc_id_of",
@@ -27,6 +27,5 @@ __all__ = [
     "BULK_OP_PUSH",
     "BULK_SETUP_COST",
     "estimate_size",
-    "serialize_cost",
-    "deserialize_cost",
+    "codec_cost",
 ]

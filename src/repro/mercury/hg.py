@@ -9,9 +9,11 @@ processes -- a property the dispatch path relies on.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Optional
+
+from .serialization import SER_BASE_COST, SER_BYTES_PER_SECOND
 
 __all__ = [
     "rpc_id_of",
@@ -67,7 +69,12 @@ class _RequestStamps:
 
 @dataclass(slots=True, init=False)
 class RPCRequest(_RequestStamps):
-    """A request message on the wire."""
+    """A request message on the wire.
+
+    Like a Mercury handle whose proc has run, it knows its encoded size
+    from construction: ``wire_size`` is ``HEADER_SIZE + payload_size``
+    and ``codec_cost`` the CPU seconds to encode (or decode) the payload
+    (``serialization.codec_cost``, inlined)."""
 
     seq: int
     rpc_id: int
@@ -89,6 +96,8 @@ class RPCRequest(_RequestStamps):
     #: ``trace_crc_of(trace_id)``, set by a traced forward without
     #: formatting ``trace_id``; else the first tracer's decision sets it.
     trace_crc: int = NO_TRACE
+    wire_size: int = field(init=False, repr=False, compare=False)
+    codec_cost: float = field(init=False, repr=False, compare=False)
 
     #: Fixed header size added to the payload on the wire.
     HEADER_SIZE = 64
@@ -124,6 +133,8 @@ class RPCRequest(_RequestStamps):
         self.parent_trace_id = parent_trace_id
         self.parent_span_id = parent_span_id
         self.trace_crc = trace_crc
+        self.wire_size = self.HEADER_SIZE + payload_size
+        self.codec_cost = SER_BASE_COST + payload_size / SER_BYTES_PER_SECOND
 
     @property
     def span_id(self) -> str:
@@ -143,10 +154,6 @@ class RPCRequest(_RequestStamps):
             value = self._trace_id = self.parent_trace_id or self.span_id
             return value
 
-    @property
-    def wire_size(self) -> int:
-        return self.HEADER_SIZE + self.payload_size
-
 
 class _ResponseStamps:
     """The profiler's respond stamp, a declared slot unset until stamped."""
@@ -156,7 +163,7 @@ class _ResponseStamps:
 
 @dataclass(slots=True, init=False)
 class RPCResponse(_ResponseStamps):
-    """A response message on the wire."""
+    """A response message on the wire, sized and costed like a request."""
 
     seq: int
     status: str
@@ -164,6 +171,8 @@ class RPCResponse(_ResponseStamps):
     payload_size: int
     src_address: str
     error_message: Optional[str] = None
+    wire_size: int = field(init=False, repr=False, compare=False)
+    codec_cost: float = field(init=False, repr=False, compare=False)
 
     HEADER_SIZE = 48
 
@@ -182,7 +191,5 @@ class RPCResponse(_ResponseStamps):
         self.payload_size = payload_size
         self.src_address = src_address
         self.error_message = error_message
-
-    @property
-    def wire_size(self) -> int:
-        return self.HEADER_SIZE + self.payload_size
+        self.wire_size = self.HEADER_SIZE + payload_size
+        self.codec_cost = SER_BASE_COST + payload_size / SER_BYTES_PER_SECOND

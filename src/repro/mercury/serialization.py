@@ -16,8 +16,7 @@ from typing import Any
 
 __all__ = [
     "estimate_size",
-    "serialize_cost",
-    "deserialize_cost",
+    "codec_cost",
     "SER_BASE_COST",
     "SER_BYTES_PER_SECOND",
 ]
@@ -100,11 +99,6 @@ def estimate_size(obj: Any) -> int:
     raise TypeError(f"cannot estimate wire size of {type(obj).__name__}")
 
 
-def serialize_cost(size: int) -> float:
-    """CPU seconds to encode ``size`` bytes."""
-    return SER_BASE_COST + size / SER_BYTES_PER_SECOND
-
-
-def deserialize_cost(size: int) -> float:
-    """CPU seconds to decode ``size`` bytes (same model as encoding)."""
+def codec_cost(size: int) -> float:
+    """CPU seconds to encode, or to decode, ``size`` bytes (one model)."""
     return SER_BASE_COST + size / SER_BYTES_PER_SECOND

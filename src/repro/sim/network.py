@@ -110,10 +110,13 @@ class Node:
 class Process:
     """A simulated OS process.
 
-    The Margo instance for the process registers itself as the message
-    handler via :attr:`on_message`.  ``on_killed`` callbacks let upper
-    layers (Margo, Bedrock, SSG) tear down state when a fault kills the
-    process.
+    A raw listener is installed as :attr:`on_message` and reached through
+    :meth:`deliver`, which drops what arrives after the process died.
+    Routes post ``deliver``, so a listener that drops messages itself once
+    its owner is down may replace it: Margo installs its progress loop's
+    ``deliver``, and a kill finalizes that instance through ``on_killed``.
+    ``on_killed`` callbacks let upper layers (Margo, Bedrock, SSG) tear
+    down state when a fault kills the process.
     """
 
     def __init__(self, network: "Network", name: str, node: Node) -> None:
@@ -213,7 +216,8 @@ class Network:
     def route(self, src: Process, address: str) -> Optional[tuple]:
         """Resolve ``src``'s route to ``address`` into ``src.routes``:
         ``(dst, rpc latency, rpc bandwidth, bulk latency, bulk bandwidth,
-        cross_node, dst.deliver)``; None, and nothing cached, for an
+        cross_node, dst.deliver)`` -- the receiver's own listener when it
+        installed one as ``deliver``; None, and nothing cached, for an
         unknown address.  Callers try ``src.routes`` first."""
         dst = self.processes.get(address)
         if dst is None:
@@ -256,8 +260,11 @@ class Network:
 
         Returns ``True`` if the message was put on the wire (it may still
         be dropped by loss, partition, or receiver death before delivery)
-        and ``False`` when the destination is not even known.
+        and ``False`` when the destination is not even known.  A negative
+        ``size`` is refused before anything is counted.
         """
+        if size < 0:
+            raise ValueError(f"negative message size: {size}")
         self.messages_sent += 1
         self.bytes_sent += size
         route = src.routes.get(dst_address) or self.route(src, dst_address)
@@ -272,8 +279,6 @@ class Network:
             if self._loss_rng.random() < self.loss_probability:
                 self.messages_dropped += 1
                 return True
-        if size < 0:
-            raise ValueError(f"negative message size: {size}")
         # LinkModel.time's expression, term for term: simulated times
         # stay bit-identical to transfer_time's.
         delay = (latency + (size / bandwidth if size else 0.0)) + self.config.send_overhead

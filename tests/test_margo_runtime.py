@@ -19,6 +19,7 @@ from repro.margo import (
     RpcFailedError,
     RpcTimeoutError,
     UltSleep,
+    UltState,
 )
 from repro.mercury import NULL_PROVIDER, RPCRequest, RPCResponse
 from repro.sim.network import Network
@@ -125,6 +126,59 @@ def test_rpc_timeout_on_dead_server(cluster):
     with pytest.raises(RpcTimeoutError):
         cluster.run_ult(client, driver())
     assert cluster.now >= 0.5
+
+
+def kill_on_send(cluster, kind, victim):
+    """Kill ``victim`` the instant a message of ``kind`` leaves, so it
+    dies with that message on the wire."""
+    send = cluster.network.send
+
+    def spy(src, address, message, size):
+        if type(message) is kind:
+            cluster.faults.kill_process_at(0.0, victim.process)
+        return send(src, address, message, size)
+
+    cluster.network.send = spy
+
+
+def pushes(margo):
+    return sum(pool.total_pushed for pool in margo.pools.values())
+
+
+def test_a_request_in_flight_to_a_killed_server_is_dropped_at_delivery(cluster):
+    """Routes post Margo's own deliver: once a kill has finalized the
+    server, a request already on its cached route creates no handler ULT
+    and draws no reply."""
+    server, client = two_procs(cluster)
+    handled = []
+    server.register("echo", lambda ctx: handled.append(ctx.args) or ctx.args)
+    assert cluster.run_ult(client, client.forward(server.address, "echo", 1)) == 1
+    sent, pushed = cluster.network.messages_sent, pushes(server)
+    kill_on_send(cluster, RPCRequest, server)
+
+    with pytest.raises(RpcTimeoutError):
+        cluster.run_ult(client, client.forward(server.address, "echo", 2, timeout=1e-3))
+    assert not server.process.alive and server.finalized
+    assert handled == [1] and server.rpcs_handled == 1
+    assert pushes(server) == pushed  # neither progress nor a handler ULT
+    assert cluster.network.messages_sent == sent + 1  # the request, no reply
+
+
+def test_a_reply_in_flight_to_a_killed_client_wakes_nobody(cluster):
+    server, client = two_procs(cluster)
+    server.register("echo", lambda ctx: ctx.args)
+    assert cluster.run_ult(client, client.forward(server.address, "echo", 1)) == 1
+    kill_on_send(cluster, RPCResponse, client)
+    at_kill = []
+    client.process.on_killed.append(lambda: at_kill.append(pushes(client)))
+    caller = cluster.spawn(client, client.forward(server.address, "echo", 2))
+    cluster.run()
+    assert not client.process.alive and client.finalized
+    assert server.rpcs_handled == 2
+    # The reply landed after the kill and readied no one: the caller is
+    # still blocked, and no pool of the client saw a push since.
+    assert caller.state is UltState.BLOCKED and caller.result is None
+    assert at_kill == [pushes(client)]
 
 
 def test_reply_and_timeout_at_one_deadline_resolve_once():

@@ -8,9 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Cluster
 from repro.bedrock.jx9 import jx9_execute
-from repro.margo import MargoConfig
-from repro.mercury import BulkHandle, estimate_size
+from repro.margo import MargoConfig, RpcError
+from repro.mercury import (
+    STATUS_ERROR,
+    STATUS_NO_RPC,
+    STATUS_OK,
+    BulkHandle,
+    RPCRequest,
+    RPCResponse,
+    codec_cost,
+    estimate_size,
+)
 from repro.monitoring import RunningStats
 from repro.poesie import MiniInterpreter
 from repro.raft import LogEntry, RaftLog
@@ -132,6 +142,60 @@ def test_estimate_size_matches_recursive_walk_on_batches(payload):
 @given(json_values)
 def test_estimate_size_matches_recursive_walk_on_json(value):
     assert estimate_size(value) == recursive_estimate_size(value)
+
+
+# ----------------------------------------------------------------------
+# mercury: a message carries its wire size and codec charge
+# ----------------------------------------------------------------------
+class Declared:
+    """A payload of any declared wire size, with no bytes behind it."""
+
+    __slots__ = ("__wire_size__",)
+
+    def __init__(self, size):
+        self.__wire_size__ = size
+
+
+def _raise(ctx):
+    raise RuntimeError("refused")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31))
+def test_every_message_carries_its_wire_size_and_codec_charge(size):
+    """Each request and each reply the runtime sends -- OK, error and
+    no-handler -- goes out with ``wire_size == HEADER_SIZE +
+    payload_size`` and a ``codec_cost`` bit-equal to the codec model."""
+    cluster = Cluster(seed=1)
+    server = cluster.add_margo("server", node="n0")
+    client = cluster.add_margo("client", node="n1")
+    server.register("echo", lambda ctx: ctx.args)
+    server.register("fail", _raise)
+    sent = []
+    send = cluster.network.send
+
+    def tap(src, address, message, wire):
+        sent.append((message, wire))
+        return send(src, address, message, wire)
+
+    cluster.network.send = tap
+
+    def call(name):
+        try:
+            return (yield from client.forward(server.address, name, Declared(size)))
+        except RpcError as err:
+            return type(err).__name__
+
+    outcomes = [cluster.run_ult(client, call(name)) for name in ("echo", "fail", "nobody")]
+    assert outcomes[0].__wire_size__ == size
+    assert outcomes[1:] == ["RpcFailedError", "NoSuchRpcError"]
+    replies = [m for m, _ in sent if type(m) is RPCResponse]
+    assert [r.status for r in replies] == [STATUS_OK, STATUS_ERROR, STATUS_NO_RPC]
+    assert [r.payload_size for r in replies] == [size, 0, 0]
+    assert [m.payload_size for m, _ in sent if type(m) is RPCRequest] == [size] * 3
+    for message, wire in sent:
+        assert wire == message.wire_size == message.HEADER_SIZE + message.payload_size
+        assert message.codec_cost.hex() == codec_cost(message.payload_size).hex()
 
 
 #: RPC argument names: ASCII ones (sized in the dict's own frame) and

@@ -114,6 +114,22 @@ def test_send_to_unknown_address_returns_false(net):
     assert network.messages_dropped == 1
 
 
+def test_a_refused_send_counts_nothing(net):
+    """A negative size is refused before any counter moves, to a known
+    address or not (an unknown one raises too, rather than returning
+    False)."""
+    kernel, network = net
+    p1, p2 = make_pair(network)
+    received = []
+    p2.on_message = received.append
+    for address in (p2.address, "na+ofi://x/y"):
+        with pytest.raises(ValueError):
+            network.send(p1, address, "m", -75)
+    assert (network.messages_sent, network.bytes_sent, network.messages_dropped) == (0, 0, 0)
+    kernel.run()
+    assert received == []
+
+
 def test_partition_blocks_delivery(net):
     kernel, network = net
     p1, p2 = make_pair(network)
