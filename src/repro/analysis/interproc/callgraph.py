@@ -83,8 +83,6 @@ class ClassInfo:
     node: ast.ClassDef
     base_names: list[str] = field(default_factory=list)
     methods: dict[str, FunctionInfo] = field(default_factory=dict)
-    #: simple ``NAME = <expr>`` statements in the class body.
-    class_attrs: dict[str, ast.expr] = field(default_factory=dict)
 
 
 @dataclass
@@ -242,13 +240,6 @@ class ProjectIndex:
         for item in node.body:
             if isinstance(item, FunctionNode):
                 self._add_function(mod, item, cls=cls)
-            elif isinstance(item, ast.Assign):
-                for target in item.targets:
-                    if isinstance(target, ast.Name):
-                        cls.class_attrs[target.id] = item.value
-            elif isinstance(item, ast.AnnAssign):
-                if isinstance(item.target, ast.Name) and item.value is not None:
-                    cls.class_attrs[item.target.id] = item.value
         mod.classes[node.name] = cls
         self.classes[cls.qualname] = cls
         self.stats.classes += 1
@@ -333,12 +324,6 @@ class ProjectIndex:
         for ancestor in self.mro(cls):
             if name in ancestor.methods:
                 return ancestor.methods[name]
-        return None
-
-    def find_class_attr(self, cls: ClassInfo, name: str) -> Optional[ast.expr]:
-        for ancestor in self.mro(cls):
-            if name in ancestor.class_attrs:
-                return ancestor.class_attrs[name]
         return None
 
     # -- linking -------------------------------------------------------

@@ -19,8 +19,6 @@ Rule id blocks:
 * ``MCH03x``/``MCH04x`` -- concurrency (mochi-race: unordered accesses
   to shared state, order-dependent outcomes, lock-order cycles,
   wait-while-holding);
-* ``MCH05x`` -- RPC contracts (orphaned client calls, bad handler
-  shapes, results no handler returns);
 * ``MCH06x`` -- partitioning & migration (cross-component shared-state
   writes, migration snapshot coverage);
 * ``MCH09x`` -- meta (parse errors, bare suppressions).
@@ -52,7 +50,6 @@ __all__ = [
     "GROUP_CONFIG",
     "GROUP_CONCURRENCY",
     "GROUP_PERF",
-    "GROUP_CONTRACTS",
     "GROUP_PARTITION",
     "GROUP_META",
 ]
@@ -63,7 +60,6 @@ GROUP_SCHEDULING = "scheduling"
 GROUP_CONFIG = "configuration"
 GROUP_CONCURRENCY = "concurrency"
 GROUP_PERF = "performance"
-GROUP_CONTRACTS = "rpc-contracts"
 GROUP_PARTITION = "partitioning"
 GROUP_META = "meta"
 

@@ -116,7 +116,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="static analysis of Python sources and config documents",
         description=(
             "Mochi-aware static analyzer: enforces the simulator's "
-            "determinism, cooperative-scheduling, RPC-contract and "
+            "determinism, cooperative-scheduling, partitioning and "
             "protocol invariants over Python sources (per file, whole "
             "program and path by path in one pass), and runs Bedrock's "
             "boot checks on Margo/Bedrock JSON configuration documents."
@@ -138,7 +138,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--stats", action="store_true",
         help=(
             "print analysis coverage counters (dynamic call sites "
-            "skipped, RPC pairs checked, CFGs built) and where the run's "
+            "skipped, call edges resolved) and where the run's "
             "time went (seconds_parse / _file_rules / _index_effects / "
             "_project_rules) to stderr"
         ),

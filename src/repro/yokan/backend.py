@@ -130,7 +130,7 @@ class KVBackend:
 
     # ---- batch operations ---------------------------------------------
     # Backends override these when they can do better than a per-key
-    # loop; the provider's multi_put/multi_get RPCs call them so a bulk
+    # loop; the provider's put_multi/get_multi RPCs call them so a bulk
     # workload pays one backend crossing per batch, not one per record.
     def put_multi(self, pairs: Iterable[tuple[bytes, bytes]]) -> None:
         """Store every (key, value) pair in one call."""

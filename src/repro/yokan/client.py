@@ -87,17 +87,6 @@ class DatabaseHandle(ResourceHandle):
             return result.data
         return list(result)
 
-    # Batch aliases matching the C Yokan API naming (``yk_put_multi`` /
-    # ``yk_get_multi`` are exposed there as the "multi" family).  Bulk
-    # workloads in this repo standardize on these names.
-    def multi_put(self, pairs: Iterable[tuple[Any, Any]]) -> Generator:
-        result = yield from self.put_multi(pairs)
-        return result
-
-    def multi_get(self, keys: Iterable[Any]) -> Generator:
-        result = yield from self.get_multi(keys)
-        return result
-
     def erase_matching(self, prefix: Any = b"", suffix: Any = b"") -> Generator:
         """Erase every key with ``prefix`` and ``suffix``; returns count."""
         count = yield from self._forward(

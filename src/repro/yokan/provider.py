@@ -84,10 +84,6 @@ class YokanProvider(Provider):
         self.register_rpc("list_keys", self._on_list_keys)
         self.register_rpc("put_multi", self._on_put_multi)
         self.register_rpc("get_multi", self._on_get_multi)
-        # Batch aliases matching the C Yokan "multi" API family; same
-        # handlers, so either name reaches the batched backend path.
-        self.register_rpc("multi_put", self._on_put_multi)
-        self.register_rpc("multi_get", self._on_get_multi)
         self.register_rpc("flush", self._on_flush)
         self.register_rpc("fetch_image", self._on_fetch_image)
         self.register_rpc("erase_matching", self._on_erase_matching)
@@ -209,6 +205,9 @@ class YokanProvider(Provider):
             for k in self.backend.list_keys(prefix=prefix)
             if not suffix or k.endswith(suffix)
         ]
+        if _race.ENABLED:
+            for key in victims:
+                _race.note_write(self.backend, key, f"yokan:{self.name}.erase_matching")
         erased_bytes = 0
         for key in victims:
             erased_bytes += len(key) + len(self.backend.get(key))
@@ -224,6 +223,9 @@ class YokanProvider(Provider):
     def _on_fetch_image(self, ctx: RequestContext) -> Generator:
         """Serve the full database image over the bulk path (used by
         virtual-database resync and top-down recovery)."""
+        if _race.ENABLED:
+            for key in self.backend.list_keys():
+                _race.note_read(self.backend, key, f"yokan:{self.name}.fetch_image")
         image = self.backend.dump()
         yield Compute(_op_cost(len(image)))
         yield from self.margo.bulk_transfer(ctx.source, len(image), op=BULK_OP_PUSH)

@@ -76,9 +76,6 @@ class VirtualYokanProvider(Provider):
         self.register_rpc("list_keys", self._on_list_keys)
         self.register_rpc("put_multi", self._on_put_multi)
         self.register_rpc("get_multi", self._on_get_multi)
-        # Same batch aliases the plain provider exposes.
-        self.register_rpc("multi_put", self._on_put_multi)
-        self.register_rpc("multi_get", self._on_get_multi)
 
     # ------------------------------------------------------------------
     # write path: all replicas, concurrently

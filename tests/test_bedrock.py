@@ -316,12 +316,13 @@ def test_checkpoint_restore_via_bedrock():
         yield from db.put("k", "precious")
         ckpt = yield from handle.checkpoint_provider("myProviderA", "ckpt/a")
         yield from db.put("k", "clobbered")
-        yield from handle.restore_provider("myProviderA", "ckpt/a")
-        return ckpt, (yield from db.get("k"))
+        restored = yield from handle.restore_provider("myProviderA", "ckpt/a")
+        return ckpt, restored, (yield from db.get("k"))
 
-    ckpt, value = run(cluster, cm, driver())
+    ckpt, restored, value = run(cluster, cm, driver())
     assert value == b"precious"
     assert ckpt["bytes"] > 0
+    assert restored == {"bytes": ckpt["bytes"], "path": "ckpt/a"}
     assert pfs.exists("ckpt/a")
 
 

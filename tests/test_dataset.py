@@ -61,12 +61,12 @@ def test_partial_write_and_read(rig):
 
     def driver():
         yield from ds.create("d")
-        yield from ds.write("d", b"AAAA")
-        yield from ds.write("d", b"BB", offset=2)
+        first = yield from ds.write("d", b"AAAA")
+        second = yield from ds.write("d", b"BB", offset=2)
         part = yield from ds.read("d", offset=1, size=3)
-        return part
+        return first, second, part
 
-    assert cluster.run_ult(app, driver()) == b"ABB"
+    assert cluster.run_ult(app, driver()) == (4, 2, b"ABB")
 
 
 def test_large_payload_uses_bulk(rig):

@@ -59,9 +59,14 @@ def test_plain_call_to_generator_is_construction_not_edge():
 
 
 def test_getattr_calls_are_counted_not_guessed():
-    index = build_project(parse_fixture("dyn"))
+    source = (
+        "class Provider:\n"
+        "    def trigger(self, obj, name):\n"
+        "        return getattr(obj, name)()\n"
+    )
+    index = build_project([FileContext.parse("standalone.py", source)])
     assert index.stats.dynamic_getattr_calls == 1
-    assert index.functions["dyn.svc.DynProvider.trigger"].edges == []
+    assert index.functions["standalone.Provider.trigger"].edges == []
 
 
 def test_build_is_deterministic():

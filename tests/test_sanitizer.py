@@ -1,6 +1,6 @@
 """Runtime checker, strict and record mode: MCH011/MCH012, and the
-running proofs that retired the static rules MCH015 and
-MCH070-MCH074."""
+running proofs that retired the static rules MCH015, MCH050-MCH052
+and MCH070-MCH074."""
 
 from types import SimpleNamespace
 
@@ -10,7 +10,8 @@ from repro import Cluster
 from repro.analysis.race import hooks
 from repro.analysis.race.hooks import SanitizerError
 from repro.bedrock import BedrockClient, boot_process
-from repro.margo import Compute, NoSuchRpcError, RpcTimeoutError
+from repro.core.component import Client, Provider, ResourceHandle
+from repro.margo import Compute, NoSuchRpcError, RpcFailedError, RpcTimeoutError
 from repro.margo.ult import Park, UltEvent, UltMutex, UltSleep
 from repro.observability import Tracer
 from repro.yokan import YokanClient
@@ -579,6 +580,67 @@ def test_mch074_manual_span_api_is_gone_by_running(strict):
     cluster, margo = make_rig()
     with pytest.raises(AttributeError, match="start_span"):
         cluster.run_ult(margo, migrate_bad(Tracer(), margo, "db"))
+    assert strict.findings == []
+
+
+# ----------------------------------------------------------------------
+# MCH050-MCH052 (RPC contracts): one broken end of each, by running
+# ----------------------------------------------------------------------
+class KvProvider(Provider):
+    component_type = "kv"
+
+    def __init__(self, margo, stat=False):
+        super().__init__(margo, "kv", provider_id=1)
+        self.register_rpc("get", self._on_get)
+        self.register_rpc("scan", self._on_scan)
+        self.register_rpc("ping", lambda ctx: "pong")  # a plain function
+        if stat:
+            self.register_rpc("stat", self._on_stat)  # no such method
+
+    def _on_get(self, ctx):
+        yield Compute(1e-6)  # ends without a return
+
+    def _on_scan(self, prefix, limit, extra):  # called as (ctx)
+        return [prefix, limit, extra]
+
+
+class KvHandle(ResourceHandle):
+    def call(self, op):
+        return (yield from self._forward(op, {}))
+
+
+class KvClient(Client):
+    component_type = "kv"
+    handle_cls = KvHandle
+
+
+def test_mch051_missing_handler_by_running(strict):
+    _, server, _ = respond_rig()
+    with pytest.raises(AttributeError, match="_on_stat"):
+        KvProvider(server, stat=True)
+    assert strict.findings == []
+
+
+@pytest.mark.parametrize(
+    "op, raises, reply",
+    [
+        ("lookup", NoSuchRpcError, None),  # MCH050; raw forward: test_no_such_rpc
+        ("scan", RpcFailedError, "TypeError"),  # MCH051
+        ("ping", None, "pong"),  # MCH051's "not a generator" is supported
+        ("get", None, None),  # MCH052: the caller binds None
+    ],
+    ids=["orphan", "arity", "plain", "no-return"],
+)
+def test_mch05x_rpc_contract_by_running(strict, op, raises, reply):
+    cluster, server, client = respond_rig()
+    KvProvider(server)
+    handle = KvClient(client).make_handle(server.address, 1)
+    if raises is None:
+        assert cluster.run_ult(client, handle.call(op)) == reply
+    else:
+        with pytest.raises(raises) as failed:
+            cluster.run_ult(client, handle.call(op))
+        assert reply is None or reply in str(failed.value)
     assert strict.findings == []
 
 

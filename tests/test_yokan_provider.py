@@ -398,33 +398,6 @@ def test_virtual_resync_repairs_replaced_replica(virtual_rig):
 
 
 # ----------------------------------------------------------------------
-# batch RPC aliases (multi_put / multi_get, C Yokan naming)
-# ----------------------------------------------------------------------
-def test_multi_put_multi_get_aliases(rig):
-    cluster, _, cm, provider, db = rig
-
-    def driver():
-        yield from db.multi_put([(f"k{i}", f"v{i}") for i in range(8)])
-        return (yield from db.multi_get([f"k{i}" for i in range(8)]))
-
-    values = run(cluster, cm, driver())
-    assert values == [f"v{i}".encode() for i in range(8)]
-    assert provider.backend.count() == 8
-
-
-def test_multi_put_alias_on_virtual_provider(virtual_rig):
-    cluster, backends, _, cm, db = virtual_rig
-
-    def driver():
-        yield from db.multi_put([(b"a", b"1"), (b"b", b"2")])
-        return (yield from db.multi_get([b"a", b"b"]))
-
-    assert run(cluster, cm, driver()) == [b"1", b"2"]
-    for provider in backends:
-        assert provider.backend.count() == 2
-
-
-# ----------------------------------------------------------------------
 # cost-model pin: batches travel by reference, the modelled cost does not
 # move.  The literals are simulated seconds recorded at the commit that
 # still packed every bulk batch with encode_records/decode_records.
@@ -531,6 +504,39 @@ def test_batch_cost_model_under_race_detector(request, monkeypatch):
     assert written == [key for key, _value in BULK_PAIRS]
     assert [key for state, key in noted["read"] if state is backend] == keys
     assert now == PINNED_NOW["rig", "bulk"]
+
+
+def test_erase_matching_replies_with_the_count(rig):
+    cluster, _, cm, provider, db = rig
+    pairs = [(b"ev1|raw", b"a"), (b"ev1|cal", b"b"), (b"ev2|raw", b"c"), (b"xx|raw", b"d")]
+
+    def driver():
+        yield from db.put_multi(pairs)
+        return (yield from db.erase_matching(prefix=b"ev", suffix=b"|raw"))
+
+    assert run(cluster, cm, driver()) == 2
+    assert sorted(provider.backend.list_keys()) == [b"ev1|cal", b"xx|raw"]
+
+
+@pytest.mark.parametrize("op, rule", [("erase_matching", "MCH030"), ("fetch_image", "MCH031")])
+def test_whole_database_ops_are_seen_by_the_race_checker(request, op, rule):
+    """A put, and an erase_matching (a write) or a fetch_image (a read)
+    of the same key, from two client ULTs nothing orders, race."""
+    from repro.analysis.race import hooks
+
+    was_enabled = hooks.ENABLED
+    hooks.disable()
+    hooks.enable()
+    try:
+        cluster, _, cm, _, db = request.getfixturevalue("rig")
+        other = db.erase_matching(prefix=b"k") if op == "erase_matching" else db.fetch_image()
+        run(cluster, cm, parallel(cm, [db.put(b"k1", b"v"), other]))
+        rules = [f.rule_id for f in hooks.findings]
+    finally:
+        hooks.disable()
+        if was_enabled:
+            hooks.enable()
+    assert rule in rules
 
 
 # ----------------------------------------------------------------------
