@@ -2,7 +2,7 @@
 
 :func:`run_lint` parses every file once, runs the file-scope rules on
 each file and the project-scope rules on the whole (building the shared
-call graph and effect fixpoint only when a selected rule needs them),
+call graph only when a selected rule needs it),
 then applies one select/ignore filter, one suppression pass and one
 sort.  :func:`lint_source` is the same pipeline over a one-file project,
 so every rule can be exercised on a snippet.
@@ -24,7 +24,6 @@ from . import interproc, rules  # noqa: F401 - register the static rules
 from .config_check import validate_config_file  # also registers MCH020
 from .findings import Finding, Severity
 from .interproc.callgraph import ProjectIndex, build_project
-from .interproc.effects import EffectAnalysis
 from .race import hooks as _race_hooks  # noqa: F401 - registers MCH03x/MCH04x
 from .registry import PARSE_ERROR, Rule, all_rules, rule_catalog
 from .rules import FileContext
@@ -70,10 +69,6 @@ class Project:
     @cached_property
     def index(self) -> ProjectIndex:
         return build_project(self.files)
-
-    @cached_property
-    def effects(self) -> EffectAnalysis:
-        return EffectAnalysis(self.index)
 
 
 @dataclass
@@ -126,8 +121,9 @@ def _lint(
     started = _now()
     files: list[FileContext] = []
     suppressions = {}
+    reportable = {info.id for rule in all_rules() for info in rule.infos}
     for path, source in sources:
-        suppressions[path] = parse_suppressions(source, path)
+        suppressions[path] = parse_suppressions(source, path, reportable)
         findings.extend(suppressions[path].findings)
         try:
             files.append(FileContext.parse(path, source))
@@ -148,8 +144,7 @@ def _lint(
     file_done = _now()
     project = Project(files)
     if project_rules:
-        project.effects  # builds the index and the fixpoint, once
-        project.stats.update(vars(project.index.stats))
+        project.stats.update(vars(project.index.stats))  # builds the index, once
     built = _now()
     for rule in project_rules:
         findings.extend(rule.check(project))
@@ -166,7 +161,7 @@ def _lint(
         project.stats,
         seconds_parse=round(parsed - started, 3),
         seconds_file_rules=round(file_done - parsed, 3),
-        seconds_index_effects=round(built - file_done, 3),
+        seconds_index=round(built - file_done, 3),
         seconds_project_rules=round(project_done - built, 3),
     )
     return LintResult(findings=kept, stats=stats)

@@ -6,11 +6,8 @@ indexed into modules, classes, and functions with stable qualified
 names (``module.Class.method`` / ``module.func``).  A linking pass
 then resolves every call site it can prove -- bare names, imports,
 ``self.method`` through the project class hierarchy, ``super()``,
-constructors -- into edges of two kinds:
-
-* ``call`` -- a plain invocation: the callee body runs now;
-* ``delegate`` -- ``yield from callee(...)``: the callee is a generator
-  whose body runs inline under the caller's ULT.
+constructors -- into edges: the callee body runs in the caller's frame,
+as a plain call or as a generator driven by ``yield from``.
 
 A plain (non-``yield from``) call to a *generator* function only builds
 the generator object, so it produces **no** edge -- running it is the
@@ -52,8 +49,6 @@ class CallEdge:
 
     callee: str  #: qualified name of the target function
     line: int
-    kind: str  #: ``call`` or ``delegate`` (yield from)
-    display: str  #: source spelling of the target, for messages
 
 
 @dataclass
@@ -342,30 +337,21 @@ class ProjectIndex:
         for node in func.body:
             if not isinstance(node, ast.Call):
                 continue
-            target = self._resolve_call_target(func, mod, node)
-            if target is None:
+            callee = self._resolve_call_target(func, mod, node)
+            if callee is None:
                 continue
-            callee, display = target
-            is_delegate = id(node) in delegated
-            if callee.is_generator and not is_delegate:
+            if callee.is_generator and id(node) not in delegated:
                 # Builds the generator without running it: no edge.
                 self.stats.generator_constructions += 1
                 continue
-            edges.append(
-                CallEdge(
-                    callee=callee.qualname,
-                    line=node.lineno,
-                    kind="delegate" if is_delegate else "call",
-                    display=display,
-                )
-            )
+            edges.append(CallEdge(callee=callee.qualname, line=node.lineno))
             self.stats.resolved_edges += 1
         edges.sort(key=lambda e: (e.line, e.callee))
         func.edges = edges
 
     def _resolve_call_target(
         self, func: FunctionInfo, mod: ModuleInfo, node: ast.Call
-    ) -> Optional[tuple[FunctionInfo, str]]:
+    ) -> Optional[FunctionInfo]:
         callee_expr = node.func
         # getattr(obj, name)(...) -- a dynamic edge we refuse to guess.
         if (
@@ -383,31 +369,21 @@ class ProjectIndex:
             and callee_expr.value.func.id == "super"
             and func.cls is not None
         ):
-            ancestors = list(self.mro(func.cls))[1:]
-            for ancestor in ancestors:
+            for ancestor in list(self.mro(func.cls))[1:]:
                 if callee_expr.attr in ancestor.methods:
-                    return (
-                        ancestor.methods[callee_expr.attr],
-                        f"super().{callee_expr.attr}",
-                    )
+                    return ancestor.methods[callee_expr.attr]
             return None
         dotted = dotted_name(callee_expr)
         if dotted is None:
             return None
         parts = dotted.split(".")
         if parts[0] == "self" and func.cls is not None:
-            if len(parts) == 2:
-                method = self.find_method(func.cls, parts[1])
-                if method is not None:
-                    return method, dotted
-            return None
+            return self.find_method(func.cls, parts[1]) if len(parts) == 2 else None
         resolved = self.resolve_name(mod, dotted)
         if isinstance(resolved, FunctionInfo):
-            return resolved, dotted
+            return resolved
         if isinstance(resolved, ClassInfo):
-            init = self.find_method(resolved, "__init__")
-            if init is not None:
-                return init, f"{dotted}()"
+            return self.find_method(resolved, "__init__")
         return None
 
 

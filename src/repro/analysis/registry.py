@@ -12,9 +12,8 @@ Rule id blocks:
   state), and performance
   (``MCH006``: a per-event lambda, closure or dict inside
   ``# mochi-lint: hotpath`` functions);
-* ``MCH01x`` -- cooperative scheduling (blocking calls reachable from
-  ULTs, yield-while-holding-lock, handlers that never respond,
-  misbehaving monitor hooks);
+* ``MCH01x`` -- cooperative scheduling (yield-while-holding-lock,
+  handlers that never respond, misbehaving monitor hooks);
 * ``MCH020`` -- configuration (a document the boot path would reject);
 * ``MCH03x``/``MCH04x`` -- concurrency (mochi-race: unordered accesses
   to shared state, order-dependent outcomes, lock-order cycles,
@@ -26,7 +25,7 @@ Rule id blocks:
 A static rule's check has one of two scopes: ``file`` checks take the
 :class:`~repro.analysis.rules.FileContext` of one parsed file,
 ``project`` checks take the engine's ``Project`` (every file plus the
-shared call graph and effect fixpoint).  Both register through
+shared call graph).  Both register through
 :func:`rule` and run in the same pipeline.
 """
 
@@ -162,11 +161,15 @@ BARE_SUPPRESSION = RuleInfo(
     name="suppression-without-justification",
     group=GROUP_META,
     severity=Severity.ERROR,
-    summary="`# mochi-lint: disable=...` without a `-- justification` tail",
+    summary=(
+        "`# mochi-lint: disable=...` without a `-- justification` tail, "
+        "or naming an id no static check reports"
+    ),
     rationale=(
         "suppressions are load-bearing: each one is a claim that a "
         "checked invariant holds for out-of-band reasons, and that claim "
-        "must be written down where the suppression lives"
+        "must be written down where the suppression lives; one that "
+        "names a retired or runtime-only rule silences nothing"
     ),
 )
 

@@ -10,25 +10,16 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 __all__ = [
     "FileContext",
     "dotted_name",
     "call_name",
     "own_body_walk",
-    "is_ult_generator",
 ]
 
 FunctionNode = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-#: ULT command constructors: a generator that yields one of these is,
-#: by construction, a ULT body.
-ULT_COMMANDS = frozenset({"Compute", "Park", "UltSleep", "UltYield"})
-
-#: Methods whose generators ULT code composes with ``yield from``.
-ULT_DELEGATES = frozenset({"forward", "bulk_transfer", "acquire", "wait"})
-
 
 def dotted_name(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for a Name/Attribute chain, else None."""
@@ -71,7 +62,7 @@ class FileContext:
     """One parsed file, plus the traversals every rule would otherwise
     repeat: the node list, the function list and each function's
     own-body node list are computed once per lint run and shared by the
-    file rules, the call graph and the effect seed."""
+    file rules and the call graph."""
 
     path: str
     source: str
@@ -103,19 +94,6 @@ class FileContext:
         if nodes is None:
             nodes = self._bodies[id(func)] = list(own_body_walk(func))
         return nodes
-
-
-def is_ult_generator(body: Iterable[ast.AST]) -> bool:
-    """True when the own-body nodes are a ULT body: they yield ULT
-    commands, or delegate to runtime generators via yield-from."""
-    for node in body:
-        if isinstance(node, ast.Yield) and isinstance(node.value, ast.Call):
-            if last_attr(node.value.func) in ULT_COMMANDS:
-                return True
-        elif isinstance(node, ast.YieldFrom) and isinstance(node.value, ast.Call):
-            if last_attr(node.value.func) in ULT_DELEGATES:
-                return True
-    return False
 
 
 # Import the rule modules for their registration side effects.

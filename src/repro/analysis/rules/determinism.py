@@ -1,12 +1,14 @@
 """Determinism rules (MCH00x).
 
 Code running under the simulated Margo runtime must produce bit-identical
-schedules for equal seeds.  Anything that reads the real world -- the
-wall clock, the process RNG -- silently breaks that contract without
-failing a single functional test, which is exactly why these are lint
-rules and not assertions.  Iteration order that follows the hash seed
-is checked by running instead: ``make contract`` regenerates every
-table under two ``PYTHONHASHSEED`` values and diffs them.
+schedules for equal seeds.  An unseeded draw that reaches a timing or a
+pinned output fails the same-seed tests, under any alias; one whose
+value nothing pinned reads (a token id, a scenario's election jitter)
+passes every running check, and only its name gives it away -- which
+is why these stay lint rules (benchmarks/results/rules_by_running.txt).
+Iteration order that follows the hash seed is checked by running
+instead: ``make contract`` regenerates every table under two
+``PYTHONHASHSEED`` values and diffs them.
 """
 
 from __future__ import annotations

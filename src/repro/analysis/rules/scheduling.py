@@ -4,8 +4,7 @@ The kernel is single-threaded and cooperative: an RPC handler ULT that
 blocks for real, parks forever, or suspends while holding a mutex does
 not crash anything -- it silently wedges or serializes the simulation.
 The file-scope rules live here, next to the catalog entry of the
-runtime-only check ``MCH012``; the whole-program ``MCH014`` shares
-:data:`BLOCKING_CALLS`.
+runtime-only check ``MCH012``.
 """
 
 from __future__ import annotations
@@ -15,37 +14,6 @@ import ast
 from ..findings import Finding, Severity
 from ..registry import GROUP_SCHEDULING, RuleInfo, register, rule
 from . import FileContext, FunctionNode, last_attr
-
-#: Real-world blocking calls that stall the whole event loop when issued
-#: from inside a ULT body.
-BLOCKING_CALLS = frozenset(
-    {
-        "time.sleep",
-        "input",
-        "os.system",
-        "os.popen",
-        "os.wait",
-        "select.select",
-        "socket.socket",
-        "socket.create_connection",
-        "subprocess.run",
-        "subprocess.call",
-        "subprocess.check_call",
-        "subprocess.check_output",
-        "subprocess.Popen",
-        "requests.get",
-        "requests.post",
-        "requests.put",
-        "requests.delete",
-        "requests.request",
-        "urllib.request.urlopen",
-        "threading.Thread",
-        "threading.Lock",
-        "threading.Event",
-        "multiprocessing.Process",
-        "queue.Queue",
-    }
-)
 
 #: Yielded commands that suspend the ULT (give up the stream).
 _SUSPENDING_COMMANDS = frozenset({"UltSleep", "Park"})

@@ -11,7 +11,9 @@ Two forms, both requiring a justification after ``--``:
       # mochi-lint: disable-file=MCH001 -- this benchmark measures real time
 
 A suppression with no justification is itself a finding (``MCH091``),
-and the meta rules ``MCH090``/``MCH091`` can never be suppressed --
+and so is one naming an id no static check reports (a retired rule, a
+typo, a runtime-only id such as ``MCH012``): it would silence nothing.
+The meta rules ``MCH090``/``MCH091`` can never be suppressed --
 otherwise one bare comment could turn the whole gate off.
 """
 
@@ -54,25 +56,35 @@ class Suppressions:
         return finding.rule_id in self.line_ids.get(finding.line, ())
 
 
-def parse_suppressions(source: str, path: str) -> Suppressions:
-    """Extract every suppression comment from ``source``."""
+def parse_suppressions(source: str, path: str, reportable: set[str]) -> Suppressions:
+    """Extract every suppression comment from ``source``; ``reportable``
+    is the set of ids the static checks report."""
     result = Suppressions()
     for lineno, line in enumerate(source.splitlines(), start=1):
         match = _PATTERN.search(line)
         if match is None:
             continue
         ids = {part.strip() for part in match.group("ids").split(",")}
+        stale = sorted(ids - reportable)
+        problem = None
         if not match.group("why"):
+            problem = (
+                f"suppression of {sorted(ids)} has no justification; "
+                "write `# mochi-lint: disable=... -- <why this is safe>`"
+            )
+        elif stale:
+            problem = (
+                f"suppression of {stale} names no rule a static check "
+                "reports; delete it"
+            )
+        if problem is not None:
             result.findings.append(
                 Finding(
                     rule_id=BARE_SUPPRESSION.id,
                     severity=BARE_SUPPRESSION.severity,
                     path=path,
                     line=lineno,
-                    message=(
-                        f"suppression of {sorted(ids)} has no justification; "
-                        "write `# mochi-lint: disable=... -- <why this is safe>`"
-                    ),
+                    message=problem,
                 )
             )
             continue

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Container, Generator, Optional
 
 from ..core.component import Provider
+from ..margo.errors import RpcTimeoutError
 from ..margo.runtime import MargoInstance, RequestContext
 from ..margo.ult import Compute
 from ..observability.exporters import chrome_trace
@@ -404,30 +405,47 @@ class BedrockServer(Provider):
         self._check_unlocked(f"provider:{op['name']}")
         self._validate_start(op)
         record = self._execute_start(op)
-        # Register remote dependents so the dependency's process can
-        # refuse to stop it while we rely on it.
-        for spec in record.dependencies.values():
-            if isinstance(spec, dict):
-                try:
-                    yield from self.margo.forward(
-                        spec["address"],
-                        "bedrock_add_dependent",
-                        {
-                            "name": self._remote_dep_target(spec),
-                            "dependent": f"remote:{self.margo.address}:{record.name}",
-                        },
-                        provider_id=BEDROCK_PROVIDER_ID,
-                        timeout=2.0,
-                    )
-                except BedrockError:
-                    raise
-                except Exception:
-                    pass  # dependency process may not run bedrock; tolerated
+        # Pin the provider on each remote dependency's process, so that
+        # process refuses to stop what we rely on.  A pin that fails
+        # undoes the start: it leaves neither the provider nor a pin.
+        pinned = []
+        try:
+            for spec in self._remote_dependencies(record):
+                yield from self._forward_pin(spec, record, "bedrock_add_dependent")
+                pinned.append(spec)
+        except Exception:
+            try:
+                for spec in pinned:
+                    yield from self._unpin(spec, record)
+            finally:
+                if self.records.get(record.name) is record:
+                    self._execute_stop({"name": record.name})
+            raise
         return record.describe()
 
     @staticmethod
-    def _remote_dep_target(spec: dict[str, Any]) -> dict[str, Any]:
-        return {"type": spec["type"], "provider_id": spec["provider_id"]}
+    def _remote_dependencies(record: ProviderRecord) -> list[dict[str, Any]]:
+        return [spec for spec in record.dependencies.values() if isinstance(spec, dict)]
+
+    def _forward_pin(self, spec: dict[str, Any], record: ProviderRecord, rpc: str) -> Generator:
+        yield from self.margo.forward(
+            spec["address"],
+            rpc,
+            {
+                "name": {"type": spec["type"], "provider_id": spec["provider_id"]},
+                "dependent": f"remote:{self.margo.address}:{record.name}",
+            },
+            provider_id=BEDROCK_PROVIDER_ID,
+            timeout=2.0,
+        )
+
+    def _unpin(self, spec: dict[str, Any], record: ProviderRecord) -> Generator:
+        try:
+            yield from self._forward_pin(spec, record, "bedrock_remove_dependent")
+        except RpcTimeoutError:
+            # The dependency's process is dead or unreachable (an
+            # unknown address times out too): it holds no pin to drop.
+            pass
 
     def _on_stop_provider(self, ctx: RequestContext) -> Generator:
         op = ctx.args
@@ -435,22 +453,8 @@ class BedrockServer(Provider):
         self._check_unlocked(f"provider:{op['name']}")
         self._validate_stop(op)
         record = self.records[op["name"]]
-        # Unpin ourselves from remote dependencies.
-        for spec in record.dependencies.values():
-            if isinstance(spec, dict):
-                try:
-                    yield from self.margo.forward(
-                        spec["address"],
-                        "bedrock_remove_dependent",
-                        {
-                            "name": self._remote_dep_target(spec),
-                            "dependent": f"remote:{self.margo.address}:{record.name}",
-                        },
-                        provider_id=BEDROCK_PROVIDER_ID,
-                        timeout=2.0,
-                    )
-                except Exception:
-                    pass
+        for spec in self._remote_dependencies(record):
+            yield from self._unpin(spec, record)
         self._execute_stop(op)
         return None
 

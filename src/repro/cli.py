@@ -139,7 +139,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help=(
             "print analysis coverage counters (dynamic call sites "
             "skipped, call edges resolved) and where the run's "
-            "time went (seconds_parse / _file_rules / _index_effects / "
+            "time went (seconds_parse / _file_rules / _index / "
             "_project_rules) to stderr"
         ),
     )

@@ -1,13 +1,34 @@
 """mochi-lint rules on snippets: one positive + one negative fixture per
-rule, each linted as a one-file project."""
+rule, each linted as a one-file project.  The snippets of a retired rule
+run instead, as ULTs under the running check that replaced it."""
 
 import textwrap
 
+from conftest import REFUSED, BlockingCallError
+
+from repro import Cluster
 from repro.analysis.engine import lint_source
+from repro.margo.ult import UltSleep
 
 
 def lint(code, **kwargs):
     return lint_source(textwrap.dedent(code), path="fixture.py", **kwargs)
+
+
+def run_in_ult(code):
+    """Run the snippet's ``worker()`` as a ULT: the blocking calls the
+    root conftest refused on the way."""
+    namespace = {"UltSleep": UltSleep}
+    exec(textwrap.dedent(code), namespace)
+    cluster = Cluster(seed=1)
+    margo = cluster.add_margo("m", node="n0")
+    try:
+        cluster.run_ult(margo, namespace["worker"]())
+    except BlockingCallError:
+        pass
+    refused = [call.split("(")[0] for call in REFUSED]
+    REFUSED.clear()
+    return refused
 
 
 def ids(findings):
@@ -212,121 +233,103 @@ def test_mch005_clean_on_counted_reraised_or_non_observers():
 
 
 # ----------------------------------------------------------------------
-# MCH014 blocking-call-reachable-from-ult (depth 0 and one hop)
+# MCH014 (was MCH010) blocking-call-reachable-from-ult, retired: the root
+# conftest refuses the call while a ULT runs, at any depth, any alias
 # ----------------------------------------------------------------------
 def test_mch010_flags_blocking_call_in_ult_body():
-    findings = lint(
+    refused = run_in_ult(
         """
         import subprocess
         def worker():
             yield UltSleep(1.0)
-            subprocess.run(["ls"])
-        """,
-        select=["MCH014"],
+            subprocess.run(["true"])
+        """
     )
-    assert ids(findings) == ["MCH014"]
-    assert "subprocess.run" in findings[0].message
+    assert refused == ["subprocess.run"]
 
 
 def test_mch010_ignores_plain_functions():
-    # Not a ULT generator: blocking here is ordinary host-side code.
-    findings = lint(
-        """
-        import subprocess
-        def build():
-            return subprocess.run(["make"])
-        """,
-        select=["MCH014"],
-    )
-    assert findings == []
+    # Not a ULT: blocking here is ordinary host-side code.
+    namespace = {}
+    exec("import subprocess\ndef build():\n    return subprocess.run(['true'])\n", namespace)
+    assert namespace["build"]().returncode == 0
+    assert REFUSED == []
 
 
 def test_mch010_ignores_nested_non_ult_helpers():
-    # The blocking call lives in a nested plain function, not the ULT,
-    # and the ULT never *calls* it -- it only returns the reference.
-    findings = lint(
+    # The ULT only returns the blocking helper; it never calls it.
+    refused = run_in_ult(
         """
         import subprocess
         def worker():
             def helper():
-                return subprocess.run(["ls"])
+                return subprocess.run(["true"])
             yield UltSleep(1.0)
             return helper
-        """,
-        select=["MCH014"],
+        """
     )
-    assert findings == []
+    assert refused == []
 
 
 def test_mch010_flags_call_to_blocking_helper():
-    # One hop down the call graph: the ULT calls a plain helper that blocks.
-    findings = lint(
+    # One hop down, under an alias.
+    refused = run_in_ult(
         """
-        import time
+        import time as _t
         def pause():
-            time.sleep(0.5)
+            _t.sleep(0.001)
         def worker():
             yield UltSleep(1.0)
             pause()
-        """,
-        select=["MCH014"],
+        """
     )
-    assert ids(findings) == ["MCH014"]
-    assert "pause" in findings[0].message
-    assert "time.sleep" in findings[0].message
-    assert findings[0].line == 7
+    assert refused == ["time.sleep"]
 
 
 def test_mch010_flags_self_call_to_blocking_helper():
-    findings = lint(
+    refused = run_in_ult(
         """
         import socket
         class Peer:
             def _connect(self):
-                return socket.create_connection(("host", 80))
+                return socket.create_connection(("localhost", 9), timeout=0.01)
             def handler(self):
                 yield UltSleep(0.1)
                 self._connect()
-        """,
-        select=["MCH014"],
+        def worker():
+            yield from Peer().handler()
+        """
     )
-    assert ids(findings) == ["MCH014"]
-    assert "_connect" in findings[0].message
-    assert "socket.create_connection" in findings[0].message
+    assert refused == ["socket.create_connection"]
 
 
 def test_mch010_ignores_call_to_clean_helper():
-    # The helper does host-side work but nothing blocking.
-    findings = lint(
+    refused = run_in_ult(
         """
-        def shape(data):
-            return sorted(data)
-        def worker(data):
+        def shape():
+            return sorted([3, 1, 2])
+        def worker():
             yield UltSleep(1.0)
-            return shape(data)
-        """,
-        select=["MCH014"],
+            return shape()
+        """
     )
-    assert findings == []
+    assert refused == []
 
 
 def test_mch010_blocking_ult_helper_not_double_flagged():
-    # A helper that is itself a ULT generator is flagged directly at its
-    # own blocking call; delegating to it is not a second finding.
-    findings = lint(
+    # One blocking call, one refusal, however many ULT frames delegate.
+    refused = run_in_ult(
         """
         import time
         def inner():
             yield UltSleep(1.0)
-            time.sleep(0.5)
-        def outer():
+            time.sleep(0.001)
+        def worker():
             yield UltSleep(1.0)
             yield from inner()
-        """,
-        select=["MCH014"],
+        """
     )
-    assert ids(findings) == ["MCH014"]
-    assert findings[0].line == 5
+    assert refused == ["time.sleep"]
 
 
 # ----------------------------------------------------------------------
@@ -459,6 +462,7 @@ def test_file_suppression_covers_whole_file():
 # bare suppression here would (correctly) be flagged when CI lints tests/.
 BARE_SUPPRESSION = "# mochi-lint: " + "disable=MCH001"
 META_SUPPRESSION = "# mochi-lint: " + "disable-file=MCH091 -- trying to turn the gate off"
+STALE_SUPPRESSION = "# mochi-lint: " + "disable=MCH001,MCH012,MCH014,MCH999 -- stale"
 
 
 def test_bare_suppression_is_mch091():
@@ -471,6 +475,19 @@ def test_bare_suppression_is_mch091():
     )
     # The bare comment still suppresses nothing and is itself flagged.
     assert ids(findings) == ["MCH001", "MCH091"]
+
+
+def test_suppression_of_an_id_no_static_check_reports_is_mch091():
+    # A retired rule, a typo and a runtime-only id silence nothing.
+    findings = lint(
+        f"""
+        import time
+        def stamp():
+            return time.time()  {STALE_SUPPRESSION}
+        """
+    )
+    assert ids(findings) == ["MCH001", "MCH091"]
+    assert "['MCH012', 'MCH014', 'MCH999']" in findings[1].message
 
 
 def test_meta_rules_cannot_be_suppressed():

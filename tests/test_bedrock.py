@@ -4,6 +4,7 @@ import pytest
 
 from repro import Cluster
 from repro.bedrock import (
+    BEDROCK_PROVIDER_ID,
     BedrockClient,
     BedrockConfigError,
     BedrockModule,
@@ -146,6 +147,10 @@ def test_listing5_sequence(rig):
 
     def driver():
         yield from handle.add_pool({"name": "TempPool"})
+        yield from handle.add_xstream(
+            {"name": "TempES", "scheduler": {"type": "basic", "pools": ["TempPool"]}}
+        )
+        yield from handle.remove_xstream("TempES")
         yield from handle.remove_pool("TempPool")
         yield from handle.add_pool({"name": "BPool"})
         yield from handle.add_xstream(
@@ -156,12 +161,16 @@ def test_listing5_sequence(rig):
             "myProviderB", "warabi", provider_id=2, pool="BPool"
         )
         providers = yield from handle.list_providers()
-        return result, providers
+        config = yield from handle.get_config()
+        return result, providers, config
 
-    result, providers = run(cluster, cm, driver())
+    result, providers, config = run(cluster, cm, driver())
     assert result["name"] == "myProviderB"
     assert providers == ["myProviderA", "myProviderB"]
     assert "BPool" in margo.pools
+    argobots = config["margo"]["argobots"]
+    assert [x["name"] for x in argobots["xstreams"]] == ["MyES0", "BES"]
+    assert [p["name"] for p in argobots["pools"]] == ["MyPoolX", "BPool"]
 
 
 def test_stop_provider_remote(rig):
@@ -256,32 +265,36 @@ def test_get_config_and_jx9_query(rig):
     assert "MyPoolX" in pool_names
 
 
-def test_remote_dependency_and_pin(rig):
-    """A provider on process B depends on a provider on process A; A's
-    Bedrock learns about the remote dependent and protects it."""
-    cluster, margo_a, bedrock_a, cm, handle_a = rig
+def _boot_b(cluster, cm):
     margo_b, bedrock_b = boot_process(
         cluster, "server-b", "nb",
         {"libraries": {"yokan": "libyokan.so", "yokan-virtual": "libyokan-virtual.so"}},
     )
-    handle_b = BedrockClient(cm).make_service_handle(margo_b.address)
+    return margo_b, bedrock_b, BedrockClient(cm).make_service_handle(margo_b.address)
 
-    def driver():
-        yield from handle_b.start_provider(
-            "vdb",
-            "yokan-virtual",
-            provider_id=9,
-            config={"targets": [{"address": margo_a.address, "provider_id": 1}]},
-            dependencies={
-                "backend": {
-                    "type": "yokan",
-                    "address": margo_a.address,
-                    "provider_id": 1,
-                }
-            },
-        )
 
-    run(cluster, cm, driver())
+def _start_vdb(handle_b, *addresses):
+    """Start B's virtual database ``vdb`` on the Yokan provider 1 of
+    each of ``addresses``, a remote dependency (a pin) on each."""
+    yield from handle_b.start_provider(
+        "vdb",
+        "yokan-virtual",
+        provider_id=9,
+        config={"targets": [{"address": a, "provider_id": 1} for a in addresses]},
+        dependencies={
+            f"backend{i}": {"type": "yokan", "address": a, "provider_id": 1}
+            for i, a in enumerate(addresses)
+        },
+    )
+
+
+def test_remote_dependency_and_pin(rig):
+    """A provider on process B depends on a provider on process A; A's
+    Bedrock learns about the remote dependent and protects it."""
+    cluster, margo_a, bedrock_a, cm, handle_a = rig
+    margo_b, bedrock_b, handle_b = _boot_b(cluster, cm)
+
+    run(cluster, cm, _start_vdb(handle_b, margo_a.address))
     assert bedrock_a.dependents["myProviderA"] == {
         f"remote:{margo_b.address}:vdb"
     }
@@ -299,6 +312,36 @@ def test_remote_dependency_and_pin(rig):
         yield from handle_a.stop_provider("myProviderA")
 
     run(cluster, cm, unwind())
+
+
+def test_failed_pin_undoes_the_start(rig):
+    """The second of two pins fails (A no longer serves the pin RPC):
+    start_provider raises, and neither vdb nor the first pin stays."""
+    cluster, margo_a, bedrock_a, cm, _ = rig
+    margo_c, bedrock_c = boot_process(cluster, "server-c", "nc2", LISTING3)
+    margo_b, bedrock_b, handle_b = _boot_b(cluster, cm)
+    margo_a.deregister("bedrock_add_dependent", BEDROCK_PROVIDER_ID)
+
+    with pytest.raises(RpcFailedError, match="bedrock_add_dependent"):
+        run(cluster, cm, _start_vdb(handle_b, margo_c.address, margo_a.address))
+    assert "vdb" not in bedrock_b.records
+    assert not bedrock_c.dependents.get("myProviderA")
+
+
+def test_failed_unpin_fails_the_stop_unless_the_process_is_gone(rig):
+    cluster, margo_a, bedrock_a, cm, _ = rig
+    margo_b, bedrock_b, handle_b = _boot_b(cluster, cm)
+    run(cluster, cm, _start_vdb(handle_b, margo_a.address))
+    margo_a.deregister("bedrock_remove_dependent", BEDROCK_PROVIDER_ID)
+
+    with pytest.raises(RpcFailedError, match="bedrock_remove_dependent"):
+        run(cluster, cm, handle_b.stop_provider("vdb"))
+    assert "vdb" in bedrock_b.records
+
+    # A dead dependency process holds no pin: the stop times out past it.
+    cluster.faults.kill_process(margo_a.process)
+    run(cluster, cm, handle_b.stop_provider("vdb"))
+    assert "vdb" not in bedrock_b.records
 
 
 # ----------------------------------------------------------------------

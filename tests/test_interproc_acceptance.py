@@ -10,7 +10,7 @@ from repro.analysis.engine import run_lint
 
 from .lint_util import LINT_ROOTS
 
-_PROJECT_IDS = {"MCH014", "MCH060", "MCH061"}
+_PROJECT_IDS = {"MCH060", "MCH061"}
 
 
 def test_src_repro_passes_contract_rules(repo_lint):

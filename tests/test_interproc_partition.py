@@ -32,6 +32,15 @@ def test_cross_component_writes_flagged():
     assert any("partb.models.Model:cache" in f.message for f in findings)
 
 
+def test_select_does_not_change_the_verdict():
+    # One rule, one verdict per site: selecting MCH060 reports exactly
+    # what a run of every rule reports under MCH060.
+    unfiltered = lint_fixture("parta", "partb").findings
+    assert [(f.path, f.line) for f in _mch060()] == [
+        (f.path, f.line) for f in unfiltered if f.rule_id == "MCH060"
+    ]
+
+
 def test_same_component_writes_are_negative():
     findings = _mch060()
     local = fixture_path("partb", "local.py")
