@@ -32,7 +32,10 @@ mochi-lint.sarif:
 # hold with the runtime checker on (the Yokan differential: a migration
 # runs two ULTs over one segment log; the scheduler differential: the
 # oracle's own task driver joins the race checker where the kernel's task
-# runner did; the controller's policies, strict).
+# runner did), and strict: the controller's policies, and the services
+# that take mutexes (xray's lock convoy, Bedrock's pin loop, Warabi's
+# write), where a ULT suspending or finishing with a mutex held raises
+# (MCH011, checked only by running).
 test:
 	$(PY) -m pytest -x -q
 	$(PY) examples/resilient_kv.py > /dev/null
@@ -44,7 +47,8 @@ test:
 	REPRO_SANITIZE=race $(PY) -m pytest -x -q tests/test_yokan_model.py
 	REPRO_SANITIZE=race $(PY) -m pytest -x -q tests/test_scheduler_differential.py
 	REPRO_SANITIZE=1 $(PY) -m pytest -x -q tests/test_core_service.py \
-		tests/test_profile_feedback.py tests/test_xray_feedback.py
+		tests/test_profile_feedback.py tests/test_xray_feedback.py \
+		tests/test_xray.py tests/test_bedrock.py tests/test_warabi_poesie.py
 
 # Overhead gates (~1 min): exits 1 when a gated row fails.
 gates:

@@ -7,11 +7,10 @@ same vocabulary.
 
 Rule id blocks:
 
-* ``MCH00x`` -- determinism (wall clock, unseeded randomness),
-  observability (``MCH004``: monitoring callbacks growing unbounded
-  state), and performance
-  (``MCH006``: a per-event lambda, closure or dict inside
-  ``# mochi-lint: hotpath`` functions);
+* ``MCH00x`` -- determinism (wall clock), observability (``MCH005``:
+  observers swallowing failures), and performance (``MCH006``: a
+  per-event lambda, closure or dict inside ``# mochi-lint: hotpath``
+  functions);
 * ``MCH01x`` -- cooperative scheduling (yield-while-holding-lock,
   handlers that never respond, misbehaving monitor hooks);
 * ``MCH020`` -- configuration (a document the boot path would reject);

@@ -3,67 +3,28 @@
 The kernel is single-threaded and cooperative: an RPC handler ULT that
 blocks for real, parks forever, or suspends while holding a mutex does
 not crash anything -- it silently wedges or serializes the simulation.
-The file-scope rules live here, next to the catalog entry of the
-runtime-only check ``MCH012``.
+MCH013 is a file-scope rule; ``MCH011`` (a ULT suspending or finishing
+while it holds a mutex) and ``MCH012`` (a handler that never responds)
+are the catalog entries of runtime-only checks, which ``make test``
+runs strict over the services that take locks.
 """
 
 from __future__ import annotations
 
 import ast
 
+from ...monitoring.monitor import HOOK_NAMES
 from ..findings import Finding, Severity
 from ..registry import GROUP_SCHEDULING, RuleInfo, register, rule
 from . import FileContext, FunctionNode, last_attr
 
-#: Yielded commands that suspend the ULT (give up the stream).
-_SUSPENDING_COMMANDS = frozenset({"UltSleep", "Park"})
-
-#: ``yield from`` delegates that suspend the calling ULT.
-_SUSPENDING_DELEGATES = frozenset({"forward", "wait", "bulk_transfer"})
-
-
-def _lock_events(body: list[ast.AST]) -> list[tuple[int, int, str, str]]:
-    """(line, col, kind, detail) events of one function body, in source order.
-
-    kinds: ``acquire`` (yield from ...acquire()), ``release``
-    (...release() call), ``suspend`` (a yielded command or delegate that
-    gives up the stream).
-    """
-    events = []
-    yielded_calls: set[int] = set()
-    for node in body:
-        if isinstance(node, ast.YieldFrom) and isinstance(node.value, ast.Call):
-            call = node.value
-            yielded_calls.add(id(call))
-            attr = last_attr(call.func)
-            if attr == "acquire":
-                events.append((node.lineno, node.col_offset, "acquire", "acquire"))
-            elif attr in _SUSPENDING_DELEGATES:
-                events.append((node.lineno, node.col_offset, "suspend", f"{attr}()"))
-        elif isinstance(node, ast.Yield) and isinstance(node.value, ast.Call):
-            call = node.value
-            yielded_calls.add(id(call))
-            attr = last_attr(call.func)
-            if attr in _SUSPENDING_COMMANDS:
-                events.append((node.lineno, node.col_offset, "suspend", attr))
-    for node in body:
-        if (
-            isinstance(node, ast.Call)
-            and id(node) not in yielded_calls
-            and last_attr(node.func) == "release"
-        ):
-            events.append((node.lineno, node.col_offset, "release", "release"))
-    events.sort()
-    return events
-
-
-@rule(
+register(
     RuleInfo(
         id="MCH011",
         name="yield-while-holding-lock",
         group=GROUP_SCHEDULING,
         severity=Severity.ERROR,
-        summary="ULT suspends (UltSleep/Park/forward/...) while holding a mutex",
+        summary="ULT suspended or finished while holding a mutex (runtime only)",
         rationale=(
             "a suspended lock holder serializes every other ULT that "
             "needs the mutex behind an arbitrary sleep or remote peer -- "
@@ -71,32 +32,7 @@ def _lock_events(body: list[ast.AST]) -> list[tuple[int, int, str, str]]:
             "hold locks only across Compute sections"
         ),
         runtime_checked=True,
-    )
-)
-def check_yield_holding_lock(ctx: FileContext) -> list[Finding]:
-    findings = []
-    for func in ctx.functions:
-        held = 0
-        for line, _col, kind, detail in _lock_events(ctx.body(func)):
-            if kind == "acquire":
-                held += 1
-            elif kind == "release":
-                held = max(0, held - 1)
-            elif kind == "suspend" and held > 0:
-                findings.append(
-                    Finding(
-                        "MCH011",
-                        Severity.ERROR,
-                        ctx.path,
-                        line,
-                        f"{func.name!r} suspends ({detail}) while holding a "
-                        "mutex; release before yielding the stream",
-                    )
-                )
-    return findings
-
-
-register(
+    ),
     RuleInfo(
         id="MCH012",
         name="handler-never-responds",
@@ -115,7 +51,11 @@ register(
 
 
 def _is_monitor_class(node: ast.ClassDef) -> bool:
+    """A ``*Monitor``/``*Tracer`` class, a subclass of one, or any class
+    that defines a monitor hook (the continuous profiler)."""
     if "Monitor" in node.name or node.name.endswith("Tracer"):
+        return True
+    if any(isinstance(item, FunctionNode) and item.name in HOOK_NAMES for item in node.body):
         return True
     for base in node.bases:
         name = last_attr(base)

@@ -128,7 +128,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     lint.add_argument(
         "--select", metavar="IDS",
-        help="comma-separated rule ids to run exclusively (e.g. MCH001,MCH011)",
+        help="comma-separated rule ids to run exclusively (e.g. MCH001,MCH013)",
     )
     lint.add_argument("--ignore", metavar="IDS", help="comma-separated rule ids to skip")
     lint.add_argument(

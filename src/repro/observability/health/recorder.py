@@ -3,9 +3,8 @@
 Aviation-style post-mortem support for the health plane (ISSUE 6): the
 recorder keeps the last :data:`CAPACITY` structured events -- membership
 transitions, migrations, elections, faults, SLO alerts, reconfiguration
-decisions -- in a ``deque(maxlen=...)`` ring (the MCH004-sanctioned
-bounded pattern), so it can stay attached for the whole life of a
-service at fixed memory cost.  On a crash, an SLO breach, or on demand,
+decisions -- in a ``deque(maxlen=...)`` ring, so it can stay attached
+for the whole life of a service at fixed memory cost.  On a crash, an SLO breach, or on demand,
 :meth:`dump` freezes the ring into a post-mortem timeline document.
 
 Determinism: events carry only simulated timestamps and a monotonic

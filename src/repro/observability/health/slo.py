@@ -270,7 +270,7 @@ class SLOEngine:
         self.kernel = margo.kernel
         self.specs = list(specs)
         self._states = {spec.name: _SLOState(spec) for spec in self.specs}
-        #: alert-state transition ring (bounded; see MCH004).
+        #: alert-state transition ring (bounded).
         self.alerts: deque[dict[str, Any]] = deque(maxlen=MAX_ALERTS)
 
     # ------------------------------------------------------------------

@@ -177,9 +177,9 @@ class ProfileStore:
 
     ``current`` is the open window; :meth:`roll` closes it at a boundary
     and opens the next.  The ring (``deque(maxlen=history)``) is the
-    sanctioned bounded-state pattern for monitoring callbacks (see lint
-    rule MCH004): old windows fall off the far end, so a profiler left
-    running for the whole life of a service never grows.
+    bounded-state pattern for monitoring callbacks: old windows fall off
+    the far end, so a profiler left running for the whole life of a
+    service never grows (tests/test_observer_memory.py).
     """
 
     def __init__(self, window: float, history: int) -> None:

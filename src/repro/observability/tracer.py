@@ -73,7 +73,8 @@ class Tracer:
     Like every monitor, hook methods must not raise and must not issue
     RPCs; the tracer only appends to in-memory structures.  ``max_spans``
     bounds memory for long runs (oldest spans are retained; once the cap
-    is hit new spans are dropped and counted in :attr:`dropped_spans`).
+    is hit new spans, and new wire halves with them, are dropped and
+    counted in :attr:`dropped_spans`).
     Sampling is one decision per request per endpoint (:meth:`keeps`):
     the runtime calls the request hooks of kept requests only, and still
     charges a dropped one for them (the decision selects calls, never
@@ -140,7 +141,12 @@ class Tracer:
 
     def on_forward_sent(self, time: float, margo: Any, request: Any) -> None:
         key = (request.trace_id, request.span_id)
-        edge = self.edges.setdefault(key, {"name": request.rpc_name})
+        edge = self.edges.get(key)
+        if edge is None:
+            if self.max_spans is not None and len(self.spans) >= self.max_spans:
+                self.dropped_spans += 1  # the wire span this half began
+                return
+            edge = self.edges[key] = {"name": request.rpc_name}
         edge["sent"] = time
         edge["src"] = margo.process.name
 
@@ -174,7 +180,12 @@ class Tracer:
     # ------------------------------------------------------------------
     def on_request_received(self, time: float, margo: Any, request: Any) -> None:
         key = (request.trace_id, request.span_id)
-        edge = self.edges.setdefault(key, {"name": request.rpc_name})
+        edge = self.edges.get(key)
+        if edge is None:
+            if self.max_spans is not None and len(self.spans) >= self.max_spans:
+                self.dropped_spans += 1  # the wire span this half began
+                return
+            edge = self.edges[key] = {"name": request.rpc_name}
         edge["received"] = time
         edge["dst"] = margo.process.name
 

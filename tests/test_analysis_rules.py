@@ -1,10 +1,13 @@
 """mochi-lint rules on snippets: one positive + one negative fixture per
 rule, each linted as a one-file project.  The snippets of a retired rule
-run instead, as ULTs under the running check that replaced it."""
+run instead, under the root conftest guard that replaced it."""
 
+import os
+import random
 import textwrap
+import uuid
 
-from conftest import REFUSED, BlockingCallError
+from conftest import REFUSED, RefusedCallError
 
 from repro import Cluster
 from repro.analysis.engine import lint_source
@@ -24,8 +27,12 @@ def run_in_ult(code):
     margo = cluster.add_margo("m", node="n0")
     try:
         cluster.run_ult(margo, namespace["worker"]())
-    except BlockingCallError:
+    except RefusedCallError:
         pass
+    return _take_refused()
+
+
+def _take_refused():
     refused = [call.split("(")[0] for call in REFUSED]
     REFUSED.clear()
     return refused
@@ -67,101 +74,49 @@ def test_mch001_clean_on_simulated_time():
 
 
 # ----------------------------------------------------------------------
-# MCH002 unseeded-randomness
+# MCH002 unseeded-randomness, retired: the root conftest refuses the draw
+# when code under src/repro makes it, under any alias
 # ----------------------------------------------------------------------
+REPRO_FILE = os.path.abspath(os.path.join(__file__, "..", "..", "src", "repro", "fixture.py"))
+
+
+def run_as_repro(code):
+    """Run ``code`` as a module of ``src/repro``: the calls refused."""
+    try:
+        exec(compile(textwrap.dedent(code), REPRO_FILE, "exec"), {})
+    except RefusedCallError:
+        pass
+    return _take_refused()
+
+
 def test_mch002_flags_global_random_and_entropy():
-    findings = lint(
-        """
-        import random, uuid, secrets
-        def pick(items):
-            x = random.choice(items)
-            r = random.Random()
-            t = uuid.uuid4()
-            s = secrets.token_bytes(8)
-            random.seed()
-            return x, r, t, s
-        """
-    )
-    assert ids(findings) == ["MCH002"] * 5
+    head = "import os, random, random as _r, secrets, uuid\nfrom random import shuffle\n"
+    for draw, refused in (
+        ("random.choice([1, 2])", "random.choice"),
+        ("_r.random()", "random.random"),
+        ("shuffle([1, 2])", "random.shuffle"),
+        ("random.Random()", "random.Random"),
+        ("random.SystemRandom()", "random.Random"),
+        ("random.seed()", "random.seed"),
+        ("uuid.uuid4()", "uuid.uuid4"),
+        ("secrets.token_bytes(8)", "secrets.token_bytes"),
+        ("os.urandom(4)", "os.urandom"),
+    ):
+        assert run_as_repro(head + draw) == [refused], draw
 
 
 def test_mch002_clean_on_seeded_sources():
-    findings = lint(
+    assert run_as_repro(
         """
         import random
-        def pick(rng, items):
-            seeded = random.Random(42)
-            return rng.choice(items), seeded.random()
+        from repro.sim.random import RandomSource
+        seeded = random.Random(42).choice([1, 2])
+        stream = RandomSource(7).stream("pick").random()
         """
-    )
-    assert findings == []
-
-
-# ----------------------------------------------------------------------
-# MCH004 unbounded-monitoring-state
-# ----------------------------------------------------------------------
-def test_mch004_flags_unbounded_module_growth():
-    findings = lint(
-        """
-        EVENTS = []
-        STATS = {}
-
-        class AuditMonitor:
-            def on_forward(self, **kw):
-                EVENTS.append(kw)
-
-            def on_respond(self, **kw):
-                STATS[kw["rpc"]] = kw
-        """,
-        select=["MCH004"],
-    )
-    assert ids(findings) == ["MCH004", "MCH004"]
-    assert "EVENTS" in findings[0].message
-    assert "deque(maxlen=...)" in findings[0].message
-    assert "STATS" in findings[1].message
-
-
-def test_mch004_flags_unbounded_deque_and_setdefault():
-    findings = lint(
-        """
-        from collections import deque, defaultdict
-        TRACE = deque()
-        INDEX = defaultdict(list)
-
-        def on_ult_start(**kw):
-            TRACE.append(kw)
-            INDEX.setdefault(kw["rpc"], []).append(kw)
-        """,
-        select=["MCH004"],
-    )
-    assert ids(findings) == ["MCH004", "MCH004"]
-    assert "TRACE" in findings[0].message
-    assert "INDEX" in findings[1].message
-
-
-def test_mch004_clean_on_ring_buffer_and_non_hooks():
-    findings = lint(
-        """
-        from collections import deque
-        RECENT = deque(maxlen=64)
-
-        class StatsMonitor:
-            def __init__(self):
-                self.counts = {}
-
-            def on_forward(self, **kw):
-                RECENT.append(kw)
-                self.counts["forward"] = self.counts.get("forward", 0) + 1
-
-        def rebuild(events):
-            table = {}
-            for e in events:
-                table[e] = 1
-            return table
-        """,
-        select=["MCH004"],
-    )
-    assert findings == []
+    ) == []
+    # The tests and their tools draw freely.
+    random.random(), uuid.uuid4(), os.urandom(4)
+    assert REFUSED == []
 
 
 # ----------------------------------------------------------------------
@@ -333,51 +288,6 @@ def test_mch010_blocking_ult_helper_not_double_flagged():
 
 
 # ----------------------------------------------------------------------
-# MCH011 yield-while-holding-lock
-# ----------------------------------------------------------------------
-def test_mch011_flags_suspend_between_acquire_and_release():
-    findings = lint(
-        """
-        def critical(mutex):
-            yield from mutex.acquire()
-            yield UltSleep(0.1)
-            mutex.release()
-        """,
-        select=["MCH011"],
-    )
-    assert ids(findings) == ["MCH011"]
-    assert "UltSleep" in findings[0].message
-
-
-def test_mch011_flags_forward_while_holding():
-    findings = lint(
-        """
-        def critical(mutex, margo, addr):
-            yield from mutex.acquire()
-            reply = yield from margo.forward(addr, "rpc", None)
-            mutex.release()
-            return reply
-        """,
-        select=["MCH011"],
-    )
-    assert ids(findings) == ["MCH011"]
-
-
-def test_mch011_clean_when_released_before_suspend():
-    findings = lint(
-        """
-        def critical(mutex):
-            yield from mutex.acquire()
-            yield Compute(1e-6)
-            mutex.release()
-            yield UltSleep(0.1)
-        """,
-        select=["MCH011"],
-    )
-    assert findings == []
-
-
-# ----------------------------------------------------------------------
 # MCH013 monitor-hook-misbehavior
 # ----------------------------------------------------------------------
 def test_mch013_flags_raising_and_forwarding_hooks():
@@ -410,6 +320,20 @@ def test_mch013_clean_on_recording_hooks():
     assert findings == []
 
 
+def test_mch013_holds_any_class_that_defines_a_hook():
+    # ContinuousProfiler is no *Monitor or *Tracer, but it defines hooks.
+    from repro.observability.profile import profiler
+
+    with open(profiler.__file__, encoding="utf-8") as handle:
+        source = handle.read()
+    stamp = "        request._profile_fwd_start = time\n"
+    planted = source.replace(stamp, stamp + "        yield\n", 1)
+    assert lint_source(source, path="profiler.py", select=["MCH013"]) == []
+    findings = lint_source(planted, path="profiler.py", select=["MCH013"])
+    assert ids(findings) == ["MCH013"]
+    assert "ContinuousProfiler.on_forward_start yields" in findings[0].message
+
+
 # ----------------------------------------------------------------------
 # MCH090 parse-error
 # ----------------------------------------------------------------------
@@ -438,7 +362,7 @@ def test_line_suppression_only_covers_its_rule_and_line():
         """
         import time
         def stamp():
-            a = time.time()  # mochi-lint: disable=MCH002 -- wrong id on purpose
+            a = time.time()  # mochi-lint: disable=MCH006 -- wrong id on purpose
             b = time.time()
             return a, b
         """

@@ -149,7 +149,7 @@ def test_wait_while_holding_flagged(race):
 
     def waiter():
         yield from mutex.acquire()
-        yield from event.wait()  # mochi-lint: disable=MCH011 -- wait-while-holding under test
+        yield from event.wait()
         mutex.release()
 
     def signaler():
@@ -176,7 +176,7 @@ def test_rpc_while_holding_names_the_reply_event(race):
     def caller():
         yield from margo.forward(margo.address, "echo", 1)  # not holding: no report
         yield from mutex.acquire()
-        yield from margo.forward(margo.address, "echo", 2)  # mochi-lint: disable=MCH011 -- RPC-while-holding under test
+        yield from margo.forward(margo.address, "echo", 2)
         mutex.release()
 
     cluster.run_ult(margo, caller())
@@ -193,7 +193,7 @@ def test_wait_with_timeout_flagged(race):
 
     def waiter():
         yield from mutex.acquire()
-        yield from event.wait(timeout=0.5)  # mochi-lint: disable=MCH011 -- bounded-wait fixture
+        yield from event.wait(timeout=0.5)
         mutex.release()
 
     def signaler():
@@ -219,7 +219,7 @@ def test_contended_acquire_flagged_while_holding(race):
 
     def holder():
         yield from b.acquire()
-        yield UltSleep(0.2)  # mochi-lint: disable=MCH011 -- contention fixture
+        yield UltSleep(0.2)
         b.release()
 
     def nester():

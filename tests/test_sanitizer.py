@@ -62,7 +62,7 @@ def test_sleep_while_holding_mutex_raises(strict):
 
     def bad():
         yield from mutex.acquire()
-        yield UltSleep(0.1)  # mochi-lint: disable=MCH011 -- the violation under test
+        yield UltSleep(0.1)
         mutex.release()
 
     with pytest.raises(SanitizerError, match="MCH011"):
@@ -124,7 +124,7 @@ def test_strict_violation_fails_only_the_offending_ult(strict):
 
     def bad():
         yield from mutex.acquire()
-        yield UltSleep(0.1)  # mochi-lint: disable=MCH011 -- the violation under test
+        yield UltSleep(0.1)
         mutex.release()
 
     with pytest.raises(SanitizerError):
@@ -150,7 +150,7 @@ def test_a_strict_violation_at_an_rpc_wait_leaves_no_late_wake(strict):
     def caller():
         yield from mutex.acquire()
         with pytest.raises(SanitizerError):
-            yield from margo.forward(margo.address, "echo", 1)  # mochi-lint: disable=MCH011 -- the violation under test
+            yield from margo.forward(margo.address, "echo", 1)
         mutex.release()
         slept.append(cluster.now)
         yield UltSleep(1.0)
@@ -166,7 +166,7 @@ def test_recording_mode_collects_without_raising(recording):
 
     def bad():
         yield from mutex.acquire()
-        yield UltSleep(0.1)  # mochi-lint: disable=MCH011 -- the violation under test
+        yield UltSleep(0.1)
         mutex.release()
         return "finished"
 
@@ -181,7 +181,7 @@ def test_disabled_sanitizer_is_a_no_op():
 
     def bad():
         yield from mutex.acquire()
-        yield UltSleep(0.1)  # mochi-lint: disable=MCH011 -- the violation under test
+        yield UltSleep(0.1)
         mutex.release()
         return "finished"
 
