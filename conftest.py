@@ -23,6 +23,9 @@ reached it.
   ``secrets`` and ``os.urandom``/``getrandom`` are refused when the
   caller's code lies under ``src/repro``; pytest, Hypothesis and the
   tests themselves still draw freely.
+
+Under ``REPRO_SANITIZE``, the race checker's state is also reset before
+each test, so one test's contexts and clocks never reach the next.
 """
 
 import builtins
@@ -127,7 +130,17 @@ subprocess.Popen.__init__ = _refuse(
     "subprocess.Popen", subprocess.Popen.__init__, _in_ult, _BLOCKS
 )
 
+from repro.analysis.race import hooks as _race  # noqa: E402
 from repro.margo import ult as _ult  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def _one_race_session_per_test():
+    """Under ``REPRO_SANITIZE``, each test starts the race checker from
+    empty state: contexts, clocks and tracked objects would otherwise
+    pile up over the whole session."""
+    if _race.ENABLED:
+        _race.reset()
 
 
 @pytest.fixture(autouse=True)

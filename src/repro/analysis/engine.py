@@ -25,7 +25,7 @@ from .config_check import validate_config_file  # also registers MCH020
 from .findings import Finding, Severity
 from .interproc.callgraph import ProjectIndex, build_project
 from .race import hooks as _race_hooks  # noqa: F401 - registers MCH03x/MCH04x
-from .registry import PARSE_ERROR, Rule, all_rules, rule_catalog
+from .registry import PARSE_ERROR, Rule, all_rules, rule_catalog, static_ids
 from .rules import FileContext
 from .suppress import UNSUPPRESSABLE, parse_suppressions
 
@@ -121,7 +121,7 @@ def _lint(
     started = _now()
     files: list[FileContext] = []
     suppressions = {}
-    reportable = {info.id for rule in all_rules() for info in rule.infos}
+    reportable = static_ids()
     for path, source in sources:
         suppressions[path] = parse_suppressions(source, path, reportable)
         findings.extend(suppressions[path].findings)

@@ -29,7 +29,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from ..rules import FileContext, FunctionNode, dotted_name
+from ..rules import FileContext, FunctionNode, dotted_name, own_body_walk
 
 __all__ = [
     "CallEdge",
@@ -203,7 +203,7 @@ class ProjectIndex:
     ) -> FunctionInfo:
         name = node.name  # type: ignore[attr-defined]
         qualname = f"{cls.qualname}.{name}" if cls else f"{mod.name}.{name}"
-        body = mod.ctx.body(node)
+        body = list(own_body_walk(node))
         info = FunctionInfo(
             qualname=qualname,
             module=mod.name,

@@ -77,7 +77,7 @@ from random import Random
 from typing import Any, Optional
 
 from ..findings import Finding, Severity
-from ..registry import GROUP_CONCURRENCY, RuleInfo, register
+from ..registry import GROUP_CONCURRENCY, GROUP_SCHEDULING, RuleInfo, register
 from . import hb as _hb
 from .hb import Ctx, HBState, approx_snapshot
 from .lockgraph import LockOrderGraph
@@ -105,6 +105,32 @@ RULE_LOCK_ORDER_CYCLE = "MCH040"
 
 register(
     RuleInfo(
+        id=RULE_LOCK_ACROSS_YIELD,
+        name="yield-while-holding-lock",
+        group=GROUP_SCHEDULING,
+        severity=Severity.ERROR,
+        summary="ULT suspended or finished while holding a mutex",
+        rationale=(
+            "a suspended lock holder serializes every other ULT that "
+            "needs the mutex behind an arbitrary sleep or remote peer -- "
+            "and deadlocks outright if the wakeup depends on a waiter; "
+            "hold locks only across Compute sections"
+        ),
+    ),
+    RuleInfo(
+        id=RULE_DROPPED_HANDLE,
+        name="handler-never-responds",
+        group=GROUP_SCHEDULING,
+        severity=Severity.ERROR,
+        summary="dispatched RPC handler finished without a response",
+        rationale=(
+            "every dispatched RPC must end in a response or an error "
+            "response -- a handler that drops its handle leaves the caller "
+            "waiting until its own timeout (or forever), which is how the "
+            "paper's services wedge under reconfiguration"
+        ),
+    ),
+    RuleInfo(
         id=RULE_UNORDERED_WRITES,
         name="unordered-writes",
         group=GROUP_CONCURRENCY,
@@ -115,10 +141,7 @@ register(
             "pool, a perturbed ready queue, or a slower link runs them the "
             "other way and the final state silently changes"
         ),
-        runtime_checked=True,
-    )
-)
-register(
+    ),
     RuleInfo(
         id=RULE_UNORDERED_READ_WRITE,
         name="unordered-read-write",
@@ -130,10 +153,7 @@ register(
             "only on scheduling; results become schedule-dependent, the "
             "main enemy of reproducible systems experiments"
         ),
-        runtime_checked=True,
-    )
-)
-register(
+    ),
     RuleInfo(
         id=RULE_ORDER_DEPENDENT_OUTCOME,
         name="order-dependent-outcome",
@@ -146,10 +166,7 @@ register(
             "outcome depends on scheduling accidents, pinned to the first "
             "diverging scheduling event"
         ),
-        runtime_checked=True,
-    )
-)
-register(
+    ),
     RuleInfo(
         id=RULE_LOCK_ORDER_CYCLE,
         name="lock-order-cycle",
@@ -162,8 +179,7 @@ register(
             "persists across the session so the cycle is reported without "
             "the deadlock ever firing"
         ),
-        runtime_checked=True,
-    )
+    ),
 )
 
 

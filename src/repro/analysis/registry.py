@@ -7,12 +7,9 @@ same vocabulary.
 
 Rule id blocks:
 
-* ``MCH00x`` -- determinism (wall clock), observability (``MCH005``:
-  observers swallowing failures), and performance (``MCH006``: a
-  per-event lambda, closure or dict inside ``# mochi-lint: hotpath``
-  functions);
+* ``MCH00x`` -- determinism (wall clock);
 * ``MCH01x`` -- cooperative scheduling (yield-while-holding-lock,
-  handlers that never respond, misbehaving monitor hooks);
+  handlers that never respond);
 * ``MCH020`` -- configuration (a document the boot path would reject);
 * ``MCH03x``/``MCH04x`` -- concurrency (mochi-race: unordered accesses
   to shared state, order-dependent outcomes, lock-order cycles,
@@ -42,22 +39,19 @@ __all__ = [
     "rule",
     "all_rules",
     "rule_catalog",
+    "static_ids",
     "GROUP_DETERMINISM",
-    "GROUP_OBSERVABILITY",
     "GROUP_SCHEDULING",
     "GROUP_CONFIG",
     "GROUP_CONCURRENCY",
-    "GROUP_PERF",
     "GROUP_PARTITION",
     "GROUP_META",
 ]
 
 GROUP_DETERMINISM = "determinism"
-GROUP_OBSERVABILITY = "observability"
 GROUP_SCHEDULING = "scheduling"
 GROUP_CONFIG = "configuration"
 GROUP_CONCURRENCY = "concurrency"
-GROUP_PERF = "performance"
 GROUP_PARTITION = "partitioning"
 GROUP_META = "meta"
 
@@ -74,8 +68,6 @@ class RuleInfo:
     #: Why the invariant matters for the reproduction (rendered in
     #: ``--list-rules`` and the DESIGN.md catalog).
     rationale: str
-    #: Whether the runtime sanitizer also asserts this invariant.
-    runtime_checked: bool = False
 
 
 @dataclass(frozen=True)
@@ -116,6 +108,11 @@ def rule(*infos: RuleInfo, scope: str = "file") -> Callable:
 def all_rules() -> list[Rule]:
     """Registered static rules, in id order (deterministic run order)."""
     return sorted(_RULES, key=lambda r: r.infos[0].id)
+
+
+def static_ids() -> set[str]:
+    """The ids a registered static check reports."""
+    return {info.id for rule in _RULES for info in rule.infos}
 
 
 def rule_catalog() -> list[RuleInfo]:

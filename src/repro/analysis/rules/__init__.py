@@ -1,14 +1,17 @@
-"""mochi-lint rule catalog.
+"""mochi-lint's file-scope rule, the per-file context and AST helpers.
 
-Importing this package registers every file-scope rule with the
-registry.  The per-file context the rules look at and the AST helpers
-they share live here.
+Importing this package registers MCH001 (:mod:`.determinism`), the one
+file-scope rule; the other static rules are whole-program
+(:mod:`repro.analysis.interproc`).  What MCH005, MCH006 and MCH013 once
+read off the AST is checked by running the every-observer echo rig
+(``tests/test_observer_memory.py``): a hook lets a poisoned argument
+raise and issues no RPC, and the hot path builds no function or dict.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
@@ -37,15 +40,6 @@ def call_name(node: ast.Call) -> Optional[str]:
     return dotted_name(node.func)
 
 
-def last_attr(node: ast.AST) -> Optional[str]:
-    """The final attribute/name of a call target (``c`` for ``a.b.c``)."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
 def own_body_walk(func: ast.AST) -> Iterator[ast.AST]:
     """Walk a function's own body, not entering nested function/class defs."""
     stack: list[ast.AST] = list(getattr(func, "body", []))
@@ -59,15 +53,12 @@ def own_body_walk(func: ast.AST) -> Iterator[ast.AST]:
 
 @dataclass
 class FileContext:
-    """One parsed file, plus the traversals every rule would otherwise
-    repeat: the node list, the function list and each function's
-    own-body node list are computed once per lint run and shared by the
-    file rules and the call graph."""
+    """One parsed file, plus its node list, walked once per lint run and
+    shared by the file rule and the call graph."""
 
     path: str
     source: str
     tree: ast.Module
-    _bodies: dict[int, list[ast.AST]] = field(default_factory=dict, repr=False)
 
     @classmethod
     def parse(cls, path: str, source: str) -> "FileContext":
@@ -75,29 +66,10 @@ class FileContext:
         return cls(path, source, ast.parse(source, filename=path))
 
     @cached_property
-    def lines(self) -> list[str]:
-        return self.source.splitlines()
-
-    @cached_property
     def nodes(self) -> list[ast.AST]:
         """Every node of the file, in ``ast.walk`` order."""
         return list(ast.walk(self.tree))
 
-    @cached_property
-    def functions(self) -> list[ast.AST]:
-        """Every function definition, nested ones included."""
-        return [node for node in self.nodes if isinstance(node, FunctionNode)]
 
-    def body(self, func: ast.AST) -> list[ast.AST]:
-        """``own_body_walk(func)`` as a list, walked once per run."""
-        nodes = self._bodies.get(id(func))
-        if nodes is None:
-            nodes = self._bodies[id(func)] = list(own_body_walk(func))
-        return nodes
-
-
-# Import the rule modules for their registration side effects.
+# Import the rule module for its registration side effect.
 from . import determinism as _determinism  # noqa: E402,F401
-from . import monitoring as _monitoring  # noqa: E402,F401
-from . import perf as _perf  # noqa: E402,F401
-from . import scheduling as _scheduling  # noqa: E402,F401

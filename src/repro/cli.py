@@ -33,15 +33,19 @@ __all__ = ["main"]
 
 
 def _list_rules() -> str:
-    from .analysis.registry import rule_catalog
+    from .analysis.registry import GROUP_CONFIG, GROUP_META, rule_catalog, static_ids
 
+    static = static_ids()
     lines = ["mochi-lint rule catalog:"]
     group = None
     for info in rule_catalog():
         if info.group != group:
             group = info.group
             lines.append(f"\n[{group}]")
-        runtime = "  (also runtime-checked)" if info.runtime_checked else ""
+        # Lint reports the static, config and meta ids; a running check
+        # reports the rest.
+        by_lint = info.id in static or info.group in (GROUP_CONFIG, GROUP_META)
+        runtime = "" if by_lint else "  (runtime only)"
         lines.append(f"  {info.id}  {info.name:<36} {info.summary}{runtime}")
     return "\n".join(lines)
 
@@ -128,7 +132,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     lint.add_argument(
         "--select", metavar="IDS",
-        help="comma-separated rule ids to run exclusively (e.g. MCH001,MCH013)",
+        help="comma-separated rule ids to run exclusively (e.g. MCH001,MCH060)",
     )
     lint.add_argument("--ignore", metavar="IDS", help="comma-separated rule ids to skip")
     lint.add_argument(

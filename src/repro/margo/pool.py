@@ -70,7 +70,6 @@ class Pool:
         """ULTs taken out so far; the one taker is ``XStream._drive``."""
         return self.total_pushed - len(self._queue)
 
-    # mochi-lint: hotpath
     def push(self, ult: ULT) -> None:
         ult.pool = self
         ult.state = READY

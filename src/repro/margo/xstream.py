@@ -124,7 +124,6 @@ class XStream:
     # ------------------------------------------------------------------
     # the scheduling loop
     # ------------------------------------------------------------------
-    # mochi-lint: hotpath
     def _drive(self) -> Optional[float]:
         """The stream's one kernel callback: posted bare to take a turn
         (start, or a push found it idle), re-armed by returning a charge.

@@ -149,7 +149,6 @@ class SimKernel:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    # mochi-lint: hotpath
     def post(self, delay: float, fn: Callable[..., None], arg: Any = _NO_ARG) -> None:
         """Run ``fn()`` -- or ``fn(arg)`` -- after ``delay`` simulated
         seconds, with no cancellation handle.
@@ -165,7 +164,6 @@ class SimKernel:
         self._seq = seq
         heappush(self._heap, (self.now + delay, seq, fn, arg))
 
-    # mochi-lint: hotpath
     def schedule(self, delay: float, fn: Callable[..., None], arg: Any = _NO_ARG) -> Timer:
         """Run ``fn()`` -- or ``fn(arg)`` if ``arg`` is given -- after
         ``delay`` simulated seconds; return a cancellable handle."""

@@ -254,7 +254,6 @@ class Network:
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
-    # mochi-lint: hotpath
     def send(self, src: Process, dst_address: str, payload: Any, size: int) -> bool:
         """Fire-and-forget message send.
 

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import os
 
-from repro.analysis.engine import DEFAULT_ROOTS, iter_target_files, run_lint
-from repro.analysis.rules import FileContext
+from repro.analysis.engine import DEFAULT_ROOTS, run_lint
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(REPO, "tests", "fixtures")
@@ -19,21 +18,6 @@ def fixture_path(package: str, *names: str) -> str:
     if not os.path.isdir(root):
         raise AssertionError(f"no fixture package {package!r}")
     return os.path.join(root, *names)
-
-
-def parse_paths(*paths: str) -> list[FileContext]:
-    """One :class:`FileContext` per Python file under ``paths``, sorted."""
-    files = []
-    for path in iter_target_files(paths):
-        if path.endswith(".py"):
-            with open(path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-            files.append(FileContext.parse(path, source))
-    return files
-
-
-def parse_fixture(*packages: str) -> list[FileContext]:
-    return parse_paths(*(fixture_path(pkg) for pkg in packages))
 
 
 def lint_fixture(*packages: str, **kwargs):

@@ -1,9 +1,10 @@
 """mochi-lint rules on snippets: one positive + one negative fixture per
 rule, each linted as a one-file project.  The snippets of a retired rule
-run instead, under the root conftest guard that replaced it."""
+run instead, under the running check that replaced it."""
 
 import os
 import random
+import sys
 import textwrap
 import uuid
 
@@ -13,20 +14,26 @@ from repro import Cluster
 from repro.analysis.engine import lint_source
 from repro.margo.ult import UltSleep
 
+from .observer_rig import Rig, allocations, refuse_forward_from_hooks, swallowing_hooks
+
 
 def lint(code, **kwargs):
     return lint_source(textwrap.dedent(code), path="fixture.py", **kwargs)
 
 
+def snippet(code, name, **namespace):
+    exec(textwrap.dedent(code), namespace)
+    return namespace[name]
+
+
 def run_in_ult(code):
     """Run the snippet's ``worker()`` as a ULT: the blocking calls the
     root conftest refused on the way."""
-    namespace = {"UltSleep": UltSleep}
-    exec(textwrap.dedent(code), namespace)
+    worker = snippet(code, "worker", UltSleep=UltSleep)
     cluster = Cluster(seed=1)
     margo = cluster.add_margo("m", node="n0")
     try:
-        cluster.run_ult(margo, namespace["worker"]())
+        cluster.run_ult(margo, worker())
     except RefusedCallError:
         pass
     return _take_refused()
@@ -120,71 +127,66 @@ def test_mch002_clean_on_seeded_sources():
 
 
 # ----------------------------------------------------------------------
-# MCH005 unobserved-failure-swallow
+# MCH005, MCH006 and MCH013, retired for observer_rig.py's running
+# checks: a hook lets a poisoned argument raise and issues no forward;
+# the traced hot path builds no function or dict
 # ----------------------------------------------------------------------
-def test_mch005_flags_swallowing_hooks_and_introspection():
-    findings = lint(
+AUDITOR = snippet(
+    """
+    class Auditor:
+        errors = 0
+
+        def on_request_received(self, time, margo, request):
+            raise RuntimeError("boom")
+
+        def on_ult_start(self, time, margo, request, queued_for):
+            try:
+                request.rpc_name
+            except Exception:
+                self.errors += 1  # counted, and still swallowed
+
+        def on_respond(self, time, margo, request, response):
+            margo.forward(request.src_address, "audit", None)
+    """,
+    "Auditor",
+)
+
+
+def test_mch005_flags_hooks_that_swallow_a_poisoned_argument():
+    assert swallowing_hooks(AUDITOR()) == ["Auditor.on_ult_start"]
+
+
+def test_mch013_flags_raising_and_forwarding_hooks(monkeypatch):
+    # The refusal goes by the caller's name, whatever its class.
+    refuse_forward_from_hooks(monkeypatch)
+    rig = Rig(AUDITOR())
+    rig.echo(1)
+    assert (rig.client.monitor_errors, rig.server.monitor_errors) == (0, 2)  # the raise and the refusal
+    assert _take_refused() == ["MargoInstance.forward"]
+
+
+def test_mch006_flags_allocations_in_marked_function():
+    # Not counted: the body of the closure it builds, or its callee's.
+    post = snippet(
         """
-        class AuditMonitor:
-            def on_forward_start(self, time, margo, request):
-                try:
-                    self.samples.append(request)
-                except Exception:
-                    pass
+        def post(fn):
+            wake = lambda: fn()
 
-        class Server:
-            def on_respond(self, ctx):
-                try:
-                    return self.plane.health_doc()
-                except KeyError:
-                    return {}
+            def closure():
+                return {"inner": 1}
 
-            def _on_query(self, ctx):
-                try:
-                    return self.run(ctx.args["script"])
-                except Exception:
-                    return None
+            return {"fn": fn, "at": 0}, {k: k for k in "ab"}, wake, closure(), cold_config()
+
+        def cold_config():
+            return {"pools": []}
         """,
-        select=["MCH005"],
+        "post",
     )
-    assert ids(findings) == ["MCH005", "MCH005", "MCH005"]
-    assert "on_forward_start" in findings[0].message
-    assert "error counter" in findings[0].message
-
-
-def test_mch005_clean_on_counted_reraised_or_non_observers():
-    findings = lint(
-        """
-        class AuditMonitor:
-            def on_forward_start(self, time, margo, request):
-                try:
-                    self.samples.append(request)
-                except Exception:
-                    self.errors.inc()
-
-            def on_respond(self, time, margo, request, response):
-                try:
-                    self.note(response)
-                except ValueError:
-                    raise
-
-            def on_ult_start(self, time, margo, request):
-                try:
-                    self.observe(request)
-                except Exception:
-                    self.recorder.record("fault", "observer-error")
-
-        class Server:
-            def _on_put(self, ctx):
-                # plain RPC handler, not an observer: out of scope
-                try:
-                    return self.do(ctx.args)
-                except Exception:
-                    return None
-        """,
-        select=["MCH005"],
-    )
-    assert findings == []
+    entered, executed = allocations(lambda: post(print), [post])
+    # 3.11 builds a comprehension as a function, 3.12 inlines its dict.
+    own = {"MAKE_FUNCTION": 3} if sys.version_info < (3, 12) else {"MAKE_FUNCTION": 2, "BUILD_MAP": 1, "MAP_ADD": 2}
+    assert entered == {"post": 1}
+    assert executed == {("post", op): n for op, n in dict(own, BUILD_CONST_KEY_MAP=1).items()}
 
 
 # ----------------------------------------------------------------------
@@ -288,53 +290,6 @@ def test_mch010_blocking_ult_helper_not_double_flagged():
 
 
 # ----------------------------------------------------------------------
-# MCH013 monitor-hook-misbehavior
-# ----------------------------------------------------------------------
-def test_mch013_flags_raising_and_forwarding_hooks():
-    findings = lint(
-        """
-        class AuditMonitor:
-            def on_forward(self, **kw):
-                raise RuntimeError("boom")
-
-            def on_respond(self, margo, addr, **kw):
-                margo.forward(addr, "audit", kw)
-        """,
-        select=["MCH013"],
-    )
-    assert ids(findings) == ["MCH013", "MCH013"]
-
-
-def test_mch013_clean_on_recording_hooks():
-    findings = lint(
-        """
-        class StatsMonitor:
-            def __init__(self):
-                self.calls = 0
-
-            def on_forward(self, **kw):
-                self.calls += 1
-        """,
-        select=["MCH013"],
-    )
-    assert findings == []
-
-
-def test_mch013_holds_any_class_that_defines_a_hook():
-    # ContinuousProfiler is no *Monitor or *Tracer, but it defines hooks.
-    from repro.observability.profile import profiler
-
-    with open(profiler.__file__, encoding="utf-8") as handle:
-        source = handle.read()
-    stamp = "        request._profile_fwd_start = time\n"
-    planted = source.replace(stamp, stamp + "        yield\n", 1)
-    assert lint_source(source, path="profiler.py", select=["MCH013"]) == []
-    findings = lint_source(planted, path="profiler.py", select=["MCH013"])
-    assert ids(findings) == ["MCH013"]
-    assert "ContinuousProfiler.on_forward_start yields" in findings[0].message
-
-
-# ----------------------------------------------------------------------
 # MCH090 parse-error
 # ----------------------------------------------------------------------
 def test_mch090_on_syntax_error():
@@ -362,7 +317,7 @@ def test_line_suppression_only_covers_its_rule_and_line():
         """
         import time
         def stamp():
-            a = time.time()  # mochi-lint: disable=MCH006 -- wrong id on purpose
+            a = time.time()  # mochi-lint: disable=MCH060 -- wrong id on purpose
             b = time.time()
             return a, b
         """
@@ -424,79 +379,3 @@ def test_meta_rules_cannot_be_suppressed():
         """
     )
     assert "MCH091" in ids(findings)
-
-
-# ----------------------------------------------------------------------
-# MCH006 hotpath-allocation
-# ----------------------------------------------------------------------
-def test_mch006_flags_allocations_in_marked_function():
-    findings = lint(
-        """
-        class Kernel:
-            # mochi-lint: hotpath
-            def post(self, delay, fn):
-                entry = {"fn": fn, "deadline": delay}
-                wake = lambda: fn()
-
-                def closure():
-                    return fn()
-
-                index = {k: v for k, v in entry.items()}
-                return entry, wake, closure, index
-        """
-    )
-    assert ids(findings) == ["MCH006"] * 4
-    assert "hot-path" in findings[0].message
-    assert "'post'" in findings[0].message
-
-
-def test_mch006_marker_on_def_line_also_counts():
-    findings = lint(
-        """
-        def push(pool, ult):  # mochi-lint: hotpath
-            pool.wakes = {"ult": ult}
-        """
-    )
-    assert ids(findings) == ["MCH006"]
-
-
-def test_mch006_clean_without_marker():
-    findings = lint(
-        """
-        def cold_config():
-            return {"pools": [], "xstreams": []}
-        """
-    )
-    assert findings == []
-
-
-def test_mch006_clean_on_flat_marked_function():
-    findings = lint(
-        """
-        # mochi-lint: hotpath
-        def post(self, delay, fn, arg):
-            deadline = self._now + delay
-            bucket = self._buckets.get(deadline)
-            if bucket is None:
-                bucket = []
-                self._buckets[deadline] = bucket
-            bucket.append(fn)
-            bucket.append(arg)
-        """
-    )
-    assert findings == []
-
-
-def test_mch006_ignores_nested_function_internals():
-    # The nested def itself is the allocation; its *body* belongs to the
-    # closure, not the hot path, so inner dicts are not double-flagged.
-    findings = lint(
-        """
-        # mochi-lint: hotpath
-        def step(self):
-            def helper():
-                return {"inner": 1}
-            return helper
-        """
-    )
-    assert ids(findings) == ["MCH006"]

@@ -4,8 +4,6 @@ reproducing experiments), plus the README quickstart verbatim."""
 
 import json
 
-import pytest
-
 from repro import Cluster
 from repro.bedrock import boot_process
 from repro.yokan import YokanClient

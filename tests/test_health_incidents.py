@@ -5,8 +5,6 @@ veto, and the diagnostic reports."""
 
 import json
 
-import pytest
-
 from repro import Cluster
 from repro.analysis.race import hooks as race_hooks
 from repro.bedrock.boot import boot_process

@@ -21,7 +21,7 @@ from repro.margo import (
     UltSleep,
     UltState,
 )
-from repro.mercury import NULL_PROVIDER, RPCRequest, RPCResponse
+from repro.mercury import RPCRequest, RPCResponse
 from repro.sim.network import Network
 
 

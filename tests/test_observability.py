@@ -210,7 +210,7 @@ def test_faulty_monitor_does_not_starve_healthy_monitors():
 
     class Exploding:
         def on_respond(self, **kwargs):
-            raise RuntimeError("boom")  # mochi-lint: disable=MCH013 -- the faulty hook under test
+            raise RuntimeError("boom")
 
     class Healthy:
         def on_respond(self, **kwargs):

@@ -1,7 +1,6 @@
 """Cross-cutting property-based tests (hypothesis)."""
 
 import json
-import math
 import statistics
 
 import pytest

@@ -12,8 +12,6 @@ queueing bottlenecks, so the realized win is usually larger).
 
 import json
 
-import pytest
-
 from repro import Cluster
 from repro.core import (
     DynamicService,
