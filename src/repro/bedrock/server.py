@@ -239,23 +239,13 @@ class BedrockServer(Provider):
         ):
             self.register_rpc(operation, getattr(self, f"_on_{operation}"))
 
-        self._introspection_errors = margo.metrics.counter(
-            "bedrock_introspection_errors",
-            "queries that raised (contained: a malformed query "
-            "degrades to an error response)",
-        )
-        self._providers_started = margo.metrics.counter(
-            "bedrock_providers_started", "providers started on this process"
-        )
-        self._providers_stopped = margo.metrics.counter(
-            "bedrock_providers_stopped", "providers stopped on this process"
-        )
-        self._migrations = margo.metrics.counter(
-            "bedrock_migrations", "provider migrations orchestrated from here"
-        )
-        self._migrated_bytes = margo.metrics.counter(
-            "bedrock_migrated_bytes", "bytes shipped by provider migrations"
-        )
+        # Counters in ``$__metrics__``; a malformed query only ticks
+        # ``introspection_errors`` (it degrades to an error response).
+        self.introspection_errors = self.providers_started = 0
+        self.providers_stopped = self.migrations = self.migrated_bytes = 0
+        for counter in ("introspection_errors", "providers_started",
+                        "providers_stopped", "migrations", "migrated_bytes"):
+            margo.export(f"bedrock_{counter}", self, counter)
 
         # Listing 3; the "margo" section was consumed by the Margo instance.
         libraries, providers = boot_sections(config or {})
@@ -321,7 +311,7 @@ class BedrockServer(Provider):
             instance=instance,
         )
         self.records[name] = record
-        self._providers_started.inc()
+        self.providers_started += 1
         for spec in dependencies.values():
             if isinstance(spec, str):
                 self.dependents.setdefault(spec, set()).add(f"local:{name}")
@@ -346,7 +336,7 @@ class BedrockServer(Provider):
                 if holders:
                     holders.discard(f"local:{record.name}")
         self.dependents.pop(record.name, None)
-        self._providers_stopped.inc()
+        self.providers_stopped += 1
         record.instance.destroy()
 
     # ------------------------------------------------------------------
@@ -518,7 +508,7 @@ class BedrockServer(Provider):
         try:
             return self.query(ctx.args["script"])
         except Exception as err:
-            self._introspection_errors.inc()
+            self.introspection_errors += 1
             raise BedrockError(f"query failed: {type(err).__name__}: {err}") from err
 
     def _on_list_providers(self, ctx: RequestContext) -> Generator:
@@ -596,8 +586,8 @@ class BedrockServer(Provider):
             timeout=10.0,
         )
         self._execute_stop({"name": name})
-        self._migrations.inc()
-        self._migrated_bytes.inc(report.total_bytes)
+        self.migrations += 1
+        self.migrated_bytes += report.total_bytes
         plane = getattr(self.margo.network, "health_plane", None)
         if plane is not None:
             plane.note_migration(
@@ -755,7 +745,7 @@ def _xray_doc(margo: MargoInstance) -> Any:
 
 #: The names a query reads besides its own variables, and their builders.
 _DOCUMENTS: dict[str, Callable[[MargoInstance], Any]] = {
-    "__metrics__": lambda m: m.metrics.snapshot() if m.metrics.enabled else None,
+    "__metrics__": lambda m: m.metrics(),
     "__traces__": lambda m: None if m.tracer is None else chrome_trace(m.tracer),
     "__profile__": _profile_doc,
     "__health__": lambda m: _health_doc(m, incidents=False),

@@ -43,7 +43,6 @@ from ..mercury import (
     rpc_id_of,
 )
 from ..mercury.hg import NO_TRACE
-from ..observability.metrics import MetricsRegistry
 from ..observability.profile import SAMPLE_STAMP, ContinuousProfiler
 from ..observability.span import HANDLER_SUFFIX, child_span_id
 from ..observability.tracer import Tracer
@@ -211,27 +210,18 @@ class MargoInstance:
         self._pending: dict[int, ULT] = {}
         self._incoming: deque[Any] = deque()
 
-        # Live runtime metrics (sampled by the monitoring sampler,
-        # section 4: "periodically tracks the number of in-flight RPCs
-        # and the sizes of user-level thread pools").  Components on
-        # this instance register their own metrics into this registry.
-        # The four per-RPC numbers are plain ints it reads on export.
+        # Live runtime counters, plain ints updated with ``+=`` (the
+        # monitoring sampler reads them, section 4: "periodically tracks
+        # the number of in-flight RPCs and the sizes of user-level
+        # thread pools").  ``exports`` names the numbers ``$__metrics__``
+        # reads at query time; components on this instance add theirs.
         obs = self.config.observability
-        self.metrics = MetricsRegistry(enabled=obs.metrics)
-        self.rpcs_sent = self.rpcs_handled = 0
+        self.rpcs_sent = self.rpcs_handled = self.monitor_errors = 0
         self.inflight_outgoing = self.inflight_incoming = 0
-        for kind, name, help_text in (
-            ("counter", "rpcs_sent", "RPCs issued by the client path"),
-            ("counter", "rpcs_handled", "RPCs whose handler ULT completed"),
-            ("gauge", "inflight_outgoing", "RPCs sent and awaiting a response"),
-            ("gauge", "inflight_incoming", "handler ULTs currently executing"),
-        ):
-            self.metrics.reading(f"margo_{name}", kind, help_text, self, name)
-        self._monitor_errors = self.metrics.counter(
-            "margo_monitor_errors",
-            "monitor hooks that raised (swallowed: monitoring must "
-            "never take the data path down)",
-        )
+        self.exports: dict[str, tuple[Any, str]] = {}
+        for name in ("rpcs_sent", "rpcs_handled", "inflight_outgoing",
+                     "inflight_incoming", "monitor_errors"):
+            self.export(f"margo_{name}", self, name)
         self.tracer: Optional[Tracer] = None
         if obs.tracing:
             self.tracer = Tracer(
@@ -294,9 +284,18 @@ class MargoInstance:
     def finalized(self) -> bool:
         return self._finalized
 
-    @property
-    def monitor_errors(self) -> int:
-        return int(self._monitor_errors.value)
+    def export(self, name: str, owner: Any, attr: str) -> None:
+        """Publish ``owner.<attr>`` as ``name`` in ``$__metrics__``; a
+        labelled series carries its label in the name
+        (``raft_terms_seen{group=g1}``)."""
+        self.exports[name] = (owner, attr)
+
+    def metrics(self) -> Optional[dict[str, Any]]:
+        """Every exported number, read now, sorted by name; ``None``
+        when the observability spec turns ``metrics`` off."""
+        if not self.config.observability.metrics:
+            return None
+        return {n: getattr(owner, attr) for n, (owner, attr) in sorted(self.exports.items())}
 
     # ------------------------------------------------------------------
     # monitoring
@@ -517,7 +516,7 @@ class MargoInstance:
                 try:
                     fn(time=started, margo=self, request=request)
                 except Exception:
-                    self._monitor_errors.inc()
+                    self.monitor_errors += 1
             # The on_forward_sent firing below is pre-charged here: one
             # charge covers both hooks (identical modeled cost) instead
             # of a second kernel event on every monitored send.
@@ -535,7 +534,7 @@ class MargoInstance:
                 try:
                     fn(time=self.kernel.now, margo=self, request=request)
                 except Exception:
-                    self._monitor_errors.inc()
+                    self.monitor_errors += 1
         if not known and timeout is None:
             # The destination does not exist and no timeout would ever
             # fire: fail fast instead of hanging the simulation.
@@ -566,7 +565,7 @@ class MargoInstance:
                     fn(time=self.kernel.now, margo=self, request=request, response=response,
                        elapsed=self.kernel.now - started)
                 except Exception:
-                    self._monitor_errors.inc()
+                    self.monitor_errors += 1
             yield response.codec_cost + charge * self.config.monitoring_cost_per_event
         else:
             yield response.codec_cost
@@ -623,7 +622,7 @@ class MargoInstance:
                     fn(time=self.kernel.now, margo=self, remote=remote_address, size=size,
                        op=op, duration=self.kernel.now - started)
                 except Exception:
-                    self._monitor_errors.inc()
+                    self.monitor_errors += 1
         return duration
 
     # ------------------------------------------------------------------
@@ -656,7 +655,7 @@ class MargoInstance:
                 try:
                     fn(time=self.kernel.now, margo=self, request=request)
                 except Exception:
-                    self._monitor_errors.inc()
+                    self.monitor_errors += 1
         key = (request.rpc_id, request.provider_id)
         if _race.ENABLED:
             label = self._race_labels.get(key)
@@ -684,7 +683,7 @@ class MargoInstance:
                 try:
                     fn(time=enqueued_at, margo=self, request=request, pool=registration.pool)
                 except Exception:
-                    self._monitor_errors.inc()
+                    self.monitor_errors += 1
 
     def _handler_body(
         self,
@@ -704,7 +703,7 @@ class MargoInstance:
                 try:
                     fn(time=ult_started, margo=self, request=request, queued_for=queued_for)
                 except Exception:
-                    self._monitor_errors.inc()
+                    self.monitor_errors += 1
             yield request.codec_cost + charge * self.config.monitoring_cost_per_event
         else:
             yield request.codec_cost
@@ -742,7 +741,7 @@ class MargoInstance:
                     fn(time=self.kernel.now, margo=self, request=request, duration=duration,
                        queued_for=queued_for)
                 except Exception:
-                    self._monitor_errors.inc()
+                    self.monitor_errors += 1
         self.inflight_incoming -= 1
         self.rpcs_handled += 1
         self.network.send(self.process, request.src_address, response, response.wire_size)
@@ -751,7 +750,7 @@ class MargoInstance:
                 try:
                     fn(time=self.kernel.now, margo=self, request=request, response=response)
                 except Exception:
-                    self._monitor_errors.inc()
+                    self.monitor_errors += 1
 
     def _dispatch_response(self, response: RPCResponse) -> None:
         caller = self._pending.pop(response.seq, None)
@@ -899,7 +898,7 @@ class MargoInstance:
                 try:
                     fn(time=self.kernel.now, margo=self)
                 except Exception:
-                    self._monitor_errors.inc()
+                    self.monitor_errors += 1
         if self.profiler is not None:
             self.profiler.stop()
         for xstream in self.xstreams.values():

@@ -36,28 +36,31 @@ class PeriodicSampler:
         self.margo = margo
         self.period = period
         self.samples: deque[dict[str, Any]] = deque(maxlen=SAMPLES)
-        self._running = False
+        #: The pending tick; ``stop`` cancels it, so a restart runs one
+        #: tick chain.
+        self._timer: Optional[Any] = None
 
     def start(self) -> None:
-        if self._running:
+        if self._timer is not None:
             raise RuntimeError("sampler already running")
-        self._running = True
         self._tick()
 
     def stop(self) -> None:
-        self._running = False
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
     def _tick(self) -> None:
-        if not self._running or self.margo.finalized:
-            self._running = False
+        if self.margo.finalized:
+            self._timer = None
             return
         self.samples.append(self.margo.snapshot())
-        self.margo.kernel.schedule(self.period, self._tick)
+        self._timer = self.margo.kernel.schedule(self.period, self._tick)
 
     # ------------------------------------------------------------------
     @property
     def running(self) -> bool:
-        return self._running
+        return self._timer is not None
 
     @property
     def latest(self) -> Optional[dict[str, Any]]:

@@ -8,11 +8,10 @@ default:
 
 * the ``observability`` section of a margo/Bedrock configuration
   (:class:`ObservabilitySpec`) builds, per process, the
-  :class:`Tracer` (per-RPC spans with cross-process trace context), the
-  :class:`MetricsRegistry` that margo, bedrock, raft, remi and ssg
-  register into, and the :class:`ContinuousProfiler` (windowed rollups
-  and RPC latency decomposition).  Two keys ride the profiler: ``xray``
-  makes it record per-request critical paths into the kernel's
+  :class:`Tracer` (per-RPC spans with cross-process trace context) and
+  the :class:`ContinuousProfiler` (windowed rollups and RPC latency
+  decomposition).  Two keys ride the profiler: ``xray`` makes it
+  record per-request critical paths into the kernel's
   :class:`XrayPlane`, which attributes each closed window's tail and
   ranks what-if actions; ``slos`` gives the process an
   :class:`SLOEngine` that the profiler feeds every closed window;
@@ -22,8 +21,11 @@ default:
 
 Bedrock's ``query`` RPC reads every plane (``$__metrics__``,
 ``$__traces__``, ``$__profile__``, ``$__health__``, ``$__incidents__``,
-``$__slo__``, ``$__xray__``); ``$__traces__`` is Chrome trace-event
-JSON.  Everything runs on simulated clocks: same seed, same bytes out.
+``$__slo__``, ``$__xray__``); ``$__metrics__`` is the flat, sorted
+``{name: number}`` of the counters margo, bedrock, raft, remi, ssg and
+pufferscale export into their Margo instance (``MargoInstance.export``),
+read at query time; ``$__traces__`` is Chrome trace-event JSON.
+Everything runs on simulated clocks: same seed, same bytes out.
 """
 
 from .exporters import chrome_trace, collect_spans
@@ -35,14 +37,6 @@ from .profile import (
     ProfileStore,
     WindowRollup,
     quantile_from_buckets,
-)
-from .metrics import (
-    Counter,
-    DEFAULT_BUCKETS,
-    Histogram,
-    MetricError,
-    MetricFamily,
-    MetricsRegistry,
 )
 from .health import (
     FlightRecorder,
@@ -64,12 +58,6 @@ __all__ = [
     "Span",
     "SpanContext",
     "child_span_id",
-    "MetricsRegistry",
-    "MetricFamily",
-    "Counter",
-    "Histogram",
-    "MetricError",
-    "DEFAULT_BUCKETS",
     "ObservabilitySpec",
     "collect_spans",
     "chrome_trace",

@@ -52,6 +52,20 @@ OBJECTIVES = ("latency_p99", "availability", "error_rate")
 MAX_ALERTS = 64
 
 
+#: What :func:`json_typed` calls each kind it checks.
+_NOUNS = {bool: "a boolean", int: "an integer", (int, float): "a number"}
+
+
+def json_typed(value: Any, kind: Any, what: str) -> Any:
+    """``value`` if it is a JSON value of ``kind``: ``bool``, ``int`` or
+    ``(int, float)``, and no boolean unless ``kind`` is ``bool``.
+    Outside input is never coerced: ``"false"`` is no switch, ``2.9``
+    no count and ``"0.5"`` no number."""
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_NOUNS[kind]}, got {value!r}")
+    return value
+
+
 class SLOSpec:
     """One validated objective declaration (parsed from JSON)."""
 
@@ -86,7 +100,7 @@ class SLOSpec:
             )
         if not target:
             raise ValueError(f"SLO {name!r} needs a non-empty 'target'")
-        threshold = float(threshold)
+        threshold = float(json_typed(threshold, (int, float), f"SLO {name!r}: threshold"))
         if objective == "availability":
             if not 0.0 < threshold < 1.0:
                 raise ValueError(
@@ -103,8 +117,8 @@ class SLOSpec:
             raise ValueError(
                 f"SLO {name!r}: latency threshold must be positive, got {threshold}"
             )
-        window = int(window)
-        short_windows = int(short_windows)
+        window = json_typed(window, int, f"SLO {name!r}: window")
+        short_windows = json_typed(short_windows, int, f"SLO {name!r}: short_windows")
         if window < 1:
             raise ValueError(f"SLO {name!r}: window must be >= 1, got {window}")
         if not 1 <= short_windows <= window:
@@ -112,13 +126,13 @@ class SLOSpec:
                 f"SLO {name!r}: short_windows must be in [1, window], "
                 f"got {short_windows}"
             )
-        budget = float(budget)
+        budget = float(json_typed(budget, (int, float), f"SLO {name!r}: budget"))
         if not 0.0 < budget <= 1.0:
             raise ValueError(
                 f"SLO {name!r}: budget must be in (0, 1], got {budget}"
             )
-        fast_burn = float(fast_burn)
-        slow_burn = float(slow_burn)
+        fast_burn = float(json_typed(fast_burn, (int, float), f"SLO {name!r}: fast_burn"))
+        slow_burn = float(json_typed(slow_burn, (int, float), f"SLO {name!r}: slow_burn"))
         if fast_burn < slow_burn or slow_burn <= 0:
             raise ValueError(
                 f"SLO {name!r}: need fast_burn >= slow_burn > 0, "

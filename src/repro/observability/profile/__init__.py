@@ -1,7 +1,7 @@
 """mochi-profile: continuous profiling, RPC latency decomposition, and
 the measured-load inputs that feed reconfiguration decisions.
 
-Layered on the PR 1 tracer/metrics plane:
+Layered on the tracer plane:
 
 * :class:`ProfileStore` / :class:`WindowRollup` -- fixed-memory ring of
   windowed rollups (p50/p95/p99, rates, utilization) with deterministic

@@ -18,8 +18,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Optional
 
-from ..metrics import Histogram, MetricFamily
-
 __all__ = ["PhaseAggregate", "WindowRollup", "ProfileStore", "quantile_from_buckets"]
 
 #: The RPC phases recorded by the latency decomposition, in causal order.
@@ -58,19 +56,36 @@ def quantile_from_buckets(
     return hi  # target rank falls in the +inf bucket: report the max
 
 
-#: The unregistered family every window aggregate belongs to.
-_WINDOW_PHASES = MetricFamily("window_phase", "histogram")
+class PhaseAggregate:
+    """One window's distribution summary for one (key, phase) series:
+    bucket counts plus ``count``/``sum``/``min``/``max``, rendered with
+    interpolated quantiles."""
 
+    #: Bucket upper bounds, simulated seconds; an implicit ``+inf``
+    #: bucket catches the tail.
+    buckets = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
 
-class PhaseAggregate(Histogram):
-    """One window's distribution summary for one (key, phase) series: a
-    :class:`~repro.observability.metrics.Histogram` outside any
-    registry, rendered with interpolated quantiles."""
-
-    __slots__ = ()
+    __slots__ = ("bucket_counts", "count", "sum", "min", "max")
 
     def __init__(self) -> None:
-        super().__init__(_WINDOW_PHASES, ())
+        self.bucket_counts = [0] * (len(self.buckets) + 1)
+        self.count = 0
+        self.sum = 0.0
+        self.min: Optional[float] = None
+        self.max: Optional[float] = None
+
+    def observe(self, value: float) -> None:
+        self.count += 1
+        self.sum += value
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+        for i, bound in enumerate(self.buckets):
+            if value <= bound:
+                self.bucket_counts[i] += 1
+                return
+        self.bucket_counts[-1] += 1
 
     def to_json(self) -> dict[str, Any]:
         lo = self.min or 0.0

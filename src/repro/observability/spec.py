@@ -6,7 +6,7 @@ the Margo instance) accepts an ``observability`` object::
     {
       "observability": {
         "tracing": true,        # materialize per-RPC spans (default off)
-        "metrics": true,        # export the metrics registry (default on)
+        "metrics": true,        # serve counters as $__metrics__ (default on)
         "max_spans": 100000,    # span-buffer cap (default unbounded)
 
         "profiling": true,      # continuous profiler (default off)
@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .health.slo import SLOSpec
+from .health.slo import SLOSpec, json_typed
 
 __all__ = ["ObservabilitySpec"]
 
@@ -95,29 +95,35 @@ class ObservabilitySpec:
             raise ValueError(f"unknown observability keys: {sorted(unknown)}")
         max_spans = doc.get("max_spans")
         if max_spans is not None:
-            max_spans = int(max_spans)
-            if max_spans <= 0:
+            if json_typed(max_spans, int, "max_spans") <= 0:
                 raise ValueError(f"max_spans must be positive, got {max_spans}")
-        profile_window = float(doc.get("profile_window", cls.profile_window))
+        profile_window = float(json_typed(
+            doc.get("profile_window", cls.profile_window), (int, float), "profile_window"
+        ))
         if profile_window <= 0:
             raise ValueError(
                 f"profile_window must be positive, got {profile_window}"
             )
-        trace_sample_rate = float(
-            doc.get("trace_sample_rate", cls.trace_sample_rate)
-        )
+        trace_sample_rate = float(json_typed(
+            doc.get("trace_sample_rate", cls.trace_sample_rate), (int, float),
+            "trace_sample_rate",
+        ))
         if not 0.0 <= trace_sample_rate <= 1.0:
             raise ValueError(
                 f"trace_sample_rate must be in [0, 1], got {trace_sample_rate}"
             )
-        profile_sample_every = int(
-            doc.get("profile_sample_every", cls.profile_sample_every)
+        profile_sample_every = json_typed(
+            doc.get("profile_sample_every", cls.profile_sample_every),
+            int, "profile_sample_every",
         )
         if profile_sample_every < 1:
             raise ValueError(
                 f"profile_sample_every must be >= 1, got {profile_sample_every}"
             )
-        profiling = bool(doc.get("profiling", False))
+        tracing = json_typed(doc.get("tracing", False), bool, "tracing")
+        metrics = json_typed(doc.get("metrics", True), bool, "metrics")
+        profiling = json_typed(doc.get("profiling", False), bool, "profiling")
+        xray = json_typed(doc.get("xray", False), bool, "xray")
         slos_doc = doc.get("slos", [])
         if not isinstance(slos_doc, list):
             raise ValueError(
@@ -132,16 +138,15 @@ class ObservabilitySpec:
                 "'slos' are evaluated against profiler windows: set "
                 "'profiling': true"
             )
-        xray = bool(doc.get("xray", False))
         if xray and not profiling:
             raise ValueError(
                 "'xray' rides the profiler's sampling and phase stamps: "
                 "set 'profiling': true"
             )
         return cls(
-            tracing=bool(doc.get("tracing", False)),
+            tracing=tracing,
             trace_sample_rate=trace_sample_rate,
-            metrics=bool(doc.get("metrics", True)),
+            metrics=metrics,
             max_spans=max_spans,
             profiling=profiling,
             profile_window=profile_window,

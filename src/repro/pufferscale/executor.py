@@ -43,18 +43,9 @@ class PlanExecutor:
         self.margo = margo
         self.migrate = migrate
         self.max_parallel = max_parallel
-        self._moves = margo.metrics.counter(
-            "pufferscale_moves_executed", "shard migrations carried out"
-        )
-        self._moved_bytes = margo.metrics.counter(
-            "pufferscale_bytes_moved", "shard bytes shipped by rebalances"
-        )
-        self._rebalances = margo.metrics.counter(
-            "pufferscale_rebalances", "plans executed to completion"
-        )
-        self._wave_seconds = margo.metrics.histogram(
-            "pufferscale_wave_seconds", "duration of each migration wave"
-        )
+        self.moves_executed = self.bytes_moved = self.rebalances = 0
+        for counter in ("moves_executed", "bytes_moved", "rebalances"):
+            margo.export(f"pufferscale_{counter}", self, counter)
 
     def execute(self, plan: MigrationPlan) -> Generator:
         """Run every move; returns an :class:`ExecutionReport`.
@@ -83,17 +74,15 @@ class PlanExecutor:
                 else:
                     rest.append(move)
             remaining = rest
-            wave_started = self.margo.kernel.now
             yield from parallel(
                 self.margo,
                 [self.migrate(m.shard, m.source, m.destination) for m in wave],
             )
-            self._wave_seconds.observe(self.margo.kernel.now - wave_started)
             executed += len(wave)
             moved_bytes += sum(m.shard.size_bytes for m in wave)
-        self._moves.inc(executed)
-        self._moved_bytes.inc(moved_bytes)
-        self._rebalances.inc()
+        self.moves_executed += executed
+        self.bytes_moved += moved_bytes
+        self.rebalances += 1
         if self.margo.tracer is not None:
             self.margo.tracer.record_span(
                 "rebalance",

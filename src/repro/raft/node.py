@@ -104,24 +104,12 @@ class RaftNode(Provider):
         self._next_heartbeat = 0.0
         self._reset_election_deadline()
 
-        # Protocol counters (tests/benchmarks read the properties below);
-        # registered into the process metrics registry, labelled by
-        # group so several consensus groups per process stay distinct.
-        def _counter(suffix: str, help: str):
-            return margo.metrics.counter(
-                f"raft_{suffix}", help, label_names=("group",)
-            ).labels(group=name)
-
-        self._elections_started = _counter(
-            "elections_started", "elections this node initiated"
-        )
-        self._terms_seen = _counter("terms_seen", "distinct terms observed")
-        self._snapshots_taken = _counter(
-            "snapshots_taken", "log compactions performed"
-        )
-        self._entries_applied = _counter(
-            "entries_applied", "committed entries applied to the state machine"
-        )
+        # Protocol counters, exported per group so several consensus
+        # groups per process stay distinct.
+        self.elections_started = self.terms_seen = 0
+        self.snapshots_taken = self.entries_applied = 0
+        for counter in ("elections_started", "terms_seen", "snapshots_taken", "entries_applied"):
+            margo.export(f"raft_{counter}{{group={name}}}", self, counter)
 
         self.register_rpc("request_vote", self._on_request_vote)
         self.register_rpc("append_entries", self._on_append_entries)
@@ -138,14 +126,6 @@ class RaftNode(Provider):
     @property
     def address(self) -> str:
         return self.margo.address
-
-    @property
-    def elections_started(self) -> int:
-        return int(self._elections_started.value)
-
-    @property
-    def snapshots_taken(self) -> int:
-        return int(self._snapshots_taken.value)
 
     def _majority(self) -> int:
         return len(self.peers) // 2 + 1
@@ -174,7 +154,7 @@ class RaftNode(Provider):
         if term > self.current_term:
             self.current_term = term
             self.voted_for = None
-            self._terms_seen.inc()
+            self.terms_seen += 1
         self._set_role(Role.FOLLOWER)
         self._reset_election_deadline()
 
@@ -208,7 +188,7 @@ class RaftNode(Provider):
         self.current_term += 1
         self.voted_for = self.address
         self._set_role(Role.CANDIDATE)
-        self._elections_started.inc()
+        self.elections_started += 1
         term = self.current_term
         votes = {"count": 1}  # self-vote
         won = UltEvent(self.margo.kernel, name=f"election:{self.name}:{term}")
@@ -383,7 +363,7 @@ class RaftNode(Provider):
     def _apply_committed(self) -> None:
         while self.last_applied < self.commit_index:
             self.last_applied += 1
-            self._entries_applied.inc()
+            self.entries_applied += 1
             entry = self.log.entry_at(self.last_applied)
             command = entry.command
             if isinstance(command, dict) and CONFIG_OP in command:
@@ -444,7 +424,7 @@ class RaftNode(Provider):
             # exactly-once semantics survive snapshot installation.
             self._snapshot_data = self._encode_snapshot()
             self.log.compact_to(self.last_applied)
-            self._snapshots_taken.inc()
+            self.snapshots_taken += 1
 
     def _encode_snapshot(self) -> bytes:
         import base64

@@ -65,12 +65,9 @@ class RemiProvider(Provider):
             _race.track(self.store, f"remi:{name}.store")
         # Partially received files (chunked path): path -> (size, {offset: bytes}).
         self._partial: dict[str, tuple[int, dict[int, bytes]]] = {}
-        self._files_received = margo.metrics.counter(
-            "remi_files_received", "migrated files landed", label_names=("provider",)
-        ).labels(provider=name)
-        self._bytes_received = margo.metrics.counter(
-            "remi_bytes_received", "migrated bytes landed", label_names=("provider",)
-        ).labels(provider=name)
+        self.files_received = self.bytes_received = 0
+        for counter in ("files_received", "bytes_received"):
+            margo.export(f"remi_{counter}{{provider={name}}}", self, counter)
 
         self.register_rpc("recv_file", self._on_recv_file)
         self.register_rpc("recv_chunk", self._on_recv_chunk)
@@ -96,8 +93,8 @@ class RemiProvider(Provider):
         if _race.ENABLED:
             _race.note_write(self.store, path, f"remi:{self.name}.recv_file")
         self.store.write(path, bulk.data)
-        self._files_received.inc()
-        self._bytes_received.inc(bulk.size)
+        self.files_received += 1
+        self.bytes_received += bulk.size
         return bulk.size
 
     def _on_recv_chunk(self, ctx: RequestContext) -> Generator:
@@ -112,7 +109,7 @@ class RemiProvider(Provider):
                 if _race.ENABLED:
                     _race.note_write(self.store, path, f"remi:{self.name}.recv_chunk")
                 self.store.write(path, data)
-                self._files_received.inc()
+                self.files_received += 1
             else:
                 # Pipelined chunks land pieces of the same file from
                 # concurrent handler ULTs *by design*; assembly sorts by
@@ -137,8 +134,8 @@ class RemiProvider(Provider):
                         )
                     self.store.write(path, assembled)
                     del self._partial[path]
-                    self._files_received.inc()
-            self._bytes_received.inc(len(data))
+                    self.files_received += 1
+            self.bytes_received += len(data)
         return total
 
     def _on_finalize(self, ctx: RequestContext) -> Generator:
@@ -156,14 +153,6 @@ class RemiProvider(Provider):
         return [p for p, size in files if store.exists(p) and store.size_of(p) == size]
 
     # ------------------------------------------------------------------
-    @property
-    def files_received(self) -> int:
-        return int(self._files_received.value)
-
-    @property
-    def bytes_received(self) -> int:
-        return int(self._bytes_received.value)
-
     def get_config(self) -> dict[str, Any]:
         doc = dict(self.config)
         doc["sync"] = self.sync

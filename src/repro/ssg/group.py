@@ -61,28 +61,14 @@ class SSGGroup(Provider):
         #: user callbacks
         self.on_view_change: list[Callable[[GroupView], None]] = []
         self.on_member_died: list[Callable[[str], None]] = []
-        # protocol counters, registered into the process metrics
-        # registry per group.
-        def _counter(suffix: str, help: str):
-            return margo.metrics.counter(
-                f"ssg_{suffix}", help, label_names=("group",)
-            ).labels(group=group_name)
-
-        self._pings_sent = _counter("pings_sent", "SWIM direct pings sent")
-        self._ping_reqs_sent = _counter(
-            "ping_reqs_sent", "SWIM indirect ping-req fan-outs sent"
-        )
-        self._false_suspicions = _counter(
-            "false_suspicions", "suspected members that refuted in time"
-        )
+        # protocol counters, exported per group.
+        self.pings_sent = self.ping_reqs_sent = self.false_suspicions = 0
+        for counter in ("pings_sent", "ping_reqs_sent", "false_suspicions"):
+            margo.export(f"ssg_{counter}{{group={group_name}}}", self, counter)
 
         self.register_rpc(f"{group_name}_ping", self._on_ping)
         self.register_rpc(f"{group_name}_ping_req", self._on_ping_req)
         self.register_rpc(f"{group_name}_join", self._on_join)
-
-    @property
-    def false_suspicions(self) -> int:
-        return int(self._false_suspicions.value)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -260,7 +246,7 @@ class SSGGroup(Provider):
         ]
         self._rng.shuffle(helpers)
         for helper in helpers[: config.ping_req_k]:
-            self._ping_reqs_sent.inc()
+            self.ping_reqs_sent += 1
             try:
                 reply = yield from self.margo.forward(
                     helper,
@@ -277,7 +263,7 @@ class SSGGroup(Provider):
         return False
 
     def _send_ping(self, target: str) -> Generator:
-        self._pings_sent.inc()
+        self.pings_sent += 1
         status = self.state.status_of(target)
         record = self.state._members.get(target)
         reply = yield from self.margo.forward(
@@ -313,7 +299,7 @@ class SSGGroup(Provider):
             try:
                 process = self.margo.network.lookup(address)
                 if process.alive:
-                    self._false_suspicions.inc()
+                    self.false_suspicions += 1
             except Exception:
                 pass
             for callback in self.on_member_died:

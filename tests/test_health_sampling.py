@@ -172,19 +172,19 @@ STACK_NOW = 0.0015781145333333328
 def test_observer_outputs_are_pinned():
     """Literals recorded on the last tree with ``RequestContext.respond``
     and the profiler's two phase histograms, with ``store`` replying by
-    returning as here; ``metrics`` is that tree's snapshot without the
-    two histogram families."""
+    returning as here; ``metrics`` is each process's flat counters, every
+    value equal to the registry series of the same name it replaced."""
     cluster, stats, _calls = _observer_stack()
     outputs = {
         "tracer": json.dumps([tracer.to_json() for tracer in cluster.tracers()], sort_keys=True),
         "profile": json.dumps([p.profile() for p in cluster.profilers()], sort_keys=True),
         "listing1": "".join(monitor.dumps() for monitor in stats),
-        "metrics": json.dumps({n: m.metrics.snapshot() for n, m in cluster.margos.items()}, sort_keys=True),
+        "metrics": json.dumps({n: m.metrics() for n, m in cluster.margos.items()}, sort_keys=True),
     }
     assert cluster.now == STACK_NOW
     assert {k: hashlib.sha256(v.encode()).hexdigest()[:16] for k, v in outputs.items()} == {
         "tracer": "bd727127dedb29c2", "profile": "2985f19ad23b645b",
-        "listing1": "259070f8801d757e", "metrics": "bb14ff1d0ed71952",
+        "listing1": "259070f8801d757e", "metrics": "5c0f1c47dedf2da8",
     }
 
 

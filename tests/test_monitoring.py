@@ -325,6 +325,22 @@ def test_sampler_validation():
         sampler.inflight_stats("sideways")
 
 
+def test_sampler_restarted_runs_one_tick_chain():
+    """``stop`` cancels the pending tick: a restart samples at once and
+    then once per period, with no second chain left from the first."""
+    cluster = Cluster(seed=1)
+    server = cluster.add_margo("server", node="n0")
+    sampler = PeriodicSampler(server, period=1.0)
+    sampler.start()
+    cluster.run(until=2.5)
+    sampler.stop()
+    sampler.start()
+    cluster.run(until=10.5)
+    assert [s["time"] for s in sampler.samples] == [0.0, 1.0, 2.0, 2.5] + [
+        3.5 + i for i in range(8)
+    ]
+
+
 def test_sampler_keeps_the_newest_samples():
     cluster = Cluster(seed=1)
     server = cluster.add_margo("server", node="n0")

@@ -1,4 +1,4 @@
-"""Tests for the observability plane: metrics registry, tracer, exporters.
+"""Tests for the observability plane: exported counters, tracer, exporters.
 
 The acceptance scenario from the issue lives here: a nested RPC
 (a -> b "relay" -> c "leaf") with tracing enabled must produce a single
@@ -17,96 +17,67 @@ from repro.margo import Compute, MargoConfig
 from repro.margo.errors import ConfigError
 from repro.monitoring import CallbackMonitor
 from repro.observability import (
-    DEFAULT_BUCKETS,
-    MetricError,
-    MetricsRegistry,
     ObservabilitySpec,
+    PhaseAggregate,
     Tracer,
     chrome_trace,
     collect_spans,
 )
+from repro.ssg import SSGGroup
 
 TRACED = {"observability": {"tracing": True}}
 
 
 # ----------------------------------------------------------------------
-# metrics registry
+# the profiler's phase histogram
 # ----------------------------------------------------------------------
-def test_counter_is_monotonic():
-    registry = MetricsRegistry()
-    c = registry.counter("reqs", "requests served")
-    c.inc()
-    c.inc(2.5)
-    assert c.value == pytest.approx(3.5)
-    with pytest.raises(MetricError, match="cannot decrease"):
-        c.inc(-1)
-
-
 def test_histogram_buckets_and_summary():
-    h = MetricsRegistry().histogram("lat", buckets=(0.1, 1.0))
-    for v in (0.05, 0.5, 0.5, 5.0):
-        h.observe(v)
-    assert h.count == 4
-    assert h.sum == pytest.approx(6.05)
-    assert h.min == 0.05 and h.max == 5.0
-    doc = h.to_json()
-    assert doc["buckets"] == {"le:0.1": 1, "le:1": 2, "le:+inf": 1}
+    """A value equal to a bound lands in that bucket, the tail in
+    ``+inf``; count, sum, min and max ride along."""
+    agg = PhaseAggregate()
+    for value in (1e-6, 5e-4, 1e-3, 1e-3, 50.0):
+        agg.observe(value)
+    assert agg.bucket_counts == [1, 0, 0, 3, 0, 0, 0, 0, 1]
+    assert (agg.count, agg.min, agg.max) == (5, 1e-6, 50.0)
+    assert agg.sum == pytest.approx(50.002501)
 
 
 def test_histogram_default_buckets_sorted():
-    assert tuple(sorted(DEFAULT_BUCKETS)) == DEFAULT_BUCKETS
+    assert list(PhaseAggregate.buckets) == sorted(PhaseAggregate.buckets)
 
 
+# ----------------------------------------------------------------------
+# exported counters: plain ints, read when ``metrics()`` is
+# ----------------------------------------------------------------------
 def test_labelled_family_one_series_per_label_set():
-    registry = MetricsRegistry()
-    fam = registry.counter("pings", "pings", label_names=("group",))
-    fam.labels(group="g1").inc()
-    fam.labels(group="g1").inc()
-    fam.labels(group="g2").inc(5)
-    assert fam.labels(group="g1").value == 2.0
-    assert fam.labels(group="g2").value == 5.0
-    assert [s.labels_key for s in fam.series] == ["group=g1", "group=g2"]
-    with pytest.raises(MetricError, match="takes labels"):
-        fam.labels(grp="oops")
-
-
-def test_registration_is_idempotent_but_kind_checked():
-    registry = MetricsRegistry()
-    a = registry.counter("x", "first")
-    b = registry.counter("x", "second registration ignored")
-    assert a is b
-    with pytest.raises(MetricError, match="already registered as a counter"):
-        registry.histogram("x")
-    registry.counter("y", label_names=("a",))
-    with pytest.raises(MetricError, match="already registered with labels"):
-        registry.counter("y", label_names=("b",))
-
-
-def test_disabled_registry_counts_but_exports_nothing():
-    registry = MetricsRegistry(enabled=False)
-    c = registry.counter("still_works")
-    c.inc(3)
-    assert c.value == 3.0  # live counters keep backing properties
-    assert registry.snapshot() == {}
-    assert json.loads(registry.dumps()) == {}
+    """A labelled series carries its label in the name: two SSG groups
+    on one process export one name per counter and group."""
+    cluster = Cluster(seed=1)
+    margo = cluster.add_margo("solo", node="n0")
+    g1, g2 = SSGGroup(margo, "g1"), SSGGroup(margo, "g2")
+    g1.pings_sent += 2
+    g2.pings_sent += 5
+    doc = margo.metrics()
+    assert (doc["ssg_pings_sent{group=g1}"], doc["ssg_pings_sent{group=g2}"]) == (2, 5)
+    assert doc["ssg_false_suspicions{group=g2}"] == 0
 
 
 def test_snapshot_shape_and_determinism():
-    registry = MetricsRegistry()
-    registry.counter("b_metric", "help b").inc()
-    registry.histogram("a_metric").observe(2)
-    snap = registry.snapshot()
-    assert list(snap) == ["a_metric", "b_metric"]  # sorted
-    assert snap["a_metric"]["kind"] == "histogram"
-    assert snap["b_metric"]["kind"] == "counter"
-    assert snap["b_metric"]["help"] == "help b"
-    assert snap["b_metric"]["series"][""] == {"value": 1.0}
-    assert registry.dumps() == registry.dumps()
+    """Flat ``{name: number}``, sorted by name, read at call time."""
+    cluster = Cluster(seed=1)
+    margo = cluster.add_margo("solo", node="n0")
+    doc = margo.metrics()
+    assert list(doc) == sorted(doc) == [
+        "margo_inflight_incoming", "margo_inflight_outgoing",
+        "margo_monitor_errors", "margo_rpcs_handled", "margo_rpcs_sent",
+    ]
+    assert set(doc.values()) == {0}
+    margo.register("echo", lambda ctx: ctx.args)
+    cluster.run_ult(margo, margo.forward(margo.address, "echo", "x"))
+    assert margo.metrics()["margo_rpcs_sent"] == 1 and doc["margo_rpcs_sent"] == 0
+    assert json.dumps(margo.metrics()) == json.dumps(margo.metrics())
 
 
-# ----------------------------------------------------------------------
-# runtime integration: counters replace the ad-hoc ones
-# ----------------------------------------------------------------------
 def test_margo_runtime_counters_live_in_registry():
     cluster = Cluster(seed=1)
     server = cluster.add_margo("server", node="n0")
@@ -120,25 +91,8 @@ def test_margo_runtime_counters_live_in_registry():
     cluster.run_ult(client, driver())
     assert client.rpcs_sent == 3
     assert server.rpcs_handled == 3
-    snap = client.metrics.snapshot()
-    assert snap["margo_rpcs_sent"]["series"][""]["value"] == 3.0
-    assert server.metrics.snapshot()["margo_rpcs_handled"]["series"][""]["value"] == 3.0
-
-
-def test_sharing_a_margo_reading_gets_its_value_and_a_clear_error():
-    """Registration is idempotent, so a component re-registering one of
-    the four per-RPC series gets the runtime's read-only view of it."""
-    cluster = Cluster(seed=1)
-    margo = cluster.add_margo("solo", node="n0")
-    margo.register("echo", lambda ctx: ctx.args)
-    cluster.run_ult(margo, margo.forward(margo.address, "echo", "x"))
-    shared = margo.metrics.counter("margo_rpcs_sent")
-    assert shared.value == 1.0
-    assert margo.metrics.snapshot()["margo_inflight_outgoing"]["series"][""] == {"value": 0.0}
-    for update in (shared.inc, shared.dec):
-        with pytest.raises(MetricError, match="update that"):
-            update()
-    assert margo.rpcs_sent == 1
+    assert client.metrics()["margo_rpcs_sent"] == 3
+    assert server.metrics()["margo_rpcs_handled"] == 3
 
 
 # ----------------------------------------------------------------------
@@ -391,6 +345,39 @@ def test_observability_spec_parses_and_validates():
         ObservabilitySpec.from_json([1])
 
 
+def _slo(**tuning):
+    return {"profiling": True, "slos": [
+        dict({"name": "p99", "objective": "latency_p99", "target": "put/1",
+              "threshold": 0.002}, **tuning)]}
+
+
+@pytest.mark.parametrize("doc, match", [
+    ({"tracing": "false"}, "tracing must be a boolean, got 'false'"),
+    ({"metrics": 0}, "metrics must be a boolean"),
+    ({"profiling": 1}, "profiling must be a boolean"),
+    ({"profiling": True, "xray": "true"}, "xray must be a boolean"),
+    ({"max_spans": 2.9}, "max_spans must be an integer, got 2.9"),
+    ({"max_spans": True}, "max_spans must be an integer"),
+    ({"profile_sample_every": 2.9}, "profile_sample_every must be an integer"),
+    ({"profile_sample_every": "4"}, "profile_sample_every must be an integer"),
+    (_slo(window=12.5), "window must be an integer"),
+    (_slo(short_windows="3"), "short_windows must be an integer"),
+    ({"profile_window": "0.5"}, "profile_window must be a number"),
+    ({"trace_sample_rate": True}, "trace_sample_rate must be a number"),
+    (_slo(threshold="0.002"), "threshold must be a number"),
+    (_slo(budget=False), "budget must be a number"),
+], ids=["tracing-str", "metrics-int", "profiling-int", "xray-str", "max_spans-float",
+        "max_spans-bool", "sample_every-float", "sample_every-str", "slo_window-float",
+        "slo_short_windows-str", "profile_window-str", "trace_rate-bool",
+        "slo_threshold-str", "slo_budget-bool"])
+def test_observability_spec_refuses_wrongly_typed_input(doc, match):
+    """Switches are JSON booleans, counts JSON integers and rates JSON
+    numbers: nothing is coerced, so ``"false"`` turns nothing on and 2.9
+    is not 2."""
+    with pytest.raises(ValueError, match=match):
+        ObservabilitySpec.from_json(doc)
+
+
 def test_margo_config_round_trips_observability():
     config = MargoConfig.from_json(
         {"observability": {"tracing": True, "metrics": False, "max_spans": 5}}
@@ -411,6 +398,20 @@ def test_margo_get_config_reflects_observability():
     assert doc["observability"] == {"tracing": True, "metrics": True}
 
 
+def test_disabled_registry_counts_but_exports_nothing():
+    """A component's counters count with ``metrics`` off; only the
+    export reads ``null``."""
+    cluster = Cluster(seed=1)
+    margo, bedrock = boot_process(cluster, "server", "n0", {
+        "margo": {"observability": {"metrics": False}},
+        "libraries": {"yokan": "libyokan.so"},
+        "providers": [{"name": "db", "type": "yokan", "provider_id": 1,
+                       "config": {"database": {"type": "map"}}}],
+    })
+    assert bedrock.providers_started == 1
+    assert margo.metrics() is None
+
+
 def test_metrics_spec_disables_snapshot_but_not_counters():
     cluster = Cluster(seed=1)
     server = cluster.add_margo(
@@ -423,8 +424,8 @@ def test_metrics_spec_disables_snapshot_but_not_counters():
         return (yield from client.forward(server.address, "echo", 1))
 
     cluster.run_ult(client, driver())
-    assert server.rpcs_handled == 1  # live property still works
-    assert server.metrics.snapshot() == {}
+    assert server.rpcs_handled == 1  # the counter still counts
+    assert server.metrics() is None
 
 
 # ----------------------------------------------------------------------
@@ -449,11 +450,11 @@ def test_bedrock_serves_metrics_and_traces():
     })
     metrics = query("return $__metrics__;")
     traces = query("return $__traces__;")
-    # The metrics document is the remote registry snapshot...
-    assert metrics["bedrock_providers_started"]["series"][""]["value"] == 1.0
-    # The snapshot is taken *inside* the query handler, so that very
-    # RPC shows up as an in-flight handler ULT.
-    assert metrics["margo_inflight_incoming"]["series"][""]["value"] == 1.0
+    # The metrics document is the remote process's counters...
+    assert metrics["bedrock_providers_started"] == 1
+    # They are read *inside* the query handler, so that very RPC shows
+    # up as an in-flight handler ULT.
+    assert metrics["margo_inflight_incoming"] == 1
     assert "margo_rpcs_handled" in metrics
     # ...and the trace document is Chrome trace-event shaped, already
     # containing the server-side spans of the first query itself.

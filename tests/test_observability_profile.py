@@ -366,18 +366,18 @@ def test_malformed_introspection_contained():
     """A malformed or over-budget query degrades to an error response +
     counter tick; the Bedrock server stays fully operational afterwards."""
     cluster, ctl, handle, bedrock = _bedrock_rig()
-    assert bedrock._introspection_errors.value == 0
+    assert bedrock.introspection_errors == 0
     nested_copies = "$a = [];" + " $a = [$a, $a];" * 20 + " return $a;"
     for ticks, script in enumerate(
         ["return $__profile__.windows[;", nested_copies, "definitely not jx9 $$$"], 1
     ):
         with pytest.raises(RpcFailedError, match="query"):
             cluster.run_ult(ctl, handle.query(script))
-        assert bedrock._introspection_errors.value == ticks
+        assert bedrock.introspection_errors == ticks
 
     # Still alive: a well-formed query succeeds afterwards.
     snapshot = cluster.run_ult(ctl, handle.query("return $__metrics__;"))
-    assert snapshot["bedrock_introspection_errors"]["series"][""]["value"] == 3
+    assert snapshot["bedrock_introspection_errors"] == 3
 
 
 def test_get_profile_json_identical_across_bedrock_runs():

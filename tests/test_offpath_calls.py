@@ -96,13 +96,15 @@ def test_unsampled_xray_adds_only_per_window_work():
     "arm,calls",
     [
         pytest.param("rpc_profiled_unsampled", 84_237, id="rpc_profiled_unsampled"),
-        pytest.param("rpc_profiled_sampled", 85_359, id="rpc_profiled_sampled"),
-        pytest.param("rpc_profiled_full", 144_275, id="rpc_profiled_full"),
+        pytest.param("rpc_profiled_sampled", 85_343, id="rpc_profiled_sampled"),
+        pytest.param("rpc_profiled_full", 144_259, id="rpc_profiled_full"),
     ],
 )
 def test_profiled_call_slope_is_pinned(arm, calls):
     # A profiler without xray reads no edge list, checks no stamps and
-    # builds no path; each phase goes to the window rollup only.
+    # builds no path; each phase goes to the window rollup only.  A new
+    # phase aggregate is one call, with no base-class constructors (16
+    # fewer per 1 000 RPCs than when it subclassed a registry histogram).
     assert _slope(arm) == calls
 
 
