@@ -56,13 +56,13 @@ MAX_ALERTS = 64
 _NOUNS = {bool: "a boolean", int: "an integer", (int, float): "a number"}
 
 
-def json_typed(value: Any, kind: Any, what: str) -> Any:
+def json_typed(value: Any, kind: Any, what: str, error: type = ValueError) -> Any:
     """``value`` if it is a JSON value of ``kind``: ``bool``, ``int`` or
     ``(int, float)``, and no boolean unless ``kind`` is ``bool``.
     Outside input is never coerced: ``"false"`` is no switch, ``2.9``
-    no count and ``"0.5"`` no number."""
+    no count and ``"0.5"`` no number.  A bad one raises ``error``."""
     if isinstance(value, bool) is not (kind is bool) or not isinstance(value, kind):
-        raise ValueError(f"{what} must be {_NOUNS[kind]}, got {value!r}")
+        raise error(f"{what} must be {_NOUNS[kind]}, got {value!r}")
     return value
 
 

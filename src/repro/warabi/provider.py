@@ -19,8 +19,9 @@ from typing import Any, Generator, Optional
 from ..analysis.race import hooks as _race
 from ..core.component import Provider
 from ..margo.runtime import MargoInstance, RequestContext
-from ..margo.ult import Compute, UltSleep
+from ..margo.ult import UltSleep
 from ..mercury import BULK_OP_PULL, BULK_OP_PUSH, BulkHandle
+from ..observability.health.slo import json_typed
 from ..storage.local import LocalStore
 from ..storage.segments import decode_records, encode_records
 
@@ -76,7 +77,8 @@ class WarabiProvider(Provider):
                     f"persistent target needs LocalStore attachment {attachment!r}"
                 )
             self.store = store
-        self.bulk_threshold = int(self.config.get("bulk_threshold", DEFAULT_BULK_THRESHOLD))
+        threshold = self.config.get("bulk_threshold", DEFAULT_BULK_THRESHOLD)
+        self.bulk_threshold = json_typed(threshold, int, "bulk_threshold", WarabiError)
         self._blobs: dict[int, bytes] = {}
         self._next_id = 0
         if self.store is not None:
@@ -158,7 +160,7 @@ class WarabiProvider(Provider):
         size = int((ctx.args or {}).get("size", 0))
         if size < 0:
             raise WarabiError(f"negative blob size: {size}")
-        yield Compute(OP_BASE_COST)
+        yield OP_BASE_COST
         blob_id = self._next_id
         self._next_id += 1
         if _race.ENABLED:
@@ -184,7 +186,7 @@ class WarabiProvider(Provider):
         self._blob(blob_id)  # existence check
         if offset < 0:
             raise WarabiError(f"negative offset: {offset}")
-        yield Compute(OP_BASE_COST + len(data) / BYTES_PER_SECOND)
+        yield OP_BASE_COST + len(data) / BYTES_PER_SECOND
         # Commit point: an erase or another write may have landed meanwhile.
         old = self._blob(blob_id)
         if _race.ENABLED:
@@ -211,7 +213,7 @@ class WarabiProvider(Provider):
             raise WarabiError(
                 f"read out of range: offset={offset} size={size} blob={len(blob)}"
             )
-        yield Compute(OP_BASE_COST + size / BYTES_PER_SECOND)
+        yield OP_BASE_COST + size / BYTES_PER_SECOND
         data = blob[offset : offset + size]  # the whole blob: the stored object
         if self.store is not None:
             yield UltSleep(self.store.read_cost(size))
@@ -221,7 +223,7 @@ class WarabiProvider(Provider):
         return data
 
     def _on_size(self, ctx: RequestContext) -> Generator:
-        yield Compute(OP_BASE_COST)
+        yield OP_BASE_COST
         if _race.ENABLED:
             _race.note_read(self._blobs, ctx.args["id"], f"warabi:{self.name}.size")
         return len(self._blob(ctx.args["id"]))
@@ -229,7 +231,7 @@ class WarabiProvider(Provider):
     def _on_erase(self, ctx: RequestContext) -> Generator:
         blob_id = ctx.args["id"]
         self._blob(blob_id)  # existence check
-        yield Compute(OP_BASE_COST)
+        yield OP_BASE_COST
         if _race.ENABLED:
             _race.note_write(self._blobs, blob_id, f"warabi:{self.name}.erase")
         self._blob(blob_id)  # an erase that raced this one may have won
@@ -239,7 +241,7 @@ class WarabiProvider(Provider):
         return None
 
     def _on_list(self, ctx: RequestContext) -> Generator:
-        yield Compute(OP_BASE_COST)
+        yield OP_BASE_COST
         return sorted(self._blobs)
 
     # ------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from operator import itemgetter
+from typing import Iterable, Optional, Sequence
 
 from ..backend import KVBackend, NoSuchKeyError, register_backend
 
@@ -30,9 +31,12 @@ class MapBackend(KVBackend):
         # One C call for the whole batch, as C Yokan's yk_put_multi.
         self._data.update(pairs)
 
-    def get_multi(self, keys: Iterable[bytes]) -> list[bytes]:
+    def get_multi(self, keys: Sequence[bytes]) -> list[bytes]:
+        # One C call gathers a batch; itemgetter of one key returns no tuple.
         try:
-            return list(map(self._data.__getitem__, keys))
+            if len(keys) > 1:
+                return list(itemgetter(*keys)(self._data))
+            return [self._data[key] for key in keys]
         except KeyError as err:
             raise NoSuchKeyError(err.args[0]) from None
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
+from ...observability.health.slo import json_typed
 from ...storage.local import LocalStore
 from ...storage.segments import Segment, SegmentLog
 from ..backend import YokanError, register_backend
@@ -50,7 +51,8 @@ class PersistentBackend(OrderedBackend):
         super().__init__()
         self.store: LocalStore = store
         self.path: str = path
-        self.sync_on_put: bool = bool(config.get("sync_on_put", False))
+        self.sync_on_put: bool = json_typed(config.get("sync_on_put", False), bool,
+                                            "sync_on_put", YokanError)
         self.log = SegmentLog(store, path, config.get("lineage"))
         super().put_multi(self.log.replay().items())
         #: changed since the last seal: key -> value, ``None`` if erased.

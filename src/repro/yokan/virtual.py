@@ -23,7 +23,6 @@ from ..core.component import Provider
 from ..core.parallel import ParallelError, parallel
 from ..margo.errors import RpcError, RpcFailedError
 from ..margo.runtime import MargoInstance, RequestContext
-from ..margo.ult import Compute
 from ..mercury import BulkHandle
 from .backend import YokanError, decode_records
 from .client import DatabaseHandle, YokanClient
@@ -81,7 +80,7 @@ class VirtualYokanProvider(Provider):
     # write path: all replicas, concurrently
     # ------------------------------------------------------------------
     def _write_all(self, make_gen) -> Generator:
-        yield Compute(ROUTE_COST)
+        yield ROUTE_COST
         try:
             yield from parallel(self.margo, [make_gen(r) for r in self.replicas])
         except ParallelError as err:
@@ -122,7 +121,7 @@ class VirtualYokanProvider(Provider):
     # read path: first live replica
     # ------------------------------------------------------------------
     def _read_any(self, make_gen) -> Generator:
-        yield Compute(ROUTE_COST)
+        yield ROUTE_COST
         last_error: Optional[BaseException] = None
         for replica in self.replicas:
             try:

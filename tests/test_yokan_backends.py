@@ -246,14 +246,21 @@ def test_failed_put_multi_keeps_the_key_array(name):
 
 
 def test_get_multi_missing_key_raises(backend):
+    """One key or many, the error names the first missing key."""
     backend.put(b"k", b"v")
-    with pytest.raises(NoSuchKeyError):
-        backend.get_multi([b"k", b"ghost"])
+    for keys, missing in (([b"ghost"], b"ghost"), ([b"k", b"ghost", b"gone"], b"ghost"),
+                          ([b"gone", b"k", b"ghost"], b"gone")):
+        with pytest.raises(NoSuchKeyError) as caught:
+            backend.get_multi(keys)
+        assert caught.value.key == missing
 
 
 def test_get_multi_returns_values_in_key_order(backend):
     backend.put_multi([(b"a", b"1"), (b"b", b"2"), (b"c", b"3")])
+    assert backend.get_multi([]) == []
+    assert backend.get_multi([b"b"]) == [b"2"]
     assert backend.get_multi([b"c", b"a"]) == [b"3", b"1"]
+    assert backend.get_multi([b"a", b"c", b"a", b"b"]) == [b"1", b"3", b"1", b"2"]
 
 
 # ----------------------------------------------------------------------
