@@ -35,7 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .health.slo import SLOSpec, json_typed
+from ..config import json_typed
+from .health.slo import SLOSpec
 
 __all__ = ["ObservabilitySpec"]
 

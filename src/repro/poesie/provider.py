@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
+from ..config import json_typed
 from ..core.component import Client, Provider, ResourceHandle
 from ..margo.runtime import MargoInstance, RequestContext
 from ..margo.ult import Compute
@@ -38,7 +39,8 @@ class PoesieProvider(Provider):
         config: Optional[dict[str, Any]] = None,
     ) -> None:
         super().__init__(margo, name, provider_id, pool=pool, config=config)
-        self.max_steps = int(self.config.get("max_steps", 100_000))
+        self.max_steps = json_typed(self.config.get("max_steps", 100_000), int, "max_steps",
+                                    ScriptError)
         self._sessions: dict[str, MiniInterpreter] = {}
         self.register_rpc("execute", self._on_execute)
         self.register_rpc("get_var", self._on_get_var)

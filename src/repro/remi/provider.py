@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from ..analysis.race import hooks as _race
+from ..config import json_typed
 from ..core.component import Provider
 from ..margo.runtime import MargoInstance, RequestContext
 from ..margo.ult import Compute, UltSleep
@@ -60,7 +61,7 @@ class RemiProvider(Provider):
                 f"on node {margo.process.node.name}"
             )
         self.store: LocalStore = store
-        self.sync = bool(self.config.get("sync", True))
+        self.sync = json_typed(self.config.get("sync", True), bool, "sync", RemiError)
         if _race.ENABLED:
             _race.track(self.store, f"remi:{name}.store")
         # Partially received files (chunked path): path -> (size, {offset: bytes}).

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
+from ..config import json_typed
 from ..core.component import Client, Provider, ResourceHandle
 from ..margo.runtime import MargoInstance, RequestContext
 from ..margo.ult import Compute
@@ -51,7 +52,8 @@ class AuthProvider(Provider):
         super().__init__(margo, name, provider_id, pool=pool, config=config)
         self.secret: str = self.config.get("secret", f"secret:{name}")
         self.users: dict[str, dict] = dict(self.config.get("users", {}))
-        self.token_ttl: float = float(self.config.get("token_ttl", 60.0))
+        self.token_ttl: float = float(json_typed(self.config.get("token_ttl", 60.0), (int, float),
+                                                 "token_ttl", AuthError))
         self._revoked: set[str] = set()
         self._issued = 0
 

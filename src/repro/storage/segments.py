@@ -11,23 +11,24 @@ replays the live range the newest one names and deletes those below
 it.  Once the live segments exceed :data:`COMPACT_FACTOR` times the
 image, the next seal writes the whole image and retires the rest.
 
-The record codec is also Yokan's dump and Warabi's checkpoint image.
+A checkpoint copies the live segments by name, then the unsealed tail.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Iterable, NamedTuple, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .local import LocalStore, StorageError
 
-__all__ = ["COMPACT_FACTOR", "Segment", "SegmentLog", "decode_records", "encode_records",
-           "lineage_of", "newest_lineage"]
+__all__ = ["COMPACT_FACTOR", "Segment", "SegmentLog", "checkpoint_files", "checkpoint_image",
+           "decode_records", "encode_records", "lineage_of", "newest_lineage"]
 
 _LEN = struct.Struct("<I")
 #: the value length of a tombstone: no value is 4 GiB long.
 _TOMBSTONE = 0xFFFFFFFF
 _HEADER = struct.Struct("<II")  # first live seq, this segment's seq
+_TAIL = struct.Struct("<III")  # a checkpoint's live range, its log's name length
 #: a seal rewrites the whole image once the live segments outgrow it
 #: by this factor.
 COMPACT_FACTOR = 2
@@ -69,6 +70,36 @@ def decode_records(data: bytes, offset: int = 0) -> list[tuple[bytes, Optional[b
             items.append((key, data[offset : offset + vlen]))
             offset += vlen
     return items
+
+
+def replay(streams: Iterable[tuple[bytes, int]]) -> dict[bytes, bytes]:
+    """The image (data, offset) record streams describe, oldest first."""
+    image = dict(pair for data, offset in streams for pair in decode_records(data, offset))
+    return {key: value for key, value in image.items() if value is not None}
+
+
+def checkpoint_files(log: Optional["SegmentLog"], changes: Optional[Iterable[tuple[bytes, Any]]],
+                     image: Any, path: str, target: Any) -> list[tuple[str, bytes]]:
+    """A checkpoint into ``target``: each live segment it lacks (by content:
+    a crash can reissue a seq never written), as the log's own ``bytes``,
+    then a tail at ``path``: ``changes`` (unknown: the ``image``) behind
+    a header naming the live range they extend."""
+    prefix, first, last, live = (b"", 1, 0, []) if changes is None else (
+        f"{log.path}/{log.lineage}".encode(), log.first, log.last, log.live())
+    files = [(name, data or log.store.read(name)) for name, data in live]
+    files = [(name, data) for name, data in files
+             if not (target.exists(name) and target.read(name) == data)]
+    header = _TAIL.pack(first, last, len(prefix)) + prefix
+    return files + [(path, encode_records(image.items() if changes is None else changes, header))]
+
+
+def checkpoint_image(tail: bytes, read: Callable[[str], bytes]) -> tuple[dict[bytes, bytes], int]:
+    """A checkpoint's image and size: the range its tail names, then it."""
+    first, last, length = _TAIL.unpack_from(tail)
+    prefix = tail[_TAIL.size : _TAIL.size + length].decode()
+    streams = [(read(f"{prefix}/{seq}"), _HEADER.size) for seq in range(first, last + 1)]
+    streams.append((tail, _TAIL.size + length))
+    return replay(streams), sum(len(data) for data, _ in streams)
 
 
 def lineage_of(process: str, now: float) -> str:
@@ -130,14 +161,7 @@ class SegmentLog:
 
     def replay(self) -> dict[bytes, bytes]:
         """The image the live range describes."""
-        image: dict[bytes, bytes] = {}
-        for name in self.files():
-            for key, value in decode_records(self.store.read(name), _HEADER.size):
-                if value is None:
-                    image.pop(key, None)
-                else:
-                    image[key] = value
-        return image
+        return replay((self.store.read(name), _HEADER.size) for name in self.files())
 
     def seal(self, changes: Optional[Iterable[tuple[bytes, Any]]], image: Any) -> Segment:
         """Cut the next segment from ``changes`` since the last seal, or

@@ -17,11 +17,11 @@ import json
 from typing import Any, Generator, Optional
 
 from ..analysis.race import hooks as _race
+from ..config import json_typed
 from ..core.component import Provider
 from ..margo.runtime import MargoInstance, RequestContext
 from ..margo.ult import UltSleep
 from ..mercury import BULK_OP_PULL, BULK_OP_PUSH, BulkHandle
-from ..observability.health.slo import json_typed
 from ..storage.local import LocalStore
 from ..storage.segments import decode_records, encode_records
 
@@ -157,7 +157,7 @@ class WarabiProvider(Provider):
     # RPC handlers
     # ------------------------------------------------------------------
     def _on_create(self, ctx: RequestContext) -> Generator:
-        size = int((ctx.args or {}).get("size", 0))
+        size = json_typed((ctx.args or {}).get("size", 0), int, "blob size", WarabiError)
         if size < 0:
             raise WarabiError(f"negative blob size: {size}")
         yield OP_BASE_COST

@@ -6,8 +6,7 @@ interface is the same idea: the provider is backend-agnostic, and
 backends register themselves in a factory by type name.
 
 Keys and values are ``bytes`` (``str`` inputs are UTF-8 encoded at the
-provider boundary).  Backends must implement a codec-stable
-``dump()``/``load()`` pair used for checkpointing and migration.
+provider boundary).
 """
 
 from __future__ import annotations
@@ -103,11 +102,8 @@ class Batch(list):
         return 8 * len(self) + self.nbytes
 
 
-# ----------------------------------------------------------------------
-# binary codec for dump/load: the segment log's record stream
-# ----------------------------------------------------------------------
 def decode_records(data: bytes) -> list[tuple[bytes, bytes]]:
-    """Inverse of :func:`encode_records`."""
+    """Inverse of :func:`encode_records`: an image, tombstones and all."""
     try:
         return _segments.decode_records(data)  # type: ignore[return-value]
     except StorageError as err:
@@ -170,16 +166,6 @@ class KVBackend:
 
     def clear(self) -> None:
         raise NotImplementedError
-
-    # ---- persistence ---------------------------------------------------
-    def dump(self) -> bytes:
-        """Serialize the whole database."""
-        return encode_records(sorted(self.items()))
-
-    def load(self, data: bytes) -> None:
-        """Replace contents with a previous :meth:`dump`."""
-        self.clear()
-        self.put_multi(decode_records(data))
 
 
 # ----------------------------------------------------------------------

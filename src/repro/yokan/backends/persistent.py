@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from ...observability.health.slo import json_typed
+from ...config import json_typed
 from ...storage.local import LocalStore
 from ...storage.segments import Segment, SegmentLog
 from ..backend import YokanError, register_backend
@@ -87,12 +87,16 @@ class PersistentBackend(OrderedBackend):
         self._rebase = True
 
     # ---- persistence ---------------------------------------------------
+    def changes(self) -> Optional[Iterable[tuple[bytes, Optional[bytes]]]]:
+        """Changed since the last seal; ``None`` if not known (cleared)."""
+        return None if self._rebase else self._tail.items()
+
     def seal(self) -> Optional[Segment]:
         """Cut the tail into the next segment (not yet written); ``None``
         when nothing changed since the last seal."""
         if not self._tail and not self._rebase:
             return None
-        segment = self.log.seal(None if self._rebase else self._tail.items(), self)
+        segment = self.log.seal(self.changes(), self)
         self._tail, self._rebase = {}, False
         return segment
 
@@ -107,10 +111,6 @@ class PersistentBackend(OrderedBackend):
     def files(self) -> list[str]:
         """The live segments (local-store paths), oldest first."""
         return self.log.files()
-
-    def load(self, data: bytes) -> None:
-        super().load(data)
-        self.flush()
 
 
 register_backend("persistent", PersistentBackend)

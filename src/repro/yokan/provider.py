@@ -15,16 +15,17 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from ..analysis.race import hooks as _race
+from ..config import json_typed
 from ..core.component import Provider
 from ..core.parallel import ParallelError, parallel
 from ..margo.runtime import MargoInstance, RequestContext
 from ..margo.ult import UltSleep
 from ..mercury import BULK_OP_PULL, BULK_OP_PUSH, BulkHandle
-from ..observability.health.slo import json_typed
 from ..storage.local import LocalStore
-from ..storage.segments import Segment, lineage_of, newest_lineage
+from ..storage.segments import (Segment, checkpoint_files, checkpoint_image, lineage_of,
+                                newest_lineage)
 from . import backends as _backends  # noqa: F401 - registers built-ins
-from .backend import Batch, KVBackend, YokanError, create_backend
+from .backend import Batch, KVBackend, YokanError, _to_bytes, create_backend, encode_records
 
 __all__ = ["YokanProvider", "OP_BASE_COST", "BYTES_PER_SECOND"]
 
@@ -105,6 +106,8 @@ class YokanProvider(Provider):
         args = ctx.args
         key = args["key"]
         value = yield from self._extract_value(ctx, args)
+        if type(key) is not bytes or type(value) is not bytes:
+            key, value = _to_bytes(key), _to_bytes(value)
         yield _op_cost(len(key) + len(value))
         if _race.ENABLED:
             _race.note_write(self.backend, key, f"yokan:{self.name}.put")
@@ -114,6 +117,8 @@ class YokanProvider(Provider):
 
     def _on_get(self, ctx: RequestContext) -> Generator:
         key = ctx.args["key"]
+        if type(key) is not bytes:
+            key = _to_bytes(key)
         yield _op_cost(len(key))
         if _race.ENABLED:
             _race.note_read(self.backend, key, f"yokan:{self.name}.get")
@@ -126,6 +131,8 @@ class YokanProvider(Provider):
 
     def _on_erase(self, ctx: RequestContext) -> Generator:
         key = ctx.args["key"]
+        if type(key) is not bytes:
+            key = _to_bytes(key)
         yield _op_cost(len(key))
         if _race.ENABLED:
             _race.note_write(self.backend, key, f"yokan:{self.name}.erase")
@@ -135,6 +142,8 @@ class YokanProvider(Provider):
 
     def _on_exists(self, ctx: RequestContext) -> Generator:
         key = ctx.args["key"]
+        if type(key) is not bytes:
+            key = _to_bytes(key)
         yield _op_cost(len(key))
         if _race.ENABLED:
             _race.note_read(self.backend, key, f"yokan:{self.name}.exists")
@@ -228,7 +237,7 @@ class YokanProvider(Provider):
         if _race.ENABLED:
             for key in self.backend.list_keys():
                 _race.note_read(self.backend, key, f"yokan:{self.name}.fetch_image")
-        image = self.backend.dump()
+        image = encode_records(sorted(self.backend.items()))
         yield _op_cost(len(image))
         yield from self.margo.bulk_transfer(ctx.source, len(image), op=BULK_OP_PUSH)
         return BulkHandle(self.margo.address, len(image), image)
@@ -312,13 +321,20 @@ class YokanProvider(Provider):
         return report
 
     def checkpoint(self, pfs: Any, path: str) -> Generator:
-        image = self.backend.dump()
-        yield UltSleep(pfs.write_cost(len(image)))
-        pfs.write(path, image)
-        return len(image)
+        """Copy the segments the PFS lacks and the unsealed changes; no
+        seal, so the next migration's segment stays whole."""
+        log = getattr(self.backend, "log", None)  # None: no changes, the image
+        files = checkpoint_files(log, log and self.backend.changes(), self.backend, path, pfs)
+        size = sum(len(data) for _, data in files)
+        yield UltSleep(pfs.write_cost(size))
+        for name, data in files:
+            pfs.write(name, data)
+        return size
 
     def restore(self, pfs: Any, path: str) -> Generator:
-        image = pfs.read(path)
-        yield UltSleep(pfs.read_cost(len(image)))
-        self.backend.load(image)
-        return len(image)
+        image, size = checkpoint_image(pfs.read(path), pfs.read)
+        yield UltSleep(pfs.read_cost(size))
+        self.backend.clear()
+        self.backend.put_multi(image.items())
+        getattr(self.backend, "flush", int)()  # persistent: one image segment
+        return size

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
+from ..config import json_typed
 from ..core.component import Provider
 from ..core.parallel import ParallelError, parallel
 from ..margo.errors import RpcError, RpcFailedError
@@ -60,7 +61,8 @@ class VirtualYokanProvider(Provider):
         if not targets:
             raise YokanError("virtual database needs at least one target")
         client = YokanClient(margo)
-        self.rpc_timeout = float(self.config.get("rpc_timeout", 1.0))
+        self.rpc_timeout = float(json_typed(self.config.get("rpc_timeout", 1.0), (int, float),
+                                            "rpc_timeout", YokanError))
         self.replicas: list[DatabaseHandle] = []
         for target in targets:
             handle = client.make_handle(target["address"], target["provider_id"])

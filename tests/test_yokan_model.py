@@ -15,7 +15,7 @@ from repro.remi import RemiClient, RemiProvider
 from repro.sim.network import Node
 from repro.storage import LocalStore
 from repro.yokan import (NoSuchKeyError, PersistentBackend, YokanClient, YokanProvider,
-                         decode_records, encode_records)
+                         decode_records)
 
 from .model import KVModel, ModelError
 
@@ -67,8 +67,10 @@ def test_migration_there_and_back_ships_only_new_segments():
     stores = {a.address: a.process.node.attachments["disk"],
               b.address: b.process.node.attachments["disk"]}
     # A same-named database of a newer lineage left on B: never opened.
-    PersistentBackend({"store": stores[b.address], "path": "yokan/db.db",
-                       "lineage": f"{10**15}-ghost"}).load(encode_records([(b"ghost", b"!")]))
+    ghost = PersistentBackend({"store": stores[b.address], "path": "yokan/db.db",
+                               "lineage": f"{10**15}-ghost"})
+    ghost.put(b"ghost", b"!")
+    ghost.flush()
     cm = cluster.add_margo("client", node="nc")
     model = KVModel()
     state = {"at": a.address, "live": []}

@@ -613,13 +613,13 @@ def test_provider_measures_plain_batches_from_other_senders(rig):
 
     def driver():
         yield from db._forward("put_multi", {"pairs": [("a", b"1"), (b"b", bytearray(b"22"))]})
-        yield from db._forward("put", {"key": b"c", "value": "text"})  # stored as sent
+        yield from db._forward("put", {"key": b"c", "value": "text"})
         values = yield from db._forward("get_multi", {"keys": ["a", b"b", b"c"]})
         return values
 
     values = run(cluster, cm, driver())
-    assert dict(provider.backend.items()) == {b"a": b"1", b"b": b"22", b"c": "text"}
-    assert values == [b"1", b"22", "text"]
+    assert dict(provider.backend.items()) == {b"a": b"1", b"b": b"22", b"c": b"text"}
+    assert values == [b"1", b"22", b"text"]
 
 
 @pytest.mark.parametrize("value_size", [16, 4096])  # inline and bulk batches
