@@ -15,10 +15,11 @@ It writes ``benchmarks/results/ab/<parent>..<change>.json`` -- every
 run, q1/median/q3 of each side, wins, the median gap over the parent's
 IQR, the verdict, and whether the ``exact`` tables (every ``sim_*`` and
 count) are equal -- and appends one line of medians and quartiles to
-``benchmarks/history.jsonl``.  ``--trace`` adds one ``--trace 1`` run
-per revision and workload on the first seed: the per-layer ledger side
-by side, whether every count row (calls, events, bytes) is equal, and
-each moved one with its signed change.
+``benchmarks/history.jsonl``.  ``--trace`` adds three alternating
+``--trace 1`` runs per revision and workload on the first seed: the
+per-layer ledger side by side as medians and ranges, each row that
+moved beyond both sides' spread with its signed change, and whether
+every count row (calls, events, bytes) stayed.
 A later run of the same two revisions on another workload adds its
 section to the same file.
 
@@ -54,6 +55,8 @@ RESULTS = os.path.join(ROOT, "benchmarks", "results", "ab")
 HISTORY = os.path.join(ROOT, "benchmarks", "history.jsonl")
 WORKLOADS = ("rpc_echo", "objstore_mixed", "kv_batch_scan", "reconfig_churn")
 CLAIM = "wall_us_per_rpc"
+#: traced runs per revision behind ``--trace``'s per-layer ledger.
+TRACED_RUNS = 3
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -158,23 +161,34 @@ def collect(trees: dict[str, str], workloads: list[str], seeds: list[int], pairs
     return runs
 
 
-def ledger(trees: dict[str, str], workload: str, seed: int) -> dict:
-    """One traced run per revision: every per-layer row side by side.
-    Rows counted in calls, events, operations or bytes (``count``/``B``)
-    should be a function of the code path and the seed, so
-    ``counts_equal`` says whether the change left the path's shape
-    alone and ``counts_moved`` maps each moved row to ``change - parent``
-    (``python.calls_per_rpc`` can also move by a few calls between two
+def ledger(trees: dict[str, str], workload: str, seed: int, runs: int = TRACED_RUNS) -> dict:
+    """``runs`` traced runs per revision, alternating as the pairs do:
+    every per-layer row as each side's median and [min, max].  A row is
+    moved only when the two ranges do not overlap, so the change lies
+    beyond both sides' spread; one run per side let host drift move the
+    self-time rows.  ``moved`` maps each moved row to ``change - parent``
+    (medians); ``counts_moved`` keeps those counted in calls, events,
+    operations or bytes (``count``/``B``), which should be a function of
+    the code path and the seed, and ``counts_equal`` says none moved
+    (``python.calls_per_rpc`` can also drift by a few calls between two
     runs of one tree, see DESIGN.md section 9).  A moved count is
     evidence to read, not a verdict: a path that shrank moves them too."""
-    rows = {side: run_once(trees[side], workload, seed, trace=True)["per_layer"]
-            for side in ("parent", "change")}
-    table = {name: {"parent": entry["value"], "change": rows["change"][name]["value"],
-                    "unit": entry["unit"]}
-             for name, entry in rows["parent"].items()}
+    samples: dict[str, list[dict]] = {"parent": [], "change": []}
+    for index in range(runs):
+        for side in ("parent", "change") if index % 2 == 0 else ("change", "parent"):
+            samples[side].append(run_once(trees[side], workload, seed, trace=True)["per_layer"])
+    table = {}
+    for name, entry in samples["parent"][0].items():
+        values = {side: [rows[name]["value"] for rows in samples[side]] for side in samples}
+        table[name] = {"unit": entry["unit"],
+                       **{side: statistics.median(v) for side, v in values.items()},
+                       **{f"{side}_range": [min(v), max(v)] for side, v in values.items()}}
     moved = {name: row["change"] - row["parent"] for name, row in sorted(table.items())
-             if row["unit"] in ("count", "B") and row["parent"] != row["change"]}
-    return {"seed": seed, "rows": table, "counts_equal": not moved, "counts_moved": moved}
+             if row["change_range"][0] > row["parent_range"][1]
+             or row["change_range"][1] < row["parent_range"][0]}
+    counts = {name: delta for name, delta in moved.items() if table[name]["unit"] in ("count", "B")}
+    return {"seed": seed, "runs": runs, "rows": table, "moved": moved,
+            "counts_equal": not counts, "counts_moved": counts}
 
 
 # ----------------------------------------------------------------------
@@ -283,7 +297,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", default="1,11")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--trace", action="store_true",
-                        help="also one traced run per revision and workload (per-layer ledger)")
+                        help=f"also {TRACED_RUNS} alternating traced runs per revision and "
+                             "workload (per-layer ledger)")
     parser.add_argument("--metric", default=CLAIM,
                         help=f"the end-to-end metric whose gain is claimed (default {CLAIM})")
     args = parser.parse_args(argv)

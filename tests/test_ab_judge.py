@@ -7,6 +7,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "benchmarks"))
 
+import ab  # noqa: E402
 from ab import judge, section  # noqa: E402
 
 # Parent runs with quartiles 29.5 / 30.0 / 30.5 (IQR 1.0).
@@ -92,3 +93,26 @@ def test_moved_counts_are_evidence_and_differing_exact_tables_fail():
     moved = section({"1": {"parent": runs(PARENT, {"n": 1}), "change": runs(faster, {"n": 2})}},
                     contract, {}, traced)
     assert moved["verdict"]["exact_equal"] is False and not moved["verdict"]["pass"]
+
+
+def test_traced_ledger_moves_a_row_only_beyond_both_sides_spread(monkeypatch):
+    """Three alternating traced runs per side: a self-time row whose runs
+    overlap is host drift, not a move; a count that differs on every run
+    moved.  Rows are each side's median."""
+    values = {"parent": iter([(10.0, 5), (12.0, 5), (11.0, 5)]),
+              "change": iter([(11.5, 4), (9.0, 4), (10.5, 4)])}
+    order = []
+
+    def run_once(tree, workload, seed, trace=False):
+        order.append(tree)
+        self_us, calls = next(values[tree])
+        return {"per_layer": {"yokan.self_us_per_op": {"value": self_us, "unit": "us"},
+                              "yokan.calls_per_op": {"value": calls, "unit": "count"}}}
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    led = ab.ledger({"parent": "parent", "change": "change"}, "w", 1)
+    assert order == ["parent", "change", "change", "parent", "parent", "change"]
+    assert led["rows"]["yokan.self_us_per_op"]["parent"] == 11.0
+    assert led["rows"]["yokan.self_us_per_op"]["change"] == 10.5
+    assert led["moved"] == led["counts_moved"] == {"yokan.calls_per_op": -1}
+    assert not led["counts_equal"] and led["runs"] == 3

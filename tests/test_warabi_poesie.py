@@ -302,3 +302,21 @@ def test_poesie_get_missing_var(poesie_rig):
 
     with pytest.raises(RpcFailedError, match="undefined"):
         cluster.run_ult(cm, driver())
+
+
+@pytest.mark.parametrize("size", ["12", 2.9, True, None])
+def test_create_refuses_a_size_that_is_not_an_integer(size):
+    """``"12"`` is no 12 and 2.9 no 2: a blob size is a JSON integer."""
+    cluster = Cluster(seed=1)
+    server = cluster.add_margo("server", node="n0")
+    LocalStore(cluster.node("n0"))
+    provider = WarabiProvider(server, "blobs", provider_id=1)
+    cm = cluster.add_margo("client", node="n1")
+    target = WarabiClient(cm).make_handle(server.address, 1)
+
+    def driver():
+        yield from target._forward("create", {"size": size})
+
+    with pytest.raises(RpcFailedError, match="blob size must be an integer"):
+        cluster.run_ult(cm, driver())
+    assert not provider._blobs

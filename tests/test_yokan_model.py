@@ -2,7 +2,8 @@
 over programs long enough to compact, with crash-reopens; one database
 moved A -> B -> A -> B -> A through Bedrock and REMI; and a migration
 that writes its sealed tail while shipping it, then one whose
-destination dies mid-ship."""
+destination dies mid-ship; and checkpoints to the PFS, restored path by
+path into fresh providers."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +14,7 @@ from repro.bedrock import BedrockClient, boot_process
 from repro.margo import RpcFailedError, RpcTimeoutError
 from repro.remi import RemiClient, RemiProvider
 from repro.sim.network import Node
-from repro.storage import LocalStore
+from repro.storage import LocalStore, ParallelFileSystem
 from repro.yokan import (NoSuchKeyError, PersistentBackend, YokanClient, YokanProvider,
                          decode_records)
 
@@ -189,3 +190,85 @@ def test_migration_whose_destination_dies_mid_ship_keeps_the_source(kill):
     assert cluster.run_ult(cm, count()) == len(pairs)
     cluster.faults.kill_process(a.process)
     assert dict(PersistentBackend({"store": store, "path": "yokan/db.db"}).items()) == dict(pairs)
+
+
+mutations = st.one_of(
+    st.tuples(st.just("put"), keys, values),
+    st.tuples(st.just("put_multi"), st.lists(st.tuples(keys, values), max_size=4)),
+    st.tuples(st.just("erase"), keys),
+)
+
+
+@pytest.mark.parametrize("db_type", ["map", "persistent"])
+@settings(max_examples=12, deadline=None)
+@given(rounds=st.lists(st.lists(mutations, max_size=6), min_size=4, max_size=4))
+def test_checkpoints_restore_the_model_path_by_path(db_type, rounds):
+    """Rounds of a model program, each flushed and checkpointed to its own
+    path; a compaction after the first, a node wipe (recovery from the
+    newest path) after the second.  Every path restores the model as it
+    was; a checkpoint ships only segments sealed since the last one, and
+    ships them as the very objects the local store holds."""
+    cluster = Cluster(seed=9)
+    pfs = ParallelFileSystem()
+    cm = cluster.add_margo("client", node="nc")
+    model, taken, shipped = KVModel(), [], set()
+    state = {}
+
+    def start(node_name):
+        node = cluster.node(node_name)
+        LocalStore(node)
+        margo = cluster.add_margo(f"s-{node_name}", node=node)
+        provider = YokanProvider(margo, "db", 1, config={"database": {"type": db_type}})
+        state.update(node=node, provider=provider,
+                     handle=YokanClient(cm).make_handle(margo.address, 1))
+        return provider
+
+    def run(ops):
+        for kind, *args in ops:
+            if kind == "erase" and args[0] not in model.data:
+                continue
+            yield from getattr(state["handle"], kind)(*args)
+            getattr(model, kind)(*args)
+        yield from state["handle"].flush()
+
+    def checkpoint(path):
+        log = getattr(state["provider"].backend, "log", None)
+        before = set(pfs.list())
+        size = yield from state["provider"].checkpoint(pfs, path)
+        new = set(pfs.list()) - before - {path}
+        assert size == len(pfs.read(path)) + sum(len(pfs.read(name)) for name in new)
+        assert not new & shipped  # never the same segment twice
+        shipped.update(new)
+        if log is not None:
+            for name in set(log.files()) & shipped:
+                assert pfs.read(name) is log.store.read(name)
+        taken.append((path, dict(model.data)))
+        return size
+
+    provider = start("n0")
+    base = [("put_multi", [(bytes([key]), bytes(64)) for key in range(8)])]
+    cluster.run_ult(cm, run(base + rounds[0]))
+    cluster.run_ult(cm, checkpoint("ckpt/0"))
+    again = cluster.run_ult(cm, checkpoint("ckpt/0-again"))
+    if db_type == "persistent":  # nothing changed: a tail of no records, its header alone
+        assert again == len(pfs.read("ckpt/0-again")) < 64
+    assert pfs.list() == sorted(shipped | {"ckpt/0", "ckpt/0-again"})
+    # Overwrite one key flush after flush until the log compacts.
+    log = getattr(provider.backend, "log", None)
+    first = log.first if log is not None else None
+    for round_ in range(8):
+        cluster.run_ult(cm, run([("put", b"hot", bytes([round_]) * 512)]))
+    assert log is None or log.first > first
+    cluster.run_ult(cm, run(rounds[1]))
+    cluster.run_ult(cm, checkpoint("ckpt/1"))
+    cluster.faults.kill_node(state["node"])
+    start("n1")
+    cluster.run_ult(cm, state["provider"].restore(pfs, "ckpt/1"))
+    for ops, path in zip(rounds[2:], ("ckpt/2", "ckpt/3")):
+        cluster.run_ult(cm, run(ops))
+        cluster.run_ult(cm, checkpoint(path))
+    for index, (path, expected) in enumerate(taken):
+        margo = cluster.add_margo(f"fresh{index}", node=f"f{index}")
+        fresh = YokanProvider(margo, "db", 1)
+        cluster.run_ult(margo, fresh.restore(pfs, path))
+        assert dict(fresh.backend.items()) == expected, path

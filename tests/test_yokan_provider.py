@@ -589,6 +589,57 @@ def test_provider_configs_refuse_wrongly_typed_values(component, config):
         provider_cls(server, "p", provider_id=1, config=config)
 
 
+@pytest.mark.parametrize("component, config", [
+    ("remi", {"sync": "false"}),
+    ("remi", {"sync": 0}),
+    ("poesie", {"max_steps": "1000"}),
+    ("poesie", {"max_steps": 2.9}),
+    ("auth", {"token_ttl": "60"}),
+    ("auth", {"token_ttl": True}),
+    ("virtual", {"rpc_timeout": "0.5"}),
+], ids=["sync-str", "sync-int", "steps-str", "steps-float", "ttl-str", "ttl-bool",
+        "timeout-str"])
+def test_other_provider_configs_refuse_wrongly_typed_values(component, config):
+    """REMI, Poesie, security and the virtual database check their keys
+    as Yokan and Warabi do: ``"false"`` is no switch, 2.9 no count."""
+    from repro.poesie import PoesieProvider, ScriptError
+    from repro.remi import RemiError, RemiProvider
+    from repro.security import AuthError, AuthProvider
+    from repro.yokan.virtual import VirtualYokanProvider
+
+    cluster = Cluster(seed=3)
+    LocalStore(cluster.node("n0"))
+    server = cluster.add_margo("server", node="n0")
+    provider_cls, error = {"remi": (RemiProvider, RemiError),
+                           "poesie": (PoesieProvider, ScriptError),
+                           "auth": (AuthProvider, AuthError),
+                           "virtual": (VirtualYokanProvider, YokanError)}[component]
+    if component == "virtual":
+        config = dict(config, targets=[{"address": server.address, "provider_id": 2}])
+    with pytest.raises(error, match="must be"):
+        provider_cls(server, "p", provider_id=1, config=config)
+
+
+def test_single_key_rpcs_encode_str_and_refuse_other_types(rig):
+    """A raw sender's ``str`` key or value is stored as UTF-8, as a batch
+    is; any other type is refused before it reaches the backend."""
+    cluster, _, cm, provider, db = rig
+
+    def driver():
+        yield from db._forward("put", {"key": "k", "value": "v"})
+        found = yield from db._forward("exists", {"key": "k"})
+        value = yield from db._forward("get", {"key": "k"})
+        yield from db._forward("erase", {"key": "k"})
+        return found, value
+
+    assert run(cluster, cm, driver()) == (True, b"v")
+    assert dict(provider.backend.items()) == {}
+    for args in ({"key": b"k", "value": 5}, {"key": 7, "value": b"v"}):
+        with pytest.raises(RpcFailedError, match="must be bytes or str"):
+            run(cluster, cm, db._forward("put", args))
+    assert dict(provider.backend.items()) == {}
+
+
 # ----------------------------------------------------------------------
 # a batch is measured once, where it is built: no size can go stale
 # ----------------------------------------------------------------------
