@@ -574,22 +574,6 @@ def test_batch_rpcs_size_each_message_once(rig, monkeypatch):
     ("yokan", {"database": {"type": "persistent", "sync_on_put": 0}}),
     ("warabi", {"bulk_threshold": True}),
     ("warabi", {"bulk_threshold": "4096"}),
-], ids=["threshold-str", "threshold-float", "sync-str", "sync-int", "warabi-bool", "warabi-str"])
-def test_provider_configs_refuse_wrongly_typed_values(component, config):
-    """Switches are JSON booleans and thresholds integers: a config that
-    would be coerced is refused with the component's own error."""
-    from repro.warabi import WarabiError, WarabiProvider
-
-    cluster = Cluster(seed=3)
-    LocalStore(cluster.node("n0"))
-    server = cluster.add_margo("server", node="n0")
-    provider_cls, error = {"yokan": (YokanProvider, YokanError),
-                           "warabi": (WarabiProvider, WarabiError)}[component]
-    with pytest.raises(error, match="must be"):
-        provider_cls(server, "p", provider_id=1, config=config)
-
-
-@pytest.mark.parametrize("component, config", [
     ("remi", {"sync": "false"}),
     ("remi", {"sync": 0}),
     ("poesie", {"max_steps": "1000"}),
@@ -597,20 +581,25 @@ def test_provider_configs_refuse_wrongly_typed_values(component, config):
     ("auth", {"token_ttl": "60"}),
     ("auth", {"token_ttl": True}),
     ("virtual", {"rpc_timeout": "0.5"}),
-], ids=["sync-str", "sync-int", "steps-str", "steps-float", "ttl-str", "ttl-bool",
+], ids=["threshold-str", "threshold-float", "sync-str", "sync-int", "warabi-bool", "warabi-str",
+        "remi-sync-str", "remi-sync-int", "steps-str", "steps-float", "ttl-str", "ttl-bool",
         "timeout-str"])
-def test_other_provider_configs_refuse_wrongly_typed_values(component, config):
-    """REMI, Poesie, security and the virtual database check their keys
-    as Yokan and Warabi do: ``"false"`` is no switch, 2.9 no count."""
+def test_provider_configs_refuse_wrongly_typed_values(component, config):
+    """Switches are JSON booleans, counts integers and durations numbers:
+    a config that would be coerced is refused with the component's own
+    error."""
     from repro.poesie import PoesieProvider, ScriptError
     from repro.remi import RemiError, RemiProvider
     from repro.security import AuthError, AuthProvider
+    from repro.warabi import WarabiError, WarabiProvider
     from repro.yokan.virtual import VirtualYokanProvider
 
     cluster = Cluster(seed=3)
     LocalStore(cluster.node("n0"))
     server = cluster.add_margo("server", node="n0")
-    provider_cls, error = {"remi": (RemiProvider, RemiError),
+    provider_cls, error = {"yokan": (YokanProvider, YokanError),
+                           "warabi": (WarabiProvider, WarabiError),
+                           "remi": (RemiProvider, RemiError),
                            "poesie": (PoesieProvider, ScriptError),
                            "auth": (AuthProvider, AuthError),
                            "virtual": (VirtualYokanProvider, YokanError)}[component]
