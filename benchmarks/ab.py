@@ -161,8 +161,8 @@ def collect(trees: dict[str, str], workloads: list[str], seeds: list[int], pairs
     return runs
 
 
-def ledger(trees: dict[str, str], workload: str, seed: int, runs: int = TRACED_RUNS) -> dict:
-    """``runs`` traced runs per revision, alternating as the pairs do:
+def ledger(trees: dict[str, str], workload: str, seed: int) -> dict:
+    """:data:`TRACED_RUNS` traced runs per revision, alternating as the pairs do:
     every per-layer row as each side's median and [min, max].  A row is
     moved only when the two ranges do not overlap, so the change lies
     beyond both sides' spread; one run per side let host drift move the
@@ -174,7 +174,7 @@ def ledger(trees: dict[str, str], workload: str, seed: int, runs: int = TRACED_R
     runs of one tree, see DESIGN.md section 9).  A moved count is
     evidence to read, not a verdict: a path that shrank moves them too."""
     samples: dict[str, list[dict]] = {"parent": [], "change": []}
-    for index in range(runs):
+    for index in range(TRACED_RUNS):
         for side in ("parent", "change") if index % 2 == 0 else ("change", "parent"):
             samples[side].append(run_once(trees[side], workload, seed, trace=True)["per_layer"])
     table = {}
@@ -187,7 +187,7 @@ def ledger(trees: dict[str, str], workload: str, seed: int, runs: int = TRACED_R
              if row["change_range"][0] > row["parent_range"][1]
              or row["change_range"][1] < row["parent_range"][0]}
     counts = {name: delta for name, delta in moved.items() if table[name]["unit"] in ("count", "B")}
-    return {"seed": seed, "runs": runs, "rows": table, "moved": moved,
+    return {"seed": seed, "runs": TRACED_RUNS, "rows": table, "moved": moved,
             "counts_equal": not counts, "counts_moved": counts}
 
 

@@ -103,7 +103,7 @@ class Batch(list):
 
 
 def decode_records(data: bytes) -> list[tuple[bytes, bytes]]:
-    """Inverse of :func:`encode_records`: an image, tombstones and all."""
+    """Inverse of :func:`encode_records`."""
     try:
         return _segments.decode_records(data)  # type: ignore[return-value]
     except StorageError as err:

@@ -336,5 +336,5 @@ class YokanProvider(Provider):
         yield UltSleep(pfs.read_cost(size))
         self.backend.clear()
         self.backend.put_multi(image.items())
-        getattr(self.backend, "flush", int)()  # persistent: one image segment
+        yield from self._flush_backend()  # persistent: one image segment
         return size

@@ -261,6 +261,30 @@ def test_checkpoint_restore_via_pfs():
     assert run(cluster, cm, phase2()) == b"v7"
 
 
+def test_persistent_restore_sleeps_for_its_local_image_write():
+    """A persistent restore reads the checkpoint from the PFS, then writes
+    the restored image as one local segment, charged at its bytes."""
+    cluster = Cluster(seed=3)
+    pfs = ParallelFileSystem()
+    source = YokanProvider(cluster.add_margo("s1", node="n0"), "db", provider_id=1)
+    source.backend.put_multi([(b"k%d" % i, b"v" * 100) for i in range(50)])
+    node = cluster.node("n1")
+    store = LocalStore(node)
+    margo = cluster.add_margo("s2", node=node)
+    target = YokanProvider(margo, "db", provider_id=1, config={"database": {"type": "persistent"}})
+    size = run(cluster, margo, source.checkpoint(pfs, "ckpt/db"))
+
+    def restore():
+        started = cluster.now
+        yield from target.restore(pfs, "ckpt/db")
+        return cluster.now - started
+
+    elapsed = run(cluster, margo, restore())
+    (segment,) = target.local_files()
+    assert elapsed == pytest.approx(pfs.read_cost(size) + store.write_cost(store.size_of(segment)))
+    assert dict(target.backend.items()) == dict(source.backend.items())
+
+
 def test_get_config_reports_statistics(rig):
     cluster, _, cm, provider, db = rig
 
