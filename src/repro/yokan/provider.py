@@ -323,7 +323,7 @@ class YokanProvider(Provider):
     def checkpoint(self, pfs: Any, path: str) -> Generator:
         """Copy the segments the PFS lacks and the unsealed changes; no
         seal, so the next migration's segment stays whole."""
-        log = getattr(self.backend, "log", None)  # None: no changes, the image
+        log = getattr(self.backend, "log", None)  # map/ordered: the tail is the image
         files = checkpoint_files(log, log and self.backend.changes(), self.backend, path, pfs)
         size = sum(len(data) for _, data in files)
         yield UltSleep(pfs.write_cost(size))
