@@ -83,7 +83,7 @@ def run_experiment():
     for node in survivors:
         backend = node.sm.backend
         missing += sum(1 for key in acked_keys if not backend.exists(key))
-    dumps = {n.sm.snapshot() for n in survivors}
+    dumps = {bytes(n.sm.backend.dump()) for n in survivors}
 
     rows = [
         {

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..yokan.backend import KVBackend, NoSuchKeyError, decode_records, encode_records
+from ..yokan.backend import KVBackend, NoSuchKeyError, decode_records
 
 __all__ = ["StateMachine", "KVStateMachine", "CounterStateMachine"]
 
@@ -95,11 +95,10 @@ class KVStateMachine(StateMachine):
         raise ValueError(f"unsupported read-only query {op!r}")
 
     def snapshot(self) -> bytes:
-        return encode_records(sorted(self.backend.items()))
+        return self.backend.dump()
 
     def restore(self, data: bytes) -> None:
-        self.backend.clear()
-        self.backend.put_multi(decode_records(data))
+        self.backend.replace(decode_records(data))
 
 
 class CounterStateMachine(StateMachine):

@@ -78,19 +78,22 @@ def replay(streams: Iterable[tuple[bytes, int]]) -> dict[bytes, bytes]:
     return {key: value for key, value in image.items() if value is not None}
 
 
-def checkpoint_files(log: Optional["SegmentLog"], changes: Optional[Iterable[tuple[bytes, Any]]],
-                     image: Any, path: str, target: Any) -> list[tuple[str, bytes]]:
-    """A checkpoint into ``target``: each live segment it lacks (by content:
-    a crash can reissue a seq never written), as the log's own ``bytes``,
-    then a tail at ``path``: ``changes`` (unknown: the ``image``) behind
-    a header naming the live range they extend."""
-    prefix, first, last, live = (b"", 1, 0, []) if changes is None else (
-        f"{log.path}/{log.lineage}".encode(), log.first, log.last, log.live())
-    files = [(name, data or log.store.read(name)) for name, data in live]
-    files = [(name, data) for name, data in files
-             if not (target.exists(name) and target.read(name) == data)]
-    header = _TAIL.pack(first, last, len(prefix)) + prefix
-    return files + [(path, encode_records(image.items() if changes is None else changes, header))]
+def checkpoint_files(backend: Any, path: str, target: Any) -> list[tuple[str, bytes]]:
+    """The live segments of ``backend``'s log ``target`` lacks, as the log's
+    own ``bytes``, then a tail at ``path``: the changes since the last seal
+    behind a header naming their range.  No log or known changes, or a
+    segment ``target`` holds with other bytes (a crash reissued its seq):
+    the tail is the image, as a segment older checkpoints name stays."""
+    log = getattr(backend, "log", None)
+    changes = log and backend.changes()
+    live = [] if changes is None else [(name, data or log.store.read(name))
+                                       for name, data in log.live()]
+    if changes is None or any(target.read(n) != data for n, data in live if target.exists(n)):
+        return [(path, backend.dump(_TAIL.pack(1, 0, 0)))]
+    prefix = f"{log.path}/{log.lineage}".encode()
+    header = _TAIL.pack(log.first, log.last, len(prefix)) + prefix
+    live = [(name, data) for name, data in live if not target.exists(name)]
+    return live + [(path, encode_records(changes, header))]
 
 
 def checkpoint_image(tail: bytes, read: Callable[[str], bytes]) -> tuple[dict[bytes, bytes], int]:

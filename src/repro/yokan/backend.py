@@ -6,7 +6,8 @@ interface is the same idea: the provider is backend-agnostic, and
 backends register themselves in a factory by type name.
 
 Keys and values are ``bytes`` (``str`` inputs are UTF-8 encoded at the
-provider boundary).
+provider boundary).  ``dump()`` is the image migration fetches and a
+checkpoint of a database with no segment log writes.
 """
 
 from __future__ import annotations
@@ -102,6 +103,9 @@ class Batch(list):
         return 8 * len(self) + self.nbytes
 
 
+# ----------------------------------------------------------------------
+# binary codec for dump: the segment log's record stream
+# ----------------------------------------------------------------------
 def decode_records(data: bytes) -> list[tuple[bytes, bytes]]:
     """Inverse of :func:`encode_records`."""
     try:
@@ -166,6 +170,16 @@ class KVBackend:
 
     def clear(self) -> None:
         raise NotImplementedError
+
+    # ---- persistence ---------------------------------------------------
+    def dump(self, header: bytes = b"") -> bytes:
+        """Serialize the whole database, in key order, after ``header``."""
+        return encode_records(sorted(self.items()), header)
+
+    def replace(self, pairs: Iterable[tuple[bytes, bytes]]) -> None:
+        """Replace contents with ``pairs`` (say, a decoded :meth:`dump`)."""
+        self.clear()
+        self.put_multi(pairs)
 
 
 # ----------------------------------------------------------------------

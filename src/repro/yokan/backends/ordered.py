@@ -10,7 +10,7 @@ import bisect
 from itertools import islice
 from typing import Iterable, Optional
 
-from ..backend import register_backend
+from ..backend import encode_records, register_backend
 from .map import MapBackend
 
 __all__ = ["OrderedBackend"]
@@ -81,6 +81,9 @@ class OrderedBackend(MapBackend):
         if max_keys:
             end = min(end, start + max_keys)
         return keys[start:end]
+
+    def dump(self, header: bytes = b"") -> bytes:
+        return encode_records(self.items(), header)  # already in key order
 
     def items(self) -> Iterable[tuple[bytes, bytes]]:
         return ((k, self._data[k]) for k in self._keys)

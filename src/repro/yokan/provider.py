@@ -25,7 +25,7 @@ from ..storage.local import LocalStore
 from ..storage.segments import (Segment, checkpoint_files, checkpoint_image, lineage_of,
                                 newest_lineage)
 from . import backends as _backends  # noqa: F401 - registers built-ins
-from .backend import Batch, KVBackend, YokanError, _to_bytes, create_backend, encode_records
+from .backend import Batch, KVBackend, YokanError, _to_bytes, create_backend
 
 __all__ = ["YokanProvider", "OP_BASE_COST", "BYTES_PER_SECOND"]
 
@@ -117,8 +117,7 @@ class YokanProvider(Provider):
 
     def _on_get(self, ctx: RequestContext) -> Generator:
         key = ctx.args["key"]
-        if type(key) is not bytes:
-            key = _to_bytes(key)
+        key = key if type(key) is bytes else _to_bytes(key)
         yield _op_cost(len(key))
         if _race.ENABLED:
             _race.note_read(self.backend, key, f"yokan:{self.name}.get")
@@ -131,8 +130,7 @@ class YokanProvider(Provider):
 
     def _on_erase(self, ctx: RequestContext) -> Generator:
         key = ctx.args["key"]
-        if type(key) is not bytes:
-            key = _to_bytes(key)
+        key = key if type(key) is bytes else _to_bytes(key)
         yield _op_cost(len(key))
         if _race.ENABLED:
             _race.note_write(self.backend, key, f"yokan:{self.name}.erase")
@@ -142,8 +140,7 @@ class YokanProvider(Provider):
 
     def _on_exists(self, ctx: RequestContext) -> Generator:
         key = ctx.args["key"]
-        if type(key) is not bytes:
-            key = _to_bytes(key)
+        key = key if type(key) is bytes else _to_bytes(key)
         yield _op_cost(len(key))
         if _race.ENABLED:
             _race.note_read(self.backend, key, f"yokan:{self.name}.exists")
@@ -237,7 +234,7 @@ class YokanProvider(Provider):
         if _race.ENABLED:
             for key in self.backend.list_keys():
                 _race.note_read(self.backend, key, f"yokan:{self.name}.fetch_image")
-        image = encode_records(sorted(self.backend.items()))
+        image = self.backend.dump()
         yield _op_cost(len(image))
         yield from self.margo.bulk_transfer(ctx.source, len(image), op=BULK_OP_PUSH)
         return BulkHandle(self.margo.address, len(image), image)
@@ -323,8 +320,7 @@ class YokanProvider(Provider):
     def checkpoint(self, pfs: Any, path: str) -> Generator:
         """Copy the segments the PFS lacks and the unsealed changes; no
         seal, so the next migration's segment stays whole."""
-        log = getattr(self.backend, "log", None)  # map/ordered: the tail is the image
-        files = checkpoint_files(log, log and self.backend.changes(), self.backend, path, pfs)
+        files = checkpoint_files(self.backend, path, pfs)
         size = sum(len(data) for _, data in files)
         yield UltSleep(pfs.write_cost(size))
         for name, data in files:
@@ -334,7 +330,6 @@ class YokanProvider(Provider):
     def restore(self, pfs: Any, path: str) -> Generator:
         image, size = checkpoint_image(pfs.read(path), pfs.read)
         yield UltSleep(pfs.read_cost(size))
-        self.backend.clear()
-        self.backend.put_multi(image.items())
+        self.backend.replace(image.items())
         yield from self._flush_backend()  # persistent: one image segment
         return size

@@ -270,7 +270,7 @@ def test_kv_state_machine_via_raft():
     assert cluster.run_ult(cm, driver()) == (b"v1", b"v2", True, None)
     cluster.run(until=cluster.now + 2.0)
     # All backends converge to the same contents.
-    dumps = {n.sm.snapshot() for n in nodes}
+    dumps = {bytes(n.sm.backend.dump()) for n in nodes}
     assert len(dumps) == 1
 
 

@@ -83,6 +83,16 @@ def test_list_keys_prefix_and_pagination(backend):
     assert backend.list_keys() == [b"a1", b"a2", b"a3", b"b1"]
 
 
+def test_dump_load_roundtrip(backend):
+    for i in range(20):
+        backend.put(f"key{i:03d}".encode(), f"value{i}".encode())
+    image = backend.dump()
+    other = MapBackend()
+    other.replace(decode_records(image))
+    assert other.count() == 20
+    assert other.get(b"key007") == b"value7"
+
+
 # ----------------------------------------------------------------------
 # codec
 # ----------------------------------------------------------------------
@@ -121,7 +131,7 @@ def test_backends_agree_property(mapping):
         b.put(key, value)
     assert a.count() == b.count() == len(mapping)
     assert a.list_keys() == b.list_keys() == sorted(mapping)
-    assert sorted(a.items()) == list(b.items())
+    assert a.dump() == b.dump()
     assert a.size_bytes() == b.size_bytes()
 
 
@@ -314,7 +324,7 @@ def apply_op(backend, model, op):
         )
 
 
-def check_against_model(backend, model):
+def check_against_model(name, backend, model):
     assert dict(backend.items()) == model
     assert backend.count() == len(model)
     assert backend.size_bytes() == sum(len(k) + len(v) for k, v in model.items())
@@ -322,6 +332,14 @@ def check_against_model(backend, model):
     ordered = getattr(backend, "_mem", backend)
     if isinstance(ordered, OrderedBackend):
         assert ordered._keys == sorted(ordered._data)
+    image = backend.dump()
+    assert decode_records(image) == sorted(model.items())
+    reloaded = BACKEND_FACTORIES[name]()
+    reloaded.put(b"stale", b"gone after replace")
+    reloaded.replace(decode_records(image))
+    assert dict(reloaded.items()) == model
+    assert reloaded.dump() == image
+    assert reloaded.size_bytes() == backend.size_bytes()
 
 
 #: a three-letter alphabet with 0xff in it: collisions, overwrites, gaps
@@ -355,11 +373,12 @@ def test_backend_matches_dict_model(name, ops):
     backend, model = BACKEND_FACTORIES[name](), {}
     for op in ops:
         apply_op(backend, model, op)
-        check_against_model(backend, model)
+        check_against_model(name, backend, model)
 
 
 def test_put_multi_merge_shapes_match_dict_model(backend):
     """Every way a batch's new keys can fall into the sorted key array."""
+    name = backend.type_name
     model = {}
     batches = [
         [],  # empty batch into an empty database
@@ -375,7 +394,7 @@ def test_put_multi_merge_shapes_match_dict_model(backend):
     ]
     for index, batch in enumerate(batches):
         apply_op(backend, model, ("put_multi", batch, index % 2 == 1))
-        check_against_model(backend, model)
+        check_against_model(name, backend, model)
     assert model[b"q"] == b"17"
 
 

@@ -272,3 +272,50 @@ def test_checkpoints_restore_the_model_path_by_path(db_type, rounds):
         fresh = YokanProvider(margo, "db", 1)
         cluster.run_ult(margo, fresh.restore(pfs, path))
         assert dict(fresh.backend.items()) == expected, path
+
+
+@pytest.mark.parametrize("reissue", ["crash-reopen", "recover-migrated-copy"])
+def test_a_reissued_seq_never_overwrites_a_checkpointed_segment(reissue):
+    """A seq is issued again after a crash drops a pending segment the
+    checkpoint shipped from memory, or when a migrated copy is recovered
+    on an empty store under its lineage.  The next checkpoint must leave
+    the PFS segments alone (its tail is the whole image), so the older
+    path still restores the state it was taken at."""
+    cluster = Cluster(seed=13)
+    pfs = ParallelFileSystem()
+    LocalStore(cluster.node("n0"))
+    LocalStore(cluster.node("n1"))
+    first = YokanProvider(cluster.add_margo("s0", node="n0"), "db", 1,
+                          config={"database": {"type": "persistent"}})
+    backend = first.backend
+    backend.put_multi([(b"a", b"1"), (b"b", b"2")])
+    backend.flush()
+    backend.put(b"c", b"3")
+    if reissue == "crash-reopen":
+        backend.seal()  # shipped from memory below, never written
+    else:
+        backend.flush()
+    expected = dict(backend.items())
+    cluster.run_ult(first.margo, first.checkpoint(pfs, "ckpt/old"))
+    shipped = {name: pfs.read(name) for name in pfs.list("yokan/")}
+    assert len(shipped) == 2
+    cluster.faults.kill_process(first.margo.process)
+
+    node = "n0" if reissue == "crash-reopen" else "n1"
+    margo = cluster.add_margo("s1", node=node)
+    second = YokanProvider(margo, "db", 1, config={"database": dict(first.config["database"])})
+    assert second.backend.log.lineage == backend.log.lineage
+    if reissue == "recover-migrated-copy":
+        cluster.run_ult(margo, second.restore(pfs, "ckpt/old"))  # writes seq 1 again
+    second.backend.put(b"a", b"new")
+    second.backend.erase(b"b")
+    cluster.run_ult(margo, second._flush_backend())  # seq 2 again
+    reissued = second.backend.log.name(2)
+    assert second.backend.store.read(reissued) != shipped[reissued]
+    cluster.run_ult(margo, second.checkpoint(pfs, "ckpt/new"))
+    assert all(pfs.read(name) is data for name, data in shipped.items())
+    assert pfs.list("yokan/") == sorted(shipped)
+    for path, state in (("ckpt/old", expected), ("ckpt/new", dict(second.backend.items()))):
+        fresh = YokanProvider(cluster.add_margo(f"r-{path}", node="n2"), "db", 1)
+        cluster.run_ult(fresh.margo, fresh.restore(pfs, path))
+        assert dict(fresh.backend.items()) == state, path
